@@ -3,13 +3,13 @@ GO ?= go
 # gate does not drift with upstream.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: ci vet build test race audit lint hmlint staticcheck lint-fix-check fuzz bench bench-adapt bench-evict bench-trace bench-engine bench-serve bench-tiers bench-tune bench-check
+.PHONY: ci vet build test race audit lint hmlint staticcheck lint-fix-check fuzz bench bench-adapt bench-evict bench-trace bench-engine bench-serve bench-tiers bench-tune bench-check bench-test
 
 # ci is the gate: static checks (vet + hmlint + staticcheck), build,
-# race-enabled tests, and the audit-enabled figure sweep (every
-# simulated run carries the invariant auditor; any conservation
-# violation fails the target).
-ci: lint build race audit
+# race-enabled tests, the audit-enabled figure sweep (every simulated
+# run carries the invariant auditor; any conservation violation fails
+# the target), and the hmbench module's tests.
+ci: lint build race audit bench-test
 
 # lint runs the three static layers: the stock vet analyzers, the
 # domain-specific hmlint suite (internal/lint), and staticcheck.
@@ -66,6 +66,14 @@ race:
 
 audit:
 	$(GO) run ./cmd/hmrepro -scale small -audit > /dev/null
+
+# bench-test runs the hmbench module's tests: Small-scale equivalence
+# with exp.RunFig8/RunFig9/RunX13/RunX15, the golden values and the
+# workload catalogue. bench/ is a Go module of its own, so the root
+# `go test ./...` never reaches them, and a memsim change that moves a
+# Fig 8/9 virtual result would otherwise go unnoticed.
+bench-test:
+	cd bench && $(GO) test ./...
 
 bench:
 	$(GO) test -bench=. -benchmem ./internal/exp/
@@ -125,12 +133,18 @@ bench-tiers:
 bench-tune:
 	$(GO) run ./cmd/hmrepro -tune -bench-tune BENCH_tune.json
 
+# ENGINE_FIELDS projects BENCH_engine.json onto its deterministic
+# fields: the event counts of each engine row, the serve row's shape,
+# and the cluster leg's identity bit and virtual results. The
+# wall-clock fields vary host to host and stay unchecked.
+ENGINE_FIELDS = {engine: [.engine[] | {tasks, events_scheduled, events_cancelled, events_reused}], serve: (.serve | {sessions, tenants, tasks, windows}), cluster: (.cluster | {nodes, byte_identical, virtual_makespan_s, fabric_messages, windows})}
+
 # bench-check guards the committed deterministic snapshots against
 # drift: regenerate each into a temp file and fail on any byte
-# difference from the committed copy. Only the virtual-time snapshots
-# are checked — BENCH_engine.json is wall-clock by design. Runs the
-# full-scale figures, so it is the slow, thorough gate (CI runs the
-# small-scale sweep separately).
+# difference from the committed copy. BENCH_engine.json is wall-clock
+# by design, so only its ENGINE_FIELDS projection is compared (needs
+# jq). Runs the full-scale figures, so it is the slow, thorough gate
+# (CI runs the small-scale sweep separately).
 bench-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	$(GO) run ./cmd/hmrepro -adapt -bench-adapt $$tmp/BENCH_adapt.json >/dev/null; \
@@ -139,9 +153,13 @@ bench-check:
 	$(GO) run ./cmd/hmrepro -serve -bench-serve $$tmp/BENCH_serve.json >/dev/null; \
 	$(GO) run ./cmd/hmrepro -tiers -bench-tiers $$tmp/BENCH_tiers.json >/dev/null; \
 	$(GO) run ./cmd/hmrepro -tune -bench-tune $$tmp/BENCH_tune.json >/dev/null; \
+	$(GO) run ./cmd/hmrepro -engine -bench-engine $$tmp/BENCH_engine.json >/dev/null; \
 	rc=0; \
 	for f in BENCH_adapt.json BENCH_evict.json BENCH_trace.json BENCH_serve.json BENCH_tiers.json BENCH_tune.json; do \
 		if ! cmp -s "$$f" "$$tmp/$$f"; then echo "bench-check: $$f drifted from a fresh run"; rc=1; fi; \
 	done; \
+	jq -S '$(ENGINE_FIELDS)' BENCH_engine.json > $$tmp/engine.want && \
+	jq -S '$(ENGINE_FIELDS)' $$tmp/BENCH_engine.json > $$tmp/engine.got && \
+	cmp -s $$tmp/engine.want $$tmp/engine.got || { echo "bench-check: BENCH_engine.json deterministic fields drifted from a fresh run"; rc=1; }; \
 	[ $$rc -eq 0 ] && echo "bench-check: committed snapshots match fresh runs"; \
 	exit $$rc

@@ -3,6 +3,7 @@ package memsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/hetmem/hetmem/internal/sim"
 )
@@ -38,17 +39,45 @@ func (d Demand) resources() [2]*resource {
 // the flow's single current rate.
 type Flow struct {
 	sys       *System
-	demands   []Demand
-	remaining float64 // bytes
-	total     float64
-	cap       float64 // bytes/second; +Inf when uncapped
-	rate      float64 // current granted rate
-	frozen    bool    // allocator scratch
+	class     *flowClass // nil for flows that complete on start
+	remaining float64    // bytes
+	rate      float64    // current granted rate
 	started   sim.Time
 	finished  sim.Time
 	done      bool
 	waiters   []*sim.Proc
 	onDone    func()
+}
+
+// flowClass is the set of live flows with an identical demand list (in
+// order) and an identical cap. Max-min filling treats its members
+// identically, so the allocator fills classes rather than flows.
+type flowClass struct {
+	demands []Demand
+	cap     float64 // bytes/second; +Inf when uncapped
+	// resources flattens every demand's pools, duplicates included, so
+	// a same-node copy counts the bus twice.
+	resources []*resource
+	n         int // live member flows
+	rate      float64
+	frozen    bool // allocator scratch
+}
+
+// classFor returns the live class for demands and cap, creating it at
+// the end of s.classes when none matches.
+func (s *System) classFor(demands []Demand, cap float64) *flowClass {
+	for _, c := range s.classes {
+		if c.cap == cap && slices.Equal(c.demands, demands) {
+			return c
+		}
+	}
+	c := &flowClass{demands: append([]Demand(nil), demands...), cap: cap}
+	for _, d := range c.demands {
+		r := d.resources()
+		c.resources = append(c.resources, r[0], r[1])
+	}
+	s.classes = append(s.classes, c)
+	return c
 }
 
 // FlowSpec describes a flow to start.
@@ -76,25 +105,28 @@ func (s *System) StartFlow(spec FlowSpec) *Flow {
 	if spec.Bytes < 0 {
 		panic("memsim: negative flow size")
 	}
-	f := &Flow{
-		sys:       s,
-		demands:   append([]Demand(nil), spec.Demands...),
-		remaining: spec.Bytes,
-		total:     spec.Bytes,
-		cap:       spec.RateCap,
-		started:   s.e.Now(),
-		onDone:    spec.OnDone,
+	// A flow of +Inf or NaN bytes would never complete: its completion
+	// event lands past sim.Infinity, so the engine drains with the flow
+	// still active and no stall is ever reported.
+	if math.IsInf(spec.Bytes, 1) || math.IsNaN(spec.Bytes) {
+		panic(fmt.Sprintf("memsim: non-finite flow size %g", spec.Bytes))
 	}
-	if f.cap <= 0 {
-		f.cap = math.Inf(1)
+	if math.IsNaN(spec.RateCap) {
+		panic("memsim: NaN flow rate cap")
 	}
-	if len(f.demands) == 0 {
+	if len(spec.Demands) == 0 {
 		panic("memsim: flow with no demands")
 	}
-	for _, d := range f.demands {
+	for _, d := range spec.Demands {
 		if d.Node == nil {
 			panic("memsim: flow demand with nil node")
 		}
+	}
+	f := &Flow{
+		sys:       s,
+		remaining: spec.Bytes,
+		started:   s.e.Now(),
+		onDone:    spec.OnDone,
 	}
 	if spec.Bytes <= byteEps {
 		// Trivially complete; fire OnDone asynchronously for
@@ -106,7 +138,13 @@ func (s *System) StartFlow(spec FlowSpec) *Flow {
 		}
 		return f
 	}
+	rateCap := spec.RateCap
+	if rateCap <= 0 {
+		rateCap = math.Inf(1)
+	}
 	s.advance()
+	f.class = s.classFor(spec.Demands, rateCap)
+	f.class.n++
 	s.flows = append(s.flows, f)
 	s.reallocate()
 	return f
@@ -156,7 +194,7 @@ func (s *System) advance() {
 			moved += f.remaining
 			f.remaining = 0
 		}
-		for _, d := range f.demands {
+		for _, d := range f.class.demands {
 			if d.Access == Read {
 				d.Node.BytesRead += moved
 			} else {
@@ -169,22 +207,36 @@ func (s *System) advance() {
 
 // reallocate recomputes max-min fair rates for all flows (progressive
 // filling), completes any finished flows, and schedules the next
-// completion event. Iteration is in flow start order, so the computation
-// is bit-for-bit deterministic.
+// completion event.
+//
+// Filling runs over flow classes, not flows. Members of a class share
+// their rate, cap and resource multiset, so in every round they would
+// get the same increment and the same saturation verdict; filling the
+// class once performs exactly the float operations per-flow filling
+// would. Each resource subtracts a round's increment once per unfrozen
+// user, as repeated subtraction rather than one multiply, so its
+// remaining capacity is bit-for-bit what per-flow filling computes.
 func (s *System) reallocate() {
 	// Complete flows that have drained, preserving order of the rest.
 	live := s.flows[:0]
 	for _, f := range s.flows {
 		if f.remaining <= byteEps {
+			f.class.n--
 			s.finish(f)
 		} else {
 			live = append(live, f)
 		}
 	}
-	for i := len(live); i < len(s.flows); i++ {
-		s.flows[i] = nil
-	}
+	clear(s.flows[len(live):])
 	s.flows = live
+	classes := s.classes[:0]
+	for _, c := range s.classes {
+		if c.n > 0 {
+			classes = append(classes, c)
+		}
+	}
+	clear(s.classes[len(classes):])
+	s.classes = classes
 
 	s.completion.Cancel()
 	s.completion = sim.EventHandle{}
@@ -192,32 +244,30 @@ func (s *System) reallocate() {
 		return
 	}
 
-	// Gather the distinct resources in first-use order.
-	var resources []*resource
-	for _, f := range s.flows {
-		f.rate = 0
-		f.frozen = false
-		for _, d := range f.demands {
-			for _, r := range d.resources() {
-				if !r.seen {
-					r.seen = true
-					r.remCap = r.capacity
-					r.users = 0
-					resources = append(resources, r)
-				}
-				r.users++
+	// Gather the distinct resources in first-use order, counting every
+	// live flow's use.
+	resources := s.resources[:0]
+	for _, c := range s.classes {
+		c.rate = 0
+		c.frozen = false
+		for _, r := range c.resources {
+			if !r.seen {
+				r.seen = true
+				r.remCap = r.capacity
+				r.users = 0
+				resources = append(resources, r)
 			}
+			r.users += c.n
 		}
 	}
-	defer func() {
-		for _, r := range resources {
-			r.seen = false
-		}
-	}()
+	for _, r := range resources {
+		r.seen = false
+	}
+	s.resources = resources
 
-	// Progressive filling: raise all unfrozen flows' rates together
+	// Progressive filling: raise all unfrozen classes' rates together
 	// until each hits its cap or saturates one of its resources.
-	unfrozen := len(s.flows)
+	unfrozen := len(s.classes)
 	for unfrozen > 0 {
 		inc := math.Inf(1)
 		for _, r := range resources {
@@ -227,9 +277,9 @@ func (s *System) reallocate() {
 				}
 			}
 		}
-		for _, f := range s.flows {
-			if !f.frozen {
-				if v := f.cap - f.rate; v < inc {
+		for _, c := range s.classes {
+			if !c.frozen {
+				if v := c.cap - c.rate; v < inc {
 					inc = v
 				}
 			}
@@ -237,42 +287,38 @@ func (s *System) reallocate() {
 		if inc < 0 {
 			inc = 0
 		}
-		for _, f := range s.flows {
-			if f.frozen {
-				continue
+		for _, c := range s.classes {
+			if !c.frozen {
+				c.rate += inc
 			}
-			f.rate += inc
-			for _, d := range f.demands {
-				for _, r := range d.resources() {
-					r.remCap -= inc
-				}
+		}
+		for _, r := range resources {
+			// One subtraction per user, never inc*users: the
+			// multiply rounds differently from per-flow filling.
+			for i := 0; i < r.users; i++ {
+				r.remCap -= inc
 			}
 		}
 		progressed := false
-		for _, f := range s.flows {
-			if f.frozen {
+		for _, c := range s.classes {
+			if c.frozen {
 				continue
 			}
-			saturated := f.rate >= f.cap-1e-9*f.cap
+			saturated := c.rate >= c.cap-1e-9*c.cap
 			if !saturated {
-			scan:
-				for _, d := range f.demands {
-					for _, r := range d.resources() {
-						if r.remCap <= 1e-9*r.capacity {
-							saturated = true
-							break scan
-						}
+				for _, r := range c.resources {
+					if r.remCap <= 1e-9*r.capacity {
+						saturated = true
+						break
 					}
 				}
 			}
 			if saturated {
-				f.frozen = true
+				c.frozen = true
 				unfrozen--
 				progressed = true
-				for _, d := range f.demands {
-					for _, r := range d.resources() {
-						r.users--
-					}
+				for _, r := range c.resources {
+					r.users -= c.n
 				}
 			}
 		}
@@ -281,9 +327,10 @@ func (s *System) reallocate() {
 		}
 	}
 
-	// Schedule the next completion.
+	// Hand each flow its class's rate and schedule the next completion.
 	next := math.Inf(1)
 	for _, f := range s.flows {
+		f.rate = f.class.rate
 		if f.rate <= 0 {
 			panic(fmt.Sprintf("memsim: flow starved (rate 0, %g bytes left)", f.remaining))
 		}
@@ -291,10 +338,7 @@ func (s *System) reallocate() {
 			next = t
 		}
 	}
-	s.completion = s.e.After(next, func() {
-		s.advance()
-		s.reallocate()
-	})
+	s.completion = s.e.After(next, s.onCompletion)
 }
 
 // finish marks f complete and releases its waiters.

@@ -12,6 +12,13 @@
 // kernel traffic — the effect the paper's overlap argument depends on —
 // falls out of the model.
 //
+// Filling runs once per flow class — the live flows sharing one demand
+// list and one cap — rather than once per flow. Members of a class get
+// identical rates under max-min fairness, and the class filling performs
+// exactly the float operations per-flow filling would, so the rates are
+// bit-for-bit the same; a workload of a hundred kernel flows and a few
+// memcpys fills only a handful of classes.
+//
 // The model runs in virtual time on a sim.Engine and is fully
 // deterministic.
 package memsim
@@ -179,9 +186,14 @@ type System struct {
 	e     *sim.Engine
 	nodes []*Node
 
-	flows      []*Flow // in start order; removal preserves order
+	flows      []*Flow      // in start order; removal preserves order
+	classes    []*flowClass // live flow classes in first-use order
+	resources  []*resource  // allocator scratch, reused across calls
 	lastUpdate sim.Time
 	completion sim.EventHandle
+	// onCompletion is the completion-event callback, bound once so
+	// scheduling it does not allocate a closure per reallocation.
+	onCompletion func()
 }
 
 // NewSystem builds a memory system on e from specs. Node IDs are the
@@ -189,6 +201,10 @@ type System struct {
 // node 0", HBM is "memory node 1" on flat-mode KNL).
 func NewSystem(e *sim.Engine, specs []NodeSpec) *System {
 	s := &System{e: e}
+	s.onCompletion = func() {
+		s.advance()
+		s.reallocate()
+	}
 	for i, sp := range specs {
 		if sp.Cap <= 0 || sp.ReadBW <= 0 || sp.WriteBW <= 0 {
 			panic(fmt.Sprintf("memsim: node %q must have positive capacity and bandwidth", sp.Name))

@@ -359,6 +359,47 @@ func TestNegativeFlowPanics(t *testing.T) {
 	s.StartFlow(FlowSpec{Bytes: -1, Demands: []Demand{{Node: s.Node(0), Access: Read}}})
 }
 
+// TestNonFiniteFlowPanics is the regression for flows that could never
+// complete: a +Inf or NaN size, or a NaN cap, used to be accepted and
+// left the flow active with its completion event past sim.Infinity, so
+// RunAll returned without completing it and no stall was reported.
+func TestNonFiniteFlowPanics(t *testing.T) {
+	for _, spec := range []struct {
+		name         string
+		bytes, limit float64
+	}{
+		{"+Inf bytes", math.Inf(1), 0},
+		{"NaN bytes", math.NaN(), 0},
+		{"NaN cap", gb, math.NaN()},
+	} {
+		t.Run(spec.name, func(t *testing.T) {
+			s := testSystem(sim.NewEngine(1))
+			defer func() {
+				if recover() == nil {
+					t.Fatal("flow was accepted")
+				}
+				if s.ActiveFlows() != 0 {
+					t.Fatalf("rejected flow left %d flows active", s.ActiveFlows())
+				}
+			}()
+			s.StartFlow(FlowSpec{Bytes: spec.bytes, Demands: []Demand{{Node: s.Node(0), Access: Read}}, RateCap: spec.limit})
+		})
+	}
+}
+
+// TestInfiniteCapIsUncapped checks that a +Inf RateCap still means
+// uncapped, and that it shares a class with RateCap 0.
+func TestInfiniteCapIsUncapped(t *testing.T) {
+	e := sim.NewEngine(1)
+	s := testSystem(e)
+	var d1, d2 sim.Time
+	e.Spawn("inf", func(p *sim.Proc) { d1 = s.ReadStream(p, 50*gb, s.Node(0), math.Inf(1)) })
+	e.Spawn("zero", func(p *sim.Proc) { d2 = s.ReadStream(p, 50*gb, s.Node(0), 0) })
+	e.RunAll()
+	almost(t, d1, 1.0, 1e-6, "+Inf-capped flow")
+	almost(t, d2, 1.0, 1e-6, "uncapped flow")
+}
+
 func TestNoDemandsPanics(t *testing.T) {
 	e := sim.NewEngine(1)
 	s := testSystem(e)
