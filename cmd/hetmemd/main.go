@@ -154,14 +154,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 // buildConfig assembles the serve.Config from the flag values.
 func buildConfig(scaleName string, window float64, lanes int, fair, auditOn bool,
 	queue int, seed int64, defBudget string, tenants []serve.TenantConfig) (serve.Config, error) {
-	var scale exp.Scale
-	switch scaleName {
-	case "full":
-		scale = exp.Full
-	case "small":
-		scale = exp.Small
-	default:
-		return serve.Config{}, fmt.Errorf("unknown scale %q (want full or small)", scaleName)
+	scale, err := exp.ParseScale(scaleName)
+	if err != nil {
+		return serve.Config{}, err
 	}
 	cfg := serve.Config{
 		Spec:     scale.Machine(),

@@ -1,423 +1,210 @@
-// Command hmrepro regenerates every table and figure of the paper's
-// evaluation (Figs. 1, 2, 5-6, 7, 8, 9) plus the extension experiments
-// (X1-X15), printing one text table per figure.
+// Command hmrepro runs the paper's figures (Figs. 1, 2, 5-6, 7, 8, 9)
+// and the extension experiments X1-X15 from one registry,
+// exp.Experiments, and prints one text table per experiment; hmrepro -h
+// lists the experiment names.
 //
 // Usage:
 //
-//	hmrepro [-scale full|small] [-skip-ext] [-audit] [-adapt] [-bench-adapt file]
-//	        [-evict] [-bench-evict file] [-evict-policy decl|lru|lookahead]
-//	        [-replay] [-bench-trace file] [-trace file]
-//	        [-engine] [-bench-engine file]
-//	        [-serve] [-bench-serve file]
-//	        [-tiers] [-bench-tiers file]
-//	        [-tune] [-bench-tune file]
+//	hmrepro [-scale full|small] [-only a,b,...] [-skip-ext] [-audit]
+//	        [-evict-policy decl|lru|lookahead] [-bench-dir DIR] [-trace FILE]
+//	hmrepro run [-app stencil|matmul] [-mode multi] [-nodes N] ...  # one run
+//	hmrepro stream [-threads 64] [-array BYTES] [-quadrant]         # Fig 1 STREAM
+//	hmrepro projections [-scale small] [-timelines] [-json DIR]     # Figs 5-6 timelines
 //
-// With -audit every simulated run carries the invariant auditor from
-// internal/audit: conservation laws are checked continuously, the
-// watchdog reports silent stalls, and one JSON metrics snapshot per run
-// is printed after each figure. Any invariant violation makes the
-// command exit nonzero.
-//
-// -adapt runs only X9, the online adaptive controller against the
-// fixed-configuration grid (adaptive runs always carry the auditor).
-// -bench-adapt additionally writes the X9 comparison as a JSON
-// benchmark snapshot (adaptive vs best and worst fixed per point).
-//
-// -evict runs only X10, the eviction victim-selection comparison
-// (DeclOrder vs LRU vs Lookahead plus the adaptive mid-run shift);
-// -bench-evict writes its JSON snapshot. -evict-policy forces a victim
-// policy on every movement-mode run of the other figures.
-//
-// -replay runs only X11, the trace replay validation (capture the Fig 8
-// overflow run, replay it byte-identically, and check what-if policy
-// deltas against real runs). -bench-trace writes its JSON snapshot
-// (including the capture-overhead measurement); -trace writes the
-// sample capture itself for hmtrace to inspect.
-//
-// -engine runs only X12, the engine hot-path benchmark (scheduler
-// throughput at 10k/100k/1M tasks plus the serial-vs-parallel cluster
-// substrate check). X12's numbers are host wall-clock — the one figure
-// that is not deterministic — so it never runs by default.
-// -bench-engine writes its JSON snapshot, including the recorded
-// pre-overhaul baseline and the speedup against it.
-//
-// -serve runs only X13, the multi-tenant service experiment: the
-// hetmemd scheduler under Poisson session arrivals (three symmetric
-// tenants, three arrival rates) plus the budget-isolation run (small
-// tenant vs staging hogs, fair lanes on/off). X13 is fully virtual-time
-// and deterministic, so it is part of the default extension sweep.
-// -bench-serve writes its JSON snapshot (implies -serve); whenever X13
-// runs, a failed isolation gate (Pass() false) makes the command exit
-// nonzero.
-//
-// -tiers runs only X14, the memory-chain depth sweep: the Fig 8 and
-// Fig 9 overflow points on 2-, 3- and 4-tier machines (+NVM, +remote
-// pool) under the DeclOrder and Lookahead victim policies. X14 is
-// fully virtual-time and deterministic, so it is part of the default
-// extension sweep. -bench-tiers writes its JSON snapshot (implies
-// -tiers); whenever X14 runs, a failed widening-advantage gate
-// (Pass() error) makes the command exit nonzero.
-//
-// -tune runs only X15, the closed tuning loop: the trace-driven offline
-// autotuner (internal/tune) over a capture of the X10 shift workload,
-// plus the warm-started online controller (adapt.Config.Warm) against
-// the cold climb on every X9 operating point. X15 is fully virtual-time
-// and deterministic, so it is part of the default extension sweep.
-// -bench-tune writes its JSON snapshot (implies -tune); whenever X15
-// runs, a failed gate — a warm start not settling strictly earlier than
-// the cold climb on some point, or the offline search not recommending
-// the lookahead victim policy X10 measures — makes the command exit
-// nonzero.
+// The default sweep runs every experiment but X12, whose numbers are
+// host wall-clock. A failed gate or audit violation exits 1 after every
+// table has printed; usage errors exit 2.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
+	"path/filepath"
+	"strings"
 	"time"
 
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/exp"
+	"github.com/hetmem/hetmem/internal/trace"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("hmrepro: ")
-	scaleName := flag.String("scale", "full", "experiment scale: full (paper sizes) or small (1/8 slice)")
-	skipExt := flag.Bool("skip-ext", false, "skip the extension experiments X1-X15")
-	auditOn := flag.Bool("audit", false, "enable the invariant auditor and print JSON metrics per run")
-	adaptOnly := flag.Bool("adapt", false, "run only X9: the online adaptive controller vs fixed configurations")
-	benchAdapt := flag.String("bench-adapt", "", "write the X9 result to this file as a JSON benchmark snapshot")
-	evictOnly := flag.Bool("evict", false, "run only X10: eviction victim selection under pressure + mid-run shift")
-	benchEvict := flag.String("bench-evict", "", "write the X10 result to this file as a JSON benchmark snapshot")
-	policyName := flag.String("evict-policy", "", "force an eviction victim policy on movement-mode runs: decl, lru or lookahead")
-	replayOnly := flag.Bool("replay", false, "run only X11: trace replay fidelity + what-if consistency")
-	benchTrace := flag.String("bench-trace", "", "write the X11 result to this file as a JSON benchmark snapshot")
-	traceOut := flag.String("trace", "", "write X11's sample capture (the fig8 overflow run) to this JSONL file")
-	engineOnly := flag.Bool("engine", false, "run only X12: engine hot-path throughput + parallel cluster substrate (wall-clock)")
-	benchEngine := flag.String("bench-engine", "", "write the X12 result to this file as a JSON benchmark snapshot (implies -engine)")
-	serveOnly := flag.Bool("serve", false, "run only X13: multi-tenant service arrivals + budget isolation")
-	benchServe := flag.String("bench-serve", "", "write the X13 result to this file as a JSON benchmark snapshot (implies -serve)")
-	tiersOnly := flag.Bool("tiers", false, "run only X14: victim policies across 2-/3-/4-tier memory chains")
-	benchTiers := flag.String("bench-tiers", "", "write the X14 result to this file as a JSON benchmark snapshot (implies -tiers)")
-	tuneOnly := flag.Bool("tune", false, "run only X15: offline autotuner + warm-started online adaptation")
-	benchTune := flag.String("bench-tune", "", "write the X15 result to this file as a JSON benchmark snapshot (implies -tune)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	scale, err := parseScale(*scaleName)
+var subcommands = map[string]func(args []string, stdout, stderr io.Writer) int{
+	"run": cmdRun, "stream": cmdStream, "projections": cmdProjections,
+}
+
+// run dispatches to a subcommand or the sweep and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 && subcommands[args[0]] != nil {
+		return subcommands[args[0]](args[1:], stdout, stderr)
+	}
+	return cmdSweep(args, stdout, stderr)
+}
+
+// cmdSweep runs the default sweep, or the experiments named by -only.
+func cmdSweep(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("hmrepro", flag.ContinueOnError)
+	scaleName := fs.String("scale", "full", scaleUsage)
+	only := fs.String("only", "", "run only these experiments (comma-separated names, run in registry order)")
+	skipExt := fs.Bool("skip-ext", false, "limit the default sweep to the paper's figures (no X1-X15)")
+	auditOn := fs.Bool("audit", false, "enable the invariant auditor and print JSON metrics per run")
+	policyName := fs.String("evict-policy", "", "force an eviction victim policy on movement-mode runs: decl, lru or lookahead")
+	benchDir := fs.String("bench-dir", "", "write the benchmark snapshot of each experiment that ran into this directory")
+	traceOut := fs.String("trace", "", "write X11's sample capture (the Fig 8 overflow run) to this JSONL file")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: hmrepro [flags]\n       hmrepro run|stream|projections [flags]\n\nexperiments: %s\n\nflags:\n",
+			exp.ExperimentNames())
+		fs.PrintDefaults()
+	}
+	if code, ok := parse(fs, args, stderr); !ok {
+		return code
+	}
+	scale, err := exp.ParseScale(*scaleName)
 	if err != nil {
-		log.Fatal(err)
+		return fail(stderr, 2, "%v", err)
 	}
-	if *auditOn {
-		exp.SetAudit(true)
-	}
+	var pol core.EvictPolicy
 	if *policyName != "" {
-		pol, err := core.ParseEvictPolicy(*policyName)
-		if err != nil {
-			log.Fatal(err)
+		if pol, err = core.ParseEvictPolicy(*policyName); err != nil {
+			return fail(stderr, 2, "%v", err)
 		}
-		exp.SetEvictPolicy(pol)
 	}
+	var exps []exp.Experiment
+	switch {
+	case *only != "" && *skipExt:
+		return fail(stderr, 2, "-skip-ext limits the default sweep; it cannot be combined with -only")
+	case *only != "":
+		if exps, err = exp.Select(strings.Split(*only, ",")); err != nil {
+			return fail(stderr, 2, "-only: %v", err)
+		}
+	default:
+		for _, e := range exp.Experiments() {
+			if e.Sweep && !(*skipExt && e.Extension()) {
+				exps = append(exps, e)
+			}
+		}
+	}
+	if *benchDir != "" {
+		if err := os.MkdirAll(*benchDir, 0o755); err != nil {
+			return fail(stderr, 1, "%v", err)
+		}
+	}
+	exp.SetAudit(*auditOn)
+	exp.SetEvictPolicy(pol)
 
-	// X9's and X10's results are kept for -bench-* emission after the
-	// tables.
-	var x9 *exp.X9Result
-	runX9 := func() (fmt.Stringer, error) {
-		r, err := exp.RunX9(scale)
-		if err != nil {
-			return nil, err
-		}
-		x9 = r
-		return r.Table(), nil
+	// Only the default sweep opens with a header; -only prints bare tables.
+	if *only == "" {
+		fmt.Fprintf(stdout, "hetmem reproduction — %s scale\n\n", scale)
 	}
-	var x10 *exp.X10Result
-	runX10 := func() (fmt.Stringer, error) {
-		r, err := exp.RunX10(scale)
-		if err != nil {
-			return nil, err
-		}
-		x10 = r
-		return r.Table(), nil
-	}
-	var x11 *exp.X11Result
-	runX11 := func() (fmt.Stringer, error) {
-		r, err := exp.RunX11(scale)
-		if err != nil {
-			return nil, err
-		}
-		x11 = r
-		return r.Table(), nil
-	}
-	var x12 *exp.X12Result
-	runX12 := func() (fmt.Stringer, error) {
-		r, err := exp.RunX12(scale)
-		if err != nil {
-			return nil, err
-		}
-		x12 = r
-		return r.Table(), nil
-	}
-	var x13 *exp.X13Result
-	runX13 := func() (fmt.Stringer, error) {
-		r, err := exp.RunX13(scale)
-		if err != nil {
-			return nil, err
-		}
-		x13 = r
-		return r.Table(), nil
-	}
-
-	var x14 *exp.X14Result
-	runX14 := func() (fmt.Stringer, error) {
-		r, err := exp.RunX14(scale)
-		if err != nil {
-			return nil, err
-		}
-		x14 = r
-		return r.Table(), nil
-	}
-
-	var x15 *exp.X15Result
-	runX15 := func() (fmt.Stringer, error) {
-		r, err := exp.RunX15(scale)
-		if err != nil {
-			return nil, err
-		}
-		x15 = r
-		return r.Table(), nil
-	}
-
-	type figure struct {
-		name string
-		run  func() (fmt.Stringer, error)
-	}
-	figures := []figure{
-		{"Fig 1", func() (fmt.Stringer, error) { return tbl(exp.RunFig1(scale)) }},
-		{"Fig 2", func() (fmt.Stringer, error) { return tbl(exp.RunFig2(scale)) }},
-		{"Figs 5-6", func() (fmt.Stringer, error) { return tbl(exp.RunFig56(scale)) }},
-		{"Fig 7", func() (fmt.Stringer, error) { return tbl(exp.RunFig7(scale)) }},
-		{"Fig 8", func() (fmt.Stringer, error) { return tbl(exp.RunFig8(scale)) }},
-		{"Fig 9", func() (fmt.Stringer, error) { return tbl(exp.RunFig9(scale)) }},
-	}
-	if !*skipExt {
-		figures = append(figures,
-			figure{"X1", func() (fmt.Stringer, error) { return tbl(exp.RunCacheMode(scale)) }},
-			figure{"X2", func() (fmt.Stringer, error) { return tbl(exp.RunAblationQueues(scale)) }},
-			figure{"X3", func() (fmt.Stringer, error) { return tbl(exp.RunAblationIOThreads(scale)) }},
-			figure{"X4", func() (fmt.Stringer, error) { return tbl(exp.RunAblationEviction(scale)) }},
-			figure{"X5", func() (fmt.Stringer, error) { return tbl(exp.RunNVM(scale)) }},
-			figure{"X6", func() (fmt.Stringer, error) { return tbl(exp.RunAblationPrefetchDepth(scale)) }},
-			figure{"X7", func() (fmt.Stringer, error) { return tbl(exp.RunLoadBalance(scale)) }},
-			figure{"X8", func() (fmt.Stringer, error) { return tbl(exp.RunCluster(scale)) }},
-			figure{"X9", runX9},
-			figure{"X10", runX10},
-			figure{"X11", runX11},
-			figure{"X13", runX13},
-			figure{"X14", runX14},
-			figure{"X15", runX15},
-		)
-	}
-	if *adaptOnly {
-		figures = []figure{{"X9", runX9}}
-	}
-	if *evictOnly {
-		figures = []figure{{"X10", runX10}}
-	}
-	if *replayOnly {
-		figures = []figure{{"X11", runX11}}
-	}
-	if *engineOnly || *benchEngine != "" {
-		figures = []figure{{"X12", runX12}}
-	}
-	if *serveOnly || *benchServe != "" {
-		figures = []figure{{"X13", runX13}}
-	}
-	if *tiersOnly || *benchTiers != "" {
-		figures = []figure{{"X14", runX14}}
-	}
-	if *tuneOnly || *benchTune != "" {
-		figures = []figure{{"X15", runX15}}
-	}
-
-	fmt.Printf("hetmem reproduction — %s scale\n\n", scale)
-	var totalViolations int64
-	for _, f := range figures {
+	var sample *trace.Capture
+	var violations int64
+	gateFailed := false
+	for _, e := range exps {
 		// Wall-clock here times the reproduction itself for the stderr
 		// progress note; every number on stdout is virtual-time.
 		start := time.Now() //hmlint:ignore determinism wall-clock progress timing, stderr only
-		t, err := f.run()
+		o, err := e.Run(scale)
 		if err != nil {
-			log.Fatalf("%s: %v", f.name, err)
+			return fail(stderr, 1, "%s: %v", e.Name, err)
 		}
-		fmt.Println(t)
+		fmt.Fprintln(stdout, o.Table)
 		if *auditOn {
-			totalViolations += reportAudit(f.name)
+			v, err := drainAudit(stdout, e.Name, "["+e.Name+"]")
+			if err != nil {
+				return fail(stderr, 1, "%s: %v", e.Name, err)
+			}
+			fmt.Fprintln(stdout)
+			violations += v
+		}
+		if *benchDir != "" && o.Snapshot != nil {
+			path := filepath.Join(*benchDir, e.Snapshot)
+			if err := writeJSON(path, o.Snapshot); err != nil {
+				return fail(stderr, 1, "%s: %v", e.Name, err)
+			}
+			fmt.Fprintf(stderr, "[bench snapshot written to %s]\n", path)
+		}
+		if o.Sample != nil {
+			sample = o.Sample
+		}
+		if o.Gate != nil {
+			fmt.Fprintf(stderr, "hmrepro: %s: gate failed: %v\n", e.Name, o.Gate)
+			gateFailed = true
 		}
 		//hmlint:ignore determinism wall-clock progress note goes to stderr, not the tables
-		fmt.Fprintf(os.Stderr, "[%s done in %v]\n", f.name, time.Since(start).Round(time.Millisecond))
-	}
-	if *benchAdapt != "" {
-		if x9 == nil {
-			log.Fatal("-bench-adapt needs the X9 figure (drop -skip-ext or pass -adapt)")
-		}
-		out, err := json.MarshalIndent(x9.Bench(), "", "  ")
-		if err != nil {
-			log.Fatalf("bench-adapt: %v", err)
-		}
-		if err := os.WriteFile(*benchAdapt, append(out, '\n'), 0o644); err != nil {
-			log.Fatalf("bench-adapt: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "[bench snapshot written to %s]\n", *benchAdapt)
-	}
-	if *benchEvict != "" {
-		if x10 == nil {
-			log.Fatal("-bench-evict needs the X10 figure (drop -skip-ext or pass -evict)")
-		}
-		out, err := json.MarshalIndent(x10.Bench(), "", "  ")
-		if err != nil {
-			log.Fatalf("bench-evict: %v", err)
-		}
-		if err := os.WriteFile(*benchEvict, append(out, '\n'), 0o644); err != nil {
-			log.Fatalf("bench-evict: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "[bench snapshot written to %s]\n", *benchEvict)
-	}
-	if *benchTrace != "" {
-		if x11 == nil {
-			log.Fatal("-bench-trace needs the X11 figure (drop -skip-ext or pass -replay)")
-		}
-		out, err := json.MarshalIndent(x11.Bench(), "", "  ")
-		if err != nil {
-			log.Fatalf("bench-trace: %v", err)
-		}
-		if err := os.WriteFile(*benchTrace, append(out, '\n'), 0o644); err != nil {
-			log.Fatalf("bench-trace: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "[bench snapshot written to %s]\n", *benchTrace)
-	}
-	if *benchEngine != "" {
-		if x12 == nil {
-			log.Fatal("-bench-engine needs the X12 figure (pass -engine)")
-		}
-		out, err := json.MarshalIndent(x12.Bench(), "", "  ")
-		if err != nil {
-			log.Fatalf("bench-engine: %v", err)
-		}
-		if err := os.WriteFile(*benchEngine, append(out, '\n'), 0o644); err != nil {
-			log.Fatalf("bench-engine: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "[bench snapshot written to %s]\n", *benchEngine)
-	}
-	if *benchServe != "" {
-		if x13 == nil {
-			log.Fatal("-bench-serve needs the X13 figure (pass -serve)")
-		}
-		out, err := json.MarshalIndent(x13.Bench(), "", "  ")
-		if err != nil {
-			log.Fatalf("bench-serve: %v", err)
-		}
-		if err := os.WriteFile(*benchServe, append(out, '\n'), 0o644); err != nil {
-			log.Fatalf("bench-serve: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "[bench snapshot written to %s]\n", *benchServe)
-	}
-	if *benchTiers != "" {
-		if x14 == nil {
-			log.Fatal("-bench-tiers needs the X14 figure (pass -tiers)")
-		}
-		out, err := json.MarshalIndent(x14.Bench(), "", "  ")
-		if err != nil {
-			log.Fatalf("bench-tiers: %v", err)
-		}
-		if err := os.WriteFile(*benchTiers, append(out, '\n'), 0o644); err != nil {
-			log.Fatalf("bench-tiers: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "[bench snapshot written to %s]\n", *benchTiers)
-	}
-	if *benchTune != "" {
-		if x15 == nil {
-			log.Fatal("-bench-tune needs the X15 figure (pass -tune)")
-		}
-		out, err := json.MarshalIndent(x15.Bench(), "", "  ")
-		if err != nil {
-			log.Fatalf("bench-tune: %v", err)
-		}
-		if err := os.WriteFile(*benchTune, append(out, '\n'), 0o644); err != nil {
-			log.Fatalf("bench-tune: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "[bench snapshot written to %s]\n", *benchTune)
+		fmt.Fprintf(stderr, "[%s done in %v]\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 	if *traceOut != "" {
-		if x11 == nil || x11.Sample == nil {
-			log.Fatal("-trace needs the X11 figure (drop -skip-ext or pass -replay)")
+		if sample == nil {
+			return fail(stderr, 1, "-trace: no experiment that ran records a sample capture")
 		}
-		if err := x11.Sample.WriteFile(*traceOut); err != nil {
-			log.Fatalf("trace: %v", err)
+		if err := sample.WriteFile(*traceOut); err != nil {
+			return fail(stderr, 1, "trace: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "[sample capture written to %s]\n", *traceOut)
+		fmt.Fprintf(stderr, "[sample capture written to %s]\n", *traceOut)
 	}
-	if totalViolations > 0 {
-		log.Fatalf("audit: %d invariant violation(s) detected", totalViolations)
+	if violations > 0 {
+		return fail(stderr, 1, "audit: %d invariant violation(s) detected", violations)
 	}
-	if x11 != nil && (!x11.Identical || !x11.Consistent()) {
-		log.Fatal("X11: replay validation failed (see table above)")
+	if gateFailed {
+		return 1
 	}
-	if x12 != nil && !x12.Cluster.Identical {
-		log.Fatal("X12: serial and parallel cluster runs diverged (see table above)")
-	}
-	if x13 != nil && !x13.Pass() {
-		log.Fatal("X13: budget isolation gate failed (see table above)")
-	}
-	if x14 != nil {
-		if err := x14.Pass(); err != nil {
-			log.Fatalf("X14: widening-advantage gate failed: %v", err)
-		}
-	}
-	if x15 != nil {
-		if err := x15.Pass(); err != nil {
-			log.Fatalf("X15: closed-loop tuning gate failed: %v", err)
-		}
-	}
+	return 0
 }
 
-// reportAudit drains the snapshots produced while a figure ran, prints
-// them as JSON and returns the violation count.
-func reportAudit(figure string) int64 {
+const scaleUsage = "experiment scale: full (paper sizes) or small (1/8 slice)"
+
+// parse parses args into fs, reporting to stderr. On failure ok is
+// false and code is the exit code: 0 for -h, 2 for a usage error.
+func parse(fs *flag.FlagSet, args []string, stderr io.Writer) (code int, ok bool) {
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		return 0, false
+	case err != nil:
+		return 2, false
+	case fs.NArg() > 0:
+		fmt.Fprintf(fs.Output(), "%s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		return 2, false
+	}
+	return 0, true
+}
+
+// fail prints an error to stderr and returns the exit code.
+func fail(stderr io.Writer, code int, format string, a ...any) int {
+	fmt.Fprintf(stderr, "hmrepro: "+format+"\n", a...)
+	return code
+}
+
+// drainAudit prints the audit snapshots taken since the last drain,
+// labelled "<name> run <i>", and returns their violation count.
+func drainAudit(w io.Writer, name, key string) (int64, error) {
 	snaps, violations := exp.DrainAudit()
 	for i := range snaps {
-		snaps[i].Label = fmt.Sprintf("%s run %d", figure, i)
+		snaps[i].Label = fmt.Sprintf("%s run %d", name, i)
 	}
-	out, err := json.MarshalIndent(snaps, "", "  ")
-	if err != nil {
-		log.Fatalf("%s: marshal audit snapshots: %v", figure, err)
-	}
-	fmt.Printf("audit[%s]: %s\n\n", figure, out)
-	if violations > 0 {
-		fmt.Fprintf(os.Stderr, "[%s: %d invariant violation(s)]\n", figure, violations)
-	}
-	return violations
+	return violations, printAudit(w, key, snaps)
 }
 
-// tabler is any experiment result with a Table.
-type tabler interface{ Table() exp.Table }
-
-// tbl adapts (result, err) pairs to (Stringer, error).
-func tbl[T tabler](r T, err error) (fmt.Stringer, error) {
-	if err != nil {
-		return nil, err
+// printAudit prints audit snapshots as indented JSON after "audit<key>: ".
+func printAudit(w io.Writer, key string, v any) error {
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		_, err = fmt.Fprintf(w, "audit%s: %s\n", key, out)
 	}
-	return r.Table(), nil
+	return err
 }
 
-func parseScale(name string) (exp.Scale, error) {
-	switch name {
-	case "full":
-		return exp.Full, nil
-	case "small":
-		return exp.Small, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (want full or small)", name)
+// writeJSON writes v to path as indented JSON with a final newline.
+func writeJSON(path string, v any) error {
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		err = os.WriteFile(path, append(out, '\n'), 0o644)
 	}
+	return err
 }

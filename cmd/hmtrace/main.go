@@ -383,15 +383,6 @@ func cmdDiff(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// strategies maps the -strategy short names to core mode strings.
-var strategies = map[string]core.Mode{
-	"ddr4only": core.DDROnly,
-	"naive":    core.Baseline,
-	"single":   core.SingleIO,
-	"noio":     core.NoIO,
-	"multi":    core.MultiIO,
-}
-
 func cmdWhatIf(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("whatif", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -426,9 +417,9 @@ func cmdWhatIf(args []string, stdout, stderr io.Writer) int {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if set["strategy"] {
-		mode, ok := strategies[*strategy]
-		if !ok {
-			fmt.Fprintf(stderr, "hmtrace whatif: unknown strategy %q (want ddr4only, naive, single, noio or multi)\n", *strategy)
+		mode, err := core.ParseMode(*strategy)
+		if err != nil {
+			fmt.Fprintf(stderr, "hmtrace whatif: %v\n", err)
 			return 1
 		}
 		knobs.Mode = mode.String()

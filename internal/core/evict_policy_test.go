@@ -16,6 +16,28 @@ func TestParseEvictPolicy(t *testing.T) {
 	}
 }
 
+func TestParseMode(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Mode
+		ok   bool
+	}{
+		{"ddr4only", DDROnly, true},
+		{"naive", Baseline, true},
+		{"single", SingleIO, true},
+		{"noio", NoIO, true},
+		{"multi", MultiIO, true},
+		{"no", 0, false},
+		{"ddr", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseMode(tc.name)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestEvictPolicyRejectedOnStaticModes(t *testing.T) {
 	for _, mode := range []Mode{DDROnly, Baseline} {
 		o := DefaultOptions(mode)

@@ -57,6 +57,21 @@ func (m Mode) String() string {
 // Moves reports whether the mode performs prefetch/eviction.
 func (m Mode) Moves() bool { return m == SingleIO || m == NoIO || m == MultiIO }
 
+// modeNames are the short strategy names every flag and the hetmemd
+// API accept, indexed by Mode.
+var modeNames = [...]string{DDROnly: "ddr4only", Baseline: "naive", SingleIO: "single", NoIO: "noio", MultiIO: "multi"}
+
+// ParseMode resolves a strategy short name from a flag value or a
+// submission: ddr4only, naive, single, noio or multi.
+func ParseMode(name string) (Mode, error) {
+	for m, n := range modeNames {
+		if n == name {
+			return Mode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown strategy %q (want ddr4only, naive, single, noio or multi)", name)
+}
+
 // Options configure a Manager.
 type Options struct {
 	// Mode is the placement/movement configuration.

@@ -1,6 +1,9 @@
 package exp
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // The simulation's claim to reproducibility: every driver is a pure
 // function of (scale, seed). Running a figure twice must produce
@@ -23,38 +26,31 @@ func assertDeterministic(t *testing.T, name string, run func() (string, error)) 
 	}
 }
 
-func TestFig8Deterministic(t *testing.T) {
+// TestExperimentsDeterministic runs every registry entry in the default
+// sweep twice at Small scale and compares the tables and the snapshot
+// JSON. X12 is left out: its numbers are host wall-clock. The tables
+// embed the adaptive decision traces, the what-if counters and the
+// tuning verdict, so a single flipped probe, victim or replay step
+// shows up as a diff.
+func TestExperimentsDeterministic(t *testing.T) {
 	SetAudit(false)
-	assertDeterministic(t, "fig8", func() (string, error) {
-		r, err := RunFig8(Small)
-		if err != nil {
-			return "", err
+	SetEvictPolicy(nil)
+	for _, e := range Experiments() {
+		if !e.Sweep {
+			continue
 		}
-		return r.Table().String(), nil
-	})
-}
-
-func TestFig9Deterministic(t *testing.T) {
-	SetAudit(false)
-	assertDeterministic(t, "fig9", func() (string, error) {
-		r, err := RunFig9(Small)
-		if err != nil {
-			return "", err
-		}
-		return r.Table().String(), nil
-	})
-}
-
-// TestX9Deterministic covers the adaptive controller end to end: the
-// rendered table embeds every decision trace, so a single flipped
-// probe or switch shows up as a diff.
-func TestX9Deterministic(t *testing.T) {
-	SetAudit(false)
-	assertDeterministic(t, "x9", func() (string, error) {
-		r, err := RunX9(Small)
-		if err != nil {
-			return "", err
-		}
-		return r.Table().String(), nil
-	})
+		t.Run(e.Name, func(t *testing.T) {
+			assertDeterministic(t, e.Name, func() (string, error) {
+				o, err := e.Run(Small)
+				if err != nil {
+					return "", err
+				}
+				raw, err := json.Marshal(o.Snapshot)
+				if err != nil {
+					return "", err
+				}
+				return o.Table.String() + string(raw), nil
+			})
+		})
+	}
 }

@@ -42,6 +42,17 @@ func (s Scale) String() string {
 	return "full"
 }
 
+// ParseScale resolves a scale name: full or small.
+func ParseScale(name string) (Scale, error) {
+	switch name {
+	case "full":
+		return Full, nil
+	case "small":
+		return Small, nil
+	}
+	return 0, fmt.Errorf("unknown scale %q (want full or small)", name)
+}
+
 // Machine returns the machine spec for the scale.
 func (s Scale) Machine() topology.MachineSpec {
 	spec := topology.KNL7250()

@@ -282,7 +282,7 @@ type X10BenchRow struct {
 	Retries   int64   `json:"stage_retries"`
 }
 
-// X10Bench is the benchmark snapshot emitted by hmrepro -bench-evict.
+// X10Bench is the benchmark snapshot X10 writes (BENCH_evict.json).
 type X10Bench struct {
 	Scale           string        `json:"scale"`
 	Rows            []X10BenchRow `json:"rows"`

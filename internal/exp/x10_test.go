@@ -54,20 +54,6 @@ func TestX10PolicyAcceptance(t *testing.T) {
 	}
 }
 
-// TestX10Deterministic: the rendered table embeds the counters of all
-// six fixed runs and the adaptive decision trace, so any divergence in
-// policy ranking or controller behaviour shows up as a diff.
-func TestX10Deterministic(t *testing.T) {
-	SetAudit(false)
-	assertDeterministic(t, "x10", func() (string, error) {
-		r, err := RunX10(Small)
-		if err != nil {
-			return "", err
-		}
-		return r.Table().String(), nil
-	})
-}
-
 // TestFig8DeterministicPerPolicy re-runs the Fig 8 sweep under each
 // victim policy: every policy must be deterministic, not just the
 // default.

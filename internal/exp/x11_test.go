@@ -44,25 +44,3 @@ func TestX11ReplayAcceptance(t *testing.T) {
 		t.Errorf("what-if: replayed deltas inconsistent with real runs:\n decl: %+v\n look: %+v", decl, look)
 	}
 }
-
-// TestX11Deterministic: the rendered table embeds both makespans to
-// full precision and every counter of the what-if comparison, so any
-// nondeterminism in capture, reconstruction or replay shows up as a
-// table diff between two complete runs.
-func TestX11Deterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full X11 runs")
-	}
-	SetAudit(false)
-	a, err := RunX11(Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunX11(Small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if at, bt := a.Table().String(), b.Table().String(); at != bt {
-		t.Errorf("X11 is nondeterministic:\nfirst:\n%s\nsecond:\n%s", at, bt)
-	}
-}

@@ -15,7 +15,7 @@ import (
 // X12 benchmarks the engine hot path itself rather than a paper figure:
 // every number here is host wall-clock, not virtual time, so X12 is
 // deliberately excluded from the determinism suite and from hmrepro's
-// default figure list (it runs only under -engine / -bench-engine).
+// default sweep (it runs only under -only x12).
 //
 // Two legs:
 //
@@ -425,7 +425,7 @@ type X12ServeBench struct {
 	Windows       int64   `json:"windows"`
 }
 
-// X12Bench is the JSON snapshot written by hmrepro -bench-engine.
+// X12Bench is the JSON snapshot X12 writes (BENCH_engine.json).
 type X12Bench struct {
 	Scale             string              `json:"scale"`
 	Engine            []X12EngineBenchRow `json:"engine"`

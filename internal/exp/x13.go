@@ -541,7 +541,7 @@ type X13IsoBench struct {
 	Pass            bool    `json:"pass"`
 }
 
-// X13Bench is the JSON snapshot written by hmrepro -bench-serve.
+// X13Bench is the JSON snapshot X13 writes (BENCH_serve.json).
 type X13Bench struct {
 	Scale        string            `json:"scale"`
 	CalibrationS float64           `json:"calibration_makespan_s"`

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"encoding/json"
 	"math"
 	"testing"
 )
@@ -66,23 +65,6 @@ func TestX13Small(t *testing.T) {
 	if r.Table().String() == "" {
 		t.Fatal("empty table")
 	}
-}
-
-// TestX13Deterministic: the whole figure — HTTP submissions included —
-// must be a pure function of the scale. The bench JSON is compared so
-// every emitted number is covered.
-func TestX13Deterministic(t *testing.T) {
-	assertDeterministic(t, "x13", func() (string, error) {
-		r, err := RunX13(Small)
-		if err != nil {
-			return "", err
-		}
-		raw, err := json.Marshal(r.Bench())
-		if err != nil {
-			return "", err
-		}
-		return r.Table().String() + string(raw), nil
-	})
 }
 
 // TestX12ServeLeg covers the serve row of BENCH_engine.json at the

@@ -260,7 +260,7 @@ type X14BenchRow struct {
 	DemotedDeep int64   `json:"demoted_deep_bytes"`
 }
 
-// X14Bench is the benchmark snapshot emitted by hmrepro -bench-tiers.
+// X14Bench is the benchmark snapshot X14 writes (BENCH_tiers.json).
 type X14Bench struct {
 	Scale string        `json:"scale"`
 	Rows  []X14BenchRow `json:"rows"`

@@ -326,7 +326,7 @@ type X15BenchTune struct {
 	MemoHits      int     `json:"memo_hits"`
 }
 
-// X15Bench is the benchmark snapshot emitted by hmrepro -bench-tune.
+// X15Bench is the benchmark snapshot X15 writes (BENCH_tune.json).
 type X15Bench struct {
 	Scale  string          `json:"scale"`
 	Metric string          `json:"metric"`

@@ -19,22 +19,3 @@ func TestX15SmallGates(t *testing.T) {
 	}
 	t.Logf("\n%s", r.Table())
 }
-
-// TestX15Deterministic: two runs produce identical tables (all numbers
-// are virtual-time; nothing may leak wall clock or map order).
-func TestX15Deterministic(t *testing.T) {
-	a, err := RunX15(Small)
-	if err != nil {
-		t.Fatalf("RunX15: %v", err)
-	}
-	b, err := RunX15(Small)
-	if err != nil {
-		t.Fatalf("RunX15: %v", err)
-	}
-	if at, bt := a.Table().String(), b.Table().String(); at != bt {
-		t.Fatalf("X15 runs diverged:\n--- run 1\n%s\n--- run 2\n%s", at, bt)
-	}
-	if a.Tune.CaptureDigest != b.Tune.CaptureDigest {
-		t.Fatalf("shift capture digest diverged: %s vs %s", a.Tune.CaptureDigest, b.Tune.CaptureDigest)
-	}
-}

@@ -351,7 +351,7 @@ type X9BenchPoint struct {
 	Fixed           map[string]float64 `json:"fixed_s"`
 }
 
-// X9Bench is the benchmark snapshot emitted by hmrepro -bench-adapt.
+// X9Bench is the benchmark snapshot X9 writes (BENCH_adapt.json).
 type X9Bench struct {
 	Scale  string         `json:"scale"`
 	Metric string         `json:"metric"`

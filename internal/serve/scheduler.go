@@ -130,13 +130,6 @@ func (s *Scheduler) tenantFor(name string) *tenant {
 	return t
 }
 
-// strategyModes maps submission strategy names to manager modes.
-var strategyModes = map[string]core.Mode{
-	"single": core.SingleIO,
-	"noio":   core.NoIO,
-	"multi":  core.MultiIO,
-}
-
 // normalize resolves the spec's defaults against the machine and
 // validates everything the manager would otherwise reject mid-run.
 // The returned options are ready for NewManager.
@@ -150,8 +143,8 @@ func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, error) {
 	if spec.Strategy == "" {
 		spec.Strategy = "multi"
 	}
-	mode, ok := strategyModes[spec.Strategy]
-	if !ok {
+	mode, err := core.ParseMode(spec.Strategy)
+	if err != nil || !mode.Moves() {
 		return core.Options{}, fmt.Errorf("serve: unknown strategy %q (want single, noio or multi)", spec.Strategy)
 	}
 	if spec.Footprint == 0 {

@@ -169,6 +169,14 @@ func TestHTTPErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed submit = %d, want 400", resp.StatusCode)
 	}
+	// Strategies outside single|noio|multi -> 400.
+	for _, name := range []string{"naive", "ddr4only", "no"} {
+		spec := smallStencil("acme")
+		spec.Strategy = name
+		if code, _ := post(t, ts, spec); code != http.StatusBadRequest {
+			t.Fatalf("strategy %q submit = %d, want 400", name, code)
+		}
+	}
 	// Footprint over the tenant budget -> 422.
 	over := smallStencil("acme")
 	over.Footprint = 512 * mb

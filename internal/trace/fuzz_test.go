@@ -9,7 +9,7 @@ import (
 
 // The fuzz corpus is seeded from a committed X11 capture (the fig8
 // overflow run at -scale small, regenerate with
-// `go run ./cmd/hmrepro -scale small -replay -trace
+// `go run ./cmd/hmrepro -scale small -only x11 -trace
 // internal/trace/testdata/x11-small.jsonl`), one seed per event kind
 // so every decode path and every fast-encoder case starts covered.
 
