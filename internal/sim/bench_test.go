@@ -59,3 +59,24 @@ func BenchmarkProcHandoff(b *testing.B) {
 	b.ResetTimer()
 	e.RunAll()
 }
+
+// BenchmarkSpawn measures a child process's whole life: spawn it, let it
+// sleep once and join it with a WaitGroup. This is what core.RunKernel
+// pays for the writer half (kern-wr) of every read-write kernel.
+func BenchmarkSpawn(b *testing.B) {
+	e := NewEngine(1)
+	e.Spawn("parent", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			var wg WaitGroup
+			wg.Add(1)
+			p.Spawn("child", func(q *Proc) {
+				q.Sleep(1e-6)
+				wg.Done()
+			})
+			wg.Wait(p)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunAll()
+}

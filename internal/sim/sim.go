@@ -9,18 +9,22 @@
 // (internal/memsim), the Charm-like runtime (internal/charm) and the
 // prefetch/evict strategies (internal/core) execute.
 //
-// Processes are real goroutines, but control is handed off one at a time
-// through channels: the engine resumes a process, the process runs until
-// it parks (Sleep, lock wait, condition wait, ...) and control returns to
-// the engine. No two processes ever run concurrently, so simulation state
-// needs no host-level locking.
+// Processes are iter.Pull coroutines. An event callback resumes a
+// process by calling its next function; the process runs until it parks
+// (Sleep, lock wait, condition wait, ...) by calling its yield, and
+// control returns to that callback. A switch goes straight from one
+// coroutine to the other, with no trip through the Go scheduler and no
+// channel. No two processes ever run concurrently, so simulation state
+// needs no host-level locking. A panic or runtime.Goexit in a process
+// body surfaces on the goroutine that called Run.
 //
 // The hot path is allocation-free at steady state: fired and cancelled
 // events return to a free list and are reused by later Schedule calls
 // (generation counters keep stale handles harmless), the event heap is
 // intrusive (each event knows its own heap slot, so Cancel removes it in
-// O(log n) instead of leaving a dead entry behind), and processes live in
-// a dense slice indexed by pid rather than a map.
+// O(log n) instead of leaving a dead entry behind), processes live in a
+// dense slice indexed by pid rather than a map, and each process binds
+// its wake callbacks once at Spawn, so waking it allocates nothing.
 package sim
 
 import (
@@ -156,18 +160,16 @@ type EventStats struct {
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; create one with NewEngine.
 type Engine struct {
-	now     Time
-	seed    int64
-	seq     int64
-	events  eventHeap
-	free    []*event      // released event objects awaiting reuse
-	handoff chan struct{} // procs signal the engine here when they park or exit
-	current *Proc
-	procs   []*Proc // indexed by pid; nil once the process finishes
-	rng     *rand.Rand
-	failure interface{} // panic value propagated out of a process
-	nlive   int         // processes spawned and not yet finished
-	stats   EventStats
+	now    Time
+	seed   int64
+	seq    int64
+	events eventHeap
+	free   []*event     // released event objects awaiting reuse
+	procs  []*Proc      // indexed by pid; nil once the process finishes
+	idle   []*coroutine // finished bodies' coroutines awaiting reuse
+	rng    *rand.Rand
+	nlive  int // processes spawned and not yet finished
+	stats  EventStats
 
 	// quiesceHook runs whenever Run drains the event queue. With live
 	// processes still parked this is the only moment a silent hang can
@@ -182,9 +184,8 @@ type Engine struct {
 // random source seeded with seed.
 func NewEngine(seed int64) *Engine {
 	return &Engine{
-		handoff: make(chan struct{}),
-		seed:    seed,
-		rng:     rand.New(rand.NewSource(seed)),
+		seed: seed,
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -274,89 +275,6 @@ func (h *EventHandle) Cancel() {
 // Cancelled reports whether Cancel was called on this handle (the nil
 // and zero handles read as cancelled).
 func (h *EventHandle) Cancelled() bool { return h == nil || h.ev == nil || h.cancelled }
-
-// Spawn creates a process executing body and schedules it to start at the
-// current virtual time. The returned Proc is also passed to body.
-func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{
-		e:      e,
-		id:     len(e.procs),
-		name:   name,
-		resume: make(chan struct{}),
-	}
-	e.procs = append(e.procs, p)
-	e.nlive++
-	go func() {
-		defer func() {
-			p.done = true
-			e.nlive--
-			e.procs[p.id] = nil
-			if r := recover(); r != nil && r != errKilled {
-				e.failure = procPanic{proc: p.name, value: r}
-			}
-			e.handoff <- struct{}{}
-		}()
-		<-p.resume // wait for the engine's first grant
-		if p.killed {
-			panic(errKilled)
-		}
-		body(p)
-	}()
-	e.Schedule(e.now, func() { e.grant(p) })
-	return p
-}
-
-// procPanic wraps a panic raised inside a process so Run can re-panic
-// with attribution.
-type procPanic struct {
-	proc  string
-	value interface{}
-}
-
-func (pp procPanic) String() string {
-	return fmt.Sprintf("sim: process %q panicked: %v", pp.proc, pp.value)
-}
-
-// grant hands control to p and blocks until p parks or exits. It must
-// only be called from the engine loop (inside an event callback).
-func (e *Engine) grant(p *Proc) {
-	if p.done {
-		return
-	}
-	prev := e.current
-	e.current = p
-	p.waking = false
-	p.resume <- struct{}{}
-	<-e.handoff
-	e.current = prev
-	if e.failure != nil {
-		f := e.failure.(procPanic)
-		e.failure = nil
-		panic(f.String())
-	}
-}
-
-// wake schedules p to resume at the current time. It is idempotent while
-// the wake is pending: waking an already-waking process is a no-op, which
-// lets Signal/Broadcast and timeouts race safely.
-func (e *Engine) wake(p *Proc) {
-	if p.done || p.waking {
-		return
-	}
-	p.waking = true
-	e.Schedule(e.now, func() { e.grant(p) })
-}
-
-// WakeAt schedules p to resume at absolute time t (used for timeouts).
-func (e *Engine) wakeAt(t Time, p *Proc) EventHandle {
-	return e.Schedule(t, func() {
-		if p.done || p.waking {
-			return
-		}
-		p.waking = true
-		e.grant(p)
-	})
-}
 
 // SetQuiesceHook registers fn to run each time Run drains the event
 // queue (including at normal completion). The hook must not schedule
@@ -453,25 +371,4 @@ func (e *Engine) BlockedProcNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Close kills all still-parked processes so their goroutines exit. The
-// engine must not be used afterwards. Victims die in id (spawn) order
-// so teardown is as deterministic as the run itself.
-func (e *Engine) Close() {
-	for {
-		var victim *Proc
-		for _, p := range e.procs {
-			if p != nil && !p.done {
-				victim = p
-				break
-			}
-		}
-		if victim == nil {
-			return
-		}
-		victim.killed = true
-		victim.resume <- struct{}{}
-		<-e.handoff
-	}
 }

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -190,10 +192,12 @@ func TestSpawnChild(t *testing.T) {
 }
 
 func TestCloseReapsBlockedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
 	e := NewEngine(1)
 	e.Spawn("stuck", func(p *Proc) {
 		p.Suspend() // never resumed
 	})
+	e.Spawn("finished", func(p *Proc) {}) // leaves its coroutine idle
 	e.RunAll()
 	if n := e.LiveProcs(); n != 1 {
 		t.Fatalf("LiveProcs = %d, want 1 blocked", n)
@@ -202,10 +206,76 @@ func TestCloseReapsBlockedProcs(t *testing.T) {
 	if len(names) != 1 || names[0] != "stuck" {
 		t.Fatalf("BlockedProcNames = %v", names)
 	}
+	ran := false
+	e.Spawn("never-granted", func(p *Proc) { ran = true })
 	e.Close()
+	if ran {
+		t.Error("Close ran the body of a process that was never granted")
+	}
 	if n := e.LiveProcs(); n != 0 {
 		t.Fatalf("LiveProcs after Close = %d, want 0", n)
 	}
+	// Each coroutine runs on a goroutine of its own, so a process Close
+	// failed to reap would show up here as a leaked goroutine.
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Fatalf("NumGoroutine after Close = %d, want at most %d as before Spawn", n, before)
+	}
+}
+
+// TestSpawnReusesCoroutine checks that a process started after another
+// finished runs on the finished one's coroutine instead of a new one.
+func TestSpawnReusesCoroutine(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Close()
+	var cos []*coroutine
+	e.Spawn("parent", func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			var wg WaitGroup
+			wg.Add(1)
+			p.Spawn("child", func(q *Proc) {
+				cos = append(cos, q.co)
+				wg.Done()
+			})
+			wg.Wait(p)
+		}
+	})
+	e.RunAll()
+	if len(cos) != 3 || cos[1] != cos[0] || cos[2] != cos[0] {
+		t.Fatalf("children ran on coroutines %p, want one reused throughout", cos)
+	}
+}
+
+// TestFinishedProcReleasesBody checks that a Proc kept past the end of
+// its body does not keep the body's closure, or what it captured, alive.
+func TestFinishedProcReleasesBody(t *testing.T) {
+	e := NewEngine(1)
+	freed := make(chan struct{})
+	p := spawnWithPayload(e, freed)
+	e.RunAll()
+	for deadline := time.Now().Add(time.Second); ; {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(p)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("a finished process still holds what its body captured")
+		}
+	}
+}
+
+// spawnWithPayload spawns a process whose body captures an object that
+// closes freed once it is garbage collected.
+func spawnWithPayload(e *Engine, freed chan struct{}) *Proc {
+	payload := new([64]byte)
+	runtime.SetFinalizer(payload, func(*[64]byte) { close(freed) })
+	return e.Spawn("short", func(p *Proc) { p.Sleep(Time(payload[0])) })
 }
 
 func TestProcPanicPropagates(t *testing.T) {
@@ -214,13 +284,70 @@ func TestProcPanicPropagates(t *testing.T) {
 		p.Sleep(1)
 		panic("boom")
 	})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("process panic did not propagate to Run")
-		}
+	e.Spawn("bystander", func(p *Proc) { p.Suspend() })
+	r := func() (r interface{}) {
+		defer func() { r = recover() }()
+		e.RunAll()
+		return nil
 	}()
-	e.RunAll()
+	// A plain string: callers type-assert it (core's HBM budget test).
+	const want = `sim: process "bomb" panicked: boom`
+	if s, ok := r.(string); !ok || s != want {
+		t.Fatalf("Run panicked with %#v, want the string %q", r, want)
+	}
+	e.Close()
+	if n := e.LiveProcs(); n != 0 {
+		t.Fatalf("LiveProcs after Close = %d, want 0", n)
+	}
+}
+
+func TestProcGoexitPropagates(t *testing.T) {
+	e := NewEngine(1)
+	e.Spawn("quitter", func(p *Proc) {
+		p.Sleep(1)
+		runtime.Goexit()
+	})
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.RunAll()
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Fatal("Run returned normally after a process called runtime.Goexit")
+	}
+	if n := e.LiveProcs(); n != 0 {
+		t.Fatalf("LiveProcs = %d, want 0", n)
+	}
+}
+
+// TestWakeAllocs pins the wake path at zero allocations: Sleep and
+// Resume schedule callbacks bound once at Spawn.
+func TestWakeAllocs(t *testing.T) {
+	e := NewEngine(1)
+	defer e.Close()
+	e.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(1)
+		}
+	})
+	waiter := e.Spawn("waiter", func(p *Proc) {
+		for {
+			p.Suspend()
+		}
+	})
+	e.Run(0)
+	if a := testing.AllocsPerRun(100, func() { e.Run(e.Now() + 1) }); a != 0 {
+		t.Errorf("Sleep round trip: %v allocs, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		waiter.Resume()
+		e.Run(e.Now())
+	}); a != 0 {
+		t.Errorf("Suspend/Resume round trip: %v allocs, want 0", a)
+	}
 }
 
 func TestZeroSleepYields(t *testing.T) {

@@ -58,6 +58,7 @@ func Measure(spec topology.MachineSpec, nodeID, threads int, arrayBytes int64) (
 		return nil, fmt.Errorf("stream: need positive threads and array size")
 	}
 	e := sim.NewEngine(1)
+	defer e.Close()
 	m, err := spec.Build(e)
 	if err != nil {
 		return nil, err
