@@ -3,7 +3,7 @@ GO ?= go
 # gate does not drift with upstream.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: ci vet build test race audit lint hmlint staticcheck lint-fix-check fuzz bench snapshots bench-check bench-test
+.PHONY: ci vet build test race audit lint hmlint staticcheck lint-fix-check fuzz bench bench-smoke snapshots bench-check bench-test
 
 # ci is the gate: static checks (vet + hmlint + staticcheck), build,
 # race-enabled tests, the audit-enabled figure sweep (every simulated
@@ -75,8 +75,16 @@ audit:
 bench-test:
 	cd bench && $(GO) test ./...
 
+# bench runs every Go benchmark in the root module: the figure and
+# dispatch benchmarks at the root, and the engine and memory-model
+# microbenchmarks, with no tests run beside them.
 bench:
-	$(GO) test -bench=. -benchmem ./internal/exp/
+	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/sim ./internal/memsim
+
+# bench-smoke runs every benchmark exactly once, so CI catches a
+# benchmark that panics or fails without paying to time it.
+bench-smoke:
+	$(GO) test -run '^$$' -bench=. -benchtime 1x . ./internal/sim ./internal/memsim
 
 # snapshots regenerates every committed result of the experiment
 # registry (internal/exp/registry.go): the full-scale default sweep

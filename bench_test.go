@@ -232,34 +232,64 @@ func BenchmarkXLoadBalance(b *testing.B) {
 // the engine overhaul targets (the sim-only microbenchmarks live in
 // internal/sim).
 func BenchmarkManagerDispatch(b *testing.B) {
-	s := exp.Small
-	opts := core.DefaultOptions(core.MultiIO)
-	opts.HBMReserve = s.HBMReserve()
-	sizes := s.StencilReducedSizes()
 	var tasks int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		env := kernels.NewEnv(kernels.EnvConfig{
-			Spec:   s.Machine(),
-			NumPEs: s.NumPEs(),
-			Opts:   opts,
-			Params: charm.DefaultParams(),
-		})
-		app, err := kernels.NewStencil(env.MG, s.StencilConfig(sizes[len(sizes)-1]))
+		n, err := runManagerDispatch()
 		if err != nil {
-			env.Close()
 			b.Fatal(err)
 		}
-		if _, err := app.Run(); err != nil {
-			env.Close()
-			b.Fatal(err)
-		}
-		tasks = env.RT.Stats.TasksExecuted
-		env.Close()
+		tasks = n
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(tasks)*float64(b.N)/b.Elapsed().Seconds(), "tasks/sec")
+}
+
+// runManagerDispatch runs BenchmarkManagerDispatch's workload once, the
+// Small Fig 8 overflow stencil under Multi-IO, and returns the number
+// of tasks executed.
+func runManagerDispatch() (int64, error) {
+	s := exp.Small
+	opts := core.DefaultOptions(core.MultiIO)
+	opts.HBMReserve = s.HBMReserve()
+	sizes := s.StencilReducedSizes()
+	env := kernels.NewEnv(kernels.EnvConfig{
+		Spec:   s.Machine(),
+		NumPEs: s.NumPEs(),
+		Opts:   opts,
+		Params: charm.DefaultParams(),
+	})
+	defer env.Close()
+	app, err := kernels.NewStencil(env.MG, s.StencilConfig(sizes[len(sizes)-1]))
+	if err != nil {
+		return 0, err
+	}
+	if _, err := app.Run(); err != nil {
+		return 0, err
+	}
+	return env.RT.Stats.TasksExecuted, nil
+}
+
+// TestTaskPathAllocs guards the task path's allocations: one run of
+// BenchmarkManagerDispatch's workload made 15,147 allocations before
+// the task path shed its per-task closures, processes and slices, and
+// 5,759 after. The bound sits about 10% above the latter.
+func TestTaskPathAllocs(t *testing.T) {
+	const bound = 6_350
+	var err error
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, e := runManagerDispatch(); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > bound {
+		t.Fatalf("the dispatch workload made %.0f allocations per run, want <= %d", allocs, bound)
+	}
+	t.Logf("%.0f allocations per run (bound %d)", allocs, bound)
 }
 
 // BenchmarkXCluster regenerates extension X8 (multi-node weak scaling)

@@ -174,15 +174,14 @@ func (m *Metrics) PolicyCountersFor(name string) PolicyCounters {
 	return PolicyCounters{}
 }
 
-// EdgeMove attributes n moved bytes to the directed tier edge from src
-// to dst (memory node names). Each moved byte lands on exactly one
+// EdgeMove attributes n moved bytes to a directed tier edge, keyed
+// "SRC->DST" by memory node name. Each moved byte lands on exactly one
 // edge, so the sums over edges into and out of the near tier equal
 // BytesFetched and BytesEvicted; CheckQuiescent verifies that.
-func (m *Metrics) EdgeMove(src, dst string, n int64) {
+func (m *Metrics) EdgeMove(key string, n int64) {
 	if m == nil {
 		return
 	}
-	key := src + "->" + dst
 	if m.lastEdge < len(m.edges) && m.edges[m.lastEdge].key == key {
 		m.edges[m.lastEdge].bytes += n
 		return

@@ -144,17 +144,18 @@ func (a *Array) Entry(name string) *Entry {
 func (a *Array) Send(from, idx int, entry *Entry, data interface{}) {
 	el := a.Elem(idx)
 	rt := a.rt
-	msg := &Message{Data: data, From: from, SentAt: rt.Engine().Now()}
+	now := rt.Engine().Now()
 	t := &Task{
 		Elem:        el,
 		Entry:       entry,
-		Msg:         msg,
 		Seq:         rt.taskSeq,
-		EnqueueTime: rt.Engine().Now(),
+		EnqueueTime: now,
+		msg:         Message{Data: data, From: from, SentAt: now},
 	}
+	t.Msg = &t.msg
 	rt.taskSeq++
 	if entry.Deps != nil {
-		t.Deps = entry.Deps(el, msg)
+		t.Deps = entry.Deps(el, t.Msg)
 	}
 	if entry.Prefetch && rt.interceptor != nil {
 		rt.interceptor.TaskCreated(t)
@@ -163,8 +164,8 @@ func (a *Array) Send(from, idx int, entry *Entry, data interface{}) {
 		rt.traceHook.TaskSent(t)
 	}
 	rt.Stats.MessagesSent++
-	pe := rt.PE(el.PE)
-	rt.Engine().After(rt.params.MsgLatency, func() { pe.enqueueMsg(t) })
+	rt.sent.PushBack(sentTask{rt.PE(el.PE), t})
+	rt.Engine().After(rt.params.MsgLatency, rt.deliverFn)
 }
 
 // Broadcast sends data to every element's entry method.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/projections"
+	"github.com/hetmem/hetmem/internal/ring"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -31,6 +32,10 @@ type Task struct {
 	// Ctx is interceptor-private state attached during pre-processing
 	// (the OOC layer stores its OOCTask wrapper here).
 	Ctx interface{}
+
+	// msg is the message of a task made by Array.Send, which points
+	// Msg here, so a send allocates one object.
+	msg Message
 }
 
 // String renders the task for diagnostics.
@@ -48,8 +53,8 @@ type PE struct {
 
 	mu       sim.Mutex
 	notEmpty *sim.Cond
-	msgq     []*Task
-	runq     []*Task
+	msgq     ring.Deque[*Task]
+	runq     ring.Deque[*Task]
 
 	proc *sim.Proc
 
@@ -76,9 +81,9 @@ func (pe *PE) start() {
 }
 
 // enqueueMsg appends a task to the message queue (called from the
-// sender's context via an engine event after MsgLatency).
+// runtime's delivery event, MsgLatency after the send).
 func (pe *PE) enqueueMsg(t *Task) {
-	pe.msgq = append(pe.msgq, t)
+	pe.msgq.PushBack(t)
 	pe.notEmpty.Signal()
 }
 
@@ -86,13 +91,13 @@ func (pe *PE) enqueueMsg(t *Task) {
 // scheduler. It may be called from any process (IO threads, other PEs).
 func (pe *PE) PushRun(p *sim.Proc, t *Task) {
 	pe.mu.Lock(p)
-	pe.runq = append(pe.runq, t)
+	pe.runq.PushBack(t)
 	pe.mu.Unlock(p)
 	pe.notEmpty.Signal()
 }
 
 // QueueLengths returns the current message- and run-queue lengths.
-func (pe *PE) QueueLengths() (msgs, ready int) { return len(pe.msgq), len(pe.runq) }
+func (pe *PE) QueueLengths() (msgs, ready int) { return pe.msgq.Len(), pe.runq.Len() }
 
 // loop is the converse scheduler: pop run-queue tasks first, then
 // messages; intercept [prefetch] messages; execute entry methods to
@@ -101,20 +106,18 @@ func (pe *PE) loop(p *sim.Proc) {
 	rt := pe.rt
 	for {
 		pe.mu.Lock(p)
-		for len(pe.runq) == 0 && len(pe.msgq) == 0 {
+		for pe.runq.Len() == 0 && pe.msgq.Len() == 0 {
 			idleEnd := rt.tracer.Begin(pe.id, projections.IdleWait, "idle")
 			pe.notEmpty.Wait(p)
 			idleEnd()
 		}
 		var t *Task
 		fromRunQueue := false
-		if len(pe.runq) > 0 {
-			t = pe.runq[0]
-			pe.runq = pe.runq[1:]
+		if pe.runq.Len() > 0 {
+			t = pe.runq.PopFront()
 			fromRunQueue = true
 		} else {
-			t = pe.msgq[0]
-			pe.msgq = pe.msgq[1:]
+			t = pe.msgq.PopFront()
 		}
 		pe.mu.Unlock(p)
 

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/projections"
+	"github.com/hetmem/hetmem/internal/ring"
 	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/topology"
 )
@@ -136,6 +137,12 @@ type Runtime struct {
 	tracer      *projections.Tracer
 	taskSeq     int64 // next Task.Seq, incremented per Array.Send
 
+	// sent holds the tasks sent and not yet delivered, in send order.
+	// Each send schedules deliverFn (deliver, bound once) after
+	// MsgLatency.
+	sent      ring.Deque[sentTask]
+	deliverFn func()
+
 	// Stats counts scheduler activity.
 	Stats struct {
 		MessagesSent      int64
@@ -162,12 +169,28 @@ func NewRuntime(m *topology.Machine, numPEs int, params Params, tracer *projecti
 		groups: make(map[string]interface{}),
 		tracer: tracer,
 	}
+	rt.deliverFn = rt.deliver
 	for i := 0; i < numPEs; i++ {
 		pe := newPE(rt, i)
 		rt.pes = append(rt.pes, pe)
 		pe.start()
 	}
 	return rt
+}
+
+// sentTask is a sent task and the PE it was sent to.
+type sentTask struct {
+	pe *PE
+	t  *Task
+}
+
+// deliver hands the oldest sent task to its PE's message queue: an
+// engine event MsgLatency after the send. Every delivery waits the same
+// MsgLatency, so deliveries fire in send order and the oldest sent task
+// is the one this event was scheduled for.
+func (rt *Runtime) deliver() {
+	s := rt.sent.PopFront()
+	s.pe.enqueueMsg(s.t)
 }
 
 // SetInterceptor installs the OOC layer. It must be called before any

@@ -162,7 +162,6 @@ func (c *Cluster) Send(src, dst int, bytes float64, deliver func()) {
 				{Node: c.Nodes[src].nic, Access: memsim.Read},
 				{Node: c.Nodes[dst].nic, Access: memsim.Write},
 			},
-			OnDone: deliver,
-		})
+		}).Then(deliver)
 	})
 }

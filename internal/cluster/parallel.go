@@ -170,15 +170,14 @@ func (pc *PCluster) Send(src, dst int, bytes float64, deliver func()) {
 	sn.nic.StartFlow(memsim.FlowSpec{
 		Bytes:   bytes,
 		Demands: []memsim.Demand{{Node: sn.nicNode, Access: memsim.Read}},
-		OnDone: func() {
-			sn.outbox = append(sn.outbox, pmsg{
-				src: src, dst: dst, bytes: bytes,
-				deliverAt: sn.Eng.Now() + lat,
-				seq:       sn.msgSeq,
-				deliver:   deliver,
-			})
-			sn.msgSeq++
-		},
+	}).Then(func() {
+		sn.outbox = append(sn.outbox, pmsg{
+			src: src, dst: dst, bytes: bytes,
+			deliverAt: sn.Eng.Now() + lat,
+			seq:       sn.msgSeq,
+			deliver:   deliver,
+		})
+		sn.msgSeq++
 	})
 }
 
@@ -193,8 +192,7 @@ func (pc *PCluster) ingress(m pmsg) {
 		dn.nic.StartFlow(memsim.FlowSpec{
 			Bytes:   bytes,
 			Demands: []memsim.Demand{{Node: dn.nicNode, Access: memsim.Write}},
-			OnDone:  deliver,
-		})
+		}).Then(deliver)
 	})
 }
 

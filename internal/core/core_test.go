@@ -448,6 +448,65 @@ func TestKernelReadWriteOverlap(t *testing.T) {
 	}
 }
 
+// TestKernelWriteChainEvents pins the engine's event counts and the
+// durations of three read-write kernels run side by side: a normal one;
+// a tiny one whose every segment falls below memsim's completion
+// epsilon, so each flow is done at start; and a mixed one whose first
+// and last segments are below it. The expected values are those of the
+// earlier implementation, which streamed the writes on a spawned
+// process; the process-free write chain must keep every event.
+func TestKernelWriteChainEvents(t *testing.T) {
+	env := newEnv(t, 1, DefaultOptions(DDROnly))
+	rw := env.mg.NewHandle("rw", 256<<20)
+	ro := env.mg.NewHandle("ro", 128<<20)
+	wo := env.mg.NewHandle("wo", 64<<20)
+	t1 := env.mg.NewHandle("t1", 1<<20)
+	t2 := env.mg.NewHandle("t2", 1<<20)
+	s1 := env.mg.NewHandle("s1", 1)
+	big := env.mg.NewHandle("big", 1*gb)
+	s2 := env.mg.NewHandle("s2", 1)
+	var normal, tiny, mixed sim.Time
+	env.e.Spawn("normal", func(p *sim.Proc) {
+		normal = env.mg.RunKernel(p, []charm.DataDep{
+			{Handle: rw, Mode: charm.ReadWrite},
+			{Handle: ro, Mode: charm.ReadOnly},
+			{Handle: wo, Mode: charm.WriteOnly},
+		}, KernelSpec{TrafficScale: 1})
+	})
+	env.e.Spawn("tiny", func(p *sim.Proc) {
+		p.Sleep(1e-3)
+		tiny = env.mg.RunKernel(p, []charm.DataDep{
+			{Handle: t1, Mode: charm.ReadWrite},
+			{Handle: t2, Mode: charm.ReadWrite},
+		}, KernelSpec{TrafficScale: 1e-10})
+	})
+	env.e.Spawn("mixed", func(p *sim.Proc) {
+		p.Sleep(2e-3)
+		mixed = env.mg.RunKernel(p, []charm.DataDep{
+			{Handle: s1, Mode: charm.ReadWrite},
+			{Handle: big, Mode: charm.ReadWrite},
+			{Handle: s2, Mode: charm.ReadWrite},
+		}, KernelSpec{TrafficScale: 1e-4})
+	})
+	env.e.RunAll()
+	want := sim.EventStats{Scheduled: 26, Fired: 22, Cancelled: 4, Reused: 21}
+	if st := env.e.EventStats(); st != want {
+		t.Errorf("EventStats = %+v, want %+v", st, want)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want sim.Time
+	}{
+		{"normal", normal, 0.0093749999999999997},
+		{"tiny", tiny, 0},
+		{"mixed", mixed, 2.4999999999998981e-06},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s kernel took %.17g, want %.17g", c.name, c.got, c.want)
+		}
+	}
+}
+
 func TestStatsAccounting(t *testing.T) {
 	env := newEnv(t, 2, DefaultOptions(MultiIO))
 	app := buildApp(env, 4, 512*1024*1024, 2, nil)

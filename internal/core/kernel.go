@@ -24,6 +24,12 @@ type segment struct {
 	bytes float64
 }
 
+// kernelSegs sizes the stack arrays RunKernel collects its segments in.
+// A managed block lives on one node, so a kernel has a segment per
+// dependence and direction; only a kernel with more dependences than
+// this spills to the heap.
+const kernelSegs = 16
+
 // RunKernel executes the memory/compute cost model of a
 // bandwidth-sensitive kernel on the calling PE's core: its read traffic
 // streams sequentially from the node(s) where each dependence actually
@@ -41,7 +47,8 @@ func (m *Manager) RunKernel(p *sim.Proc, deps []charm.DataDep, spec KernelSpec) 
 	if scale <= 0 {
 		scale = 1
 	}
-	var reads, writes []segment
+	var readBuf, writeBuf [kernelSegs]segment
+	reads, writes := readBuf[:0], writeBuf[:0]
 	for _, d := range deps {
 		h, ok := d.Handle.(*Handle)
 		if !ok {
@@ -63,31 +70,14 @@ func (m *Manager) RunKernel(p *sim.Proc, deps []charm.DataDep, spec KernelSpec) 
 		}
 	}
 
-	cap := m.mach.Spec.CoreStreamBW
-	runChain := func(q *sim.Proc, segs []segment, acc memsim.Access) {
-		for _, s := range segs {
-			f := m.mach.Mem.StartFlow(memsim.FlowSpec{
-				Bytes:   s.bytes,
-				Demands: []memsim.Demand{{Node: s.node, Access: acc}},
-				RateCap: cap,
-			})
-			f.Wait(q)
-		}
-	}
-
 	if len(writes) > 0 && len(reads) > 0 {
-		var wg sim.WaitGroup
-		wg.Add(1)
-		p.Spawn("kern-wr", func(q *sim.Proc) {
-			runChain(q, writes, memsim.Write)
-			wg.Done()
-		})
-		runChain(p, reads, memsim.Read)
-		wg.Wait(p)
+		c := m.startWriteChain(writes)
+		m.stream(p, reads, memsim.Read)
+		c.wait(p)
 	} else if len(reads) > 0 {
-		runChain(p, reads, memsim.Read)
+		m.stream(p, reads, memsim.Read)
 	} else if len(writes) > 0 {
-		runChain(p, writes, memsim.Write)
+		m.stream(p, writes, memsim.Write)
 	}
 
 	// Flop roof: a compute-bound kernel is not faster on HBM.
@@ -102,4 +92,85 @@ func (m *Manager) RunKernel(p *sim.Proc, deps []charm.DataDep, spec KernelSpec) 
 		m.ts.KernelDone(p, spec, start, d)
 	}
 	return d
+}
+
+// startSegment starts s as a flow in direction acc, capped at the
+// core's stream rate.
+func (m *Manager) startSegment(s segment, acc memsim.Access) *memsim.Flow {
+	return m.mach.Mem.StartFlow(memsim.FlowSpec{
+		Bytes:   s.bytes,
+		Demands: []memsim.Demand{{Node: s.node, Access: acc}},
+		RateCap: m.mach.Spec.CoreStreamBW,
+	})
+}
+
+// stream runs segs one after another on p, waiting for each flow.
+func (m *Manager) stream(p *sim.Proc, segs []segment, acc memsim.Access) {
+	for _, s := range segs {
+		m.startSegment(s, acc).Wait(p)
+	}
+}
+
+// writeChain streams a read-write kernel's writes beside its reads
+// without a process of its own. Each step starts the next write flow
+// and registers itself as that flow's Then callback. The first step is
+// an event at now and each later one an event at a flow's completion,
+// behind the flow's waiters; a flow already complete at start continues
+// the chain at once. These are exactly the events a process streaming
+// the writes would schedule (its start, then one wake per flow it
+// waited on), so every event keeps its (t, seq).
+type writeChain struct {
+	m      *Manager
+	segs   []segment
+	next   int
+	done   bool
+	waiter *sim.Proc // the kernel's process, parked in wait
+	step   func()    // advance, bound once
+}
+
+// startWriteChain copies segs into an idle chain (or a new one) and
+// schedules its first step at now.
+func (m *Manager) startWriteChain(segs []segment) *writeChain {
+	var c *writeChain
+	if n := len(m.idleChains); n > 0 {
+		c = m.idleChains[n-1]
+		m.idleChains[n-1] = nil
+		m.idleChains = m.idleChains[:n-1]
+	} else {
+		c = &writeChain{m: m}
+		c.step = c.advance
+	}
+	c.segs = append(c.segs[:0], segs...)
+	c.next, c.done = 0, false
+	eng := m.rt.Engine()
+	eng.Schedule(eng.Now(), c.step)
+	return c
+}
+
+// advance starts write flows until one is still in flight, or marks the
+// chain done and wakes its waiter.
+func (c *writeChain) advance() {
+	for c.next < len(c.segs) {
+		f := c.m.startSegment(c.segs[c.next], memsim.Write)
+		c.next++
+		if !f.Done() {
+			f.Then(c.step)
+			return
+		}
+	}
+	c.done = true
+	if w := c.waiter; w != nil {
+		c.waiter = nil
+		w.Resume()
+	}
+}
+
+// wait parks p until the chain is done, as sim.WaitGroup.Wait would,
+// then returns the chain to the manager's idle list.
+func (c *writeChain) wait(p *sim.Proc) {
+	for !c.done {
+		c.waiter = p
+		p.Suspend()
+	}
+	c.m.idleChains = append(c.m.idleChains, c)
 }

@@ -166,6 +166,11 @@ type Manager struct {
 	obs []Observer
 	// ts is the optional trace sink; nil when no recorder is attached.
 	ts TraceSink
+	// idleChains holds finished write chains for RunKernel to reuse.
+	idleChains []*writeChain
+	// edgeKeys caches noteEdge's "SRC->DST" keys, indexed by
+	// src*len(tiers)+dst; empty until the edge first moves bytes.
+	edgeKeys []string
 
 	// Stats aggregates data-movement activity.
 	Stats struct {
@@ -278,14 +283,32 @@ func (m *Manager) tierOf(h *Handle) int {
 	panic(fmt.Sprintf("core: block %s on unknown node %s", h.name, node.Name))
 }
 
-// noteEdge attributes n moved bytes to the src→dst tier edge, in both
-// the manager's Stats and the metrics collector.
-func (m *Manager) noteEdge(src, dst *memsim.Node, n int64) {
+// noteEdge attributes n moved bytes to the edge from tier si to tier
+// di, in both the manager's Stats and the metrics collector. Each edge
+// key is built once.
+func (m *Manager) noteEdge(si, di int, n int64) {
 	if m.Stats.EdgeBytes == nil {
 		m.Stats.EdgeBytes = make(map[string]int64)
 	}
-	m.Stats.EdgeBytes[src.Name+"->"+dst.Name] += n
-	m.met.EdgeMove(src.Name, dst.Name, n)
+	if m.edgeKeys == nil {
+		m.edgeKeys = make([]string, len(m.tiers)*len(m.tiers))
+	}
+	key := &m.edgeKeys[si*len(m.tiers)+di]
+	if *key == "" {
+		*key = m.tiers[si].Name + "->" + m.tiers[di].Name
+	}
+	m.Stats.EdgeBytes[*key] += n
+	m.met.EdgeMove(*key, n)
+}
+
+// lockSpan opens the projections span of a wait on h's block lock. Its
+// label is built only when a tracer is attached.
+func (m *Manager) lockSpan(lane int, h *Handle) func() {
+	tr := m.rt.Tracer()
+	if tr == nil {
+		return func() {}
+	}
+	return tr.Begin(lane, projections.LockWait, "blk:"+h.name)
 }
 
 // HBMBudget returns the bytes of HBM available for data blocks.
@@ -412,7 +435,7 @@ var errHBMBudget = fmt.Errorf("core: HBM budget exhausted")
 // budget check sits directly before the migration, after all lock
 // waits, so check-and-allocate is atomic in virtual time.
 func (m *Manager) fetch(p *sim.Proc, lane int, h *Handle, hasReservation bool) error {
-	lockEnd := m.rt.Tracer().Begin(lane, projections.LockWait, "blk:"+h.name)
+	lockEnd := m.lockSpan(lane, h)
 	h.mu.Lock(p)
 	lockEnd()
 	defer h.mu.Unlock(p)
@@ -428,7 +451,8 @@ func (m *Manager) fetch(p *sim.Proc, lane int, h *Handle, hasReservation bool) e
 	if !hasReservation && !m.hbmFits(h.size) {
 		return errHBMBudget
 	}
-	src := m.tiers[m.tierOf(h)]
+	si := m.tierOf(h)
+	src := m.tiers[si]
 	h.state = Fetching
 	if m.ts != nil {
 		m.ts.FetchStart(lane, h)
@@ -446,7 +470,7 @@ func (m *Manager) fetch(p *sim.Proc, lane int, h *Handle, hasReservation bool) e
 	m.Stats.BytesFetched += h.size
 	m.Stats.FetchTime += d
 	m.met.FetchDone(h.size, d)
-	m.noteEdge(src, m.hbm(), h.size)
+	m.noteEdge(si, 0, h.size)
 	if h.Fetches > 1 {
 		m.Stats.Refetches++
 		m.met.Refetch(m.evictPolicy().Name())
@@ -471,7 +495,7 @@ func (m *Manager) fetch(p *sim.Proc, lane int, h *Handle, hasReservation bool) e
 // When the target tier is full the victim cascades one tier deeper;
 // only the bottom tier is a capacity backstop whose failure panics.
 func (m *Manager) evict(p *sim.Proc, lane int, h *Handle, force bool) {
-	lockEnd := m.rt.Tracer().Begin(lane, projections.LockWait, "blk:"+h.name)
+	lockEnd := m.lockSpan(lane, h)
 	h.mu.Lock(p)
 	lockEnd()
 	defer h.mu.Unlock(p)
@@ -519,7 +543,7 @@ func (m *Manager) evict(p *sim.Proc, lane int, h *Handle, force bool) {
 	m.Stats.EvictTime += d
 	m.met.EvictDone(h.size, d, forced)
 	m.met.PolicyEvict(m.evictPolicy().Name(), forced)
-	m.noteEdge(m.hbm(), dst, h.size)
+	m.noteEdge(0, ti, h.size)
 	if m.ts != nil {
 		m.ts.EvictDone(lane, h, d, forced, m.evictPolicy().Name(), dst.Name)
 	}
@@ -603,30 +627,34 @@ func (m *Manager) queueDistancesMap(p *sim.Proc) map[*Handle]int {
 // queue walk behind NextUse runs at most once per view, on first
 // demand, so policies that never ask (DeclOrder, LRU) pay nothing.
 func (m *Manager) policyView(p *sim.Proc) PolicyView {
-	var epoch uint64
-	var fallback map[*Handle]int
-	resolved := false
+	// One variable for the walk's state, so a view costs the closure and
+	// one heap object rather than one per captured variable.
+	var walk struct {
+		epoch    uint64
+		fallback map[*Handle]int
+		resolved bool
+	}
 	return PolicyView{
 		Now: m.rt.Engine().Now(),
 		NextUse: func(h *Handle) int {
 			if h.pendingUses == 0 {
 				return NoNextUse
 			}
-			if !resolved {
+			if !walk.resolved {
 				if m.distBusy {
-					fallback = m.queueDistancesMap(p)
+					walk.fallback = m.queueDistancesMap(p)
 				} else {
-					epoch = m.queueDistances(p)
+					walk.epoch = m.queueDistances(p)
 				}
-				resolved = true
+				walk.resolved = true
 			}
-			if fallback != nil {
-				if d, ok := fallback[h]; ok {
+			if walk.fallback != nil {
+				if d, ok := walk.fallback[h]; ok {
 					return d + 1
 				}
 				return 0
 			}
-			if m.distSeen[h.id] == epoch {
+			if m.distSeen[h.id] == walk.epoch {
 				return m.dist[h.id] + 1
 			}
 			// Pending but not in any wait queue: its consumer is

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/hetmem/hetmem/internal/ring"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -32,24 +33,22 @@ type multiIO struct {
 // waitQueueH is a small FIFO of eviction candidates.
 type waitQueueH struct {
 	mu     sim.Mutex
-	blocks []*Handle
+	blocks ring.Deque[*Handle]
 }
 
 func (q *waitQueueH) push(p *sim.Proc, h *Handle) {
 	q.mu.Lock(p)
-	q.blocks = append(q.blocks, h)
+	q.blocks.PushBack(h)
 	q.mu.Unlock(p)
 }
 
 func (q *waitQueueH) pop(p *sim.Proc) *Handle {
 	q.mu.Lock(p)
 	defer q.mu.Unlock(p)
-	if len(q.blocks) == 0 {
+	if q.blocks.Len() == 0 {
 		return nil
 	}
-	h := q.blocks[0]
-	q.blocks = q.blocks[1:]
-	return h
+	return q.blocks.PopFront()
 }
 
 func newMultiIO(m *Manager) *multiIO {

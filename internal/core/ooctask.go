@@ -4,13 +4,18 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/charm"
+	"github.com/hetmem/hetmem/internal/ring"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
-// depRef is one resolved data dependence of a task.
+// depRef is one resolved data dependence of a task, with the current
+// staging attempt's flags for it.
 type depRef struct {
-	h    *Handle
-	mode charm.AccessMode
+	h        *Handle
+	mode     charm.AccessMode
+	pinned   bool
+	claimed  bool // this attempt holds a claim on the dep's block
+	reserved bool // this attempt reserved capacity for the dep
 }
 
 // OOCTask is the paper's out-of-core task wrapper: the object, its
@@ -22,9 +27,6 @@ type OOCTask struct {
 	t  *charm.Task
 
 	deps     []depRef
-	pinned   []bool
-	claimed  []bool // this attempt holds a claim on the dep's block
-	reserved []bool // this attempt reserved capacity for the dep
 	depBytes int64
 
 	// Staged is set once the task has been admitted to a run queue
@@ -35,8 +37,8 @@ type OOCTask struct {
 // newOOCTask resolves a charm task's declared dependences into managed
 // handles.
 func newOOCTask(m *Manager, pe *charm.PE, t *charm.Task) *OOCTask {
-	ot := &OOCTask{m: m, pe: pe, t: t}
-	for _, d := range t.Deps {
+	ot := &OOCTask{m: m, pe: pe, t: t, deps: make([]depRef, len(t.Deps))}
+	for i, d := range t.Deps {
 		h, ok := d.Handle.(*Handle)
 		if !ok {
 			panic(fmt.Sprintf("core: task %s depends on foreign handle %T", t, d.Handle))
@@ -44,12 +46,9 @@ func newOOCTask(m *Manager, pe *charm.PE, t *charm.Task) *OOCTask {
 		if h.mgr != m {
 			panic(fmt.Sprintf("core: task %s depends on handle %q from another manager", t, h.name))
 		}
-		ot.deps = append(ot.deps, depRef{h: h, mode: d.Mode})
+		ot.deps[i] = depRef{h: h, mode: d.Mode}
 		ot.depBytes += h.size
 	}
-	ot.pinned = make([]bool, len(ot.deps))
-	ot.claimed = make([]bool, len(ot.deps))
-	ot.reserved = make([]bool, len(ot.deps))
 	return ot
 }
 
@@ -75,20 +74,20 @@ func (ot *OOCTask) ready() bool {
 // pinAll pins every dependence (used on the fast path when all blocks
 // are already resident). Pins must be balanced by unpinAll.
 func (ot *OOCTask) pinAll() {
-	for i, d := range ot.deps {
-		if !ot.pinned[i] {
+	for i := range ot.deps {
+		if d := &ot.deps[i]; !d.pinned {
 			d.h.pin()
-			ot.pinned[i] = true
+			d.pinned = true
 		}
 	}
 }
 
 // unpinAll releases every pin the task holds.
 func (ot *OOCTask) unpinAll() {
-	for i, d := range ot.deps {
-		if ot.pinned[i] {
+	for i := range ot.deps {
+		if d := &ot.deps[i]; d.pinned {
 			d.h.unpin()
-			ot.pinned[i] = false
+			d.pinned = false
 		}
 	}
 }
@@ -112,21 +111,22 @@ func (ot *OOCTask) unpinAll() {
 func (ot *OOCTask) stage(p *sim.Proc, lane int) bool {
 	m := ot.m
 	var need int64
-	for i, d := range ot.deps {
-		if ot.pinned[i] {
+	for i := range ot.deps {
+		d := &ot.deps[i]
+		if d.pinned {
 			continue
 		}
 		h := d.h
 		if h.resident() {
 			h.pin()
-			ot.pinned[i] = true
+			d.pinned = true
 			continue
 		}
-		ot.claimed[i] = true
+		d.claimed = true
 		h.claims++
 		m.aud.Claim(1)
 		if h.claims == 1 {
-			ot.reserved[i] = true
+			d.reserved = true
 			need += h.size
 		}
 	}
@@ -143,20 +143,21 @@ func (ot *OOCTask) stage(p *sim.Proc, lane int) bool {
 		ot.unpinAll()
 		return false
 	}
-	for i, d := range ot.deps {
-		if ot.pinned[i] {
+	for i := range ot.deps {
+		d := &ot.deps[i]
+		if d.pinned {
 			continue
 		}
-		if err := m.fetch(p, lane, d.h, ot.reserved[i]); err != nil {
+		if err := m.fetch(p, lane, d.h, d.reserved); err != nil {
 			// A non-reserved dep lost a capacity race (its original
 			// claimant aborted). Refund untouched reservations and
 			// back out. fetch already consumed dep i's reservation.
-			ot.reserved[i] = false
+			d.reserved = false
 			ot.backOut(i + 1)
 			return false
 		}
 		d.h.pin()
-		ot.pinned[i] = true
+		d.pinned = true
 		ot.dropClaim(i)
 	}
 	// All pinned; claims were dropped as each block landed.
@@ -165,11 +166,11 @@ func (ot *OOCTask) stage(p *sim.Proc, lane int) bool {
 
 // dropClaim releases the staging claim on dep i, if held.
 func (ot *OOCTask) dropClaim(i int) {
-	if ot.claimed[i] {
-		ot.deps[i].h.claims--
+	if d := &ot.deps[i]; d.claimed {
+		d.h.claims--
 		ot.m.aud.Claim(-1)
-		ot.claimed[i] = false
-		ot.reserved[i] = false
+		d.claimed = false
+		d.reserved = false
 	}
 }
 
@@ -177,9 +178,9 @@ func (ot *OOCTask) dropClaim(i int) {
 // from are refunded (earlier ones were already consumed by fetch), and
 // all pins and claims are dropped.
 func (ot *OOCTask) backOut(from int) {
-	for j := from; j < len(ot.deps); j++ {
-		if ot.reserved[j] {
-			ot.m.refundReservation(ot.deps[j].h.size)
+	for _, d := range ot.deps[from:] {
+		if d.reserved {
+			ot.m.refundReservation(d.h.size)
 		}
 	}
 	for j := range ot.deps {
@@ -210,7 +211,7 @@ func (ot *OOCTask) release(p *sim.Proc, lane int) {
 // queue ablation).
 type waitQueue struct {
 	mu    sim.Mutex
-	tasks []*OOCTask
+	tasks ring.Deque[*OOCTask]
 }
 
 func newWaitQueue(lockCost sim.Time) *waitQueue {
@@ -225,8 +226,8 @@ func newWaitQueue(lockCost sim.Time) *waitQueue {
 // second lock round-trip.
 func (wq *waitQueue) push(p *sim.Proc, ot *OOCTask) int {
 	wq.mu.Lock(p)
-	wq.tasks = append(wq.tasks, ot)
-	n := len(wq.tasks)
+	wq.tasks.PushBack(ot)
+	n := wq.tasks.Len()
 	wq.mu.Unlock(p)
 	return n
 }
@@ -235,20 +236,18 @@ func (wq *waitQueue) push(p *sim.Proc, ot *OOCTask) int {
 func (wq *waitQueue) pop(p *sim.Proc) *OOCTask {
 	wq.mu.Lock(p)
 	defer wq.mu.Unlock(p)
-	if len(wq.tasks) == 0 {
+	if wq.tasks.Len() == 0 {
 		return nil
 	}
-	ot := wq.tasks[0]
-	wq.tasks = wq.tasks[1:]
-	return ot
+	return wq.tasks.PopFront()
 }
 
 // pushFront reinserts a partially staged task at the head so FIFO order
 // is preserved across capacity stalls. Returns the resulting depth.
 func (wq *waitQueue) pushFront(p *sim.Proc, ot *OOCTask) int {
 	wq.mu.Lock(p)
-	wq.tasks = append([]*OOCTask{ot}, wq.tasks...)
-	n := len(wq.tasks)
+	wq.tasks.PushFront(ot)
+	n := wq.tasks.Len()
 	wq.mu.Unlock(p)
 	return n
 }
@@ -259,7 +258,7 @@ func (wq *waitQueue) pushFront(p *sim.Proc, ot *OOCTask) int {
 // the same lock cost every other queue operation does.
 func (wq *waitQueue) len(p *sim.Proc) int {
 	wq.mu.Lock(p)
-	n := len(wq.tasks)
+	n := wq.tasks.Len()
 	wq.mu.Unlock(p)
 	return n
 }
@@ -269,8 +268,8 @@ func (wq *waitQueue) len(p *sim.Proc) int {
 // must not touch this queue or block.
 func (wq *waitQueue) scan(p *sim.Proc, visit func(pos int, ot *OOCTask)) {
 	wq.mu.Lock(p)
-	for i, ot := range wq.tasks {
-		visit(i, ot)
+	for i := 0; i < wq.tasks.Len(); i++ {
+		visit(i, wq.tasks.At(i))
 	}
 	wq.mu.Unlock(p)
 }
@@ -279,5 +278,9 @@ func (wq *waitQueue) scan(p *sim.Proc, visit func(pos int, ot *OOCTask)) {
 // the engine's quiesce hook may call it: with the event queue drained
 // no process is running, so the unguarded read cannot race.
 func (wq *waitQueue) quiescentTasks() []*OOCTask {
-	return append([]*OOCTask(nil), wq.tasks...)
+	var tasks []*OOCTask
+	for i := 0; i < wq.tasks.Len(); i++ {
+		tasks = append(tasks, wq.tasks.At(i))
+	}
+	return tasks
 }

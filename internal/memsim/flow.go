@@ -45,8 +45,9 @@ type Flow struct {
 	started   sim.Time
 	finished  sim.Time
 	done      bool
-	waiters   []*sim.Proc
-	onDone    func()
+	waiter    *sim.Proc   // the first waiter; most flows have at most one
+	waiters   []*sim.Proc // waiters after the first
+	then      func()      // the Then callback; kept once scheduled, so a second Then panics
 }
 
 // flowClass is the set of live flows with an identical demand list (in
@@ -64,14 +65,25 @@ type flowClass struct {
 }
 
 // classFor returns the live class for demands and cap, creating it at
-// the end of s.classes when none matches.
+// the end of s.classes when none matches, from an emptied class when
+// one is idle.
 func (s *System) classFor(demands []Demand, cap float64) *flowClass {
 	for _, c := range s.classes {
 		if c.cap == cap && slices.Equal(c.demands, demands) {
 			return c
 		}
 	}
-	c := &flowClass{demands: append([]Demand(nil), demands...), cap: cap}
+	var c *flowClass
+	if n := len(s.idleClasses); n > 0 {
+		c = s.idleClasses[n-1]
+		s.idleClasses[n-1] = nil
+		s.idleClasses = s.idleClasses[:n-1]
+	} else {
+		c = &flowClass{}
+	}
+	c.demands = append(c.demands[:0], demands...)
+	c.cap, c.rate, c.frozen = cap, 0, false
+	c.resources = c.resources[:0]
 	for _, d := range c.demands {
 		r := d.resources()
 		c.resources = append(c.resources, r[0], r[1])
@@ -92,15 +104,12 @@ type FlowSpec struct {
 	// RateCap bounds the flow's rate in bytes/second; <= 0 means
 	// uncapped. Use the per-core streaming rate for kernel flows.
 	RateCap float64
-	// OnDone, if non-nil, runs (as an engine callback) when the flow
-	// completes.
-	OnDone func()
 }
 
 const byteEps = 1e-3 // bytes below which a flow counts as complete
 
 // StartFlow begins a flow and returns it. The caller can Wait on it or
-// rely on OnDone.
+// register a callback with Then.
 func (s *System) StartFlow(spec FlowSpec) *Flow {
 	if spec.Bytes < 0 {
 		panic("memsim: negative flow size")
@@ -126,16 +135,11 @@ func (s *System) StartFlow(spec FlowSpec) *Flow {
 		sys:       s,
 		remaining: spec.Bytes,
 		started:   s.e.Now(),
-		onDone:    spec.OnDone,
 	}
 	if spec.Bytes <= byteEps {
-		// Trivially complete; fire OnDone asynchronously for
-		// consistency with real flows.
+		// Trivially complete.
 		f.done = true
 		f.finished = s.e.Now()
-		if f.onDone != nil {
-			s.e.Schedule(s.e.Now(), f.onDone)
-		}
 		return f
 	}
 	rateCap := spec.RateCap
@@ -153,10 +157,29 @@ func (s *System) StartFlow(spec FlowSpec) *Flow {
 // Wait parks p until the flow completes and returns its duration.
 func (f *Flow) Wait(p *sim.Proc) sim.Time {
 	for !f.done {
-		f.waiters = append(f.waiters, p)
+		if f.waiter == nil {
+			f.waiter = p
+		} else {
+			f.waiters = append(f.waiters, p)
+		}
 		p.Suspend()
 	}
 	return f.finished - f.started
+}
+
+// Then registers fn to run as an engine callback once the flow
+// completes: scheduled at the completion instant, after the waiters'
+// wakes. On a flow that is already done it schedules fn at now, so a
+// zero-byte flow's callback still runs asynchronously, as a real flow's
+// does. A flow takes at most one Then; a second one panics.
+func (f *Flow) Then(fn func()) {
+	if f.then != nil {
+		panic("memsim: second Then on a flow")
+	}
+	f.then = fn
+	if f.done {
+		f.sys.e.Schedule(f.sys.e.Now(), fn)
+	}
 }
 
 // Done reports whether the flow has completed.
@@ -233,6 +256,8 @@ func (s *System) reallocate() {
 	for _, c := range s.classes {
 		if c.n > 0 {
 			classes = append(classes, c)
+		} else {
+			s.idleClasses = append(s.idleClasses, c)
 		}
 	}
 	clear(s.classes[len(classes):])
@@ -347,13 +372,16 @@ func (s *System) finish(f *Flow) {
 	f.rate = 0
 	f.remaining = 0
 	f.finished = s.e.Now()
+	if f.waiter != nil {
+		f.waiter.Resume()
+		f.waiter = nil
+	}
 	for _, w := range f.waiters {
 		w.Resume()
 	}
 	f.waiters = nil
-	if f.onDone != nil {
-		cb := f.onDone
-		s.e.Schedule(s.e.Now(), cb)
+	if f.then != nil {
+		s.e.Schedule(s.e.Now(), f.then)
 	}
 }
 

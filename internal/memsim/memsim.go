@@ -186,11 +186,14 @@ type System struct {
 	e     *sim.Engine
 	nodes []*Node
 
-	flows      []*Flow      // in start order; removal preserves order
-	classes    []*flowClass // live flow classes in first-use order
-	resources  []*resource  // allocator scratch, reused across calls
-	lastUpdate sim.Time
-	completion sim.EventHandle
+	flows   []*Flow      // in start order; removal preserves order
+	classes []*flowClass // live flow classes in first-use order
+	// idleClasses holds emptied classes for classFor to reuse; a
+	// finished flow may still point at one, but never reads it.
+	idleClasses []*flowClass
+	resources   []*resource // allocator scratch, reused across calls
+	lastUpdate  sim.Time
+	completion  sim.EventHandle
 	// onCompletion is the completion-event callback, bound once so
 	// scheduling it does not allocate a closure per reallocation.
 	onCompletion func()

@@ -3,6 +3,7 @@ package memsim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/hetmem/hetmem/internal/sim"
@@ -172,22 +173,71 @@ func TestTransferLatency(t *testing.T) {
 func TestZeroByteFlowCompletesImmediately(t *testing.T) {
 	e := sim.NewEngine(1)
 	s := testSystem(e)
-	fired := false
+	var log []string
 	var dur sim.Time
 	e.Spawn("p", func(p *sim.Proc) {
+		p.Sleep(0.5)
 		f := s.StartFlow(FlowSpec{
 			Bytes:   0,
 			Demands: []Demand{{Node: s.Node(0), Access: Read}},
-			OnDone:  func() { fired = true },
 		})
+		if !f.Done() {
+			t.Error("zero-byte flow not done at start")
+		}
+		// Then on a done flow schedules the callback at now, behind
+		// the events already queued for this instant.
+		e.Schedule(e.Now(), func() { log = append(log, "queued before Then") })
+		f.Then(func() { log = append(log, fmt.Sprintf("then at %v", e.Now())) })
 		dur = f.Wait(p)
+		log = append(log, "waiter")
 	})
 	e.RunAll()
 	if dur != 0 {
 		t.Fatalf("zero flow duration %v", dur)
 	}
-	if !fired {
-		t.Fatal("OnDone not fired for zero-byte flow")
+	want := []string{"waiter", "queued before Then", "then at 0.5"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("order %q, want %q", log, want)
+	}
+}
+
+// TestThenRunsAfterWaiters: on a pending flow, the Then callback is
+// scheduled at the completion instant after every waiter's wake, so
+// the waiters run first.
+func TestThenRunsAfterWaiters(t *testing.T) {
+	e := sim.NewEngine(1)
+	s := testSystem(e)
+	f := s.StartFlow(FlowSpec{Bytes: gb, Demands: []Demand{{Node: s.Node(0), Access: Read}}})
+	var log []string
+	f.Then(func() { log = append(log, fmt.Sprintf("then at %v", e.Now())) })
+	for _, name := range []string{"w1", "w2", "w3"} {
+		name := name
+		e.Spawn(name, func(p *sim.Proc) {
+			f.Wait(p)
+			log = append(log, name)
+		})
+	}
+	e.RunAll()
+	want := []string{"w1", "w2", "w3", fmt.Sprintf("then at %v", f.Duration())}
+	if !slices.Equal(log, want) {
+		t.Fatalf("order %q, want %q", log, want)
+	}
+}
+
+func TestSecondThenPanics(t *testing.T) {
+	for _, bytes := range []float64{0, gb} {
+		e := sim.NewEngine(1)
+		s := testSystem(e)
+		f := s.StartFlow(FlowSpec{Bytes: bytes, Demands: []Demand{{Node: s.Node(0), Access: Read}}})
+		f.Then(func() {})
+		func() {
+			defer func() {
+				if r := recover(); r == nil {
+					t.Errorf("%v-byte flow: second Then did not panic", bytes)
+				}
+			}()
+			f.Then(func() {})
+		}()
 	}
 }
 

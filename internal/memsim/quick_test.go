@@ -370,8 +370,8 @@ func TestQuickRatesMatchPerFlowReference(t *testing.T) {
 					Bytes:   pf.bytes,
 					Demands: lf.ref.demands,
 					RateCap: pf.cap,
-					OnDone:  func() { compare("after completion") },
 				})
+				lf.f.Then(func() { compare("after completion") })
 				started = append(started, lf)
 				compare("after start")
 			})

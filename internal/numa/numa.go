@@ -91,6 +91,28 @@ type Allocator struct {
 	BytesMigrated  float64
 	MigrationTime  sim.Time
 	MigrationCount int64
+
+	// joins holds finished memcpy joins for Memcpy to reuse.
+	joins []*copyJoin
+}
+
+// copyJoin waits for the flows of one Memcpy as a sim.WaitGroup would,
+// but it is reused across copies and its completion callback is bound
+// once, so a copy allocates neither a WaitGroup nor a callback per flow.
+type copyJoin struct {
+	n      int       // flows still in flight
+	waiter *sim.Proc // the copying process, parked in wait
+	done   func()    // flowDone, bound once
+}
+
+// flowDone counts one flow complete, waking the waiter after the last.
+func (j *copyJoin) flowDone() {
+	j.n--
+	if j.n == 0 && j.waiter != nil {
+		w := j.waiter
+		j.waiter = nil
+		w.Resume()
+	}
 }
 
 // New returns an allocator over sys.
@@ -285,7 +307,15 @@ func (a *Allocator) Memcpy(p *sim.Proc, dst, src *Buffer) (sim.Time, error) {
 	// Walk both part lists in tandem, emitting one flow per
 	// (src-part, dst-part) overlap; flows run in parallel and the copy
 	// completes when all do.
-	var wg sim.WaitGroup
+	var j *copyJoin
+	if n := len(a.joins); n > 0 {
+		j = a.joins[n-1]
+		a.joins[n-1] = nil
+		a.joins = a.joins[:n-1]
+	} else {
+		j = &copyJoin{}
+		j.done = j.flowDone
+	}
 	si, di := 0, 0
 	sOff, dOff := int64(0), int64(0)
 	lat := sim.Time(0)
@@ -298,7 +328,7 @@ func (a *Allocator) Memcpy(p *sim.Proc, dst, src *Buffer) (sim.Time, error) {
 		if l := sp.Node.Latency + dp.Node.Latency; l > lat {
 			lat = l
 		}
-		wg.Add(1)
+		j.n++
 		a.sys.StartFlow(memsim.FlowSpec{
 			Bytes: float64(chunk),
 			Demands: []memsim.Demand{
@@ -306,8 +336,7 @@ func (a *Allocator) Memcpy(p *sim.Proc, dst, src *Buffer) (sim.Time, error) {
 				{Node: dp.Node, Access: memsim.Write},
 			},
 			RateCap: a.MemcpyRateCap,
-			OnDone:  wg.Done,
-		})
+		}).Then(j.done)
 		sOff += chunk
 		dOff += chunk
 		if sOff == sp.Size {
@@ -322,7 +351,11 @@ func (a *Allocator) Memcpy(p *sim.Proc, dst, src *Buffer) (sim.Time, error) {
 	if lat > 0 {
 		p.Sleep(lat)
 	}
-	wg.Wait(p)
+	for j.n > 0 {
+		j.waiter = p
+		p.Suspend()
+	}
+	a.joins = append(a.joins, j)
 	return p.Now() - t0, nil
 }
 

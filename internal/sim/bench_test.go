@@ -61,8 +61,8 @@ func BenchmarkProcHandoff(b *testing.B) {
 }
 
 // BenchmarkSpawn measures a child process's whole life: spawn it, let it
-// sleep once and join it with a WaitGroup. This is what core.RunKernel
-// pays for the writer half (kern-wr) of every read-write kernel.
+// sleep once and join it with a WaitGroup: the cost of a short-lived
+// helper process.
 func BenchmarkSpawn(b *testing.B) {
 	e := NewEngine(1)
 	e.Spawn("parent", func(p *Proc) {
@@ -76,6 +76,27 @@ func BenchmarkSpawn(b *testing.B) {
 			wg.Wait(p)
 		}
 	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunAll()
+}
+
+// BenchmarkLockCharge measures a charged Mutex Lock/Unlock round trip,
+// whose AcquireCost wake goes through the lock-charge FIFO, while 64
+// later events wait on the heap.
+func BenchmarkLockCharge(b *testing.B) {
+	e := NewEngine(1)
+	defer e.Close()
+	m := Mutex{AcquireCost: 0.3e-6}
+	e.Spawn("locker", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			m.Lock(p)
+			m.Unlock(p)
+		}
+	})
+	for i := 0; i < 64; i++ {
+		e.Schedule(1e9+Time(i), func() {})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.RunAll()

@@ -40,8 +40,8 @@ type Proc struct {
 // ends them. The reason is the race detector: runtime.coroexit ends a
 // coroutine's goroutine without the goroutine-end hook a normal exit
 // calls, so the detector keeps its state for every coroutine that ever
-// exited. With a coroutine per process (core.RunKernel spawns one per
-// read-write kernel) a -race tune search grows by gigabytes.
+// exited. With a coroutine per process, a -race run that spawns a
+// short-lived process per task grows by gigabytes.
 type coroutine struct {
 	next  func() (struct{}, bool)
 	yield func(struct{}) bool
@@ -203,6 +203,13 @@ func (p *Proc) Sleep(d Time) {
 		return
 	}
 	p.e.wakeAt(p.e.now+d, p)
+	p.park()
+}
+
+// charge parks the process for a lock's AcquireCost d > 0, as Sleep(d)
+// would, with the wake on the engine's lock-charge FIFO for d.
+func (p *Proc) charge(d Time) {
+	p.e.scheduleCharge(d, p.timerFn)
 	p.park()
 }
 

@@ -18,13 +18,22 @@
 // needs no host-level locking. A panic or runtime.Goexit in a process
 // body surfaces on the goroutine that called Run.
 //
+// Events wait on three kinds of queue. Most events are either same-instant
+// (a wake, a spawn, a zero sleep: Schedule at now) or lock charges
+// (Mutex.AcquireCost), and both arrive already in (t, seq) order, so they
+// go on FIFOs: one for same-instant events and one per distinct charge
+// value. Every other event goes on a binary heap. The engine fires the
+// minimum (t, seq) among the heap top and the FIFO heads, so the merged
+// order is exactly the order one heap would give.
+//
 // The hot path is allocation-free at steady state: fired and cancelled
 // events return to a free list and are reused by later Schedule calls
 // (generation counters keep stale handles harmless), the event heap is
 // intrusive (each event knows its own heap slot, so Cancel removes it in
-// O(log n) instead of leaving a dead entry behind), processes live in a
-// dense slice indexed by pid rather than a map, and each process binds
-// its wake callbacks once at Spawn, so waking it allocates nothing.
+// O(log n) instead of leaving a dead entry behind; a FIFO skips a
+// cancelled slot when it reaches it), processes live in a dense slice
+// indexed by pid rather than a map, and each process binds its wake
+// callbacks once at Spawn, so waking it allocates nothing.
 package sim
 
 import (
@@ -46,8 +55,8 @@ const Infinity Time = math.MaxFloat64
 // objects are pooled: gen increments each time the object is released
 // (fired or cancelled), invalidating any EventHandle minted for a
 // previous incarnation; idx is the object's current slot in the heap
-// (-1 when not queued), maintained by every sift so cancellation can
-// remove the entry directly.
+// (-1 when it is not on the heap), maintained by every sift so
+// cancellation can remove the entry directly.
 type event struct {
 	t   Time
 	seq int64
@@ -148,12 +157,62 @@ func (h *eventHeap) remove(i int) {
 	ev.idx = -1
 }
 
+// fifoSlot is one FIFO entry: an event and the generation it had when
+// queued. Cancel releases the event at once, so a slot whose generation
+// no longer matches is stale and the FIFO skips it.
+type fifoSlot struct {
+	ev  *event
+	gen uint64
+}
+
+// fifo is a ring buffer of events already in (t, seq) order: the
+// same-instant queue, or the lock-charge queue of one charge value d.
+// It is hand-rolled rather than a ring.Deque so that front, which the
+// engine calls for every event it fires, inlines into the engine loop.
+type fifo struct {
+	d     Time
+	slots []fifoSlot // len is zero or a power of two
+	head  int
+	n     int // slots in use, stale ones included
+}
+
+func (q *fifo) push(ev *event) {
+	if q.n == len(q.slots) {
+		grown := make([]fifoSlot, max(2*len(q.slots), 16))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.slots[(q.head+i)&(len(q.slots)-1)]
+		}
+		q.slots, q.head = grown, 0
+	}
+	q.slots[(q.head+q.n)&(len(q.slots)-1)] = fifoSlot{ev, ev.gen}
+	q.n++
+}
+
+// front returns the earliest live event, dropping stale slots on the
+// way, or nil when the FIFO holds none.
+func (q *fifo) front() *event {
+	for q.n > 0 {
+		if s := q.slots[q.head]; s.ev.gen == s.gen {
+			return s.ev
+		}
+		q.drop()
+	}
+	return nil
+}
+
+// drop removes the head slot. It leaves the slot's contents: the engine
+// holds every event object anyway, queued or on the free list.
+func (q *fifo) drop() {
+	q.head = (q.head + 1) & (len(q.slots) - 1)
+	q.n--
+}
+
 // EventStats counts engine activity since creation; used by the X12
 // throughput benchmark and by tests asserting pool behaviour.
 type EventStats struct {
 	Scheduled int64 // Schedule/After calls
 	Fired     int64 // events whose callback ran
-	Cancelled int64 // events removed from the heap by Cancel
+	Cancelled int64 // events cancelled before they fired
 	Reused    int64 // Schedule calls served from the free list
 }
 
@@ -163,7 +222,10 @@ type Engine struct {
 	now    Time
 	seed   int64
 	seq    int64
-	events eventHeap
+	events eventHeap    // events neither same-instant nor lock charges
+	nowq   fifo         // events scheduled at the instant they fire
+	locks  []fifo       // lock charges, one FIFO per distinct charge
+	queued int          // live (uncancelled) events on nowq and locks
 	free   []*event     // released event objects awaiting reuse
 	procs  []*Proc      // indexed by pid; nil once the process finishes
 	idle   []*coroutine // finished bodies' coroutines awaiting reuse
@@ -202,10 +264,10 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // EventStats returns cumulative engine activity counters.
 func (e *Engine) EventStats() EventStats { return e.stats }
 
-// PendingEvents returns the number of events currently in the heap.
-// Cancelled events leave the heap immediately, so a workload that
+// PendingEvents returns the number of events waiting to fire, on every
+// queue. Cancelled events stop counting immediately, so a workload that
 // schedules and cancels timeouts in a loop keeps this bounded.
-func (e *Engine) PendingEvents() int { return len(e.events) }
+func (e *Engine) PendingEvents() int { return len(e.events) + e.queued }
 
 // Schedule registers fn to run at absolute virtual time t. Scheduling in
 // the past is an error and panics (it would break causality). The
@@ -214,6 +276,35 @@ func (e *Engine) Schedule(t Time, fn func()) EventHandle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
+	ev := e.newEvent(t, fn)
+	if t == e.now {
+		e.enqueue(&e.nowq, ev)
+	} else {
+		e.events.push(ev)
+	}
+	return EventHandle{eng: e, ev: ev, gen: ev.gen}
+}
+
+// scheduleCharge registers fn to run d > 0 seconds from now, on the
+// FIFO of lock charges of d. The charges of one d are queued at a
+// non-decreasing now plus the same d, and rounded float addition is
+// monotone, so the FIFO is in (t, seq) order.
+func (e *Engine) scheduleCharge(d Time, fn func()) EventHandle {
+	ev := e.newEvent(e.now+d, fn)
+	i := 0
+	for i < len(e.locks) && e.locks[i].d != d {
+		i++
+	}
+	if i == len(e.locks) {
+		e.locks = append(e.locks, fifo{d: d})
+	}
+	e.enqueue(&e.locks[i], ev)
+	return EventHandle{eng: e, ev: ev, gen: ev.gen}
+}
+
+// newEvent takes an event object from the free list, or allocates one,
+// and stamps it with t, the next sequence number and fn.
+func (e *Engine) newEvent(t Time, fn func()) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -226,8 +317,13 @@ func (e *Engine) Schedule(t Time, fn func()) EventHandle {
 	ev.t, ev.seq, ev.fn = t, e.seq, fn
 	e.seq++
 	e.stats.Scheduled++
-	e.events.push(ev)
-	return EventHandle{eng: e, ev: ev, gen: ev.gen}
+	return ev
+}
+
+func (e *Engine) enqueue(q *fifo, ev *event) {
+	ev.idx = -1
+	q.push(ev)
+	e.queued++
 }
 
 // After registers fn to run d seconds from now.
@@ -256,9 +352,10 @@ type EventHandle struct {
 	cancelled bool
 }
 
-// Cancel prevents the event from firing and removes it from the event
-// heap immediately (the object is recycled). Cancelling an already-fired
-// or already-cancelled event is a no-op.
+// Cancel prevents the event from firing and releases it immediately: it
+// leaves the heap at once, or leaves a stale FIFO slot behind that the
+// FIFO skips. Cancelling an already-fired or already-cancelled event is
+// a no-op.
 func (h *EventHandle) Cancel() {
 	if h == nil || h.ev == nil || h.cancelled {
 		return
@@ -267,7 +364,11 @@ func (h *EventHandle) Cancel() {
 	if h.ev.gen != h.gen {
 		return // already fired, cancelled elsewhere, or recycled
 	}
-	h.eng.events.remove(h.ev.idx)
+	if h.ev.idx >= 0 {
+		h.eng.events.remove(h.ev.idx)
+	} else {
+		h.eng.queued--
+	}
 	h.eng.stats.Cancelled++
 	h.eng.release(h.ev)
 }
@@ -282,12 +383,46 @@ func (h *EventHandle) Cancelled() bool { return h == nil || h.ev == nil || h.can
 // invariant diagnostics.
 func (e *Engine) SetQuiesceHook(fn func()) { e.quiesceHook = fn }
 
-// step fires the earliest event: pops it, advances the clock, releases
-// the object for reuse and runs the callback. The object is released
-// before the callback runs so the callback can recycle it immediately;
-// handles to the fired incarnation are invalidated by the gen bump.
-func (e *Engine) step(ev *event) {
-	e.events.pop()
+// next returns the earliest pending event, the minimum (t, seq) among the
+// heap top and the FIFO heads, and the FIFO holding it (nil for the
+// heap). It returns a nil event when nothing is pending.
+func (e *Engine) next() (*event, *fifo) {
+	var ev *event
+	if len(e.events) > 0 {
+		ev = e.events[0]
+	}
+	if e.queued == 0 {
+		return ev, nil
+	}
+	var q *fifo
+	if f := e.nowq.front(); f != nil && (ev == nil || f.before(ev)) {
+		ev, q = f, &e.nowq
+	}
+	for i := range e.locks {
+		if f := e.locks[i].front(); f != nil && (ev == nil || f.before(ev)) {
+			ev, q = f, &e.locks[i]
+		}
+	}
+	return ev, q
+}
+
+// before reports whether ev fires before o: (t, seq) order.
+func (ev *event) before(o *event) bool {
+	return ev.t < o.t || (ev.t == o.t && ev.seq < o.seq)
+}
+
+// step fires ev, the earliest event, taking it off q (or the heap when q
+// is nil): it advances the clock, releases the object for reuse and runs
+// the callback. The object is released before the callback runs so the
+// callback can recycle it immediately; handles to the fired incarnation
+// are invalidated by the gen bump.
+func (e *Engine) step(ev *event, q *fifo) {
+	if q != nil {
+		q.drop()
+		e.queued--
+	} else {
+		e.events.pop()
+	}
 	if ev.t < e.now {
 		panic("sim: event time went backwards")
 	}
@@ -306,17 +441,17 @@ func (e *Engine) step(ev *event) {
 // event. Processes still blocked when the queue drains are left parked
 // (a subsequent Schedule/wake can revive them); call Close to reap them.
 func (e *Engine) Run(until Time) Time {
-	for len(e.events) > 0 {
-		ev := e.events[0]
-		if ev.t > until {
+	for {
+		ev, q := e.next()
+		if ev == nil || ev.t > until {
 			break
 		}
-		e.step(ev)
+		e.step(ev, q)
 	}
 	if until < Infinity && e.now < until {
 		e.now = until
 	}
-	if len(e.events) == 0 && e.quiesceHook != nil {
+	if e.Idle() && e.quiesceHook != nil {
 		e.quiesceHook()
 	}
 	return e.now
@@ -330,12 +465,12 @@ func (e *Engine) Run(until Time) Time {
 // quiescent while barrier messages may still arrive. This is the
 // building block for conservative parallel DES (internal/cluster).
 func (e *Engine) RunBefore(horizon Time) Time {
-	for len(e.events) > 0 {
-		ev := e.events[0]
-		if ev.t >= horizon {
+	for {
+		ev, q := e.next()
+		if ev == nil || ev.t >= horizon {
 			break
 		}
-		e.step(ev)
+		e.step(ev, q)
 	}
 	return e.now
 }
@@ -343,17 +478,18 @@ func (e *Engine) RunBefore(horizon Time) Time {
 // PeekTime returns the timestamp of the earliest pending event, or
 // (0, false) when the queue is empty.
 func (e *Engine) PeekTime() (Time, bool) {
-	if len(e.events) == 0 {
+	ev, _ := e.next()
+	if ev == nil {
 		return 0, false
 	}
-	return e.events[0].t, true
+	return ev.t, true
 }
 
 // RunAll executes events until the queue is empty.
 func (e *Engine) RunAll() Time { return e.Run(Infinity) }
 
 // Idle reports whether no events are pending.
-func (e *Engine) Idle() bool { return len(e.events) == 0 }
+func (e *Engine) Idle() bool { return e.PendingEvents() == 0 }
 
 // LiveProcs returns the number of processes that have been spawned and
 // have not finished. After RunAll, a non-zero value with an empty event

@@ -323,14 +323,22 @@ func TestProcGoexitPropagates(t *testing.T) {
 	}
 }
 
-// TestWakeAllocs pins the wake path at zero allocations: Sleep and
-// Resume schedule callbacks bound once at Spawn.
+// TestWakeAllocs pins the wake path at zero allocations: Sleep, Resume
+// and a charged lock schedule callbacks bound once at Spawn, and the
+// same-instant and lock-charge FIFOs reuse their slots.
 func TestWakeAllocs(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Close()
 	e.Spawn("sleeper", func(p *Proc) {
 		for {
 			p.Sleep(1)
+		}
+	})
+	m := Mutex{AcquireCost: 0.5}
+	e.Spawn("locker", func(p *Proc) {
+		for {
+			m.Lock(p)
+			m.Unlock(p)
 		}
 	})
 	waiter := e.Spawn("waiter", func(p *Proc) {
@@ -340,7 +348,7 @@ func TestWakeAllocs(t *testing.T) {
 	})
 	e.Run(0)
 	if a := testing.AllocsPerRun(100, func() { e.Run(e.Now() + 1) }); a != 0 {
-		t.Errorf("Sleep round trip: %v allocs, want 0", a)
+		t.Errorf("Sleep and charged Lock/Unlock round trips: %v allocs, want 0", a)
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		waiter.Resume()

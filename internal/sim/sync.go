@@ -34,7 +34,7 @@ func (m *Mutex) Lock(p *Proc) {
 		m.owner = p
 	}
 	if m.AcquireCost > 0 {
-		p.Sleep(m.AcquireCost)
+		p.charge(m.AcquireCost)
 	}
 }
 
@@ -46,7 +46,7 @@ func (m *Mutex) TryLock(p *Proc) bool {
 	}
 	m.owner = p
 	if m.AcquireCost > 0 {
-		p.Sleep(m.AcquireCost)
+		p.charge(m.AcquireCost)
 	}
 	return true
 }
