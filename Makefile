@@ -20,11 +20,10 @@ vet:
 
 # hmlint enforces the repository's own invariants: staging-protocol
 # lock discipline, declared-dependence access modes, determinism of the
-# experiment tables, the Options/Retune Validate funnel, audit.Metrics
-# attribution, and the interprocedural checks (lock-order cycles,
-# condvar wait shape, goroutine lifecycles, tier-chain addressing,
-# fast-encoder coverage, snapshot copying). Exits nonzero on any
-# finding.
+# experiment tables, the Options/Retune Validate funnel, and the
+# interprocedural checks (lock-order cycles, condvar wait shape,
+# goroutine lifecycles, tier-chain addressing, fast-encoder coverage,
+# snapshot copying). Exits nonzero on any finding.
 hmlint:
 	$(GO) run ./cmd/hmlint ./...
 
@@ -37,13 +36,15 @@ lint-fix-check:
 	$(GO) run ./cmd/hmlint ./...
 	git diff --exit-code
 
-# fuzz gives the native trace-codec fuzz targets a short bounded run
-# (seeded from the committed X11 capture); CI runs this on every push,
-# longer local runs just raise FUZZTIME.
+# fuzz gives the native fuzz targets a short bounded run each: the
+# trace codec (seeded from the committed X11 capture) and hetmemd's
+# submit handler. CI runs this on every push; longer local runs just
+# raise FUZZTIME.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzEncodeParity -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzSubmit -fuzztime $(FUZZTIME)
 
 # staticcheck is optional locally (the build sandbox has no network to
 # install it); CI installs the pinned version, so the gate always runs

@@ -3,12 +3,12 @@
 // protocol's lock discipline (locksafe), the declared-dependence access
 // modes of the kernel API (handleaccess), the determinism rules behind
 // the byte-identical experiment tables (determinism), the
-// Options/Validate lifecycle (optionsmut), audit.Metrics attribution
-// (metricsattr), and the interprocedural invariants added with the
-// facts layer: lock-order acyclicity (lockorder), condvar wait shape
-// (waitloop), goroutine lifecycles (goroleak), tier-chain addressing
-// (tierchain), fast-encoder field coverage (encodeparity) and
-// snapshot-accessor copying (snapshotalias).
+// Options/Validate lifecycle (optionsmut), and the interprocedural
+// invariants added with the facts layer: lock-order acyclicity
+// (lockorder), condvar wait shape (waitloop), goroutine lifecycles
+// (goroleak), tier-chain addressing (tierchain), fast-encoder field
+// coverage (encodeparity) and snapshot-accessor copying
+// (snapshotalias).
 //
 // Usage:
 //

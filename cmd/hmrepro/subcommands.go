@@ -85,7 +85,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, 2, "%v", err)
 	}
 
-	env := kernels.NewEnv(kernels.EnvConfig{Spec: spec, NumPEs: scale.NumPEs(), Opts: opts, Trace: *adaptOn})
+	env := kernels.NewEnv(kernels.EnvConfig{Spec: spec, NumPEs: scale.NumPEs(), Opts: opts})
 	defer env.Close()
 	var rec *trace.Recorder
 	if *traceOut != "" {
@@ -149,9 +149,6 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 			return fail(stderr, 1, "%v", err)
 		}
 		ctl.Attach()
-		if rec != nil {
-			rec.AttachController(ctl)
-		}
 		if onCtl != nil {
 			onCtl(ctl)
 		}

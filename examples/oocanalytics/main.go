@@ -37,8 +37,9 @@ func main() {
 
 	eng := hetmem.NewEngine(7)
 	mach := hetmem.KNL7250().MustBuild(eng)
+	rt := hetmem.NewRuntime(mach, numPEs, hetmem.DefaultParams())
 	tracer := hetmem.NewTracer(eng, numPEs)
-	rt := hetmem.NewRuntime(mach, numPEs, hetmem.DefaultParams(), tracer)
+	rt.Attach(tracer)
 	mgr := hetmem.NewManager(rt, hetmem.DefaultOptions(hetmem.MultiIO))
 
 	dict := mgr.NewHandle("dictionary", 512<<20)

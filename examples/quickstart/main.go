@@ -28,7 +28,7 @@ func main() {
 	// 16 worker PEs, each with an asynchronous IO thread on its
 	// hyperthread sibling (the "Multiple queues, Multiple IO threads"
 	// strategy).
-	rt := hetmem.NewRuntime(mach, 16, hetmem.DefaultParams(), nil)
+	rt := hetmem.NewRuntime(mach, 16, hetmem.DefaultParams())
 	mgr := hetmem.NewManager(rt, hetmem.DefaultOptions(hetmem.MultiIO))
 
 	// Declare 16 managed data blocks (the paper's CkIOHandle): 1 GB

@@ -24,7 +24,7 @@
 //
 //	eng := hetmem.NewEngine(1)
 //	mach := hetmem.KNL7250().MustBuild(eng)
-//	rt := hetmem.NewRuntime(mach, 64, hetmem.DefaultParams(), nil)
+//	rt := hetmem.NewRuntime(mach, 64, hetmem.DefaultParams())
 //	mgr := hetmem.NewManager(rt, hetmem.DefaultOptions(hetmem.MultiIO))
 //	// declare blocks with mgr.NewHandle, register [prefetch] entries
 //	// with Deps, send messages, then eng.RunAll().
@@ -151,7 +151,13 @@ type (
 	DataDep = charm.DataDep
 	// AccessMode is readonly / readwrite / writeonly.
 	AccessMode = charm.AccessMode
-	// Tracer records per-PE activity (the Projections analogue).
+	// Sink observes the runtime's event stream; attach one with
+	// Runtime.Attach before the run starts.
+	Sink = charm.Sink
+	// Event is one event of the runtime's stream.
+	Event = charm.Event
+	// Tracer records per-PE activity (the Projections analogue); it is
+	// a Sink.
 	Tracer = projections.Tracer
 )
 
@@ -163,14 +169,15 @@ const (
 )
 
 // NewRuntime builds a runtime with numPEs workers on machine m.
-func NewRuntime(m *Machine, numPEs int, params Params, tracer *Tracer) *Runtime {
-	return charm.NewRuntime(m, numPEs, params, tracer)
+func NewRuntime(m *Machine, numPEs int, params Params) *Runtime {
+	return charm.NewRuntime(m, numPEs, params)
 }
 
 // DefaultParams returns representative scheduler cost knobs.
 func DefaultParams() Params { return charm.DefaultParams() }
 
-// NewTracer returns a Projections-style activity tracer.
+// NewTracer returns a Projections-style activity tracer; attach it to
+// a runtime with Runtime.Attach.
 func NewTracer(e *Engine, lanes int) *Tracer { return projections.NewTracer(e, lanes) }
 
 // --- OOC manager (the paper's contribution) ---
@@ -234,8 +241,6 @@ func DefaultOptions(mode Mode) Options { return core.DefaultOptions(mode) }
 // --- online adaptive controller ---
 
 type (
-	// Observer receives task-completion callbacks from a Manager.
-	Observer = core.Observer
 	// AdaptController tunes a Manager's strategy knobs online from
 	// runtime feedback (wait shares, HBM pressure, retry counters).
 	AdaptController = adapt.Controller
@@ -249,7 +254,7 @@ type (
 
 // NewAdaptController builds a controller for mg; call Attach to start
 // observing and wire Barrier into the app's iteration hook. The
-// manager must run a movement mode with Options.Metrics and a Tracer.
+// manager must run a movement mode with Options.Metrics.
 func NewAdaptController(mg *Manager, cfg AdaptConfig) (*AdaptController, error) {
 	return adapt.New(mg, cfg)
 }

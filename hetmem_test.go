@@ -13,7 +13,7 @@ import (
 func TestFacadeEndToEnd(t *testing.T) {
 	eng := hetmem.NewEngine(1)
 	mach := hetmem.KNL7250().MustBuild(eng)
-	rt := hetmem.NewRuntime(mach, 4, hetmem.DefaultParams(), nil)
+	rt := hetmem.NewRuntime(mach, 4, hetmem.DefaultParams())
 	mgr := hetmem.NewManager(rt, hetmem.DefaultOptions(hetmem.MultiIO))
 	defer eng.Close()
 

@@ -6,17 +6,18 @@
 // show those optima shift with workload shape; the controller finds
 // them per run instead of per offline sweep.
 //
-// A Controller attaches to a core.Manager and samples a Feedback struct
-// at window boundaries: per-category worker-lane time shares from the
-// projections tracer (compute/wait/fetch/evict), HBM pressure and
-// retry/forced-eviction counters from the audit metrics collector
-// (split out of the invariant auditor so feedback costs no audit
-// overhead). Windows come from two sources:
+// A Controller attaches to the runtime's event stream and samples a
+// Feedback struct at window boundaries: per-category worker-lane time
+// shares (compute/wait/fetch/evict) summed from the stream's spans, the
+// HBM high-water mark from the audit metrics collector (split out of the
+// invariant auditor so feedback costs no audit overhead), and
+// retry/forced-eviction/refetch deltas from the manager's Stats.
+// Windows come from two sources:
 //
 //   - iteration barriers (Barrier, wired to the application's
 //     OnIteration hook) — the quiescent points where even
 //     whole-strategy switches are legal;
-//   - task completions (the core.Observer TaskDone hook) every
+//   - task completions (the stream's task-done events) every
 //     Config.SampleEvery tasks, for applications with no barrier
 //     structure (MatMul's single reduction).
 //
@@ -56,7 +57,7 @@ import (
 	"github.com/hetmem/hetmem/internal/audit"
 	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/projections"
+	"github.com/hetmem/hetmem/internal/sim"
 )
 
 // Config parameterises a Controller.
@@ -189,19 +190,23 @@ const (
 	pSettled
 )
 
-// Controller closes the feedback loop for one manager. It implements
-// core.Observer; install it with Attach (or wire Barrier/TaskDone
-// manually).
+// Controller closes the feedback loop for one manager. It is a
+// charm.Sink; install it with Attach before the run starts, and wire
+// Barrier into the application's iteration hook where there is one.
 type Controller struct {
 	mg  *core.Manager
-	tr  *projections.Tracer
+	eng *sim.Engine
 	met *audit.Metrics
 	cfg Config
 	rng *rand.Rand
-	ds  DecisionSink
 
 	numPEs int
 	budget int64
+
+	// lanes holds each worker lane's span time, summed per category in
+	// the order spans close: the same additions, in the same order, as
+	// summarising a Projections span log of the run.
+	lanes []laneTime
 
 	// window accounting
 	window    int
@@ -209,7 +214,9 @@ type Controller struct {
 	lastTasks int64
 	lastTime  float64
 	lastCat   [int(numShareCats)]float64
-	lastCtr   audit.Counters
+	// lastRetries, lastForced and lastRefetches are the manager's Stats
+	// at the previous window.
+	lastRetries, lastForced, lastRefetches int64
 
 	// policy state
 	phase        int
@@ -246,6 +253,13 @@ type Controller struct {
 	trace []Decision
 }
 
+// laneTime is one worker lane's span time per category. Idle and lock
+// wait stay apart: the wait share adds them per lane, as a span-log
+// summary does.
+type laneTime struct {
+	compute, idle, lock, fetch, evict float64
+}
+
 // share categories tracked per window (indices into lastCat).
 const (
 	sCompute = iota
@@ -256,17 +270,14 @@ const (
 )
 
 // New builds a controller over mg. The manager must run a movement
-// strategy, carry a metrics collector (Options.Metrics or Audit) and
-// its runtime a projections tracer — the two feedback sources.
+// strategy and carry a metrics collector (Options.Metrics or Audit),
+// the source of the HBM high-water mark.
 func New(mg *core.Manager, cfg Config) (*Controller, error) {
 	if !mg.Mode().Moves() {
 		return nil, fmt.Errorf("adapt: mode %v moves no data; nothing to tune", mg.Mode())
 	}
 	if mg.Metrics() == nil {
 		return nil, fmt.Errorf("adapt: manager has no metrics collector (set Options.Metrics)")
-	}
-	if mg.Runtime().Tracer() == nil {
-		return nil, fmt.Errorf("adapt: runtime has no projections tracer")
 	}
 	def := DefaultConfig()
 	if cfg.Seed == 0 {
@@ -307,12 +318,13 @@ func New(mg *core.Manager, cfg Config) (*Controller, error) {
 	}
 	c := &Controller{
 		mg:          mg,
-		tr:          mg.Runtime().Tracer(),
+		eng:         mg.Runtime().Engine(),
 		met:         mg.Metrics(),
 		cfg:         cfg,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		numPEs:      mg.Runtime().NumPEs(),
 		budget:      mg.HBMBudget(),
+		lanes:       make([]laneTime, mg.Runtime().NumPEs()),
 		phase:       pWarm,
 		warmLeft:    cfg.WarmupWindows,
 		settledAt:   -1,
@@ -338,28 +350,38 @@ func New(mg *core.Manager, cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Attach adds the controller to the manager's observer list so TaskDone
-// fires; barrier-driven applications additionally wire Barrier into
-// their iteration hook. Other observers (a trace recorder, say) keep
-// firing alongside the controller.
-func (c *Controller) Attach() { c.mg.AddObserver(c) }
+// Attach adds the controller to the runtime's event stream, before the
+// run starts: it sums the worker lanes' spans and counts completions
+// from there. Barrier-driven applications additionally wire Barrier
+// into their iteration hook.
+func (c *Controller) Attach() { c.mg.Runtime().Attach(c) }
 
-// DecisionSink receives each Decision as it is recorded, in addition to
-// the controller's own trace. The trace recorder uses it to interleave
-// retune decisions with runtime events on the captured timeline.
-type DecisionSink interface {
-	Decided(d Decision)
-}
-
-// SetDecisionSink installs (or, with nil, removes) the decision sink.
-func (c *Controller) SetDecisionSink(ds DecisionSink) { c.ds = ds }
-
-// TaskDone implements core.Observer: count completions and, in
-// completion-sampling mode, close a window every SampleEvery tasks.
-func (c *Controller) TaskDone(t *charm.Task) {
-	c.tasks++
-	if c.cfg.SampleEvery > 0 && c.tasks%int64(c.cfg.SampleEvery) == 0 {
-		c.sample(false)
+// Observe implements charm.Sink: add each closing worker-lane span to
+// its lane's sums and count completions, closing a window every
+// SampleEvery tasks in completion-sampling mode.
+func (c *Controller) Observe(e charm.Event) {
+	if e.Kind == charm.EvTaskDone {
+		c.tasks++
+		if c.cfg.SampleEvery > 0 && c.tasks%int64(c.cfg.SampleEvery) == 0 {
+			c.sample(false)
+		}
+		return
+	}
+	if e.Lane >= len(c.lanes) {
+		return // an IO-thread lane
+	}
+	l, d := &c.lanes[e.Lane], c.eng.Now()-e.Start
+	switch e.Kind {
+	case charm.EvRunEnd:
+		l.compute += d
+	case charm.EvIdle:
+		l.idle += d
+	case charm.EvLockWait:
+		l.lock += d
+	case charm.EvFetchEnd:
+		l.fetch += d
+	case charm.EvEvict:
+		l.evict += d
 	}
 }
 
@@ -494,8 +516,8 @@ func (c *Controller) record(f Feedback, format string, args ...interface{}) {
 		Feedback: f,
 	}
 	c.trace = append(c.trace, d)
-	if c.ds != nil {
-		c.ds.Decided(d)
+	if rt := c.mg.Runtime(); rt.Observed() {
+		rt.Emit(charm.Event{Kind: charm.EvDecision, N: d.Window, Name: d.Action})
 	}
 }
 
@@ -792,26 +814,24 @@ func (c *Controller) settledGuard(f Feedback, score float64) {
 // feedback computes the window's Feedback; ok is false when the window
 // is empty (no time passed or no task finished).
 func (c *Controller) feedback() (Feedback, bool) {
-	now := c.mg.Runtime().Engine().Now()
+	now := c.eng.Now()
 	elapsed := now - c.lastTime
 	tasks := c.tasks - c.lastTasks
 	if elapsed <= 0 || tasks <= 0 {
 		return Feedback{}, false
 	}
 
-	// Sum the projection categories by direct lookup (missing keys read
-	// as zero) rather than ranging the map: IdleWait and LockWait fold
-	// into one float slot, so the addition order must be fixed.
+	// Sum the lanes in lane order: idle and lock wait fold into one
+	// float slot, so the addition order must be fixed.
 	var cat [int(numShareCats)]float64
-	s := c.tr.Summarize()
-	for pe := 0; pe < c.numPEs && pe < len(s.PerPE); pe++ {
-		m := s.PerPE[pe]
-		cat[sCompute] += m[projections.Compute]
-		cat[sWait] += m[projections.IdleWait] + m[projections.LockWait]
-		cat[sFetch] += m[projections.Fetch]
-		cat[sEvict] += m[projections.Evict]
+	for i := range c.lanes {
+		l := &c.lanes[i]
+		cat[sCompute] += l.compute
+		cat[sWait] += l.idle + l.lock
+		cat[sFetch] += l.fetch
+		cat[sEvict] += l.evict
 	}
-	ctr := c.met.Counters()
+	st := &c.mg.Stats
 
 	denom := elapsed * float64(c.numPEs)
 	f := Feedback{
@@ -822,14 +842,14 @@ func (c *Controller) feedback() (Feedback, bool) {
 		WaitShare:       (cat[sWait] - c.lastCat[sWait]) / denom,
 		FetchShare:      (cat[sFetch] - c.lastCat[sFetch]) / denom,
 		EvictShare:      (cat[sEvict] - c.lastCat[sEvict]) / denom,
-		Pressure:        float64(ctr.HBMHighWater) / float64(c.budget),
-		StageRetries:    ctr.StageRetries - c.lastCtr.StageRetries,
-		ForcedEvictions: ctr.ForcedEvictions - c.lastCtr.ForcedEvictions,
-		Refetches:       ctr.Refetches - c.lastCtr.Refetches,
+		Pressure:        float64(c.met.HBMHighWater()) / float64(c.budget),
+		StageRetries:    st.StageRetries - c.lastRetries,
+		ForcedEvictions: st.ForcedEvictions - c.lastForced,
+		Refetches:       st.Refetches - c.lastRefetches,
 	}
 	c.lastTime = now
 	c.lastTasks = c.tasks
 	c.lastCat = cat
-	c.lastCtr = ctr
+	c.lastRetries, c.lastForced, c.lastRefetches = st.StageRetries, st.ForcedEvictions, st.Refetches
 	return f, true
 }

@@ -19,7 +19,6 @@ func stencilRun(t *testing.T, opts core.Options, cfg adapt.Config) (*adapt.Contr
 		Spec:   exp.Small.Machine(),
 		NumPEs: 8,
 		Opts:   opts,
-		Trace:  true,
 	})
 	t.Cleanup(env.Close)
 	scfg := exp.Small.StencilConfig(exp.GB / 2)
@@ -141,7 +140,6 @@ func TestWarmStartRejectsIllegalOptions(t *testing.T) {
 		Spec:   exp.Small.Machine(),
 		NumPEs: 8,
 		Opts:   opts,
-		Trace:  true,
 	})
 	defer env.Close()
 	bad := core.DefaultOptions(core.SingleIO)
@@ -160,7 +158,6 @@ func TestMatMulObserverSampling(t *testing.T) {
 		Spec:   exp.Small.Machine(),
 		NumPEs: 8,
 		Opts:   opts,
-		Trace:  true,
 	})
 	defer env.Close()
 	mcfg := exp.Small.MatMulConfig(3 * exp.GB)
@@ -193,7 +190,7 @@ func TestNewRejectsUnusableManagers(t *testing.T) {
 	// Non-movement mode.
 	env := kernels.NewEnv(kernels.EnvConfig{
 		Spec: exp.Small.Machine(), NumPEs: 2,
-		Opts: core.DefaultOptions(core.DDROnly), Trace: true,
+		Opts: core.DefaultOptions(core.DDROnly),
 	})
 	defer env.Close()
 	if _, err := adapt.New(env.MG, adapt.Config{}); err == nil {
@@ -203,21 +200,10 @@ func TestNewRejectsUnusableManagers(t *testing.T) {
 	// No metrics collector.
 	env2 := kernels.NewEnv(kernels.EnvConfig{
 		Spec: exp.Small.Machine(), NumPEs: 2,
-		Opts: core.DefaultOptions(core.SingleIO), Trace: true,
+		Opts: core.DefaultOptions(core.SingleIO),
 	})
 	defer env2.Close()
 	if _, err := adapt.New(env2.MG, adapt.Config{}); err == nil {
 		t.Fatal("accepted a manager without metrics")
-	}
-
-	// No tracer.
-	opts := core.DefaultOptions(core.SingleIO)
-	opts.Metrics = true
-	env3 := kernels.NewEnv(kernels.EnvConfig{
-		Spec: exp.Small.Machine(), NumPEs: 2, Opts: opts,
-	})
-	defer env3.Close()
-	if _, err := adapt.New(env3.MG, adapt.Config{}); err == nil {
-		t.Fatal("accepted a runtime without a tracer")
 	}
 }

@@ -27,12 +27,20 @@ import (
 
 // Probe is a point-in-time reading of the runtime counters under audit,
 // supplied by the owner (the core.Manager) so the auditor can
-// cross-check its shadow ledger against the real state.
+// cross-check its shadow ledger and the metrics against the real state.
 type Probe struct {
 	// HBMUsed is the bytes currently allocated on the HBM node.
 	HBMUsed int64
 	// Reserved is the manager's outstanding staging reservation.
 	Reserved int64
+	// The rest is the manager's movement ledger (its Stats), which the
+	// quiescence checks hold the metrics and the per-edge attribution
+	// against.
+	Fetches, Evictions, ForcedEvictions, Refetches int64
+	BytesFetched, BytesEvicted                     int64
+	// EdgeBytes attributes moved bytes to the directed tier edge they
+	// crossed, keyed "SRC->DST" by memory node name.
+	EdgeBytes map[string]int64
 }
 
 // Config parameterises an Auditor.
@@ -45,20 +53,19 @@ type Config struct {
 	Queues int
 	// Probe reads the live counters; required for capacity checks.
 	Probe func() Probe
-	// Metrics is the counter collector snapshots are filled from. New
-	// creates one when nil, so an auditor always has metrics behind it;
-	// owners that share a collector with other consumers (the adaptive
-	// controller) pass their own.
+	// Metrics is the collector snapshots are filled from. New creates
+	// one when nil, so an auditor always has metrics behind it; owners
+	// that attach a collector to the runtime's event stream pass it.
 	Metrics *Metrics
 	// MaxViolations caps the stored violation list (default 64); the
 	// total count keeps incrementing past the cap.
 	MaxViolations int
 	// NearTier is the name of the near memory node (the tier every
 	// fetch ends on and every evict leaves). When set, CheckQuiescent
-	// cross-checks the per-edge byte attribution against the aggregate
-	// fetch/evict totals: each moved byte must land on exactly one
-	// edge, so a one-level demotion cannot also be counted against the
-	// bottom tier.
+	// cross-checks the probe's per-edge byte attribution against its
+	// aggregate fetch/evict totals: each moved byte must land on exactly
+	// one edge, so a one-level demotion cannot also be counted against
+	// the bottom tier.
 	NearTier string
 }
 
@@ -159,8 +166,9 @@ func (r *StallReport) String() string {
 }
 
 // Snapshot is the exported metrics state, JSON-serialisable. The owner
-// fills in the fields it knows (Mode, Label, task counts); the auditor
-// fills in everything it tracked.
+// fills in the fields it knows (Mode, Label, the movement and task
+// counters of its Stats); the auditor and its metrics fill in
+// everything they tracked.
 type Snapshot struct {
 	Label           string  `json:"label,omitempty"`
 	Mode            string  `json:"mode,omitempty"`
@@ -197,9 +205,9 @@ type Snapshot struct {
 }
 
 // Auditor tracks the shadow ledger and the invariants for one manager.
-// The cheap metrics counters live in the companion Metrics type (the
-// adaptive layer samples those without the ledger); the auditor only
-// reads them to fill snapshots. All methods are safe on a nil receiver
+// The metrics live in the companion Metrics type (the adaptive layer
+// samples those without the ledger); the auditor reads them to fill
+// snapshots and to check them against the manager's Stats. All methods are safe on a nil receiver
 // (no-ops), so callers hold a plain possibly-nil pointer.
 type Auditor struct {
 	eng *sim.Engine
@@ -234,7 +242,7 @@ func New(eng *sim.Engine, cfg Config) *Auditor {
 	return &Auditor{eng: eng, cfg: cfg}
 }
 
-// Metrics returns the counter collector behind this auditor.
+// Metrics returns the metrics collector behind this auditor.
 func (a *Auditor) Metrics() *Metrics {
 	if a == nil {
 		return nil
@@ -384,8 +392,9 @@ func (a *Auditor) Stall(r *StallReport) {
 }
 
 // CheckQuiescent verifies the at-quiescence conservation laws: the
-// reservation counter drained and every granted byte was consumed or
-// refunded exactly once. Handle-level balances are verified by the
+// reservation counter drained, every granted byte was consumed or
+// refunded exactly once, and the metrics saw every movement the
+// manager's ledger counts. Handle-level balances are verified by the
 // owner, which can see the handles.
 func (a *Auditor) CheckQuiescent() {
 	if a == nil {
@@ -409,7 +418,37 @@ func (a *Auditor) CheckQuiescent() {
 	if a.pendingUses != 0 {
 		a.Violate("quiescence-pending", "pending-use balance %d at quiescence, want 0", a.pendingUses)
 	}
-	a.checkEdgeConservation()
+	if a.cfg.Probe == nil {
+		return
+	}
+	pr := a.cfg.Probe()
+	a.checkMetrics(pr)
+	a.checkEdgeConservation(pr)
+}
+
+// checkMetrics verifies that the metrics saw every movement the
+// manager's ledger counts: one histogram sample per fetch and per
+// eviction, and a per-policy split that sums to the eviction, forced
+// eviction and refetch totals. A movement site that stops emitting its
+// event fails here.
+func (a *Auditor) checkMetrics(pr Probe) {
+	m := a.cfg.Metrics
+	if m.fetchHist.N != pr.Fetches {
+		a.Violate("metrics-fetches", "fetch histogram holds %d samples but %d fetches happened", m.fetchHist.N, pr.Fetches)
+	}
+	if m.evictHist.N != pr.Evictions {
+		a.Violate("metrics-evictions", "evict histogram holds %d samples but %d evictions happened", m.evictHist.N, pr.Evictions)
+	}
+	var sum PolicyCounters
+	for i := range m.policy {
+		pc := m.policy[i].pc
+		sum.Evictions += pc.Evictions
+		sum.ForcedEvictions += pc.ForcedEvictions
+		sum.Refetches += pc.Refetches
+	}
+	if want := (PolicyCounters{pr.Evictions, pr.ForcedEvictions, pr.Refetches}); sum != want {
+		a.Violate("metrics-policy-split", "per-policy split sums to %+v but the ledger counts %+v", sum, want)
+	}
 }
 
 // checkEdgeConservation verifies the per-edge byte attribution against
@@ -420,14 +459,18 @@ func (a *Auditor) CheckQuiescent() {
 // have been indistinguishable from a full drop to the bottom tier and
 // the HBM↔far totals double-counted it; these sums pin the attribution
 // down.
-func (a *Auditor) checkEdgeConservation() {
-	m := a.cfg.Metrics
-	if a.cfg.NearTier == "" || m == nil {
+func (a *Auditor) checkEdgeConservation(pr Probe) {
+	if a.cfg.NearTier == "" {
 		return
 	}
+	keys := make([]string, 0, len(pr.EdgeBytes))
+	for key := range pr.EdgeBytes {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
 	var in, out int64
-	for i := range m.edges {
-		key, n := m.edges[i].key, m.edges[i].bytes
+	for _, key := range keys {
+		n := pr.EdgeBytes[key]
 		src, dst, ok := strings.Cut(key, "->")
 		if !ok {
 			a.Violate("edge-key", "malformed tier edge key %q", key)
@@ -442,15 +485,15 @@ func (a *Auditor) checkEdgeConservation() {
 			a.Violate("edge-bypass", "tier edge %s (%d bytes) bypasses near tier %s", key, n, a.cfg.NearTier)
 		}
 	}
-	if in != m.bytesFetched {
+	if in != pr.BytesFetched {
 		a.Violate("edge-fetch-conservation",
 			"edges into %s carry %d bytes but %d were fetched — bytes counted on no or multiple edges",
-			a.cfg.NearTier, in, m.bytesFetched)
+			a.cfg.NearTier, in, pr.BytesFetched)
 	}
-	if out != m.bytesEvicted {
+	if out != pr.BytesEvicted {
 		a.Violate("edge-evict-conservation",
 			"edges out of %s carry %d bytes but %d were evicted — bytes counted on no or multiple edges",
-			a.cfg.NearTier, out, m.bytesEvicted)
+			a.cfg.NearTier, out, pr.BytesEvicted)
 	}
 }
 
@@ -486,9 +529,9 @@ func (a *Auditor) Err() error {
 	return fmt.Errorf("audit: %d invariant violation(s), first: %s", a.violationCount, first)
 }
 
-// Snapshot exports the audit state with the metrics counters filled in
-// from the companion collector. The caller may fill Label, Mode and the
-// task counters it owns.
+// Snapshot exports the audit state with the metrics filled in from the
+// companion collector. The caller fills Label, Mode and the movement
+// counters it owns.
 func (a *Auditor) Snapshot() Snapshot {
 	if a == nil {
 		return Snapshot{}

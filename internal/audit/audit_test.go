@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"github.com/hetmem/hetmem/internal/charm"
 )
 
 // TestNilAuditorIsSafe: every method on a nil *Auditor must be a no-op,
@@ -83,10 +85,11 @@ func TestLedgerViolations(t *testing.T) {
 	if !a.Ok() {
 		t.Fatalf("clean sequence flagged: %v", a.Err())
 	}
-	// Peaks come from the companion metrics collector (the owner calls
-	// Pressure wherever the counters move) and flow into the snapshot.
-	a.Metrics().Pressure(0, 60)
-	a.Metrics().Pressure(60, 0)
+	// Peaks come from the companion metrics collector (the owner emits
+	// a pressure sample wherever the counters move) and flow into the
+	// snapshot.
+	a.Metrics().Observe(charm.Event{Kind: charm.EvPressure, Used: 0, Reserved: 60})
+	a.Metrics().Observe(charm.Event{Kind: charm.EvPressure, Used: 60, Reserved: 0})
 	if s := a.Snapshot(); s.HBMHighWater != 60 || s.ReservedPeak != 60 {
 		t.Fatalf("peaks not tracked: %+v", s)
 	}
@@ -115,28 +118,47 @@ func TestLedgerMismatch(t *testing.T) {
 	}
 }
 
-// TestQuiescenceChecks seeds each conservation law separately.
+// TestQuiescenceChecks seeds each conservation law separately. The
+// probe, when a case sets one, stands in for the manager's Stats.
 func TestQuiescenceChecks(t *testing.T) {
+	fetched := func(a *Auditor) {
+		a.Metrics().Observe(charm.Event{Kind: charm.EvFetchEnd, Bytes: 10, Dur: 0.1, Policy: "decl"})
+	}
 	cases := []struct {
-		name string
-		prep func(a *Auditor)
-		rule string
+		name  string
+		prep  func(a *Auditor)
+		probe Probe
+		rule  string
 	}{
-		{"leaked reservation", func(a *Auditor) { a.Reserve(5) }, "quiescence-reserved"},
+		{"leaked reservation", func(a *Auditor) { a.Reserve(5) }, Probe{}, "quiescence-reserved"},
 		{"double refund", func(a *Auditor) {
 			a.Reserve(5)
 			a.ConsumeReservation(5)
 			a.RefundReservation(0)
 			a.bytesRefunded += 5
 			a.reserved = 0
-		}, "quiescence-ledger"},
-		{"pin leak", func(a *Auditor) { a.Pin(2) }, "quiescence-pins"},
-		{"claim leak", func(a *Auditor) { a.Claim(1) }, "quiescence-claims"},
-		{"pending-use leak", func(a *Auditor) { a.PendingUse(3) }, "quiescence-pending"},
+		}, Probe{}, "quiescence-ledger"},
+		{"pin leak", func(a *Auditor) { a.Pin(2) }, Probe{}, "quiescence-pins"},
+		{"claim leak", func(a *Auditor) { a.Claim(1) }, Probe{}, "quiescence-claims"},
+		{"pending-use leak", func(a *Auditor) { a.PendingUse(3) }, Probe{}, "quiescence-pending"},
+		{"fetch unseen", func(*Auditor) {}, Probe{Fetches: 1}, "metrics-fetches"},
+		{"evict unseen", fetched, Probe{Fetches: 1, Evictions: 1}, "metrics-evictions"},
+		{"forced unattributed", func(a *Auditor) {
+			a.Metrics().Observe(charm.Event{Kind: charm.EvEvict, Dur: 0.1, Policy: "decl"})
+		}, Probe{Evictions: 1, ForcedEvictions: 1}, "metrics-policy-split"},
+		{"refetch unattributed", fetched, Probe{Fetches: 1, Refetches: 1}, "metrics-policy-split"},
+		{"edge miscount", fetched, Probe{Fetches: 1, BytesFetched: 10,
+			EdgeBytes: map[string]int64{"DDR4->MCDRAM": 5}}, "edge-fetch-conservation"},
+		{"edge bypass", func(*Auditor) {}, Probe{EdgeBytes: map[string]int64{"NVM->DDR4": 5}}, "edge-bypass"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			a := New(nil, Config{Budget: 100})
+			probe := func() Probe {
+				pr := c.probe
+				pr.Reserved = 0
+				return pr
+			}
+			a := New(nil, Config{Budget: 100, Probe: probe, NearTier: "MCDRAM"})
 			c.prep(a)
 			a.CheckQuiescent()
 			var found bool
@@ -183,14 +205,15 @@ func TestViolationCap(t *testing.T) {
 func TestInflightBound(t *testing.T) {
 	a := New(nil, Config{Queues: 2})
 	m := a.Metrics()
-	m.Inflight(0, 2)
+	inflight := func(pe, n int) { m.Observe(charm.Event{Kind: charm.EvInflight, Lane: pe, N: n}) }
+	inflight(0, 2)
 	a.CheckInflight(0, 2, 2)
-	m.Inflight(1, 50)
+	inflight(1, 50)
 	a.CheckInflight(1, 50, 0) // unlimited
 	if !a.Ok() {
 		t.Fatalf("within-bound flagged: %v", a.Err())
 	}
-	m.Inflight(0, 3)
+	inflight(0, 3)
 	a.CheckInflight(0, 3, 2)
 	if a.Ok() {
 		t.Fatal("over-bound not flagged")
@@ -205,8 +228,8 @@ func TestInflightBound(t *testing.T) {
 // count grows the peak slice instead of panicking.
 func TestQueueDepthGrows(t *testing.T) {
 	m := NewMetrics(nil, 1)
-	m.QueueDepth(4, 7)
-	m.QueueDepth(4, 3) // lower depth must not shrink the peak
+	m.Observe(charm.Event{Kind: charm.EvQueueDepth, Lane: 4, N: 7})
+	m.Observe(charm.Event{Kind: charm.EvQueueDepth, Lane: 4, N: 3}) // lower depth must not shrink the peak
 	s := m.Snapshot()
 	if len(s.QueueDepthPeak) != 5 || s.QueueDepthPeak[4] != 7 {
 		t.Fatalf("peaks %v", s.QueueDepthPeak)
@@ -247,13 +270,14 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	a := New(nil, Config{Budget: 1 << 30, Queues: 2})
 	a.Reserve(100)
 	a.ConsumeReservation(100)
-	a.Metrics().FetchDone(100, 0.02)
-	a.Metrics().EvictDone(100, 0.01, true)
-	a.Metrics().StageRetry()
-	a.Metrics().QueueDepth(1, 4)
+	a.Metrics().Observe(charm.Event{Kind: charm.EvFetchEnd, Bytes: 100, Dur: 0.02, Policy: "decl"})
+	a.Metrics().Observe(charm.Event{Kind: charm.EvEvict, Bytes: 100, Dur: 0.01, Policy: "decl", Forced: true})
+	a.Metrics().Observe(charm.Event{Kind: charm.EvQueueDepth, Lane: 1, N: 4})
 	s := a.Snapshot()
+	// The owner fills its own fields, the movement counters included.
 	s.Label = "unit"
 	s.Mode = "multi-io"
+	s.Fetches, s.Evictions, s.ForcedEvictions, s.StageRetries = 1, 1, 1, 1
 
 	raw, err := json.Marshal(s)
 	if err != nil {

@@ -3,6 +3,8 @@ package audit
 import (
 	"reflect"
 	"testing"
+
+	"github.com/hetmem/hetmem/internal/charm"
 )
 
 // These are regression tests for the live-escape class: accessors that
@@ -14,15 +16,15 @@ import (
 // observations recorded after the snapshot would mutate it.
 func TestSnapshotHistogramsIsolated(t *testing.T) {
 	m := NewMetrics(nil, 1)
-	m.FetchDone(64, 0.5)
-	m.EvictDone(64, 0.25, false)
+	m.Observe(charm.Event{Kind: charm.EvFetchEnd, Bytes: 64, Dur: 0.5})
+	m.Observe(charm.Event{Kind: charm.EvEvict, Bytes: 64, Dur: 0.25})
 
 	s := m.Snapshot()
 	fetchBefore := append([]int64(nil), s.FetchHist.Counts...)
 	evictBefore := append([]int64(nil), s.EvictHist.Counts...)
 
-	m.FetchDone(64, 0.5)
-	m.EvictDone(64, 0.25, true)
+	m.Observe(charm.Event{Kind: charm.EvFetchEnd, Bytes: 64, Dur: 0.5})
+	m.Observe(charm.Event{Kind: charm.EvEvict, Bytes: 64, Dur: 0.25, Forced: true})
 
 	if !reflect.DeepEqual(s.FetchHist.Counts, fetchBefore) {
 		t.Fatalf("snapshot FetchHist drifted after later observations: %v -> %v",

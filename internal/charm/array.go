@@ -160,8 +160,8 @@ func (a *Array) Send(from, idx int, entry *Entry, data interface{}) {
 	if entry.Prefetch && rt.interceptor != nil {
 		rt.interceptor.TaskCreated(t)
 	}
-	if rt.traceHook != nil {
-		rt.traceHook.TaskSent(t)
+	if rt.Observed() {
+		rt.note(EvSend, 0, 0, t, 0)
 	}
 	rt.Stats.MessagesSent++
 	rt.sent.PushBack(sentTask{rt.PE(el.PE), t})

@@ -3,7 +3,6 @@ package charm
 import (
 	"testing"
 
-	"github.com/hetmem/hetmem/internal/projections"
 	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/topology"
 )
@@ -13,7 +12,7 @@ func testRT(t *testing.T, numPEs int) (*sim.Engine, *Runtime) {
 	t.Helper()
 	e := sim.NewEngine(1)
 	m := topology.KNL7250().MustBuild(e)
-	rt := NewRuntime(m, numPEs, DefaultParams(), nil)
+	rt := NewRuntime(m, numPEs, DefaultParams())
 	t.Cleanup(e.Close)
 	return e, rt
 }
@@ -365,11 +364,9 @@ func TestNodegroupDuplicatePanics(t *testing.T) {
 }
 
 func TestIdleTraced(t *testing.T) {
-	e := sim.NewEngine(1)
-	m := topology.KNL7250().MustBuild(e)
-	tr := projections.NewTracer(e, 1)
-	rt := NewRuntime(m, 1, DefaultParams(), tr)
-	defer e.Close()
+	e, rt := testRT(t, 1)
+	spans := &spanSums{eng: e, sums: map[EventKind]sim.Time{}}
+	rt.Attach(spans)
 	arr := rt.NewArray("c", 1, func(i int) Chare { return nil }, nil)
 	work := arr.Register(Entry{
 		Name: "w",
@@ -380,12 +377,11 @@ func TestIdleTraced(t *testing.T) {
 		arr.Send(-1, 0, work, nil)
 	})
 	e.RunAll()
-	s := tr.Summarize()
-	if s.Totals[projections.IdleWait] < 1.9 {
-		t.Fatalf("idle time %v, want ~2s", s.Totals[projections.IdleWait])
+	if idle := spans.sums[EvIdle]; idle < 1.9 {
+		t.Fatalf("idle time %v, want ~2s", idle)
 	}
-	if s.Totals[projections.Compute] < 0.99 {
-		t.Fatalf("compute time %v, want ~1s", s.Totals[projections.Compute])
+	if run := spans.sums[EvRunEnd]; run < 0.99 {
+		t.Fatalf("compute time %v, want ~1s", run)
 	}
 }
 
@@ -475,8 +471,8 @@ func TestRuntimeAccessors(t *testing.T) {
 	if rt.Machine() == nil || rt.Machine().Spec.Cores != 68 {
 		t.Fatal("Machine()")
 	}
-	if rt.Tracer() != nil {
-		t.Fatal("Tracer() should be nil here")
+	if rt.Observed() {
+		t.Fatal("Observed() with no sink attached")
 	}
 	if rt.Params().SchedOverhead != DefaultParams().SchedOverhead {
 		t.Fatal("Params()")
@@ -555,7 +551,7 @@ func TestSchedOverheadAccumulates(t *testing.T) {
 	e := sim.NewEngine(1)
 	m := topology.KNL7250().MustBuild(e)
 	params := Params{SchedOverhead: 0.5} // gigantic, to dominate
-	rt := NewRuntime(m, 1, params, nil)
+	rt := NewRuntime(m, 1, params)
 	defer e.Close()
 	arr := rt.NewArray("c", 1, func(i int) Chare { return nil }, nil)
 	ent := arr.Register(Entry{Name: "w", Fn: func(*sim.Proc, *PE, *Element, *Message) {}})

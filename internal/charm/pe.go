@@ -3,7 +3,6 @@ package charm
 import (
 	"fmt"
 
-	"github.com/hetmem/hetmem/internal/projections"
 	"github.com/hetmem/hetmem/internal/ring"
 	"github.com/hetmem/hetmem/internal/sim"
 )
@@ -107,9 +106,11 @@ func (pe *PE) loop(p *sim.Proc) {
 	for {
 		pe.mu.Lock(p)
 		for pe.runq.Len() == 0 && pe.msgq.Len() == 0 {
-			idleEnd := rt.tracer.Begin(pe.id, projections.IdleWait, "idle")
+			idle := p.Now()
 			pe.notEmpty.Wait(p)
-			idleEnd()
+			if rt.Observed() {
+				rt.note(EvIdle, pe.id, 0, nil, idle)
+			}
 		}
 		var t *Task
 		fromRunQueue := false
@@ -122,9 +123,11 @@ func (pe *PE) loop(p *sim.Proc) {
 		pe.mu.Unlock(p)
 
 		if rt.params.SchedOverhead > 0 {
-			ovEnd := rt.tracer.Begin(pe.id, projections.Overhead, "sched")
+			start := p.Now()
 			p.Sleep(rt.params.SchedOverhead)
-			ovEnd()
+			if rt.Observed() {
+				rt.note(EvOverhead, pe.id, 0, nil, start)
+			}
 		}
 		rt.Stats.MessagesDelivered++
 		pe.Delivered++
@@ -147,17 +150,15 @@ func (pe *PE) loop(p *sim.Proc) {
 // interceptor, the generated post-processing (eviction) step.
 func (pe *PE) execute(p *sim.Proc, t *Task) {
 	rt := pe.rt
-	end := rt.tracer.Begin(pe.id, projections.Compute, t.Entry.Name)
-	if rt.traceHook != nil {
-		rt.traceHook.TaskRunStart(p, pe, t)
-	}
 	start := p.Now()
+	if rt.Observed() {
+		rt.note(EvRunStart, pe.id, p.ID(), t, 0)
+	}
 	t.Entry.Fn(p, pe, t.Elem, t.Msg)
 	t.Elem.load += p.Now() - start
-	if rt.traceHook != nil {
-		rt.traceHook.TaskRunEnd(p, pe, t)
+	if rt.Observed() {
+		rt.note(EvRunEnd, pe.id, p.ID(), t, start)
 	}
-	end()
 	rt.Stats.TasksExecuted++
 	pe.Executed++
 	if t.Entry.Prefetch && rt.interceptor != nil {

@@ -14,7 +14,6 @@ package charm
 import (
 	"fmt"
 
-	"github.com/hetmem/hetmem/internal/projections"
 	"github.com/hetmem/hetmem/internal/ring"
 	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/topology"
@@ -84,23 +83,6 @@ type Interceptor interface {
 	TaskCreated(t *Task)
 }
 
-// TraceHook observes scheduler activity for every entry method, not
-// just [prefetch] ones: task creation at send time and the start/end of
-// entry-method execution. Unlike Interceptor it has no influence on
-// scheduling — hooks run at zero virtual-time cost — so an installed
-// hook never perturbs the schedule it records (internal/trace relies on
-// this for its capture-overhead guarantee).
-type TraceHook interface {
-	// TaskSent runs in the sender's context when a task is created,
-	// after dependence resolution and before delivery is scheduled.
-	TaskSent(t *Task)
-	// TaskRunStart runs in the PE scheduler process immediately before
-	// the entry-method body.
-	TaskRunStart(p *sim.Proc, pe *PE, t *Task)
-	// TaskRunEnd runs immediately after the entry-method body returns.
-	TaskRunEnd(p *sim.Proc, pe *PE, t *Task)
-}
-
 // Params are runtime cost knobs, all in seconds. They give the
 // simulated scheduler the small constant costs whose accumulation the
 // paper's Projections traces show.
@@ -133,9 +115,8 @@ type Runtime struct {
 	groups map[string]interface{}
 
 	interceptor Interceptor
-	traceHook   TraceHook
-	tracer      *projections.Tracer
-	taskSeq     int64 // next Task.Seq, incremented per Array.Send
+	sinks       []Sink // the event stream, in attach order
+	taskSeq     int64  // next Task.Seq, incremented per Array.Send
 
 	// sent holds the tasks sent and not yet delivered, in send order.
 	// Each send schedules deliverFn (deliver, bound once) after
@@ -154,8 +135,7 @@ type Runtime struct {
 }
 
 // NewRuntime builds a runtime with numPEs worker PEs on machine m.
-// tracer may be nil.
-func NewRuntime(m *topology.Machine, numPEs int, params Params, tracer *projections.Tracer) *Runtime {
+func NewRuntime(m *topology.Machine, numPEs int, params Params) *Runtime {
 	if numPEs <= 0 {
 		panic("charm: need at least one PE")
 	}
@@ -167,7 +147,6 @@ func NewRuntime(m *topology.Machine, numPEs int, params Params, tracer *projecti
 		params: params,
 		arrays: make(map[string]*Array),
 		groups: make(map[string]interface{}),
-		tracer: tracer,
 	}
 	rt.deliverFn = rt.deliver
 	for i := 0; i < numPEs; i++ {
@@ -197,18 +176,11 @@ func (rt *Runtime) deliver() {
 // messages are sent.
 func (rt *Runtime) SetInterceptor(ic Interceptor) { rt.interceptor = ic }
 
-// SetTraceHook installs (or, with nil, removes) the event-trace hook.
-// Like SetInterceptor it must be called before any messages are sent.
-func (rt *Runtime) SetTraceHook(th TraceHook) { rt.traceHook = th }
-
 // Machine returns the machine the runtime executes on.
 func (rt *Runtime) Machine() *topology.Machine { return rt.mach }
 
 // Engine returns the simulation engine.
 func (rt *Runtime) Engine() *sim.Engine { return rt.mach.Eng }
-
-// Tracer returns the tracer (possibly nil).
-func (rt *Runtime) Tracer() *projections.Tracer { return rt.tracer }
 
 // Params returns the runtime cost knobs.
 func (rt *Runtime) Params() Params { return rt.params }

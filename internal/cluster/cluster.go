@@ -125,11 +125,12 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, err
 		}
+		rt := charm.NewRuntime(mach, cfg.NumPEs, params)
 		var tr *projections.Tracer
 		if cfg.Trace {
 			tr = projections.NewTracer(eng, cfg.NumPEs)
+			rt.Attach(tr)
 		}
-		rt := charm.NewRuntime(mach, cfg.NumPEs, params, tr)
 		mg := core.NewManager(rt, cfg.Opts)
 		c.Nodes = append(c.Nodes, &Node{
 			ID: i, Mach: mach, RT: rt, MG: mg, Tracer: tr,

@@ -121,11 +121,12 @@ func NewParallel(cfg Config, parallel bool) (*PCluster, error) {
 		if err != nil {
 			return nil, err
 		}
+		rt := charm.NewRuntime(mach, cfg.NumPEs, params)
 		var tr *projections.Tracer
 		if cfg.Trace {
 			tr = projections.NewTracer(eng, cfg.NumPEs)
+			rt.Attach(tr)
 		}
-		rt := charm.NewRuntime(mach, cfg.NumPEs, params, tr)
 		mg := core.NewManager(rt, cfg.Opts)
 		nic := memsim.NewSystem(eng, []memsim.NodeSpec{{
 			Name:    fmt.Sprintf("nic%d", i),

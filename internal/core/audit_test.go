@@ -210,7 +210,7 @@ func TestAuditSnapshotJSON(t *testing.T) {
 func TestAuditDisabledIsInert(t *testing.T) {
 	e := sim.NewEngine(42)
 	m := tinySpec().MustBuild(e)
-	rt := charm.NewRuntime(m, 2, charm.DefaultParams(), nil)
+	rt := charm.NewRuntime(m, 2, charm.DefaultParams())
 	mg := NewManager(rt, DefaultOptions(MultiIO))
 	t.Cleanup(e.Close)
 	if mg.Auditor() != nil {

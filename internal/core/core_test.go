@@ -55,8 +55,9 @@ func newEnv(t *testing.T, numPEs int, opts Options) *env {
 	opts.Audit = true
 	e := sim.NewEngine(42)
 	m := tinySpec().MustBuild(e)
+	rt := charm.NewRuntime(m, numPEs, charm.DefaultParams())
 	tr := projections.NewTracer(e, numPEs)
-	rt := charm.NewRuntime(m, numPEs, charm.DefaultParams(), tr)
+	rt.Attach(tr)
 	mg := NewManager(rt, opts)
 	t.Cleanup(e.Close)
 	return &env{e: e, m: m, rt: rt, mg: mg, tr: tr}
@@ -527,7 +528,7 @@ func TestDeterministicEndToEnd(t *testing.T) {
 	run := func() (sim.Time, int64) {
 		e := sim.NewEngine(7)
 		m := tinySpec().MustBuild(e)
-		rt := charm.NewRuntime(m, 4, charm.DefaultParams(), nil)
+		rt := charm.NewRuntime(m, 4, charm.DefaultParams())
 		mg := NewManager(rt, DefaultOptions(MultiIO))
 		env := &env{e: e, m: m, rt: rt, mg: mg}
 		app := buildApp(env, 12, 512*1024*1024, 3, nil)

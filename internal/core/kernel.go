@@ -88,10 +88,18 @@ func (m *Manager) RunKernel(p *sim.Proc, deps []charm.DataDep, spec KernelSpec) 
 		}
 	}
 	d := p.Now() - start
-	if m.ts != nil {
-		m.ts.KernelDone(p, spec, start, d)
+	if m.rt.Observed() {
+		m.noteKernel(p.ID(), spec, start, d)
 	}
 	return d
+}
+
+// noteKernel emits a kernel that ran in process proc from start for d,
+// out of line for the reason the manager's other note helpers give.
+//
+//go:noinline
+func (m *Manager) noteKernel(proc int, spec KernelSpec, start, d sim.Time) {
+	m.rt.Emit(charm.Event{Kind: charm.EvKernel, Proc: proc, Flops: spec.Flops, Scale: spec.TrafficScale, Start: start, Dur: d})
 }
 
 // startSegment starts s as a flow in direction acc, capped at the

@@ -8,7 +8,6 @@ import (
 	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/memsim"
 	"github.com/hetmem/hetmem/internal/numa"
-	"github.com/hetmem/hetmem/internal/projections"
 	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/topology"
 )
@@ -110,9 +109,10 @@ type Options struct {
 	// watchdog that reports silent stalls, and structured snapshots via
 	// AuditSnapshot. Audit implies Metrics.
 	Audit bool
-	// Metrics enables the cheap counter collector alone (histograms,
-	// peaks, retry counts — the feedback the adaptive controller
-	// samples) without the auditor's shadow ledger and per-event
+	// Metrics enables the cheap metrics collector alone (duration
+	// histograms, the per-policy split and the pressure, queue-depth and
+	// inflight peaks; the adaptive controller samples the HBM
+	// high-water mark) without the auditor's shadow ledger and per-event
 	// invariant checks.
 	Metrics bool
 }
@@ -158,14 +158,10 @@ type Manager struct {
 	// aud is the optional invariant auditor; nil when Options.Audit is
 	// off (every audit.Auditor method is a no-op on nil).
 	aud *audit.Auditor
-	// met is the optional metrics collector; nil unless Options.Metrics
-	// or Options.Audit is set (nil-safe like the auditor).
+	// met is the optional metrics collector, attached to the runtime's
+	// event stream; nil unless Options.Metrics or Options.Audit is set.
+	// The manager reads it only to build snapshots.
 	met *audit.Metrics
-	// obs holds the runtime observers (adaptive controller, trace
-	// recorder, ...); TaskDone fans out to each in registration order.
-	obs []Observer
-	// ts is the optional trace sink; nil when no recorder is attached.
-	ts TraceSink
 	// idleChains holds finished write chains for RunKernel to reuse.
 	idleChains []*writeChain
 	// edgeKeys caches noteEdge's "SRC->DST" keys, indexed by
@@ -212,6 +208,7 @@ func NewManager(rt *charm.Runtime, opts Options) *Manager {
 	m.tiers = m.mach.Chain()
 	if opts.Audit || opts.Metrics {
 		m.met = audit.NewMetrics(rt.Engine(), rt.NumPEs())
+		rt.Attach(m.met)
 	}
 	if opts.Audit {
 		m.aud = audit.New(rt.Engine(), audit.Config{
@@ -220,7 +217,17 @@ func NewManager(rt *charm.Runtime, opts Options) *Manager {
 			Metrics:  m.met,
 			NearTier: m.hbm().Name,
 			Probe: func() audit.Probe {
-				return audit.Probe{HBMUsed: m.hbm().Used(), Reserved: m.reserved}
+				return audit.Probe{
+					HBMUsed:         m.hbm().Used(),
+					Reserved:        m.reserved,
+					Fetches:         m.Stats.Fetches,
+					Evictions:       m.Stats.Evictions,
+					ForcedEvictions: m.Stats.ForcedEvictions,
+					Refetches:       m.Stats.Refetches,
+					BytesFetched:    m.Stats.BytesFetched,
+					BytesEvicted:    m.Stats.BytesEvicted,
+					EdgeBytes:       m.Stats.EdgeBytes,
+				}
 			},
 		})
 		rt.Engine().SetQuiesceHook(m.auditQuiesce)
@@ -284,8 +291,7 @@ func (m *Manager) tierOf(h *Handle) int {
 }
 
 // noteEdge attributes n moved bytes to the edge from tier si to tier
-// di, in both the manager's Stats and the metrics collector. Each edge
-// key is built once.
+// di in the manager's Stats. Each edge key is built once.
 func (m *Manager) noteEdge(si, di int, n int64) {
 	if m.Stats.EdgeBytes == nil {
 		m.Stats.EdgeBytes = make(map[string]int64)
@@ -298,17 +304,6 @@ func (m *Manager) noteEdge(si, di int, n int64) {
 		*key = m.tiers[si].Name + "->" + m.tiers[di].Name
 	}
 	m.Stats.EdgeBytes[*key] += n
-	m.met.EdgeMove(*key, n)
-}
-
-// lockSpan opens the projections span of a wait on h's block lock. Its
-// label is built only when a tracer is attached.
-func (m *Manager) lockSpan(lane int, h *Handle) func() {
-	tr := m.rt.Tracer()
-	if tr == nil {
-		return func() {}
-	}
-	return tr.Begin(lane, projections.LockWait, "blk:"+h.name)
 }
 
 // HBMBudget returns the bytes of HBM available for data blocks.
@@ -336,15 +331,61 @@ func (m *Manager) reserveCapacity(p *sim.Proc, lane int, need int64) bool {
 		return false
 	}
 	m.reserved += need
-	m.notePressure()
+	if m.rt.Observed() {
+		m.notePressure()
+	}
 	m.aud.Reserve(need)
 	return true
 }
 
-// notePressure samples the HBM usage and reservation high-water marks
-// into the metrics collector; called wherever either counter moves.
+// The note helpers emit the events of the staging and kernel paths;
+// each site calls one behind Runtime.Observed, so an unobserved run
+// builds no event. Building each event out of line keeps its 170-odd
+// bytes out of those paths' frames, which every PE and IO-thread
+// coroutine's stack holds.
+
+// notePressure emits the HBM usage and reservation; called wherever
+// either moves.
+//
+//go:noinline
 func (m *Manager) notePressure() {
-	m.met.Pressure(m.hbm().Used(), m.reserved)
+	m.rt.Emit(charm.Event{Kind: charm.EvPressure, Used: m.hbm().Used(), Reserved: m.reserved})
+}
+
+// noteQueue emits a queue-depth or in-flight reading n for lane.
+//
+//go:noinline
+func (m *Manager) noteQueue(kind charm.EventKind, lane, n int) {
+	m.rt.Emit(charm.Event{Kind: kind, Lane: lane, N: n})
+}
+
+// noteBlock emits an event of block h on lane: a lock wait or a fetch
+// begun at start, or a fetch or eviction that took d from or to tier,
+// with flag marking a refetch or a forced eviction.
+//
+//go:noinline
+func (m *Manager) noteBlock(kind charm.EventKind, lane int, h *Handle, start, d sim.Time, tier string, flag bool) {
+	e := charm.Event{Kind: kind, Lane: lane, Name: h.name, Bytes: h.size, Start: start, Dur: d, Tier: tier}
+	switch kind {
+	case charm.EvFetchEnd:
+		e.Refetch, e.Policy = flag, m.evictPolicy().Name()
+	case charm.EvEvict:
+		e.Forced, e.Policy = flag, m.evictPolicy().Name()
+	}
+	m.rt.Emit(e)
+}
+
+// noteTask emits an event of task t on PE lane: its admission with
+// bytes of dependences (staged when queued), a staging retry that
+// needed bytes, or its completion.
+//
+//go:noinline
+func (m *Manager) noteTask(kind charm.EventKind, t *charm.Task, lane int, bytes int64, staged bool) {
+	e := charm.Event{Kind: kind, Task: t, Lane: lane, Bytes: bytes, Staged: staged}
+	if kind == charm.EvStageRetry {
+		e.Used, e.Reserved = m.hbm().Used(), m.reserved
+	}
+	m.rt.Emit(e)
 }
 
 // consumeReservation converts n reserved bytes into an imminent HBM
@@ -354,7 +395,9 @@ func (m *Manager) consumeReservation(n int64) {
 	if m.reserved < 0 {
 		panic("core: reservation underflow")
 	}
-	m.notePressure()
+	if m.rt.Observed() {
+		m.notePressure()
+	}
 	m.aud.ConsumeReservation(n)
 }
 
@@ -366,7 +409,9 @@ func (m *Manager) refundReservation(n int64) {
 	if m.reserved < 0 {
 		panic("core: reservation underflow")
 	}
-	m.notePressure()
+	if m.rt.Observed() {
+		m.notePressure()
+	}
 	m.aud.RefundReservation(n)
 }
 
@@ -402,8 +447,8 @@ func (m *Manager) NewHandle(name string, size int64) *Handle {
 		h.buf, h.state = buf, InDDR
 	}
 	m.handles = append(m.handles, h)
-	if m.ts != nil {
-		m.ts.HandleDeclared(h, h.state.String())
+	if m.rt.Observed() {
+		m.rt.Emit(charm.Event{Kind: charm.EvHandle, Name: name, Bytes: size, Tier: h.state.String()})
 	}
 	return h
 }
@@ -435,9 +480,11 @@ var errHBMBudget = fmt.Errorf("core: HBM budget exhausted")
 // budget check sits directly before the migration, after all lock
 // waits, so check-and-allocate is atomic in virtual time.
 func (m *Manager) fetch(p *sim.Proc, lane int, h *Handle, hasReservation bool) error {
-	lockEnd := m.lockSpan(lane, h)
+	waited := p.Now()
 	h.mu.Lock(p)
-	lockEnd()
+	if m.rt.Observed() {
+		m.noteBlock(charm.EvLockWait, lane, h, waited, 0, "", false)
+	}
 	defer h.mu.Unlock(p)
 	if hasReservation {
 		m.consumeReservation(h.size)
@@ -454,13 +501,14 @@ func (m *Manager) fetch(p *sim.Proc, lane int, h *Handle, hasReservation bool) e
 	si := m.tierOf(h)
 	src := m.tiers[si]
 	h.state = Fetching
-	if m.ts != nil {
-		m.ts.FetchStart(lane, h)
+	if m.rt.Observed() {
+		m.noteBlock(charm.EvFetchStart, lane, h, 0, 0, "", false)
 	}
-	end := m.rt.Tracer().Begin(lane, projections.Fetch, h.name)
+	start := p.Now()
 	d, err := m.mach.Alloc.Migrate(p, h.buf, m.hbm().ID)
-	end()
 	if err != nil {
+		// A failed migration costs no virtual time: it fails on the
+		// up-front capacity claim.
 		h.state = InDDR
 		return err
 	}
@@ -469,16 +517,14 @@ func (m *Manager) fetch(p *sim.Proc, lane int, h *Handle, hasReservation bool) e
 	m.Stats.Fetches++
 	m.Stats.BytesFetched += h.size
 	m.Stats.FetchTime += d
-	m.met.FetchDone(h.size, d)
 	m.noteEdge(si, 0, h.size)
 	if h.Fetches > 1 {
 		m.Stats.Refetches++
-		m.met.Refetch(m.evictPolicy().Name())
 	}
-	if m.ts != nil {
-		m.ts.FetchDone(lane, h, d, h.Fetches > 1, src.Name)
+	if m.rt.Observed() {
+		m.noteBlock(charm.EvFetchEnd, lane, h, start, d, src.Name, h.Fetches > 1)
+		m.notePressure()
 	}
-	m.notePressure()
 	m.aud.CheckNow()
 	return nil
 }
@@ -495,9 +541,11 @@ func (m *Manager) fetch(p *sim.Proc, lane int, h *Handle, hasReservation bool) e
 // When the target tier is full the victim cascades one tier deeper;
 // only the bottom tier is a capacity backstop whose failure panics.
 func (m *Manager) evict(p *sim.Proc, lane int, h *Handle, force bool) {
-	lockEnd := m.lockSpan(lane, h)
+	waited := p.Now()
 	h.mu.Lock(p)
-	lockEnd()
+	if m.rt.Observed() {
+		m.noteBlock(charm.EvLockWait, lane, h, waited, 0, "", false)
+	}
 	defer h.mu.Unlock(p)
 	if h.state != InHBM || h.InUse() || h.claims > 0 {
 		return
@@ -506,15 +554,12 @@ func (m *Manager) evict(p *sim.Proc, lane int, h *Handle, force bool) {
 		return
 	}
 	forced := force && h.pendingUses > 0
-	if forced {
-		m.Stats.ForcedEvictions++
-	}
 	ti := 1 // one level below HBM
 	if m.evictPolicy().DemoteTarget() == DemoteBottom {
 		ti = len(m.tiers) - 1
 	}
 	h.state = Evicting
-	end := m.rt.Tracer().Begin(lane, projections.Evict, h.name)
+	start := p.Now()
 	var (
 		dst *memsim.Node
 		d   sim.Time
@@ -530,7 +575,6 @@ func (m *Manager) evict(p *sim.Proc, lane int, h *Handle, force bool) {
 			break
 		}
 	}
-	end()
 	if err != nil {
 		// The bottom tier is the capacity backstop; failure there (or
 		// any non-capacity error) is a configuration error.
@@ -539,13 +583,14 @@ func (m *Manager) evict(p *sim.Proc, lane int, h *Handle, force bool) {
 	h.state = InDDR
 	h.Evictions++
 	m.Stats.Evictions++
+	if forced {
+		m.Stats.ForcedEvictions++
+	}
 	m.Stats.BytesEvicted += h.size
 	m.Stats.EvictTime += d
-	m.met.EvictDone(h.size, d, forced)
-	m.met.PolicyEvict(m.evictPolicy().Name(), forced)
 	m.noteEdge(0, ti, h.size)
-	if m.ts != nil {
-		m.ts.EvictDone(lane, h, d, forced, m.evictPolicy().Name(), dst.Name)
+	if m.rt.Observed() {
+		m.noteBlock(charm.EvEvict, lane, h, start, d, dst.Name, forced)
 	}
 	m.aud.CheckNow()
 }
@@ -733,8 +778,8 @@ func (m *Manager) Intercept(p *sim.Proc, pe *charm.PE, t *charm.Task) bool {
 			t, ot.depBytes, m.HBMBudget()))
 	}
 	staged := m.strat.admit(p, ot)
-	if m.ts != nil {
-		m.ts.TaskAdmitted(t, pe.ID(), ot.depBytes, staged)
+	if m.rt.Observed() {
+		m.noteTask(charm.EvAdmit, t, pe.ID(), ot.depBytes, staged)
 	}
 	return staged
 }
@@ -747,8 +792,8 @@ func (m *Manager) PostProcess(p *sim.Proc, pe *charm.PE, t *charm.Task) {
 	if ot != nil {
 		m.strat.complete(p, ot)
 	}
-	for _, obs := range m.obs {
-		obs.TaskDone(t)
+	if m.rt.Observed() {
+		m.noteTask(charm.EvTaskDone, t, pe.ID(), 0, false)
 	}
 }
 
@@ -771,85 +816,6 @@ type strategy interface {
 	// any wait-queue lock.
 	scanWaiting(p *sim.Proc, visit func(pos int, ot *OOCTask))
 }
-
-// Observer receives runtime notifications the adaptive layer hooks.
-// TaskDone fires once per completed task, after the strategy's
-// post-processing, from the worker's process context — implementations
-// may mutate knobs (a Retune that keeps the mode) but must not switch
-// strategies there.
-type Observer interface {
-	TaskDone(t *charm.Task)
-}
-
-// AddObserver appends an observer to the dispatch list. Multiple
-// observers (an adapt.Controller and a trace.Recorder, say) coexist;
-// each TaskDone fans out to all of them in registration order.
-func (m *Manager) AddObserver(obs Observer) {
-	if obs == nil {
-		panic("core: AddObserver(nil)")
-	}
-	m.obs = append(m.obs, obs)
-}
-
-// RemoveObserver detaches a previously added observer. Removing an
-// observer that is not registered is a no-op.
-func (m *Manager) RemoveObserver(obs Observer) {
-	for i, o := range m.obs {
-		if o == obs {
-			m.obs = append(m.obs[:i], m.obs[i+1:]...)
-			return
-		}
-	}
-}
-
-// SetObserver replaces the whole observer list with obs (nil detaches
-// every observer). Kept for callers that want exclusive ownership; use
-// AddObserver to coexist with other observers.
-func (m *Manager) SetObserver(obs Observer) {
-	if obs == nil {
-		m.obs = nil
-		return
-	}
-	m.obs = []Observer{obs}
-}
-
-// TraceSink receives the manager's data-movement events: handle
-// declaration, task admission, fetch/evict completion, staging retries
-// under capacity pressure, kernel completion and online retunes. The
-// trace recorder (internal/trace) implements it; every call site is
-// nil-guarded so an unattached manager pays one pointer test. Sinks run
-// at zero virtual-time cost and must not block or mutate runtime state.
-type TraceSink interface {
-	// HandleDeclared fires once per NewHandle; node is the initial
-	// placement (a BlockState string).
-	HandleDeclared(h *Handle, node string)
-	// TaskAdmitted fires after the strategy's admission decision for an
-	// intercepted [prefetch] task. staged reports whether the task was
-	// queued for staging (true) or will execute inline (false).
-	TaskAdmitted(t *charm.Task, pe int, depBytes int64, staged bool)
-	// FetchStart/FetchDone bracket a block migration into HBM on an IO
-	// lane. refetch marks blocks that had been resident before; src is
-	// the tier node the block was fetched from.
-	FetchStart(lane int, h *Handle)
-	FetchDone(lane int, h *Handle, d sim.Time, refetch bool, src string)
-	// EvictDone fires after a block migrates out of HBM; dst is the
-	// tier node the victim landed on (the policy's demotion target, or
-	// deeper if that tier was full).
-	EvictDone(lane int, h *Handle, d sim.Time, forced bool, policy string, dst string)
-	// StageRetry fires when a staging attempt aborts for lack of HBM
-	// capacity, with the usage picture at the moment of the abort.
-	StageRetry(pe int, t *charm.Task, need, used, reserved int64)
-	// KernelDone fires after RunKernel finishes a compute kernel.
-	// start is the exact virtual time the kernel began (passed
-	// explicitly — reconstructing it as now-d loses a ULP, which is
-	// enough to break byte-identical replay).
-	KernelDone(p *sim.Proc, spec KernelSpec, start, d sim.Time)
-	// Retuned fires after a successful Retune with the new options.
-	Retuned(o Options)
-}
-
-// SetTraceSink installs (or, with nil, removes) the trace sink.
-func (m *Manager) SetTraceSink(ts TraceSink) { m.ts = ts }
 
 // Retune applies a new option set to a running manager. Knob-only
 // changes (IOThreads, PrefetchDepth, EvictLazily, EvictPolicy) take effect
@@ -885,9 +851,7 @@ func (m *Manager) Retune(o Options) error {
 		// engine reaps them at Close, and the watchdog ignores them
 		// because they hold no tasks.
 		m.installStrategy()
-		if m.ts != nil {
-			m.ts.Retuned(o)
-		}
+		m.noteRetune()
 		return nil
 	}
 	if o.IOThreads != cur.IOThreads {
@@ -899,10 +863,15 @@ func (m *Manager) Retune(o Options) error {
 	// at each staging/release/reclaim decision; updating the options
 	// is enough.
 	m.opts = o
-	if m.ts != nil {
-		m.ts.Retuned(o)
-	}
+	m.noteRetune()
 	return nil
+}
+
+// noteRetune emits a retune once the new options are in force.
+func (m *Manager) noteRetune() {
+	if m.rt.Observed() {
+		m.rt.Emit(charm.Event{Kind: charm.EvRetune})
+	}
 }
 
 // retuneQuiescent reports whether the staging protocol is at a
@@ -930,11 +899,11 @@ func (m *Manager) retuneQuiescent() bool {
 // off.
 func (m *Manager) Auditor() *audit.Auditor { return m.aud }
 
-// Metrics returns the counter collector, or nil when neither
+// Metrics returns the metrics collector, or nil when neither
 // Options.Metrics nor Options.Audit is set.
 func (m *Manager) Metrics() *audit.Metrics { return m.met }
 
-// MetricsSnapshot exports the metrics counters filled in with the
+// MetricsSnapshot exports the metrics collector filled in with the
 // manager-side fields; unlike AuditSnapshot it works without the
 // auditor. ok is false when metrics are off.
 func (m *Manager) MetricsSnapshot() (s audit.Snapshot, ok bool) {
@@ -943,25 +912,42 @@ func (m *Manager) MetricsSnapshot() (s audit.Snapshot, ok bool) {
 	}
 	s = m.met.Snapshot()
 	s.HBMBudget = m.HBMBudget()
-	s.Mode = m.opts.Mode.String()
-	s.EvictPolicy = m.evictPolicy().Name()
-	s.TasksStaged = m.Stats.TasksStaged
-	s.TasksInline = m.Stats.TasksInline
+	m.fillSnapshot(&s)
 	return s, true
 }
 
-// AuditSnapshot exports the auditor's metrics, filled in with the
-// manager-side fields. ok is false when auditing is disabled.
+// AuditSnapshot exports the auditor's state and metrics, filled in with
+// the manager-side fields. ok is false when auditing is disabled.
 func (m *Manager) AuditSnapshot() (s audit.Snapshot, ok bool) {
 	if m.aud == nil {
 		return audit.Snapshot{}, false
 	}
 	s = m.aud.Snapshot()
+	m.fillSnapshot(&s)
+	return s, true
+}
+
+// fillSnapshot copies the manager-side fields into s: the options in
+// force and the movement ledger, Stats.
+func (m *Manager) fillSnapshot(s *audit.Snapshot) {
+	st := &m.Stats
 	s.Mode = m.opts.Mode.String()
 	s.EvictPolicy = m.evictPolicy().Name()
-	s.TasksStaged = m.Stats.TasksStaged
-	s.TasksInline = m.Stats.TasksInline
-	return s, true
+	s.Fetches = st.Fetches
+	s.Evictions = st.Evictions
+	s.BytesFetched = st.BytesFetched
+	s.BytesEvicted = st.BytesEvicted
+	s.StageRetries = st.StageRetries
+	s.ForcedEvictions = st.ForcedEvictions
+	s.Refetches = st.Refetches
+	s.TasksStaged = st.TasksStaged
+	s.TasksInline = st.TasksInline
+	if len(st.EdgeBytes) > 0 {
+		s.TierEdges = make(map[string]int64, len(st.EdgeBytes))
+		for k, v := range st.EdgeBytes {
+			s.TierEdges[k] = v
+		}
+	}
 }
 
 // auditQuiesce is the watchdog, installed as the engine's quiesce hook:

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/ring"
 	"github.com/hetmem/hetmem/internal/sim"
 )
@@ -91,7 +92,9 @@ func (s *multiIO) admit(p *sim.Proc, ot *OOCTask) bool {
 	// then woken up by the worker thread."
 	pe := ot.pe.ID()
 	depth := s.wqs[pe].push(p, ot)
-	s.m.met.QueueDepth(pe, depth)
+	if s.m.rt.Observed() {
+		s.m.noteQueue(charm.EvQueueDepth, pe, depth)
+	}
 	s.m.Stats.TasksStaged++
 	s.kick(p, pe)
 	return true
@@ -160,7 +163,9 @@ func (s *multiIO) ioLoop(q *sim.Proc, i, lane int) {
 			free := depth == 0 || s.inflight[i] < depth
 			if free {
 				s.inflight[i]++
-				s.m.met.Inflight(i, s.inflight[i])
+				if s.m.rt.Observed() {
+					s.m.noteQueue(charm.EvInflight, i, s.inflight[i])
+				}
 				s.m.aud.CheckInflight(i, s.inflight[i], depth)
 			}
 			s.ioMu[i].Unlock(q)

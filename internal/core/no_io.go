@@ -1,6 +1,9 @@
 package core
 
-import "github.com/hetmem/hetmem/internal/sim"
+import (
+	"github.com/hetmem/hetmem/internal/charm"
+	"github.com/hetmem/hetmem/internal/sim"
+)
 
 // noIO is the paper's "Multiple queues, no IO thread" strategy: fetch
 // and eviction are performed synchronously by the worker threads
@@ -36,7 +39,9 @@ func (s *noIO) admit(p *sim.Proc, ot *OOCTask) bool {
 		return false
 	}
 	depth := s.wqs[pe].push(p, ot)
-	s.m.met.QueueDepth(pe, depth)
+	if s.m.rt.Observed() {
+		s.m.noteQueue(charm.EvQueueDepth, pe, depth)
+	}
 	s.m.Stats.TasksStaged++
 	return true
 }

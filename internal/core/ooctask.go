@@ -133,9 +133,8 @@ func (ot *OOCTask) stage(p *sim.Proc, lane int) bool {
 	if need > 0 && !m.reserveCapacity(p, lane, need) {
 		// Nothing was granted: clear bookkeeping without refunding.
 		m.Stats.StageRetries++
-		m.met.StageRetry()
-		if m.ts != nil {
-			m.ts.StageRetry(ot.pe.ID(), ot.t, need, m.hbm().Used(), m.reserved)
+		if m.rt.Observed() {
+			m.noteTask(charm.EvStageRetry, ot.t, ot.pe.ID(), need, false)
 		}
 		for j := range ot.deps {
 			ot.dropClaim(j)

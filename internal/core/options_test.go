@@ -104,8 +104,12 @@ func TestMetricsWithoutAudit(t *testing.T) {
 	if snap.Fetches == 0 || snap.HBMHighWater == 0 {
 		t.Fatalf("metrics not collected: %+v", snap)
 	}
-	if c := env.mg.Metrics().Counters(); c.Fetches != snap.Fetches {
-		t.Fatalf("Counters()/Snapshot disagree: %d vs %d", c.Fetches, snap.Fetches)
+	if hw := env.mg.Metrics().HBMHighWater(); hw != snap.HBMHighWater {
+		t.Fatalf("HBMHighWater()/Snapshot disagree: %d vs %d", hw, snap.HBMHighWater)
+	}
+	if snap.Fetches != env.mg.Stats.Fetches || snap.FetchHist.N != snap.Fetches {
+		t.Fatalf("snapshot counts %d fetches (%d histogram samples), Stats %d",
+			snap.Fetches, snap.FetchHist.N, env.mg.Stats.Fetches)
 	}
 }
 
@@ -115,8 +119,9 @@ func newEnvNoAudit(t *testing.T, numPEs int, opts Options) *env {
 	t.Helper()
 	e := sim.NewEngine(42)
 	m := tinySpec().MustBuild(e)
+	rt := charm.NewRuntime(m, numPEs, charm.DefaultParams())
 	tr := projections.NewTracer(e, numPEs)
-	rt := charm.NewRuntime(m, numPEs, charm.DefaultParams(), tr)
+	rt.Attach(tr)
 	mg := NewManager(rt, opts)
 	t.Cleanup(e.Close)
 	return &env{e: e, m: m, rt: rt, mg: mg, tr: tr}

@@ -48,7 +48,7 @@ func TestQuickOOCInvariants(t *testing.T) {
 	check := func(plan oocPlan) bool {
 		e := sim.NewEngine(1234)
 		mach := tinySpec().MustBuild(e)
-		rt := charm.NewRuntime(mach, plan.numPEs, charm.DefaultParams(), nil)
+		rt := charm.NewRuntime(mach, plan.numPEs, charm.DefaultParams())
 		opts := DefaultOptions(plan.mode)
 		opts.EvictLazily = plan.lazy
 		opts.Audit = true
@@ -113,7 +113,7 @@ func TestQuickDeterminism(t *testing.T) {
 	run := func(plan oocPlan) (sim.Time, int64, bool) {
 		e := sim.NewEngine(7)
 		mach := tinySpec().MustBuild(e)
-		rt := charm.NewRuntime(mach, plan.numPEs, charm.DefaultParams(), nil)
+		rt := charm.NewRuntime(mach, plan.numPEs, charm.DefaultParams())
 		opts := DefaultOptions(plan.mode)
 		opts.EvictLazily = plan.lazy
 		mg := NewManager(rt, opts)

@@ -111,25 +111,28 @@ func TestRetuneModeSwitchAtBarrier(t *testing.T) {
 	}
 }
 
-// taskCounter is a minimal Observer.
+// taskCounter is a minimal sink counting task completions.
 type taskCounter struct {
 	n      int
 	onTask func(n int)
 }
 
-func (c *taskCounter) TaskDone(task *charm.Task) {
+func (c *taskCounter) Observe(e charm.Event) {
+	if e.Kind != charm.EvTaskDone {
+		return
+	}
 	c.n++
 	if c.onTask != nil {
 		c.onTask(c.n)
 	}
 }
 
-// TestObserverSeesEveryTask: the TaskDone hook fires once per executed
-// task, including inline fast-path ones.
+// TestObserverSeesEveryTask: the stream's task-done event fires once per
+// executed task, including inline fast-path ones.
 func TestObserverSeesEveryTask(t *testing.T) {
 	env := newEnv(t, 4, DefaultOptions(MultiIO))
 	ctr := &taskCounter{}
-	env.mg.SetObserver(ctr)
+	env.rt.Attach(ctr)
 	app := buildApp(env, 12, 512*1024*1024, 3, nil)
 	app.run(t)
 	if want := int(env.rt.Stats.TasksExecuted); ctr.n != want {
@@ -152,7 +155,7 @@ func TestRetuneModeSwitchRejectedMidFlight(t *testing.T) {
 		o.Mode = MultiIO
 		switchErr = env.mg.Retune(o)
 	}}
-	env.mg.SetObserver(ctr)
+	env.rt.Attach(ctr)
 	app := buildApp(env, 12, 512*1024*1024, 3, nil)
 	app.run(t)
 	if !seen {

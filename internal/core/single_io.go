@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -124,7 +125,9 @@ func (s *singleIO) admit(p *sim.Proc, ot *OOCTask) bool {
 		qi = pe
 	}
 	depth := s.queueFor(pe).push(p, ot)
-	s.m.met.QueueDepth(qi, depth)
+	if s.m.rt.Observed() {
+		s.m.noteQueue(charm.EvQueueDepth, qi, depth)
+	}
 	s.m.Stats.TasksStaged++
 	s.kick(p)
 	return true

@@ -1,10 +1,31 @@
 package exp
 
 import (
+	"bytes"
+	"os"
 	"testing"
 
 	"github.com/hetmem/hetmem/internal/core"
 )
+
+// TestX11CaptureGolden: a fresh Small fidelity capture equals the
+// committed one byte for byte. X11's own gate compares a capture with
+// its replay, and both go through the recorder, so a recorder change
+// that altered both sides alike would pass it; this pin would not.
+func TestX11CaptureGolden(t *testing.T) {
+	SetAudit(false)
+	c, err := x11CaptureStencil(Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("../trace/testdata/x11-small.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("fresh capture (%d bytes) differs from internal/trace/testdata/x11-small.jsonl (%d bytes)", len(got), len(want))
+	}
+}
 
 // TestX11ReplayAcceptance is the ISSUE's acceptance bar for the replay
 // engine: the fidelity leg must reproduce the recorded schedule

@@ -126,9 +126,9 @@ func stencilSteady(app *kernels.StencilApp) float64 {
 	return float64(app.IterEnd[n-1]-app.IterEnd[n-1-k]) / float64(k)
 }
 
-// adaptiveEnv builds the environment for an adaptive run: tracing,
-// metrics and the full invariant auditor are always on — the acceptance
-// bar requires every adaptive run to be audit-clean, not just the ones
+// adaptiveEnv builds the environment for an adaptive run: metrics and
+// the full invariant auditor are always on — the acceptance bar
+// requires every adaptive run to be audit-clean, not just the ones
 // under -audit.
 func adaptiveEnv(s Scale, opts core.Options) *kernels.Env {
 	opts.Audit = true
@@ -136,7 +136,6 @@ func adaptiveEnv(s Scale, opts core.Options) *kernels.Env {
 		Spec:   s.Machine(),
 		NumPEs: s.NumPEs(),
 		Opts:   opts,
-		Trace:  true,
 	})
 	registerAudit(env)
 	return env

@@ -9,7 +9,8 @@ import (
 )
 
 // Env bundles one simulated experiment instance: engine, machine,
-// runtime, OOC manager and (optionally) a tracer. Every experiment run
+// runtime, OOC manager and (optionally) a Projections tracer attached to
+// the runtime's event stream. Every experiment run
 // uses a fresh Env so state never leaks between configurations.
 type Env struct {
 	Eng    *sim.Engine
@@ -42,11 +43,12 @@ func NewEnv(cfg EnvConfig) *Env {
 	}
 	e := sim.NewEngine(seed)
 	mach := cfg.Spec.MustBuild(e)
+	rt := charm.NewRuntime(mach, cfg.NumPEs, params)
 	var tr *projections.Tracer
 	if cfg.Trace {
 		tr = projections.NewTracer(e, cfg.NumPEs)
+		rt.Attach(tr)
 	}
-	rt := charm.NewRuntime(mach, cfg.NumPEs, params, tr)
 	mg := core.NewManager(rt, cfg.Opts)
 	return &Env{Eng: e, Mach: mach, RT: rt, MG: mg, Tracer: tr}
 }

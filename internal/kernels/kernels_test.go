@@ -254,6 +254,7 @@ func TestMatMulValidation(t *testing.T) {
 		{TotalBytes: gb, Grid: 4, NumPEs: 0, TrafficScale: 1, ArithmeticIntensity: 1},
 		{TotalBytes: gb, Grid: 4, NumPEs: 4, TrafficScale: 0, ArithmeticIntensity: 1},
 		{TotalBytes: gb, Grid: 4, NumPEs: 4, TrafficScale: 1, ArithmeticIntensity: 0},
+		{TotalBytes: 1, Grid: 8, NumPEs: 4, TrafficScale: 1, ArithmeticIntensity: 1}, // zero-byte blocks
 	} {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)

@@ -101,6 +101,8 @@ func (c MatMulConfig) Validate() error {
 		return fmt.Errorf("kernels: matmul pipeline depth cannot be negative")
 	case c.ArithmeticIntensity <= 0:
 		return fmt.Errorf("kernels: matmul needs a positive arithmetic intensity")
+	case c.BlockBytes() < 1:
+		return fmt.Errorf("kernels: matmul %dx%d grid over %d bytes leaves blocks under one byte", c.Grid, c.Grid, c.TotalBytes)
 	}
 	return nil
 }

@@ -9,7 +9,6 @@ func All() []*Analyzer {
 		HandleAccess,
 		LockOrder,
 		Locksafe,
-		MetricsAttr,
 		OptionsMut,
 		SnapshotAlias,
 		TierChain,

@@ -172,10 +172,6 @@ func TestOptionsMutFixture(t *testing.T) {
 	checkFixture(t, OptionsMut, "optionsmut", "github.com/hetmem/hetmem/internal/lintfixture/optionsmut")
 }
 
-func TestMetricsAttrFixture(t *testing.T) {
-	checkFixture(t, MetricsAttr, "metricsattr", "github.com/hetmem/hetmem/internal/core/lintfixture2")
-}
-
 func TestLockOrderFixture(t *testing.T) {
 	checkFixture(t, LockOrder, "lockorder", "github.com/hetmem/hetmem/internal/lintfixture/lockorder")
 }
@@ -296,8 +292,8 @@ func TestRepoIsClean(t *testing.T) {
 // TestByName covers the driver's -checks selection.
 func TestByName(t *testing.T) {
 	all, ok := ByName(nil)
-	if !ok || len(all) != 11 {
-		t.Fatalf("ByName(nil) = %d analyzers, ok=%v; want all 11", len(all), ok)
+	if !ok || len(all) != 10 {
+		t.Fatalf("ByName(nil) = %d analyzers, ok=%v; want all 10", len(all), ok)
 	}
 	sel, ok := ByName([]string{"determinism", "locksafe"})
 	if !ok || len(sel) != 2 || sel[0].Name != "determinism" || sel[1].Name != "locksafe" {

@@ -1,8 +1,9 @@
 // Package projections is a performance-tracing facility modelled on the
-// Charm++ Projections tool the paper uses for Figures 5 and 6. Runtime
-// components record typed activity spans per PE; the package produces
-// per-category summaries, ASCII timelines and JSON dumps, which is how
-// the reproduction renders the paper's "red = wait/overhead" timeline
+// Charm++ Projections tool the paper uses for Figures 5 and 6. A Tracer
+// attached to the runtime's event stream turns its spans into typed
+// activity spans per PE lane; the package produces per-category
+// summaries, ASCII timelines and JSON dumps, which is how the
+// reproduction renders the paper's "red = wait/overhead" timeline
 // comparisons.
 package projections
 
@@ -13,6 +14,7 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -105,8 +107,9 @@ type Span struct {
 // Duration returns the span length.
 func (s Span) Duration() sim.Time { return s.End - s.Start }
 
-// Tracer collects spans. A nil *Tracer is valid and drops everything,
-// so runtime code can trace unconditionally.
+// Tracer collects spans: attached to a runtime (charm.Runtime.Attach),
+// it records each span of the event stream as the span closes. A nil
+// *Tracer reads as empty.
 type Tracer struct {
 	eng   *sim.Engine
 	lanes int
@@ -137,14 +140,25 @@ func (t *Tracer) Add(pe int, start, end sim.Time, cat Category, label string) {
 	t.spans = append(t.spans, Span{PE: pe, Start: start, End: end, Cat: cat, Label: label})
 }
 
-// Begin opens a span at the current virtual time and returns a closure
-// that closes it. Usage: defer t.Begin(pe, projections.Compute, "kern")().
-func (t *Tracer) Begin(pe int, cat Category, label string) func() {
-	if t == nil {
-		return func() {}
+// Observe implements charm.Sink: an event that closes a span records
+// it, from the event's start to now, on the event's lane.
+func (t *Tracer) Observe(e charm.Event) {
+	switch e.Kind {
+	case charm.EvRunEnd:
+		t.Add(e.Lane, e.Start, t.eng.Now(), Compute, e.Task.Entry.Name)
+	case charm.EvIdle:
+		t.Add(e.Lane, e.Start, t.eng.Now(), IdleWait, "idle")
+	case charm.EvOverhead:
+		t.Add(e.Lane, e.Start, t.eng.Now(), Overhead, "sched")
+	case charm.EvLockWait:
+		if e.Start < t.eng.Now() {
+			t.Add(e.Lane, e.Start, t.eng.Now(), LockWait, "blk:"+e.Name)
+		}
+	case charm.EvFetchEnd:
+		t.Add(e.Lane, e.Start, t.eng.Now(), Fetch, e.Name)
+	case charm.EvEvict:
+		t.Add(e.Lane, e.Start, t.eng.Now(), Evict, e.Name)
 	}
-	start := t.eng.Now()
-	return func() { t.Add(pe, start, t.eng.Now(), cat, label) }
 }
 
 // Spans returns a copy of all recorded spans in recording order. The

@@ -7,14 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Add(0, 0, 1, Compute, "x")
-	end := tr.Begin(0, Compute, "x")
-	end()
 	if tr.Spans() != nil || tr.Lanes() != 0 {
 		t.Fatal("nil tracer should drop everything")
 	}
@@ -61,18 +60,44 @@ func TestZeroLengthSpanDropped(t *testing.T) {
 	}
 }
 
+// TestBeginEnd: each stream event that closes a span records it from
+// the event's start to now, in the order the spans close, with its
+// category and label; a zero-length lock wait records nothing.
 func TestBeginEnd(t *testing.T) {
 	e := sim.NewEngine(1)
 	tr := NewTracer(e, 1)
+	task := &charm.Task{Entry: &charm.Entry{Name: "kernel"}}
 	e.Spawn("p", func(p *sim.Proc) {
-		end := tr.Begin(0, Compute, "kernel")
 		p.Sleep(2.5)
-		end()
+		tr.Observe(charm.Event{Kind: charm.EvRunEnd, Lane: 0, Task: task, Start: 0})
+		tr.Observe(charm.Event{Kind: charm.EvIdle, Lane: 1, Start: 1})
+		tr.Observe(charm.Event{Kind: charm.EvOverhead, Lane: 0, Start: 2})
+		tr.Observe(charm.Event{Kind: charm.EvLockWait, Lane: 2, Name: "b", Start: 2.25})
+		tr.Observe(charm.Event{Kind: charm.EvLockWait, Lane: 2, Name: "b", Start: 2.5})
+		tr.Observe(charm.Event{Kind: charm.EvFetchEnd, Lane: 3, Name: "f", Start: 0.5})
+		tr.Observe(charm.Event{Kind: charm.EvEvict, Lane: 3, Name: "v", Start: 1.5})
+		tr.Observe(charm.Event{Kind: charm.EvTaskDone, Task: task})
 	})
 	e.RunAll()
+	want := []Span{
+		{PE: 0, Start: 0, End: 2.5, Cat: Compute, Label: "kernel"},
+		{PE: 1, Start: 1, End: 2.5, Cat: IdleWait, Label: "idle"},
+		{PE: 0, Start: 2, End: 2.5, Cat: Overhead, Label: "sched"},
+		{PE: 2, Start: 2.25, End: 2.5, Cat: LockWait, Label: "blk:b"},
+		{PE: 3, Start: 0.5, End: 2.5, Cat: Fetch, Label: "f"},
+		{PE: 3, Start: 1.5, End: 2.5, Cat: Evict, Label: "v"},
+	}
 	spans := tr.Spans()
-	if len(spans) != 1 || spans[0].Duration() != 2.5 || spans[0].Cat != Compute {
-		t.Fatalf("spans = %+v", spans)
+	if len(spans) != len(want) {
+		t.Fatalf("spans = %+v, want %+v", spans, want)
+	}
+	for i := range want {
+		if spans[i] != want[i] {
+			t.Fatalf("span %d = %+v, want %+v", i, spans[i], want[i])
+		}
+	}
+	if tr.Lanes() != 4 {
+		t.Fatalf("lanes = %d, want 4", tr.Lanes())
 	}
 }
 

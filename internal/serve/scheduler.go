@@ -199,23 +199,34 @@ func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, error) {
 	return opts, nil
 }
 
-// minFootprint returns the smallest grant that can make progress: one
-// task's dependence set must fit the session's whole HBM.
-func minFootprint(spec WorkloadSpec, numPEs int) int64 {
+// maxBlocks bounds the managed blocks one session may declare. The
+// scheduler builds a session's workload synchronously under the server
+// lock, so a decomposition into millions of tiny blocks would stall
+// every tenant while it is built (and exhaust memory well before). The
+// sessions the experiments submit declare a few hundred at most.
+const maxBlocks = 1 << 16
+
+// decomposition returns the smallest grant that can make progress (one
+// task's dependence set must fit the session's whole HBM) and the
+// number of managed blocks the workload declares. Kernels registered
+// with RegisterKernel report (1, 0): the scheduler cannot see inside
+// them.
+func decomposition(spec WorkloadSpec, numPEs int) (minFootprint, blocks int64) {
 	switch spec.Kernel {
 	case "stencil":
-		// One chare's A+B copies.
-		return spec.Reduced / int64(numPEs)
+		// One chare's A+B copies, two blocks per chare.
+		chare := spec.Reduced / int64(numPEs)
+		return chare, 2 * max(spec.Bytes/chare, 1)
 	case "shift":
 		// Post-shift: one chare's hot + cold block.
 		chares := int64(4 * numPEs)
 		return roundUp(spec.Reduced, chares)/chares +
-			roundUp(spec.Bytes-spec.Reduced, chares)/chares
+			roundUp(spec.Bytes-spec.Reduced, chares)/chares, 2 * chares
 	case "matmul":
 		g := int64(kernels.GridFor(spec.Bytes, spec.Footprint, numPEs))
-		return 3 * (spec.Bytes / 3) / (g * g)
+		return 3 * (spec.Bytes / 3) / (g * g), 3 * g * g
 	}
-	return 1
+	return 1, 0
 }
 
 // Submit validates a submission, stores it as a Queued session and
@@ -235,10 +246,17 @@ func (s *Scheduler) Submit(spec WorkloadSpec) (*Session, error) {
 		return nil, fmt.Errorf("%w: footprint %d, tenant budget %d, machine budget %d",
 			ErrOverBudget, spec.Footprint, ten.budget, s.budget)
 	}
-	if min := minFootprint(spec, s.cfg.NumPEs); spec.Footprint < min {
+	min, blocks := decomposition(spec, s.cfg.NumPEs)
+	if spec.Footprint < min {
 		s.rejected++
 		ten.rejected++
 		return nil, fmt.Errorf("serve: footprint %d cannot hold one task's dependences (%d)", spec.Footprint, min)
+	}
+	if blocks > maxBlocks {
+		s.rejected++
+		ten.rejected++
+		return nil, fmt.Errorf("serve: %s of %d bytes over %d-byte active set decomposes into %d blocks, above %d",
+			spec.Kernel, spec.Bytes, spec.Reduced, blocks, maxBlocks)
 	}
 	if len(s.queue) >= s.cfg.MaxQueue {
 		s.rejected++
@@ -312,10 +330,7 @@ func (s *Scheduler) start(sess *Session) {
 		NumPEs: s.cfg.NumPEs,
 		Opts:   sess.opts,
 		Params: charm.DefaultParams(),
-		// The controller's feedback loop reads the projections
-		// tracer; without it adapt.New rejects the session outright.
-		Trace: sess.Spec.Adapt,
-		Seed:  seed,
+		Seed:   seed,
 	})
 	if sess.Spec.Trace {
 		sess.rec = trace.NewSessionRecorder(sess.env.MG, sess.ID, sess.Tenant)
@@ -329,9 +344,6 @@ func (s *Scheduler) start(sess *Session) {
 		}
 		sess.ctl = ctl
 		ctl.Attach()
-		if sess.rec != nil {
-			sess.rec.AttachController(ctl)
-		}
 	}
 	app, err := s.kernels[sess.Spec.Kernel](sess.env, sess.Spec)
 	if err != nil {

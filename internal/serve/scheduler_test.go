@@ -194,6 +194,11 @@ func TestRejections(t *testing.T) {
 	if _, err := s.Submit(tiny); err == nil {
 		t.Fatal("footprint below one task's dependences accepted")
 	}
+	fine := smallStencil("acme")
+	fine.Reduced = 1 // 4-byte chares: 2^28 blocks
+	if _, err := s.Submit(fine); err == nil || !strings.Contains(err.Error(), "blocks") {
+		t.Fatalf("decomposition into 2^28 blocks: err = %v, want a rejection", err)
+	}
 
 	// Queue-full: fill the one slot, then overflow.
 	mustSubmit(t, s, smallStencil("acme")) // runs
@@ -204,6 +209,17 @@ func TestRejections(t *testing.T) {
 	// Rejected submissions never become sessions.
 	if n := len(s.Sessions()); n != 2 {
 		t.Fatalf("sessions = %d, want 2", n)
+	}
+}
+
+// TestDegenerateMatMulFails: a matmul whose blocks would be zero bytes
+// fails its session with the reason instead of panicking in the
+// scheduler, which would leave the server lock held.
+func TestDegenerateMatMulFails(t *testing.T) {
+	s := mustScheduler(t, testConfig())
+	sess := mustSubmit(t, s, WorkloadSpec{Tenant: "acme", Kernel: "matmul", Bytes: 1, Footprint: 1})
+	if sess.State != Failed || !strings.Contains(sess.Err, "under one byte") {
+		t.Fatalf("session %v (%q), want failed for its empty blocks", sess.State, sess.Err)
 	}
 }
 

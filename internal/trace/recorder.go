@@ -1,18 +1,16 @@
 package trace
 
 import (
-	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
-// Recorder captures the runtime's event stream into a Capture. It
-// implements charm.TraceHook (task send/run events), core.TraceSink
-// (data-movement events), core.Observer (task completion) and
-// adapt.DecisionSink (controller decisions); Attach installs all four
-// hooks. Recording adds zero virtual time, so a traced run produces the
-// same schedule as an untraced one.
+// Recorder captures the runtime's event stream into a Capture: it is a
+// charm.Sink that keeps the task, data-movement, retune and controller
+// decision events, and Attach adds it to the stream. Recording adds
+// zero virtual time, so a traced run produces the same schedule as an
+// untraced one.
 //
 // Task IDs are assigned at send time, monotonically — replaying a
 // capture re-sends tasks in ID order, which reproduces the IDs and
@@ -84,19 +82,9 @@ func NewSessionRecorder(mg *core.Manager, session, tenant string) *Recorder {
 	return r
 }
 
-// Attach installs the recorder's hooks on the runtime, the manager and
-// (optionally, via AttachController) the adaptive controller. Existing
-// observers keep firing: the manager fans TaskDone out to all of them.
-func (r *Recorder) Attach() {
-	r.mg.Runtime().SetTraceHook(r)
-	r.mg.SetTraceSink(r)
-	r.mg.AddObserver(r)
-}
-
-// AttachController additionally records the controller's decisions.
-func (r *Recorder) AttachController(c *adapt.Controller) {
-	c.SetDecisionSink(r)
-}
+// Attach adds the recorder to the runtime's event stream. Sinks
+// attached before it (a controller, say) see each event first.
+func (r *Recorder) Attach() { r.mg.Runtime().Attach(r) }
 
 // emit stamps and appends one event.
 func (r *Recorder) emit(e Event) {
@@ -123,11 +111,63 @@ func (r *Recorder) taskID(t *charm.Task) int64 {
 	return id
 }
 
-// TaskSent implements charm.TraceHook.
-func (r *Recorder) TaskSent(t *charm.Task) {
-	id := r.taskID(t)
+// Observe implements charm.Sink. It drops the kinds the capture format
+// does not carry: idle, scheduling overhead, lock wait and the pressure,
+// queue-depth and inflight samples.
+func (r *Recorder) Observe(e charm.Event) {
+	switch e.Kind {
+	case charm.EvSend:
+		r.send(e.Task)
+	case charm.EvRunStart:
+		id := r.taskID(e.Task)
+		r.setRunning(e.Proc, runRef{id: id, pe: e.Lane})
+		r.emit(&RunStart{ID: id, PE: e.Lane})
+	case charm.EvRunEnd:
+		r.emit(&RunEnd{ID: r.taskID(e.Task), PE: e.Lane})
+		r.setRunning(e.Proc, runRef{id: -1, pe: -1})
+	case charm.EvHandle:
+		r.emit(&HandleDecl{Block: e.Name, Bytes: e.Bytes, Node: e.Tier})
+	case charm.EvAdmit:
+		r.emit(&Admit{ID: r.taskID(e.Task), PE: e.Lane, Bytes: e.Bytes, Staged: e.Staged})
+	case charm.EvFetchStart:
+		r.emit(&FetchStart{Lane: e.Lane, Block: e.Name, Bytes: e.Bytes})
+	case charm.EvFetchEnd:
+		// Tier is the node the bytes came from: on longer chains a
+		// refetch of a one-level demotion reads from DDR while first
+		// touches come from the bottom tier.
+		r.emit(&FetchEnd{Lane: e.Lane, Block: e.Name, Bytes: e.Bytes, Dur: e.Dur, Src: e.Tier, Refetch: e.Refetch})
+	case charm.EvEvict:
+		ev := &Evict{Lane: e.Lane, Block: e.Name, Bytes: e.Bytes, Dur: e.Dur, Forced: e.Forced, Policy: e.Policy}
+		// The destination tier carries information only on chains
+		// deeper than two.
+		if r.multiTier {
+			ev.Dst = e.Tier
+		}
+		r.emit(ev)
+	case charm.EvStageRetry:
+		r.emit(&Pressure{PE: e.Lane, Task: e.Task.String(), Need: e.Bytes, Used: e.Used, Reserved: e.Reserved, Budget: r.mg.HBMBudget()})
+	case charm.EvKernel:
+		// Kernels run inside entry methods on PE scheduler processes;
+		// attribution falls back to -1 for kernels issued outside any
+		// traced task.
+		ref := runRef{id: -1, pe: -1}
+		if e.Proc < len(r.running) {
+			ref = r.running[e.Proc]
+		}
+		r.emit(&Kernel{ID: ref.id, PE: ref.pe, Flops: e.Flops, Scale: e.Scale, Start: e.Start, Dur: e.Dur})
+	case charm.EvRetune:
+		r.emit(&Retune{Knobs: KnobsOf(r.mg.Options())})
+	case charm.EvTaskDone:
+		r.emit(&TaskDone{ID: r.taskID(e.Task)})
+	case charm.EvDecision:
+		r.emit(&Adapt{Window: e.N, Action: e.Name})
+	}
+}
+
+// send records a task's creation.
+func (r *Recorder) send(t *charm.Task) {
 	ev := &Send{
-		ID:       id,
+		ID:       r.taskID(t),
 		Arr:      t.Elem.Array().Name(),
 		Idx:      t.Elem.Index,
 		Entry:    t.Entry.Name,
@@ -146,19 +186,6 @@ func (r *Recorder) TaskSent(t *charm.Task) {
 	r.emit(ev)
 }
 
-// TaskRunStart implements charm.TraceHook.
-func (r *Recorder) TaskRunStart(p *sim.Proc, pe *charm.PE, t *charm.Task) {
-	id := r.taskID(t)
-	r.setRunning(p.ID(), runRef{id: id, pe: pe.ID()})
-	r.emit(&RunStart{ID: id, PE: pe.ID()})
-}
-
-// TaskRunEnd implements charm.TraceHook.
-func (r *Recorder) TaskRunEnd(p *sim.Proc, pe *charm.PE, t *charm.Task) {
-	r.emit(&RunEnd{ID: r.taskID(t), PE: pe.ID()})
-	r.setRunning(p.ID(), runRef{id: -1, pe: -1})
-}
-
 // setRunning stores the task a scheduler process is executing, growing
 // the pid-indexed table on demand.
 func (r *Recorder) setRunning(pid int, ref runRef) {
@@ -168,74 +195,11 @@ func (r *Recorder) setRunning(pid int, ref runRef) {
 	r.running[pid] = ref
 }
 
-// HandleDeclared implements core.TraceSink.
-func (r *Recorder) HandleDeclared(h *core.Handle, node string) {
-	r.emit(&HandleDecl{Block: h.BlockName(), Bytes: h.Size(), Node: node})
-}
-
-// TaskAdmitted implements core.TraceSink.
-func (r *Recorder) TaskAdmitted(t *charm.Task, pe int, depBytes int64, staged bool) {
-	r.emit(&Admit{ID: r.taskID(t), PE: pe, Bytes: depBytes, Staged: staged})
-}
-
-// FetchStart implements core.TraceSink.
-func (r *Recorder) FetchStart(lane int, h *core.Handle) {
-	r.emit(&FetchStart{Lane: lane, Block: h.BlockName(), Bytes: h.Size()})
-}
-
-// FetchDone implements core.TraceSink. src is the tier node the bytes
-// came from — on longer chains a refetch of a one-level demotion reads
-// from DDR while first touches come from the bottom tier.
-func (r *Recorder) FetchDone(lane int, h *core.Handle, d sim.Time, refetch bool, src string) {
-	r.emit(&FetchEnd{Lane: lane, Block: h.BlockName(), Bytes: h.Size(), Dur: d, Src: src, Refetch: refetch})
-}
-
-// EvictDone implements core.TraceSink. The destination tier is only
-// recorded on chains deeper than two, where it carries information.
-func (r *Recorder) EvictDone(lane int, h *core.Handle, d sim.Time, forced bool, policy string, dst string) {
-	ev := &Evict{Lane: lane, Block: h.BlockName(), Bytes: h.Size(), Dur: d, Forced: forced, Policy: policy}
-	if r.multiTier {
-		ev.Dst = dst
-	}
-	r.emit(ev)
-}
-
-// StageRetry implements core.TraceSink.
-func (r *Recorder) StageRetry(pe int, t *charm.Task, need, used, reserved int64) {
-	r.emit(&Pressure{PE: pe, Task: t.String(), Need: need, Used: used, Reserved: reserved, Budget: r.mg.HBMBudget()})
-}
-
-// KernelDone implements core.TraceSink. Kernels run inside entry
-// methods on PE scheduler processes; attribution falls back to -1 for
-// kernels issued outside any traced task.
-func (r *Recorder) KernelDone(p *sim.Proc, spec core.KernelSpec, start, d sim.Time) {
-	ref := runRef{id: -1, pe: -1}
-	if pid := p.ID(); pid < len(r.running) {
-		ref = r.running[pid]
-	}
-	r.emit(&Kernel{ID: ref.id, PE: ref.pe, Flops: spec.Flops, Scale: spec.TrafficScale, Start: start, Dur: d})
-}
-
-// Retuned implements core.TraceSink.
-func (r *Recorder) Retuned(o core.Options) {
-	r.emit(&Retune{Knobs: KnobsOf(o)})
-}
-
-// TaskDone implements core.Observer.
-func (r *Recorder) TaskDone(t *charm.Task) {
-	r.emit(&TaskDone{ID: r.taskID(t)})
-}
-
 // LaneAssigned records one multi-tenant scheduler window's IO-lane
 // verdict for this session. The serve scheduler calls it from its
 // share-assignment step; nothing else emits the kind.
 func (r *Recorder) LaneAssigned(window, lanes, total, active int) {
 	r.emit(&LaneAssign{Window: window, Lanes: lanes, Total: total, Active: active})
-}
-
-// Decided implements adapt.DecisionSink.
-func (r *Recorder) Decided(d adapt.Decision) {
-	r.emit(&Adapt{Window: d.Window, Action: d.Action})
 }
 
 // Finish appends the stats footer (once; later calls are no-ops) and

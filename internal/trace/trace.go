@@ -1,6 +1,7 @@
 // Package trace implements task-level event tracing for the runtime:
-// capture (a Recorder hooked into the charm scheduler, the core manager
-// and the adapt controller), a versioned deterministic JSONL encoding,
+// capture (a Recorder on the runtime's event stream, which the charm
+// scheduler, the core manager and the adapt controller emit into), a
+// versioned deterministic JSONL encoding,
 // export to Chrome trace_event JSON plus a terminal summary, and a
 // replay/what-if engine that reconstructs the captured workload and
 // re-drives it through the real scheduler under different knobs.
