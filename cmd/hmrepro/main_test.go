@@ -3,11 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/hetmem/hetmem/internal/audit"
 	"github.com/hetmem/hetmem/internal/exp"
 )
 
@@ -98,6 +100,8 @@ func TestUsageErrors(t *testing.T) {
 		{"run", "-nodes", "2", "-app", "matmul"},
 		{"run", "-nodes", "2", "-adapt"},
 		{"run", "-nodes", "2", "-tiers", "3"},
+		{"run", "-scale", "small", "-nodes", "0"},
+		{"run", "-scale", "small", "-nodes", "-3"},
 		{"projections", "-scale", "smal"},
 		{"stream", "extra"},
 	} {
@@ -130,6 +134,44 @@ func TestRunSingle(t *testing.T) {
 			if !strings.Contains(out, want) {
 				t.Errorf("%v: output lacks %q:\n%s", args, want, out)
 			}
+		}
+	}
+}
+
+// TestRunNodes: run -nodes drives the distributed stencil end to end,
+// with halos on the fabric and one clean audit snapshot per node.
+func TestRunNodes(t *testing.T) {
+	code, out, errb := exec("run", "-scale", "small", "-nodes", "2", "-iters", "2", "-audit")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0\nstderr: %s", code, errb)
+	}
+	var gbHalo float64
+	var msgs int
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "  halo traffic ") {
+			if _, err := fmt.Sscanf(line, "  halo traffic %g GB in %d messages", &gbHalo, &msgs); err != nil {
+				t.Fatalf("halo line %q: %v", line, err)
+			}
+		}
+	}
+	if gbHalo <= 0 || msgs <= 0 {
+		t.Fatalf("no halo traffic reported:\n%s", out)
+	}
+	if n := strings.Count(out, "audit[node "); n != 2 {
+		t.Fatalf("%d audit snapshots, want one per node:\n%s", n, out)
+	}
+	for node := 0; node < 2; node++ {
+		key := fmt.Sprintf("audit[node %d]: ", node)
+		i := strings.Index(out, key)
+		if i < 0 {
+			t.Fatalf("no %q snapshot:\n%s", key, out)
+		}
+		var snap audit.Snapshot
+		if err := json.NewDecoder(strings.NewReader(out[i+len(key):])).Decode(&snap); err != nil {
+			t.Fatalf("node %d snapshot: %v", node, err)
+		}
+		if snap.ViolationCount != 0 || snap.Label != fmt.Sprintf("node %d", node) {
+			t.Errorf("node %d snapshot: label %q, %d violation(s)", node, snap.Label, snap.ViolationCount)
 		}
 	}
 }

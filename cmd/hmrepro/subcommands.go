@@ -10,7 +10,6 @@ import (
 	"strings"
 
 	"github.com/hetmem/hetmem/internal/adapt"
-	"github.com/hetmem/hetmem/internal/cluster"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/exp"
 	"github.com/hetmem/hetmem/internal/kernels"
@@ -71,6 +70,9 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		stencil.ReducedBytes = gbBytes(*reduced)
 	}
 	stencil.Iterations = *iters
+	if *nodes < 1 {
+		return fail(stderr, 2, "-nodes %d: need at least one node", *nodes)
+	}
 	if *nodes > 1 {
 		if *appName != "stencil" || *adaptOn || *traceOut != "" || *tiers != 2 {
 			return fail(stderr, 2, "-nodes above 1 runs the distributed stencil only: no -app matmul, -adapt, -trace or -tiers")
@@ -185,36 +187,23 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 // runCluster runs the distributed stencil, perNode on each of nodes,
 // printing per-node audit snapshots when the auditor is on.
 func runCluster(stdout io.Writer, scale exp.Scale, nodes int, perNode kernels.StencilConfig, opts core.Options) error {
-	c, err := cluster.New(cluster.Config{Nodes: nodes, Spec: scale.Machine(), NumPEs: scale.NumPEs(), Opts: opts, Net: cluster.DefaultNetwork()})
+	c, res, err := scale.RunClusterStencil(nodes, opts, perNode, false)
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-	res, err := cluster.RunStencil(c, cluster.StencilConfig{PerNode: perNode, Nodes: nodes})
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(stdout, "distributed Stencil3D, %d nodes x %d PEs, %s\n", nodes, scale.NumPEs(), opts.Mode)
 	fmt.Fprintf(stdout, "  total %8.3f s   avg iteration %.3f s\n", res.Total, res.AvgIter)
 	fmt.Fprintf(stdout, "  halo traffic %.2f GB in %d messages\n", res.NetBytes/float64(1<<30), res.NetMessages)
-	if !opts.Audit {
-		return nil
-	}
-	var violations int64
-	for i, nd := range c.Nodes {
-		nd.MG.Auditor().CheckQuiescent()
+	for _, nd := range c.Nodes {
 		snap, ok := nd.MG.AuditSnapshot()
 		if !ok {
 			continue
 		}
-		snap.Label = fmt.Sprintf("node %d", i)
-		if err := printAudit(stdout, fmt.Sprintf("[node %d]", i), snap); err != nil {
+		snap.Label = fmt.Sprintf("node %d", nd.ID)
+		if err := printAudit(stdout, fmt.Sprintf("[node %d]", nd.ID), snap); err != nil {
 			return err
 		}
-		violations += snap.ViolationCount
-	}
-	if violations > 0 {
-		return fmt.Errorf("audit: %d invariant violation(s) detected", violations)
 	}
 	return nil
 }

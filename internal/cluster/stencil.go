@@ -7,37 +7,6 @@ import (
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
-// StencilConfig sizes a distributed Stencil3D: every node runs the
-// per-node configuration on its own subdomain and exchanges boundary
-// halos with its ±1 neighbours (1-D node decomposition) at each
-// iteration boundary.
-type StencilConfig struct {
-	PerNode kernels.StencilConfig
-	Nodes   int
-	// HaloBytes is the per-direction boundary surface exchanged per
-	// iteration; 0 derives it as one chare block per face.
-	HaloBytes int64
-}
-
-// Validate reports configuration errors.
-func (c StencilConfig) Validate() error {
-	if c.Nodes <= 0 {
-		return fmt.Errorf("cluster: need nodes")
-	}
-	if c.HaloBytes < 0 {
-		return fmt.Errorf("cluster: negative halo")
-	}
-	return c.PerNode.Validate()
-}
-
-// halo returns the effective per-direction halo volume.
-func (c StencilConfig) halo() int64 {
-	if c.HaloBytes > 0 {
-		return c.HaloBytes
-	}
-	return c.PerNode.ChareBytes()
-}
-
 // StencilResult is one distributed run's outcome.
 type StencilResult struct {
 	Nodes int
@@ -60,17 +29,16 @@ type nodeState struct {
 	haloWant int
 }
 
-// RunStencil runs the distributed stencil to completion and returns
-// cluster-level timings. All nodes execute the same per-node working
-// set (weak scaling).
-func RunStencil(c *Cluster, cfg StencilConfig) (*StencilResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(c.Nodes) != cfg.Nodes {
-		return nil, fmt.Errorf("cluster: config wants %d nodes, cluster has %d", cfg.Nodes, len(c.Nodes))
-	}
-	states := make([]*nodeState, cfg.Nodes)
+// RunStencil runs a distributed Stencil3D to completion and returns
+// cluster-level timings. Every node runs perNode on its own subdomain
+// (weak scaling) and, at each iteration boundary, exchanges one chare
+// block per face with its ±1 neighbours (1-D node decomposition). Node
+// i's state is touched solely by events on node i's engine, which is
+// what makes the windows safe.
+func RunStencil(c *Cluster, perNode kernels.StencilConfig) (*StencilResult, error) {
+	n := len(c.Nodes)
+	halo := float64(perNode.ChareBytes())
+	states := make([]*nodeState, n)
 
 	// tryResume continues node i's next iteration once its local
 	// barrier has fired AND both halos arrived.
@@ -84,19 +52,18 @@ func RunStencil(c *Cluster, cfg StencilConfig) (*StencilResult, error) {
 		}
 	}
 
-	for i := 0; i < cfg.Nodes; i++ {
+	for i, nd := range c.Nodes {
 		i := i
-		app, err := kernels.NewStencil(c.Nodes[i].MG, cfg.PerNode)
+		app, err := kernels.NewStencil(nd.MG, perNode)
 		if err != nil {
 			return nil, err
 		}
 		st := &nodeState{app: app}
-		// Neighbours under the 1-D node decomposition.
 		var neighbours []int
 		if i > 0 {
 			neighbours = append(neighbours, i-1)
 		}
-		if i < cfg.Nodes-1 {
+		if i < n-1 {
 			neighbours = append(neighbours, i+1)
 		}
 		st.haloWant = len(neighbours)
@@ -106,7 +73,7 @@ func RunStencil(c *Cluster, cfg StencilConfig) (*StencilResult, error) {
 			// "send updated data to neighbors" across the fabric.
 			for _, nb := range neighbours {
 				nb := nb
-				c.Send(i, nb, float64(cfg.halo()), func() {
+				c.Send(i, nb, halo, func() {
 					states[nb].haloSeen++
 					tryResume(nb)
 				})
@@ -115,15 +82,14 @@ func RunStencil(c *Cluster, cfg StencilConfig) (*StencilResult, error) {
 		}
 	}
 
-	start := c.Eng.Now()
 	for _, st := range states {
 		st.app.Start()
 	}
-	c.Eng.RunAll()
+	c.Run()
 	for i, st := range states {
 		if !st.app.Done() {
 			return nil, fmt.Errorf("cluster: node %d deadlocked after %d/%d iterations",
-				i, len(st.app.IterEnd), cfg.PerNode.Iterations)
+				i, len(st.app.IterEnd), perNode.Iterations)
 		}
 	}
 	var end sim.Time
@@ -132,11 +98,10 @@ func RunStencil(c *Cluster, cfg StencilConfig) (*StencilResult, error) {
 			end = t
 		}
 	}
-	total := end - start
 	return &StencilResult{
-		Nodes:       cfg.Nodes,
-		Total:       total,
-		AvgIter:     total / sim.Time(cfg.PerNode.Iterations),
+		Nodes:       n,
+		Total:       end,
+		AvgIter:     end / sim.Time(perNode.Iterations),
 		NetBytes:    c.Stats.Bytes,
 		NetMessages: c.Stats.Messages,
 	}, nil

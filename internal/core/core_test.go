@@ -583,6 +583,33 @@ func TestMultiIOFetchOnIOThreadLane(t *testing.T) {
 	}
 }
 
+// TestMultiIOCrossPELiveness: asymmetric load. PEs 1-3 reserve the
+// whole 3 GB budget with one 1 GB task each before PE 0's only task
+// arrives, so PE 0's IO thread fails to stage it and sleeps with
+// nothing of its own in flight: no completion or admission on PE 0
+// will wake it again. Only the other PEs' IO threads, once they evict,
+// can — through the cross-PE liveness kick. Without it the run
+// deadlocks with PE 0's task parked in its wait queue.
+func TestMultiIOCrossPELiveness(t *testing.T) {
+	env := newEnv(t, 4, DefaultOptions(MultiIO))
+	app := buildApp(env, 4, 1*gb, 1, nil)
+	env.rt.Main(func(p *sim.Proc) {
+		for i := 1; i < 4; i++ {
+			app.arr.Send(-1, i, app.kern, nil)
+		}
+		p.Sleep(1e-3)
+		app.arr.Send(-1, 0, app.kern, nil)
+	})
+	env.e.RunAll()
+	if !app.done {
+		t.Fatalf("PE 0's task never ran: blocked procs %v", env.e.BlockedProcNames())
+	}
+	assertQuiescent(t, env)
+	if env.mg.Stats.StageRetries == 0 {
+		t.Fatal("PE 0's IO thread never found HBM full; the test no longer stalls it")
+	}
+}
+
 func TestUnpinUnderflowPanics(t *testing.T) {
 	env := newEnv(t, 1, DefaultOptions(SingleIO))
 	h := env.mg.NewHandle("b", 1024)

@@ -5,9 +5,10 @@ import "testing"
 // TestAuditCleanAcrossFigures runs a representative mix of figure
 // drivers with the invariant auditor enabled on every environment they
 // build: the ablation sweeps that exercise the three fixed races
-// (IO-thread counts, prefetch-depth bounds) plus a capacity-pressure
-// figure. Every run must finish with zero violations and produce a
-// coherent metrics snapshot.
+// (IO-thread counts, prefetch-depth bounds), a capacity-pressure
+// figure, and X8, whose cluster nodes are built outside newEnv. Every
+// run must finish with zero violations and produce a coherent metrics
+// snapshot.
 func TestAuditCleanAcrossFigures(t *testing.T) {
 	SetAudit(true)
 	defer SetAudit(false)
@@ -20,6 +21,14 @@ func TestAuditCleanAcrossFigures(t *testing.T) {
 	}
 	if _, err := RunFig8(Small); err != nil {
 		t.Fatal(err)
+	}
+	before := len(auditEnvs)
+	if _, err := RunCluster(Small); err != nil {
+		t.Fatal(err)
+	}
+	// X8 at Small: 1+2+4+8 nodes, each in two modes.
+	if got := len(auditEnvs) - before; got != 30 {
+		t.Fatalf("x8 enrolled %d audited nodes, want 30", got)
 	}
 
 	snaps, violations := DrainAudit()

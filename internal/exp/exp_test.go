@@ -359,21 +359,41 @@ func TestClusterExtension(t *testing.T) {
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows %d", len(r.Rows))
 	}
-	for _, row := range r.Rows {
-		if row.Speedup <= 1 {
-			t.Errorf("%d nodes: MultiIO speedup %.2f, want > 1", row.Nodes, row.Speedup)
-		}
-		if row.WeakSlowdn > 1.3 {
-			t.Errorf("%d nodes: weak-scaling overhead %.2f, want <= 1.3", row.Nodes, row.WeakSlowdn)
-		}
-	}
-	if r.Rows[0].HaloBytes != 0 {
-		t.Error("single node should have no fabric traffic")
-	}
-	if r.Rows[3].HaloBytes <= r.Rows[1].HaloBytes {
-		t.Error("halo traffic should grow with node count")
+	if err := r.Pass(); err != nil {
+		t.Error(err)
 	}
 	if !strings.Contains(r.Table().String(), "weak scaling") {
 		t.Error("table title")
+	}
+}
+
+// TestClusterGate: X8's gate rejects a result that breaks any one of
+// its clauses.
+func TestClusterGate(t *testing.T) {
+	healthy := func() *ClusterResult {
+		return &ClusterResult{Rows: []ClusterRow{
+			{Nodes: 1, Speedup: 2.7, WeakSlowdn: 1, HaloBytes: 0},
+			{Nodes: 2, Speedup: 2.7, WeakSlowdn: 1, HaloBytes: 1},
+			{Nodes: 4, Speedup: 2.7, WeakSlowdn: 1, HaloBytes: 3},
+		}}
+	}
+	if err := healthy().Pass(); err != nil {
+		t.Fatalf("healthy result rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		clause string
+		doctor func(r *ClusterResult)
+	}{
+		{"MultiIO no faster than Naive", func(r *ClusterResult) { r.Rows[2].Speedup = 1 }},
+		{"weak-scaling overhead above 1.3", func(r *ClusterResult) { r.Rows[1].WeakSlowdn = 1.31 }},
+		{"halo traffic on one node", func(r *ClusterResult) { r.Rows[0].HaloBytes = 1 }},
+		{"halo traffic flat", func(r *ClusterResult) { r.Rows[2].HaloBytes = r.Rows[1].HaloBytes }},
+		{"halo traffic falls", func(r *ClusterResult) { r.Rows[2].HaloBytes = 0.5 }},
+	} {
+		r := healthy()
+		tc.doctor(r)
+		if r.Pass() == nil {
+			t.Errorf("%s: gate passed", tc.clause)
+		}
 	}
 }

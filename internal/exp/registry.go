@@ -45,7 +45,7 @@ func Experiments() []Experiment {
 		{Name: "x5", Sweep: true, Run: tableOnly(RunNVM)},
 		{Name: "x6", Sweep: true, Run: tableOnly(RunAblationPrefetchDepth)},
 		{Name: "x7", Sweep: true, Run: tableOnly(RunLoadBalance)},
-		{Name: "x8", Sweep: true, Run: tableOnly(RunCluster)},
+		{Name: "x8", Sweep: true, Run: benched[*ClusterResult, any](RunCluster, nil, (*ClusterResult).Pass)},
 		{Name: "x9", Sweep: true, Snapshot: "BENCH_adapt.json", Run: benched(RunX9, (*X9Result).Bench, nil)},
 		{Name: "x10", Sweep: true, Snapshot: "BENCH_evict.json", Run: benched(RunX10, (*X10Result).Bench, nil)},
 		{Name: "x11", Sweep: true, Snapshot: "BENCH_trace.json", Run: runX11Outcome},

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"github.com/hetmem/hetmem/internal/cluster"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/serve"
@@ -256,36 +255,24 @@ func x12ServeRun(s Scale, raw *X12EngineRow) (X12ServeLeg, error) {
 	return leg, nil
 }
 
-// x12ClusterRun executes the X8 stencil on a parallel cluster and
-// returns its signature, result and wall time.
-func x12ClusterRun(s Scale, nodes int, parallel bool) (string, *cluster.StencilResult, *cluster.PCluster, float64, error) {
-	perNode := s.StencilConfig(s.StencilReducedSizes()[1])
-	perNode.Iterations = 3
-	pc, err := cluster.NewParallel(cluster.Config{
-		Nodes:  nodes,
-		Spec:   s.Machine(),
-		NumPEs: s.NumPEs(),
-		Opts:   s.options(core.MultiIO),
-		Net:    cluster.DefaultNetwork(),
-	}, parallel)
-	if err != nil {
-		return "", nil, nil, 0, err
-	}
+// x12ClusterRun runs the X8 stencil on a nodes-node cluster and
+// returns the run's signature, its cluster leg (less the wall times)
+// and its wall time.
+func x12ClusterRun(s Scale, nodes int, parallel bool) (string, X12ClusterLeg, float64, error) {
 	start := time.Now() //hmlint:ignore determinism X12 measures host wall-clock by design
-	res, err := cluster.RunStencilParallel(pc, cluster.StencilConfig{PerNode: perNode, Nodes: nodes})
+	c, res, err := s.RunClusterStencil(nodes, s.options(core.MultiIO), s.clusterStencil(), parallel)
 	wall := time.Since(start).Seconds() //hmlint:ignore determinism X12 measures host wall-clock by design
 	if err != nil {
-		pc.Close()
-		return "", nil, nil, 0, err
+		return "", X12ClusterLeg{}, 0, err
 	}
-	for i, nd := range pc.Nodes {
-		nd.MG.Auditor().CheckQuiescent()
-		if aerr := nd.MG.Auditor().Err(); aerr != nil {
-			pc.Close()
-			return "", nil, nil, 0, fmt.Errorf("node %d: %w", i, aerr)
-		}
+	defer c.Close()
+	leg := X12ClusterLeg{
+		Nodes:        nodes,
+		VirtualTotal: float64(res.Total),
+		Messages:     c.Stats.Messages,
+		Windows:      c.Stats.Windows,
 	}
-	return pc.Signature(res), res, pc, wall, nil
+	return c.Signature(res), leg, wall, nil
 }
 
 // RunX12 runs both legs at the given scale.
@@ -305,25 +292,18 @@ func RunX12(s Scale) (*X12Result, error) {
 	if s == Full {
 		nodes = 4
 	}
-	serialSig, _, spc, serialWall, err := x12ClusterRun(s, nodes, false)
+	serialSig, _, serialWall, err := x12ClusterRun(s, nodes, false)
 	if err != nil {
 		return nil, fmt.Errorf("exp: x12 serial cluster: %w", err)
 	}
-	defer spc.Close()
-	parallelSig, pres, ppc, parallelWall, err := x12ClusterRun(s, nodes, true)
+	parallelSig, leg, parallelWall, err := x12ClusterRun(s, nodes, true)
 	if err != nil {
 		return nil, fmt.Errorf("exp: x12 parallel cluster: %w", err)
 	}
-	defer ppc.Close()
-	res.Cluster = X12ClusterLeg{
-		Nodes:           nodes,
-		SerialWallSec:   serialWall,
-		ParallelWallSec: parallelWall,
-		Identical:       serialSig == parallelSig,
-		VirtualTotal:    float64(pres.Total),
-		Messages:        ppc.Stats.Messages,
-		Windows:         ppc.Stats.Windows,
-	}
+	leg.SerialWallSec = serialWall
+	leg.ParallelWallSec = parallelWall
+	leg.Identical = serialSig == parallelSig
+	res.Cluster = leg
 	return res, nil
 }
 
