@@ -37,14 +37,16 @@ lint-fix-check:
 	git diff --exit-code
 
 # fuzz gives the native fuzz targets a short bounded run each: the
-# trace codec (seeded from the committed X11 capture) and hetmemd's
-# submit handler. CI runs this on every push; longer local runs just
-# raise FUZZTIME.
+# trace codec (seeded from the committed X11 capture), hetmemd's
+# submit handler and memsim's bandwidth allocator over random flow
+# plans. CI runs this on every push; longer local runs just raise
+# FUZZTIME.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzEncodeParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzSubmit -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/memsim/ -run '^$$' -fuzz FuzzFlowPlans -fuzztime $(FUZZTIME)
 
 # staticcheck is optional locally (the build sandbox has no network to
 # install it); CI installs the pinned version, so the gate always runs

@@ -455,7 +455,12 @@ func TestKernelReadWriteOverlap(t *testing.T) {
 // epsilon, so each flow is done at start; and a mixed one whose first
 // and last segments are below it. The expected values are those of the
 // earlier implementation, which streamed the writes on a spawned
-// process; the process-free write chain must keep every event.
+// process; the process-free write chain must keep every event. memsim
+// schedules one completion event per instant, at the instant's end,
+// where it once scheduled one per flow start and completion and
+// cancelled all but the last: that removed three scheduled-then-
+// cancelled events (26 → 23 scheduled, 4 → 1 cancelled, 21 → 19 served
+// from the free list), and the same 22 fire.
 func TestKernelWriteChainEvents(t *testing.T) {
 	env := newEnv(t, 1, DefaultOptions(DDROnly))
 	rw := env.mg.NewHandle("rw", 256<<20)
@@ -490,7 +495,7 @@ func TestKernelWriteChainEvents(t *testing.T) {
 		}, KernelSpec{TrafficScale: 1e-4})
 	})
 	env.e.RunAll()
-	want := sim.EventStats{Scheduled: 26, Fired: 22, Cancelled: 4, Reused: 21}
+	want := sim.EventStats{Scheduled: 23, Fired: 22, Cancelled: 1, Reused: 19}
 	if st := env.e.EventStats(); st != want {
 		t.Errorf("EventStats = %+v, want %+v", st, want)
 	}

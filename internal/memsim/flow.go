@@ -36,12 +36,11 @@ func (d Demand) resources() [2]*resource {
 }
 
 // Flow is an in-flight byte stream. All of its demands are consumed at
-// the flow's single current rate.
+// the flow's single current rate, its class's rate.
 type Flow struct {
 	sys       *System
 	class     *flowClass // nil for flows that complete on start
 	remaining float64    // bytes
-	rate      float64    // current granted rate
 	started   sim.Time
 	finished  sim.Time
 	done      bool
@@ -61,7 +60,10 @@ type flowClass struct {
 	resources []*resource
 	n         int // live member flows
 	rate      float64
-	frozen    bool // allocator scratch
+	// minRem is the smallest remaining volume among the members that
+	// have not drained: the member that completes first.
+	minRem float64
+	frozen bool // allocator scratch
 }
 
 // classFor returns the live class for demands and cap, creating it at
@@ -82,7 +84,7 @@ func (s *System) classFor(demands []Demand, cap float64) *flowClass {
 		c = &flowClass{}
 	}
 	c.demands = append(c.demands[:0], demands...)
-	c.cap, c.rate, c.frozen = cap, 0, false
+	c.cap, c.rate, c.frozen, c.minRem = cap, 0, false, math.Inf(1)
 	c.resources = c.resources[:0]
 	for _, d := range c.demands {
 		r := d.resources()
@@ -149,8 +151,12 @@ func (s *System) StartFlow(spec FlowSpec) *Flow {
 	s.advance()
 	f.class = s.classFor(spec.Demands, rateCap)
 	f.class.n++
+	if spec.Bytes < f.class.minRem {
+		f.class.minRem = spec.Bytes
+	}
 	s.flows = append(s.flows, f)
-	s.reallocate()
+	s.stats.Starts++
+	s.change()
 	return f
 }
 
@@ -185,8 +191,18 @@ func (f *Flow) Then(fn func()) {
 // Done reports whether the flow has completed.
 func (f *Flow) Done() bool { return f.done }
 
-// Rate returns the flow's current granted rate in bytes/second.
-func (f *Flow) Rate() float64 { return f.rate }
+// Rate returns the flow's current granted rate in bytes/second, zero
+// once it is done. Rates are filled at the end of the instant that
+// changed the flow set; read before then, Rate fills them first.
+func (f *Flow) Rate() float64 {
+	if f.done {
+		return 0
+	}
+	if f.sys.stale {
+		f.sys.fill()
+	}
+	return f.class.rate
+}
 
 // Remaining returns the bytes left to move (advanced to current time).
 func (f *Flow) Remaining() float64 {
@@ -202,7 +218,9 @@ func (f *Flow) Duration() sim.Time {
 	return f.finished - f.started
 }
 
-// advance integrates all flow progress from lastUpdate to now.
+// advance integrates all flow progress from lastUpdate to now. It also
+// records each class's smallest remaining volume among the members that
+// have not drained, and whether any member drained.
 func (s *System) advance() {
 	now := s.e.Now()
 	dt := now - s.lastUpdate
@@ -210,14 +228,23 @@ func (s *System) advance() {
 		s.lastUpdate = now
 		return
 	}
+	for _, c := range s.classes {
+		c.minRem = math.Inf(1)
+	}
 	for _, f := range s.flows {
-		moved := f.rate * dt
+		c := f.class
+		moved := c.rate * dt
 		f.remaining -= moved
 		if f.remaining < 0 {
 			moved += f.remaining
 			f.remaining = 0
 		}
-		for _, d := range f.class.demands {
+		if f.remaining <= byteEps {
+			s.drained = true
+		} else if f.remaining < c.minRem {
+			c.minRem = f.remaining
+		}
+		for _, d := range c.demands {
 			if d.Access == Read {
 				d.Node.BytesRead += moved
 			} else {
@@ -228,19 +255,35 @@ func (s *System) advance() {
 	s.lastUpdate = now
 }
 
-// reallocate recomputes max-min fair rates for all flows (progressive
-// filling), completes any finished flows, and schedules the next
-// completion event.
-//
-// Filling runs over flow classes, not flows. Members of a class share
-// their rate, cap and resource multiset, so in every round they would
-// get the same increment and the same saturation verdict; filling the
-// class once performs exactly the float operations per-flow filling
-// would. Each resource subtracts a round's increment once per unfrozen
-// user, as repeated subtraction rather than one multiply, so its
-// remaining capacity is bit-for-bit what per-flow filling computes.
-func (s *System) reallocate() {
-	// Complete flows that have drained, preserving order of the rest.
+// change records a flow start or a completion event, after advance: it
+// retires the flows that have drained, drops the pending completion
+// event and, while flows remain, reserves the sequence slot of its
+// replacement and queues one fill for the end of the instant. Only the
+// instant's last change keeps its slot, so the completion event the
+// fill schedules fires exactly where an eager fill at that change would
+// have put it.
+func (s *System) change() {
+	if s.drained {
+		s.retire()
+	}
+	s.completion.Cancel()
+	s.completion = sim.EventHandle{}
+	if len(s.flows) == 0 {
+		s.stale = false
+		return
+	}
+	s.completionSeq = s.e.ReserveSeq()
+	s.stale = true
+	if !s.fillQueued {
+		s.fillQueued = true
+		s.e.AtInstantEnd(s.onInstantEnd)
+	}
+}
+
+// retire completes the drained flows in start order, preserving the
+// order of the rest, and moves emptied classes to the idle list.
+func (s *System) retire() {
+	s.drained = false
 	live := s.flows[:0]
 	for _, f := range s.flows {
 		if f.remaining <= byteEps {
@@ -262,12 +305,23 @@ func (s *System) reallocate() {
 	}
 	clear(s.classes[len(classes):])
 	s.classes = classes
+}
 
-	s.completion.Cancel()
-	s.completion = sim.EventHandle{}
-	if len(s.flows) == 0 {
-		return
-	}
+// fill recomputes max-min fair rates for all flows (progressive
+// filling) and schedules the next completion event in the slot the
+// instant's last change reserved.
+//
+// Filling runs over flow classes, not flows. Members of a class share
+// their rate, cap and resource multiset, so in every round they would
+// get the same increment and the same saturation verdict; filling the
+// class once performs exactly the float operations per-flow filling
+// would. Each resource subtracts a round's increment once per unfrozen
+// user, as repeated subtraction rather than one multiply, so its
+// remaining capacity is bit-for-bit what per-flow filling computes.
+func (s *System) fill() {
+	s.stale = false
+	s.stats.Fills++
+	s.stats.FillFlows += int64(len(s.flows))
 
 	// Gather the distinct resources in first-use order, counting every
 	// live flow's use.
@@ -320,9 +374,11 @@ func (s *System) reallocate() {
 		for _, r := range resources {
 			// One subtraction per user, never inc*users: the
 			// multiply rounds differently from per-flow filling.
+			remCap := r.remCap
 			for i := 0; i < r.users; i++ {
-				r.remCap -= inc
+				remCap -= inc
 			}
+			r.remCap = remCap
 		}
 		progressed := false
 		for _, c := range s.classes {
@@ -352,24 +408,32 @@ func (s *System) reallocate() {
 		}
 	}
 
-	// Hand each flow its class's rate and schedule the next completion.
+	// The next completion is the class whose smallest member runs out
+	// first. Dividing by a positive rate is monotone under rounding, so
+	// this is the per-flow minimum of remaining/rate bit for bit.
 	next := math.Inf(1)
-	for _, f := range s.flows {
-		f.rate = f.class.rate
-		if f.rate <= 0 {
-			panic(fmt.Sprintf("memsim: flow starved (rate 0, %g bytes left)", f.remaining))
+	for _, c := range s.classes {
+		if c.rate <= 0 {
+			panic(fmt.Sprintf("memsim: flow starved (rate 0, %g bytes left)", c.minRem))
 		}
-		if t := f.remaining / f.rate; t < next {
+		if t := c.minRem / c.rate; t < next {
 			next = t
 		}
 	}
-	s.completion = s.e.After(next, s.onCompletion)
+	now := s.e.Now()
+	at := now + next
+	if at == now {
+		// The delay rounds away at this clock value: completing now
+		// would move no bytes and reschedule itself forever. One ulp
+		// later the flow's residual, at most rate·ulp/2, drains.
+		at = math.Nextafter(now, math.Inf(1))
+	}
+	s.completion = s.e.ScheduleReserved(at, s.completionSeq, s.onCompletion)
 }
 
 // finish marks f complete and releases its waiters.
 func (s *System) finish(f *Flow) {
 	f.done = true
-	f.rate = 0
 	f.remaining = 0
 	f.finished = s.e.Now()
 	if f.waiter != nil {

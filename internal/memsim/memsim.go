@@ -7,10 +7,15 @@
 // or a memcpy migrating a block between nodes) that simultaneously
 // consumes one or more bandwidth resources at a single rate, optionally
 // capped (e.g. by a core's maximum streaming rate). Rates are assigned
-// by progressive filling (max-min fairness) and recomputed whenever a
-// flow starts or finishes, so contention between prefetch traffic and
-// kernel traffic — the effect the paper's overlap argument depends on —
-// falls out of the model.
+// by progressive filling (max-min fairness) and recomputed at the end of
+// every instant in which a flow starts or finishes, so contention
+// between prefetch traffic and kernel traffic — the effect the paper's
+// overlap argument depends on — falls out of the model. A start or a
+// completion only integrates progress, retires drained flows and
+// reserves the next completion's event slot; one fill per instant then
+// computes the rates (sim.Engine.AtInstantEnd) and schedules that
+// completion in the reserved slot, so events fire in the order an
+// eager fill at every change would give.
 //
 // Filling runs once per flow class — the live flows sharing one demand
 // list and one cap — rather than once per flow. Members of a class get
@@ -194,9 +199,28 @@ type System struct {
 	resources   []*resource // allocator scratch, reused across calls
 	lastUpdate  sim.Time
 	completion  sim.EventHandle
-	// onCompletion is the completion-event callback, bound once so
-	// scheduling it does not allocate a closure per reallocation.
+	// completionSeq is the engine sequence slot reserved by the last
+	// change; the next fill schedules the completion event in it.
+	completionSeq int64
+	drained       bool // an advance drained a flow that is not retired yet
+	stale         bool // the flow set changed since the last fill
+	fillQueued    bool // onInstantEnd waits for the instant to end
+	// onCompletion and onInstantEnd are the completion-event callback
+	// and the end-of-instant fill, bound once so that scheduling and
+	// registering them allocate nothing.
 	onCompletion func()
+	onInstantEnd func()
+	stats        Stats
+}
+
+// Stats counts the bandwidth allocator's work since the system was
+// created. Starts plus Completions is the number of fills an allocator
+// that refilled on every change would run.
+type Stats struct {
+	Starts      int64 // flows started with more than byteEps bytes
+	Completions int64 // completion events fired
+	Fills       int64 // progressive fillings run
+	FillFlows   int64 // live flows, summed over the fills
 }
 
 // NewSystem builds a memory system on e from specs. Node IDs are the
@@ -205,8 +229,15 @@ type System struct {
 func NewSystem(e *sim.Engine, specs []NodeSpec) *System {
 	s := &System{e: e}
 	s.onCompletion = func() {
+		s.stats.Completions++
 		s.advance()
-		s.reallocate()
+		s.change()
+	}
+	s.onInstantEnd = func() {
+		s.fillQueued = false
+		if s.stale {
+			s.fill()
+		}
 	}
 	for i, sp := range specs {
 		if sp.Cap <= 0 || sp.ReadBW <= 0 || sp.WriteBW <= 0 {
@@ -278,3 +309,6 @@ func (s *System) Chain() []*Node {
 
 // ActiveFlows returns the number of in-flight flows.
 func (s *System) ActiveFlows() int { return len(s.flows) }
+
+// Stats returns the allocator's cumulative work counters.
+func (s *System) Stats() Stats { return s.stats }

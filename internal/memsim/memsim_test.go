@@ -616,3 +616,75 @@ func TestTierRank(t *testing.T) {
 	}()
 	NodeKind(42).TierRank()
 }
+
+// TestDeferredCompletionKeepsItsSlot checks that the completion event
+// the end-of-instant fill schedules fires where an eager fill at the
+// instant's last change would have put it: before an event scheduled
+// after that change for the same time. Flow A, 1 GB at 1 GB/s,
+// completes at exactly t=1; flow B, in another class and running until
+// t=10, only changes the flow set.
+func TestDeferredCompletionKeepsItsSlot(t *testing.T) {
+	e := sim.NewEngine(1)
+	s := testSystem(e)
+	var a *Flow
+	sawDone := false
+	e.Schedule(0, func() {
+		a = s.StartFlow(FlowSpec{Bytes: gb, Demands: []Demand{{Node: s.Node(0), Access: Read}}, RateCap: gb})
+		s.StartFlow(FlowSpec{Bytes: 10 * gb, Demands: []Demand{{Node: s.Node(1), Access: Read}}, RateCap: gb})
+		e.Schedule(1, func() { sawDone = a.Done() })
+	})
+	e.RunAll()
+	if a.Duration() != 1 {
+		t.Fatalf("flow A took %v, want exactly 1", a.Duration())
+	}
+	if !sawDone {
+		t.Fatal("an event scheduled after the starts for t=1 ran before flow A's completion")
+	}
+}
+
+// TestStatsCountFillsPerInstant checks the allocator's counters: any
+// number of starts in one instant share one fill, and each instant with
+// a start gets its own.
+func TestStatsCountFillsPerInstant(t *testing.T) {
+	e := sim.NewEngine(1)
+	s := testSystem(e)
+	start := func(n int) func() {
+		return func() {
+			for i := 0; i < n; i++ {
+				s.StartFlow(FlowSpec{Bytes: 100 * gb, Demands: []Demand{{Node: s.Node(i % 2), Access: Read}}, RateCap: 10 * gb})
+			}
+			s.StartFlow(FlowSpec{Bytes: 0, Demands: []Demand{{Node: s.Node(0), Access: Read}}})
+		}
+	}
+	e.Schedule(0.25, start(5))
+	e.Run(0.5)
+	if got, want := s.Stats(), (Stats{Starts: 5, Fills: 1, FillFlows: 5}); got != want {
+		t.Fatalf("after one instant of 5 starts: Stats %+v, want %+v", got, want)
+	}
+	e.Schedule(0.75, start(3))
+	e.Run(1)
+	if got, want := s.Stats(), (Stats{Starts: 8, Fills: 2, FillFlows: 13}); got != want {
+		t.Fatalf("after a second instant of 3 starts: Stats %+v, want %+v", got, want)
+	}
+	e.RunAll()
+	st := s.Stats()
+	if st.Completions == 0 || st.Fills > st.Starts+st.Completions {
+		t.Fatalf("after RunAll: Stats %+v, want completions and at most one fill per change", st)
+	}
+}
+
+// TestCompletionDelayBelowULP is the regression for a livelock: once the
+// clock is large, now+remaining/rate can round to now, and the completion
+// event then fired at the same instant forever, moving no bytes. The
+// plans are the two reproductions on the KNL MCDRAM node: an uncapped
+// read at 450 GB/s and a read capped at the 11 GB/s per-core rate.
+func TestCompletionDelayBelowULP(t *testing.T) {
+	for _, pf := range []plannedFlow{
+		{start: 85.99913344186518, bytes: 2524946432, src: 1, dst: -1},
+		{start: 1499.4476561730858, bytes: 1278242816, cap: 11 * gb, src: 1, dst: -1},
+	} {
+		if _, err := runPlan(flowPlan{flows: []plannedFlow{pf}}); err != nil {
+			t.Errorf("flow of %v bytes capped at %v started at %v: %v", pf.bytes, pf.cap, pf.start, err)
+		}
+	}
+}

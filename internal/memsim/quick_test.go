@@ -1,11 +1,13 @@
 package memsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/hetmem/hetmem/internal/sim"
 )
@@ -38,16 +40,45 @@ func (pf plannedFlow) demands(s *System) []Demand {
 	return []Demand{read, write}
 }
 
-// Generate implements quick.Generator. Caps are drawn so that flows
-// often share one (kernel flows at a common per-core rate) and often
-// differ slightly (serve's fair lanes re-dividing the memcpy rate every
-// window); starts are spread so that classes empty out and recur.
+// planSystem builds the two-node KNL memory system the plans run on:
+// DDR4 node 0 and MCDRAM node 1.
+func planSystem(e *sim.Engine) *System {
+	return NewSystem(e, []NodeSpec{
+		{Name: "DDR", Kind: DDR, Cap: 1 << 40, ReadBW: 95 * float64(1<<30), WriteBW: 80 * float64(1<<30), TotalBW: 90 * float64(1<<30)},
+		{Name: "HBM", Kind: HBM, Cap: 1 << 40, ReadBW: 450 * float64(1<<30), WriteBW: 385 * float64(1<<30), TotalBW: 465 * float64(1<<30)},
+	})
+}
+
+// Generate implements quick.Generator: a plan whose starts spread over
+// one second.
 func (flowPlan) Generate(r *rand.Rand, size int) reflect.Value {
+	return reflect.ValueOf(randomPlan(r, 1, 0))
+}
+
+// burstPlan is a flowPlan whose flows start on four instants, so that
+// several flows often start in one instant.
+type burstPlan struct{ flowPlan }
+
+// Generate implements quick.Generator.
+func (burstPlan) Generate(r *rand.Rand, size int) reflect.Value {
+	return reflect.ValueOf(burstPlan{randomPlan(r, 1, 4)})
+}
+
+// randomPlan draws 1 to 24 flows starting in [0, span), on that many
+// evenly spaced instants when instants > 0. Caps are drawn so that
+// flows often share one (kernel flows at a common per-core rate) and
+// often differ slightly (serve's fair lanes re-dividing the memcpy rate
+// every window); starts are spread so that classes empty out and recur.
+func randomPlan(r *rand.Rand, span sim.Time, instants int) flowPlan {
 	n := 1 + r.Intn(24)
 	p := flowPlan{}
 	for i := 0; i < n; i++ {
+		start := span * r.Float64()
+		if instants > 0 {
+			start = span * sim.Time(r.Intn(instants)) / sim.Time(instants)
+		}
 		f := plannedFlow{
-			start: sim.Time(r.Float64()),
+			start: start,
 			bytes: float64(1+r.Intn(64)) * float64(1<<26), // 64MB..4GB
 			cap:   0,
 			src:   r.Intn(2),
@@ -67,7 +98,7 @@ func (flowPlan) Generate(r *rand.Rand, size int) reflect.Value {
 		}
 		p.flows = append(p.flows, f)
 	}
-	return reflect.ValueOf(p)
+	return p
 }
 
 // TestQuickFlowInvariants drives random flow mixes through the
@@ -80,10 +111,7 @@ func (flowPlan) Generate(r *rand.Rand, size int) reflect.Value {
 func TestQuickFlowInvariants(t *testing.T) {
 	check := func(plan flowPlan) bool {
 		e := sim.NewEngine(99)
-		s := NewSystem(e, []NodeSpec{
-			{Name: "DDR", Kind: DDR, Cap: 1 << 40, ReadBW: 95 * float64(1<<30), WriteBW: 80 * float64(1<<30), TotalBW: 90 * float64(1<<30)},
-			{Name: "HBM", Kind: HBM, Cap: 1 << 40, ReadBW: 450 * float64(1<<30), WriteBW: 385 * float64(1<<30), TotalBW: 465 * float64(1<<30)},
-		})
+		s := planSystem(e)
 		type outcome struct {
 			dur   sim.Time
 			lower sim.Time
@@ -199,7 +227,7 @@ type refFlow struct {
 // referenceRates is the per-flow progressive filling the allocator ran
 // before it filled flow classes, kept as the oracle the class allocator
 // must match bit for bit. It overwrites the resources' allocator
-// scratch, which reallocate re-initialises on every call.
+// scratch, which fill re-initialises on every call.
 func referenceRates(flows []*refFlow) {
 	// Gather the distinct resources in first-use order.
 	var resources []*resource
@@ -308,10 +336,7 @@ func TestQuickRatesMatchPerFlowReference(t *testing.T) {
 	check := func(plan flowPlan) bool {
 		e := sim.NewEngine(99)
 		defer e.Close()
-		s := NewSystem(e, []NodeSpec{
-			{Name: "DDR", Kind: DDR, Cap: 1 << 40, ReadBW: 95 * float64(1<<30), WriteBW: 80 * float64(1<<30), TotalBW: 90 * float64(1<<30)},
-			{Name: "HBM", Kind: HBM, Cap: 1 << 40, ReadBW: 450 * float64(1<<30), WriteBW: 385 * float64(1<<30), TotalBW: 465 * float64(1<<30)},
-		})
+		s := planSystem(e)
 		var started []*liveFlow
 		ok := true
 		compare := func(when string) {
@@ -402,4 +427,142 @@ func TestQuickRatesMatchPerFlowReference(t *testing.T) {
 	}
 	t.Logf("same-node %d, uncapped %d, permuted %d, shared %d, recurred %d, max distinct caps %d",
 		sameNode, uncapped, permuted, shared, recurred, maxCaps)
+}
+
+// planTimeout bounds one plan's run. A plan drains in milliseconds; an
+// allocator that reschedules a completion at the same instant forever
+// never does.
+const planTimeout = 10 * time.Second
+
+// runPlan runs plan on its own goroutine and returns the allocator's
+// counters and the first failure: a rate that differs from the per-flow
+// reference, a fill that had not run by an instant's end, a flow left
+// active, or an engine that did not drain within planTimeout. The
+// goroutine of a run that timed out keeps spinning; it ends with the
+// test binary.
+func runPlan(plan flowPlan) (Stats, error) {
+	type result struct {
+		st  Stats
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		st, err := runPlanDeferred(plan)
+		done <- result{st, err}
+	}()
+	select {
+	case r := <-done:
+		return r.st, r.err
+	case <-time.After(planTimeout):
+		return Stats{}, fmt.Errorf("the engine did not drain within %v (plan %+v)", planTimeout, plan.flows)
+	}
+}
+
+// runPlanDeferred runs plan without reading a rate mid-instant. At the
+// end of every instant in which a flow started or finished, it checks
+// each live flow's rate against the per-flow reference bit for bit, and
+// that reading the rates ran no fill: the instant's deferred fill had
+// already run.
+func runPlanDeferred(plan flowPlan) (Stats, error) {
+	e := sim.NewEngine(99)
+	defer e.Close()
+	s := planSystem(e)
+	type liveFlow struct {
+		f   *Flow
+		ref refFlow
+	}
+	var (
+		started     []*liveFlow
+		err         error
+		checkQueued bool
+	)
+	check := func() {
+		checkQueued = false
+		fills := s.Stats().Fills
+		var live []*liveFlow
+		var refs []*refFlow
+		for _, lf := range started {
+			if !lf.f.Done() {
+				live = append(live, lf)
+				refs = append(refs, &lf.ref)
+			}
+		}
+		referenceRates(refs)
+		for i, lf := range live {
+			if got, want := lf.f.Rate(), refs[i].rate; math.Float64bits(got) != math.Float64bits(want) && err == nil {
+				err = fmt.Errorf("at the end of t=%v: live flow %d rate %v, reference %v", e.Now(), i, got, want)
+			}
+		}
+		if s.Stats().Fills != fills && err == nil {
+			err = fmt.Errorf("at the end of t=%v: reading the rates ran a fill", e.Now())
+		}
+	}
+	queueCheck := func() {
+		if !checkQueued {
+			checkQueued = true
+			e.AtInstantEnd(check)
+		}
+	}
+	for _, pf := range plan.flows {
+		pf := pf
+		e.Schedule(pf.start, func() {
+			cap := pf.cap
+			if cap <= 0 {
+				cap = math.Inf(1)
+			}
+			lf := &liveFlow{ref: refFlow{demands: pf.demands(s), cap: cap}}
+			lf.f = s.StartFlow(FlowSpec{Bytes: pf.bytes, Demands: lf.ref.demands, RateCap: pf.cap})
+			lf.f.Then(queueCheck)
+			started = append(started, lf)
+			queueCheck()
+		})
+	}
+	e.RunAll()
+	if n := s.ActiveFlows(); n != 0 && err == nil {
+		err = fmt.Errorf("%d flows still active after RunAll", n)
+	}
+	return s.Stats(), err
+}
+
+// TestQuickDeferredRatesMatchPerFlowReference drives the deferred fill
+// alone: several flows start in one instant and no rate is read until
+// the instant ends, where every live flow's rate must equal the
+// per-flow reference allocator's bit for bit. The seed is fixed, and
+// the test checks that the plans merged changes into shared fills.
+func TestQuickDeferredRatesMatchPerFlowReference(t *testing.T) {
+	var total Stats
+	check := func(plan burstPlan) bool {
+		st, err := runPlan(plan.flowPlan)
+		if err != nil {
+			t.Error(err)
+			return false
+		}
+		total.Starts += st.Starts
+		total.Completions += st.Completions
+		total.Fills += st.Fills
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(2))}
+	if err := quick.Check(check, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if changes := total.Starts + total.Completions; total.Fills >= changes {
+		t.Errorf("%d fills for %d starts and completions: no fill served several changes", total.Fills, changes)
+	}
+	t.Logf("%d starts, %d completion events, %d fills", total.Starts, total.Completions, total.Fills)
+}
+
+// FuzzFlowPlans runs random flow plans whose starts reach 10^4 s, where
+// a completion delay can round away against the clock, and checks that
+// every run drains with its rates equal to the per-flow reference.
+func FuzzFlowPlans(f *testing.F) {
+	f.Add(int64(1), uint16(1), uint8(0))
+	f.Add(int64(2), uint16(100), uint8(4))
+	f.Add(int64(3), uint16(10000), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, span uint16, instants uint8) {
+		plan := randomPlan(rand.New(rand.NewSource(seed)), sim.Time(span%10001), int(instants%16))
+		if _, err := runPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

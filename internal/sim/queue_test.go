@@ -11,7 +11,8 @@ import (
 //
 // Recorded callbacks schedule more recorded events by every route —
 // Schedule at now and later, After, lock charges of two different
-// values — and cancel random earlier ones wherever they sit. Processes
+// values, and a slot reserved at once and scheduled at the instant's
+// end — and cancel random earlier ones wherever they sit. Processes
 // meanwhile take charged locks of the same two values, sleep (zero
 // sleeps included) and try locks, so process wakes interleave with the
 // recorded events on the same queues. The driver runs the engine in
@@ -79,7 +80,17 @@ func checkMergedOrder(t *testing.T, seed int64) {
 			}
 		}
 		var h EventHandle
-		switch rng.Intn(5) {
+		switch rng.Intn(6) {
+		case 5:
+			// Reserve the slot now (seq, read above) and schedule
+			// into it once the instant ends, as memsim schedules its
+			// completions.
+			e.ReserveSeq()
+			at = e.Now() + Time(1+rng.Intn(4))*tick
+			e.AtInstantEnd(func() {
+				events = append(events, tracked{e.ScheduleReserved(at, seq, fn), seq})
+			})
+			return
 		case 0:
 			at = e.Now()
 			h = e.Schedule(at, fn)

@@ -26,6 +26,15 @@
 // minimum (t, seq) among the heap top and the FIFO heads, so the merged
 // order is exactly the order one heap would give.
 //
+// A caller that must act once per instant, after every event at that
+// instant, registers with AtInstantEnd: the engine runs the hook when no
+// event is left at the current time, before the clock moves on. memsim
+// fills its bandwidth rates this way, once per instant rather than once
+// per flow start and completion. The event the hook schedules can still
+// take its place in the instant's order: ReserveSeq takes a sequence
+// number when the need arises, and ScheduleReserved schedules the event
+// with it later.
+//
 // The hot path is allocation-free at steady state: fired and cancelled
 // events return to a free list and are reused by later Schedule calls
 // (generation counters keep stale handles harmless), the event heap is
@@ -210,7 +219,7 @@ func (q *fifo) drop() {
 // EventStats counts engine activity since creation; used by the X12
 // throughput benchmark and by tests asserting pool behaviour.
 type EventStats struct {
-	Scheduled int64 // Schedule/After calls
+	Scheduled int64 // Schedule/After/ScheduleReserved calls
 	Fired     int64 // events whose callback ran
 	Cancelled int64 // events cancelled before they fired
 	Reused    int64 // Schedule calls served from the free list
@@ -232,6 +241,13 @@ type Engine struct {
 	rng    *rand.Rand
 	nlive  int // processes spawned and not yet finished
 	stats  EventStats
+
+	// atEnd holds the AtInstantEnd hooks waiting for the current
+	// instant to end, in registration order; running is true while Run
+	// or RunBefore fires events, so a hook registered outside them runs
+	// at once.
+	atEnd   []func()
+	running bool
 
 	// quiesceHook runs whenever Run drains the event queue. With live
 	// processes still parked this is the only moment a silent hang can
@@ -276,7 +292,7 @@ func (e *Engine) Schedule(t Time, fn func()) EventHandle {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	ev := e.newEvent(t, fn)
+	ev := e.newEvent(t, e.ReserveSeq(), fn)
 	if t == e.now {
 		e.enqueue(&e.nowq, ev)
 	} else {
@@ -285,12 +301,63 @@ func (e *Engine) Schedule(t Time, fn func()) EventHandle {
 	return EventHandle{eng: e, ev: ev, gen: ev.gen}
 }
 
+// ReserveSeq takes the next sequence number without scheduling anything.
+// ScheduleReserved later schedules an event with it, and the event then
+// fires among same-time events as if it had been scheduled at the moment
+// of the reservation. A reservation that is never used costs nothing.
+func (e *Engine) ReserveSeq() int64 {
+	seq := e.seq
+	e.seq++
+	return seq
+}
+
+// ScheduleReserved registers fn to run at absolute virtual time t with
+// the sequence number seq, which ReserveSeq must have returned and no
+// other event may carry. Like Schedule, it panics on a time before now.
+// The event goes on the heap, which orders any (t, seq); the FIFOs
+// assume that events arrive in sequence order.
+func (e *Engine) ScheduleReserved(t Time, seq int64, fn func()) EventHandle {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
+	}
+	if seq >= e.seq {
+		panic(fmt.Sprintf("sim: sequence number %d was never reserved", seq))
+	}
+	ev := e.newEvent(t, seq, fn)
+	e.events.push(ev)
+	return EventHandle{eng: e, ev: ev, gen: ev.gen}
+}
+
+// AtInstantEnd registers fn to run once the current instant has no event
+// left: after every event at the current time, those scheduled by
+// earlier hooks included, and before the clock advances or Run or
+// RunBefore returns. Outside Run and RunBefore it runs fn at once.
+// Registering allocates nothing at steady state. Hooks that a panic left
+// pending run at the next Run or RunBefore.
+func (e *Engine) AtInstantEnd(fn func()) {
+	if !e.running {
+		fn()
+		return
+	}
+	e.atEnd = append(e.atEnd, fn)
+}
+
+// endInstant runs the oldest pending AtInstantEnd hook. The hook leaves
+// the list before it runs, so a panicking hook is not run twice.
+func (e *Engine) endInstant() {
+	fn := e.atEnd[0]
+	n := copy(e.atEnd, e.atEnd[1:])
+	e.atEnd[n] = nil
+	e.atEnd = e.atEnd[:n]
+	fn()
+}
+
 // scheduleCharge registers fn to run d > 0 seconds from now, on the
 // FIFO of lock charges of d. The charges of one d are queued at a
 // non-decreasing now plus the same d, and rounded float addition is
 // monotone, so the FIFO is in (t, seq) order.
 func (e *Engine) scheduleCharge(d Time, fn func()) EventHandle {
-	ev := e.newEvent(e.now+d, fn)
+	ev := e.newEvent(e.now+d, e.ReserveSeq(), fn)
 	i := 0
 	for i < len(e.locks) && e.locks[i].d != d {
 		i++
@@ -303,8 +370,8 @@ func (e *Engine) scheduleCharge(d Time, fn func()) EventHandle {
 }
 
 // newEvent takes an event object from the free list, or allocates one,
-// and stamps it with t, the next sequence number and fn.
-func (e *Engine) newEvent(t Time, fn func()) *event {
+// and stamps it with t, seq and fn.
+func (e *Engine) newEvent(t Time, seq int64, fn func()) *event {
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -314,8 +381,7 @@ func (e *Engine) newEvent(t Time, fn func()) *event {
 	} else {
 		ev = &event{}
 	}
-	ev.t, ev.seq, ev.fn = t, e.seq, fn
-	e.seq++
+	ev.t, ev.seq, ev.fn = t, seq, fn
 	e.stats.Scheduled++
 	return ev
 }
@@ -441,8 +507,14 @@ func (e *Engine) step(ev *event, q *fifo) {
 // event. Processes still blocked when the queue drains are left parked
 // (a subsequent Schedule/wake can revive them); call Close to reap them.
 func (e *Engine) Run(until Time) Time {
+	defer e.exitLoop(e.running)
+	e.running = true
 	for {
 		ev, q := e.next()
+		if len(e.atEnd) > 0 && (ev == nil || ev.t != e.now) {
+			e.endInstant()
+			continue
+		}
 		if ev == nil || ev.t > until {
 			break
 		}
@@ -465,8 +537,14 @@ func (e *Engine) Run(until Time) Time {
 // quiescent while barrier messages may still arrive. This is the
 // building block for conservative parallel DES (internal/cluster).
 func (e *Engine) RunBefore(horizon Time) Time {
+	defer e.exitLoop(e.running)
+	e.running = true
 	for {
 		ev, q := e.next()
+		if len(e.atEnd) > 0 && (ev == nil || ev.t != e.now) {
+			e.endInstant()
+			continue
+		}
 		if ev == nil || ev.t >= horizon {
 			break
 		}
@@ -474,6 +552,11 @@ func (e *Engine) RunBefore(horizon Time) Time {
 	}
 	return e.now
 }
+
+// exitLoop restores the loop state Run or RunBefore found on entry. They
+// defer it, so a body panic that unwinds through them does not leave
+// AtInstantEnd deferring hooks that nothing will run.
+func (e *Engine) exitLoop(running bool) { e.running = running }
 
 // PeekTime returns the timestamp of the earliest pending event, or
 // (0, false) when the queue is empty.
