@@ -90,34 +90,23 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime 1x . ./internal/sim ./internal/memsim
 
 # snapshots regenerates every committed result of the experiment
-# registry (internal/exp/registry.go): the full-scale default sweep
-# writes results_full.txt and the virtual-time BENCH_*.json snapshots,
-# then X12, which measures host wall-clock and so stays outside the
-# sweep, writes BENCH_engine.json. Expect host-to-host variance in
-# BENCH_engine.json's timings; its ENGINE_FIELDS are stable.
+# registry (internal/exp/registry.go): the full-scale sweep, which runs
+# every entry, writes results_full.txt and the BENCH_*.json snapshots.
+# Every number in them is virtual time.
 snapshots:
 	$(GO) run ./cmd/hmrepro -bench-dir . > results_full.txt
-	$(GO) run ./cmd/hmrepro -only x12 -bench-dir . > /dev/null
-
-# ENGINE_FIELDS projects BENCH_engine.json onto its deterministic
-# fields: the event counts of each engine row, the serve row's shape,
-# and the cluster leg's identity bit and virtual results. The
-# wall-clock fields vary host to host and stay unchecked.
-ENGINE_FIELDS = {engine: [.engine[] | {tasks, events_scheduled, events_cancelled, events_reused}], serve: (.serve | {sessions, tenants, tasks, windows}), cluster: (.cluster | {nodes, byte_identical, virtual_makespan_s, fabric_messages, windows})}
 
 # bench-check guards the committed results against drift: it runs the
-# same two commands as `snapshots` into a temp dir and fails when the
-# full sweep's stdout differs from results_full.txt, when any committed
+# same command as `snapshots` into a temp dir and fails when the full
+# sweep's stdout differs from results_full.txt, when any committed
 # BENCH_*.json differs from its fresh copy, or when a snapshot exists on
 # one side only (a registry entry that lost its committed file, or a
-# committed file no entry writes). BENCH_engine.json is wall-clock by
-# design, so only its ENGINE_FIELDS projection is compared (needs jq).
-# It runs the full-scale figures, so it is the slow, thorough gate (CI
-# runs the small-scale sweep separately).
+# committed file no entry writes). It runs the full-scale figures, so
+# it is the slow, thorough gate (CI runs the small-scale sweep
+# separately).
 bench-check:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; rc=0; \
 	$(GO) run ./cmd/hmrepro -bench-dir $$tmp > $$tmp/results_full.txt || { echo "bench-check: the full sweep failed"; rc=1; }; \
-	$(GO) run ./cmd/hmrepro -only x12 -bench-dir $$tmp > /dev/null || { echo "bench-check: the x12 run failed"; rc=1; }; \
 	cmp -s results_full.txt $$tmp/results_full.txt || { echo "bench-check: results_full.txt drifted from a fresh full sweep"; rc=1; }; \
 	for f in BENCH_*.json; do \
 		[ -e "$$tmp/$$f" ] || { echo "bench-check: $$f is committed but no registry entry writes it"; rc=1; }; \
@@ -125,10 +114,6 @@ bench-check:
 	for fresh in $$tmp/BENCH_*.json; do \
 		f=$${fresh##*/}; \
 		if [ ! -e "$$f" ]; then echo "bench-check: $$f is written by the registry but not committed"; rc=1; \
-		elif [ "$$f" = BENCH_engine.json ]; then \
-			jq -S '$(ENGINE_FIELDS)' "$$f" > $$tmp/engine.want && \
-			jq -S '$(ENGINE_FIELDS)' "$$fresh" > $$tmp/engine.got && \
-			cmp -s $$tmp/engine.want $$tmp/engine.got || { echo "bench-check: $$f deterministic fields drifted from a fresh run"; rc=1; }; \
 		elif ! cmp -s "$$f" "$$fresh"; then echo "bench-check: $$f drifted from a fresh run"; rc=1; fi; \
 	done; \
 	[ $$rc -eq 0 ] && echo "bench-check: results_full.txt and the committed snapshots match fresh runs"; \

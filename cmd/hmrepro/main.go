@@ -11,9 +11,8 @@
 //	hmrepro stream [-threads 64] [-array BYTES] [-quadrant]         # Fig 1 STREAM
 //	hmrepro projections [-scale small] [-timelines] [-json DIR]     # Figs 5-6 timelines
 //
-// The default sweep runs every experiment but X12, whose numbers are
-// host wall-clock. A failed gate or audit violation exits 1 after every
-// table has printed; usage errors exit 2.
+// The default sweep runs every experiment. A failed gate or audit
+// violation exits 1 after every table has printed; usage errors exit 2.
 package main
 
 import (
@@ -84,7 +83,7 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 		}
 	default:
 		for _, e := range exp.Experiments() {
-			if e.Sweep && !(*skipExt && e.Extension()) {
+			if !(*skipExt && e.Extension()) {
 				exps = append(exps, e)
 			}
 		}

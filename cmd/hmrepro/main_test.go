@@ -90,6 +90,7 @@ func TestBenchDirWritesOnlyTheRunSnapshots(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-only", "x99"},
+		{"-only", "x12"},
 		{"-scale", "smal"},
 		{"-only", "x1", "-skip-ext"},
 		{"-evict-policy", "belady"},
@@ -113,9 +114,11 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("%v: printed %q before failing", args, out)
 		}
 	}
-	code, _, errb := exec("-only", "x99")
-	if code != 2 || !strings.Contains(errb, exp.ExperimentNames()) {
-		t.Errorf("unknown -only name: exit %d, stderr %q does not list the valid names", code, errb)
+	for _, name := range []string{"x99", "x12"} {
+		code, _, errb := exec("-only", name)
+		if code != 2 || !strings.Contains(errb, exp.ExperimentNames()) {
+			t.Errorf("unknown -only name %s: exit %d, stderr %q does not list the valid names", name, code, errb)
+		}
 	}
 }
 

@@ -187,7 +187,7 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 // runCluster runs the distributed stencil, perNode on each of nodes,
 // printing per-node audit snapshots when the auditor is on.
 func runCluster(stdout io.Writer, scale exp.Scale, nodes int, perNode kernels.StencilConfig, opts core.Options) error {
-	c, res, err := scale.RunClusterStencil(nodes, opts, perNode, false)
+	c, res, err := scale.RunClusterStencil(nodes, opts, perNode)
 	if err != nil {
 		return err
 	}

@@ -16,10 +16,9 @@
 // horizon_k, so no event inside the window can affect another node
 // within the same window. Engines share no state; cross-node messages
 // buffer in per-node outboxes and are merged at the barrier in a
-// deterministic (deliver-time, source, sequence) order. Serial and
-// goroutine-parallel execution of the windows are therefore
-// byte-identical — hmlint's determinism analyzer and the
-// serial-vs-parallel tests guard this.
+// deterministic (deliver-time, source, sequence) order. Each window
+// runs the nodes one after another; since no event in a window touches
+// another node, that order does not change the result.
 //
 // The fabric is store-and-forward, because a coupled flow over source
 // egress and destination ingress cannot be decomposed across engines:
@@ -35,7 +34,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
@@ -108,8 +106,7 @@ type message struct {
 type Cluster struct {
 	Nodes []*Node
 
-	net      NetworkSpec
-	parallel bool
+	net NetworkSpec
 
 	// Stats aggregates fabric traffic and coordinator activity; valid
 	// after Run (per-node counters are summed at the end).
@@ -120,10 +117,8 @@ type Cluster struct {
 	}
 }
 
-// New builds a cluster. parallel selects whether windows run on
-// goroutines (one per node) or sequentially; both produce
-// byte-identical results. Node i's engine is seeded 1+i.
-func New(cfg Config, parallel bool) (*Cluster, error) {
+// New builds a cluster. Node i's engine is seeded 1+i.
+func New(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("cluster: need at least one node")
 	}
@@ -134,7 +129,7 @@ func New(cfg Config, parallel bool) (*Cluster, error) {
 	if err := cfg.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cluster{net: cfg.Net, parallel: parallel}
+	c := &Cluster{net: cfg.Net}
 	for i := 0; i < cfg.Nodes; i++ {
 		env := kernels.NewEnv(kernels.EnvConfig{
 			Spec:   cfg.Spec,
@@ -213,7 +208,6 @@ func (c *Cluster) ingress(m message) {
 // conservative windows. Safe to call once per cluster; node processes
 // left parked afterwards are reaped by Close.
 func (c *Cluster) Run() {
-	var wg sync.WaitGroup
 	var batch []message
 	for {
 		tmin := sim.Infinity
@@ -226,20 +220,8 @@ func (c *Cluster) Run() {
 			break
 		}
 		horizon := tmin + c.net.Latency
-		if c.parallel && len(c.Nodes) > 1 {
-			for _, nd := range c.Nodes {
-				nd := nd
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					nd.Eng.RunBefore(horizon)
-				}()
-			}
-			wg.Wait()
-		} else {
-			for _, nd := range c.Nodes {
-				nd.Eng.RunBefore(horizon)
-			}
+		for _, nd := range c.Nodes {
+			nd.Eng.RunBefore(horizon)
 		}
 		c.Stats.Windows++
 
@@ -276,8 +258,8 @@ func (c *Cluster) Run() {
 // Signature renders everything observable about a finished run into a
 // string: per-node scheduler and manager counters, final clocks and
 // engine event counts, plus the cluster-level result. Two runs are
-// byte-identical iff their signatures are equal — the determinism tests
-// and X12's serial-vs-parallel check both compare these.
+// byte-identical iff their signatures are equal; the determinism tests
+// compare these.
 func (c *Cluster) Signature(res *StencilResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "result=%+v\nstats=%+v\n", *res, c.Stats)

@@ -54,16 +54,16 @@ func perNodeStencil() kernels.StencilConfig {
 
 // runStencil builds a fresh cluster, runs the distributed stencil and
 // returns the result and the run signature.
-func runStencil(t *testing.T, nodes int, mode core.Mode, parallel bool) (*StencilResult, string) {
+func runStencil(t *testing.T, nodes int, mode core.Mode) (*StencilResult, string) {
 	t.Helper()
-	c, err := New(smallClusterCfg(nodes, mode), parallel)
+	c, err := New(smallClusterCfg(nodes, mode))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	defer c.Close()
 	res, err := RunStencil(c, perNodeStencil())
 	if err != nil {
-		t.Fatalf("RunStencil(%d nodes, %v, parallel=%v): %v", nodes, mode, parallel, err)
+		t.Fatalf("RunStencil(%d nodes, %v): %v", nodes, mode, err)
 	}
 	return res, c.Signature(res)
 }
@@ -84,34 +84,31 @@ func TestNetworkValidation(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Nodes: 0, Spec: smallNode(), NumPEs: 1, Net: DefaultNetwork()}, false); err == nil {
+	if _, err := New(Config{Nodes: 0, Spec: smallNode(), NumPEs: 1, Net: DefaultNetwork()}); err == nil {
 		t.Fatal("zero nodes accepted")
 	}
 	bad := smallNode()
 	bad.Cores = 0
-	if _, err := New(Config{Nodes: 1, Spec: bad, NumPEs: 1, Net: DefaultNetwork()}, false); err == nil {
+	if _, err := New(Config{Nodes: 1, Spec: bad, NumPEs: 1, Net: DefaultNetwork()}); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 }
 
-// TestParallelNeedsPositiveLatency: zero lookahead admits no window,
-// serial or parallel.
-func TestParallelNeedsPositiveLatency(t *testing.T) {
+// TestNeedsPositiveLatency: zero lookahead admits no window.
+func TestNeedsPositiveLatency(t *testing.T) {
 	cfg := smallClusterCfg(2, core.Baseline)
 	cfg.Net.Latency = 0
-	for _, parallel := range []bool{false, true} {
-		if _, err := New(cfg, parallel); err == nil {
-			t.Fatalf("zero-latency cluster accepted (parallel=%v)", parallel)
-		}
+	if _, err := New(cfg); err == nil {
+		t.Fatal("zero-latency cluster accepted")
 	}
 }
 
-// TestParallelSendTiming pins the store-and-forward fabric model: an
+// TestSendTiming pins the store-and-forward fabric model: an
 // uncontended message costs egress serialisation + latency + ingress
 // serialisation.
-func TestParallelSendTiming(t *testing.T) {
+func TestSendTiming(t *testing.T) {
 	cfg := smallClusterCfg(2, core.Baseline)
-	c, err := New(cfg, false)
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,10 +130,10 @@ func TestParallelSendTiming(t *testing.T) {
 	}
 }
 
-// TestParallelLoopback: same-node sends skip the NIC and deliver at the
+// TestLoopback: same-node sends skip the NIC and deliver at the
 // current time on the local engine.
-func TestParallelLoopback(t *testing.T) {
-	c, err := New(smallClusterCfg(1, core.Baseline), true)
+func TestLoopback(t *testing.T) {
+	c, err := New(smallClusterCfg(1, core.Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +155,7 @@ func TestParallelLoopback(t *testing.T) {
 // fair share, on both halves of the store-and-forward path. Each
 // message alone takes one second per NIC.
 func TestNICContention(t *testing.T) {
-	c, err := New(smallClusterCfg(3, core.Baseline), false)
+	c, err := New(smallClusterCfg(3, core.Baseline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +190,7 @@ func TestNICContention(t *testing.T) {
 
 func TestDistributedStencilRuns(t *testing.T) {
 	for _, nodes := range []int{1, 2, 4} {
-		res, _ := runStencil(t, nodes, core.MultiIO, false)
+		res, _ := runStencil(t, nodes, core.MultiIO)
 		if res.Total <= 0 || res.AvgIter <= 0 {
 			t.Fatalf("%d nodes: bad timings %+v", nodes, res)
 		}
@@ -209,8 +206,8 @@ func TestDistributedStencilRuns(t *testing.T) {
 func TestWeakScaling(t *testing.T) {
 	// Weak scaling: per-node work constant, so iteration time should
 	// grow only mildly with node count (halo exchange overhead).
-	one, _ := runStencil(t, 1, core.MultiIO, false)
-	four, _ := runStencil(t, 4, core.MultiIO, false)
+	one, _ := runStencil(t, 1, core.MultiIO)
+	four, _ := runStencil(t, 4, core.MultiIO)
 	if over := float64(four.AvgIter) / float64(one.AvgIter); over > 1.25 {
 		t.Fatalf("weak-scaling overhead %.2fx at 4 nodes, want <= 1.25x", over)
 	}
@@ -220,8 +217,8 @@ func TestDistributedStrategiesOrdering(t *testing.T) {
 	// The node-level result survives distribution: MultiIO beats
 	// Naive on every node count.
 	for _, nodes := range []int{2, 4} {
-		naive, _ := runStencil(t, nodes, core.Baseline, false)
-		multi, _ := runStencil(t, nodes, core.MultiIO, false)
+		naive, _ := runStencil(t, nodes, core.Baseline)
+		multi, _ := runStencil(t, nodes, core.MultiIO)
 		if multi.Total >= naive.Total {
 			t.Fatalf("%d nodes: MultiIO (%v) not faster than Naive (%v)", nodes, multi.Total, naive.Total)
 		}
@@ -229,37 +226,9 @@ func TestDistributedStrategiesOrdering(t *testing.T) {
 }
 
 func TestDistributedDeterminism(t *testing.T) {
-	_, a := runStencil(t, 2, core.MultiIO, false)
-	_, b := runStencil(t, 2, core.MultiIO, false)
+	_, a := runStencil(t, 2, core.MultiIO)
+	_, b := runStencil(t, 2, core.MultiIO)
 	if a != b {
 		t.Fatalf("nondeterministic cluster run\n--- first\n%s--- second\n%s", a, b)
-	}
-}
-
-// TestParallelMatchesSerial is the acceptance gate for the conservative
-// engine: goroutine-parallel window execution must be byte-identical to
-// serial execution of the same windows, across node counts and modes.
-func TestParallelMatchesSerial(t *testing.T) {
-	for _, nodes := range []int{1, 2, 4, 8} {
-		for _, mode := range []core.Mode{core.Baseline, core.MultiIO} {
-			_, serial := runStencil(t, nodes, mode, false)
-			_, parallel := runStencil(t, nodes, mode, true)
-			if serial != parallel {
-				t.Errorf("%d nodes, %v: serial and parallel runs diverge\n--- serial\n%s--- parallel\n%s",
-					nodes, mode, serial, parallel)
-			}
-		}
-	}
-}
-
-// TestParallelRepeatStable runs the goroutine-parallel path repeatedly;
-// under -race this doubles as the data-race check on the window
-// barriers and outbox handling.
-func TestParallelRepeatStable(t *testing.T) {
-	_, first := runStencil(t, 4, core.MultiIO, true)
-	for i := 0; i < 2; i++ {
-		if _, again := runStencil(t, 4, core.MultiIO, true); again != first {
-			t.Fatalf("parallel run %d diverged\n--- first\n%s--- again\n%s", i+2, first, again)
-		}
 	}
 }

@@ -26,9 +26,8 @@ func assertDeterministic(t *testing.T, name string, run func() (string, error)) 
 	}
 }
 
-// TestExperimentsDeterministic runs every registry entry in the default
-// sweep twice at Small scale and compares the tables and the snapshot
-// JSON. X12 is left out: its numbers are host wall-clock. The tables
+// TestExperimentsDeterministic runs every registry entry twice at Small
+// scale and compares the tables and the snapshot JSON. The tables
 // embed the adaptive decision traces, the what-if counters and the
 // tuning verdict, so a single flipped probe, victim or replay step
 // shows up as a diff.
@@ -36,9 +35,6 @@ func TestExperimentsDeterministic(t *testing.T) {
 	SetAudit(false)
 	SetEvictPolicy(nil)
 	for _, e := range Experiments() {
-		if !e.Sweep {
-			continue
-		}
 		t.Run(e.Name, func(t *testing.T) {
 			assertDeterministic(t, e.Name, func() (string, error) {
 				o, err := e.Run(Small)

@@ -367,6 +367,25 @@ func TestClusterExtension(t *testing.T) {
 	}
 }
 
+// TestClusterFullRowPinned pins X8's Full-scale 4-node Multiple IO
+// run to full precision, with its message and window counts. X8's
+// table prints the makespan to 3 decimals and never prints the window
+// count, so a change to the window protocol or the fabric that moves
+// either would otherwise pass bench-check.
+func TestClusterFullRowPinned(t *testing.T) {
+	SetAudit(false)
+	SetEvictPolicy(nil)
+	c, res, err := Full.RunClusterStencil(4, Full.options(core.MultiIO), Full.clusterStencil())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if res.Total != 7.7496519088675075 || c.Stats.Messages != 12 || c.Stats.Windows != 8041 {
+		t.Fatalf("total %v s, %d messages, %d windows; want 7.7496519088675075 s, 12 messages, 8041 windows",
+			float64(res.Total), c.Stats.Messages, c.Stats.Windows)
+	}
+}
+
 // TestClusterGate: X8's gate rejects a result that breaks any one of
 // its clauses.
 func TestClusterGate(t *testing.T) {

@@ -20,7 +20,6 @@ type Outcome struct {
 // Experiment is one registry entry: a paper figure or an extension.
 type Experiment struct {
 	Name     string // the short name hmrepro -only takes
-	Sweep    bool   // whether the default sweep runs it
 	Snapshot string // the committed BENCH_*.json file it writes, "" if none
 	Run      func(Scale) (Outcome, error)
 }
@@ -28,35 +27,32 @@ type Experiment struct {
 // Extension reports whether e is one of X1-X15 rather than a figure.
 func (e Experiment) Extension() bool { return strings.HasPrefix(e.Name, "x") }
 
-// Experiments returns the registry in sweep order. X12 is the one entry
-// outside the default sweep: its numbers are host wall-clock.
+// Experiments returns the registry in sweep order; the default sweep
+// runs every entry.
 func Experiments() []Experiment {
 	return []Experiment{
-		{Name: "fig1", Sweep: true, Run: tableOnly(RunFig1)},
-		{Name: "fig2", Sweep: true, Run: tableOnly(RunFig2)},
-		{Name: "fig56", Sweep: true, Run: tableOnly(RunFig56)},
-		{Name: "fig7", Sweep: true, Run: tableOnly(RunFig7)},
-		{Name: "fig8", Sweep: true, Run: tableOnly(RunFig8)},
-		{Name: "fig9", Sweep: true, Run: tableOnly(RunFig9)},
-		{Name: "x1", Sweep: true, Run: tableOnly(RunCacheMode)},
-		{Name: "x2", Sweep: true, Run: tableOnly(RunAblationQueues)},
-		{Name: "x3", Sweep: true, Run: tableOnly(RunAblationIOThreads)},
-		{Name: "x4", Sweep: true, Run: tableOnly(RunAblationEviction)},
-		{Name: "x5", Sweep: true, Run: tableOnly(RunNVM)},
-		{Name: "x6", Sweep: true, Run: tableOnly(RunAblationPrefetchDepth)},
-		{Name: "x7", Sweep: true, Run: tableOnly(RunLoadBalance)},
-		{Name: "x8", Sweep: true, Run: benched[*ClusterResult, any](RunCluster, nil, (*ClusterResult).Pass)},
-		{Name: "x9", Sweep: true, Snapshot: "BENCH_adapt.json", Run: benched(RunX9, (*X9Result).Bench, nil)},
-		{Name: "x10", Sweep: true, Snapshot: "BENCH_evict.json", Run: benched(RunX10, (*X10Result).Bench, nil)},
-		{Name: "x11", Sweep: true, Snapshot: "BENCH_trace.json", Run: runX11Outcome},
-		{Name: "x12", Snapshot: "BENCH_engine.json", Run: benched(RunX12, (*X12Result).Bench, func(r *X12Result) error {
-			return check(r.Cluster.Identical, "serial and parallel cluster runs diverged (see table above)")
-		})},
-		{Name: "x13", Sweep: true, Snapshot: "BENCH_serve.json", Run: benched(RunX13, (*X13Result).Bench, func(r *X13Result) error {
+		{Name: "fig1", Run: tableOnly(RunFig1)},
+		{Name: "fig2", Run: tableOnly(RunFig2)},
+		{Name: "fig56", Run: tableOnly(RunFig56)},
+		{Name: "fig7", Run: tableOnly(RunFig7)},
+		{Name: "fig8", Run: tableOnly(RunFig8)},
+		{Name: "fig9", Run: tableOnly(RunFig9)},
+		{Name: "x1", Run: tableOnly(RunCacheMode)},
+		{Name: "x2", Run: tableOnly(RunAblationQueues)},
+		{Name: "x3", Run: tableOnly(RunAblationIOThreads)},
+		{Name: "x4", Run: tableOnly(RunAblationEviction)},
+		{Name: "x5", Run: tableOnly(RunNVM)},
+		{Name: "x6", Run: tableOnly(RunAblationPrefetchDepth)},
+		{Name: "x7", Run: tableOnly(RunLoadBalance)},
+		{Name: "x8", Run: benched[*ClusterResult, any](RunCluster, nil, (*ClusterResult).Pass)},
+		{Name: "x9", Snapshot: "BENCH_adapt.json", Run: benched(RunX9, (*X9Result).Bench, nil)},
+		{Name: "x10", Snapshot: "BENCH_evict.json", Run: benched(RunX10, (*X10Result).Bench, nil)},
+		{Name: "x11", Snapshot: "BENCH_trace.json", Run: runX11Outcome},
+		{Name: "x13", Snapshot: "BENCH_serve.json", Run: benched(RunX13, (*X13Result).Bench, func(r *X13Result) error {
 			return check(r.Pass(), "budget isolation gate failed (see table above)")
 		})},
-		{Name: "x14", Sweep: true, Snapshot: "BENCH_tiers.json", Run: benched(RunX14, (*X14Result).Bench, (*X14Result).Pass)},
-		{Name: "x15", Sweep: true, Snapshot: "BENCH_tune.json", Run: benched(RunX15, (*X15Result).Bench, (*X15Result).Pass)},
+		{Name: "x14", Snapshot: "BENCH_tiers.json", Run: benched(RunX14, (*X14Result).Bench, (*X14Result).Pass)},
+		{Name: "x15", Snapshot: "BENCH_tune.json", Run: benched(RunX15, (*X15Result).Bench, (*X15Result).Pass)},
 	}
 }
 

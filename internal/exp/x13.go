@@ -16,8 +16,8 @@ import (
 // sockets, no wall clock anywhere in scheduling), scheduled in lockstep
 // on the shared virtual clock with per-tenant HBM budgets and
 // weighted-fair IO lanes. All numbers are virtual time, so X13 joins
-// the byte-identical determinism suite — unlike X12, two consecutive
-// runs must produce identical tables.
+// the byte-identical determinism suite: two consecutive runs must
+// produce identical tables.
 //
 // Two legs:
 //

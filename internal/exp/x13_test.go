@@ -66,23 +66,3 @@ func TestX13Small(t *testing.T) {
 		t.Fatal("empty table")
 	}
 }
-
-// TestX12ServeLeg covers the serve row of BENCH_engine.json at the
-// small machine: the session mix must push all 1M tasks through and
-// report a sane throughput.
-func TestX12ServeLeg(t *testing.T) {
-	leg, err := x12ServeRun(Small, &X12EngineRow{TasksPerSec: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 8 sessions x 64 lanes x floor(125000/64) tasks.
-	if want := int64(8 * 64 * (125_000 / 64)); leg.Tasks != want {
-		t.Fatalf("tasks = %d, want %d", leg.Tasks, want)
-	}
-	if leg.TasksPerSec <= 0 || leg.WallSec <= 0 {
-		t.Fatalf("degenerate throughput: %+v", leg)
-	}
-	if leg.Windows == 0 {
-		t.Fatal("no windows stepped")
-	}
-}

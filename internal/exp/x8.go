@@ -29,7 +29,7 @@ type ClusterResult struct {
 	Rows  []ClusterRow
 }
 
-// clusterStencil is the per-node Stencil3D of X8 and X12.
+// clusterStencil is the per-node Stencil3D of X8.
 func (s Scale) clusterStencil() kernels.StencilConfig {
 	cfg := s.StencilConfig(s.StencilReducedSizes()[1])
 	cfg.Iterations = 3
@@ -38,18 +38,17 @@ func (s Scale) clusterStencil() kernels.StencilConfig {
 
 // RunClusterStencil runs the distributed stencil perNode on a cluster
 // of nodes copies of the scale's machine, every node's manager built
-// with opts, and checks each node's auditor at quiescence. Windows run
-// on goroutines when parallel is set; the results are byte-identical
-// either way. Audited nodes join the DrainAudit registry. The caller
-// closes the returned cluster.
-func (s Scale) RunClusterStencil(nodes int, opts core.Options, perNode kernels.StencilConfig, parallel bool) (*cluster.Cluster, *cluster.StencilResult, error) {
+// with opts, and checks each node's auditor at quiescence. Audited
+// nodes join the DrainAudit registry. The caller closes the returned
+// cluster.
+func (s Scale) RunClusterStencil(nodes int, opts core.Options, perNode kernels.StencilConfig) (*cluster.Cluster, *cluster.StencilResult, error) {
 	c, err := cluster.New(cluster.Config{
 		Nodes:  nodes,
 		Spec:   s.Machine(),
 		NumPEs: s.NumPEs(),
 		Opts:   opts,
 		Net:    cluster.DefaultNetwork(),
-	}, parallel)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -79,7 +78,7 @@ func RunCluster(s Scale) (*ClusterResult, error) {
 		counts = []int{1, 2, 4}
 	}
 	run := func(nodes int, mode core.Mode) (*cluster.StencilResult, error) {
-		c, res, err := s.RunClusterStencil(nodes, s.options(mode), s.clusterStencil(), false)
+		c, res, err := s.RunClusterStencil(nodes, s.options(mode), s.clusterStencil())
 		if err != nil {
 			return nil, err
 		}

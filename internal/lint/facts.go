@@ -13,10 +13,11 @@ import (
 // pass over every analysis-target package that summarises each declared
 // function before any analyzer runs. PR 4's analyzers were strictly
 // per-package and intraprocedural; the bug classes that bit the repo
-// since (positional tier lookups fixed in PR 8, condvar discipline in
-// the hetmemd service, goroutine lifecycles in the parallel cluster)
-// all span call chains, so the interprocedural analyzers — lockorder
-// and goroleak — consume these summaries instead of re-walking bodies.
+// since (positional tier lookups, condvar discipline in the hetmemd
+// service, goroutine lifecycles in the cluster's former parallel window
+// executor) all span call chains, so the interprocedural analyzers —
+// lockorder and goroleak — consume these summaries instead of
+// re-walking bodies.
 //
 // Identity is types.Func: the loader type-checks each package exactly
 // once and dependents import the same *types.Package, so a function

@@ -6,8 +6,8 @@ import (
 )
 
 // GoroLeak checks that every goroutine spawned by the long-running
-// layers — the cluster engine pool, the hetmemd serve loop, and the
-// cmd/* binaries — carries reachable join or completion evidence:
+// layers — the cluster package, the hetmemd serve loop, and the cmd/*
+// binaries — carries reachable join or completion evidence:
 // a WaitGroup.Done, a channel send or close, a Cond.Signal/Broadcast,
 // or a drain loop (range over a channel), either lexically in the
 // spawned function or anywhere down its statically-resolved call
@@ -15,9 +15,11 @@ import (
 //
 // A goroutine with none of these has no way to tell anyone it
 // finished and nothing that terminates it: in a daemon that is a leak
-// per request, and in the parallel DES it desynchronises the barrier
-// protocol. Simulation-internal goroutines (internal/sim schedules
-// procs on virtual time) and test helpers are out of scope.
+// per request, and in the cluster it would desynchronise the window
+// barrier. The cluster runs its windows serially and spawns none today;
+// it stays in scope so a future one is checked. Simulation-internal
+// goroutines (internal/sim schedules procs on virtual time) and test
+// helpers are out of scope.
 var GoroLeak = &Analyzer{
 	Name: "goroleak",
 	Doc:  "require spawned goroutines to have reachable join/completion evidence (WaitGroup, channel, Cond)",

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 
+	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/topology"
 )
 
@@ -70,10 +73,50 @@ func mustSubmit(t *testing.T, s *Scheduler, spec WorkloadSpec) *Session {
 	return sess
 }
 
+// tickApp is a kernel from outside the built-ins: a chain of ticks 1 µs
+// apart on the session's engine, Done after want of them. It schedules
+// at most limit ticks, so with limit < want its engine goes idle before
+// Done.
+type tickApp struct {
+	eng                *sim.Engine
+	ticks, want, limit int
+	end                sim.Time
+}
+
+func (a *tickApp) Start() { a.eng.After(1e-6, a.tick) }
+
+func (a *tickApp) tick() {
+	a.ticks++
+	if a.ticks == a.want {
+		a.end = a.eng.Now()
+	} else if a.ticks < a.limit {
+		a.eng.After(1e-6, a.tick)
+	}
+}
+
+func (a *tickApp) Done() bool           { return a.ticks == a.want }
+func (a *tickApp) FinishedAt() sim.Time { return a.end }
+
+// registerTickKernels adds three kernels through RegisterKernel:
+// "ticks" finishes, "stall" idles its engine before Done, and "broken"
+// fails in its builder.
+func registerTickKernels(s *Scheduler) {
+	s.RegisterKernel("ticks", func(env *kernels.Env, _ WorkloadSpec) (App, error) {
+		return &tickApp{eng: env.Eng, want: 1000, limit: 1000}, nil
+	})
+	s.RegisterKernel("stall", func(env *kernels.Env, _ WorkloadSpec) (App, error) {
+		return &tickApp{eng: env.Eng, want: 1000, limit: 10}, nil
+	})
+	s.RegisterKernel("broken", func(*kernels.Env, WorkloadSpec) (App, error) {
+		return nil, errors.New("no device")
+	})
+}
+
 func TestSessionLifecycleAllKernels(t *testing.T) {
-	for _, kernel := range []string{"stencil", "shift", "matmul"} {
+	for _, kernel := range []string{"stencil", "shift", "matmul", "ticks"} {
 		t.Run(kernel, func(t *testing.T) {
 			s := mustScheduler(t, testConfig())
+			registerTickKernels(s)
 			spec := smallStencil("acme")
 			spec.Kernel = kernel
 			sess := mustSubmit(t, s, spec)
@@ -92,6 +135,9 @@ func TestSessionLifecycleAllKernels(t *testing.T) {
 			if sess.Finished <= sess.Started {
 				t.Fatalf("finished %v <= started %v", sess.Finished, sess.Started)
 			}
+			if want := sess.base + sess.app.FinishedAt(); sess.Finished != want {
+				t.Fatalf("finished %v, want the app's completion %v", sess.Finished, want)
+			}
 			if _, granted := s.Budget(); granted != 0 {
 				t.Fatalf("granted after completion = %d, want 0", granted)
 			}
@@ -103,6 +149,45 @@ func TestSessionLifecycleAllKernels(t *testing.T) {
 				t.Fatalf("audit violations: %d", snap.ViolationCount)
 			}
 		})
+	}
+}
+
+// TestRegisteredKernelFailures: a registered kernel whose builder
+// errors and one whose engine goes idle before Done each fail their
+// session with the reason and return the grant exactly once, while a
+// healthy session beside them finishes.
+func TestRegisteredKernelFailures(t *testing.T) {
+	s := mustScheduler(t, testConfig())
+	registerTickKernels(s)
+	healthy := mustSubmit(t, s, smallStencil("acme"))
+	spec := smallStencil("beta")
+	spec.Kernel = "broken"
+	broken := mustSubmit(t, s, spec)
+	spec.Kernel = "stall"
+	stalled := mustSubmit(t, s, spec)
+	if broken.State != Failed || !strings.HasPrefix(broken.Err, "build broken: no device") {
+		t.Fatalf("broken builder: session %v (%q), want failed at build", broken.State, broken.Err)
+	}
+	if _, granted := s.Budget(); granted != healthy.Footprint+stalled.Footprint {
+		t.Fatalf("granted = %d after the builder failed, want %d", granted, healthy.Footprint+stalled.Footprint)
+	}
+	if err := s.RunUntilIdle(0); err != nil {
+		t.Fatal(err)
+	}
+	if stalled.State != Failed || !strings.HasPrefix(stalled.Err, "deadlock: engine idle before completion") {
+		t.Fatalf("stalled app: session %v (%q), want failed as a deadlock", stalled.State, stalled.Err)
+	}
+	if healthy.State != Done {
+		t.Fatalf("healthy session = %v (err %q), want done", healthy.State, healthy.Err)
+	}
+	st := s.StatsSnapshot()
+	if st.Granted != 0 || st.Failed != 2 || st.Completed != 1 {
+		t.Fatalf("stats: granted %d, failed %d, completed %d; want 0, 2, 1", st.Granted, st.Failed, st.Completed)
+	}
+	for _, ten := range st.Tenants {
+		if ten.Granted != 0 || ten.Running != 0 {
+			t.Fatalf("tenant %s: granted %d, running %d after idle, want 0, 0", ten.Name, ten.Granted, ten.Running)
+		}
 	}
 }
 

@@ -82,6 +82,62 @@ func TestHeapStaysBounded(t *testing.T) {
 	}
 }
 
+// TestGuardWorkloadEventStats pins the engine's event counts on the
+// 64-lane guard workload: per task, cancel the lane's previous guard,
+// schedule the lane's next work event and a new far-future guard. Each
+// task is one Schedule+Cancel pair plus its work event, so a change to
+// how Schedule, Cancel or the free list count or recycle events shows
+// up here. BenchmarkScheduleCancel times the same pattern on one lane.
+func TestGuardWorkloadEventStats(t *testing.T) {
+	for _, tc := range []struct {
+		n     int
+		tasks int64
+		want  EventStats
+	}{
+		// Fired is every work event plus each lane's last guard.
+		{10_000, 9_984, EventStats{Scheduled: 19_968, Fired: 10_048, Cancelled: 9_920, Reused: 19_840}},
+		{100_000, 99_968, EventStats{Scheduled: 199_936, Fired: 100_032, Cancelled: 99_904, Reused: 199_808}},
+		{1_000_000, 1_000_000, EventStats{Scheduled: 2_000_000, Fired: 1_000_064, Cancelled: 999_936, Reused: 1_999_872}},
+	} {
+		tasks, st := runGuardWorkload(tc.n)
+		if tasks != tc.tasks || st != tc.want {
+			t.Errorf("%d tasks requested: ran %d with %+v, want %d with %+v", tc.n, tasks, st, tc.tasks, tc.want)
+		}
+	}
+}
+
+// runGuardWorkload runs n/64 tasks on each of 64 lanes and returns the
+// task count and the engine's event counts.
+func runGuardWorkload(n int) (int64, EventStats) {
+	e := NewEngine(1)
+	defer e.Close()
+	const lanes = 64
+	const period = 1e-6
+	const guardDelay = 1e3
+	guards := make([]EventHandle, lanes)
+	remaining := make([]int, lanes)
+	for i := range remaining {
+		remaining[i] = n / lanes
+	}
+	var tasks int64
+	var step func(lane int)
+	step = func(lane int) {
+		guards[lane].Cancel()
+		tasks++
+		remaining[lane]--
+		if remaining[lane] > 0 {
+			e.After(period, func() { step(lane) })
+		}
+		guards[lane] = e.After(guardDelay, func() {})
+	}
+	for i := 0; i < lanes; i++ {
+		lane := i
+		e.After(period, func() { step(lane) })
+	}
+	e.RunAll()
+	return tasks, e.EventStats()
+}
+
 // TestCancelRandomizedOrdering drives the intrusive heap's remove path
 // hard: schedule events at pseudo-random times, cancel a deterministic
 // subset, and check the survivors fire in exactly (t, seq) order.

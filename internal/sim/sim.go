@@ -216,8 +216,9 @@ func (q *fifo) drop() {
 	q.n--
 }
 
-// EventStats counts engine activity since creation; used by the X12
-// throughput benchmark and by tests asserting pool behaviour.
+// EventStats counts engine activity since creation; read by cluster run
+// signatures, hmbench's event counts and tests that pin event counts
+// and pool behaviour.
 type EventStats struct {
 	Scheduled int64 // Schedule/After/ScheduleReserved calls
 	Fired     int64 // events whose callback ran
@@ -535,7 +536,7 @@ func (e *Engine) Run(until Time) Time {
 // events from other engines before running the next window). It never
 // fires the quiesce hook: a locally idle engine is not globally
 // quiescent while barrier messages may still arrive. This is the
-// building block for conservative parallel DES (internal/cluster).
+// building block of internal/cluster's conservative windows.
 func (e *Engine) RunBefore(horizon Time) Time {
 	defer e.exitLoop(e.running)
 	e.running = true
