@@ -38,15 +38,16 @@ lint-fix-check:
 
 # fuzz gives the native fuzz targets a short bounded run each: the
 # trace codec (seeded from the committed X11 capture), hetmemd's
-# submit handler and memsim's bandwidth allocator over random flow
-# plans. CI runs this on every push; longer local runs just raise
-# FUZZTIME.
+# submit handler, memsim's bandwidth allocator over random flow plans
+# and sim's lock sweeps against the explicit lock loop. CI runs this
+# on every push; longer local runs just raise FUZZTIME.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzEncodeParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzSubmit -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/memsim/ -run '^$$' -fuzz FuzzFlowPlans -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzSweep -fuzztime $(FUZZTIME)
 
 # staticcheck is optional locally (the build sandbox has no network to
 # install it); CI installs the pinned version, so the gate always runs

@@ -460,7 +460,8 @@ func TestKernelReadWriteOverlap(t *testing.T) {
 // where it once scheduled one per flow start and completion and
 // cancelled all but the last: that removed three scheduled-then-
 // cancelled events (26 → 23 scheduled, 4 → 1 cancelled, 21 → 19 served
-// from the free list), and the same 22 fire.
+// from the free list), and the same 22 fire. The three processes resume
+// 12 times: no lock is swept here.
 func TestKernelWriteChainEvents(t *testing.T) {
 	env := newEnv(t, 1, DefaultOptions(DDROnly))
 	rw := env.mg.NewHandle("rw", 256<<20)
@@ -495,7 +496,7 @@ func TestKernelWriteChainEvents(t *testing.T) {
 		}, KernelSpec{TrafficScale: 1e-4})
 	})
 	env.e.RunAll()
-	want := sim.EventStats{Scheduled: 23, Fired: 22, Cancelled: 1, Reused: 19}
+	want := sim.EventStats{Scheduled: 23, Fired: 22, Cancelled: 1, Reused: 19, Resumes: 12}
 	if st := env.e.EventStats(); st != want {
 		t.Errorf("EventStats = %+v, want %+v", st, want)
 	}

@@ -19,6 +19,7 @@ import (
 type multiIO struct {
 	m      *Manager
 	wqs    []*waitQueue
+	sweep  queueSweep
 	evictq []*waitQueueH
 	ioMu   []sim.Mutex
 	ioCond []*sim.Cond
@@ -73,6 +74,7 @@ func newMultiIO(m *Manager) *multiIO {
 		lane := n + i // IO thread lane: the SMT sibling of PE i
 		m.rt.Engine().Spawn(fmt.Sprintf("IO-PE%d", i), func(q *sim.Proc) { s.ioLoop(q, i, lane) })
 	}
+	s.sweep = newQueueSweep(s.wqs)
 	return s
 }
 
@@ -193,13 +195,16 @@ func (s *multiIO) ioLoop(q *sim.Proc, i, lane int) {
 		// eviction) — may be what another PE's stalled IO thread is
 		// waiting for. All IO threads are "likely working in
 		// parallel, hence there is no starvation problem" under
-		// symmetric load; the explicit kick makes it a guarantee.
+		// symmetric load; the explicit kick makes it a guarantee. The
+		// sweep locks every other wait queue in turn and kicks the
+		// thread of each one it finds non-empty.
 		if evicted || staged > 0 {
-			for j := range s.wqs {
-				if j != i && s.wqs[j].len(q) > 0 {
-					s.kick(q, j)
-				}
+			kick := func(j int) {
+				s.wqs[j].mu.Unlock(q)
+				s.kick(q, j)
 			}
+			s.sweep.each(q, 0, i, kick)
+			s.sweep.each(q, i+1, len(s.wqs), kick)
 		}
 	}
 }

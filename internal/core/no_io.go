@@ -13,8 +13,9 @@ import (
 // post-processing a task evicts its own dead dependences and then uses
 // the freed space to stage a waiting task.
 type noIO struct {
-	m   *Manager
-	wqs []*waitQueue
+	m     *Manager
+	wqs   []*waitQueue
+	sweep queueSweep
 }
 
 func newNoIO(m *Manager) *noIO {
@@ -22,6 +23,7 @@ func newNoIO(m *Manager) *noIO {
 	for i := 0; i < m.rt.NumPEs(); i++ {
 		s.wqs = append(s.wqs, newWaitQueue(m.rt.Params().LockCost))
 	}
+	s.sweep = newQueueSweep(s.wqs)
 	return s
 }
 
@@ -52,19 +54,18 @@ func (s *noIO) complete(p *sim.Proc, ot *OOCTask) {
 	ot.release(p, pe)
 	// "After evicting its own data, it checks in the wait queue on
 	// its PE, to see if there are any tasks waiting to be scheduled."
-	s.drain(p, s.wqs[pe])
+	s.drain(p, s.wqs[pe], s.wqs[pe].pop(p))
 	// Liveness beyond the paper's prose: a PE whose tasks are all
 	// parked in its wait queue has no completions of its own to stage
 	// them, so a completing worker that finds its own queue empty
 	// helps other PEs' queues (documented deviation; without it the
 	// tail of an iteration can deadlock when evictions happen only on
-	// PEs with empty queues).
+	// PEs with empty queues). The sweep locks every other queue in
+	// turn, and drains each one it finds non-empty.
 	if s.wqs[pe].len(p) == 0 {
-		for i := range s.wqs {
-			if i != pe {
-				s.drain(p, s.wqs[i])
-			}
-		}
+		drain := func(i int) { s.drain(p, s.wqs[i], s.wqs[i].popHeld(p)) }
+		s.sweep.each(p, 0, pe, drain)
+		s.sweep.each(p, pe+1, len(s.wqs), drain)
 	}
 }
 
@@ -84,20 +85,16 @@ func (s *noIO) scanWaiting(p *sim.Proc, visit func(pos int, ot *OOCTask)) {
 	}
 }
 
-// drain stages as many waiting tasks from wq as capacity allows,
-// scheduling each onto its own PE's run queue.
-func (s *noIO) drain(p *sim.Proc, wq *waitQueue) {
-	for {
-		wot := wq.pop(p)
-		if wot == nil {
+// drain stages wot, just popped from wq (nil when wq was empty), and
+// then as many more of wq's tasks as capacity allows, scheduling each
+// onto its own PE's run queue.
+func (s *noIO) drain(p *sim.Proc, wq *waitQueue, wot *OOCTask) {
+	for ; wot != nil; wot = wq.pop(p) {
+		if !wot.stage(p, wot.pe.ID()) {
+			wq.pushFront(p, wot)
 			return
 		}
-		if wot.stage(p, wot.pe.ID()) {
-			wot.Staged = true
-			wot.pe.PushRun(p, wot.t)
-			continue
-		}
-		wq.pushFront(p, wot)
-		return
+		wot.Staged = true
+		wot.pe.PushRun(p, wot.t)
 	}
 }

@@ -241,6 +241,14 @@ func (wq *waitQueue) pop(p *sim.Proc) *OOCTask {
 	return wq.tasks.PopFront()
 }
 
+// popHeld removes and returns the first task of a non-empty queue whose
+// lock p holds from a sweep hit, and releases the lock: the tail of pop.
+func (wq *waitQueue) popHeld(p *sim.Proc) *OOCTask {
+	ot := wq.tasks.PopFront()
+	wq.mu.Unlock(p)
+	return ot
+}
+
 // pushFront reinserts a partially staged task at the head so FIFO order
 // is preserved across capacity stalls. Returns the resulting depth.
 func (wq *waitQueue) pushFront(p *sim.Proc, ot *OOCTask) int {
@@ -271,6 +279,32 @@ func (wq *waitQueue) scan(p *sim.Proc, visit func(pos int, ot *OOCTask)) {
 		visit(i, wq.tasks.At(i))
 	}
 	wq.mu.Unlock(p)
+}
+
+// queueSweep finds a strategy's non-empty wait queues with
+// sim.Proc.Sweep: it takes every queue's lock in turn, as len would, but
+// resumes the sweeping process only at the non-empty ones. Its probes
+// are bound once, so a sweep allocates nothing.
+type queueSweep struct {
+	lock     func(i int) *sim.Mutex
+	nonEmpty func(i int) bool
+}
+
+func newQueueSweep(wqs []*waitQueue) queueSweep {
+	return queueSweep{
+		lock:     func(i int) *sim.Mutex { return &wqs[i].mu },
+		nonEmpty: func(i int) bool { return wqs[i].tasks.Len() > 0 },
+	}
+}
+
+// each calls hit(i), in order, for every queue i in [from, to) that is
+// non-empty when swept, with its lock held; hit must release it.
+func (qs queueSweep) each(p *sim.Proc, from, to int, hit func(i int)) {
+	for i := from; i < to; i++ {
+		if i = p.Sweep(i, to, qs.lock, qs.nonEmpty); i < to {
+			hit(i)
+		}
+	}
 }
 
 // quiescentTasks snapshots the queue contents without the lock. Only

@@ -19,8 +19,9 @@ import (
 // ablation raises the thread count: every IO thread round-robins over
 // all queues.
 type singleIO struct {
-	m   *Manager
-	wqs []*waitQueue
+	m     *Manager
+	wqs   []*waitQueue
+	sweep queueSweep
 
 	ioMu   sim.Mutex
 	ioCond *sim.Cond
@@ -53,6 +54,7 @@ func newSingleIO(m *Manager) *singleIO {
 	for i := 0; i < nq; i++ {
 		s.wqs = append(s.wqs, newWaitQueue(m.rt.Params().LockCost))
 	}
+	s.sweep = newQueueSweep(s.wqs)
 	threads := m.opts.IOThreads
 	if threads <= 0 {
 		threads = 1
@@ -173,12 +175,12 @@ func (s *singleIO) ioLoop(q *sim.Proc, id, lane int) {
 		for progress := true; progress; {
 			progress = false
 			// Serve each queue once per pass so all PEs advance
-			// together ("serving all PEs equally").
-			for _, wq := range s.wqs {
-				ot := wq.pop(q)
-				if ot == nil {
-					continue
-				}
+			// together ("serving all PEs equally"): the sweep locks
+			// each queue in turn and pops the first task of each
+			// one it finds non-empty.
+			s.sweep.each(q, 0, len(s.wqs), func(j int) {
+				wq := s.wqs[j]
+				ot := wq.popHeld(q)
 				if ot.stage(q, lane) {
 					ot.Staged = true
 					ot.pe.PushRun(q, ot.t)
@@ -188,7 +190,7 @@ func (s *singleIO) ioLoop(q *sim.Proc, id, lane int) {
 					// queue until an eviction wakes us.
 					wq.pushFront(q, ot)
 				}
-			}
+			})
 		}
 	}
 }

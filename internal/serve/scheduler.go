@@ -387,7 +387,8 @@ func (s *Scheduler) snapshotMetrics(sess *Session) {
 }
 
 // terminal moves a running (or just-started) session into a terminal
-// state: budget released, recorder finished, engine reaped.
+// state: budget released, recorder finished, engine reaped. A panic
+// while the engine unwinds its parked processes is added to Err.
 func (s *Scheduler) terminal(sess *Session, state State, reason string) {
 	sess.State = state
 	sess.Err = reason
@@ -398,7 +399,12 @@ func (s *Scheduler) terminal(sess *Session, state State, reason string) {
 		sess.rec.Finish()
 	}
 	if sess.env != nil {
-		sess.env.Close()
+		if fault := contain(sess.env.Close); fault != "" {
+			if sess.Err != "" {
+				sess.Err += "; "
+			}
+			sess.Err += "close: " + fault
+		}
 	}
 }
 
@@ -539,15 +545,21 @@ func (s *Scheduler) Step() bool {
 	s.assignShares()
 	until := s.now + s.cfg.Window
 
-	// Walk a snapshot: finish/fail mutate s.running.
+	// Walk a snapshot: finish/fail mutate s.running. A session whose
+	// engine panics (a custom kernel's process or event callback, or a
+	// model invariant) fails alone; the others keep stepping.
 	snap := make([]*Session, len(s.running))
 	copy(snap, s.running)
 	var done []*Session
+	var faults map[*Session]string
 	for _, sess := range snap {
-		sess.env.Eng.Run(until - sess.base)
-		if sess.app.Done() {
+		if fault := contain(func() { sess.env.Eng.Run(until - sess.base) }); fault != "" {
+			if faults == nil {
+				faults = make(map[*Session]string)
+			}
+			faults[sess] = fault
 			done = append(done, sess)
-		} else if sess.env.Eng.Idle() {
+		} else if sess.app.Done() || sess.env.Eng.Idle() {
 			done = append(done, sess)
 		}
 	}
@@ -560,7 +572,9 @@ func (s *Scheduler) Step() bool {
 			}
 		}
 		s.running = kept
-		if sess.app.Done() {
+		if fault, ok := faults[sess]; ok {
+			s.fail(sess, fault)
+		} else if sess.app.Done() {
 			s.finish(sess)
 		} else {
 			s.fail(sess, fmt.Sprintf("deadlock: engine idle before completion (blocked: %v)",
@@ -568,6 +582,19 @@ func (s *Scheduler) Step() bool {
 		}
 	}
 	return s.Active()
+}
+
+// contain runs fn and returns "panic: <value>" if it panics, or "" if
+// it returns: Step and terminal run a session's engine through it, so
+// that a fault stays in the session that raised it.
+func contain(fn func()) (fault string) {
+	defer func() {
+		if r := recover(); r != nil {
+			fault = fmt.Sprintf("panic: %v", r)
+		}
+	}()
+	fn()
+	return ""
 }
 
 // RunUntilIdle steps until no session is queued or running, bounded by

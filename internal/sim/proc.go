@@ -23,6 +23,7 @@ type Proc struct {
 	waking bool        // a wake event for this proc is pending
 	body   func(*Proc) // nil once p has finished
 	co     *coroutine  // runs body from p's first grant until it ends
+	sweep  *sweep      // p's Sweep state, allocated at its first Sweep
 
 	// Event callbacks bound once in Spawn, so a wake schedules an
 	// existing func value instead of allocating a closure.
@@ -66,8 +67,10 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 }
 
 // grant runs p until it parks or exits, giving it a coroutine on its
-// first grant. It must only be called from the engine loop (inside an
-// event callback); a panic in p's body re-panics here.
+// first grant. A p parked in Sweep resumes only once the sweep ends:
+// until then grant steps the sweep itself. It must only be called from
+// the engine loop (inside an event callback); a panic in p's body
+// re-panics here.
 func (e *Engine) grant(p *Proc) {
 	if p.done {
 		return
@@ -76,8 +79,28 @@ func (e *Engine) grant(p *Proc) {
 	if p.co == nil {
 		p.co = e.coroutine()
 		p.co.p = p
+	} else if p.sweep != nil && p.sweep.parked && !p.stepSweep() {
+		return
 	}
+	e.stats.Resumes++
 	p.co.next()
+}
+
+// stepSweep advances p's parked sweep from the callback that woke p and
+// reports whether it ended, so that p must resume. A panic in the sweep
+// re-panics naming p, as one in its body would; p stays parked for
+// Close to reap.
+func (p *Proc) stepSweep() bool {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+		}
+	}()
+	if !p.sweep.advance(p) {
+		return false
+	}
+	p.sweep.parked = false
+	return true
 }
 
 // coroutine returns an idle coroutine, or starts one that runs each
@@ -121,7 +144,7 @@ func (c *coroutine) run() (returned bool) {
 // exit records that p has finished. It drops p's body and coroutine: a
 // PE, a flow or a lock may hold the Proc long after its body returned.
 func (p *Proc) exit() {
-	p.body, p.co = nil, nil
+	p.body, p.co, p.sweep = nil, nil, nil
 	p.done = true
 	p.e.nlive--
 	p.e.procs[p.id] = nil
@@ -185,6 +208,9 @@ func (p *Proc) Now() Time { return p.e.now }
 // process. Callers must have arranged for a wake (timer, queue position,
 // signal, ...) or the process stays parked until Close kills it.
 func (p *Proc) park() {
+	if p.sweep != nil && p.sweep.visiting {
+		panic("sim: Sweep visit parked process " + p.name)
+	}
 	if !p.co.yield(struct{}{}) {
 		panic(errKilled)
 	}

@@ -18,6 +18,12 @@
 // needs no host-level locking. A panic or runtime.Goexit in a process
 // body surfaces on the goroutine that called Run.
 //
+// A process that takes a row of locks in turn, looking for one whose
+// slot needs work, calls Proc.Sweep. The engine then steps the scan
+// from the event callbacks that grant each lock, with the events the
+// explicit Lock/Unlock loop would make, and resumes the process once,
+// at the slot it wanted or at the end.
+//
 // Events wait on three kinds of queue. Most events are either same-instant
 // (a wake, a spawn, a zero sleep: Schedule at now) or lock charges
 // (Mutex.AcquireCost), and both arrive already in (t, seq) order, so they
@@ -224,6 +230,7 @@ type EventStats struct {
 	Fired     int64 // events whose callback ran
 	Cancelled int64 // events cancelled before they fired
 	Reused    int64 // Schedule calls served from the free list
+	Resumes   int64 // process coroutine resumes: a grant that runs a body, or ends a Sweep
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not

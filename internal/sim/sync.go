@@ -21,21 +21,48 @@ type Mutex struct {
 // Lock acquires m, parking p until the lock is available. Locks are
 // granted in FIFO order.
 func (m *Mutex) Lock(p *Proc) {
-	if m.owner == p {
-		panic("sim: recursive Mutex.Lock by " + p.name)
-	}
-	if m.owner != nil {
-		m.waiters = append(m.waiters, p)
+	for s := m.acquire(p, lockStart); s != lockHeld; s = m.acquire(p, s) {
 		p.park()
+	}
+}
+
+// lockStep is how far a process has got in acquiring a Mutex.
+type lockStep uint8
+
+const (
+	lockStart   lockStep = iota // not yet asked for the lock
+	lockHandoff                 // queued for the FIFO handoff
+	lockCharge                  // holds the lock; its AcquireCost wake is pending
+	lockHeld                    // holds the lock and has paid for it
+)
+
+// acquire takes p's acquisition of m one step on from s and returns the
+// step it reached: lockHeld, or the step whose wake p must park for.
+// Lock and Sweep both acquire through it, so a sweep's handoffs and
+// charges are Lock's, event for event.
+func (m *Mutex) acquire(p *Proc, s lockStep) lockStep {
+	switch s {
+	case lockStart:
+		if m.owner == p {
+			panic("sim: recursive Mutex.Lock by " + p.name)
+		}
+		if m.owner != nil {
+			m.waiters = append(m.waiters, p)
+			return lockHandoff
+		}
+		m.owner = p
+	case lockHandoff:
 		if m.owner != p {
 			panic("sim: mutex handoff error")
 		}
-	} else {
-		m.owner = p
+	case lockCharge:
+		return lockHeld
 	}
 	if m.AcquireCost > 0 {
-		p.charge(m.AcquireCost)
+		p.e.scheduleCharge(m.AcquireCost, p.timerFn)
+		return lockCharge
 	}
+	return lockHeld
 }
 
 // TryLock acquires m if it is free and reports whether it did. It never
@@ -66,6 +93,81 @@ func (m *Mutex) Unlock(p *Proc) {
 	m.waiters = m.waiters[:len(m.waiters)-1]
 	m.owner = next
 	next.Resume()
+}
+
+// Sweep acquires lock(i) for each slot i in [from, n) in turn, exactly
+// as Mutex.Lock would, calls visit(i) under the lock and releases it,
+// until a visit returns true: Sweep then returns that i with its lock
+// still held. It returns n when no visit does. Its
+// events, times and handoffs are those of the explicit loop
+//
+//	for i := from; i < n; i++ {
+//		lock(i).Lock(p)
+//		if visit(i) {
+//			return i
+//		}
+//		lock(i).Unlock(p)
+//	}
+//	return n
+//
+// but p resumes only once, at the hit or at the end. While p waits for
+// a lock, the engine steps the sweep from the event callback that wakes
+// p: everything p would do before its next park runs inside that
+// callback anyway. visit may therefore run outside p's body, and must
+// neither park nor touch any slot but its own; a panic in it surfaces
+// from Run as a body panic does. The sweep keeps lock and visit until
+// it ends, so callers bind them once to sweep without allocating; a
+// process allocates its sweep state at its first Sweep only.
+func (p *Proc) Sweep(from, n int, lock func(int) *Mutex, visit func(int) bool) int {
+	if from >= n {
+		return n
+	}
+	if p.sweep == nil {
+		p.sweep = new(sweep)
+	}
+	s := p.sweep
+	*s = sweep{i: from, n: n, m: lock(from), lock: lock, visit: visit}
+	if !s.advance(p) {
+		s.parked = true
+		p.park()
+	}
+	i := s.i
+	*s = sweep{}
+	return i
+}
+
+// sweep is a Proc's Sweep in progress: slot i of [i, n), its mutex m
+// and how far p has got in acquiring it. parked is set while p waits
+// in Sweep and grant steps the sweep instead of resuming p; visiting
+// is set while visit runs, so a visit that parks fails loudly.
+type sweep struct {
+	parked, visiting bool
+	step             lockStep
+	i, n             int
+	m                *Mutex
+	lock             func(int) *Mutex
+	visit            func(int) bool
+}
+
+// advance runs the sweep until p must park for a lock, and reports
+// false, or until it ends, and reports true with its result in s.i.
+func (s *sweep) advance(p *Proc) bool {
+	for {
+		if s.step = s.m.acquire(p, s.step); s.step != lockHeld {
+			return false
+		}
+		s.visiting = true
+		hit := s.visit(s.i)
+		s.visiting = false
+		if hit {
+			return true
+		}
+		s.m.Unlock(p)
+		if s.i++; s.i == s.n {
+			return true
+		}
+		s.m, s.step = s.lock(s.i), lockStart
+	}
 }
 
 // Locked reports whether the mutex is currently held.
