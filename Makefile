@@ -38,9 +38,10 @@ lint-fix-check:
 
 # fuzz gives the native fuzz targets a short bounded run each: the
 # trace codec (seeded from the committed X11 capture), hetmemd's
-# submit handler, memsim's bandwidth allocator over random flow plans
-# and sim's lock sweeps against the explicit lock loop. CI runs this
-# on every push; longer local runs just raise FUZZTIME.
+# submit handler, memsim's bandwidth allocator over random flow plans,
+# sim's lock sweeps against the explicit lock loop and sim's Drive
+# steps against blocking code. CI runs this on every push; longer
+# local runs just raise FUZZTIME.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
@@ -48,6 +49,7 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzSubmit -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/memsim/ -run '^$$' -fuzz FuzzFlowPlans -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzSweep -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzDrive -fuzztime $(FUZZTIME)
 
 # staticcheck is optional locally (the build sandbox has no network to
 # install it); CI installs the pinned version, so the gate always runs
@@ -80,15 +82,16 @@ bench-test:
 	cd bench && $(GO) test ./...
 
 # bench runs every Go benchmark in the root module: the figure and
-# dispatch benchmarks at the root, and the engine and memory-model
-# microbenchmarks, with no tests run beside them.
+# dispatch benchmarks at the root, the engine and memory-model
+# microbenchmarks and the trace decoder's, with no tests run beside
+# them.
 bench:
-	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/sim ./internal/memsim
+	$(GO) test -run '^$$' -bench=. -benchmem . ./internal/sim ./internal/memsim ./internal/trace
 
 # bench-smoke runs every benchmark exactly once, so CI catches a
 # benchmark that panics or fails without paying to time it.
 bench-smoke:
-	$(GO) test -run '^$$' -bench=. -benchtime 1x . ./internal/sim ./internal/memsim
+	$(GO) test -run '^$$' -bench=. -benchtime 1x . ./internal/sim ./internal/memsim ./internal/trace
 
 # snapshots regenerates every committed result of the experiment
 # registry (internal/exp/registry.go): the full-scale sweep, which runs

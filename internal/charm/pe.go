@@ -56,6 +56,7 @@ type PE struct {
 	runq     ring.Deque[*Task]
 
 	proc *sim.Proc
+	deq  dequeue // the scheduler's dequeue, stepped by proc
 
 	// Stats for this PE.
 	Delivered int64
@@ -77,6 +78,8 @@ func (pe *PE) Runtime() *Runtime { return pe.rt }
 
 func (pe *PE) start() {
 	pe.proc = pe.rt.Engine().Spawn(fmt.Sprintf("PE%d", pe.id), pe.loop)
+	pe.deq = dequeue{pe: pe, p: pe.proc}
+	pe.deq.step = pe.deq.advance
 }
 
 // enqueueMsg appends a task to the message queue (called from the
@@ -89,10 +92,24 @@ func (pe *PE) enqueueMsg(t *Task) {
 // PushRun adds an OOC-ready task to this PE's run queue and wakes the
 // scheduler. It may be called from any process (IO threads, other PEs).
 func (pe *PE) PushRun(p *sim.Proc, t *Task) {
-	pe.mu.Lock(p)
+	var s sim.LockStep
+	for !pe.PushRunStep(p, &s, t) {
+		p.Suspend()
+	}
+}
+
+// PushRunStep is PushRun for a sim.Proc.Drive step: it takes p's
+// acquisition of the queue lock one step on from *s and reports false
+// while p must park for it, then queues t, unlocks, wakes the scheduler
+// and reports true.
+func (pe *PE) PushRunStep(p *sim.Proc, s *sim.LockStep, t *Task) bool {
+	if !pe.mu.Acquire(p, s) {
+		return false
+	}
 	pe.runq.PushBack(t)
 	pe.mu.Unlock(p)
 	pe.notEmpty.Signal()
+	return true
 }
 
 // QueueLengths returns the current message- and run-queue lengths.
@@ -100,35 +117,15 @@ func (pe *PE) QueueLengths() (msgs, ready int) { return pe.msgq.Len(), pe.runq.L
 
 // loop is the converse scheduler: pop run-queue tasks first, then
 // messages; intercept [prefetch] messages; execute entry methods to
-// completion, serially per PE.
+// completion, serially per PE. The dequeue runs as a sim.Proc.Drive
+// step, so the PE resumes once per task, to intercept or run it.
 func (pe *PE) loop(p *sim.Proc) {
 	rt := pe.rt
+	d := &pe.deq
 	for {
-		pe.mu.Lock(p)
-		for pe.runq.Len() == 0 && pe.msgq.Len() == 0 {
-			idle := p.Now()
-			pe.notEmpty.Wait(p)
-			if rt.Observed() {
-				rt.note(EvIdle, pe.id, 0, nil, idle)
-			}
-		}
-		var t *Task
-		fromRunQueue := false
-		if pe.runq.Len() > 0 {
-			t = pe.runq.PopFront()
-			fromRunQueue = true
-		} else {
-			t = pe.msgq.PopFront()
-		}
-		pe.mu.Unlock(p)
-
-		if rt.params.SchedOverhead > 0 {
-			start := p.Now()
-			p.Sleep(rt.params.SchedOverhead)
-			if rt.Observed() {
-				rt.note(EvOverhead, pe.id, 0, nil, start)
-			}
-		}
+		p.Drive(d.step)
+		t, fromRunQueue := d.t, d.fromRunQueue
+		d.t = nil
 		rt.Stats.MessagesDelivered++
 		pe.Delivered++
 
@@ -144,6 +141,83 @@ func (pe *PE) loop(p *sim.Proc) {
 
 		pe.execute(p, t)
 	}
+}
+
+// dequeue is the scheduler's wait for its next task, as a Drive step.
+// It runs the blocking sequence
+//
+//	pe.mu.Lock(p)
+//	for pe.runq.Len() == 0 && pe.msgq.Len() == 0 {
+//		idle := p.Now()
+//		pe.notEmpty.Wait(p)
+//		note EvIdle from idle
+//	}
+//	pop t, from the run queue first
+//	pe.mu.Unlock(p)
+//	if SchedOverhead > 0 {
+//		start := p.Now()
+//		p.Sleep(SchedOverhead)
+//		note EvOverhead from start
+//	}
+//
+// split at its parks: lock holds the acquisition under way, waited is
+// set while p waits on notEmpty (from idle), and overhead while it
+// sleeps off SchedOverhead (from start).
+type dequeue struct {
+	pe   *PE
+	p    *sim.Proc
+	step func() bool // advance, bound once
+
+	lock             sim.LockStep
+	waited, overhead bool
+	idle, start      sim.Time
+
+	t            *Task
+	fromRunQueue bool
+}
+
+// advance runs the dequeue until p must park, and reports false, or
+// until t holds the next task after its overhead, and reports true.
+func (d *dequeue) advance() bool {
+	pe, p, rt := d.pe, d.p, d.pe.rt
+	if d.overhead {
+		d.overhead = false
+		if rt.Observed() {
+			rt.note(EvOverhead, pe.id, 0, nil, d.start)
+		}
+		return true
+	}
+	for {
+		if !pe.mu.Acquire(p, &d.lock) {
+			return false
+		}
+		if d.waited {
+			d.waited = false
+			if rt.Observed() {
+				rt.note(EvIdle, pe.id, 0, nil, d.idle)
+			}
+		}
+		if pe.runq.Len() > 0 || pe.msgq.Len() > 0 {
+			break
+		}
+		d.idle = p.Now()
+		pe.notEmpty.Join(p)
+		d.waited = true
+		return false
+	}
+	if d.fromRunQueue = pe.runq.Len() > 0; d.fromRunQueue {
+		d.t = pe.runq.PopFront()
+	} else {
+		d.t = pe.msgq.PopFront()
+	}
+	pe.mu.Unlock(p)
+	if rt.params.SchedOverhead > 0 {
+		d.start = p.Now()
+		p.ArmSleep(rt.params.SchedOverhead)
+		d.overhead = true
+		return false
+	}
+	return true
 }
 
 // execute runs the entry method and, for [prefetch] entries under an

@@ -460,8 +460,10 @@ func TestKernelReadWriteOverlap(t *testing.T) {
 // where it once scheduled one per flow start and completion and
 // cancelled all but the last: that removed three scheduled-then-
 // cancelled events (26 → 23 scheduled, 4 → 1 cancelled, 21 → 19 served
-// from the free list), and the same 22 fire. The three processes resume
-// 12 times: no lock is swept here.
+// from the free list), and the same 22 fire. The three processes and
+// the PE were granted 12 times. Since the kernel and the PE dequeue run
+// as sim.Proc.Drive steps, 3 of those wakes are steps, handled in the
+// waking callback, and 9 resume a process.
 func TestKernelWriteChainEvents(t *testing.T) {
 	env := newEnv(t, 1, DefaultOptions(DDROnly))
 	rw := env.mg.NewHandle("rw", 256<<20)
@@ -496,7 +498,7 @@ func TestKernelWriteChainEvents(t *testing.T) {
 		}, KernelSpec{TrafficScale: 1e-4})
 	})
 	env.e.RunAll()
-	want := sim.EventStats{Scheduled: 23, Fired: 22, Cancelled: 1, Reused: 19, Resumes: 12}
+	want := sim.EventStats{Scheduled: 23, Fired: 22, Cancelled: 1, Reused: 19, Resumes: 9, Steps: 3}
 	if st := env.e.EventStats(); st != want {
 		t.Errorf("EventStats = %+v, want %+v", st, want)
 	}
@@ -511,6 +513,28 @@ func TestKernelWriteChainEvents(t *testing.T) {
 		if c.got != c.want {
 			t.Errorf("%s kernel took %.17g, want %.17g", c.name, c.got, c.want)
 		}
+	}
+}
+
+// TestKernelRunReuse runs a compute-bound kernel and then a streaming
+// one on the same process, so the second reuses the first's pooled
+// kernel run: it must take its own streaming time, not the first's flop
+// roof.
+func TestKernelRunReuse(t *testing.T) {
+	env := newEnv(t, 1, DefaultOptions(DDROnly))
+	h := env.mg.NewHandle("blk", 1<<20)
+	deps := []charm.DataDep{{Handle: h, Mode: charm.ReadOnly}}
+	var roofed, streamed sim.Time
+	env.e.Spawn("kernels", func(p *sim.Proc) {
+		roofed = env.mg.RunKernel(p, deps, KernelSpec{Flops: 20e9, TrafficScale: 1})
+		streamed = env.mg.RunKernel(p, deps, KernelSpec{TrafficScale: 1})
+	})
+	env.e.RunAll()
+	if roofed != 1 {
+		t.Errorf("compute-bound kernel took %v, want its 1 s flop roof", roofed)
+	}
+	if streamed <= 0 || streamed >= 1e-3 {
+		t.Errorf("streaming kernel after it took %v, want its ~26 µs of streaming", streamed)
 	}
 }
 

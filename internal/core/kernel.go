@@ -24,12 +24,6 @@ type segment struct {
 	bytes float64
 }
 
-// kernelSegs sizes the stack arrays RunKernel collects its segments in.
-// A managed block lives on one node, so a kernel has a segment per
-// dependence and direction; only a kernel with more dependences than
-// this spills to the heap.
-const kernelSegs = 16
-
 // RunKernel executes the memory/compute cost model of a
 // bandwidth-sensitive kernel on the calling PE's core: its read traffic
 // streams sequentially from the node(s) where each dependence actually
@@ -41,14 +35,16 @@ const kernelSegs = 16
 // the (contended) DDR bandwidth, blocks in HBM at HBM bandwidth — the
 // 3x HBM-vs-DDR kernel gap of Fig. 2 and all Fig. 8/9 effects follow
 // from it.
+//
+// The kernel's waits run as one sim.Proc.Drive step (kernelRun), so p
+// resumes once, when the kernel is over.
 func (m *Manager) RunKernel(p *sim.Proc, deps []charm.DataDep, spec KernelSpec) sim.Time {
 	start := p.Now()
 	scale := spec.TrafficScale
 	if scale <= 0 {
 		scale = 1
 	}
-	var readBuf, writeBuf [kernelSegs]segment
-	reads, writes := readBuf[:0], writeBuf[:0]
+	k := m.kernelRun()
 	for _, d := range deps {
 		h, ok := d.Handle.(*Handle)
 		if !ok {
@@ -60,33 +56,25 @@ func (m *Manager) RunKernel(p *sim.Proc, deps []charm.DataDep, spec KernelSpec) 
 			b := float64(part.Size) * scale
 			switch d.Mode {
 			case charm.ReadOnly:
-				reads = append(reads, segment{part.Node, b})
+				k.reads = append(k.reads, segment{part.Node, b})
 			case charm.WriteOnly:
-				writes = append(writes, segment{part.Node, b})
+				k.writes = append(k.writes, segment{part.Node, b})
 			case charm.ReadWrite:
-				reads = append(reads, segment{part.Node, b})
-				writes = append(writes, segment{part.Node, b})
+				k.reads = append(k.reads, segment{part.Node, b})
+				k.writes = append(k.writes, segment{part.Node, b})
 			}
 		}
 	}
-
-	if len(writes) > 0 && len(reads) > 0 {
-		c := m.startWriteChain(writes)
-		m.stream(p, reads, memsim.Read)
-		c.wait(p)
-	} else if len(reads) > 0 {
-		m.stream(p, reads, memsim.Read)
-	} else if len(writes) > 0 {
-		m.stream(p, writes, memsim.Write)
-	}
-
+	k.p, k.start, k.flopTime = p, start, 0
 	// Flop roof: a compute-bound kernel is not faster on HBM.
 	if m.mach.Spec.CoreFlops > 0 && spec.Flops > 0 {
-		flopTime := spec.Flops / m.mach.Spec.CoreFlops
-		if elapsed := p.Now() - start; flopTime > elapsed {
-			p.Sleep(flopTime - elapsed)
-		}
+		k.flopTime = spec.Flops / m.mach.Spec.CoreFlops
 	}
+	k.begin()
+	p.Drive(k.step)
+	k.reads, k.writes, k.p = k.reads[:0], k.writes[:0], nil
+	m.idleKernels = append(m.idleKernels, k)
+
 	d := p.Now() - start
 	if m.rt.Observed() {
 		m.noteKernel(p.ID(), spec, start, d)
@@ -112,73 +100,132 @@ func (m *Manager) startSegment(s segment, acc memsim.Access) *memsim.Flow {
 	})
 }
 
-// stream runs segs one after another on p, waiting for each flow.
-func (m *Manager) stream(p *sim.Proc, segs []segment, acc memsim.Access) {
-	for _, s := range segs {
-		m.startSegment(s, acc).Wait(p)
+// kernelRun is one RunKernel in flight, as a Drive step. Its step runs
+// the blocking sequence
+//
+//	if len(writes) > 0 && len(reads) > 0 {
+//		start the write chain
+//		for each read segment: start its flow and Wait for it
+//		wait for the write chain
+//	} else {
+//		for each read (or else write) segment: start its flow and Wait
+//	}
+//	if flopTime > p.Now()-start {
+//		p.Sleep(flopTime - (p.Now() - start))
+//	}
+//
+// split at its parks. The write chain streams a read-write kernel's
+// writes beside its reads without a process of its own: each chain
+// step starts the next write flow and registers itself as that flow's
+// Then callback. The first chain step is an event at now and each later
+// one an event at a flow's completion, behind the flow's waiters; a
+// flow already complete at start continues the chain at once. These
+// are exactly the events a process streaming the writes would schedule
+// (its start, then one wake per flow it waited on), so every event
+// keeps its (t, seq). Runs are pooled on the manager with both
+// callbacks bound once, so a kernel allocates nothing at steady state.
+type kernelRun struct {
+	m    *Manager
+	p    *sim.Proc
+	step func() bool // advance, bound once
+
+	reads, writes []segment
+	start         sim.Time
+	flopTime      sim.Time // the flop roof; zero when there is none
+
+	// The stream the step waits on: segs in direction acc, the next
+	// one to start and the flow in flight. roof is set while p sleeps
+	// off the flop roof.
+	segs []segment
+	acc  memsim.Access
+	next int
+	flow *memsim.Flow
+	roof bool
+
+	// The write chain: chained is set while one runs beside the reads,
+	// wnext is its next write and waiter the kernel's process, waiting
+	// in the step for the chain to end.
+	chained   bool
+	wnext     int
+	waiter    *sim.Proc
+	chainStep func() // advanceChain, bound once
+}
+
+// kernelRun returns an idle kernel run, or a new one.
+func (m *Manager) kernelRun() *kernelRun {
+	if n := len(m.idleKernels); n > 0 {
+		k := m.idleKernels[n-1]
+		m.idleKernels[n-1] = nil
+		m.idleKernels = m.idleKernels[:n-1]
+		return k
+	}
+	k := &kernelRun{m: m}
+	k.step, k.chainStep = k.advance, k.advanceChain
+	return k
+}
+
+// begin picks the stream the step waits on and starts the write chain
+// of a kernel that both reads and writes, scheduling its first step at
+// now.
+func (k *kernelRun) begin() {
+	k.segs, k.acc, k.next = k.reads, memsim.Read, 0
+	switch {
+	case len(k.writes) > 0 && len(k.reads) > 0:
+		k.chained, k.wnext = true, 0
+		eng := k.m.rt.Engine()
+		eng.Schedule(eng.Now(), k.chainStep)
+	case len(k.writes) > 0:
+		k.segs, k.acc = k.writes, memsim.Write
 	}
 }
 
-// writeChain streams a read-write kernel's writes beside its reads
-// without a process of its own. Each step starts the next write flow
-// and registers itself as that flow's Then callback. The first step is
-// an event at now and each later one an event at a flow's completion,
-// behind the flow's waiters; a flow already complete at start continues
-// the chain at once. These are exactly the events a process streaming
-// the writes would schedule (its start, then one wake per flow it
-// waited on), so every event keeps its (t, seq).
-type writeChain struct {
-	m      *Manager
-	segs   []segment
-	next   int
-	done   bool
-	waiter *sim.Proc // the kernel's process, parked in wait
-	step   func()    // advance, bound once
-}
-
-// startWriteChain copies segs into an idle chain (or a new one) and
-// schedules its first step at now.
-func (m *Manager) startWriteChain(segs []segment) *writeChain {
-	var c *writeChain
-	if n := len(m.idleChains); n > 0 {
-		c = m.idleChains[n-1]
-		m.idleChains[n-1] = nil
-		m.idleChains = m.idleChains[:n-1]
-	} else {
-		c = &writeChain{m: m}
-		c.step = c.advance
+// advance runs the kernel until p must park, and reports false, or
+// until the kernel is over, and reports true.
+func (k *kernelRun) advance() bool {
+	p := k.p
+	if k.roof {
+		k.roof = false
+		return true
 	}
-	c.segs = append(c.segs[:0], segs...)
-	c.next, c.done = 0, false
-	eng := m.rt.Engine()
-	eng.Schedule(eng.Now(), c.step)
-	return c
+	for {
+		if k.flow != nil {
+			if k.flow.Await(p) {
+				return false
+			}
+			k.flow = nil
+		}
+		if k.next == len(k.segs) {
+			break
+		}
+		k.flow = k.m.startSegment(k.segs[k.next], k.acc)
+		k.next++
+	}
+	if k.chained {
+		k.waiter = p
+		return false
+	}
+	if elapsed := p.Now() - k.start; k.flopTime > elapsed {
+		p.ArmSleep(k.flopTime - elapsed)
+		k.roof = true
+		return false
+	}
+	return true
 }
 
-// advance starts write flows until one is still in flight, or marks the
-// chain done and wakes its waiter.
-func (c *writeChain) advance() {
-	for c.next < len(c.segs) {
-		f := c.m.startSegment(c.segs[c.next], memsim.Write)
-		c.next++
+// advanceChain starts write flows until one is still in flight, or ends
+// the chain and wakes its waiter.
+func (k *kernelRun) advanceChain() {
+	for k.wnext < len(k.writes) {
+		f := k.m.startSegment(k.writes[k.wnext], memsim.Write)
+		k.wnext++
 		if !f.Done() {
-			f.Then(c.step)
+			f.Then(k.chainStep)
 			return
 		}
 	}
-	c.done = true
-	if w := c.waiter; w != nil {
-		c.waiter = nil
+	k.chained = false
+	if w := k.waiter; w != nil {
+		k.waiter = nil
 		w.Resume()
 	}
-}
-
-// wait parks p until the chain is done, as sim.WaitGroup.Wait would,
-// then returns the chain to the manager's idle list.
-func (c *writeChain) wait(p *sim.Proc) {
-	for !c.done {
-		c.waiter = p
-		p.Suspend()
-	}
-	c.m.idleChains = append(c.m.idleChains, c)
 }

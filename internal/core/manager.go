@@ -162,8 +162,8 @@ type Manager struct {
 	// event stream; nil unless Options.Metrics or Options.Audit is set.
 	// The manager reads it only to build snapshots.
 	met *audit.Metrics
-	// idleChains holds finished write chains for RunKernel to reuse.
-	idleChains []*writeChain
+	// idleKernels holds finished kernel runs for RunKernel to reuse.
+	idleKernels []*kernelRun
 	// edgeKeys caches noteEdge's "SRC->DST" keys, indexed by
 	// src*len(tiers)+dst; empty until the edge first moves bytes.
 	edgeKeys []string

@@ -44,15 +44,6 @@ func (q *waitQueueH) push(p *sim.Proc, h *Handle) {
 	q.mu.Unlock(p)
 }
 
-func (q *waitQueueH) pop(p *sim.Proc) *Handle {
-	q.mu.Lock(p)
-	defer q.mu.Unlock(p)
-	if q.blocks.Len() == 0 {
-		return nil
-	}
-	return q.blocks.PopFront()
-}
-
 func newMultiIO(m *Manager) *multiIO {
 	n := m.rt.NumPEs()
 	s := &multiIO{
@@ -129,39 +120,146 @@ func (s *multiIO) complete(p *sim.Proc, ot *OOCTask) {
 }
 
 // ioLoop serves PE i: evictions first (freeing capacity), then stage
-// waiting tasks until HBM fills, then sleep.
+// waiting tasks until HBM fills, then sleep. Its search for work runs
+// as a sim.Proc.Drive step (ioSearch), so the thread resumes only to
+// evict a block or to stage a task.
 func (s *multiIO) ioLoop(q *sim.Proc, i, lane int) {
+	w := &ioSearch{s: s, q: q, i: i}
+	w.step = w.advance
 	for {
-		s.ioMu[i].Lock(q)
-		for !s.work[i] {
-			s.ioCond[i].Wait(q)
-		}
-		s.work[i] = false
-		s.ioMu[i].Unlock(q)
-
-		evicted := false
-		for {
-			h := s.evictq[i].pop(q)
-			if h == nil {
-				break
-			}
+		q.Drive(w.step)
+		if h := w.evict; h != nil {
+			w.evict = nil
 			// Re-check under the block's own protocol: the block may
 			// have been re-pinned by a newly staged task since it was
 			// queued, in which case evict is a no-op.
 			before := h.Evictions
 			s.m.evict(q, lane, h, false)
 			if h.Evictions != before {
-				evicted = true
+				w.evicted = true
 			}
+			continue
 		}
+		w.staged = w.ot.stage(q, lane)
+	}
+}
 
-		staged := 0
-		depth := s.m.opts.PrefetchDepth
-		for {
-			// Claim an in-flight slot under the mutex before staging;
-			// staging parks on locks and migrations, and the bound must
-			// hold across those waits.
-			s.ioMu[i].Lock(q)
+// ioSearch is an IO thread's search for work between the blocks it
+// evicts and the tasks it stages, as a Drive step. Its step runs the
+// blocking sequence
+//
+//	ioMu[i].Lock; for !work[i] { ioCond[i].Wait }; work[i] = false; ioMu[i].Unlock
+//	for { h := evictq[i].pop(); if h == nil { break }; resume to evict h }
+//	depth := PrefetchDepth
+//	for {
+//		// Claim an in-flight slot under the mutex before staging;
+//		// staging parks on locks and migrations, and the bound must
+//		// hold across those waits.
+//		ioMu[i].Lock; claim a slot if one is free; ioMu[i].Unlock
+//		if no slot was free { break }
+//		ot := wqs[i].pop()
+//		if ot == nil { release the slot; break }
+//		resume to stage ot
+//		if staged { ot.pe.PushRun(ot.t); continue }
+//		release the slot; wqs[i].pushFront(ot); break
+//	}
+//	if a block was evicted or a task staged {
+//		kick the IO thread of every other non-empty wait queue
+//	}
+//
+// split at its parks; releasing a slot is ioMu[i].Lock,
+// inflight[i]--, ioMu[i].Unlock.
+//
+// The kick is cross-PE liveness: space freed here — by explicit
+// eviction or by staging-triggered reclamation (makeRoom under lazy
+// eviction) — may be what another PE's stalled IO thread is waiting
+// for. All IO threads are "likely working in parallel, hence there is
+// no starvation problem" under symmetric load; the explicit kick makes
+// it a guarantee. After an eviction or a staged task, the search scans
+// every other wait queue under its lock with a sim.Scan, as
+// sim.Proc.Sweep does, and kicks the thread of each one it finds
+// non-empty.
+type ioSearch struct {
+	s    *multiIO
+	q    *sim.Proc
+	i    int
+	step func() bool // advance, bound once
+
+	at   ioStage
+	lock sim.LockStep // the acquisition under way
+	// then is the stage after a slot release: the kick, or pushFront
+	// of a task that failed to stage.
+	then ioStage
+
+	evict   *Handle  // a block to resume for and evict
+	ot      *OOCTask // a task to resume for and stage, then push
+	staged  bool     // ot's stage result, set by ioLoop
+	evicted bool     // an eviction since the work wait
+	nstaged int      // tasks staged since the work wait
+	depth   int      // the PrefetchDepth bound of this staging pass
+
+	scan   sim.Scan // the kick scan over wait queues [.., scanTo)
+	scanTo int
+	kick   int // the queue whose IO thread is being kicked
+}
+
+// ioStage is where an ioSearch is in its sequence.
+type ioStage uint8
+
+const (
+	ioWork      ioStage = iota // wait for work under ioMu[i]
+	ioEvictPop                 // pop the eviction queue
+	ioClaim                    // claim an in-flight slot
+	ioPop                      // pop the wait queue
+	ioStaged                   // back from staging ot
+	ioPushRun                  // push the staged ot to its PE's run queue
+	ioRelease                  // release the claimed slot, then go on to then
+	ioPushFront                // put back ot, which failed to stage
+	ioKick                     // decide whether to kick the other threads
+	ioScan                     // scan the other wait queues
+	ioKickOne                  // kick the thread of queue kick
+)
+
+// advance runs the search until the thread must park, and reports
+// false, or until it has a block to evict or a task to stage, and
+// reports true.
+func (w *ioSearch) advance() bool {
+	s, q, i := w.s, w.q, w.i
+	for {
+		switch w.at {
+		case ioWork:
+			if !s.ioMu[i].Acquire(q, &w.lock) {
+				return false
+			}
+			if !s.work[i] {
+				s.ioCond[i].Join(q)
+				return false
+			}
+			s.work[i] = false
+			s.ioMu[i].Unlock(q)
+			w.evicted, w.nstaged = false, 0
+			w.at = ioEvictPop
+		case ioEvictPop:
+			eq := s.evictq[i]
+			if !eq.mu.Acquire(q, &w.lock) {
+				return false
+			}
+			if eq.blocks.Len() == 0 {
+				eq.mu.Unlock(q)
+				// The bound holds for the whole staging pass, even if a
+				// retune changes it meanwhile.
+				w.depth = s.m.opts.PrefetchDepth
+				w.at = ioClaim
+				continue
+			}
+			w.evict = eq.blocks.PopFront()
+			eq.mu.Unlock(q)
+			return true
+		case ioClaim:
+			if !s.ioMu[i].Acquire(q, &w.lock) {
+				return false
+			}
+			depth := w.depth
 			free := depth == 0 || s.inflight[i] < depth
 			if free {
 				s.inflight[i]++
@@ -171,49 +269,90 @@ func (s *multiIO) ioLoop(q *sim.Proc, i, lane int) {
 				s.m.aud.CheckInflight(i, s.inflight[i], depth)
 			}
 			s.ioMu[i].Unlock(q)
-			if !free {
-				break
+			if w.at = ioPop; !free {
+				w.at = ioKick
 			}
-			ot := s.wqs[i].pop(q)
-			if ot == nil {
-				s.releaseSlot(q, i)
-				break
+		case ioPop:
+			wq := s.wqs[i]
+			if !wq.mu.Acquire(q, &w.lock) {
+				return false
 			}
-			if ot.stage(q, lane) {
-				ot.Staged = true
-				ot.pe.PushRun(q, ot.t)
-				staged++
+			if wq.tasks.Len() == 0 {
+				wq.mu.Unlock(q)
+				w.at, w.then = ioRelease, ioKick
 				continue
 			}
-			s.releaseSlot(q, i)
-			s.wqs[i].pushFront(q, ot)
-			break
-		}
-
-		// Cross-PE liveness: space freed here — by explicit eviction
-		// or by staging-triggered reclamation (makeRoom under lazy
-		// eviction) — may be what another PE's stalled IO thread is
-		// waiting for. All IO threads are "likely working in
-		// parallel, hence there is no starvation problem" under
-		// symmetric load; the explicit kick makes it a guarantee. The
-		// sweep locks every other wait queue in turn and kicks the
-		// thread of each one it finds non-empty.
-		if evicted || staged > 0 {
-			kick := func(j int) {
-				s.wqs[j].mu.Unlock(q)
-				s.kick(q, j)
+			w.ot = wq.tasks.PopFront()
+			wq.mu.Unlock(q)
+			w.at = ioStaged
+			return true
+		case ioStaged:
+			if w.staged {
+				w.ot.Staged = true
+				w.at = ioPushRun
+			} else {
+				w.at, w.then = ioRelease, ioPushFront
 			}
-			s.sweep.each(q, 0, i, kick)
-			s.sweep.each(q, i+1, len(s.wqs), kick)
+		case ioPushRun:
+			if !w.ot.pe.PushRunStep(q, &w.lock, w.ot.t) {
+				return false
+			}
+			w.ot = nil
+			w.nstaged++
+			w.at = ioClaim
+		case ioRelease:
+			if !s.ioMu[i].Acquire(q, &w.lock) {
+				return false
+			}
+			s.inflight[i]--
+			s.ioMu[i].Unlock(q)
+			w.at = w.then
+		case ioPushFront:
+			wq := s.wqs[i]
+			if !wq.mu.Acquire(q, &w.lock) {
+				return false
+			}
+			wq.tasks.PushFront(w.ot)
+			wq.mu.Unlock(q)
+			w.ot = nil
+			w.at = ioKick
+		case ioKick:
+			if !w.evicted && w.nstaged == 0 {
+				w.at = ioWork
+				continue
+			}
+			w.scanFrom(0, i)
+		case ioScan:
+			if !w.scan.Step(q) {
+				return false
+			}
+			j := w.scan.Slot()
+			switch {
+			case j < w.scanTo:
+				s.wqs[j].mu.Unlock(q)
+				w.kick, w.at = j, ioKickOne
+			case j < len(s.wqs):
+				w.scanFrom(i+1, len(s.wqs))
+			default:
+				w.at = ioWork
+			}
+		case ioKickOne:
+			j := w.kick
+			if !s.ioMu[j].Acquire(q, &w.lock) {
+				return false
+			}
+			s.work[j] = true
+			s.ioMu[j].Unlock(q)
+			s.ioCond[j].Signal()
+			w.scanFrom(j+1, w.scanTo)
 		}
 	}
 }
 
-// releaseSlot returns an unused in-flight slot claimed by ioLoop.
-func (s *multiIO) releaseSlot(q *sim.Proc, i int) {
-	s.ioMu[i].Lock(q)
-	s.inflight[i]--
-	s.ioMu[i].Unlock(q)
+// scanFrom starts the kick scan over wait queues [from, to).
+func (w *ioSearch) scanFrom(from, to int) {
+	w.scan.Start(from, to, w.s.sweep.lock, w.s.sweep.nonEmpty)
+	w.scanTo, w.at = to, ioScan
 }
 
 // scanWaiting visits every wait-queued task under the queue locks.

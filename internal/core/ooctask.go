@@ -284,7 +284,8 @@ func (wq *waitQueue) scan(p *sim.Proc, visit func(pos int, ot *OOCTask)) {
 // queueSweep finds a strategy's non-empty wait queues with
 // sim.Proc.Sweep: it takes every queue's lock in turn, as len would, but
 // resumes the sweeping process only at the non-empty ones. Its probes
-// are bound once, so a sweep allocates nothing.
+// are bound once, so a sweep allocates nothing; Multiple IO's search
+// scans with them too, through a sim.Scan of its own.
 type queueSweep struct {
 	lock     func(i int) *sim.Mutex
 	nonEmpty func(i int) bool

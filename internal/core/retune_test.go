@@ -186,3 +186,40 @@ func TestRetuneRejectsStructuralChanges(t *testing.T) {
 		}
 	}
 }
+
+// TestRetunePrefetchDepthMidPass toggles Multiple IO's PrefetchDepth
+// between 1 and 2 every 2 ms of virtual time, between barriers, so
+// retunes land while IO threads are part way through a staging pass. A
+// pass keeps the bound it read when it began, after its evictions (a
+// pass that re-read it at every claim ends this run at 0.475 s, with
+// 3,180 events scheduled). The end time and event counts are pinned to
+// full precision.
+func TestRetunePrefetchDepthMidPass(t *testing.T) {
+	opts := DefaultOptions(MultiIO)
+	opts.PrefetchDepth = 1
+	env := newEnv(t, 4, opts)
+	app := buildRetuneApp(env, 24, 256<<20, 3)
+	var tick func()
+	tick = func() {
+		if app.done {
+			return
+		}
+		o := env.mg.Options()
+		o.PrefetchDepth = 3 - o.PrefetchDepth
+		if err := env.mg.Retune(o); err != nil {
+			t.Error(err)
+		}
+		env.e.After(2e-3, tick)
+	}
+	env.e.After(2e-3, tick)
+	app.run(t)
+	assertQuiescent(t, env)
+	if end := app.iterEnd[len(app.iterEnd)-1]; end != 0.45005890000000104 {
+		t.Errorf("run ended at %.17g, want 0.45005890000000104", end)
+	}
+	st := env.e.EventStats()
+	st.Resumes, st.Steps = 0, 0
+	if want := (sim.EventStats{Scheduled: 2800, Fired: 2663, Cancelled: 137, Reused: 2767}); st != want {
+		t.Errorf("EventStats = %+v, want %+v", st, want)
+	}
+}

@@ -19,7 +19,11 @@ import (
 // replaced, so Scheduled, Fired, Cancelled and Reused are those loops'
 // counts. Only Resumes is lower: a process sweeping past empty queues
 // resumes once at the end instead of once per lock (the loops gave
-// 18,912, 19,514 and 27,239).
+// 18,912, 19,514 and 27,239). The PE dequeue, the kernels and Multiple
+// IO's search for work run as sim.Proc.Drive steps too (Resumes was
+// 18,793, 16,255 and 26,017 with the sweeps alone). Every wake either
+// resumes its process or is a step, so Resumes plus Steps is still the
+// loops' count.
 func TestWaitQueueSweepEventStats(t *testing.T) {
 	s := exp.Small
 	red := s.StencilReducedSizes()[0]
@@ -27,9 +31,9 @@ func TestWaitQueueSweepEventStats(t *testing.T) {
 		mode core.Mode
 		want sim.EventStats
 	}{
-		{core.SingleIO, sim.EventStats{Scheduled: 31358, Fired: 28812, Cancelled: 2546, Reused: 30667, Resumes: 18793}},
-		{core.NoIO, sim.EventStats{Scheduled: 31290, Fired: 29417, Cancelled: 1873, Reused: 30600, Resumes: 16255}},
-		{core.MultiIO, sim.EventStats{Scheduled: 38062, Fired: 36218, Cancelled: 1844, Reused: 37364, Resumes: 26017}},
+		{core.SingleIO, sim.EventStats{Scheduled: 31358, Fired: 28812, Cancelled: 2546, Reused: 30667, Resumes: 13439, Steps: 5473}},
+		{core.NoIO, sim.EventStats{Scheduled: 31290, Fired: 29417, Cancelled: 1873, Reused: 30600, Resumes: 12469, Steps: 7045}},
+		{core.MultiIO, sim.EventStats{Scheduled: 38062, Fired: 36218, Cancelled: 1844, Reused: 37364, Resumes: 18030, Steps: 9209}},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
 			opts := core.DefaultOptions(tc.mode)

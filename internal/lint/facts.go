@@ -313,6 +313,11 @@ func (w *factsWalker) walkStmt(s ast.Stmt, st *heldState) bool {
 	case *ast.BlockStmt:
 		return w.walkBody(s.List, st)
 	case *ast.IfStmt:
+		if call, recv := steppedAcquire(s); recv != nil && w.isMutexExpr(recv) {
+			// A Drive step's stepped acquisition: m is held after it.
+			w.acquire(call, recv, st)
+			return false
+		}
 		if s.Init != nil {
 			w.walkStmt(s.Init, st)
 		}
@@ -429,21 +434,22 @@ func (w *factsWalker) walkCallParts(call *ast.CallExpr, st *heldState) {
 	}
 }
 
+// acquire records that call acquires the mutex recv.
+func (w *factsWalker) acquire(call *ast.CallExpr, recv ast.Expr, st *heldState) {
+	class := w.lockClass(recv)
+	w.fact.Acquires = append(w.fact.Acquires, LockAcq{
+		Class: class, Pos: call.Pos(), Held: st.snapshot(),
+	})
+	st.held[class] = call.Pos()
+}
+
 func (w *factsWalker) handleCall(call *ast.CallExpr, st *heldState) {
 	if recv := selectorCall(call, "Lock"); recv != nil && w.isMutexExpr(recv) {
-		class := w.lockClass(recv)
-		w.fact.Acquires = append(w.fact.Acquires, LockAcq{
-			Class: class, Pos: call.Pos(), Held: st.snapshot(),
-		})
-		st.held[class] = call.Pos()
+		w.acquire(call, recv, st)
 		return
 	}
 	if recv := selectorCall(call, "RLock"); recv != nil && w.isMutexExpr(recv) {
-		class := w.lockClass(recv)
-		w.fact.Acquires = append(w.fact.Acquires, LockAcq{
-			Class: class, Pos: call.Pos(), Held: st.snapshot(),
-		})
-		st.held[class] = call.Pos()
+		w.acquire(call, recv, st)
 		return
 	}
 	if recv := selectorCall(call, "Unlock"); recv != nil && w.isMutexExpr(recv) {

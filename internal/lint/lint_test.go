@@ -242,9 +242,19 @@ func TestFactsLayer(t *testing.T) {
 		t.Fatalf("lockD call site held = %v, want [lockorder.C.mu] (deferred unlock keeps the lock held)", callsLockD.Held)
 	}
 
+	// A Drive step's stepped acquisitions hold their mutexes as Lock
+	// does.
+	efStep := byName["efStep"]
+	if efStep == nil {
+		t.Fatal("facts missing function efStep")
+	}
+	if got := efStep.Acquires; len(got) != 2 || got[1].Class != "lockorder.F.mu" || len(got[1].Held) != 1 || got[1].Held[0].Class != "lockorder.E.mu" {
+		t.Fatalf("efStep acquires = %+v, want lockorder.F.mu held under lockorder.E.mu", got)
+	}
+
 	cycles := facts.LockCycles()
-	if len(cycles) != 2 {
-		t.Fatalf("LockCycles = %d cycles, want 2 (A<->B direct, C<->D via calls):\n%v", len(cycles), cycles)
+	if len(cycles) != 3 {
+		t.Fatalf("LockCycles = %d cycles, want 3 (A<->B direct, C<->D via calls, E<->F stepped):\n%v", len(cycles), cycles)
 	}
 	if !strings.Contains(cycles[1].msg, "via lockD") {
 		t.Errorf("interprocedural cycle message should name the via callee, got: %s", cycles[1].msg)

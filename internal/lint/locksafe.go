@@ -16,10 +16,17 @@ import (
 //     lost-wakeup/deadlock shape;
 //   - Cond.Wait without holding the condition's owning mutex, or while
 //     additionally holding an unrelated mutex (Wait releases only its
-//     own lock, so anything else stays held across the park);
+//     own lock, so anything else stays held across the park); Cond.Join,
+//     a Drive step's half of Wait, is held to the same rule and
+//     releases the owning mutex;
 //   - unlock-path divergence: a return with a mutex still held and no
 //     deferred unlock, i.e. one exit path forgets the unlock that the
 //     others perform.
+//
+// A Drive step's stepped-acquisition guard (steppedAcquire) counts as a
+// Lock of its mutex: recursion is reported, and the mutex is held after
+// the guard. The guard's own return parks the process, so it is not an
+// exit path.
 //
 // The tracking is per-function and source-ordered with branch cloning —
 // an approximation, but one tuned to the protocol code's shapes; the
@@ -157,6 +164,10 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) bool {
 	case *ast.BlockStmt:
 		return w.walkBody(s.List, st)
 	case *ast.IfStmt:
+		if call, recv := steppedAcquire(s); recv != nil && w.isMutex(recv) {
+			w.lock(call, recv, st)
+			return false
+		}
 		if s.Init != nil {
 			w.walkStmt(s.Init, st)
 		}
@@ -283,12 +294,7 @@ func (w *lockWalker) walkFuncLitArgs(call *ast.CallExpr) {
 
 func (w *lockWalker) handleCall(call *ast.CallExpr, st *lockState) {
 	if recv := selectorCall(call, "Lock"); recv != nil && w.isMutex(recv) {
-		key := exprString(recv)
-		if pos, ok := st.held[key]; ok {
-			w.p.Reportf(call.Pos(),
-				"recursive lock of %s (already locked at %s)", key, w.p.Fset.Position(pos))
-		}
-		st.held[key] = call.Pos()
+		w.lock(call, recv, st)
 		return
 	}
 	if recv := selectorCall(call, "Unlock"); recv != nil && w.isMutex(recv) {
@@ -299,6 +305,60 @@ func (w *lockWalker) handleCall(call *ast.CallExpr, st *lockState) {
 		w.checkCondWait(call, recv, st)
 		return
 	}
+	if recv := selectorCall(call, "Join"); recv != nil && w.isCond(recv) {
+		w.checkCondWait(call, recv, st)
+		if owner, known := w.condOwner[baseName(recv)]; known {
+			for key := range st.held {
+				if keyBase(key) == owner {
+					delete(st.held, key)
+				}
+			}
+		}
+		return
+	}
+}
+
+// lock records that call acquires the mutex recv, reporting a recursive
+// acquisition.
+func (w *lockWalker) lock(call *ast.CallExpr, recv ast.Expr, st *lockState) {
+	key := exprString(recv)
+	if pos, ok := st.held[key]; ok {
+		w.p.Reportf(call.Pos(),
+			"recursive lock of %s (already locked at %s)", key, w.p.Fset.Position(pos))
+	}
+	st.held[key] = call.Pos()
+}
+
+// steppedAcquire matches the stepped-acquisition guard of a
+// sim.Proc.Drive step,
+//
+//	if !m.Acquire(p, &s) {
+//		return false
+//	}
+//
+// and returns its Acquire call and m, or nils for any other statement.
+// Falling through the guard leaves m held. Its return parks the process
+// until the next step, so the locks held there stay held: it is not an
+// exit path.
+func steppedAcquire(s *ast.IfStmt) (*ast.CallExpr, ast.Expr) {
+	if s.Init != nil || s.Else != nil || len(s.Body.List) != 1 {
+		return nil, nil
+	}
+	if _, ok := s.Body.List[0].(*ast.ReturnStmt); !ok {
+		return nil, nil
+	}
+	not, ok := ast.Unparen(s.Cond).(*ast.UnaryExpr)
+	if !ok || not.Op != token.NOT {
+		return nil, nil
+	}
+	call, ok := ast.Unparen(not.X).(*ast.CallExpr)
+	if !ok {
+		return nil, nil
+	}
+	if recv := selectorCall(call, "Acquire"); recv != nil {
+		return call, recv
+	}
+	return nil, nil
 }
 
 // checkCondWait verifies that the cond's owning mutex — resolved from

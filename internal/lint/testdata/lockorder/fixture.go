@@ -1,11 +1,16 @@
 // Package lockorder exercises the global lock-order graph: two
-// functions acquiring the same two mutexes in opposite order, plus an
+// functions acquiring the same two mutexes in opposite order, an
 // interprocedural variant where the second acquisition hides behind a
-// call. The two cycles use disjoint lock pairs so each forms its own
-// strongly connected component and is reported separately.
+// call, and a sim.Proc.Drive step whose stepped acquisitions invert a
+// blocking pair. The three cycles use disjoint lock pairs so each forms
+// its own strongly connected component and is reported separately.
 package lockorder
 
-import "sync"
+import (
+	"sync"
+
+	"github.com/hetmem/hetmem/internal/sim"
+)
 
 type A struct {
 	mu sync.Mutex
@@ -78,4 +83,38 @@ func abAgain() {
 	b.mu.Lock()
 	b.mu.Unlock()
 	a.mu.Unlock()
+}
+
+type E struct {
+	mu sim.Mutex
+}
+
+type F struct {
+	mu sim.Mutex
+}
+
+var (
+	e E
+	f F
+)
+
+// efStep takes E.mu and then F.mu through stepped acquisitions, the
+// order a Drive step sees; feBlocking locks them the other way round.
+func efStep(p *sim.Proc, s *[2]sim.LockStep) bool {
+	if !e.mu.Acquire(p, &s[0]) {
+		return false
+	}
+	if !f.mu.Acquire(p, &s[1]) { // want `lock-order cycle among lockorder\.E\.mu, lockorder\.F\.mu`
+		return false
+	}
+	f.mu.Unlock(p)
+	e.mu.Unlock(p)
+	return true
+}
+
+func feBlocking(p *sim.Proc) {
+	f.mu.Lock(p)
+	e.mu.Lock(p)
+	e.mu.Unlock(p)
+	f.mu.Unlock(p)
 }

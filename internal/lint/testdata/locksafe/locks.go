@@ -89,3 +89,39 @@ func (s *station) badRecursive(p *sim.Proc) {
 	s.mu.Unlock(p)
 	s.mu.Unlock(p)
 }
+
+// goodStep is a Drive step in the Multiple IO search's shape: a stepped
+// acquisition, a Join that releases the mutex before the step parks,
+// and an unlock on the path that goes on.
+func (s *station) goodStep(p *sim.Proc, st *sim.LockStep) bool {
+	if !s.mu.Acquire(p, st) {
+		return false
+	}
+	if s.gen == 0 {
+		s.cond.Join(p)
+		return false
+	}
+	s.gen--
+	s.mu.Unlock(p)
+	return true
+}
+
+func (s *station) badSteppedRecursive(p *sim.Proc, st *sim.LockStep) bool {
+	s.mu.Lock(p)
+	if !s.mu.Acquire(p, st) { // want `recursive lock of s\.mu`
+		return false
+	}
+	s.mu.Unlock(p)
+	return true
+}
+
+func (s *station) badSteppedReturn(p *sim.Proc, st *sim.LockStep) bool {
+	if !s.mu.Acquire(p, st) {
+		return false
+	}
+	if s.gen == 0 {
+		return false // want `return with mutex s\.mu still held`
+	}
+	s.mu.Unlock(p)
+	return true
+}

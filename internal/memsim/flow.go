@@ -162,15 +162,26 @@ func (s *System) StartFlow(spec FlowSpec) *Flow {
 
 // Wait parks p until the flow completes and returns its duration.
 func (f *Flow) Wait(p *sim.Proc) sim.Time {
-	for !f.done {
-		if f.waiter == nil {
-			f.waiter = p
-		} else {
-			f.waiters = append(f.waiters, p)
-		}
+	for f.Await(p) {
 		p.Suspend()
 	}
 	return f.finished - f.started
+}
+
+// Await registers p to be resumed when the flow completes and reports
+// true, or reports false when the flow is already done: the half of
+// Wait before its park. A sim.Proc.Drive step returns false after a
+// true, and calls Await again once woken, as Wait does.
+func (f *Flow) Await(p *sim.Proc) bool {
+	if f.done {
+		return false
+	}
+	if f.waiter == nil {
+		f.waiter = p
+	} else {
+		f.waiters = append(f.waiters, p)
+	}
+	return true
 }
 
 // Then registers fn to run as an engine callback once the flow

@@ -3,8 +3,10 @@ package memsim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"github.com/hetmem/hetmem/internal/sim"
 )
@@ -686,5 +688,83 @@ func TestCompletionDelayBelowULP(t *testing.T) {
 		if _, err := runPlan(flowPlan{flows: []plannedFlow{pf}}); err != nil {
 			t.Errorf("flow of %v bytes capped at %v started at %v: %v", pf.bytes, pf.cap, pf.start, err)
 		}
+	}
+}
+
+// TestAwaitSteps: a sim.Proc.Drive step that streams flows one after
+// another through Await ends at the time Wait's loop does, with the
+// same events, and resumes its process only to start it and at the
+// end.
+func TestAwaitSteps(t *testing.T) {
+	var stats [2]sim.EventStats
+	var ends [2]sim.Time
+	for i, stepped := range []bool{false, true} {
+		e := sim.NewEngine(1)
+		s := testSystem(e)
+		ddr := s.NodeByKind(DDR)
+		start := func() *Flow {
+			return s.StartFlow(FlowSpec{Bytes: gb, Demands: []Demand{{Node: ddr, Access: Read}}})
+		}
+		e.Spawn("reader", func(p *sim.Proc) {
+			if !stepped {
+				for k := 0; k < 3; k++ {
+					start().Wait(p)
+				}
+				return
+			}
+			var f *Flow
+			k := 0
+			p.Drive(func() bool {
+				for {
+					if f != nil && f.Await(p) {
+						return false
+					}
+					if k == 3 {
+						return true
+					}
+					f, k = start(), k+1
+				}
+			})
+		})
+		ends[i] = e.RunAll()
+		stats[i] = e.EventStats()
+		e.Close()
+	}
+	if ends[0] != ends[1] {
+		t.Errorf("stepped flows ended at %v, Wait's at %v", ends[1], ends[0])
+	}
+	if stats[1].Resumes != 2 || stats[1].Resumes+stats[1].Steps != stats[0].Resumes {
+		t.Errorf("stepped: %d resumes and %d steps, want 2 resumes and %d wakes in all", stats[1].Resumes, stats[1].Steps, stats[0].Resumes)
+	}
+	stats[0].Resumes, stats[1].Resumes, stats[1].Steps = 0, 0, 0
+	if stats[0] != stats[1] {
+		t.Errorf("EventStats %+v stepped, %+v with Wait", stats[1], stats[0])
+	}
+}
+
+// TestCloseReapsFlowStep: Close unwinds a process parked in a Drive
+// step that waits on a flow, and leaves no goroutine.
+func TestCloseReapsFlowStep(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := sim.NewEngine(1)
+	s := testSystem(e)
+	f := s.StartFlow(FlowSpec{Bytes: 1000 * gb, Demands: []Demand{{Node: s.NodeByKind(DDR), Access: Read}}})
+	e.Spawn("reader", func(p *sim.Proc) {
+		p.Drive(func() bool { return !f.Await(p) })
+	})
+	e.Run(1)
+	if n := e.LiveProcs(); n != 1 || f.Done() {
+		t.Fatalf("LiveProcs = %d, flow done %v: want the reader parked on the flow", n, f.Done())
+	}
+	e.Close()
+	if n := e.LiveProcs(); n != 0 {
+		t.Fatalf("LiveProcs after Close = %d, want 0", n)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if n > before {
+		t.Fatalf("NumGoroutine after Close = %d, want at most %d as before Spawn", n, before)
 	}
 }

@@ -304,9 +304,14 @@ func (a *Allocator) Memcpy(p *sim.Proc, dst, src *Buffer) (sim.Time, error) {
 		return 0, fmt.Errorf("numa: memcpy size mismatch (%d vs %d)", dst.size, src.size)
 	}
 	t0 := p.Now()
-	// Walk both part lists in tandem, emitting one flow per
-	// (src-part, dst-part) overlap; flows run in parallel and the copy
-	// completes when all do.
+	a.copyParts(p, dst.parts, src.parts)
+	return p.Now() - t0, nil
+}
+
+// copyParts copies between two part layouts of the same size. It walks
+// both part lists in tandem, emitting one flow per (src-part, dst-part)
+// overlap; flows run in parallel and the copy completes when all do.
+func (a *Allocator) copyParts(p *sim.Proc, dst, src []Part) {
 	var j *copyJoin
 	if n := len(a.joins); n > 0 {
 		j = a.joins[n-1]
@@ -319,8 +324,8 @@ func (a *Allocator) Memcpy(p *sim.Proc, dst, src *Buffer) (sim.Time, error) {
 	si, di := 0, 0
 	sOff, dOff := int64(0), int64(0)
 	lat := sim.Time(0)
-	for si < len(src.parts) && di < len(dst.parts) {
-		sp, dp := src.parts[si], dst.parts[di]
+	for si < len(src) && di < len(dst) {
+		sp, dp := src[si], dst[di]
 		chunk := sp.Size - sOff
 		if r := dp.Size - dOff; r < chunk {
 			chunk = r
@@ -356,13 +361,17 @@ func (a *Allocator) Memcpy(p *sim.Proc, dst, src *Buffer) (sim.Time, error) {
 		p.Suspend()
 	}
 	a.joins = append(a.joins, j)
-	return p.Now() - t0, nil
 }
 
 // Migrate moves a live buffer to the given node using the paper's
 // routine: allocate a same-sized destination buffer, memcpy, free the
 // source. On success the buffer's layout is updated in place. A buffer
 // already entirely on the target node migrates in zero time.
+//
+// The destination is a capacity claim and a one-part layout rather
+// than a Buffer of its own: it counts as a live allocation from the
+// claim until it folds into b, as AllocOnNode's buffer would, and the
+// new layout reuses b's parts slice.
 func (a *Allocator) Migrate(p *sim.Proc, b *Buffer, node int) (sim.Time, error) {
 	if b.freed {
 		return 0, ErrFreed
@@ -370,31 +379,37 @@ func (a *Allocator) Migrate(p *sim.Proc, b *Buffer, node int) (sim.Time, error) 
 	if b.OnNode(node) {
 		return 0, nil
 	}
-	// Allocate the destination before charging the fixed op cost: the
+	// Claim the destination before charging the fixed op cost: the
 	// capacity claim must be visible to other processes at the instant
 	// the caller's staging reservation is consumed, or two concurrent
 	// migrations can both see the same free space during the op-cost
 	// sleep and over-commit the target node.
-	dst, err := a.AllocOnNode(b.size, node)
-	if err != nil {
-		return 0, err
+	n := a.sys.Node(node)
+	if !n.Reserve(b.size) {
+		return 0, fmt.Errorf("%w: %d bytes on %s (%d free)", ErrNoSpace, b.size, n.Name, n.Free())
 	}
+	a.LiveBuffers++
+	a.TotalAllocs++
 	if a.MigrateOpCost > 0 {
 		p.Sleep(a.MigrateOpCost)
 	}
-	t0 := p.Now()
-	if _, err := a.Memcpy(p, dst, b); err != nil {
-		dst.Free()
-		return 0, err
+	if b.freed {
+		// The copy cannot run: free the destination.
+		n.Release(b.size)
+		a.LiveBuffers--
+		a.TotalFrees++
+		return 0, ErrFreed
 	}
+	dst := [1]Part{{Node: n, Size: b.size}}
+	t0 := p.Now()
+	a.copyParts(p, dst[:], b.parts)
 	d := p.Now() - t0 + a.MigrateOpCost
 	// Free the old location and adopt the new one.
 	for _, part := range b.parts {
 		part.Node.Release(part.Size)
 	}
-	b.parts = dst.parts
-	// dst's identity dissolves into b; account it as freed.
-	dst.freed = true
+	b.parts = append(b.parts[:0], dst[0])
+	// The destination's identity dissolves into b; account it as freed.
 	a.LiveBuffers--
 	a.TotalFrees++
 	a.BytesMigrated += float64(b.size)

@@ -329,3 +329,42 @@ func TestMigrateOpCostCharged(t *testing.T) {
 		t.Fatalf("migration with op cost took %v, want ~0.51", dur)
 	}
 }
+
+// TestMigrateAllocs pins the objects a DDR→HBM→DDR round trip of a
+// buffer allocates at steady state: the two memcpy flows, one per
+// migration. Migrate claims the destination's capacity and reuses the
+// buffer's parts slice, where it once built a destination Buffer and its
+// parts slice per migration (6 objects per round trip).
+func TestMigrateAllocs(t *testing.T) {
+	e, sys, a := testSetup()
+	defer e.Close()
+	a.MigrateOpCost = 1e-6
+	b, err := a.AllocOnNode(gb, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mover *sim.Proc
+	mover = e.Spawn("mover", func(p *sim.Proc) {
+		for {
+			for _, node := range []int{1, 0} {
+				if _, err := a.Migrate(p, b, node); err != nil {
+					panic(err)
+				}
+			}
+			p.Suspend()
+		}
+	})
+	trip := func() {
+		mover.Resume()
+		e.RunAll()
+	}
+	e.RunAll()
+	trip()
+	if got := testing.AllocsPerRun(50, trip); got != 2 {
+		t.Errorf("a migration round trip allocates %v objects, want 2", got)
+	}
+	if !b.OnNode(0) || sys.Node(1).Used() != 0 || a.LiveBuffers != 1 || a.TotalAllocs != a.TotalFrees+1 {
+		t.Errorf("after the round trips: on DDR %v, HBM used %d, live %d, allocs %d, frees %d",
+			b.OnNode(0), sys.Node(1).Used(), a.LiveBuffers, a.TotalAllocs, a.TotalFrees)
+	}
+}

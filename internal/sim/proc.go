@@ -23,7 +23,7 @@ type Proc struct {
 	waking bool        // a wake event for this proc is pending
 	body   func(*Proc) // nil once p has finished
 	co     *coroutine  // runs body from p's first grant until it ends
-	sweep  *sweep      // p's Sweep state, allocated at its first Sweep
+	drive  *drive      // p's Drive state, allocated at its first Drive
 
 	// Event callbacks bound once in Spawn, so a wake schedules an
 	// existing func value instead of allocating a closure.
@@ -67,10 +67,10 @@ func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
 }
 
 // grant runs p until it parks or exits, giving it a coroutine on its
-// first grant. A p parked in Sweep resumes only once the sweep ends:
-// until then grant steps the sweep itself. It must only be called from
-// the engine loop (inside an event callback); a panic in p's body
-// re-panics here.
+// first grant. A p parked in Drive resumes only once its step returns
+// true: until then grant runs the step itself. It must only be called
+// from the engine loop (inside an event callback); a panic in p's body
+// or step re-panics here.
 func (e *Engine) grant(p *Proc) {
 	if p.done {
 		return
@@ -79,28 +79,15 @@ func (e *Engine) grant(p *Proc) {
 	if p.co == nil {
 		p.co = e.coroutine()
 		p.co.p = p
-	} else if p.sweep != nil && p.sweep.parked && !p.stepSweep() {
-		return
+	} else if d := p.drive; d != nil && d.parked {
+		if !p.stepFromWake(d) {
+			e.stats.Steps++
+			return
+		}
+		d.parked, d.step = false, nil
 	}
 	e.stats.Resumes++
 	p.co.next()
-}
-
-// stepSweep advances p's parked sweep from the callback that woke p and
-// reports whether it ended, so that p must resume. A panic in the sweep
-// re-panics naming p, as one in its body would; p stays parked for
-// Close to reap.
-func (p *Proc) stepSweep() bool {
-	defer func() {
-		if r := recover(); r != nil {
-			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
-		}
-	}()
-	if !p.sweep.advance(p) {
-		return false
-	}
-	p.sweep.parked = false
-	return true
 }
 
 // coroutine returns an idle coroutine, or starts one that runs each
@@ -144,7 +131,7 @@ func (c *coroutine) run() (returned bool) {
 // exit records that p has finished. It drops p's body and coroutine: a
 // PE, a flow or a lock may hold the Proc long after its body returned.
 func (p *Proc) exit() {
-	p.body, p.co, p.sweep = nil, nil, nil
+	p.body, p.co, p.drive = nil, nil, nil
 	p.done = true
 	p.e.nlive--
 	p.e.procs[p.id] = nil
@@ -208,8 +195,11 @@ func (p *Proc) Now() Time { return p.e.now }
 // process. Callers must have arranged for a wake (timer, queue position,
 // signal, ...) or the process stays parked until Close kills it.
 func (p *Proc) park() {
-	if p.sweep != nil && p.sweep.visiting {
-		panic("sim: Sweep visit parked process " + p.name)
+	if d := p.drive; d != nil && d.stepping {
+		if d.sweep.visiting {
+			panic("sim: Sweep visit parked process " + p.name)
+		}
+		panic("sim: Drive step parked process " + p.name)
 	}
 	if !p.co.yield(struct{}{}) {
 		panic(errKilled)
@@ -218,18 +208,23 @@ func (p *Proc) park() {
 
 // Sleep advances the process by d seconds of virtual time.
 func (p *Proc) Sleep(d Time) {
+	p.ArmSleep(d)
+	p.park()
+}
+
+// ArmSleep arranges p's wake d seconds from now: the half of Sleep
+// before its park, for a Drive step to return false after. A zero d
+// still waits for a wake at now, so that same-time events scheduled
+// earlier run first, matching a thread yield.
+func (p *Proc) ArmSleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
 	if d == 0 {
-		// Still yield: a zero sleep lets same-time events scheduled
-		// earlier run first, matching a thread yield.
 		p.e.wake(p)
-		p.park()
 		return
 	}
 	p.e.wakeAt(p.e.now+d, p)
-	p.park()
 }
 
 // charge parks the process for a lock's AcquireCost d > 0, as Sleep(d)
@@ -262,10 +257,83 @@ func (p *Proc) Suspend() { p.park() }
 
 // Resume wakes a process parked in Suspend (or any park). Safe to call
 // from event callbacks or other processes; waking an already-runnable
-// process is a no-op.
+// process is a no-op. A process parked in Drive runs its step instead.
 func (p *Proc) Resume() { p.e.wake(p) }
 
 // Spawn starts a child process at the current virtual time.
 func (p *Proc) Spawn(name string, body func(q *Proc)) *Proc {
 	return p.e.Spawn(name, body)
+}
+
+// Drive runs step until it returns true, parking p between calls. It
+// calls step at once, and again from every event callback that wakes
+// p, so p resumes only once, when step returns true; a Drive whose
+// first call returns true does not park at all.
+//
+// A step is the code a body would run between two parks, split at each
+// park: where the body would call a blocking primitive, the step calls
+// the half that arranges the wake (Mutex.Acquire, Cond.Join,
+// Proc.ArmSleep, or queuing p where another process will Resume it)
+// and returns false instead of parking. The body would run the same
+// code in the same callback, since a wake resumes p inside the
+// callback that grants it, so a step machine schedules exactly the
+// events of the blocking code it mirrors; only EventStats.Resumes
+// falls, by the EventStats.Steps the callbacks handle without p.
+//
+// A step may run outside p's body, so it must not park: a step that
+// calls a blocking primitive panics naming p. A panic in a step
+// surfaces from Run as a body panic does, and leaves p parked for Close
+// to reap. Drive keeps step until it returns true, so callers bind
+// their step once; a process allocates its Drive state at its first
+// Drive only.
+func (p *Proc) Drive(step func() bool) {
+	d := p.driveState()
+	if p.runStep(d, step) {
+		return
+	}
+	d.step, d.parked = step, true
+	p.park()
+}
+
+// drive is a Proc's Drive state. parked is set while p waits in Drive
+// and grant runs step instead of resuming p; stepping is set while a
+// step runs, so a step that parks fails loudly. sweep is p's Sweep,
+// which Drive steps through sweepStep, bound once.
+type drive struct {
+	step             func() bool
+	parked, stepping bool
+	sweep            Scan
+	sweepStep        func() bool
+}
+
+// driveState returns p's Drive state, allocating it at p's first Drive.
+func (p *Proc) driveState() *drive {
+	if p.drive == nil {
+		d := &drive{}
+		d.sweepStep = func() bool { return d.sweep.Step(p) }
+		p.drive = d
+	}
+	return p.drive
+}
+
+// runStep calls step for p with the stepping guard set.
+func (p *Proc) runStep(d *drive, step func() bool) bool {
+	d.stepping = true
+	done := step()
+	d.stepping = false
+	return done
+}
+
+// stepFromWake runs p's parked step from the callback that woke p and
+// reports whether it returned true, so that p must resume. A panic in
+// the step re-panics naming p, as one in its body would; p stays parked
+// for Close to reap.
+func (p *Proc) stepFromWake(d *drive) bool {
+	defer func() {
+		if r := recover(); r != nil {
+			d.stepping = false
+			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+		}
+	}()
+	return p.runStep(d, d.step)
 }

@@ -18,11 +18,14 @@
 // needs no host-level locking. A panic or runtime.Goexit in a process
 // body surfaces on the goroutine that called Run.
 //
-// A process that takes a row of locks in turn, looking for one whose
-// slot needs work, calls Proc.Sweep. The engine then steps the scan
-// from the event callbacks that grant each lock, with the events the
-// explicit Lock/Unlock loop would make, and resumes the process once,
-// at the slot it wanted or at the end.
+// A process whose wait is a protocol of its own (taking locks,
+// waiting on a condition, sleeping) calls Proc.Drive with a step
+// function that does what its body would do between two parks. The
+// engine runs the step from each event callback that wakes the
+// process, with the events the blocking code would make, and resumes
+// the process once, when the step reports it done. Proc.Sweep, which
+// takes a row of locks in turn looking for one whose slot needs work,
+// is such a step.
 //
 // Events wait on three kinds of queue. Most events are either same-instant
 // (a wake, a spawn, a zero sleep: Schedule at now) or lock charges
@@ -230,7 +233,8 @@ type EventStats struct {
 	Fired     int64 // events whose callback ran
 	Cancelled int64 // events cancelled before they fired
 	Reused    int64 // Schedule calls served from the free list
-	Resumes   int64 // process coroutine resumes: a grant that runs a body, or ends a Sweep
+	Resumes   int64 // process coroutine resumes: a grant that runs a body, or ends a Drive
+	Steps     int64 // wakes a Drive step handled in the waking callback, leaving its process parked
 }
 
 // Engine is a discrete-event simulation engine. The zero value is not

@@ -148,7 +148,9 @@ func runSweepPlan(pl sweepPlan, sweep func(p *Proc, from, n int, lock func(int) 
 
 // checkSweepPlan runs pl with Sweep and with the explicit loop and
 // fails unless both give the same log and the same event counts but
-// Resumes, which Sweep must not raise. It returns both Resumes counts.
+// Resumes, which Sweep must not raise, and Steps: every wake the loop
+// resumes its process for, Sweep either resumes or steps. It returns
+// both Resumes counts.
 func checkSweepPlan(t *testing.T, pl sweepPlan) (sweep, loop int64) {
 	t.Helper()
 	got, gotSt := runSweepPlan(pl, (*Proc).Sweep)
@@ -165,7 +167,11 @@ func checkSweepPlan(t *testing.T, pl sweepPlan) (sweep, loop int64) {
 	if sweep > loop {
 		t.Errorf("plan %+v: %d resumes with Sweep, more than the loop's %d", pl, sweep, loop)
 	}
+	if gotSt.Resumes+gotSt.Steps != wantSt.Resumes+wantSt.Steps {
+		t.Errorf("plan %+v: %d resumes and %d steps with Sweep, %d and %d with the loop: the wakes differ", pl, gotSt.Resumes, gotSt.Steps, wantSt.Resumes, wantSt.Steps)
+	}
 	gotSt.Resumes, wantSt.Resumes = 0, 0
+	gotSt.Steps, wantSt.Steps = 0, 0
 	if gotSt != wantSt {
 		t.Fatalf("plan %+v: EventStats %+v with Sweep, %+v with the loop", pl, gotSt, wantSt)
 	}

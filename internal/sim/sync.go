@@ -21,34 +21,41 @@ type Mutex struct {
 // Lock acquires m, parking p until the lock is available. Locks are
 // granted in FIFO order.
 func (m *Mutex) Lock(p *Proc) {
-	for s := m.acquire(p, lockStart); s != lockHeld; s = m.acquire(p, s) {
+	var s LockStep
+	for !m.Acquire(p, &s) {
 		p.park()
 	}
 }
 
-// lockStep is how far a process has got in acquiring a Mutex.
-type lockStep uint8
+// LockStep is how far a process has got in acquiring a Mutex. The zero
+// value has not yet asked for the lock, and Acquire resets a step to it
+// once the lock is held, so one LockStep serves acquisition after
+// acquisition.
+type LockStep uint8
 
 const (
-	lockStart   lockStep = iota // not yet asked for the lock
+	lockStart   LockStep = iota // not yet asked for the lock
 	lockHandoff                 // queued for the FIFO handoff
 	lockCharge                  // holds the lock; its AcquireCost wake is pending
-	lockHeld                    // holds the lock and has paid for it
 )
 
-// acquire takes p's acquisition of m one step on from s and returns the
-// step it reached: lockHeld, or the step whose wake p must park for.
-// Lock and Sweep both acquire through it, so a sweep's handoffs and
-// charges are Lock's, event for event.
-func (m *Mutex) acquire(p *Proc, s lockStep) lockStep {
-	switch s {
+// Acquire takes p's acquisition of m one step on from *s and reports
+// whether p now holds m and has paid its AcquireCost. When it reports
+// false it has arranged p's wake (a place in the FIFO handoff, or the
+// charge on the engine's lock-charge FIFO) and p must park, or return
+// false from its Drive step, before calling Acquire again. Lock loops
+// over it, so a stepped acquisition's handoffs and charges are Lock's,
+// event for event.
+func (m *Mutex) Acquire(p *Proc, s *LockStep) bool {
+	switch *s {
 	case lockStart:
 		if m.owner == p {
 			panic("sim: recursive Mutex.Lock by " + p.name)
 		}
 		if m.owner != nil {
 			m.waiters = append(m.waiters, p)
-			return lockHandoff
+			*s = lockHandoff
+			return false
 		}
 		m.owner = p
 	case lockHandoff:
@@ -56,13 +63,16 @@ func (m *Mutex) acquire(p *Proc, s lockStep) lockStep {
 			panic("sim: mutex handoff error")
 		}
 	case lockCharge:
-		return lockHeld
+		*s = lockStart
+		return true
 	}
 	if m.AcquireCost > 0 {
 		p.e.scheduleCharge(m.AcquireCost, p.timerFn)
-		return lockCharge
+		*s = lockCharge
+		return false
 	}
-	return lockHeld
+	*s = lockStart
+	return true
 }
 
 // TryLock acquires m if it is free and reports whether it did. It never
@@ -110,50 +120,58 @@ func (m *Mutex) Unlock(p *Proc) {
 //	}
 //	return n
 //
-// but p resumes only once, at the hit or at the end. While p waits for
-// a lock, the engine steps the sweep from the event callback that wakes
-// p: everything p would do before its next park runs inside that
-// callback anyway. visit may therefore run outside p's body, and must
+// but p resumes only once, at the hit or at the end: Sweep drives a
+// Scan (see Drive). visit may therefore run outside p's body, and must
 // neither park nor touch any slot but its own; a panic in it surfaces
 // from Run as a body panic does. The sweep keeps lock and visit until
-// it ends, so callers bind them once to sweep without allocating; a
-// process allocates its sweep state at its first Sweep only.
+// it ends, so callers bind them once to sweep without allocating.
 func (p *Proc) Sweep(from, n int, lock func(int) *Mutex, visit func(int) bool) int {
 	if from >= n {
 		return n
 	}
-	if p.sweep == nil {
-		p.sweep = new(sweep)
-	}
-	s := p.sweep
-	*s = sweep{i: from, n: n, m: lock(from), lock: lock, visit: visit}
-	if !s.advance(p) {
-		s.parked = true
-		p.park()
-	}
-	i := s.i
-	*s = sweep{}
+	d := p.driveState()
+	s := &d.sweep
+	s.Start(from, n, lock, visit)
+	p.Drive(d.sweepStep)
+	i := s.Slot()
+	*s = Scan{}
 	return i
 }
 
-// sweep is a Proc's Sweep in progress: slot i of [i, n), its mutex m
-// and how far p has got in acquiring it. parked is set while p waits
-// in Sweep and grant steps the sweep instead of resuming p; visiting
-// is set while visit runs, so a visit that parks fails loudly.
-type sweep struct {
-	parked, visiting bool
-	step             lockStep
-	i, n             int
-	m                *Mutex
-	lock             func(int) *Mutex
-	visit            func(int) bool
+// Scan is a sweep in progress, for a Drive step that scans a row of
+// locks as one of its stages (Proc.Sweep drives one on its own): slot
+// i of [i, n), its mutex m and how far p has got in acquiring it.
+// visiting is set while visit runs.
+type Scan struct {
+	visiting bool
+	step     LockStep
+	i, n     int
+	m        *Mutex
+	lock     func(int) *Mutex
+	visit    func(int) bool
 }
 
-// advance runs the sweep until p must park for a lock, and reports
-// false, or until it ends, and reports true with its result in s.i.
-func (s *sweep) advance(p *Proc) bool {
+// Start sets s to sweep [from, n) as Proc.Sweep(from, n, lock, visit)
+// would; it takes no lock until the first Step. A range with from >= n
+// ends at the first Step with the result n.
+func (s *Scan) Start(from, n int, lock func(int) *Mutex, visit func(int) bool) {
+	*s = Scan{i: from, n: n, lock: lock, visit: visit}
+	if from < n {
+		s.m = lock(from)
+	} else {
+		s.i = n
+	}
+}
+
+// Step runs the scan for p until p must park for a lock, and reports
+// false, or until it ends, and reports true: Slot is then the slot of
+// the hit, its lock still held, or n.
+func (s *Scan) Step(p *Proc) bool {
+	if s.i == s.n {
+		return true
+	}
 	for {
-		if s.step = s.m.acquire(p, s.step); s.step != lockHeld {
+		if !s.m.Acquire(p, &s.step) {
 			return false
 		}
 		s.visiting = true
@@ -166,9 +184,12 @@ func (s *sweep) advance(p *Proc) bool {
 		if s.i++; s.i == s.n {
 			return true
 		}
-		s.m, s.step = s.lock(s.i), lockStart
+		s.m = s.lock(s.i)
 	}
 }
+
+// Slot returns the slot where an ended scan stopped: its hit, or n.
+func (s *Scan) Slot() int { return s.i }
 
 // Locked reports whether the mutex is currently held.
 func (m *Mutex) Locked() bool { return m.owner != nil }
@@ -190,13 +211,20 @@ func NewCond(m *Mutex) *Cond { return &Cond{M: m} }
 // re-acquires the mutex before returning. As with pthreads, callers must
 // re-check their predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
+	c.Join(p)
+	p.park()
+	c.M.Lock(p)
+}
+
+// Join joins c's waiters and releases c.M: the half of Wait before its
+// park. A Drive step returns false after it and, once woken,
+// re-acquires c.M through Mutex.Acquire, as Wait does after its park.
+func (c *Cond) Join(p *Proc) {
 	if c.M.owner != p {
 		panic("sim: Cond.Wait without holding mutex, proc " + p.name)
 	}
 	c.waiters = append(c.waiters, p)
 	c.M.Unlock(p)
-	p.park()
-	c.M.Lock(p)
 }
 
 // Signal wakes the oldest waiter, if any. The caller does not need to

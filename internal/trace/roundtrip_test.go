@@ -184,7 +184,8 @@ func TestDecodeTruncated(t *testing.T) {
 	}
 }
 
-// TestDecodeRejects covers the hard error paths: unknown kinds, version
+// TestDecodeRejects covers the hard error paths: unknown kinds (one
+// behind a duplicate "k" too: the last "k" names the kind), version
 // mismatches, and empty input.
 func TestDecodeRejects(t *testing.T) {
 	for _, tc := range []struct {
@@ -192,6 +193,7 @@ func TestDecodeRejects(t *testing.T) {
 		wantEvents        int
 	}{
 		{"unknown kind", `{"k":"meta","version":1,"num_pes":1}` + "\n" + `{"k":"bogus"}` + "\n", "unknown event kind", 1},
+		{"duplicate kind", `{"k":"meta","version":1,"num_pes":1}` + "\n" + `{"k":"send","seq":1,"t":0,"k":"bogus"}` + "\n", `line 2: trace: unknown event kind "bogus"`, 1},
 		{"bad version", `{"k":"meta","version":99}` + "\n", "version 99", 0},
 		{"empty", "", "empty capture", 0},
 		{"blank lines only", "\n\n\n", "empty capture", 0},
