@@ -73,10 +73,23 @@ func (s *multiIO) name() string { return "multi-io" }
 
 // kick wakes PE i's IO thread.
 func (s *multiIO) kick(p *sim.Proc, i int) {
-	s.ioMu[i].Lock(p)
+	var ls sim.LockStep
+	for !s.kickStep(p, &ls, i) {
+		p.Suspend()
+	}
+}
+
+// kickStep is kick for a sim.Proc.Drive step: it takes p's acquisition
+// of ioMu[i] one step on from *ls and reports false while p must park
+// for it, then marks the work, unlocks, signals and reports true.
+func (s *multiIO) kickStep(p *sim.Proc, ls *sim.LockStep, i int) bool {
+	if !s.ioMu[i].Acquire(p, ls) {
+		return false
+	}
 	s.work[i] = true
 	s.ioMu[i].Unlock(p)
 	s.ioCond[i].Signal()
+	return true
 }
 
 func (s *multiIO) admit(p *sim.Proc, ot *OOCTask) bool {
@@ -168,7 +181,10 @@ func (s *multiIO) ioLoop(q *sim.Proc, i, lane int) {
 //	}
 //
 // split at its parks; releasing a slot is ioMu[i].Lock,
-// inflight[i]--, ioMu[i].Unlock.
+// inflight[i]--, ioMu[i].Unlock. The wait-queue pop and pushFront, the
+// PushRun and each kick run as the step forms their blocking callers
+// loop over (popStep, pushFrontStep, PushRunStep, kickStep), so both
+// paths share one copy of each queue protocol.
 //
 // The kick is cross-PE liveness: space freed here — by explicit
 // eviction or by staging-triggered reclamation (makeRoom under lazy
@@ -273,18 +289,15 @@ func (w *ioSearch) advance() bool {
 				w.at = ioKick
 			}
 		case ioPop:
-			wq := s.wqs[i]
-			if !wq.mu.Acquire(q, &w.lock) {
+			ot, ok := s.wqs[i].popStep(q, &w.lock)
+			if !ok {
 				return false
 			}
-			if wq.tasks.Len() == 0 {
-				wq.mu.Unlock(q)
+			if ot == nil {
 				w.at, w.then = ioRelease, ioKick
 				continue
 			}
-			w.ot = wq.tasks.PopFront()
-			wq.mu.Unlock(q)
-			w.at = ioStaged
+			w.ot, w.at = ot, ioStaged
 			return true
 		case ioStaged:
 			if w.staged {
@@ -308,12 +321,9 @@ func (w *ioSearch) advance() bool {
 			s.ioMu[i].Unlock(q)
 			w.at = w.then
 		case ioPushFront:
-			wq := s.wqs[i]
-			if !wq.mu.Acquire(q, &w.lock) {
+			if !s.wqs[i].pushFrontStep(q, &w.lock, w.ot) {
 				return false
 			}
-			wq.tasks.PushFront(w.ot)
-			wq.mu.Unlock(q)
 			w.ot = nil
 			w.at = ioKick
 		case ioKick:
@@ -337,14 +347,10 @@ func (w *ioSearch) advance() bool {
 				w.at = ioWork
 			}
 		case ioKickOne:
-			j := w.kick
-			if !s.ioMu[j].Acquire(q, &w.lock) {
+			if !s.kickStep(q, &w.lock, w.kick) {
 				return false
 			}
-			s.work[j] = true
-			s.ioMu[j].Unlock(q)
-			s.ioCond[j].Signal()
-			w.scanFrom(j+1, w.scanTo)
+			w.scanFrom(w.kick+1, w.scanTo)
 		}
 	}
 }

@@ -233,12 +233,28 @@ func (wq *waitQueue) push(p *sim.Proc, ot *OOCTask) int {
 
 // pop removes and returns the first task, or nil when empty.
 func (wq *waitQueue) pop(p *sim.Proc) *OOCTask {
-	wq.mu.Lock(p)
-	defer wq.mu.Unlock(p)
-	if wq.tasks.Len() == 0 {
-		return nil
+	var s sim.LockStep
+	for {
+		if ot, ok := wq.popStep(p, &s); ok {
+			return ot
+		}
+		p.Suspend()
 	}
-	return wq.tasks.PopFront()
+}
+
+// popStep is pop for a sim.Proc.Drive step: it takes p's acquisition of
+// the queue lock one step on from *s and reports false while p must
+// park for it, then pops as pop does and reports true.
+func (wq *waitQueue) popStep(p *sim.Proc, s *sim.LockStep) (*OOCTask, bool) {
+	if !wq.mu.Acquire(p, s) {
+		return nil, false
+	}
+	var ot *OOCTask
+	if wq.tasks.Len() > 0 {
+		ot = wq.tasks.PopFront()
+	}
+	wq.mu.Unlock(p)
+	return ot, true
 }
 
 // popHeld removes and returns the first task of a non-empty queue whose
@@ -250,13 +266,24 @@ func (wq *waitQueue) popHeld(p *sim.Proc) *OOCTask {
 }
 
 // pushFront reinserts a partially staged task at the head so FIFO order
-// is preserved across capacity stalls. Returns the resulting depth.
-func (wq *waitQueue) pushFront(p *sim.Proc, ot *OOCTask) int {
-	wq.mu.Lock(p)
+// is preserved across capacity stalls.
+func (wq *waitQueue) pushFront(p *sim.Proc, ot *OOCTask) {
+	var s sim.LockStep
+	for !wq.pushFrontStep(p, &s, ot) {
+		p.Suspend()
+	}
+}
+
+// pushFrontStep is pushFront for a sim.Proc.Drive step: it takes p's
+// acquisition of the queue lock one step on from *s and reports false
+// while p must park for it, then reinserts ot and reports true.
+func (wq *waitQueue) pushFrontStep(p *sim.Proc, s *sim.LockStep, ot *OOCTask) bool {
+	if !wq.mu.Acquire(p, s) {
+		return false
+	}
 	wq.tasks.PushFront(ot)
-	n := wq.tasks.Len()
 	wq.mu.Unlock(p)
-	return n
+	return true
 }
 
 // len returns the queue length under the queue lock. Callers make real

@@ -125,13 +125,21 @@ func (a *Allocator) System() *memsim.System { return a.sys }
 // id (numa_alloc_onnode). It fails with ErrNoSpace when the node cannot
 // hold the allocation.
 func (a *Allocator) AllocOnNode(size int64, node int) (*Buffer, error) {
+	n, err := a.reserveOn(size, node)
+	if err != nil {
+		return nil, err
+	}
+	return &Buffer{a: a, size: size, parts: []Part{{Node: n, Size: size}}}, nil
+}
+
+// reserveOn claims size bytes on the node with the given id and counts
+// the claim as a live allocation, or fails with ErrNoSpace.
+func (a *Allocator) reserveOn(size int64, node int) (*memsim.Node, error) {
 	n := a.sys.Node(node)
 	if !n.Reserve(size) {
 		return nil, fmt.Errorf("%w: %d bytes on %s (%d free)", ErrNoSpace, size, n.Name, n.Free())
 	}
-	a.LiveBuffers++
-	a.TotalAllocs++
-	return &Buffer{a: a, size: size, parts: []Part{{Node: n, Size: size}}}, nil
+	return n, a.noteAlloc()
 }
 
 // Alloc allocates size bytes according to policy. node names the target
@@ -283,13 +291,19 @@ func (b *Buffer) Free() error {
 	if b.freed {
 		return ErrFreed
 	}
-	for _, p := range b.parts {
+	b.a.release(b.parts)
+	b.freed = true
+	return nil
+}
+
+// release returns the capacity of parts to their nodes and counts one
+// free.
+func (a *Allocator) release(parts []Part) {
+	for _, p := range parts {
 		p.Node.Release(p.Size)
 	}
-	b.freed = true
-	b.a.LiveBuffers--
-	b.a.TotalFrees++
-	return nil
+	a.LiveBuffers--
+	a.TotalFrees++
 }
 
 // Memcpy copies src's contents into dst in virtual time, charging source
@@ -384,34 +398,26 @@ func (a *Allocator) Migrate(p *sim.Proc, b *Buffer, node int) (sim.Time, error) 
 	// the caller's staging reservation is consumed, or two concurrent
 	// migrations can both see the same free space during the op-cost
 	// sleep and over-commit the target node.
-	n := a.sys.Node(node)
-	if !n.Reserve(b.size) {
-		return 0, fmt.Errorf("%w: %d bytes on %s (%d free)", ErrNoSpace, b.size, n.Name, n.Free())
+	n, err := a.reserveOn(b.size, node)
+	if err != nil {
+		return 0, err
 	}
-	a.LiveBuffers++
-	a.TotalAllocs++
+	dst := [1]Part{{Node: n, Size: b.size}}
 	if a.MigrateOpCost > 0 {
 		p.Sleep(a.MigrateOpCost)
 	}
 	if b.freed {
 		// The copy cannot run: free the destination.
-		n.Release(b.size)
-		a.LiveBuffers--
-		a.TotalFrees++
+		a.release(dst[:])
 		return 0, ErrFreed
 	}
-	dst := [1]Part{{Node: n, Size: b.size}}
 	t0 := p.Now()
 	a.copyParts(p, dst[:], b.parts)
 	d := p.Now() - t0 + a.MigrateOpCost
-	// Free the old location and adopt the new one.
-	for _, part := range b.parts {
-		part.Node.Release(part.Size)
-	}
+	// Free the old location and adopt the new one. The free counted is
+	// the destination's: its identity dissolves into b.
+	a.release(b.parts)
 	b.parts = append(b.parts[:0], dst[0])
-	// The destination's identity dissolves into b; account it as freed.
-	a.LiveBuffers--
-	a.TotalFrees++
 	a.BytesMigrated += float64(b.size)
 	a.MigrationTime += d
 	a.MigrationCount++

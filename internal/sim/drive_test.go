@@ -469,10 +469,10 @@ func drivePanic(t *testing.T, body func(p *Proc)) any {
 	return r
 }
 
-// TestDrivePanics: a step that parks and a step that panics each
-// surface from Run naming the process, whether the step runs in the
-// body (its first call) or from the callback that woke the process
-// (after two sleeps).
+// TestDrivePanics: a step that parks, panics, or drives or sweeps
+// itself each surfaces from Run naming the process, whether the step
+// runs in the body (its first call) or from the callback that woke the
+// process (after two sleeps).
 func TestDrivePanics(t *testing.T) {
 	for _, after := range []int{0, 2} {
 		for _, tc := range []struct {
@@ -487,6 +487,12 @@ func TestDrivePanics(t *testing.T) {
 				m.Lock(p)
 			}, `sim: process "stepper" panicked: sim: recursive Mutex.Lock by stepper`},
 			{"step panics", func(p *Proc) { panic("boom") }, `sim: process "stepper" panicked: boom`},
+			{"step drives", func(p *Proc) { p.Drive(func() bool { return true }) },
+				`sim: process "stepper" panicked: sim: Drive inside a Drive step, process stepper`},
+			{"step sweeps", func(p *Proc) {
+				ms := make([]Mutex, 2)
+				p.Sweep(0, len(ms), func(i int) *Mutex { return &ms[i] }, func(int) bool { return false })
+			}, `sim: process "stepper" panicked: sim: Drive inside a Drive step, process stepper`},
 		} {
 			t.Run(fmt.Sprintf("%s after %d sleeps", tc.name, after), func(t *testing.T) {
 				r := drivePanic(t, func(p *Proc) {

@@ -281,7 +281,8 @@ func (p *Proc) Spawn(name string, body func(q *Proc)) *Proc {
 // falls, by the EventStats.Steps the callbacks handle without p.
 //
 // A step may run outside p's body, so it must not park: a step that
-// calls a blocking primitive panics naming p. A panic in a step
+// calls a blocking primitive, or Drive or Sweep, panics naming p. A
+// panic in a step
 // surfaces from Run as a body panic does, and leaves p parked for Close
 // to reap. Drive keeps step until it returns true, so callers bind
 // their step once; a process allocates its Drive state at its first
@@ -307,7 +308,12 @@ type drive struct {
 }
 
 // driveState returns p's Drive state, allocating it at p's first Drive.
+// It panics inside a step: a nested Drive or Sweep would overwrite the
+// running step's state and turn its park guard off.
 func (p *Proc) driveState() *drive {
+	if d := p.drive; d != nil && d.stepping {
+		panic("sim: Drive inside a Drive step, process " + p.name)
+	}
 	if p.drive == nil {
 		d := &drive{}
 		d.sweepStep = func() bool { return d.sweep.Step(p) }
