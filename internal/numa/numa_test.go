@@ -275,6 +275,30 @@ func TestMigrateFreedBuffer(t *testing.T) {
 	e.RunAll()
 }
 
+// A buffer freed during the op-cost sleep fails the migration with
+// ErrFreed, and the destination's claim is released and counted freed.
+func TestMigrateFreedDuringOpCost(t *testing.T) {
+	e, sys, a := testSetup()
+	a.MigrateOpCost = 0.5
+	b, _ := a.AllocOnNode(1*gb, 0)
+	e.Spawn("mig", func(p *sim.Proc) {
+		if _, err := a.Migrate(p, b, 1); !errors.Is(err, ErrFreed) {
+			t.Errorf("err = %v, want ErrFreed", err)
+		}
+	})
+	e.Spawn("free", func(p *sim.Proc) {
+		p.Sleep(0.25)
+		if err := b.Free(); err != nil {
+			t.Errorf("Free: %v", err)
+		}
+	})
+	e.RunAll()
+	if sys.Node(0).Used() != 0 || sys.Node(1).Used() != 0 || a.LiveBuffers != 0 || a.TotalAllocs != 2 || a.TotalFrees != 2 {
+		t.Errorf("DDR used %d, HBM used %d, live %d, allocs %d, frees %d",
+			sys.Node(0).Used(), sys.Node(1).Used(), a.LiveBuffers, a.TotalAllocs, a.TotalFrees)
+	}
+}
+
 func TestMemcpyRateCap(t *testing.T) {
 	e, _, a := testSetup()
 	a.MemcpyRateCap = 10 * float64(gb)
