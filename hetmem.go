@@ -85,7 +85,7 @@ type (
 	TierSpec = topology.TierSpec
 	// Allocator is the libnuma-like allocation API.
 	Allocator = numa.Allocator
-	// Buffer is an allocated region.
+	// Buffer is an allocated region on one memory node.
 	Buffer = numa.Buffer
 )
 
@@ -244,7 +244,8 @@ type (
 	// AdaptController tunes a Manager's strategy knobs online from
 	// runtime feedback (wait shares, HBM pressure, retry counters).
 	AdaptController = adapt.Controller
-	// AdaptConfig parameterises the controller's policies.
+	// AdaptConfig sets the controller's completion-sampling period
+	// and an optional warm start; its policy thresholds are fixed.
 	AdaptConfig = adapt.Config
 	// AdaptFeedback is one sampled feedback window.
 	AdaptFeedback = adapt.Feedback
@@ -258,10 +259,6 @@ type (
 func NewAdaptController(mg *Manager, cfg AdaptConfig) (*AdaptController, error) {
 	return adapt.New(mg, cfg)
 }
-
-// DefaultAdaptConfig returns the controller defaults (also used for
-// any zero fields in a custom AdaptConfig).
-func DefaultAdaptConfig() AdaptConfig { return adapt.DefaultConfig() }
 
 // --- task-level tracing, capture and replay ---
 

@@ -24,16 +24,17 @@
 // Policies, in the order they engage:
 //
 //  1. Strategy switch: while SingleIO's wait share (or NoIO's
-//     fetch+evict share) stays >= WaitDominant for K consecutive
-//     windows, switch to MultiIO at the next barrier (Manager.Retune
-//     refuses the switch outside quiescence).
+//     fetch+evict share) stays >= waitDominant (0.35) for
+//     switchWindows (2) consecutive windows, switch to MultiIO at the
+//     next barrier (Manager.Retune refuses the switch outside
+//     quiescence), at most maxModeSwitches (1) times per run.
 //  2. Knob hill-climb: IOThreads (SingleIO) or PrefetchDepth (MultiIO)
 //     move along a power-of-two ladder; a probe step is kept only if
 //     the window score (virtual seconds per completed task) improves by
-//     Epsilon, otherwise it is reverted. After the climb settles it
-//     stays settled — short runs need convergence, not exploration.
+//     epsilon (3%), otherwise it is reverted. After the climb settles
+//     it stays settled — short runs need convergence, not exploration.
 //  3. Eviction policy, by pressure threshold: when cumulative HBM
-//     pressure sits below PressureHi and the window saw no capacity
+//     pressure sits below pressureHi (0.9) and the window saw no capacity
 //     retries or forced evictions, lazy eviction (the paper's planned
 //     memory-pool optimisation) is adopted outright — deferring
 //     evictions is free while capacity is uncontended, and score
@@ -44,9 +45,12 @@
 //
 // Determinism: the controller runs in virtual time, samples only at
 // deterministic points, and breaks its single heuristic tie (initial
-// probe direction from mid-ladder) with a seeded RNG — two runs with
-// the same seed take identical decisions, which the determinism
+// probe direction from mid-ladder) with an RNG of fixed seed — two runs
+// of the same workload take identical decisions, which the determinism
 // regression tests assert.
+//
+// The thresholds are package constants; a Config sets only the
+// completion-sampling period and an optional warm start.
 package adapt
 
 import (
@@ -62,59 +66,10 @@ import (
 
 // Config parameterises a Controller.
 type Config struct {
-	// Seed feeds the decision RNG (default 1).
-	Seed int64
 	// SampleEvery samples a window every N task completions, for
 	// applications without iteration barriers. 0 disables completion
 	// sampling (barrier-driven applications).
 	SampleEvery int
-	// WarmupWindows are observed but trigger no tuning (default 1: the
-	// first window carries cold-start fetches).
-	WarmupWindows int
-	// K is how many consecutive wait-dominant windows trigger a
-	// strategy switch (default 2).
-	K int
-	// WaitDominant is the wait-share threshold for the switch rule
-	// (default 0.35).
-	WaitDominant float64
-	// Epsilon is the relative score improvement a probe must deliver
-	// to be kept (default 0.03).
-	Epsilon float64
-	// PressureHi gates the lazy-eviction probe: cumulative HBM
-	// high-water above this fraction of the budget means capacity is
-	// contended and eager eviction stands (default 0.9).
-	PressureHi float64
-	// LowWait is the wait share below which the knob climb does not
-	// even probe: with workers never starved and no capacity retries,
-	// the current transfer aggressiveness is already sufficient and a
-	// probe window is pure disturbance (default 0.05).
-	LowWait float64
-	// MaxIOThreads caps the SingleIO thread ladder (default 8, never
-	// above the PE count).
-	MaxIOThreads int
-	// MaxPrefetchDepth caps the bounded rungs of the MultiIO depth
-	// ladder; the ladder always ends at 0 = unlimited (default 8).
-	MaxPrefetchDepth int
-	// DisableModeSwitch turns whole-strategy switching off; by default
-	// it is on (switches still only happen at barriers). Inverted so
-	// the zero Config behaves like DefaultConfig.
-	DisableModeSwitch bool
-	// MaxModeSwitches bounds strategy switches per run (default 1), so
-	// the controller converges instead of oscillating.
-	MaxModeSwitches int
-	// DisableVictimUpgrade turns off the victim-policy rule: by
-	// default, the first post-warmup window showing forced evictions
-	// switches Options.EvictPolicy to core.Lookahead — forced
-	// evictions mean the victim order bounced a block a queued task
-	// needed, and Lookahead is the policy that consults the queues.
-	// Inverted so the zero Config behaves like DefaultConfig.
-	DisableVictimUpgrade bool
-	// ReopenFactor is the relative score degradation versus the
-	// settled baseline that, sustained for two consecutive windows,
-	// makes the settled-phase guard re-open the climb — a mid-run
-	// working-set shift invalidates the settled verdicts (default
-	// 0.5, i.e. 50% slower per task).
-	ReopenFactor float64
 	// Warm seeds the controller with a recommended configuration (an
 	// offline tune verdict, or a settled verdict from an earlier
 	// session). New applies the retunable knobs — Mode, IOThreads,
@@ -129,22 +84,46 @@ type Config struct {
 	Warm *core.Options
 }
 
-// DefaultConfig returns the defaults described on the fields.
-func DefaultConfig() Config {
-	return Config{
-		Seed:             1,
-		WarmupWindows:    1,
-		K:                2,
-		WaitDominant:     0.35,
-		Epsilon:          0.03,
-		PressureHi:       0.9,
-		LowWait:          0.05,
-		MaxIOThreads:     8,
-		MaxPrefetchDepth: 8,
-		MaxModeSwitches:  1,
-		ReopenFactor:     0.5,
-	}
-}
+// The controller's policy constants.
+const (
+	// seed feeds the decision RNG.
+	seed = 1
+	// warmupWindows are observed but trigger no tuning: the first
+	// window carries cold-start fetches.
+	warmupWindows = 1
+	// switchWindows is how many consecutive wait-dominant windows
+	// trigger a strategy switch.
+	switchWindows = 2
+	// waitDominant is the wait-share threshold for the switch rule.
+	waitDominant = 0.35
+	// epsilon is the relative score improvement a probe must deliver
+	// to be kept.
+	epsilon = 0.03
+	// pressureHi gates the lazy-eviction probe: cumulative HBM
+	// high-water above this fraction of the budget means capacity is
+	// contended and eager eviction stands.
+	pressureHi = 0.9
+	// lowWait is the wait share below which the knob climb does not
+	// even probe: with workers never starved and no capacity retries,
+	// the current transfer aggressiveness is already sufficient and a
+	// probe window is pure disturbance.
+	lowWait = 0.05
+	// maxIOThreads caps the SingleIO thread ladder; the ladder never
+	// goes above the PE count either.
+	maxIOThreads = 8
+	// maxPrefetchDepth caps the bounded rungs of the MultiIO depth
+	// ladder; the ladder always ends at 0 = unlimited.
+	maxPrefetchDepth = 8
+	// maxModeSwitches bounds strategy switches per run, so the
+	// controller converges instead of oscillating.
+	maxModeSwitches = 1
+	// reopenFactor is the relative score degradation versus the
+	// settled baseline that, sustained for two consecutive windows,
+	// makes the settled-phase guard re-open the climb — a mid-run
+	// working-set shift invalidates the settled verdicts (0.5, i.e.
+	// 50% slower per task).
+	reopenFactor = 0.5
+)
 
 // Feedback is one sampled window of runtime signals: time shares over
 // the worker lanes (IO-thread lanes excluded — their fetch time is the
@@ -279,54 +258,17 @@ func New(mg *core.Manager, cfg Config) (*Controller, error) {
 	if mg.Metrics() == nil {
 		return nil, fmt.Errorf("adapt: manager has no metrics collector (set Options.Metrics)")
 	}
-	def := DefaultConfig()
-	if cfg.Seed == 0 {
-		cfg.Seed = def.Seed
-	}
-	if cfg.WarmupWindows <= 0 {
-		cfg.WarmupWindows = def.WarmupWindows
-	}
-	if cfg.K <= 0 {
-		cfg.K = def.K
-	}
-	if cfg.WaitDominant <= 0 {
-		cfg.WaitDominant = def.WaitDominant
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = def.Epsilon
-	}
-	if cfg.PressureHi <= 0 {
-		cfg.PressureHi = def.PressureHi
-	}
-	if cfg.LowWait <= 0 {
-		cfg.LowWait = def.LowWait
-	}
-	if cfg.MaxIOThreads <= 0 {
-		cfg.MaxIOThreads = def.MaxIOThreads
-	}
-	if cfg.MaxIOThreads > mg.Runtime().NumPEs() {
-		cfg.MaxIOThreads = mg.Runtime().NumPEs()
-	}
-	if cfg.MaxPrefetchDepth <= 0 {
-		cfg.MaxPrefetchDepth = def.MaxPrefetchDepth
-	}
-	if cfg.MaxModeSwitches <= 0 {
-		cfg.MaxModeSwitches = def.MaxModeSwitches
-	}
-	if cfg.ReopenFactor <= 0 {
-		cfg.ReopenFactor = def.ReopenFactor
-	}
 	c := &Controller{
 		mg:          mg,
 		eng:         mg.Runtime().Engine(),
 		met:         mg.Metrics(),
 		cfg:         cfg,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
+		rng:         rand.New(rand.NewSource(seed)),
 		numPEs:      mg.Runtime().NumPEs(),
 		budget:      mg.HBMBudget(),
 		lanes:       make([]laneTime, mg.Runtime().NumPEs()),
 		phase:       pWarm,
-		warmLeft:    cfg.WarmupWindows,
+		warmLeft:    warmupWindows,
 		settledAt:   -1,
 		settledTime: -1,
 		reopenAt:    -1,
@@ -440,7 +382,7 @@ func (c *Controller) buildLadder() {
 	opts := c.mg.Options()
 	switch opts.Mode {
 	case core.SingleIO:
-		for v := 1; v <= c.cfg.MaxIOThreads; v *= 2 {
+		for v := 1; v <= min(maxIOThreads, c.numPEs); v *= 2 {
 			c.ladder = append(c.ladder, v)
 		}
 		cur := opts.IOThreads
@@ -449,7 +391,7 @@ func (c *Controller) buildLadder() {
 		}
 		c.idx = nearestRung(c.ladder, cur)
 	case core.MultiIO:
-		for v := 1; v <= c.cfg.MaxPrefetchDepth; v *= 2 {
+		for v := 1; v <= maxPrefetchDepth; v *= 2 {
 			c.ladder = append(c.ladder, v)
 		}
 		c.ladder = append(c.ladder, 0) // unlimited: the most aggressive rung
@@ -585,7 +527,7 @@ func (c *Controller) sample(atBarrier bool) {
 // ratchet per run — the upgrade never costs anything a downgrade would
 // win back, so no probe window is spent judging it.
 func (c *Controller) victimWatch(f Feedback) {
-	if c.cfg.DisableVictimUpgrade || c.phase == pWarm || f.ForcedEvictions == 0 {
+	if c.phase == pWarm || f.ForcedEvictions == 0 {
 		return
 	}
 	o := c.mg.Options()
@@ -610,7 +552,7 @@ func (c *Controller) knob() int {
 // modeWatch runs the strategy-switch rule; reports true when a switch
 // happened (the window is consumed by it).
 func (c *Controller) modeWatch(f Feedback, atBarrier bool) bool {
-	if c.cfg.DisableModeSwitch || c.modeSwitches >= c.cfg.MaxModeSwitches {
+	if c.modeSwitches >= maxModeSwitches {
 		return false
 	}
 	mode := c.mg.Mode()
@@ -625,12 +567,12 @@ func (c *Controller) modeWatch(f Feedback, atBarrier bool) bool {
 	default:
 		return false
 	}
-	if signal < c.cfg.WaitDominant {
+	if signal < waitDominant {
 		c.waitRuns = 0
 		return false
 	}
 	c.waitRuns++
-	if c.waitRuns < c.cfg.K || !atBarrier {
+	if c.waitRuns < switchWindows || !atBarrier {
 		return false
 	}
 	o := c.mg.Options()
@@ -644,7 +586,7 @@ func (c *Controller) modeWatch(f Feedback, atBarrier bool) bool {
 	}
 	c.modeSwitches++
 	c.waitRuns = 0
-	c.record(f, "switch %v->MultiIO (signal %.2f for %d windows)", mode, signal, c.cfg.K)
+	c.record(f, "switch %v->MultiIO (signal %.2f for %d windows)", mode, signal, switchWindows)
 	// Re-warm under the new strategy, then climb its ladder; the new
 	// strategy makes its own eviction decision when it settles.
 	c.buildLadder()
@@ -657,7 +599,7 @@ func (c *Controller) modeWatch(f Feedback, atBarrier bool) bool {
 // falls through to the eviction probe / settles when there is nothing
 // to climb.
 func (c *Controller) startProbe(f Feedback) {
-	if f.WaitShare < c.cfg.LowWait && f.StageRetries == 0 {
+	if f.WaitShare < lowWait && f.StageRetries == 0 {
 		// Workers are never starved and staging never hit capacity:
 		// there is no transfer bottleneck for the knob to fix, so a
 		// probe window would be pure disturbance.
@@ -706,7 +648,7 @@ func (c *Controller) probeStep(f Feedback) {
 // stepProbe scores an active knob probe.
 func (c *Controller) stepProbe(f Feedback, score float64) {
 	next := c.idx + c.dir
-	if score <= c.knobBase*(1-c.cfg.Epsilon) {
+	if score <= c.knobBase*(1-epsilon) {
 		// Keep the step and continue climbing the same way.
 		c.idx = next
 		c.knobBase = score
@@ -747,10 +689,10 @@ func (c *Controller) stepProbe(f Feedback, score float64) {
 // contention appears.
 func (c *Controller) startEvictOrSettle(f Feedback) {
 	o := c.mg.Options()
-	if !o.EvictLazily && f.Pressure < c.cfg.PressureHi &&
+	if !o.EvictLazily && f.Pressure < pressureHi &&
 		f.StageRetries == 0 && f.ForcedEvictions == 0 {
 		if err := c.applyEvict(true); err == nil {
-			c.record(f, "adopt evict=lazy (pressure %.2f < %.2f)", f.Pressure, c.cfg.PressureHi)
+			c.record(f, "adopt evict=lazy (pressure %.2f < %.2f)", f.Pressure, pressureHi)
 		}
 	}
 	c.settle(f)
@@ -779,7 +721,7 @@ func (c *Controller) settle(f Feedback) {
 // settledGuard keeps two runtime safety valves after settling. Lazy
 // eviction that starts thrashing (capacity retries or forced evictions)
 // reverts to eager immediately. And a sustained score collapse — the
-// per-task score degrading past ReopenFactor versus the settled
+// per-task score degrading past reopenFactor versus the settled
 // baseline for two consecutive windows, each carrying fresh capacity
 // contention — means the working set shifted under the settled
 // verdicts (X10's scenario), so the guard re-opens the climb: back to
@@ -793,7 +735,7 @@ func (c *Controller) settledGuard(f Feedback, score float64) {
 		}
 	}
 	contended := f.StageRetries > 0 || f.ForcedEvictions > 0
-	if c.settledScore <= 0 || !contended || score <= c.settledScore*(1+c.cfg.ReopenFactor) {
+	if c.settledScore <= 0 || !contended || score <= c.settledScore*(1+reopenFactor) {
 		c.shiftRuns = 0
 		return
 	}

@@ -50,19 +50,15 @@ func (m *Manager) RunKernel(p *sim.Proc, deps []charm.DataDep, spec KernelSpec) 
 		if !ok {
 			panic("core: RunKernel on foreign handle")
 		}
-		// Indexed Part access keeps the per-kernel path allocation-free.
-		for i := 0; i < h.buf.NumParts(); i++ {
-			part := h.buf.Part(i)
-			b := float64(part.Size) * scale
-			switch d.Mode {
-			case charm.ReadOnly:
-				k.reads = append(k.reads, segment{part.Node, b})
-			case charm.WriteOnly:
-				k.writes = append(k.writes, segment{part.Node, b})
-			case charm.ReadWrite:
-				k.reads = append(k.reads, segment{part.Node, b})
-				k.writes = append(k.writes, segment{part.Node, b})
-			}
+		seg := segment{h.buf.Node(), float64(h.buf.Size()) * scale}
+		switch d.Mode {
+		case charm.ReadOnly:
+			k.reads = append(k.reads, seg)
+		case charm.WriteOnly:
+			k.writes = append(k.writes, seg)
+		case charm.ReadWrite:
+			k.reads = append(k.reads, seg)
+			k.writes = append(k.writes, seg)
 		}
 	}
 	k.p, k.start, k.flopTime = p, start, 0

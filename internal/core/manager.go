@@ -279,9 +279,9 @@ func (m *Manager) hbm() *memsim.Node    { return m.tiers[0] }
 func (m *Manager) bottom() *memsim.Node { return m.tiers[len(m.tiers)-1] }
 
 // tierOf returns the chain index of the node currently holding h's
-// buffer (managed buffers always live on a single node).
+// buffer.
 func (m *Manager) tierOf(h *Handle) int {
-	node := h.buf.Part(0).Node
+	node := h.buf.Node()
 	for i, t := range m.tiers {
 		if t == node {
 			return i
@@ -461,10 +461,12 @@ func (m *Manager) Handles() []*Handle {
 
 // ResidentBytes returns the bytes of managed blocks currently in HBM.
 func (m *Manager) ResidentBytes() int64 {
-	hbm := m.hbm().ID
+	hbm := m.hbm()
 	var total int64
 	for _, h := range m.handles {
-		total += h.buf.BytesOn(hbm)
+		if h.buf.Node() == hbm {
+			total += h.buf.Size()
+		}
 	}
 	return total
 }
@@ -637,7 +639,7 @@ func (m *Manager) queueDistances(p *sim.Proc) uint64 {
 	}
 	m.distBusy = true
 	defer func() { m.distBusy = false }()
-	m.strat.scanWaiting(p, func(pos int, ot *OOCTask) {
+	m.strat.queues().scanWaiting(p, func(pos int, ot *OOCTask) {
 		for _, d := range ot.deps {
 			id := d.h.id
 			if m.distSeen[id] != epoch || pos < m.dist[id] {
@@ -658,7 +660,7 @@ func (m *Manager) queueDistancesMap(p *sim.Proc) map[*Handle]int {
 	if m.strat == nil {
 		return dist
 	}
-	m.strat.scanWaiting(p, func(pos int, ot *OOCTask) {
+	m.strat.queues().scanWaiting(p, func(pos int, ot *OOCTask) {
 		for _, d := range ot.deps {
 			if cur, ok := dist[d.h]; !ok || pos < cur {
 				dist[d.h] = pos
@@ -805,16 +807,10 @@ type strategy interface {
 	admit(p *sim.Proc, ot *OOCTask) bool
 	// complete is post-processing after the entry method ran.
 	complete(p *sim.Proc, ot *OOCTask)
-	// queued snapshots every task parked in the strategy's wait
-	// queues, indexed by queue. Called only when no process is running
-	// (the engine's quiesce hook, or a barrier callback via
-	// retuneQuiescent), so no locks are needed.
-	queued() [][]*OOCTask
-	// scanWaiting visits every wait-queued task with its position in
-	// its queue, under the queue locks — the Lookahead eviction
-	// policy's view of upcoming declared uses. Callers must not hold
-	// any wait-queue lock.
-	scanWaiting(p *sim.Proc, visit func(pos int, ot *OOCTask))
+	// queues returns the strategy's wait queues of staged tasks: the
+	// watchdog's stuck-task snapshot and the Lookahead eviction
+	// policy's view of upcoming declared uses read them.
+	queues() taskQueues
 }
 
 // Retune applies a new option set to a running manager. Knob-only
@@ -881,7 +877,7 @@ func (m *Manager) noteRetune() {
 // is what makes the unlocked queue snapshot safe.
 func (m *Manager) retuneQuiescent() bool {
 	if m.strat != nil {
-		for _, q := range m.strat.queued() {
+		for _, q := range m.strat.queues().queued() {
 			if len(q) > 0 {
 				return false
 			}
@@ -962,7 +958,7 @@ func (m *Manager) auditQuiesce() {
 	}
 	var stuck []audit.StuckTask
 	if m.strat != nil {
-		for qi, q := range m.strat.queued() {
+		for qi, q := range m.strat.queues().queued() {
 			for _, ot := range q {
 				st := audit.StuckTask{Task: ot.t.String(), PE: ot.pe.ID(), Queue: qi}
 				for _, d := range ot.deps {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/charm"
-	"github.com/hetmem/hetmem/internal/ring"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -18,9 +17,9 @@ import (
 // masked.
 type multiIO struct {
 	m      *Manager
-	wqs    []*waitQueue
+	wqs    taskQueues
 	sweep  queueSweep
-	evictq []*waitQueueH
+	evictq []*waitQueue[*Handle] // eviction candidates per PE
 	ioMu   []sim.Mutex
 	ioCond []*sim.Cond
 	work   []bool
@@ -32,33 +31,20 @@ type multiIO struct {
 	inflight []int
 }
 
-// waitQueueH is a small FIFO of eviction candidates.
-type waitQueueH struct {
-	mu     sim.Mutex
-	blocks ring.Deque[*Handle]
-}
-
-func (q *waitQueueH) push(p *sim.Proc, h *Handle) {
-	q.mu.Lock(p)
-	q.blocks.PushBack(h)
-	q.mu.Unlock(p)
-}
-
 func newMultiIO(m *Manager) *multiIO {
 	n := m.rt.NumPEs()
+	lockCost := m.rt.Params().LockCost
 	s := &multiIO{
 		m:        m,
+		wqs:      newTaskQueues(n, lockCost),
+		evictq:   make([]*waitQueue[*Handle], n),
 		ioMu:     make([]sim.Mutex, n),
 		ioCond:   make([]*sim.Cond, n),
 		work:     make([]bool, n),
 		inflight: make([]int, n),
 	}
-	lockCost := m.rt.Params().LockCost
 	for i := 0; i < n; i++ {
-		s.wqs = append(s.wqs, newWaitQueue(lockCost))
-		eq := &waitQueueH{}
-		eq.mu.AcquireCost = lockCost
-		s.evictq = append(s.evictq, eq)
+		s.evictq[i] = newWaitQueue[*Handle](lockCost)
 		s.ioMu[i].AcquireCost = lockCost
 		s.ioCond[i] = sim.NewCond(&s.ioMu[i])
 		i := i
@@ -70,6 +56,8 @@ func newMultiIO(m *Manager) *multiIO {
 }
 
 func (s *multiIO) name() string { return "multi-io" }
+
+func (s *multiIO) queues() taskQueues { return s.wqs }
 
 // kick wakes PE i's IO thread.
 func (s *multiIO) kick(p *sim.Proc, i int) {
@@ -256,20 +244,18 @@ func (w *ioSearch) advance() bool {
 			w.evicted, w.nstaged = false, 0
 			w.at = ioEvictPop
 		case ioEvictPop:
-			eq := s.evictq[i]
-			if !eq.mu.Acquire(q, &w.lock) {
+			h, ok := s.evictq[i].popStep(q, &w.lock)
+			if !ok {
 				return false
 			}
-			if eq.blocks.Len() == 0 {
-				eq.mu.Unlock(q)
+			if h == nil {
 				// The bound holds for the whole staging pass, even if a
 				// retune changes it meanwhile.
 				w.depth = s.m.opts.PrefetchDepth
 				w.at = ioClaim
 				continue
 			}
-			w.evict = eq.blocks.PopFront()
-			eq.mu.Unlock(q)
+			w.evict = h
 			return true
 		case ioClaim:
 			if !s.ioMu[i].Acquire(q, &w.lock) {
@@ -301,7 +287,6 @@ func (w *ioSearch) advance() bool {
 			return true
 		case ioStaged:
 			if w.staged {
-				w.ot.Staged = true
 				w.at = ioPushRun
 			} else {
 				w.at, w.then = ioRelease, ioPushFront
@@ -359,20 +344,4 @@ func (w *ioSearch) advance() bool {
 func (w *ioSearch) scanFrom(from, to int) {
 	w.scan.Start(from, to, w.s.sweep.lock, w.s.sweep.nonEmpty)
 	w.scanTo, w.at = to, ioScan
-}
-
-// scanWaiting visits every wait-queued task under the queue locks.
-func (s *multiIO) scanWaiting(p *sim.Proc, visit func(pos int, ot *OOCTask)) {
-	for _, wq := range s.wqs {
-		wq.scan(p, visit)
-	}
-}
-
-// queued implements the watchdog's stuck-task snapshot.
-func (s *multiIO) queued() [][]*OOCTask {
-	out := make([][]*OOCTask, len(s.wqs))
-	for i, wq := range s.wqs {
-		out[i] = wq.quiescentTasks()
-	}
-	return out
 }

@@ -14,20 +14,19 @@ import (
 // the freed space to stage a waiting task.
 type noIO struct {
 	m     *Manager
-	wqs   []*waitQueue
+	wqs   taskQueues
 	sweep queueSweep
 }
 
 func newNoIO(m *Manager) *noIO {
-	s := &noIO{m: m}
-	for i := 0; i < m.rt.NumPEs(); i++ {
-		s.wqs = append(s.wqs, newWaitQueue(m.rt.Params().LockCost))
-	}
+	s := &noIO{m: m, wqs: newTaskQueues(m.rt.NumPEs(), m.rt.Params().LockCost)}
 	s.sweep = newQueueSweep(s.wqs)
 	return s
 }
 
 func (s *noIO) name() string { return "no-io" }
+
+func (s *noIO) queues() taskQueues { return s.wqs }
 
 func (s *noIO) admit(p *sim.Proc, ot *OOCTask) bool {
 	pe := ot.pe.ID()
@@ -69,32 +68,15 @@ func (s *noIO) complete(p *sim.Proc, ot *OOCTask) {
 	}
 }
 
-// queued implements the watchdog's stuck-task snapshot.
-func (s *noIO) queued() [][]*OOCTask {
-	out := make([][]*OOCTask, len(s.wqs))
-	for i, wq := range s.wqs {
-		out[i] = wq.quiescentTasks()
-	}
-	return out
-}
-
-// scanWaiting visits every wait-queued task under the queue locks.
-func (s *noIO) scanWaiting(p *sim.Proc, visit func(pos int, ot *OOCTask)) {
-	for _, wq := range s.wqs {
-		wq.scan(p, visit)
-	}
-}
-
 // drain stages wot, just popped from wq (nil when wq was empty), and
 // then as many more of wq's tasks as capacity allows, scheduling each
 // onto its own PE's run queue.
-func (s *noIO) drain(p *sim.Proc, wq *waitQueue, wot *OOCTask) {
+func (s *noIO) drain(p *sim.Proc, wq *waitQueue[*OOCTask], wot *OOCTask) {
 	for ; wot != nil; wot = wq.pop(p) {
 		if !wot.stage(p, wot.pe.ID()) {
 			wq.pushFront(p, wot)
 			return
 		}
-		wot.Staged = true
 		wot.pe.PushRun(p, wot.t)
 	}
 }

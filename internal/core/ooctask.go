@@ -28,10 +28,6 @@ type OOCTask struct {
 
 	deps     []depRef
 	depBytes int64
-
-	// Staged is set once the task has been admitted to a run queue
-	// (diagnostics).
-	Staged bool
 }
 
 // newOOCTask resolves a charm task's declared dependences into managed
@@ -57,9 +53,6 @@ func (ot *OOCTask) Task() *charm.Task { return ot.t }
 
 // PE returns the task's home PE.
 func (ot *OOCTask) PE() *charm.PE { return ot.pe }
-
-// DepBytes returns the total size of the task's dependences.
-func (ot *OOCTask) DepBytes() int64 { return ot.depBytes }
 
 // ready reports whether every dependence is resident in HBM right now.
 func (ot *OOCTask) ready() bool {
@@ -205,38 +198,39 @@ func (ot *OOCTask) release(p *sim.Proc, lane int) {
 	}
 }
 
-// waitQueue is a FIFO of staged tasks guarded by a virtual-time lock
-// (the paper's per-PE wait queue; one instance total under the shared-
-// queue ablation).
-type waitQueue struct {
+// waitQueue is a FIFO guarded by a virtual-time lock: the paper's
+// per-PE wait queue of staged tasks (one instance total under the
+// shared-queue ablation), and Multiple IO's per-PE queue of eviction
+// candidates.
+type waitQueue[T any] struct {
 	mu    sim.Mutex
-	tasks ring.Deque[*OOCTask]
+	items ring.Deque[T]
 }
 
-func newWaitQueue(lockCost sim.Time) *waitQueue {
-	wq := &waitQueue{}
+func newWaitQueue[T any](lockCost sim.Time) *waitQueue[T] {
+	wq := &waitQueue[T]{}
 	wq.mu.AcquireCost = lockCost
 	return wq
 }
 
-// push appends a task (worker side: "the worker thread locks the
+// push appends x (worker side: "the worker thread locks the
 // corresponding PE's wait queue and adds the task") and returns the
 // resulting depth, so callers can record queue-depth metrics without a
 // second lock round-trip.
-func (wq *waitQueue) push(p *sim.Proc, ot *OOCTask) int {
+func (wq *waitQueue[T]) push(p *sim.Proc, x T) int {
 	wq.mu.Lock(p)
-	wq.tasks.PushBack(ot)
-	n := wq.tasks.Len()
+	wq.items.PushBack(x)
+	n := wq.items.Len()
 	wq.mu.Unlock(p)
 	return n
 }
 
-// pop removes and returns the first task, or nil when empty.
-func (wq *waitQueue) pop(p *sim.Proc) *OOCTask {
+// pop removes and returns the first item, or the zero T when empty.
+func (wq *waitQueue[T]) pop(p *sim.Proc) T {
 	var s sim.LockStep
 	for {
-		if ot, ok := wq.popStep(p, &s); ok {
-			return ot
+		if x, ok := wq.popStep(p, &s); ok {
+			return x
 		}
 		p.Suspend()
 	}
@@ -245,43 +239,43 @@ func (wq *waitQueue) pop(p *sim.Proc) *OOCTask {
 // popStep is pop for a sim.Proc.Drive step: it takes p's acquisition of
 // the queue lock one step on from *s and reports false while p must
 // park for it, then pops as pop does and reports true.
-func (wq *waitQueue) popStep(p *sim.Proc, s *sim.LockStep) (*OOCTask, bool) {
+func (wq *waitQueue[T]) popStep(p *sim.Proc, s *sim.LockStep) (T, bool) {
+	var x T
 	if !wq.mu.Acquire(p, s) {
-		return nil, false
+		return x, false
 	}
-	var ot *OOCTask
-	if wq.tasks.Len() > 0 {
-		ot = wq.tasks.PopFront()
+	if wq.items.Len() > 0 {
+		x = wq.items.PopFront()
 	}
 	wq.mu.Unlock(p)
-	return ot, true
+	return x, true
 }
 
-// popHeld removes and returns the first task of a non-empty queue whose
+// popHeld removes and returns the first item of a non-empty queue whose
 // lock p holds from a sweep hit, and releases the lock: the tail of pop.
-func (wq *waitQueue) popHeld(p *sim.Proc) *OOCTask {
-	ot := wq.tasks.PopFront()
+func (wq *waitQueue[T]) popHeld(p *sim.Proc) T {
+	x := wq.items.PopFront()
 	wq.mu.Unlock(p)
-	return ot
+	return x
 }
 
 // pushFront reinserts a partially staged task at the head so FIFO order
 // is preserved across capacity stalls.
-func (wq *waitQueue) pushFront(p *sim.Proc, ot *OOCTask) {
+func (wq *waitQueue[T]) pushFront(p *sim.Proc, x T) {
 	var s sim.LockStep
-	for !wq.pushFrontStep(p, &s, ot) {
+	for !wq.pushFrontStep(p, &s, x) {
 		p.Suspend()
 	}
 }
 
 // pushFrontStep is pushFront for a sim.Proc.Drive step: it takes p's
 // acquisition of the queue lock one step on from *s and reports false
-// while p must park for it, then reinserts ot and reports true.
-func (wq *waitQueue) pushFrontStep(p *sim.Proc, s *sim.LockStep, ot *OOCTask) bool {
+// while p must park for it, then reinserts x and reports true.
+func (wq *waitQueue[T]) pushFrontStep(p *sim.Proc, s *sim.LockStep, x T) bool {
 	if !wq.mu.Acquire(p, s) {
 		return false
 	}
-	wq.tasks.PushFront(ot)
+	wq.items.PushFront(x)
 	wq.mu.Unlock(p)
 	return true
 }
@@ -290,22 +284,66 @@ func (wq *waitQueue) pushFrontStep(p *sim.Proc, s *sim.LockStep, ot *OOCTask) bo
 // scheduling decisions from it (NoIO's FIFO-fairness gate, MultiIO's
 // cross-PE kicks), so it must observe a consistent queue, and it pays
 // the same lock cost every other queue operation does.
-func (wq *waitQueue) len(p *sim.Proc) int {
+func (wq *waitQueue[T]) len(p *sim.Proc) int {
 	wq.mu.Lock(p)
-	n := wq.tasks.Len()
+	n := wq.items.Len()
 	wq.mu.Unlock(p)
 	return n
 }
 
-// scan visits each queued task with its queue position under the queue
+// scan visits each queued item with its queue position under the queue
 // lock (the Lookahead eviction policy's dependence walk). The callback
 // must not touch this queue or block.
-func (wq *waitQueue) scan(p *sim.Proc, visit func(pos int, ot *OOCTask)) {
+func (wq *waitQueue[T]) scan(p *sim.Proc, visit func(pos int, x T)) {
 	wq.mu.Lock(p)
-	for i := 0; i < wq.tasks.Len(); i++ {
-		visit(i, wq.tasks.At(i))
+	for i := 0; i < wq.items.Len(); i++ {
+		visit(i, wq.items.At(i))
 	}
 	wq.mu.Unlock(p)
+}
+
+// quiescentItems snapshots the queue contents without the lock. Only
+// the engine's quiesce hook may call it: with the event queue drained
+// no process is running, so the unguarded read cannot race.
+func (wq *waitQueue[T]) quiescentItems() []T {
+	var items []T
+	for i := 0; i < wq.items.Len(); i++ {
+		items = append(items, wq.items.At(i))
+	}
+	return items
+}
+
+// taskQueues is a strategy's wait queues of staged tasks, indexed by
+// queue.
+type taskQueues []*waitQueue[*OOCTask]
+
+// newTaskQueues returns n empty wait queues whose locks cost lockCost.
+func newTaskQueues(n int, lockCost sim.Time) taskQueues {
+	qs := make(taskQueues, n)
+	for i := range qs {
+		qs[i] = newWaitQueue[*OOCTask](lockCost)
+	}
+	return qs
+}
+
+// queued snapshots every task parked in the queues, indexed by queue.
+// Called only when no process is running (the engine's quiesce hook,
+// or a barrier callback via retuneQuiescent), so no locks are needed.
+func (qs taskQueues) queued() [][]*OOCTask {
+	out := make([][]*OOCTask, len(qs))
+	for i, wq := range qs {
+		out[i] = wq.quiescentItems()
+	}
+	return out
+}
+
+// scanWaiting visits every queued task with its position in its queue,
+// under the queue locks — the Lookahead eviction policy's view of
+// upcoming declared uses. Callers must not hold any wait-queue lock.
+func (qs taskQueues) scanWaiting(p *sim.Proc, visit func(pos int, ot *OOCTask)) {
+	for _, wq := range qs {
+		wq.scan(p, visit)
+	}
 }
 
 // queueSweep finds a strategy's non-empty wait queues with
@@ -318,10 +356,10 @@ type queueSweep struct {
 	nonEmpty func(i int) bool
 }
 
-func newQueueSweep(wqs []*waitQueue) queueSweep {
+func newQueueSweep(wqs taskQueues) queueSweep {
 	return queueSweep{
 		lock:     func(i int) *sim.Mutex { return &wqs[i].mu },
-		nonEmpty: func(i int) bool { return wqs[i].tasks.Len() > 0 },
+		nonEmpty: func(i int) bool { return wqs[i].items.Len() > 0 },
 	}
 }
 
@@ -333,15 +371,4 @@ func (qs queueSweep) each(p *sim.Proc, from, to int, hit func(i int)) {
 			hit(i)
 		}
 	}
-}
-
-// quiescentTasks snapshots the queue contents without the lock. Only
-// the engine's quiesce hook may call it: with the event queue drained
-// no process is running, so the unguarded read cannot race.
-func (wq *waitQueue) quiescentTasks() []*OOCTask {
-	var tasks []*OOCTask
-	for i := 0; i < wq.tasks.Len(); i++ {
-		tasks = append(tasks, wq.tasks.At(i))
-	}
-	return tasks
 }

@@ -20,7 +20,7 @@ import (
 // all queues.
 type singleIO struct {
 	m     *Manager
-	wqs   []*waitQueue
+	wqs   taskQueues
 	sweep queueSweep
 
 	ioMu   sim.Mutex
@@ -51,9 +51,7 @@ func newSingleIO(m *Manager) *singleIO {
 	if m.opts.SharedWaitQueue {
 		nq = 1
 	}
-	for i := 0; i < nq; i++ {
-		s.wqs = append(s.wqs, newWaitQueue(m.rt.Params().LockCost))
-	}
+	s.wqs = newTaskQueues(nq, m.rt.Params().LockCost)
 	s.sweep = newQueueSweep(s.wqs)
 	threads := m.opts.IOThreads
 	if threads <= 0 {
@@ -93,8 +91,10 @@ func (s *singleIO) setIOThreads(n int) {
 
 func (s *singleIO) name() string { return "single-io" }
 
+func (s *singleIO) queues() taskQueues { return s.wqs }
+
 // queueFor returns the wait queue a PE's tasks join.
-func (s *singleIO) queueFor(pe int) *waitQueue {
+func (s *singleIO) queueFor(pe int) *waitQueue[*OOCTask] {
 	if len(s.wqs) == 1 {
 		return s.wqs[0]
 	}
@@ -142,22 +142,6 @@ func (s *singleIO) complete(p *sim.Proc, ot *OOCTask) {
 	s.kick(p)
 }
 
-// queued implements the watchdog's stuck-task snapshot.
-func (s *singleIO) queued() [][]*OOCTask {
-	out := make([][]*OOCTask, len(s.wqs))
-	for i, wq := range s.wqs {
-		out[i] = wq.quiescentTasks()
-	}
-	return out
-}
-
-// scanWaiting visits every wait-queued task under the queue locks.
-func (s *singleIO) scanWaiting(p *sim.Proc, visit func(pos int, ot *OOCTask)) {
-	for _, wq := range s.wqs {
-		wq.scan(p, visit)
-	}
-}
-
 // ioLoop is Algorithm 1: while space remains in HBM, pop the first task
 // of each wait queue in turn, bring in its data, and move it to the run
 // queue; sleep when out of tasks or capacity. Thread id parks whenever
@@ -182,7 +166,6 @@ func (s *singleIO) ioLoop(q *sim.Proc, id, lane int) {
 				wq := s.wqs[j]
 				ot := wq.popHeld(q)
 				if ot.stage(q, lane) {
-					ot.Staged = true
 					ot.pe.PushRun(q, ot.t)
 					progress = true
 				} else {

@@ -459,35 +459,3 @@ func (s *System) finish(f *Flow) {
 		s.e.Schedule(s.e.Now(), f.then)
 	}
 }
-
-// Transfer moves bytes from src to dst as a blocking memcpy-style flow,
-// consuming src read bandwidth and dst write bandwidth simultaneously
-// (plus both nodes' fixed latency once up front). It returns the elapsed
-// virtual time. This is the data-movement primitive behind the paper's
-// numa_alloc_onnode + memcpy + numa_free migration routine.
-func (s *System) Transfer(p *sim.Proc, bytes float64, src, dst *Node, rateCap float64) sim.Time {
-	t0 := s.e.Now()
-	if lat := src.Latency + dst.Latency; lat > 0 {
-		p.Sleep(lat)
-	}
-	f := s.StartFlow(FlowSpec{
-		Bytes:   bytes,
-		Demands: []Demand{{Node: src, Access: Read}, {Node: dst, Access: Write}},
-		RateCap: rateCap,
-	})
-	f.Wait(p)
-	return s.e.Now() - t0
-}
-
-// ReadStream streams bytes from node as a blocking flow consuming read
-// bandwidth only (a load-dominated kernel).
-func (s *System) ReadStream(p *sim.Proc, bytes float64, node *Node, rateCap float64) sim.Time {
-	t0 := s.e.Now()
-	f := s.StartFlow(FlowSpec{
-		Bytes:   bytes,
-		Demands: []Demand{{Node: node, Access: Read}},
-		RateCap: rateCap,
-	})
-	f.Wait(p)
-	return s.e.Now() - t0
-}

@@ -25,6 +25,38 @@ func testSystem(e *sim.Engine) *System {
 	})
 }
 
+// transfer moves bytes from src to dst as a blocking memcpy-style flow,
+// consuming src read bandwidth and dst write bandwidth simultaneously
+// (plus both nodes' fixed latency once, before the flow starts), and
+// returns the elapsed virtual time.
+func (s *System) transfer(p *sim.Proc, bytes float64, src, dst *Node, rateCap float64) sim.Time {
+	t0 := s.e.Now()
+	if lat := src.Latency + dst.Latency; lat > 0 {
+		p.Sleep(lat)
+	}
+	f := s.StartFlow(FlowSpec{
+		Bytes:   bytes,
+		Demands: []Demand{{Node: src, Access: Read}, {Node: dst, Access: Write}},
+		RateCap: rateCap,
+	})
+	f.Wait(p)
+	return s.e.Now() - t0
+}
+
+// readStream streams bytes from node as a blocking flow consuming read
+// bandwidth only (a load-dominated kernel), and returns the elapsed
+// virtual time.
+func (s *System) readStream(p *sim.Proc, bytes float64, node *Node, rateCap float64) sim.Time {
+	t0 := s.e.Now()
+	f := s.StartFlow(FlowSpec{
+		Bytes:   bytes,
+		Demands: []Demand{{Node: node, Access: Read}},
+		RateCap: rateCap,
+	})
+	f.Wait(p)
+	return s.e.Now() - t0
+}
+
 func almost(t *testing.T, got, want, tol float64, what string) {
 	t.Helper()
 	if math.Abs(got-want) > tol*math.Abs(want) {
@@ -99,7 +131,7 @@ func TestSingleFlowFullBandwidth(t *testing.T) {
 	s := testSystem(e)
 	var dur sim.Time
 	e.Spawn("reader", func(p *sim.Proc) {
-		dur = s.ReadStream(p, 100*gb, s.Node(0), 0)
+		dur = s.readStream(p, 100*gb, s.Node(0), 0)
 	})
 	e.RunAll()
 	almost(t, dur, 1.0, 1e-6, "uncontended 100GB read at 100GB/s")
@@ -110,7 +142,7 @@ func TestFlowRateCap(t *testing.T) {
 	s := testSystem(e)
 	var dur sim.Time
 	e.Spawn("reader", func(p *sim.Proc) {
-		dur = s.ReadStream(p, 10*gb, s.Node(0), 10*gb) // capped at 10 GB/s
+		dur = s.readStream(p, 10*gb, s.Node(0), 10*gb) // capped at 10 GB/s
 	})
 	e.RunAll()
 	almost(t, dur, 1.0, 1e-6, "capped read")
@@ -120,8 +152,8 @@ func TestFairShareTwoFlows(t *testing.T) {
 	e := sim.NewEngine(1)
 	s := testSystem(e)
 	var d1, d2 sim.Time
-	e.Spawn("r1", func(p *sim.Proc) { d1 = s.ReadStream(p, 50*gb, s.Node(0), 0) })
-	e.Spawn("r2", func(p *sim.Proc) { d2 = s.ReadStream(p, 50*gb, s.Node(0), 0) })
+	e.Spawn("r1", func(p *sim.Proc) { d1 = s.readStream(p, 50*gb, s.Node(0), 0) })
+	e.Spawn("r2", func(p *sim.Proc) { d2 = s.readStream(p, 50*gb, s.Node(0), 0) })
 	e.RunAll()
 	// Both share 100 GB/s -> 50 GB/s each -> 1 s each.
 	almost(t, d1, 1.0, 1e-6, "flow1")
@@ -132,8 +164,8 @@ func TestShortFlowReleasesBandwidth(t *testing.T) {
 	e := sim.NewEngine(1)
 	s := testSystem(e)
 	var dLong sim.Time
-	e.Spawn("long", func(p *sim.Proc) { dLong = s.ReadStream(p, 100*gb, s.Node(0), 0) })
-	e.Spawn("short", func(p *sim.Proc) { s.ReadStream(p, 25*gb, s.Node(0), 0) })
+	e.Spawn("long", func(p *sim.Proc) { dLong = s.readStream(p, 100*gb, s.Node(0), 0) })
+	e.Spawn("short", func(p *sim.Proc) { s.readStream(p, 25*gb, s.Node(0), 0) })
 	e.RunAll()
 	// Phase 1: both at 50 GB/s until short finishes at t=0.5 (25GB).
 	// Long has 75 GB left, then runs at 100 GB/s -> 0.75 s more.
@@ -146,9 +178,9 @@ func TestTransferUsesBothNodes(t *testing.T) {
 	var toHBM, toDDR sim.Time
 	e.Spawn("mover", func(p *sim.Proc) {
 		// DDR->HBM: min(DDR read 100, HBM write 380) = 100 GB/s.
-		toHBM = s.Transfer(p, 100*gb, s.Node(0), s.Node(1), 0)
+		toHBM = s.transfer(p, 100*gb, s.Node(0), s.Node(1), 0)
 		// HBM->DDR: min(HBM read 400, DDR write 80) = 80 GB/s.
-		toDDR = s.Transfer(p, 100*gb, s.Node(1), s.Node(0), 0)
+		toDDR = s.transfer(p, 100*gb, s.Node(1), s.Node(0), 0)
 	})
 	e.RunAll()
 	almost(t, toHBM, 1.0, 1e-6, "DDR->HBM transfer")
@@ -166,7 +198,7 @@ func TestTransferLatency(t *testing.T) {
 	})
 	var dur sim.Time
 	e.Spawn("mover", func(p *sim.Proc) {
-		dur = s.Transfer(p, gb/2, s.Node(0), s.Node(1), 0)
+		dur = s.transfer(p, gb/2, s.Node(0), s.Node(1), 0)
 	})
 	e.RunAll()
 	almost(t, dur, 1.0, 1e-6, "0.5s transfer + 0.5s latency")
@@ -252,7 +284,7 @@ func TestManyCappedFlowsAggregate(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		i := i
 		e.Spawn(fmt.Sprintf("core%d", i), func(p *sim.Proc) {
-			durs[i] = s.ReadStream(p, gb, s.Node(0), 10*gb)
+			durs[i] = s.readStream(p, gb, s.Node(0), 10*gb)
 		})
 	}
 	e.RunAll()
@@ -270,7 +302,7 @@ func TestCappedFlowsUnderSubscribed(t *testing.T) {
 	var dur sim.Time
 	for i := 0; i < 4; i++ {
 		e.Spawn(fmt.Sprintf("c%d", i), func(p *sim.Proc) {
-			dur = s.ReadStream(p, 10*gb, s.Node(0), 10*gb)
+			dur = s.readStream(p, 10*gb, s.Node(0), 10*gb)
 		})
 	}
 	e.RunAll()
@@ -291,7 +323,7 @@ func TestHBMvsDDRBandwidthRatio(t *testing.T) {
 		_ = done
 		for i := 0; i < 64; i++ {
 			e.Spawn(fmt.Sprintf("s%d", i), func(p *sim.Proc) {
-				s.ReadStream(p, gb, node, 12*gb)
+				s.readStream(p, gb, node, 12*gb)
 				wg.Done()
 			})
 		}
@@ -318,16 +350,16 @@ func TestMigrationContendsWithKernel(t *testing.T) {
 	s := testSystem(e)
 	var alone, contended sim.Time
 	e.Spawn("alone", func(p *sim.Proc) {
-		alone = s.ReadStream(p, 50*gb, s.Node(0), 0)
+		alone = s.readStream(p, 50*gb, s.Node(0), 0)
 	})
 	e.RunAll()
 	e2 := sim.NewEngine(1)
 	s2 := testSystem(e2)
 	e2.Spawn("kernel", func(p *sim.Proc) {
-		contended = s2.ReadStream(p, 50*gb, s2.Node(0), 0)
+		contended = s2.readStream(p, 50*gb, s2.Node(0), 0)
 	})
 	e2.Spawn("migration", func(p *sim.Proc) {
-		s2.Transfer(p, 50*gb, s2.Node(0), s2.Node(1), 0)
+		s2.transfer(p, 50*gb, s2.Node(0), s2.Node(1), 0)
 	})
 	e2.RunAll()
 	if contended <= alone {
@@ -339,7 +371,7 @@ func TestFlowAccounting(t *testing.T) {
 	e := sim.NewEngine(1)
 	s := testSystem(e)
 	e.Spawn("mover", func(p *sim.Proc) {
-		s.Transfer(p, 10*gb, s.Node(0), s.Node(1), 0)
+		s.transfer(p, 10*gb, s.Node(0), s.Node(1), 0)
 	})
 	e.RunAll()
 	almost(t, s.Node(0).BytesRead, 10*gb, 1e-6, "DDR bytes read")
@@ -383,9 +415,9 @@ func TestDeterministicRates(t *testing.T) {
 			e.Spawn(fmt.Sprintf("f%d", i), func(p *sim.Proc) {
 				p.Sleep(sim.Time(i) * 0.01)
 				if i%2 == 0 {
-					out[i] = s.ReadStream(p, gb*float64(i+1), s.Node(0), 15*gb)
+					out[i] = s.readStream(p, gb*float64(i+1), s.Node(0), 15*gb)
 				} else {
-					out[i] = s.Transfer(p, gb*float64(i+1), s.Node(0), s.Node(1), 15*gb)
+					out[i] = s.transfer(p, gb*float64(i+1), s.Node(0), s.Node(1), 15*gb)
 				}
 			})
 		}
@@ -445,8 +477,8 @@ func TestInfiniteCapIsUncapped(t *testing.T) {
 	e := sim.NewEngine(1)
 	s := testSystem(e)
 	var d1, d2 sim.Time
-	e.Spawn("inf", func(p *sim.Proc) { d1 = s.ReadStream(p, 50*gb, s.Node(0), math.Inf(1)) })
-	e.Spawn("zero", func(p *sim.Proc) { d2 = s.ReadStream(p, 50*gb, s.Node(0), 0) })
+	e.Spawn("inf", func(p *sim.Proc) { d1 = s.readStream(p, 50*gb, s.Node(0), math.Inf(1)) })
+	e.Spawn("zero", func(p *sim.Proc) { d2 = s.readStream(p, 50*gb, s.Node(0), 0) })
 	e.RunAll()
 	almost(t, d1, 1.0, 1e-6, "+Inf-capped flow")
 	almost(t, d2, 1.0, 1e-6, "uncapped flow")
@@ -471,7 +503,7 @@ func TestBusLimitsMixedTraffic(t *testing.T) {
 		{Name: "DDR4", Kind: DDR, Cap: 96 * gb, ReadBW: 95 * gb, WriteBW: 80 * gb, TotalBW: 90 * gb},
 	})
 	var rDur, wDur sim.Time
-	e.Spawn("r", func(p *sim.Proc) { rDur = s.ReadStream(p, 45*gb, s.Node(0), 0) })
+	e.Spawn("r", func(p *sim.Proc) { rDur = s.readStream(p, 45*gb, s.Node(0), 0) })
 	e.Spawn("w", func(p *sim.Proc) {
 		f := s.StartFlow(FlowSpec{Bytes: 45 * gb, Demands: []Demand{{Node: s.Node(0), Access: Write}}})
 		wDur = f.Wait(p)
@@ -490,7 +522,7 @@ func TestBusDefaultsToSumOfDirections(t *testing.T) {
 	}
 	// Read and write can then proceed at full directional rates.
 	var rDur sim.Time
-	e.Spawn("r", func(p *sim.Proc) { rDur = s.ReadStream(p, 100*gb, s.Node(0), 0) })
+	e.Spawn("r", func(p *sim.Proc) { rDur = s.readStream(p, 100*gb, s.Node(0), 0) })
 	e.Spawn("w", func(p *sim.Proc) {
 		f := s.StartFlow(FlowSpec{Bytes: 80 * gb, Demands: []Demand{{Node: s.Node(0), Access: Write}}})
 		f.Wait(p)
@@ -508,7 +540,7 @@ func TestSameNodeCopyChargesBusTwice(t *testing.T) {
 	})
 	var dur sim.Time
 	e.Spawn("cp", func(p *sim.Proc) {
-		dur = s.Transfer(p, 10*gb, s.Node(0), s.Node(0), 0)
+		dur = s.transfer(p, 10*gb, s.Node(0), s.Node(0), 0)
 	})
 	e.RunAll()
 	almost(t, dur, 20.0/90.0, 1e-6, "same-node copy limited by bus both ways")

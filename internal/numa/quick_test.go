@@ -29,9 +29,7 @@ func TestQuickAllocFreeAccounting(t *testing.T) {
 				switch r.Intn(4) {
 				case 0, 1: // allocate
 					size := int64(1+r.Intn(512)) * (1 << 20)
-					node := r.Intn(2)
-					policy := Policy(r.Intn(3))
-					b, err := a.Alloc(size, policy, node)
+					b, err := a.AllocOnNode(size, r.Intn(2))
 					if err != nil {
 						if !errors.Is(err, ErrNoSpace) {
 							ok = false
@@ -57,12 +55,10 @@ func TestQuickAllocFreeAccounting(t *testing.T) {
 						ok = false
 					}
 				}
-				// Invariant: node usage equals the sum of live parts.
+				// Invariant: node usage equals the sum of live buffers.
 				var want [2]int64
 				for _, b := range live {
-					for n := 0; n < 2; n++ {
-						want[n] += b.BytesOn(n)
-					}
+					want[b.Node().ID] += b.Size()
 				}
 				for n := 0; n < 2; n++ {
 					if sys.Node(n).Used() != want[n] {
@@ -87,50 +83,6 @@ func TestQuickAllocFreeAccounting(t *testing.T) {
 		return ok
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickBufferSizeConserved: a buffer's parts always sum to its
-// size, under any policy and after any migration.
-func TestQuickBufferSizeConserved(t *testing.T) {
-	check := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		e := sim.NewEngine(1)
-		sys := memsim.NewSystem(e, []memsim.NodeSpec{
-			{Name: "DDR", Kind: memsim.DDR, Cap: 64 * gb, ReadBW: float64(gb), WriteBW: float64(gb)},
-			{Name: "HBM", Kind: memsim.HBM, Cap: 4 * gb, ReadBW: float64(gb), WriteBW: float64(gb)},
-		})
-		a := New(sys)
-		size := int64(1+r.Intn(6*1024)) * (1 << 20)
-		b, err := a.Alloc(size, Policy(r.Intn(3)), r.Intn(2))
-		if err != nil {
-			return true // no space is fine
-		}
-		sumParts := func() int64 {
-			var s int64
-			for _, p := range b.Parts() {
-				s += p.Size
-			}
-			return s
-		}
-		if sumParts() != size {
-			return false
-		}
-		ok := true
-		e.Spawn("mig", func(p *sim.Proc) {
-			for i := 0; i < 3; i++ {
-				a.Migrate(p, b, r.Intn(2))
-				if sumParts() != size {
-					ok = false
-				}
-			}
-		})
-		e.RunAll()
-		e.Close()
-		return ok
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

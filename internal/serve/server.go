@@ -139,13 +139,6 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 }
 
-// Draining reports drain state (for tests).
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // sessionJSON is the wire form of a session record.
 type sessionJSON struct {
 	ID        string  `json:"id"`

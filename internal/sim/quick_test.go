@@ -106,28 +106,3 @@ func TestQuickMutexSerialises(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickSemaphoreWidth: with permit width w and n unit-time tasks,
-// the makespan is ceil(n/w).
-func TestQuickSemaphoreWidth(t *testing.T) {
-	check := func(rawN, rawW uint8) bool {
-		n := 1 + int(rawN)%20
-		w := 1 + int(rawW)%8
-		e := NewEngine(1)
-		s := NewSemaphore(w)
-		for i := 0; i < n; i++ {
-			e.Spawn("w", func(p *Proc) {
-				s.Acquire(p)
-				p.Sleep(1)
-				s.Release()
-			})
-		}
-		end := e.RunAll()
-		defer e.Close()
-		want := Time((n + w - 1) / w)
-		return end == want
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}

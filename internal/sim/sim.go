@@ -1,6 +1,6 @@
 // Package sim implements a deterministic discrete-event simulation engine
 // with coroutine-style processes and virtual-time synchronisation
-// primitives (Mutex, Cond, Semaphore, WaitGroup).
+// primitives (Mutex, Cond, WaitGroup).
 //
 // The engine executes exactly one process at a time and orders
 // same-timestamp events by insertion sequence, so a simulation run is a

@@ -251,40 +251,6 @@ func (c *Cond) Broadcast() {
 // NumWaiters returns how many processes are parked in Wait.
 func (c *Cond) NumWaiters() int { return len(c.waiters) }
 
-// Semaphore is a counting semaphore with FIFO wake-up.
-type Semaphore struct {
-	n       int
-	waiters []*Proc
-}
-
-// NewSemaphore returns a semaphore with n initial permits.
-func NewSemaphore(n int) *Semaphore { return &Semaphore{n: n} }
-
-// Acquire takes one permit, parking p until one is available.
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.n > 0 {
-		s.n--
-		return
-	}
-	s.waiters = append(s.waiters, p)
-	p.park()
-}
-
-// Release returns one permit, waking the oldest waiter if any.
-func (s *Semaphore) Release() {
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		copy(s.waiters, s.waiters[1:])
-		s.waiters = s.waiters[:len(s.waiters)-1]
-		w.Resume()
-		return
-	}
-	s.n++
-}
-
-// Available returns the number of free permits.
-func (s *Semaphore) Available() int { return s.n }
-
 // WaitGroup waits for a collection of processes or operations to finish,
 // mirroring sync.WaitGroup in virtual time.
 type WaitGroup struct {

@@ -238,34 +238,6 @@ func TestCondProducerConsumer(t *testing.T) {
 	}
 }
 
-func TestSemaphore(t *testing.T) {
-	e := NewEngine(1)
-	s := NewSemaphore(2)
-	inside, maxIn := 0, 0
-	for i := 0; i < 6; i++ {
-		e.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			s.Acquire(p)
-			inside++
-			if inside > maxIn {
-				maxIn = inside
-			}
-			p.Sleep(1)
-			inside--
-			s.Release()
-		})
-	}
-	end := e.RunAll()
-	if maxIn != 2 {
-		t.Fatalf("max concurrent = %d, want 2", maxIn)
-	}
-	if end != 3 {
-		t.Fatalf("end = %v, want 3 (6 tasks, width 2)", end)
-	}
-	if s.Available() != 2 {
-		t.Fatalf("Available = %d, want 2", s.Available())
-	}
-}
-
 func TestWaitGroup(t *testing.T) {
 	e := NewEngine(1)
 	var wg WaitGroup
