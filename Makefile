@@ -15,8 +15,11 @@ ci: lint build race audit bench-test
 # domain-specific hmlint suite (internal/lint), and staticcheck.
 lint: vet hmlint staticcheck
 
+# vet also runs inside bench/: it is a Go module of its own, so the
+# root `go vet ./...` never reaches it (see bench-test).
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # hmlint enforces the repository's own invariants: staging-protocol
 # lock discipline, declared-dependence access modes, determinism of the

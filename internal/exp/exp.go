@@ -14,6 +14,7 @@ import (
 	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/topology"
 )
 
@@ -175,10 +176,18 @@ func (s Scale) options(mode core.Mode) core.Options {
 	return o
 }
 
-// newEnv builds a fresh environment for one run.
+// newEnv builds a fresh environment for one run on the scale's
+// machine.
 func (s Scale) newEnv(opts core.Options, trace bool) *kernels.Env {
+	return s.newEnvOn(s.Machine(), opts, trace)
+}
+
+// newEnvOn builds a fresh environment for one run on spec, a variant
+// of the scale's machine (X5's NVM far memory, X14's deeper chains),
+// and enrols it in the DrainAudit registry.
+func (s Scale) newEnvOn(spec topology.MachineSpec, opts core.Options, trace bool) *kernels.Env {
 	env := kernels.NewEnv(kernels.EnvConfig{
-		Spec:   s.Machine(),
+		Spec:   spec,
 		NumPEs: s.NumPEs(),
 		Opts:   opts,
 		Params: charm.DefaultParams(),
@@ -188,9 +197,25 @@ func (s Scale) newEnv(opts core.Options, trace bool) *kernels.Env {
 	return env
 }
 
-// registerAudit enrols an environment in the DrainAudit registry;
-// drivers that build environments directly (custom machine specs) call
-// it themselves.
+// runner is what the kernels constructors build: an application that
+// runs to completion on its manager's engine.
+type runner interface{ Run() (sim.Time, error) }
+
+// runApp builds an application from cfg on env's manager, runs it to
+// completion and closes env. The app and env's counters, tracer and
+// clock stay readable after the close.
+func runApp[C any, A runner](env *kernels.Env, newApp func(*core.Manager, C) (A, error), cfg C) (A, sim.Time, error) {
+	defer env.Close()
+	app, err := newApp(env.MG, cfg)
+	if err != nil {
+		return app, 0, err
+	}
+	t, err := app.Run()
+	return app, t, err
+}
+
+// registerAudit enrols an environment in the DrainAudit registry:
+// newEnvOn's, and X8's cluster nodes, which the cluster builds.
 func registerAudit(env *kernels.Env) {
 	if auditOn && env.MG.Auditor() != nil {
 		auditEnvs = append(auditEnvs, env)
@@ -207,6 +232,13 @@ func (s Scale) StencilConfig(reduced int64) kernels.StencilConfig {
 	}
 	cfg.ReducedBytes = reduced
 	return cfg
+}
+
+// overflowStencil returns the stencil at the Fig 8 sweep's overflow
+// point, its largest reduced working set.
+func (s Scale) overflowStencil() kernels.StencilConfig {
+	sizes := s.StencilReducedSizes()
+	return s.StencilConfig(sizes[len(sizes)-1])
 }
 
 // StencilReducedSizes returns the x-axis of Fig. 8 at this scale.

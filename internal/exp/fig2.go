@@ -36,12 +36,8 @@ func RunFig2(s Scale) (*Fig2Result, error) {
 		cfg := s.StencilConfig(total)
 		cfg.TotalBytes = total // reduced == total: no over-subscription
 		env := s.newEnv(s.options(mode), true)
-		defer env.Close()
-		app, err := kernels.NewStencil(env.MG, cfg)
+		app, _, err := runApp(env, kernels.NewStencil, cfg)
 		if err != nil {
-			return 0, 0, err
-		}
-		if _, err := app.Run(); err != nil {
 			return 0, 0, err
 		}
 		sum := env.Tracer.Summarize()

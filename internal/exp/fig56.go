@@ -59,14 +59,8 @@ func RunFig56(s Scale) (*Fig56Result, error) {
 	for _, mode := range []core.Mode{core.Baseline, core.SingleIO, core.NoIO, core.MultiIO} {
 		cfg := s.StencilConfig(red)
 		env := s.newEnv(s.options(mode), true)
-		app, err := kernels.NewStencil(env.MG, cfg)
+		_, total, err := runApp(env, kernels.NewStencil, cfg)
 		if err != nil {
-			env.Close()
-			return nil, err
-		}
-		total, err := app.Run()
-		if err != nil {
-			env.Close()
 			return nil, fmt.Errorf("exp: fig5/6 %v: %w", mode, err)
 		}
 		sum := env.Tracer.Summarize()
@@ -97,7 +91,6 @@ func RunFig56(s Scale) (*Fig56Result, error) {
 			tracer:             env.Tracer,
 		}
 		res.Runs[mode] = run
-		env.Close()
 	}
 	return res, nil
 }

@@ -42,13 +42,7 @@ func RunFig8(s Scale) (*Fig8Result, error) {
 			cfg := s.StencilConfig(red)
 			res.Total = cfg.TotalBytes
 			env := s.newEnv(s.options(mode), false)
-			app, err := kernels.NewStencil(env.MG, cfg)
-			if err != nil {
-				env.Close()
-				return nil, err
-			}
-			total, err := app.Run()
-			env.Close()
+			_, total, err := runApp(env, kernels.NewStencil, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("exp: fig8 %v at %s: %w", mode, gbs(red), err)
 			}

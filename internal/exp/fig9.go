@@ -40,13 +40,7 @@ func RunFig9(s Scale) (*Fig9Result, error) {
 		for _, mode := range modes {
 			cfg := s.MatMulConfig(total)
 			env := s.newEnv(s.options(mode), false)
-			app, err := kernels.NewMatMul(env.MG, cfg)
-			if err != nil {
-				env.Close()
-				return nil, err
-			}
-			t, err := app.Run()
-			env.Close()
+			_, t, err := runApp(env, kernels.NewMatMul, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("exp: fig9 %v at %s: %w", mode, gbs(total), err)
 			}

@@ -45,18 +45,10 @@ func RunCacheMode(s Scale) (*CacheModeResult, error) {
 		if cfg.ReducedBytes > total {
 			cfg.ReducedBytes = total
 		}
-		env := s.newEnv(s.options(core.MultiIO), false)
-		app, err := kernels.NewStencil(env.MG, cfg)
+		app, _, err := runApp(s.newEnv(s.options(core.MultiIO), false), kernels.NewStencil, cfg)
 		if err != nil {
-			env.Close()
-			return nil, err
-		}
-		if _, err := app.Run(); err != nil {
-			env.Close()
 			return nil, fmt.Errorf("exp: cachemode at %s: %w", gbs(total), err)
 		}
-		flat := app.AvgIterTime()
-		env.Close()
 
 		// Analytic cache mode: the iteration streams the same bytes
 		// the kernels do, at the effective cache-mode bandwidth for
@@ -65,7 +57,7 @@ func RunCacheMode(s Scale) (*CacheModeResult, error) {
 		cache := sim.Time(cacheCfg.StreamTime(spec, total, perIter))
 		res.Rows = append(res.Rows, CacheModeRow{
 			TotalBytes:    total,
-			FlatIterTime:  flat,
+			FlatIterTime:  app.AvgIterTime(),
 			CacheIterTime: cache,
 			HitRate:       cacheCfg.HitRate(total),
 		})

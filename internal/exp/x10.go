@@ -1,8 +1,10 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
@@ -61,19 +63,20 @@ func (s Scale) ShiftConfig() kernels.ShiftConfig {
 	}
 }
 
-// X10Row is one fixed-policy run of one workload.
+// X10Row is one fixed-policy run of one workload, as BENCH_evict.json
+// records it.
 type X10Row struct {
-	Workload string // "fig8-stencil" or "shift"
-	Policy   string
+	Workload string `json:"workload"` // "fig8-stencil" or "shift"
+	Policy   string `json:"policy"`
 	// Time is the phase the policies differentiate on: total time for
 	// the stencil, post-shift time for the shift program (the hot
 	// phase is identical across policies by construction).
-	Time      float64
-	Fetches   int64
-	Refetches int64
-	Evictions int64
-	Forced    int64
-	Retries   int64
+	Time      float64 `json:"time_s"`
+	Fetches   int64   `json:"fetches"`
+	Refetches int64   `json:"refetches"`
+	Evictions int64   `json:"evictions"`
+	Forced    int64   `json:"forced_evictions"`
+	Retries   int64   `json:"stage_retries"`
 }
 
 // X10Result is the policy comparison plus the adaptive shift run.
@@ -143,16 +146,8 @@ func x10Snapshot(env *kernels.Env, row *X10Row) error {
 // runX10Stencil runs the Fig 8 overflow point under one policy.
 func runX10Stencil(s Scale, pol core.EvictPolicy) (X10Row, error) {
 	row := X10Row{Workload: "fig8-stencil", Policy: pol.Name()}
-	sizes := s.StencilReducedSizes()
-	cfg := s.StencilConfig(sizes[len(sizes)-1])
-
 	env := s.newEnv(x10Options(s, pol), false)
-	defer env.Close()
-	app, err := kernels.NewStencil(env.MG, cfg)
-	if err != nil {
-		return row, err
-	}
-	t, err := app.Run()
+	_, t, err := runApp(env, kernels.NewStencil, s.overflowStencil())
 	if err != nil {
 		return row, fmt.Errorf("exp: x10 stencil %s: %w", pol.Name(), err)
 	}
@@ -164,12 +159,8 @@ func runX10Stencil(s Scale, pol core.EvictPolicy) (X10Row, error) {
 func runX10Shift(s Scale, pol core.EvictPolicy) (X10Row, error) {
 	row := X10Row{Workload: "shift", Policy: pol.Name()}
 	env := s.newEnv(x10Options(s, pol), false)
-	defer env.Close()
-	app, err := kernels.NewShift(env.MG, s.ShiftConfig())
+	app, _, err := runApp(env, kernels.NewShift, s.ShiftConfig())
 	if err != nil {
-		return row, err
-	}
-	if _, err := app.Run(); err != nil {
 		return row, fmt.Errorf("exp: x10 shift %s: %w", pol.Name(), err)
 	}
 	row.Time = float64(app.PostShiftTime())
@@ -196,27 +187,9 @@ func RunX10(s Scale) (*X10Result, error) {
 
 	// Adaptive run: default controller, barrier sampling, starting on
 	// MultiIO eager with the default victim policy.
-	env := adaptiveEnv(s, s.options(core.MultiIO))
-	defer env.Close()
-	app, err := kernels.NewShift(env.MG, s.ShiftConfig())
+	_, t, ctl, err := runAdaptive(s, s.options(core.MultiIO), kernels.NewShift, s.ShiftConfig(), adapt.Config{},
+		func(a *kernels.ShiftApp) *func(int, func()) { return &a.OnIteration })
 	if err != nil {
-		return nil, err
-	}
-	ctl, err := adapt.New(env.MG, adapt.Config{})
-	if err != nil {
-		return nil, err
-	}
-	ctl.Attach()
-	app.OnIteration = func(_ int, resume func()) {
-		ctl.Barrier()
-		resume()
-	}
-	t, err := app.Run()
-	if err != nil {
-		return nil, fmt.Errorf("exp: x10 adaptive shift: %w", err)
-	}
-	env.MG.Auditor().CheckQuiescent()
-	if err := env.MG.Auditor().Err(); err != nil {
 		return nil, fmt.Errorf("exp: x10 adaptive shift: %w", err)
 	}
 	res.AdaptiveTime = float64(t)
@@ -269,35 +242,27 @@ func (r *X10Result) Table() Table {
 	return t
 }
 
-// X10BenchRow is the JSON snapshot of one fixed run for
-// BENCH_evict.json.
-type X10BenchRow struct {
-	Workload  string  `json:"workload"`
-	Policy    string  `json:"policy"`
-	Time      float64 `json:"time_s"`
-	Fetches   int64   `json:"fetches"`
-	Refetches int64   `json:"refetches"`
-	Evictions int64   `json:"evictions"`
-	Forced    int64   `json:"forced_evictions"`
-	Retries   int64   `json:"stage_retries"`
-}
-
 // X10Bench is the benchmark snapshot X10 writes (BENCH_evict.json).
 type X10Bench struct {
-	Scale           string        `json:"scale"`
-	Rows            []X10BenchRow `json:"rows"`
-	AdaptiveTime    float64       `json:"adaptive_time_s"`
-	Reopens         int           `json:"reopens"`
-	ReopenWindow    int           `json:"reopen_window"`
-	ConvergedWindow int           `json:"converged_window"`
-	FinalPolicy     string        `json:"final_policy"`
-	Landed          string        `json:"landed_on"`
+	Scale           string   `json:"scale"`
+	Rows            []X10Row `json:"rows"`
+	AdaptiveTime    float64  `json:"adaptive_time_s"`
+	Reopens         int      `json:"reopens"`
+	ReopenWindow    int      `json:"reopen_window"`
+	ConvergedWindow int      `json:"converged_window"`
+	FinalPolicy     string   `json:"final_policy"`
+	Landed          string   `json:"landed_on"`
 }
 
 // Bench converts the result for JSON emission.
 func (r *X10Result) Bench() X10Bench {
-	b := X10Bench{
+	rows := slices.Clone(r.Rows)
+	slices.SortStableFunc(rows, func(a, b X10Row) int {
+		return cmp.Or(strings.Compare(a.Workload, b.Workload), strings.Compare(a.Policy, b.Policy))
+	})
+	return X10Bench{
 		Scale:           r.Scale.String(),
+		Rows:            rows,
 		AdaptiveTime:    r.AdaptiveTime,
 		Reopens:         r.Reopens,
 		ReopenWindow:    r.ReopenWindow,
@@ -305,23 +270,4 @@ func (r *X10Result) Bench() X10Bench {
 		FinalPolicy:     r.FinalPolicy(),
 		Landed:          describeOptions(r.Final),
 	}
-	for _, row := range r.Rows {
-		b.Rows = append(b.Rows, X10BenchRow{
-			Workload:  row.Workload,
-			Policy:    row.Policy,
-			Time:      row.Time,
-			Fetches:   row.Fetches,
-			Refetches: row.Refetches,
-			Evictions: row.Evictions,
-			Forced:    row.Forced,
-			Retries:   row.Retries,
-		})
-	}
-	sort.SliceStable(b.Rows, func(i, j int) bool {
-		if b.Rows[i].Workload != b.Rows[j].Workload {
-			return b.Rows[i].Workload < b.Rows[j].Workload
-		}
-		return b.Rows[i].Policy < b.Rows[j].Policy
-	})
-	return b
 }

@@ -2,7 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
@@ -44,15 +45,9 @@ func x11Options(s Scale) core.Options {
 // finish, the same instant a replay's footer is stamped at).
 func x11CaptureStencil(s Scale) (*trace.Capture, error) {
 	env := s.newEnv(x11Options(s), false)
-	defer env.Close()
 	rec := trace.NewRecorder(env.MG)
 	rec.Attach()
-	sizes := s.StencilReducedSizes()
-	app, err := kernels.NewStencil(env.MG, s.StencilConfig(sizes[len(sizes)-1]))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := app.Run(); err != nil {
+	if _, _, err := runApp(env, kernels.NewStencil, s.overflowStencil()); err != nil {
 		return nil, fmt.Errorf("exp: x11 stencil capture: %w", err)
 	}
 	return rec.Capture(), nil
@@ -63,51 +58,43 @@ func x11CaptureStencil(s Scale) (*trace.Capture, error) {
 // be stamped — the baseline for the capture-overhead measurement.
 func x11Untraced(s Scale) (float64, error) {
 	env := s.newEnv(x11Options(s), false)
-	defer env.Close()
-	sizes := s.StencilReducedSizes()
-	app, err := kernels.NewStencil(env.MG, s.StencilConfig(sizes[len(sizes)-1]))
-	if err != nil {
-		return 0, err
-	}
-	if _, err := app.Run(); err != nil {
+	if _, _, err := runApp(env, kernels.NewStencil, s.overflowStencil()); err != nil {
 		return 0, fmt.Errorf("exp: x11 untraced baseline: %w", err)
 	}
 	return float64(env.Eng.Now()), nil
 }
 
-// x11CaptureShift records the shift program under declaration-order
-// eviction (the X10 fixed-run configuration).
-func x11CaptureShift(s Scale) (*trace.Capture, error) {
+// shiftCapture records X10's shift program under its fixed-run
+// configuration with declaration-order eviction: the capture X11
+// replays under every victim policy and X15's offline search has to
+// improve on.
+func shiftCapture(s Scale) (*trace.Capture, error) {
 	env := s.newEnv(x10Options(s, core.DeclOrder), false)
-	defer env.Close()
 	rec := trace.NewRecorder(env.MG)
 	rec.Attach()
-	app, err := kernels.NewShift(env.MG, s.ShiftConfig())
-	if err != nil {
-		return nil, err
-	}
-	if _, err := app.Run(); err != nil {
-		return nil, fmt.Errorf("exp: x11 shift capture: %w", err)
+	if _, _, err := runApp(env, kernels.NewShift, s.ShiftConfig()); err != nil {
+		return nil, fmt.Errorf("exp: shift capture: %w", err)
 	}
 	return rec.Capture(), nil
 }
 
 // X11WhatIfRow compares one victim policy's replayed outcome against
-// the real fixed run of the same policy on the shift workload.
+// the real fixed run of the same policy on the shift workload. It is
+// also the row BENCH_trace.json records, without the eviction totals.
 type X11WhatIfRow struct {
-	Policy string
+	Policy string `json:"policy"`
 
 	// Replayed outcome (whole-run counters from the replay capture).
-	ReplayTime      float64
-	ReplayRefetches int64
-	ReplayForced    int64
-	ReplayEvictions int64
+	ReplayTime      float64 `json:"replay_time_s"`
+	ReplayRefetches int64   `json:"replay_refetches"`
+	ReplayForced    int64   `json:"replay_forced"`
+	ReplayEvictions int64   `json:"-"`
 
 	// Real fixed-run outcome (X10 counters; Time is post-shift).
-	RealTime      float64
-	RealRefetches int64
-	RealForced    int64
-	RealEvictions int64
+	RealTime      float64 `json:"real_time_s"`
+	RealRefetches int64   `json:"real_refetches"`
+	RealForced    int64   `json:"real_forced"`
+	RealEvictions int64   `json:"-"`
 }
 
 // X11Result is the replay validation outcome.
@@ -195,7 +182,7 @@ func RunX11(s Scale) (*X11Result, error) {
 	}
 
 	// Leg 2: what-if on the shift workload, one capture, every policy.
-	shiftCap, err := x11CaptureShift(s)
+	shiftCap, err := shiftCapture(s)
 	if err != nil {
 		return nil, err
 	}
@@ -272,34 +259,25 @@ func (r *X11Result) Table() Table {
 	return t
 }
 
-// X11BenchRow is one what-if policy comparison in BENCH_trace.json.
-type X11BenchRow struct {
-	Policy          string  `json:"policy"`
-	ReplayTime      float64 `json:"replay_time_s"`
-	ReplayRefetches int64   `json:"replay_refetches"`
-	ReplayForced    int64   `json:"replay_forced"`
-	RealTime        float64 `json:"real_time_s"`
-	RealRefetches   int64   `json:"real_refetches"`
-	RealForced      int64   `json:"real_forced"`
-}
-
 // X11Bench is the JSON snapshot of the replay validation.
 type X11Bench struct {
-	Scale            string        `json:"scale"`
-	Tasks            int64         `json:"tasks"`
-	Events           int           `json:"events"`
-	RecordedMakespan float64       `json:"recorded_makespan_s"`
-	ReplayedMakespan float64       `json:"replayed_makespan_s"`
-	Identical        bool          `json:"replay_identical"`
-	UntracedMakespan float64       `json:"untraced_makespan_s"`
-	OverheadPct      float64       `json:"capture_overhead_pct"`
-	Consistent       bool          `json:"whatif_consistent"`
-	WhatIf           []X11BenchRow `json:"whatif"`
+	Scale            string         `json:"scale"`
+	Tasks            int64          `json:"tasks"`
+	Events           int            `json:"events"`
+	RecordedMakespan float64        `json:"recorded_makespan_s"`
+	ReplayedMakespan float64        `json:"replayed_makespan_s"`
+	Identical        bool           `json:"replay_identical"`
+	UntracedMakespan float64        `json:"untraced_makespan_s"`
+	OverheadPct      float64        `json:"capture_overhead_pct"`
+	Consistent       bool           `json:"whatif_consistent"`
+	WhatIf           []X11WhatIfRow `json:"whatif"`
 }
 
 // Bench converts the result for JSON emission.
 func (r *X11Result) Bench() X11Bench {
-	b := X11Bench{
+	whatIf := slices.Clone(r.WhatIf)
+	slices.SortStableFunc(whatIf, func(a, b X11WhatIfRow) int { return strings.Compare(a.Policy, b.Policy) })
+	return X11Bench{
 		Scale:            r.Scale.String(),
 		Tasks:            r.Tasks,
 		Events:           r.Events,
@@ -309,18 +287,6 @@ func (r *X11Result) Bench() X11Bench {
 		UntracedMakespan: r.UntracedMakespan,
 		OverheadPct:      r.OverheadPct,
 		Consistent:       r.Consistent(),
+		WhatIf:           whatIf,
 	}
-	for _, row := range r.WhatIf {
-		b.WhatIf = append(b.WhatIf, X11BenchRow{
-			Policy:          row.Policy,
-			ReplayTime:      row.ReplayTime,
-			ReplayRefetches: row.ReplayRefetches,
-			ReplayForced:    row.ReplayForced,
-			RealTime:        row.RealTime,
-			RealRefetches:   row.RealRefetches,
-			RealForced:      row.RealForced,
-		})
-	}
-	sort.SliceStable(b.WhatIf, func(i, j int) bool { return b.WhatIf[i].Policy < b.WhatIf[j].Policy })
-	return b
 }

@@ -74,14 +74,20 @@ var x13GapFactors = []struct {
 // x13Tenants is the load sweep's symmetric tenant set.
 var x13Tenants = []string{"alpha", "beta", "gamma"}
 
+// x13Unit is the size unit of X13's sessions and budgets: 1 MB at
+// Small scale, 8 MB at Full.
+func (s Scale) x13Unit() int64 {
+	if s == Full {
+		return 8 << 20
+	}
+	return 1 << 20
+}
+
 // x13Workload is the standard session submission at the scale: an
 // out-of-core stencil (or shift) sized so three can run concurrently
 // per tenant.
 func (s Scale) x13Workload(tenant, kernel string) serve.WorkloadSpec {
-	unit := int64(1) << 20 // 1 MB
-	if s == Full {
-		unit = 8 << 20
-	}
+	unit := s.x13Unit()
 	return serve.WorkloadSpec{
 		Tenant:     tenant,
 		Kernel:     kernel,
@@ -97,10 +103,7 @@ func (s Scale) x13Workload(tenant, kernel string) serve.WorkloadSpec {
 // is below the active set, so the run refetches continuously and lives
 // on the IO fabric.
 func (s Scale) x13Hog() serve.WorkloadSpec {
-	unit := int64(1) << 20
-	if s == Full {
-		unit = 8 << 20
-	}
+	unit := s.x13Unit()
 	return serve.WorkloadSpec{
 		Tenant:     "hog",
 		Kernel:     "stencil",
@@ -116,10 +119,7 @@ func (s Scale) x13Hog() serve.WorkloadSpec {
 // load sweep plus the isolation pair, each with a third (resp. a
 // dedicated slice) of the grantable budget.
 func (s Scale) x13Config(fair bool) serve.Config {
-	unit := int64(1) << 20
-	if s == Full {
-		unit = 8 << 20
-	}
+	unit := s.x13Unit()
 	grantable := s.Machine().HBMCap - s.HBMReserve()
 	return serve.Config{
 		Spec:    s.Machine(),
@@ -201,16 +201,17 @@ func Jain(xs []float64) float64 {
 	return sum * sum / (float64(len(xs)) * sq)
 }
 
-// X13LoadRow is one arrival-rate point of the load sweep.
+// X13LoadRow is one arrival-rate point of the load sweep, as
+// BENCH_serve.json records it.
 type X13LoadRow struct {
-	Label    string
-	MeanGapS float64
-	Sessions int
-	P50      float64
-	P99      float64
-	Mean     float64
-	Jain     float64
-	SpanS    float64 // virtual time from first arrival to last finish
+	Label    string  `json:"label"`
+	MeanGapS float64 `json:"mean_gap_s"`
+	Sessions int     `json:"sessions"`
+	P50      float64 `json:"p50_makespan_s"`
+	P99      float64 `json:"p99_makespan_s"`
+	Mean     float64 `json:"mean_makespan_s"`
+	Jain     float64 `json:"jain_index"`
+	SpanS    float64 `json:"span_s"` // virtual time from first arrival to last finish
 }
 
 // X13IsoRow is one isolation-leg run of the small tenant.
@@ -512,18 +513,6 @@ func (r *X13Result) Table() Table {
 	return t
 }
 
-// X13LoadBenchRow is one load point in BENCH_serve.json.
-type X13LoadBenchRow struct {
-	Label    string  `json:"label"`
-	MeanGapS float64 `json:"mean_gap_s"`
-	Sessions int     `json:"sessions"`
-	P50      float64 `json:"p50_makespan_s"`
-	P99      float64 `json:"p99_makespan_s"`
-	Mean     float64 `json:"mean_makespan_s"`
-	Jain     float64 `json:"jain_index"`
-	SpanS    float64 `json:"span_s"`
-}
-
 // X13IsoBench is the isolation leg in BENCH_serve.json.
 type X13IsoBench struct {
 	Sessions        int     `json:"sessions"`
@@ -543,17 +532,18 @@ type X13IsoBench struct {
 
 // X13Bench is the JSON snapshot X13 writes (BENCH_serve.json).
 type X13Bench struct {
-	Scale        string            `json:"scale"`
-	CalibrationS float64           `json:"calibration_makespan_s"`
-	Load         []X13LoadBenchRow `json:"load"`
-	Isolation    X13IsoBench       `json:"isolation"`
+	Scale        string       `json:"scale"`
+	CalibrationS float64      `json:"calibration_makespan_s"`
+	Load         []X13LoadRow `json:"load"`
+	Isolation    X13IsoBench  `json:"isolation"`
 }
 
 // Bench converts the result for JSON emission.
 func (r *X13Result) Bench() X13Bench {
-	b := X13Bench{
+	return X13Bench{
 		Scale:        r.Scale.String(),
 		CalibrationS: r.CalibrationS,
+		Load:         r.Load,
 		Isolation: X13IsoBench{
 			Sessions:        r.Alone.Sessions,
 			Hogs:            x13Hogs,
@@ -570,17 +560,4 @@ func (r *X13Result) Bench() X13Bench {
 			Pass:            r.Pass(),
 		},
 	}
-	for _, row := range r.Load {
-		b.Load = append(b.Load, X13LoadBenchRow{
-			Label:    row.Label,
-			MeanGapS: row.MeanGapS,
-			Sessions: row.Sessions,
-			P50:      row.P50,
-			P99:      row.P99,
-			Mean:     row.Mean,
-			Jain:     row.Jain,
-			SpanS:    row.SpanS,
-		})
-	}
-	return b
 }

@@ -1,13 +1,15 @@
 package exp
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
-	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/sim"
 )
 
 // X14 sweeps the memory chain depth: the Fig 8 stencil overflow point
@@ -42,24 +44,25 @@ func x14Policies() []core.EvictPolicy {
 	return []core.EvictPolicy{core.DeclOrder, core.Lookahead}
 }
 
-// X14Row is one app × depth × policy run.
+// X14Row is one app × depth × policy run, as BENCH_tiers.json records
+// it.
 type X14Row struct {
-	App    string
-	Depth  int
-	Policy string
-	Time   float64
+	App    string  `json:"app"`
+	Depth  int     `json:"tiers"`
+	Policy string  `json:"policy"`
+	Time   float64 `json:"time_s"`
 	// Counter block, from the metrics snapshot.
-	Fetches   int64
-	Refetches int64
-	Evictions int64
-	Forced    int64
+	Fetches   int64 `json:"fetches"`
+	Refetches int64 `json:"refetches"`
+	Evictions int64 `json:"evictions"`
+	Forced    int64 `json:"forced_evictions"`
 	// Per-edge demotion split: bytes evicted from HBM to the adjacent
 	// tier versus to anything deeper. DeclOrder rows put everything in
 	// DemotedDeep (or DemotedNext on 2-tier chains, where the adjacent
 	// tier is the bottom); Lookahead rows put everything in
 	// DemotedNext.
-	DemotedNext int64
-	DemotedDeep int64
+	DemotedNext int64 `json:"demoted_next_bytes"`
+	DemotedDeep int64 `json:"demoted_deep_bytes"`
 }
 
 // X14Result is the finished sweep.
@@ -128,41 +131,22 @@ func runX14(s Scale, app string, depth int, pol core.EvictPolicy) (X14Row, error
 	if err != nil {
 		return row, err
 	}
-	env := kernels.NewEnv(kernels.EnvConfig{
-		Spec:   spec,
-		NumPEs: s.NumPEs(),
-		Opts:   x10Options(s, pol),
-		Params: charm.DefaultParams(),
-	})
-	registerAudit(env)
-	defer env.Close()
-
+	env := s.newEnvOn(spec, x10Options(s, pol), false)
+	var t sim.Time
 	switch app {
 	case "fig8-stencil":
-		sizes := s.StencilReducedSizes()
-		a, err := kernels.NewStencil(env.MG, s.StencilConfig(sizes[len(sizes)-1]))
-		if err != nil {
-			return row, err
-		}
-		t, err := a.Run()
-		if err != nil {
-			return row, fmt.Errorf("exp: x14 stencil depth %d %s: %w", depth, pol.Name(), err)
-		}
-		row.Time = float64(t)
+		_, t, err = runApp(env, kernels.NewStencil, s.overflowStencil())
 	case "fig9-matmul":
 		sizes := s.MatMulTotalSizes()
-		a, err := kernels.NewMatMul(env.MG, s.MatMulConfig(sizes[len(sizes)-1]))
-		if err != nil {
-			return row, err
-		}
-		t, err := a.Run()
-		if err != nil {
-			return row, fmt.Errorf("exp: x14 matmul depth %d %s: %w", depth, pol.Name(), err)
-		}
-		row.Time = float64(t)
+		_, t, err = runApp(env, kernels.NewMatMul, s.MatMulConfig(sizes[len(sizes)-1]))
 	default:
+		env.Close()
 		return row, fmt.Errorf("exp: x14 unknown app %q", app)
 	}
+	if err != nil {
+		return row, fmt.Errorf("exp: x14 %s depth %d %s: %w", app, depth, pol.Name(), err)
+	}
+	row.Time = float64(t)
 
 	snap, ok := env.MG.MetricsSnapshot()
 	if !ok {
@@ -246,52 +230,18 @@ func (r *X14Result) Table() Table {
 	return t
 }
 
-// X14BenchRow is the JSON snapshot of one run for BENCH_tiers.json.
-type X14BenchRow struct {
-	App         string  `json:"app"`
-	Depth       int     `json:"tiers"`
-	Policy      string  `json:"policy"`
-	Time        float64 `json:"time_s"`
-	Fetches     int64   `json:"fetches"`
-	Refetches   int64   `json:"refetches"`
-	Evictions   int64   `json:"evictions"`
-	Forced      int64   `json:"forced_evictions"`
-	DemotedNext int64   `json:"demoted_next_bytes"`
-	DemotedDeep int64   `json:"demoted_deep_bytes"`
-}
-
 // X14Bench is the benchmark snapshot X14 writes (BENCH_tiers.json).
 type X14Bench struct {
-	Scale string        `json:"scale"`
-	Rows  []X14BenchRow `json:"rows"`
+	Scale string   `json:"scale"`
+	Rows  []X14Row `json:"rows"`
 }
 
 // Bench converts the result for JSON emission, rows sorted so the file
 // is byte-identical across runs.
 func (r *X14Result) Bench() X14Bench {
-	b := X14Bench{Scale: r.Scale.String()}
-	for _, row := range r.Rows {
-		b.Rows = append(b.Rows, X14BenchRow{
-			App:         row.App,
-			Depth:       row.Depth,
-			Policy:      row.Policy,
-			Time:        row.Time,
-			Fetches:     row.Fetches,
-			Refetches:   row.Refetches,
-			Evictions:   row.Evictions,
-			Forced:      row.Forced,
-			DemotedNext: row.DemotedNext,
-			DemotedDeep: row.DemotedDeep,
-		})
-	}
-	sort.SliceStable(b.Rows, func(i, j int) bool {
-		if b.Rows[i].App != b.Rows[j].App {
-			return b.Rows[i].App < b.Rows[j].App
-		}
-		if b.Rows[i].Depth != b.Rows[j].Depth {
-			return b.Rows[i].Depth < b.Rows[j].Depth
-		}
-		return b.Rows[i].Policy < b.Rows[j].Policy
+	rows := slices.Clone(r.Rows)
+	slices.SortStableFunc(rows, func(a, b X14Row) int {
+		return cmp.Or(strings.Compare(a.App, b.App), cmp.Compare(a.Depth, b.Depth), strings.Compare(a.Policy, b.Policy))
 	})
-	return b
+	return X14Bench{Scale: r.Scale.String(), Rows: rows}
 }

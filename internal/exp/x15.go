@@ -5,7 +5,6 @@ import (
 
 	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/trace"
 	"github.com/hetmem/hetmem/internal/tune"
 )
@@ -90,69 +89,6 @@ func (r *X15Result) Pass() error {
 	return nil
 }
 
-// x15Settle runs one adaptive app and reports the controller. warm=nil
-// is the cold X9 configuration; otherwise the run is seeded with the
-// verdict exactly like hetmemd seeds a tenant's next session.
-func x15AdaptiveStencil(s Scale, red int64, warm *core.Options) (*adapt.Controller, error) {
-	cfg := s.StencilConfig(red)
-	cfg.Iterations = x9Iterations
-	env := adaptiveEnv(s, s.options(core.SingleIO))
-	defer env.Close()
-	app, err := kernels.NewStencil(env.MG, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := adapt.New(env.MG, adapt.Config{Warm: warm})
-	if err != nil {
-		return nil, err
-	}
-	ctl.Attach()
-	app.OnIteration = func(_ int, resume func()) {
-		ctl.Barrier()
-		resume()
-	}
-	if _, err := app.Run(); err != nil {
-		return nil, fmt.Errorf("exp: x15 stencil at %s: %w", gbs(red), err)
-	}
-	env.MG.Auditor().CheckQuiescent()
-	if err := env.MG.Auditor().Err(); err != nil {
-		return nil, fmt.Errorf("exp: x15 stencil at %s: %w", gbs(red), err)
-	}
-	return ctl, nil
-}
-
-func x15AdaptiveMatMul(s Scale, total int64, warm *core.Options) (*adapt.Controller, error) {
-	cfg := s.MatMulConfig(total)
-	// MatMul has no barriers, so the strategy is fixed (as in X9) — but
-	// the controller starts at the bottom staging rung, not X9's
-	// already-favourable unlimited depth. From d0 the first scored
-	// window sees no bottleneck and the cold run settles immediately,
-	// making cold-vs-warm a comparison of float noise; from d1 the cold
-	// climb has the depth ladder to walk, which is exactly the work the
-	// warm start is supposed to skip.
-	opts := s.options(core.MultiIO)
-	opts.PrefetchDepth = 1
-	env := adaptiveEnv(s, opts)
-	defer env.Close()
-	app, err := kernels.NewMatMul(env.MG, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctl, err := adapt.New(env.MG, adapt.Config{SampleEvery: s.NumPEs(), Warm: warm})
-	if err != nil {
-		return nil, err
-	}
-	ctl.Attach()
-	if _, err := app.Run(); err != nil {
-		return nil, fmt.Errorf("exp: x15 matmul at %s: %w", gbs(total), err)
-	}
-	env.MG.Auditor().CheckQuiescent()
-	if err := env.MG.Auditor().Err(); err != nil {
-		return nil, fmt.Errorf("exp: x15 matmul at %s: %w", gbs(total), err)
-	}
-	return ctl, nil
-}
-
 // x15Point runs the cold climb, seeds the warm run with its verdict and
 // assembles the point.
 func x15Point(app string, size int64,
@@ -174,31 +110,13 @@ func x15Point(app string, size int64,
 	return p, nil
 }
 
-// x15ShiftCapture records the X10 shift workload under the default
-// declaration-order victim policy — the capture the offline search has
-// to improve on.
-func x15ShiftCapture(s Scale) (*trace.Capture, error) {
-	env := s.newEnv(x10Options(s, core.DeclOrder), false)
-	defer env.Close()
-	rec := trace.NewRecorder(env.MG)
-	rec.Attach()
-	app, err := kernels.NewShift(env.MG, s.ShiftConfig())
-	if err != nil {
-		return nil, err
-	}
-	if _, err := app.Run(); err != nil {
-		return nil, fmt.Errorf("exp: x15 shift capture: %w", err)
-	}
-	rec.Finish()
-	return rec.Capture(), nil
-}
-
 // RunX15 runs the closed-loop tuning experiment at the given scale.
 func RunX15(s Scale) (*X15Result, error) {
 	res := &X15Result{Scale: s}
 	for _, red := range s.StencilReducedSizes() {
 		p, err := x15Point("stencil", red, func(w *core.Options) (*adapt.Controller, error) {
-			return x15AdaptiveStencil(s, red, w)
+			_, ctl, err := adaptiveStencil(s, red, w)
+			return ctl, err
 		})
 		if err != nil {
 			return nil, err
@@ -206,8 +124,16 @@ func RunX15(s Scale) (*X15Result, error) {
 		res.Points = append(res.Points, p)
 	}
 	for _, total := range s.MatMulTotalSizes() {
+		// The strategy is fixed as in X9, but the controller starts at
+		// the bottom staging rung, not X9's already-favourable unlimited
+		// depth. From d0 the first scored window sees no bottleneck and
+		// the cold run settles immediately, making cold-vs-warm a
+		// comparison of float noise; from d1 the cold climb has the
+		// depth ladder to walk, which is exactly the work the warm start
+		// is supposed to skip.
 		p, err := x15Point("matmul", total, func(w *core.Options) (*adapt.Controller, error) {
-			return x15AdaptiveMatMul(s, total, w)
+			_, ctl, err := adaptiveMatMul(s, total, 1, w)
+			return ctl, err
 		})
 		if err != nil {
 			return nil, err
@@ -215,7 +141,9 @@ func RunX15(s Scale) (*X15Result, error) {
 		res.Points = append(res.Points, p)
 	}
 
-	c, err := x15ShiftCapture(s)
+	// The capture the offline search has to improve on: X10's shift
+	// workload under the default declaration-order victim policy.
+	c, err := shiftCapture(s)
 	if err != nil {
 		return nil, err
 	}

@@ -31,12 +31,7 @@ func RunAblationQueues(s Scale) (*QueueAblationResult, error) {
 		opts.SharedWaitQueue = shared
 		cfg := s.StencilConfig(s.StencilReducedSizes()[0])
 		env := s.newEnv(opts, true)
-		defer env.Close()
-		app, err := kernels.NewStencil(env.MG, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		total, err := app.Run()
+		_, total, err := runApp(env, kernels.NewStencil, cfg)
 		if err != nil {
 			return 0, 0, err
 		}

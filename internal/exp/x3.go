@@ -37,14 +37,7 @@ func RunAblationIOThreads(s Scale) (*IOThreadsResult, error) {
 		opts := s.options(core.SingleIO)
 		opts.IOThreads = n
 		cfg := s.StencilConfig(s.StencilReducedSizes()[0])
-		env := s.newEnv(opts, false)
-		app, err := kernels.NewStencil(env.MG, cfg)
-		if err != nil {
-			env.Close()
-			return nil, err
-		}
-		total, err := app.Run()
-		env.Close()
+		_, total, err := runApp(s.newEnv(opts, false), kernels.NewStencil, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("exp: io threads %d: %w", n, err)
 		}

@@ -31,37 +31,20 @@ type EvictionResult struct {
 func RunAblationEviction(s Scale) (*EvictionResult, error) {
 	res := &EvictionResult{Scale: s}
 
-	runStencil := func(lazy bool) (sim.Time, int64, error) {
+	multiEnv := func(lazy bool) *kernels.Env {
 		opts := s.options(core.MultiIO)
 		opts.EvictLazily = lazy
-		cfg := s.StencilConfig(s.StencilReducedSizes()[1])
-		env := s.newEnv(opts, false)
-		defer env.Close()
-		app, err := kernels.NewStencil(env.MG, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		total, err := app.Run()
-		if err != nil {
-			return 0, 0, err
-		}
-		return total, env.MG.Stats.Fetches, nil
+		return s.newEnv(opts, false)
+	}
+	runStencil := func(lazy bool) (sim.Time, int64, error) {
+		env := multiEnv(lazy)
+		_, total, err := runApp(env, kernels.NewStencil, s.StencilConfig(s.StencilReducedSizes()[1]))
+		return total, env.MG.Stats.Fetches, err
 	}
 	runMatMul := func(lazy bool) (sim.Time, int64, error) {
-		opts := s.options(core.MultiIO)
-		opts.EvictLazily = lazy
-		cfg := s.MatMulConfig(s.MatMulTotalSizes()[0])
-		env := s.newEnv(opts, false)
-		defer env.Close()
-		app, err := kernels.NewMatMul(env.MG, cfg)
-		if err != nil {
-			return 0, 0, err
-		}
-		total, err := app.Run()
-		if err != nil {
-			return 0, 0, err
-		}
-		return total, env.MG.Stats.Fetches, nil
+		env := multiEnv(lazy)
+		_, total, err := runApp(env, kernels.NewMatMul, s.MatMulConfig(s.MatMulTotalSizes()[0]))
+		return total, env.MG.Stats.Fetches, err
 	}
 
 	se, sef, err := runStencil(false)

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
@@ -62,19 +61,8 @@ func RunNVM(s Scale) (*NVMResult, error) {
 	res := &NVMResult{Scale: s}
 	cfg := s.StencilConfig(s.StencilReducedSizes()[1])
 	run := func(spec topology.MachineSpec, mode core.Mode) (sim.Time, error) {
-		env := kernels.NewEnv(kernels.EnvConfig{
-			Spec:   spec,
-			NumPEs: s.NumPEs(),
-			Opts:   s.options(mode),
-			Params: charm.DefaultParams(),
-		})
-		registerAudit(env)
-		defer env.Close()
-		app, err := kernels.NewStencil(env.MG, cfg)
-		if err != nil {
-			return 0, err
-		}
-		return app.Run()
+		_, t, err := runApp(s.newEnvOn(spec, s.options(mode), false), kernels.NewStencil, cfg)
+		return t, err
 	}
 	ddrSpec := s.Machine()
 	nvmSpec := s.nvmMachine()

@@ -33,18 +33,11 @@ func RunAblationPrefetchDepth(s Scale) (*PrefetchDepthResult, error) {
 		opts.PrefetchDepth = depth
 		cfg := s.StencilConfig(s.StencilReducedSizes()[1])
 		env := s.newEnv(opts, false)
-		app, err := kernels.NewStencil(env.MG, cfg)
-		if err != nil {
-			env.Close()
-			return nil, err
-		}
-		total, err := app.Run()
-		fetches := env.MG.Stats.Fetches
-		env.Close()
+		_, total, err := runApp(env, kernels.NewStencil, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("exp: prefetch depth %d: %w", depth, err)
 		}
-		res.Rows = append(res.Rows, PrefetchDepthRow{Depth: depth, Time: total, Fetches: fetches})
+		res.Rows = append(res.Rows, PrefetchDepthRow{Depth: depth, Time: total, Fetches: env.MG.Stats.Fetches})
 	}
 	return res, nil
 }

@@ -43,13 +43,7 @@ func RunLoadBalance(s Scale) (*LoadBalanceResult, error) {
 		cfg.BlockMapping = true
 		cfg.LoadBalance = lb
 		cfg.Iterations = 4
-		env := s.newEnv(s.options(core.MultiIO), false)
-		defer env.Close()
-		app, err := kernels.NewStencil(env.MG, cfg)
-		if err != nil {
-			return 0, nil, 0, err
-		}
-		total, err := app.Run()
+		app, total, err := runApp(s.newEnv(s.options(core.MultiIO), false), kernels.NewStencil, cfg)
 		if err != nil {
 			return 0, nil, 0, err
 		}

@@ -7,6 +7,7 @@ import (
 	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/sim"
 )
 
 // X9 pits the online adaptive controller against a grid of fixed
@@ -30,6 +31,14 @@ const x9Iterations = 12
 
 // x9SteadyIters is the steady-tail length averaged into the metric.
 const x9SteadyIters = 3
+
+// x9Stencil is the Fig 8 stencil at one reduced working set, run for
+// x9Iterations.
+func (s Scale) x9Stencil(red int64) kernels.StencilConfig {
+	cfg := s.StencilConfig(red)
+	cfg.Iterations = x9Iterations
+	return cfg
+}
 
 // x9Fixed is one fixed configuration in the comparison grid.
 type x9Fixed struct {
@@ -126,33 +135,81 @@ func stencilSteady(app *kernels.StencilApp) float64 {
 	return float64(app.IterEnd[n-1]-app.IterEnd[n-1-k]) / float64(k)
 }
 
-// adaptiveEnv builds the environment for an adaptive run: metrics and
-// the full invariant auditor are always on — the acceptance bar
-// requires every adaptive run to be audit-clean, not just the ones
-// under -audit.
-func adaptiveEnv(s Scale, opts core.Options) *kernels.Env {
+// runAdaptive builds an app from cfg on a fresh environment with opts,
+// attaches an online controller configured by ctlCfg, runs the app and
+// checks the invariant auditor at quiescence. The auditor is always on:
+// every adaptive run must be audit-clean, not just the ones under
+// -audit. barrier, when non-nil, returns the app's iteration hook, where
+// the controller then samples; MatMul has no barriers, and its
+// controller samples completion windows instead.
+func runAdaptive[C any, A runner](s Scale, opts core.Options,
+	newApp func(*core.Manager, C) (A, error), cfg C, ctlCfg adapt.Config,
+	barrier func(A) *func(iter int, resume func())) (A, sim.Time, *adapt.Controller, error) {
 	opts.Audit = true
-	env := kernels.NewEnv(kernels.EnvConfig{
-		Spec:   s.Machine(),
-		NumPEs: s.NumPEs(),
-		Opts:   opts,
-	})
-	registerAudit(env)
-	return env
+	env := s.newEnv(opts, false)
+	defer env.Close()
+	app, err := newApp(env.MG, cfg)
+	if err != nil {
+		return app, 0, nil, err
+	}
+	ctl, err := adapt.New(env.MG, ctlCfg)
+	if err != nil {
+		return app, 0, nil, err
+	}
+	ctl.Attach()
+	if barrier != nil {
+		*barrier(app) = func(_ int, resume func()) {
+			ctl.Barrier()
+			resume()
+		}
+	}
+	t, err := app.Run()
+	if err != nil {
+		return app, 0, nil, err
+	}
+	env.MG.Auditor().CheckQuiescent()
+	return app, t, ctl, env.MG.Auditor().Err()
 }
 
-// finishAdaptive audit-checks an adaptive run and fills the
-// controller-side fields of the point.
-func finishAdaptive(p *X9Point, env *kernels.Env, ctl *adapt.Controller, metric float64) error {
-	env.MG.Auditor().CheckQuiescent()
-	if err := env.MG.Auditor().Err(); err != nil {
-		return fmt.Errorf("exp: x9 adaptive %s at %s: %w", p.App, gbs(p.Size), err)
+// adaptiveStencil runs X9's stencil at one reduced working set under
+// the controller, sampled at iteration barriers, from the weakest
+// movement configuration the paper evaluates: one IO thread serving
+// every PE, eager eviction. warm=nil is X9's cold climb; otherwise the
+// controller is seeded with that verdict, as hetmemd seeds a tenant's
+// next session (X15).
+func adaptiveStencil(s Scale, red int64, warm *core.Options) (*kernels.StencilApp, *adapt.Controller, error) {
+	app, _, ctl, err := runAdaptive(s, s.options(core.SingleIO), kernels.NewStencil, s.x9Stencil(red), adapt.Config{Warm: warm},
+		func(a *kernels.StencilApp) *func(int, func()) { return &a.OnIteration })
+	if err != nil {
+		return nil, nil, fmt.Errorf("exp: adaptive stencil at %s: %w", gbs(red), err)
 	}
+	return app, ctl, nil
+}
+
+// adaptiveMatMul runs X9's MatMul at one total working set under the
+// controller, on Multi-IO with the given prefetch depth. MatMul has no
+// barriers, so strategy switching (which needs quiescence) is out and
+// the controller tunes depth and eviction within Multi-IO, over windows
+// of one task per PE: small enough that the climb finishes in the first
+// tenth of the run, and still stable, since MatMul's tasks are uniform.
+// warm is as for adaptiveStencil.
+func adaptiveMatMul(s Scale, total int64, depth int, warm *core.Options) (sim.Time, *adapt.Controller, error) {
+	opts := s.options(core.MultiIO)
+	opts.PrefetchDepth = depth
+	_, t, ctl, err := runAdaptive(s, opts, kernels.NewMatMul, s.MatMulConfig(total),
+		adapt.Config{SampleEvery: s.NumPEs(), Warm: warm}, nil)
+	if err != nil {
+		return 0, nil, fmt.Errorf("exp: adaptive matmul at %s: %w", gbs(total), err)
+	}
+	return t, ctl, nil
+}
+
+// settle fills the controller-side fields of the point.
+func (p *X9Point) settle(ctl *adapt.Controller, metric float64) {
 	p.Adaptive = metric
 	p.Final = ctl.FinalOptions()
 	p.ConvergedWindow = ctl.ConvergedWindow()
 	p.Trace = ctl.Trace()
-	return nil
 }
 
 // rank fills Best/Worst from the fixed grid results. Iterating the
@@ -177,47 +234,21 @@ func (p *X9Point) rank() {
 
 func runX9Stencil(s Scale, red int64) (X9Point, error) {
 	p := X9Point{App: "stencil", Size: red, Fixed: make(map[string]float64)}
-	cfg := s.StencilConfig(red)
-	cfg.Iterations = x9Iterations
-
 	for _, f := range x9Grid() {
-		env := s.newEnv(f.options(s), false)
-		app, err := kernels.NewStencil(env.MG, cfg)
-		if err != nil {
-			env.Close()
-			return p, err
-		}
-		_, err = app.Run()
-		steady := stencilSteady(app)
-		env.Close()
+		app, _, err := runApp(s.newEnv(f.options(s), false), kernels.NewStencil, s.x9Stencil(red))
 		if err != nil {
 			return p, fmt.Errorf("exp: x9 stencil %s at %s: %w", f.name, gbs(red), err)
 		}
-		p.Fixed[f.name] = steady
+		p.Fixed[f.name] = stencilSteady(app)
 	}
 	p.rank()
 
-	// Adaptive run, from the weakest movement configuration the paper
-	// evaluates: one IO thread serving every PE, eager eviction.
-	env := adaptiveEnv(s, s.options(core.SingleIO))
-	defer env.Close()
-	app, err := kernels.NewStencil(env.MG, cfg)
+	app, ctl, err := adaptiveStencil(s, red, nil)
 	if err != nil {
 		return p, err
 	}
-	ctl, err := adapt.New(env.MG, adapt.Config{})
-	if err != nil {
-		return p, err
-	}
-	ctl.Attach()
-	app.OnIteration = func(_ int, resume func()) {
-		ctl.Barrier()
-		resume()
-	}
-	if _, err := app.Run(); err != nil {
-		return p, fmt.Errorf("exp: x9 adaptive stencil at %s: %w", gbs(red), err)
-	}
-	return p, finishAdaptive(&p, env, ctl, stencilSteady(app))
+	p.settle(ctl, stencilSteady(app))
+	return p, nil
 }
 
 func runX9MatMul(s Scale, total int64) (X9Point, error) {
@@ -225,14 +256,7 @@ func runX9MatMul(s Scale, total int64) (X9Point, error) {
 	cfg := s.MatMulConfig(total)
 
 	for _, f := range x9Grid() {
-		env := s.newEnv(f.options(s), false)
-		app, err := kernels.NewMatMul(env.MG, cfg)
-		if err != nil {
-			env.Close()
-			return p, err
-		}
-		t, err := app.Run()
-		env.Close()
+		_, t, err := runApp(s.newEnv(f.options(s), false), kernels.NewMatMul, cfg)
 		if err != nil {
 			return p, fmt.Errorf("exp: x9 matmul %s at %s: %w", f.name, gbs(total), err)
 		}
@@ -240,30 +264,15 @@ func runX9MatMul(s Scale, total int64) (X9Point, error) {
 	}
 	p.rank()
 
-	// Adaptive run: MatMul has no barriers, so the controller samples
-	// completion windows; strategy switching needs quiescence, so it
-	// starts on the movement strategy Fig 9 already favours and tunes
-	// depth and eviction within it.
-	env := adaptiveEnv(s, s.options(core.MultiIO))
-	defer env.Close()
-	app, err := kernels.NewMatMul(env.MG, cfg)
+	// The adaptive run starts on the movement strategy Fig 9 already
+	// favours, with unlimited prefetch depth; adaptation cost lands in
+	// the total-time metric.
+	t, ctl, err := adaptiveMatMul(s, total, 0, nil)
 	if err != nil {
 		return p, err
 	}
-	// One task per PE and window: small enough that the climb finishes
-	// in the first tenth of the run (adaptation cost lands in the
-	// total-time metric), and still stable — MatMul's tasks are
-	// uniform, so even a one-task-per-PE window scores cleanly.
-	ctl, err := adapt.New(env.MG, adapt.Config{SampleEvery: s.NumPEs()})
-	if err != nil {
-		return p, err
-	}
-	ctl.Attach()
-	t, err := app.Run()
-	if err != nil {
-		return p, fmt.Errorf("exp: x9 adaptive matmul at %s: %w", gbs(total), err)
-	}
-	return p, finishAdaptive(&p, env, ctl, float64(t))
+	p.settle(ctl, float64(t))
+	return p, nil
 }
 
 // describeOptions summarises where the controller landed.

@@ -208,14 +208,18 @@ func (a *Allocator) Migrate(p *sim.Proc, b *Buffer, node int) (sim.Time, error) 
 	if a.MigrateOpCost > 0 {
 		p.Sleep(a.MigrateOpCost)
 	}
+	var d sim.Time
+	if !b.freed {
+		t0 := p.Now()
+		a.copy(p, dst, b.node, b.size)
+		d = p.Now() - t0 + a.MigrateOpCost
+	}
 	if b.freed {
-		// The copy cannot run: free the destination.
+		// Freed during the op cost or the copy: Free released the
+		// source, so only the destination is left to free.
 		a.release(dst, b.size)
 		return 0, ErrFreed
 	}
-	t0 := p.Now()
-	a.copy(p, dst, b.node, b.size)
-	d := p.Now() - t0 + a.MigrateOpCost
 	// Free the old location and adopt the new one. The free counted is
 	// the destination's: its identity dissolves into b.
 	a.release(b.node, b.size)

@@ -187,6 +187,30 @@ func TestMigrateFreedDuringOpCost(t *testing.T) {
 	}
 }
 
+// TestMigrateFreedDuringCopy frees a 10 GB DDR buffer halfway through
+// its 0.1 s copy to HBM: the migration fails with ErrFreed, both nodes
+// end empty, and the destination's claim counts as one more free.
+func TestMigrateFreedDuringCopy(t *testing.T) {
+	e, sys, a := testSetup()
+	b, _ := a.AllocOnNode(10*gb, 0)
+	e.Spawn("mig", func(p *sim.Proc) {
+		if _, err := a.Migrate(p, b, 1); !errors.Is(err, ErrFreed) {
+			t.Errorf("err = %v, want ErrFreed", err)
+		}
+	})
+	e.Spawn("free", func(p *sim.Proc) {
+		p.Sleep(0.05)
+		if err := b.Free(); err != nil {
+			t.Errorf("Free: %v", err)
+		}
+	})
+	e.RunAll()
+	if sys.Node(0).Used() != 0 || sys.Node(1).Used() != 0 || a.LiveBuffers != 0 || a.TotalAllocs != 2 || a.TotalFrees != 2 || a.MigrationCount != 0 {
+		t.Errorf("DDR used %d, HBM used %d, live %d, allocs %d, frees %d, migrations %d",
+			sys.Node(0).Used(), sys.Node(1).Used(), a.LiveBuffers, a.TotalAllocs, a.TotalFrees, a.MigrationCount)
+	}
+}
+
 func TestMemcpyRateCap(t *testing.T) {
 	e, _, a := testSetup()
 	a.MemcpyRateCap = 10 * float64(gb)

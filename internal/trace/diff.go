@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -47,13 +46,10 @@ type DiffResult struct {
 }
 
 // encodeLine renders one event exactly as it appears in the JSONL
-// capture (fast path or reflective, identical bytes either way).
+// capture.
 func encodeLine(e Event) string {
 	e.header().K = e.Kind()
-	if b, ok := appendEvent(nil, e); ok {
-		return string(b)
-	}
-	b, err := json.Marshal(e)
+	b, err := appendLine(nil, e)
 	if err != nil {
 		return fmt.Sprintf("<unencodable %s: %v>", e.Kind(), err)
 	}

@@ -412,21 +412,29 @@ func (c *Capture) Stats() *Stats {
 // encoder.
 func (c *Capture) Encode(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	var scratch []byte
+	var line []byte
 	for _, e := range c.Events {
-		if b, ok := appendEvent(scratch[:0], e); ok {
-			scratch = b[:0]
-			bw.Write(b)
-		} else {
-			b, err := json.Marshal(e)
-			if err != nil {
-				return fmt.Errorf("trace: encode %s event: %w", e.Kind(), err)
-			}
-			bw.Write(b)
+		var err error
+		if line, err = appendLine(line[:0], e); err != nil {
+			return fmt.Errorf("trace: encode %s event: %w", e.Kind(), err)
 		}
-		bw.WriteByte('\n')
+		line = append(line, '\n')
+		bw.Write(line)
 	}
 	return bw.Flush()
+}
+
+// appendLine appends e's capture line, without the newline: the
+// hand-written appender's bytes for the kinds and strings it covers,
+// json.Marshal's for the rest (the same bytes either way). Encode and
+// hmtrace diff's per-task lines both go through it, so they cannot
+// drift apart.
+func appendLine(b []byte, e Event) ([]byte, error) {
+	if out, ok := appendEvent(b, e); ok {
+		return out, nil
+	}
+	raw, err := json.Marshal(e)
+	return append(b, raw...), err
 }
 
 // Bytes returns the JSONL encoding.
