@@ -25,7 +25,7 @@ import (
 func BenchmarkFig1Stream(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunFig1(exp.Small)
+		r, err := (&exp.Sweep{Scale: exp.Small}).Fig1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,7 +40,7 @@ func BenchmarkFig1Stream(b *testing.B) {
 func BenchmarkFig2StencilFits(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunFig2(exp.Small)
+		r, err := (&exp.Sweep{Scale: exp.Small}).Fig2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func BenchmarkFig2StencilFits(b *testing.B) {
 func BenchmarkFig5Projections(b *testing.B) {
 	var gap float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunFig56(exp.Small)
+		r, err := (&exp.Sweep{Scale: exp.Small}).Fig56()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkFig5Projections(b *testing.B) {
 func BenchmarkFig6SyncFetch(b *testing.B) {
 	var ms float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunFig56(exp.Small)
+		r, err := (&exp.Sweep{Scale: exp.Small}).Fig56()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func BenchmarkFig6SyncFetch(b *testing.B) {
 func BenchmarkFig7Memcpy(b *testing.B) {
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunFig7(exp.Small)
+		r, err := (&exp.Sweep{Scale: exp.Small}).Fig7()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkFig9MatMul(b *testing.B) {
 func BenchmarkXCacheMode(b *testing.B) {
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunCacheMode(exp.Small)
+		r, err := (&exp.Sweep{Scale: exp.Small}).CacheMode()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func BenchmarkXCacheMode(b *testing.B) {
 func BenchmarkXQueueAblation(b *testing.B) {
 	var factor float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunAblationQueues(exp.Small)
+		r, err := (&exp.Sweep{Scale: exp.Small}).AblationQueues()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func BenchmarkXQueueAblation(b *testing.B) {
 func BenchmarkXIOThreads(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunAblationIOThreads(exp.Small)
+		r, err := (&exp.Sweep{Scale: exp.Small}).AblationIOThreads()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func BenchmarkXIOThreads(b *testing.B) {
 func BenchmarkXEviction(b *testing.B) {
 	var reduction float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunAblationEviction(exp.Small)
+		r, err := (&exp.Sweep{Scale: exp.Small}).AblationEviction()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func BenchmarkXEviction(b *testing.B) {
 func BenchmarkXNVM(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunNVM(exp.Small)
+		r, err := (&exp.Sweep{Scale: exp.Small}).NVM()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func BenchmarkXNVM(b *testing.B) {
 func BenchmarkXPrefetchDepth(b *testing.B) {
 	var adv float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunAblationPrefetchDepth(exp.Small)
+		r, err := (&exp.Sweep{Scale: exp.Small}).AblationPrefetchDepth()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -217,7 +217,7 @@ func BenchmarkXPrefetchDepth(b *testing.B) {
 func BenchmarkXLoadBalance(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunLoadBalance(exp.Small)
+		r, err := (&exp.Sweep{Scale: exp.Small}).LoadBalance()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func TestTaskPathAllocs(t *testing.T) {
 func BenchmarkXCluster(b *testing.B) {
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		r, err := exp.RunCluster(exp.Small)
+		r, err := (&exp.Sweep{Scale: exp.Small}).Cluster()
 		if err != nil {
 			b.Fatal(err)
 		}

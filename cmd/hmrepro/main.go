@@ -23,9 +23,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
+	"github.com/hetmem/hetmem/internal/audit"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/exp"
 	"github.com/hetmem/hetmem/internal/trace"
@@ -67,9 +69,9 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, 2, "%v", err)
 	}
-	var pol core.EvictPolicy
+	sw := &exp.Sweep{Scale: scale, Audit: *auditOn}
 	if *policyName != "" {
-		if pol, err = core.ParseEvictPolicy(*policyName); err != nil {
+		if sw.EvictPolicy, err = core.ParseEvictPolicy(*policyName); err != nil {
 			return fail(stderr, 2, "%v", err)
 		}
 	}
@@ -88,13 +90,14 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
+	if *traceOut != "" && !slices.ContainsFunc(exps, func(e exp.Experiment) bool { return e.Name == "x11" }) {
+		return fail(stderr, 2, "-trace writes X11's sample capture, and x11 is not among the experiments to run")
+	}
 	if *benchDir != "" {
 		if err := os.MkdirAll(*benchDir, 0o755); err != nil {
 			return fail(stderr, 1, "%v", err)
 		}
 	}
-	exp.SetAudit(*auditOn)
-	exp.SetEvictPolicy(pol)
 
 	// Only the default sweep opens with a header; -only prints bare tables.
 	if *only == "" {
@@ -107,13 +110,14 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 		// Wall-clock here times the reproduction itself for the stderr
 		// progress note; every number on stdout is virtual-time.
 		start := time.Now() //hmlint:ignore determinism wall-clock progress timing, stderr only
-		o, err := e.Run(scale)
+		audited := len(sw.Audits())
+		o, err := e.Run(sw)
 		if err != nil {
 			return fail(stderr, 1, "%s: %v", e.Name, err)
 		}
 		fmt.Fprintln(stdout, o.Table)
 		if *auditOn {
-			v, err := drainAudit(stdout, e.Name, "["+e.Name+"]")
+			v, err := printAudits(stdout, e.Name, "["+e.Name+"]", sw.Audits()[audited:])
 			if err != nil {
 				return fail(stderr, 1, "%s: %v", e.Name, err)
 			}
@@ -138,9 +142,6 @@ func cmdSweep(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "[%s done in %v]\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 	if *traceOut != "" {
-		if sample == nil {
-			return fail(stderr, 1, "-trace: no experiment that ran records a sample capture")
-		}
 		if err := sample.WriteFile(*traceOut); err != nil {
 			return fail(stderr, 1, "trace: %v", err)
 		}
@@ -180,12 +181,16 @@ func fail(stderr io.Writer, code int, format string, a ...any) int {
 	return code
 }
 
-// drainAudit prints the audit snapshots taken since the last drain,
-// labelled "<name> run <i>", and returns their violation count.
-func drainAudit(w io.Writer, name, key string) (int64, error) {
-	snaps, violations := exp.DrainAudit()
+// printAudits prints an experiment's audit snapshots, labelled
+// "<name> run <i>", and returns their violation count.
+func printAudits(w io.Writer, name, key string, snaps []audit.Snapshot) (int64, error) {
+	var violations int64
 	for i := range snaps {
 		snaps[i].Label = fmt.Sprintf("%s run %d", name, i)
+		violations += snaps[i].ViolationCount
+	}
+	if len(snaps) == 0 {
+		snaps = nil // an experiment that executed no run prints null
 	}
 	return violations, printAudit(w, key, snaps)
 }

@@ -41,11 +41,11 @@ func TestOnlyPrintsTablesInRegistryOrder(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, want 0\nstderr: %s", code, errb)
 	}
-	fig1, err := exp.RunFig1(exp.Small)
+	fig1, err := (&exp.Sweep{Scale: exp.Small}).Fig1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fig7, err := exp.RunFig7(exp.Small)
+	fig7, err := (&exp.Sweep{Scale: exp.Small}).Fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,8 @@ func TestBenchDirWritesOnlyTheRunSnapshots(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: misspelled names exit 2 before anything runs.
+// TestUsageErrors: misspelled names, and -trace without X11 to write
+// its capture, exit 2 before anything runs.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-only", "x99"},
@@ -94,6 +95,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-scale", "smal"},
 		{"-only", "x1", "-skip-ext"},
 		{"-evict-policy", "belady"},
+		{"-scale", "small", "-only", "fig1", "-trace", "f.jsonl"},
+		{"-scale", "small", "-skip-ext", "-trace", "f.jsonl"},
 		{"run", "-scale", "smal"},
 		{"run", "-mode", "no"},
 		{"run", "-app", "fft"},

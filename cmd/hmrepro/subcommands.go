@@ -9,13 +9,11 @@ import (
 	"path/filepath"
 	"strings"
 
-	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/exp"
 	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/stream"
 	"github.com/hetmem/hetmem/internal/topology"
-	"github.com/hetmem/hetmem/internal/trace"
 )
 
 // cmdRun runs one Stencil3D or MatMul workload. The machine, PE count,
@@ -46,19 +44,14 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, 2, "%v", err)
 	}
-	opts := core.DefaultOptions(mode)
-	opts.HBMReserve = scale.HBMReserve()
-	opts.Audit = *auditOn
-	opts.Metrics = *auditOn || *adaptOn
+	sw := exp.Sweep{Scale: scale, Audit: *auditOn}
 	if *policyName != "" {
-		pol, err := core.ParseEvictPolicy(*policyName)
-		if err != nil {
+		if sw.EvictPolicy, err = core.ParseEvictPolicy(*policyName); err != nil {
 			return fail(stderr, 2, "%v", err)
 		}
-		if mode.Moves() {
-			opts.EvictPolicy = pol
-		}
 	}
+	opts := sw.Options(mode)
+	opts.Metrics = *auditOn || *adaptOn
 	if *appName != "stencil" && *appName != "matmul" {
 		return fail(stderr, 2, "unknown app %q (want stencil or matmul)", *appName)
 	}
@@ -87,92 +80,53 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 		return fail(stderr, 2, "%v", err)
 	}
 
-	env := kernels.NewEnv(kernels.EnvConfig{Spec: spec, NumPEs: scale.NumPEs(), Opts: opts})
-	defer env.Close()
-	var rec *trace.Recorder
-	if *traceOut != "" {
-		rec = trace.NewRecorder(env.MG)
-		rec.Attach()
+	matmul := scale.MatMulConfig(scale.MatMulTotalSizes()[0])
+	if *total > 0 {
+		matmul.TotalBytes = gbBytes(*total)
 	}
-	// Per app: run, controller sampling, report header, stats padding.
-	var (
-		runApp func() (float64, error)
-		ctlCfg adapt.Config
-		onCtl  func(*adapt.Controller)
-		report func(t float64)
-		pad    int
-		label  string
-	)
-	if *appName == "stencil" {
-		app, err := kernels.NewStencil(env.MG, stencil)
-		if err != nil {
-			return fail(stderr, 1, "%v", err)
-		}
-		runApp = app.Run
-		onCtl = func(ctl *adapt.Controller) {
-			app.OnIteration = func(_ int, resume func()) {
-				ctl.Barrier()
-				resume()
-			}
-		}
-		report = func(t float64) {
-			fmt.Fprintf(stdout, "Stencil3D %s: total %s, reduced %s, %d chares, %d iterations\n", mode,
-				gb(stencil.TotalBytes), gb(stencil.ReducedBytes), stencil.NumChares(), stencil.Iterations)
-			fmt.Fprintf(stdout, "  total time    %8.3f s (avg iteration %.3f s)\n", t, app.AvgIterTime())
-		}
-		pad = 14
-		label = fmt.Sprintf("stencil %s %gGB", mode, float64(stencil.TotalBytes)/(1<<30))
-	} else {
-		cfg := scale.MatMulConfig(scale.MatMulTotalSizes()[0])
-		if *total > 0 {
-			cfg.TotalBytes = gbBytes(*total)
-		}
-		if *grid > 0 {
-			cfg.Grid = *grid
-		}
-		app, err := kernels.NewMatMul(env.MG, cfg)
-		if err != nil {
-			return fail(stderr, 1, "%v", err)
-		}
-		runApp = app.Run
+	if *grid > 0 {
+		matmul.Grid = *grid
+	}
+	r := exp.Run{Spec: spec, NumPEs: scale.NumPEs(), Opts: opts, App: stencil, Record: *traceOut != ""}
+	r.Adapt.On = *adaptOn
+	if *appName == "matmul" {
+		r.App = matmul
 		// MatMul has no iteration barriers: sample completion windows.
-		ctlCfg = adapt.Config{SampleEvery: 2 * cfg.NumPEs}
-		totalGB := float64(cfg.TotalBytes) / (1 << 30)
-		report = func(t float64) {
-			fmt.Fprintf(stdout, "MatMul %s: %g GB total, %dx%d blocks, N=%.0f\n", mode, totalGB, cfg.Grid, cfg.Grid, cfg.N())
-			fmt.Fprintf(stdout, "  total time %8.3f s\n", t)
-		}
-		pad = 11
-		label = fmt.Sprintf("matmul %s %gGB", mode, totalGB)
+		r.Adapt.SampleEvery = 2 * matmul.NumPEs
 	}
-	var ctl *adapt.Controller
-	if *adaptOn {
-		if ctl, err = adapt.New(env.MG, ctlCfg); err != nil {
-			return fail(stderr, 1, "%v", err)
-		}
-		ctl.Attach()
-		if onCtl != nil {
-			onCtl(ctl)
-		}
-	}
-	t, err := runApp()
+	o, err := r.Execute()
 	if err != nil {
 		return fail(stderr, 1, "%v", err)
 	}
-	st := env.MG.Stats
-	report(t)
+	// Per app: report header, stats padding and audit label.
+	pad, label := 14, fmt.Sprintf("stencil %s %gGB", mode, float64(stencil.TotalBytes)/(1<<30))
+	if *appName == "stencil" {
+		fmt.Fprintf(stdout, "Stencil3D %s: total %s, reduced %s, %d chares, %d iterations\n", mode,
+			gb(stencil.TotalBytes), gb(stencil.ReducedBytes), stencil.NumChares(), stencil.Iterations)
+		fmt.Fprintf(stdout, "  total time    %8.3f s (avg iteration %.3f s)\n", o.Time, o.AvgIter)
+	} else {
+		totalGB := float64(matmul.TotalBytes) / (1 << 30)
+		pad, label = 11, fmt.Sprintf("matmul %s %gGB", mode, totalGB)
+		fmt.Fprintf(stdout, "MatMul %s: %g GB total, %dx%d blocks, N=%.0f\n", mode, totalGB, matmul.Grid, matmul.Grid, matmul.N())
+		fmt.Fprintf(stdout, "  total time %8.3f s\n", o.Time)
+	}
+	st := o.Stats
 	fmt.Fprintf(stdout, "  %-*s%8d (%.1f GB)\n", pad, "fetches", st.Fetches, float64(st.BytesFetched)/float64(1<<30))
 	fmt.Fprintf(stdout, "  %-*s%8d (%.1f GB)\n", pad, "evictions", st.Evictions, float64(st.BytesEvicted)/float64(1<<30))
-	if ctl != nil {
-		fmt.Fprintf(stdout, "adaptive controller (settled window %d):\n%s", ctl.ConvergedWindow(), ctl.TraceString())
+	if v := o.Verdict; v != nil {
+		fmt.Fprintf(stdout, "adaptive controller (settled window %d):\n", v.ConvergedWindow)
+		for _, d := range v.Trace {
+			fmt.Fprintf(stdout, "  %s\n", d)
+		}
 	}
-	if rec != nil {
-		if err := rec.Capture().WriteFile(*traceOut); err != nil {
+	if c := o.Capture; c != nil {
+		if err := c.WriteFile(*traceOut); err != nil {
 			return fail(stderr, 1, "write trace: %v", err)
 		}
-		fmt.Fprintf(stdout, "trace: %d events written to %s\n", len(rec.Capture().Events), *traceOut)
+		fmt.Fprintf(stdout, "trace: %d events written to %s\n", len(c.Events), *traceOut)
 	}
-	if snap, ok := env.MG.AuditSnapshot(); ok {
+	if o.Audit != nil {
+		snap := *o.Audit
 		snap.Label = label
 		if err := printAudit(stdout, "", snap); err != nil {
 			return fail(stderr, 1, "%v", err)
@@ -250,15 +204,14 @@ func cmdProjections(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, 2, "%v", err)
 	}
-	exp.SetAudit(*auditOn)
-	exp.SetEvictPolicy(nil)
-	r, err := exp.RunFig56(scale)
+	sw := &exp.Sweep{Scale: scale, Audit: *auditOn}
+	r, err := sw.Fig56()
 	if err != nil {
 		return fail(stderr, 1, "%v", err)
 	}
 	fmt.Fprintln(stdout, r.Table())
 	if *auditOn {
-		violations, err := drainAudit(stdout, "fig56", "")
+		violations, err := printAudits(stdout, "fig56", "", sw.Audits())
 		if err != nil {
 			return fail(stderr, 1, "%v", err)
 		}

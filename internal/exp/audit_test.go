@@ -3,37 +3,38 @@ package exp
 import "testing"
 
 // TestAuditCleanAcrossFigures runs a representative mix of figure
-// drivers with the invariant auditor enabled on every environment they
-// build: the ablation sweeps that exercise the three fixed races
-// (IO-thread counts, prefetch-depth bounds), a capacity-pressure
-// figure, and X8, whose cluster nodes are built outside newEnv. Every
-// run must finish with zero violations and produce a coherent metrics
-// snapshot.
+// drivers on an audited sweep: the ablation sweeps that exercise the
+// three fixed races (IO-thread counts, prefetch-depth bounds), a
+// capacity-pressure figure, and X8, whose cluster nodes are built
+// outside the executor. Every run must finish with zero violations and
+// produce a coherent metrics snapshot.
 func TestAuditCleanAcrossFigures(t *testing.T) {
-	SetAudit(true)
-	defer SetAudit(false)
-
-	if _, err := RunAblationIOThreads(Small); err != nil {
+	sw := &Sweep{Scale: Small, Audit: true}
+	if _, err := sw.AblationIOThreads(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunAblationPrefetchDepth(Small); err != nil {
+	if _, err := sw.AblationPrefetchDepth(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunFig8(Small); err != nil {
+	if _, err := sw.Fig8(); err != nil {
 		t.Fatal(err)
 	}
-	before := len(auditEnvs)
-	if _, err := RunCluster(Small); err != nil {
+	before := len(sw.audits)
+	if _, err := sw.Cluster(); err != nil {
 		t.Fatal(err)
 	}
 	// X8 at Small: 1+2+4+8 nodes, each in two modes.
-	if got := len(auditEnvs) - before; got != 30 {
-		t.Fatalf("x8 enrolled %d audited nodes, want 30", got)
+	if got := len(sw.audits) - before; got != 30 {
+		t.Fatalf("x8 recorded %d audited nodes, want 30", got)
 	}
 
-	snaps, violations := DrainAudit()
+	snaps := sw.Audits()
 	if len(snaps) == 0 {
-		t.Fatal("no audited environments registered")
+		t.Fatal("no audited runs recorded")
+	}
+	var violations int64
+	for _, s := range snaps {
+		violations += s.ViolationCount
 	}
 	if violations != 0 {
 		for _, s := range snaps {
@@ -54,19 +55,16 @@ func TestAuditCleanAcrossFigures(t *testing.T) {
 			t.Fatalf("%s: fetch histogram %d samples for %d fetches", s.Mode, s.FetchHist.N, s.Fetches)
 		}
 	}
-	// The registry must have drained.
-	if again, _ := DrainAudit(); len(again) != 0 {
-		t.Fatal("DrainAudit did not clear the registry")
-	}
 }
 
-// TestAuditOffByDefault: without SetAudit, drivers build unaudited
-// environments and DrainAudit has nothing.
+// TestAuditOffByDefault: a sweep without Audit builds unaudited runs
+// and records no snapshots.
 func TestAuditOffByDefault(t *testing.T) {
-	if _, err := RunAblationQueues(Small); err != nil {
+	sw := &Sweep{Scale: Small}
+	if _, err := sw.AblationQueues(); err != nil {
 		t.Fatal(err)
 	}
-	if snaps, _ := DrainAudit(); len(snaps) != 0 {
-		t.Fatalf("unaudited run registered %d snapshots", len(snaps))
+	if snaps := sw.Audits(); len(snaps) != 0 {
+		t.Fatalf("unaudited sweep recorded %d snapshots", len(snaps))
 	}
 }

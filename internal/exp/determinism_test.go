@@ -31,21 +31,22 @@ func assertDeterministic(t *testing.T, name string, run func() (string, error)) 
 }
 
 // TestExperimentsDeterministic runs every registry entry twice at Small
-// scale and compares the tables and the snapshot JSON. The tables
-// embed the adaptive decision traces, the what-if counters and the
-// tuning verdict, so a single flipped probe, victim or replay step
-// shows up as a diff. Each snapshot must also have the shape of its
-// committed full-scale BENCH_*.json: the same key paths in the same
-// order, so a renamed tag or a reordered field fails here, not only in
-// make bench-check.
+// scale, each time on a fresh sweep (a shared memo would compare a run
+// with itself), and compares the tables and the snapshot JSON. The
+// tables embed the adaptive decision traces, the what-if counters and
+// the tuning verdict, so a single flipped probe, victim or replay step
+// shows up as a diff. The entries run in parallel, so under -race the
+// test also shows that no two sweeps share state. Each snapshot must
+// also have the shape of its committed full-scale BENCH_*.json: the
+// same key paths in the same order, so a renamed tag or a reordered
+// field fails here, not only in make bench-check.
 func TestExperimentsDeterministic(t *testing.T) {
-	SetAudit(false)
-	SetEvictPolicy(nil)
 	for _, e := range Experiments() {
 		t.Run(e.Name, func(t *testing.T) {
+			t.Parallel()
 			var snap []byte
 			assertDeterministic(t, e.Name, func() (string, error) {
-				o, err := e.Run(Small)
+				o, err := e.Run(&Sweep{Scale: Small})
 				if err != nil {
 					return "", err
 				}

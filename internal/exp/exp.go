@@ -1,8 +1,9 @@
 // Package exp contains one driver per table/figure of the paper's
 // evaluation (Figs. 1, 2, 5, 6, 7, 8, 9) plus the extension experiments
 // from DESIGN.md (cache-mode comparison X1 and the ablations X2-X4).
-// Every driver builds fresh simulated machines, runs the workloads at
-// the requested scale and returns structured rows that render as text
+// Every driver is a method of a Sweep: it describes each simulation as a
+// Run value, lets the sweep execute it (once per sweep, however many
+// drivers make the run) and returns structured rows that render as text
 // tables mirroring the paper's plots.
 package exp
 
@@ -10,11 +11,8 @@ import (
 	"fmt"
 	"strings"
 
-	"github.com/hetmem/hetmem/internal/audit"
-	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
-	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/topology"
 )
 
@@ -118,108 +116,6 @@ func (s Scale) HBMReserve() int64 {
 		return GB / 8
 	}
 	return GB
-}
-
-// auditOn enables the invariant auditor on every environment the
-// drivers build; auditEnvs collects those environments so DrainAudit
-// can report their metrics and violations after the figures run. All
-// drivers are single-threaded, so plain package state suffices.
-var (
-	auditOn   bool
-	auditEnvs []*kernels.Env
-)
-
-// SetAudit switches invariant auditing on or off for subsequent driver
-// runs and resets the collected-environment registry.
-func SetAudit(on bool) {
-	auditOn = on
-	auditEnvs = nil
-}
-
-// DrainAudit returns one metrics snapshot per audited environment
-// created since SetAudit, labelled, plus the total violation count
-// across them. The registry is cleared.
-func DrainAudit() ([]audit.Snapshot, int64) {
-	var snaps []audit.Snapshot
-	var violations int64
-	for _, env := range auditEnvs {
-		snap, ok := env.MG.AuditSnapshot()
-		if !ok {
-			continue
-		}
-		violations += snap.ViolationCount
-		snaps = append(snaps, snap)
-	}
-	auditEnvs = nil
-	return snaps, violations
-}
-
-// evictPolicy, when non-nil, is applied to every movement-mode
-// environment the drivers build — the -evict-policy flag and the
-// per-policy determinism/audit sweeps set it. Placement-only modes
-// never evict, so they stay unconfigured (Validate rejects the combo).
-var evictPolicy core.EvictPolicy
-
-// SetEvictPolicy selects the eviction victim policy for subsequent
-// driver runs (nil restores the DeclOrder default).
-func SetEvictPolicy(p core.EvictPolicy) { evictPolicy = p }
-
-// options returns paper-faithful manager options for a mode at this
-// scale.
-func (s Scale) options(mode core.Mode) core.Options {
-	o := core.DefaultOptions(mode)
-	o.HBMReserve = s.HBMReserve()
-	o.Audit = auditOn
-	if evictPolicy != nil && mode.Moves() {
-		o.EvictPolicy = evictPolicy
-	}
-	return o
-}
-
-// newEnv builds a fresh environment for one run on the scale's
-// machine.
-func (s Scale) newEnv(opts core.Options, trace bool) *kernels.Env {
-	return s.newEnvOn(s.Machine(), opts, trace)
-}
-
-// newEnvOn builds a fresh environment for one run on spec, a variant
-// of the scale's machine (X5's NVM far memory, X14's deeper chains),
-// and enrols it in the DrainAudit registry.
-func (s Scale) newEnvOn(spec topology.MachineSpec, opts core.Options, trace bool) *kernels.Env {
-	env := kernels.NewEnv(kernels.EnvConfig{
-		Spec:   spec,
-		NumPEs: s.NumPEs(),
-		Opts:   opts,
-		Params: charm.DefaultParams(),
-		Trace:  trace,
-	})
-	registerAudit(env)
-	return env
-}
-
-// runner is what the kernels constructors build: an application that
-// runs to completion on its manager's engine.
-type runner interface{ Run() (sim.Time, error) }
-
-// runApp builds an application from cfg on env's manager, runs it to
-// completion and closes env. The app and env's counters, tracer and
-// clock stay readable after the close.
-func runApp[C any, A runner](env *kernels.Env, newApp func(*core.Manager, C) (A, error), cfg C) (A, sim.Time, error) {
-	defer env.Close()
-	app, err := newApp(env.MG, cfg)
-	if err != nil {
-		return app, 0, err
-	}
-	t, err := app.Run()
-	return app, t, err
-}
-
-// registerAudit enrols an environment in the DrainAudit registry:
-// newEnvOn's, and X8's cluster nodes, which the cluster builds.
-func registerAudit(env *kernels.Env) {
-	if auditOn && env.MG.Auditor() != nil {
-		auditEnvs = append(auditEnvs, env)
-	}
 }
 
 // StencilConfig returns the scale's Stencil3D configuration with the

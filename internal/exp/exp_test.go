@@ -46,7 +46,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestFig1Shape(t *testing.T) {
-	r, err := RunFig1(Small)
+	r, err := (&Sweep{Scale: Small}).Fig1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestFig1Shape(t *testing.T) {
 }
 
 func TestFig2Shape(t *testing.T) {
-	r, err := RunFig2(Small)
+	r, err := (&Sweep{Scale: Small}).Fig2()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	r, err := RunFig7(Small)
+	r, err := (&Sweep{Scale: Small}).Fig7()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig56Shape(t *testing.T) {
-	r, err := RunFig56(Small)
+	r, err := (&Sweep{Scale: Small}).Fig56()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFig56Shape(t *testing.T) {
 }
 
 func TestCacheModeShape(t *testing.T) {
-	r, err := RunCacheMode(Small)
+	r, err := (&Sweep{Scale: Small}).CacheMode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestCacheModeShape(t *testing.T) {
 }
 
 func TestAblationQueues(t *testing.T) {
-	r, err := RunAblationQueues(Small)
+	r, err := (&Sweep{Scale: Small}).AblationQueues()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestAblationQueues(t *testing.T) {
 }
 
 func TestAblationIOThreads(t *testing.T) {
-	r, err := RunAblationIOThreads(Small)
+	r, err := (&Sweep{Scale: Small}).AblationIOThreads()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestAblationIOThreads(t *testing.T) {
 }
 
 func TestAblationEviction(t *testing.T) {
-	r, err := RunAblationEviction(Small)
+	r, err := (&Sweep{Scale: Small}).AblationEviction()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestAblationEviction(t *testing.T) {
 }
 
 func TestNVMExtension(t *testing.T) {
-	r, err := RunNVM(Small)
+	r, err := (&Sweep{Scale: Small}).NVM()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestNVMExtension(t *testing.T) {
 }
 
 func TestAblationPrefetchDepth(t *testing.T) {
-	r, err := RunAblationPrefetchDepth(Small)
+	r, err := (&Sweep{Scale: Small}).AblationPrefetchDepth()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestAblationPrefetchDepth(t *testing.T) {
 }
 
 func TestLoadBalanceExtension(t *testing.T) {
-	r, err := RunLoadBalance(Small)
+	r, err := (&Sweep{Scale: Small}).LoadBalance()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +352,7 @@ func TestLoadBalanceExtension(t *testing.T) {
 }
 
 func TestClusterExtension(t *testing.T) {
-	r, err := RunCluster(Small)
+	r, err := (&Sweep{Scale: Small}).Cluster()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,9 +373,7 @@ func TestClusterExtension(t *testing.T) {
 // count, so a change to the window protocol or the fabric that moves
 // either would otherwise pass bench-check.
 func TestClusterFullRowPinned(t *testing.T) {
-	SetAudit(false)
-	SetEvictPolicy(nil)
-	c, res, err := Full.RunClusterStencil(4, Full.options(core.MultiIO), Full.clusterStencil())
+	c, res, err := Full.RunClusterStencil(4, (&Sweep{Scale: Full}).Options(core.MultiIO), Full.clusterStencil())
 	if err != nil {
 		t.Fatal(err)
 	}

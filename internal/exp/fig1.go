@@ -15,8 +15,9 @@ type Fig1Result struct {
 	HBM   []stream.Result
 }
 
-// RunFig1 measures STREAM on both memory nodes.
-func RunFig1(s Scale) (*Fig1Result, error) {
+// Fig1 measures STREAM on both memory nodes.
+func (sw *Sweep) Fig1() (*Fig1Result, error) {
+	s := sw.Scale
 	spec := s.Machine()
 	threads := s.NumPEs()
 	arr := int64(256 << 20)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/projections"
 	"github.com/hetmem/hetmem/internal/sim"
 )
@@ -24,9 +23,10 @@ type Fig2Result struct {
 	DDRKernelTime sim.Time
 }
 
-// RunFig2 runs the fitting working set on pure-HBM (Baseline placement
+// Fig2 runs the fitting working set on pure-HBM (Baseline placement
 // with a fitting set puts everything in MCDRAM) and on pure DDR4.
-func RunFig2(s Scale) (*Fig2Result, error) {
+func (sw *Sweep) Fig2() (*Fig2Result, error) {
+	s := sw.Scale
 	// A grid that fits the HBM budget entirely.
 	total := 8 * GB
 	if s == Small {
@@ -35,13 +35,14 @@ func RunFig2(s Scale) (*Fig2Result, error) {
 	run := func(mode core.Mode) (sim.Time, sim.Time, error) {
 		cfg := s.StencilConfig(total)
 		cfg.TotalBytes = total // reduced == total: no over-subscription
-		env := s.newEnv(s.options(mode), true)
-		app, _, err := runApp(env, kernels.NewStencil, cfg)
+		r := sw.run(sw.Options(mode), cfg)
+		r.Projections = true
+		o, err := sw.do(r)
 		if err != nil {
 			return 0, 0, err
 		}
-		sum := env.Tracer.Summarize()
-		return app.AvgIterTime(), sum.Totals[projections.Compute], nil
+		sum := o.Tracer.Summarize()
+		return o.AvgIter, sum.Totals[projections.Compute], nil
 	}
 	hbmIter, hbmKern, err := run(core.Baseline)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/projections"
 	"github.com/hetmem/hetmem/internal/sim"
 )
@@ -51,19 +50,21 @@ type Fig56Result struct {
 	Runs  map[core.Mode]*ProjectionsRun
 }
 
-// RunFig56 traces one stencil configuration under Baseline, SingleIO,
+// Fig56 traces one stencil configuration under Baseline, SingleIO,
 // NoIO and MultiIO.
-func RunFig56(s Scale) (*Fig56Result, error) {
+func (sw *Sweep) Fig56() (*Fig56Result, error) {
+	s := sw.Scale
 	res := &Fig56Result{Scale: s, Runs: make(map[core.Mode]*ProjectionsRun)}
 	red := s.StencilReducedSizes()[1] // the middle (4 GB at full scale)
 	for _, mode := range []core.Mode{core.Baseline, core.SingleIO, core.NoIO, core.MultiIO} {
 		cfg := s.StencilConfig(red)
-		env := s.newEnv(s.options(mode), true)
-		_, total, err := runApp(env, kernels.NewStencil, cfg)
+		r := sw.run(sw.Options(mode), cfg)
+		r.Projections = true
+		o, err := sw.do(r)
 		if err != nil {
 			return nil, fmt.Errorf("exp: fig5/6 %v: %w", mode, err)
 		}
-		sum := env.Tracer.Summarize()
+		sum := o.Tracer.Summarize()
 		workers := s.NumPEs()
 		// All shares are computed over the WORKER lanes only (lanes
 		// below NumPEs); IO threads live on the hyperthread lanes and
@@ -82,13 +83,13 @@ func RunFig56(s Scale) (*Fig56Result, error) {
 		tasks := cfg.NumChares() * cfg.Iterations
 		run := &ProjectionsRun{
 			Mode:               mode,
-			TotalTime:          total,
+			TotalTime:          o.Time,
 			Utilization:        float64(lane(projections.Compute) / wall),
 			OverheadShare:      float64(overhead / wall),
 			WorkerFetchPerTask: lane(projections.Fetch) / sim.Time(tasks),
 			IdleShare:          float64(lane(projections.IdleWait) / wall),
-			Timeline:           env.Tracer.Timeline(96),
-			tracer:             env.Tracer,
+			Timeline:           o.Tracer.Timeline(96),
+			tracer:             o.Tracer,
 		}
 		res.Runs[mode] = run
 	}

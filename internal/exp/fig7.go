@@ -24,8 +24,9 @@ type Fig7Result struct {
 	Points  []Fig7Point
 }
 
-// RunFig7 measures the migration memcpy cost.
-func RunFig7(s Scale) (*Fig7Result, error) {
+// Fig7 measures the migration memcpy cost.
+func (sw *Sweep) Fig7() (*Fig7Result, error) {
+	s := sw.Scale
 	threads := s.NumPEs()
 	res := &Fig7Result{Scale: s, Threads: threads}
 	sizes := []int64{2 * GB, 4 * GB, 6 * GB, 8 * GB, 10 * GB, 12 * GB, 14 * GB, 15 * GB}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -27,8 +26,12 @@ type Fig8Result struct {
 	Rows  []Fig8Row
 }
 
-// RunFig8 sweeps the reduced working set sizes over all strategies.
-func RunFig8(s Scale) (*Fig8Result, error) {
+// RunFig8 runs Fig 8 on a fresh sweep at s.
+func RunFig8(s Scale) (*Fig8Result, error) { return (&Sweep{Scale: s}).Fig8() }
+
+// Fig8 sweeps the reduced working set sizes over all strategies.
+func (sw *Sweep) Fig8() (*Fig8Result, error) {
+	s := sw.Scale
 	res := &Fig8Result{Scale: s}
 	for _, red := range s.StencilReducedSizes() {
 		row := Fig8Row{
@@ -41,13 +44,12 @@ func RunFig8(s Scale) (*Fig8Result, error) {
 		for _, mode := range modes {
 			cfg := s.StencilConfig(red)
 			res.Total = cfg.TotalBytes
-			env := s.newEnv(s.options(mode), false)
-			_, total, err := runApp(env, kernels.NewStencil, cfg)
+			o, err := sw.do(sw.run(sw.Options(mode), cfg))
 			if err != nil {
 				return nil, fmt.Errorf("exp: fig8 %v at %s: %w", mode, gbs(red), err)
 			}
-			row.Times[mode] = total
-			row.Fetches[mode] = env.MG.Stats.Fetches
+			row.Times[mode] = o.Time
+			row.Fetches[mode] = o.Stats.Fetches
 		}
 		row.NaiveTime = row.Times[core.Baseline]
 		for mode, tm := range row.Times {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -26,8 +25,12 @@ type Fig9Result struct {
 	Rows  []Fig9Row
 }
 
-// RunFig9 sweeps the total working set sizes over all modes.
-func RunFig9(s Scale) (*Fig9Result, error) {
+// RunFig9 runs Fig 9 on a fresh sweep at s.
+func RunFig9(s Scale) (*Fig9Result, error) { return (&Sweep{Scale: s}).Fig9() }
+
+// Fig9 sweeps the total working set sizes over all modes.
+func (sw *Sweep) Fig9() (*Fig9Result, error) {
+	s := sw.Scale
 	res := &Fig9Result{Scale: s}
 	for _, total := range s.MatMulTotalSizes() {
 		row := Fig9Row{
@@ -39,13 +42,12 @@ func RunFig9(s Scale) (*Fig9Result, error) {
 		modes := append([]core.Mode{core.DDROnly, core.Baseline}, StrategyModes()...)
 		for _, mode := range modes {
 			cfg := s.MatMulConfig(total)
-			env := s.newEnv(s.options(mode), false)
-			_, t, err := runApp(env, kernels.NewMatMul, cfg)
+			o, err := sw.do(sw.run(sw.Options(mode), cfg))
 			if err != nil {
 				return nil, fmt.Errorf("exp: fig9 %v at %s: %w", mode, gbs(total), err)
 			}
-			row.Times[mode] = t
-			row.Fetches[mode] = env.MG.Stats.Fetches
+			row.Times[mode] = o.Time
+			row.Fetches[mode] = o.Stats.Fetches
 		}
 		row.NaiveTime = row.Times[core.Baseline]
 		for mode, tm := range row.Times {

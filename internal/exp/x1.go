@@ -5,7 +5,6 @@ import (
 
 	"github.com/hetmem/hetmem/internal/cachemode"
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -26,10 +25,11 @@ type CacheModeResult struct {
 	Rows  []CacheModeRow
 }
 
-// RunCacheMode sweeps stencil working sets across the HBM capacity
+// CacheMode sweeps stencil working sets across the HBM capacity
 // boundary and compares runtime-managed flat mode with hardware cache
 // mode.
-func RunCacheMode(s Scale) (*CacheModeResult, error) {
+func (sw *Sweep) CacheMode() (*CacheModeResult, error) {
+	s := sw.Scale
 	spec := s.Machine()
 	cacheCfg := cachemode.DefaultConfig()
 	cacheCfg.CacheBytes = spec.HBMCap
@@ -45,7 +45,7 @@ func RunCacheMode(s Scale) (*CacheModeResult, error) {
 		if cfg.ReducedBytes > total {
 			cfg.ReducedBytes = total
 		}
-		app, _, err := runApp(s.newEnv(s.options(core.MultiIO), false), kernels.NewStencil, cfg)
+		o, err := sw.do(sw.run(sw.Options(core.MultiIO), cfg))
 		if err != nil {
 			return nil, fmt.Errorf("exp: cachemode at %s: %w", gbs(total), err)
 		}
@@ -57,7 +57,7 @@ func RunCacheMode(s Scale) (*CacheModeResult, error) {
 		cache := sim.Time(cacheCfg.StreamTime(spec, total, perIter))
 		res.Rows = append(res.Rows, CacheModeRow{
 			TotalBytes:    total,
-			FlatIterTime:  app.AvgIterTime(),
+			FlatIterTime:  o.AvgIter,
 			CacheIterTime: cache,
 			HitRate:       cacheCfg.HitRate(total),
 		})

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strings"
 
-	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
 )
@@ -85,12 +84,8 @@ type X10Result struct {
 	Rows  []X10Row
 
 	// Adaptive-run outcome on the shift workload.
-	AdaptiveTime    float64
-	Reopens         int
-	ReopenWindow    int
-	ConvergedWindow int
-	Final           core.Options
-	Trace           []adapt.Decision
+	AdaptiveTime float64
+	Verdict
 }
 
 // Row returns the row for a workload/policy pair, or nil.
@@ -120,8 +115,8 @@ func (r *X10Result) FinalPolicy() string {
 // dodge the staging wave. Bounded staging is where declared-dependence
 // lookahead has real signal — a block deep in a queue truly is not
 // needed until the tasks ahead of it complete.
-func x10Options(s Scale, pol core.EvictPolicy) core.Options {
-	o := s.options(core.MultiIO)
+func (sw *Sweep) x10Options(pol core.EvictPolicy) core.Options {
+	o := sw.Options(core.MultiIO)
 	o.EvictLazily = true
 	o.EvictPolicy = pol
 	o.PrefetchDepth = 1
@@ -129,56 +124,54 @@ func x10Options(s Scale, pol core.EvictPolicy) core.Options {
 	return o
 }
 
-// x10Snapshot reads the counters of a finished fixed run into a row.
-func x10Snapshot(env *kernels.Env, row *X10Row) error {
-	snap, ok := env.MG.MetricsSnapshot()
-	if !ok {
-		return fmt.Errorf("exp: x10 %s/%s ran without metrics", row.Workload, row.Policy)
-	}
-	row.Fetches = snap.Fetches
-	row.Refetches = snap.Refetches
-	row.Evictions = snap.Evictions
-	row.Forced = snap.ForcedEvictions
-	row.Retries = snap.StageRetries
-	return nil
+// x10Shift is the shift program under one policy: X10's fixed run and
+// the real side of X11's what-if table.
+func (sw *Sweep) x10Shift(pol core.EvictPolicy) Run {
+	return sw.run(sw.x10Options(pol), sw.Scale.ShiftConfig())
 }
 
-// runX10Stencil runs the Fig 8 overflow point under one policy.
-func runX10Stencil(s Scale, pol core.EvictPolicy) (X10Row, error) {
-	row := X10Row{Workload: "fig8-stencil", Policy: pol.Name()}
-	env := s.newEnv(x10Options(s, pol), false)
-	_, t, err := runApp(env, kernels.NewStencil, s.overflowStencil())
+// x10Capture is X10's declaration-order shift run with a recorder:
+// the capture X11 replays under every victim policy and X15's offline
+// search has to improve on.
+func (sw *Sweep) x10Capture() Run {
+	r := sw.x10Shift(core.DeclOrder)
+	r.Record = true
+	return r
+}
+
+// x10Row runs one fixed-policy workload and reads its counters into a
+// row.
+func (sw *Sweep) x10Row(workload string, pol core.EvictPolicy, r Run) (X10Row, error) {
+	row := X10Row{Workload: workload, Policy: pol.Name()}
+	o, err := sw.do(r)
 	if err != nil {
-		return row, fmt.Errorf("exp: x10 stencil %s: %w", pol.Name(), err)
+		return row, fmt.Errorf("exp: x10 %s %s: %w", workload, pol.Name(), err)
 	}
-	row.Time = float64(t)
-	return row, x10Snapshot(env, &row)
+	row.Time = float64(o.Time)
+	if workload == "shift" {
+		row.Time = float64(o.PostShift)
+	}
+	row.Fetches = o.Stats.Fetches
+	row.Refetches = o.Stats.Refetches
+	row.Evictions = o.Stats.Evictions
+	row.Forced = o.Stats.ForcedEvictions
+	row.Retries = o.Stats.StageRetries
+	return row, nil
 }
 
-// runX10Shift runs the shift program under one policy.
-func runX10Shift(s Scale, pol core.EvictPolicy) (X10Row, error) {
-	row := X10Row{Workload: "shift", Policy: pol.Name()}
-	env := s.newEnv(x10Options(s, pol), false)
-	app, _, err := runApp(env, kernels.NewShift, s.ShiftConfig())
-	if err != nil {
-		return row, fmt.Errorf("exp: x10 shift %s: %w", pol.Name(), err)
-	}
-	row.Time = float64(app.PostShiftTime())
-	return row, x10Snapshot(env, &row)
-}
-
-// RunX10 runs the full comparison at the given scale.
-func RunX10(s Scale) (*X10Result, error) {
-	res := &X10Result{Scale: s, ReopenWindow: -1, ConvergedWindow: -1}
+// X10 runs the full comparison at the sweep's scale.
+func (sw *Sweep) X10() (*X10Result, error) {
+	s := sw.Scale
+	res := &X10Result{Scale: s}
 	for _, pol := range core.EvictPolicies() {
-		row, err := runX10Stencil(s, pol)
+		row, err := sw.x10Row("fig8-stencil", pol, sw.run(sw.x10Options(pol), s.overflowStencil()))
 		if err != nil {
 			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
 	}
 	for _, pol := range core.EvictPolicies() {
-		row, err := runX10Shift(s, pol)
+		row, err := sw.x10Row("shift", pol, sw.x10Shift(pol))
 		if err != nil {
 			return nil, err
 		}
@@ -187,17 +180,11 @@ func RunX10(s Scale) (*X10Result, error) {
 
 	// Adaptive run: default controller, barrier sampling, starting on
 	// MultiIO eager with the default victim policy.
-	_, t, ctl, err := runAdaptive(s, s.options(core.MultiIO), kernels.NewShift, s.ShiftConfig(), adapt.Config{},
-		func(a *kernels.ShiftApp) *func(int, func()) { return &a.OnIteration })
+	o, err := sw.do(sw.adaptive(sw.Options(core.MultiIO), s.ShiftConfig(), Adapt{}))
 	if err != nil {
 		return nil, fmt.Errorf("exp: x10 adaptive shift: %w", err)
 	}
-	res.AdaptiveTime = float64(t)
-	res.Reopens = ctl.Reopens()
-	res.ReopenWindow = ctl.ReopenWindow()
-	res.ConvergedWindow = ctl.ConvergedWindow()
-	res.Final = ctl.FinalOptions()
-	res.Trace = ctl.Trace()
+	res.AdaptiveTime, res.Verdict = float64(o.Time), *o.Verdict
 	return res, nil
 }
 

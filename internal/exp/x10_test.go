@@ -12,8 +12,7 @@ import (
 // and cause strictly fewer refetches than declaration order — and the
 // comparison must be non-vacuous (DeclOrder actually forces some).
 func TestX10PolicyAcceptance(t *testing.T) {
-	SetAudit(false)
-	res, err := RunX10(Small)
+	res, err := (&Sweep{Scale: Small}).X10()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,15 +54,12 @@ func TestX10PolicyAcceptance(t *testing.T) {
 }
 
 // TestFig8DeterministicPerPolicy re-runs the Fig 8 sweep under each
-// victim policy: every policy must be deterministic, not just the
-// default.
+// victim policy, each run on a fresh sweep: every policy must be
+// deterministic, not just the default.
 func TestFig8DeterministicPerPolicy(t *testing.T) {
-	SetAudit(false)
-	defer SetEvictPolicy(nil)
 	for _, pol := range core.EvictPolicies() {
-		SetEvictPolicy(pol)
 		assertDeterministic(t, "fig8/"+pol.Name(), func() (string, error) {
-			r, err := RunFig8(Small)
+			r, err := (&Sweep{Scale: Small, EvictPolicy: pol}).Fig8()
 			if err != nil {
 				return "", err
 			}
@@ -76,17 +72,18 @@ func TestFig8DeterministicPerPolicy(t *testing.T) {
 // full invariant auditor under each victim policy: reordering victims
 // must never break conservation, staging or transition invariants.
 func TestAuditCleanPerPolicy(t *testing.T) {
-	defer SetEvictPolicy(nil)
 	for _, pol := range core.EvictPolicies() {
-		SetEvictPolicy(pol)
-		SetAudit(true)
-		if _, err := RunFig8(Small); err != nil {
+		sw := &Sweep{Scale: Small, Audit: true, EvictPolicy: pol}
+		if _, err := sw.Fig8(); err != nil {
 			t.Fatalf("%s: %v", pol.Name(), err)
 		}
-		snaps, violations := DrainAudit()
-		SetAudit(false)
+		snaps := sw.Audits()
 		if len(snaps) == 0 {
-			t.Fatalf("%s: no audited environments registered", pol.Name())
+			t.Fatalf("%s: no audited runs recorded", pol.Name())
+		}
+		var violations int64
+		for _, s := range snaps {
+			violations += s.ViolationCount
 		}
 		if violations != 0 {
 			for _, s := range snaps {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/trace"
 )
 
@@ -32,50 +31,18 @@ import (
 // replayer reproduces reality exactly when nothing changes, leg 2 shows
 // its deltas point the same way as ground truth when something does.
 
-// x11Options is the fidelity-leg configuration: the Fig 8 MultiIO
-// setup with metrics on (the capture's stats footer reads them).
-func x11Options(s Scale) core.Options {
-	o := s.options(core.MultiIO)
-	o.Metrics = true
-	return o
-}
-
-// x11CaptureStencil records the Fig 8 overflow point. The returned
-// capture's stats footer carries the makespan (engine time at capture
-// finish, the same instant a replay's footer is stamped at).
-func x11CaptureStencil(s Scale) (*trace.Capture, error) {
-	env := s.newEnv(x11Options(s), false)
-	rec := trace.NewRecorder(env.MG)
-	rec.Attach()
-	if _, _, err := runApp(env, kernels.NewStencil, s.overflowStencil()); err != nil {
-		return nil, fmt.Errorf("exp: x11 stencil capture: %w", err)
-	}
-	return rec.Capture(), nil
-}
-
-// x11Untraced runs the fidelity-leg workload with no recorder and
-// returns the engine time at the same instant a capture footer would
-// be stamped — the baseline for the capture-overhead measurement.
-func x11Untraced(s Scale) (float64, error) {
-	env := s.newEnv(x11Options(s), false)
-	if _, _, err := runApp(env, kernels.NewStencil, s.overflowStencil()); err != nil {
-		return 0, fmt.Errorf("exp: x11 untraced baseline: %w", err)
-	}
-	return float64(env.Eng.Now()), nil
-}
-
-// shiftCapture records X10's shift program under its fixed-run
-// configuration with declaration-order eviction: the capture X11
-// replays under every victim policy and X15's offline search has to
-// improve on.
-func shiftCapture(s Scale) (*trace.Capture, error) {
-	env := s.newEnv(x10Options(s, core.DeclOrder), false)
-	rec := trace.NewRecorder(env.MG)
-	rec.Attach()
-	if _, _, err := runApp(env, kernels.NewShift, s.ShiftConfig()); err != nil {
-		return nil, fmt.Errorf("exp: shift capture: %w", err)
-	}
-	return rec.Capture(), nil
+// x11Fidelity is the fidelity-leg run: the Fig 8 overflow point under
+// MultiIO with metrics on (the capture's stats footer reads them). With
+// record set it carries a recorder, whose capture's stats footer holds
+// the makespan (engine time at capture finish, the same instant a
+// replay's footer is stamped at); without, it is the baseline for the
+// capture-overhead measurement.
+func (sw *Sweep) x11Fidelity(record bool) Run {
+	opts := sw.Options(core.MultiIO)
+	opts.Metrics = true
+	r := sw.run(opts, sw.Scale.overflowStencil())
+	r.Record = record
+	return r
 }
 
 // X11WhatIfRow compares one victim policy's replayed outcome against
@@ -144,15 +111,16 @@ func (r *X11Result) Consistent() bool {
 		look.RealRefetches <= decl.RealRefetches
 }
 
-// RunX11 runs both legs at the given scale.
-func RunX11(s Scale) (*X11Result, error) {
-	res := &X11Result{Scale: s}
+// X11 runs both legs at the sweep's scale.
+func (sw *Sweep) X11() (*X11Result, error) {
+	res := &X11Result{Scale: sw.Scale}
 
 	// Leg 1: fidelity on the Fig 8 overflow point.
-	cap, err := x11CaptureStencil(s)
+	traced, err := sw.do(sw.x11Fidelity(true))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exp: x11 stencil capture: %w", err)
 	}
+	cap := traced.Capture
 	res.Sample = cap
 	res.Events = len(cap.Events)
 	if st := cap.Stats(); st != nil {
@@ -172,28 +140,28 @@ func RunX11(s Scale) (*X11Result, error) {
 		res.ReplayedMakespan == res.RecordedMakespan
 
 	// Overhead leg: the same workload with no recorder attached.
-	untraced, err := x11Untraced(s)
+	untraced, err := sw.do(sw.x11Fidelity(false))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exp: x11 untraced baseline: %w", err)
 	}
-	res.UntracedMakespan = untraced
-	if untraced > 0 {
-		res.OverheadPct = (res.RecordedMakespan - untraced) / untraced * 100
+	res.UntracedMakespan = float64(untraced.End)
+	if res.UntracedMakespan > 0 {
+		res.OverheadPct = (res.RecordedMakespan - res.UntracedMakespan) / res.UntracedMakespan * 100
 	}
 
 	// Leg 2: what-if on the shift workload, one capture, every policy.
-	shiftCap, err := shiftCapture(s)
+	shiftCap, err := sw.do(sw.x10Capture())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exp: shift capture: %w", err)
 	}
-	sw, err := trace.Reconstruct(shiftCap)
+	shift, err := trace.Reconstruct(shiftCap.Capture)
 	if err != nil {
 		return nil, fmt.Errorf("exp: x11 reconstruct shift: %w", err)
 	}
 	for _, pol := range core.EvictPolicies() {
-		knobs := sw.Meta.Knobs
+		knobs := shift.Meta.Knobs
 		knobs.EvictPolicy = pol.Name()
-		repl, err := sw.Replay(trace.ReplayConfig{Knobs: &knobs})
+		repl, err := shift.Replay(trace.ReplayConfig{Knobs: &knobs})
 		if err != nil {
 			return nil, fmt.Errorf("exp: x11 what-if %s: %w", pol.Name(), err)
 		}
@@ -201,7 +169,7 @@ func RunX11(s Scale) (*X11Result, error) {
 		if st == nil {
 			return nil, fmt.Errorf("exp: x11 what-if %s: replay capture has no stats footer", pol.Name())
 		}
-		real, err := runX10Shift(s, pol)
+		real, err := sw.x10Row("shift", pol, sw.x10Shift(pol))
 		if err != nil {
 			return nil, err
 		}

@@ -13,11 +13,12 @@ import (
 // its replay, and both go through the recorder, so a recorder change
 // that altered both sides alike would pass it; this pin would not.
 func TestX11CaptureGolden(t *testing.T) {
-	SetAudit(false)
-	c, err := x11CaptureStencil(Small)
+	sw := &Sweep{Scale: Small}
+	o, err := sw.do(sw.x11Fidelity(true))
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := o.Capture
 	want, err := os.ReadFile("../trace/testdata/x11-small.jsonl")
 	if err != nil {
 		t.Fatal(err)
@@ -33,8 +34,7 @@ func TestX11CaptureGolden(t *testing.T) {
 // directionally with X10's real fixed runs — non-vacuously (the decl
 // replay must actually force evictions for lookahead to avoid).
 func TestX11ReplayAcceptance(t *testing.T) {
-	SetAudit(false)
-	res, err := RunX11(Small)
+	res, err := (&Sweep{Scale: Small}).X11()
 	if err != nil {
 		t.Fatal(err)
 	}

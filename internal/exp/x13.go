@@ -117,8 +117,10 @@ func (s Scale) x13Hog() serve.WorkloadSpec {
 
 // x13Config builds the service config: three symmetric tenants for the
 // load sweep plus the isolation pair, each with a third (resp. a
-// dedicated slice) of the grantable budget.
-func (s Scale) x13Config(fair bool) serve.Config {
+// dedicated slice) of the grantable budget. The sweep's -audit flag
+// audits every session.
+func (sw *Sweep) x13Config(fair bool) serve.Config {
+	s := sw.Scale
 	unit := s.x13Unit()
 	grantable := s.Machine().HBMCap - s.HBMReserve()
 	return serve.Config{
@@ -126,7 +128,7 @@ func (s Scale) x13Config(fair bool) serve.Config {
 		NumPEs:  s.NumPEs(),
 		Reserve: s.HBMReserve(),
 		Fair:    fair,
-		Audit:   auditOn,
+		Audit:   sw.Audit,
 		Tenants: []serve.TenantConfig{
 			{Name: "alpha", Budget: grantable / 5, Weight: 1},
 			{Name: "beta", Budget: grantable / 5, Weight: 1},
@@ -246,13 +248,13 @@ func (r *X13Result) Pass() bool { return r.FairWithinBound && r.FairBeatsUnfair 
 
 // x13Calibrate measures one standard session's makespan on an idle
 // service.
-func x13Calibrate(s Scale) (float64, error) {
-	c, err := newX13Srv(s.x13Config(true))
+func (sw *Sweep) x13Calibrate() (float64, error) {
+	c, err := newX13Srv(sw.x13Config(true))
 	if err != nil {
 		return 0, err
 	}
 	defer c.close()
-	id, err := c.submit(s.x13Workload("alpha", "stencil"))
+	id, err := c.submit(sw.Scale.x13Workload("alpha", "stencil"))
 	if err != nil {
 		return 0, err
 	}
@@ -272,9 +274,9 @@ func x13Calibrate(s Scale) (float64, error) {
 // x13RunLoad drives one arrival-rate point: open-loop submissions with
 // seeded-exponential interarrivals, quantised to window boundaries
 // (submissions happen between steps, never mid-window).
-func x13RunLoad(s Scale, label string, meanGap float64) (X13LoadRow, error) {
+func (sw *Sweep) x13RunLoad(label string, meanGap float64) (X13LoadRow, error) {
 	row := X13LoadRow{Label: label, MeanGapS: meanGap, Sessions: x13LoadSessions}
-	c, err := newX13Srv(s.x13Config(true))
+	c, err := newX13Srv(sw.x13Config(true))
 	if err != nil {
 		return row, err
 	}
@@ -293,7 +295,7 @@ func x13RunLoad(s Scale, label string, meanGap float64) (X13LoadRow, error) {
 		for float64(c.srv.Scheduler().Now()) < at {
 			c.srv.Step()
 		}
-		spec := s.x13Workload(x13Tenants[i%len(x13Tenants)], kernelMix[i%len(kernelMix)])
+		spec := sw.Scale.x13Workload(x13Tenants[i%len(x13Tenants)], kernelMix[i%len(kernelMix)])
 		id, err := c.submit(spec)
 		if err != nil {
 			return row, fmt.Errorf("x13 %s arrival %d: %w", label, i, err)
@@ -365,9 +367,10 @@ func x13HogPressure(c *x13Srv) int {
 // closed-loop (next session after the previous finishes) while the
 // driver keeps nHogs hog sessions alive. Returns the small tenant's
 // makespan stats.
-func x13RunIso(s Scale, label string, fair bool, nHogs int) (X13IsoRow, error) {
+func (sw *Sweep) x13RunIso(label string, fair bool, nHogs int) (X13IsoRow, error) {
+	s := sw.Scale
 	row := X13IsoRow{Label: label, Sessions: x13SmallSessions}
-	c, err := newX13Srv(s.x13Config(fair))
+	c, err := newX13Srv(sw.x13Config(fair))
 	if err != nil {
 		return row, err
 	}
@@ -446,30 +449,33 @@ func x13RunIso(s Scale, label string, fair bool, nHogs int) (X13IsoRow, error) {
 	return row, nil
 }
 
-// RunX13 runs both legs at the scale.
-func RunX13(s Scale) (*X13Result, error) {
-	res := &X13Result{Scale: s}
-	cal, err := x13Calibrate(s)
+// RunX13 runs X13 on a fresh sweep at s.
+func RunX13(s Scale) (*X13Result, error) { return (&Sweep{Scale: s}).X13() }
+
+// X13 runs both legs at the sweep's scale.
+func (sw *Sweep) X13() (*X13Result, error) {
+	res := &X13Result{Scale: sw.Scale}
+	cal, err := sw.x13Calibrate()
 	if err != nil {
 		return nil, fmt.Errorf("exp: x13 calibration: %w", err)
 	}
 	res.CalibrationS = cal
 
 	for _, g := range x13GapFactors {
-		row, err := x13RunLoad(s, g.Label, g.Factor*cal)
+		row, err := sw.x13RunLoad(g.Label, g.Factor*cal)
 		if err != nil {
 			return nil, fmt.Errorf("exp: x13 load %s: %w", g.Label, err)
 		}
 		res.Load = append(res.Load, row)
 	}
 
-	if res.Alone, err = x13RunIso(s, "alone", true, 0); err != nil {
+	if res.Alone, err = sw.x13RunIso("alone", true, 0); err != nil {
 		return nil, fmt.Errorf("exp: x13 isolation: %w", err)
 	}
-	if res.Fair, err = x13RunIso(s, "fair", true, x13Hogs); err != nil {
+	if res.Fair, err = sw.x13RunIso("fair", true, x13Hogs); err != nil {
 		return nil, fmt.Errorf("exp: x13 isolation: %w", err)
 	}
-	if res.Unfair, err = x13RunIso(s, "unfair", false, x13Hogs); err != nil {
+	if res.Unfair, err = sw.x13RunIso("unfair", false, x13Hogs); err != nil {
 		return nil, fmt.Errorf("exp: x13 isolation: %w", err)
 	}
 	res.BoundS = X13BoundFactor * res.Alone.P99

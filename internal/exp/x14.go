@@ -8,8 +8,6 @@ import (
 	"strings"
 
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
-	"github.com/hetmem/hetmem/internal/sim"
 )
 
 // X14 sweeps the memory chain depth: the Fig 8 stencil overflow point
@@ -124,43 +122,40 @@ func (r *X14Result) Pass() error {
 	return nil
 }
 
-// runX14 runs one app on a depth-tier chain under one policy.
-func runX14(s Scale, app string, depth int, pol core.EvictPolicy) (X14Row, error) {
+// x14Row runs one app on a depth-tier chain under one policy.
+func (sw *Sweep) x14Row(app string, depth int, pol core.EvictPolicy) (X14Row, error) {
+	s := sw.Scale
 	row := X14Row{App: app, Depth: depth, Policy: pol.Name()}
 	spec, err := s.TieredMachine(depth)
 	if err != nil {
 		return row, err
 	}
-	env := s.newEnvOn(spec, x10Options(s, pol), false)
-	var t sim.Time
+	var cfg any
 	switch app {
 	case "fig8-stencil":
-		_, t, err = runApp(env, kernels.NewStencil, s.overflowStencil())
+		cfg = s.overflowStencil()
 	case "fig9-matmul":
 		sizes := s.MatMulTotalSizes()
-		_, t, err = runApp(env, kernels.NewMatMul, s.MatMulConfig(sizes[len(sizes)-1]))
+		cfg = s.MatMulConfig(sizes[len(sizes)-1])
 	default:
-		env.Close()
 		return row, fmt.Errorf("exp: x14 unknown app %q", app)
 	}
+	r := sw.run(sw.x10Options(pol), cfg)
+	r.Spec = spec
+	o, err := sw.do(r)
 	if err != nil {
 		return row, fmt.Errorf("exp: x14 %s depth %d %s: %w", app, depth, pol.Name(), err)
 	}
-	row.Time = float64(t)
+	row.Time = float64(o.Time)
+	row.Fetches = o.Stats.Fetches
+	row.Refetches = o.Stats.Refetches
+	row.Evictions = o.Stats.Evictions
+	row.Forced = o.Stats.ForcedEvictions
 
-	snap, ok := env.MG.MetricsSnapshot()
-	if !ok {
-		return row, fmt.Errorf("exp: x14 %s depth %d %s ran without metrics", app, depth, pol.Name())
-	}
-	row.Fetches = snap.Fetches
-	row.Refetches = snap.Refetches
-	row.Evictions = snap.Evictions
-	row.Forced = snap.ForcedEvictions
-
-	chain := env.Mach.Chain()
-	near, next := chain[0].Name, chain[1].Name
-	keys := make([]string, 0, len(snap.TierEdges))
-	for key := range snap.TierEdges {
+	near, next := o.Chain[0], o.Chain[1]
+	edges := o.Stats.EdgeBytes
+	keys := make([]string, 0, len(edges))
+	for key := range edges {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
@@ -170,21 +165,21 @@ func runX14(s Scale, app string, depth int, pol core.EvictPolicy) (X14Row, error
 			continue
 		}
 		if dst == next {
-			row.DemotedNext += snap.TierEdges[key]
+			row.DemotedNext += edges[key]
 		} else {
-			row.DemotedDeep += snap.TierEdges[key]
+			row.DemotedDeep += edges[key]
 		}
 	}
 	return row, nil
 }
 
-// RunX14 runs the full depth sweep at the given scale.
-func RunX14(s Scale) (*X14Result, error) {
-	res := &X14Result{Scale: s}
+// X14 runs the full depth sweep at the sweep's scale.
+func (sw *Sweep) X14() (*X14Result, error) {
+	res := &X14Result{Scale: sw.Scale}
 	for _, app := range x14Apps {
 		for _, depth := range x14Depths {
 			for _, pol := range x14Policies() {
-				row, err := runX14(s, app, depth, pol)
+				row, err := sw.x14Row(app, depth, pol)
 				if err != nil {
 					return nil, err
 				}

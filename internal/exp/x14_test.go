@@ -3,9 +3,7 @@ package exp
 import (
 	"testing"
 
-	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 )
 
 // TestX14GateAcceptance is the acceptance bar for the depth sweep:
@@ -15,8 +13,7 @@ import (
 // match the policies' rules: DeclOrder victims never stop at an
 // intermediate tier, Lookahead victims never go past the adjacent one.
 func TestX14GateAcceptance(t *testing.T) {
-	SetAudit(false)
-	res, err := RunX14(Small)
+	res, err := (&Sweep{Scale: Small}).X14()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,34 +54,23 @@ func TestX14GateAcceptance(t *testing.T) {
 // the cheaper refetch path makes Lookahead's post-shift phase faster
 // than DeclOrder's.
 func TestThreeTierEvictionDemotion(t *testing.T) {
-	SetAudit(false)
-	s := Small
-	spec, err := s.TieredMachine(3)
+	sw := &Sweep{Scale: Small}
+	spec, err := Small.TieredMachine(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	postShift := make(map[string]float64)
 	for _, pol := range core.EvictPolicies() {
-		env := kernels.NewEnv(kernels.EnvConfig{
-			Spec:   spec,
-			NumPEs: s.NumPEs(),
-			Opts:   x10Options(s, pol),
-			Params: charm.DefaultParams(),
-		})
-		app, err := kernels.NewShift(env.MG, s.ShiftConfig())
+		r := sw.x10Shift(pol)
+		r.Spec = spec
+		o, err := sw.do(r)
 		if err != nil {
-			env.Close()
 			t.Fatal(err)
 		}
-		if _, err := app.Run(); err != nil {
-			env.Close()
-			t.Fatal(err)
-		}
-		postShift[pol.Name()] = float64(app.PostShiftTime())
+		postShift[pol.Name()] = float64(o.PostShift)
 
-		chain := env.Mach.Chain()
-		near, next, bottom := chain[0].Name, chain[1].Name, chain[2].Name
-		edges := env.MG.Stats.EdgeBytes
+		near, next, bottom := o.Chain[0], o.Chain[1], o.Chain[2]
+		edges := o.Stats.EdgeBytes
 		toNext, toBottom := edges[near+"->"+next], edges[near+"->"+bottom]
 		switch pol.DemoteTarget() {
 		case core.DemoteBottom:
@@ -102,7 +88,6 @@ func TestThreeTierEvictionDemotion(t *testing.T) {
 				t.Errorf("%s: no bytes demoted to %s; the workload exerts no pressure", pol.Name(), next)
 			}
 		}
-		env.Close()
 	}
 	decl, look := postShift[core.DeclOrder.Name()], postShift[core.Lookahead.Name()]
 	if look >= decl {

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/trace"
 	"github.com/hetmem/hetmem/internal/tune"
@@ -32,22 +31,18 @@ type X15Point struct {
 	App  string // "stencil" or "matmul"
 	Size int64
 
-	// ColdSettle/WarmSettle are virtual times-to-settle; -1 = the
-	// controller never settled within the run.
-	ColdSettle float64
-	WarmSettle float64
-
-	ColdLanded core.Options // where the cold climb converged
-	WarmLanded core.Options // where the warm-started run settled
+	// Cold is where the cold climb converged and when it settled; Warm
+	// the same for the run warm-started from Cold's verdict.
+	Cold, Warm Verdict
 }
 
 // Speedup returns cold/warm time-to-settle (>1 = warm start pays off);
 // 0 when either run failed to settle.
 func (p X15Point) Speedup() float64 {
-	if p.ColdSettle <= 0 || p.WarmSettle <= 0 {
+	if p.Cold.SettledTime <= 0 || p.Warm.SettledTime <= 0 {
 		return 0
 	}
-	return p.ColdSettle / p.WarmSettle
+	return p.Cold.SettledTime / p.Warm.SettledTime
 }
 
 // X15Tune summarises the offline search verdict over the shift capture.
@@ -74,12 +69,12 @@ type X15Result struct {
 // must recommend the lookahead victim policy on the shift capture.
 func (r *X15Result) Pass() error {
 	for _, p := range r.Points {
-		if p.WarmSettle < 0 {
+		if p.Warm.SettledTime < 0 {
 			return fmt.Errorf("%s at %s: warm-started run never settled", p.App, gbs(p.Size))
 		}
-		if p.ColdSettle >= 0 && p.WarmSettle >= p.ColdSettle {
+		if p.Cold.SettledTime >= 0 && p.Warm.SettledTime >= p.Cold.SettledTime {
 			return fmt.Errorf("%s at %s: warm settle %.6fs did not beat cold %.6fs",
-				p.App, gbs(p.Size), p.WarmSettle, p.ColdSettle)
+				p.App, gbs(p.Size), p.Warm.SettledTime, p.Cold.SettledTime)
 		}
 	}
 	if want := core.Lookahead.Name(); r.Tune.Recommended.EvictPolicy != want {
@@ -91,33 +86,33 @@ func (r *X15Result) Pass() error {
 
 // x15Point runs the cold climb, seeds the warm run with its verdict and
 // assembles the point.
-func x15Point(app string, size int64,
-	run func(warm *core.Options) (*adapt.Controller, error)) (X15Point, error) {
+func (sw *Sweep) x15Point(app string, size int64, run func(warm core.Options) Run) (X15Point, error) {
 	p := X15Point{App: app, Size: size}
-	cold, err := run(nil)
+	cold, err := sw.do(run(core.Options{}))
 	if err != nil {
-		return p, err
+		return p, fmt.Errorf("exp: adaptive %s at %s: %w", app, gbs(size), err)
 	}
-	p.ColdSettle = cold.SettledTime()
-	p.ColdLanded = cold.FinalOptions()
-	verdict := p.ColdLanded
-	warm, err := run(&verdict)
+	p.Cold = *cold.Verdict
+	warm, err := sw.do(run(p.Cold.Final))
 	if err != nil {
-		return p, err
+		return p, fmt.Errorf("exp: adaptive %s at %s: %w", app, gbs(size), err)
 	}
-	p.WarmSettle = warm.SettledTime()
-	p.WarmLanded = warm.FinalOptions()
+	p.Warm = *warm.Verdict
 	return p, nil
 }
 
-// RunX15 runs the closed-loop tuning experiment at the given scale.
-func RunX15(s Scale) (*X15Result, error) {
+// RunX15 runs X15 on a fresh sweep at s.
+func RunX15(s Scale) (*X15Result, error) { return (&Sweep{Scale: s}).X15() }
+
+// X15 runs the closed-loop tuning experiment at the sweep's scale. Its
+// cold climbs are X9's stencil runs and its capture is X11's, so after
+// those experiments a sweep runs only the warm starts and the matmul
+// climbs.
+func (sw *Sweep) X15() (*X15Result, error) {
+	s := sw.Scale
 	res := &X15Result{Scale: s}
 	for _, red := range s.StencilReducedSizes() {
-		p, err := x15Point("stencil", red, func(w *core.Options) (*adapt.Controller, error) {
-			_, ctl, err := adaptiveStencil(s, red, w)
-			return ctl, err
-		})
+		p, err := sw.x15Point("stencil", red, func(warm core.Options) Run { return sw.adaptiveStencil(red, warm) })
 		if err != nil {
 			return nil, err
 		}
@@ -131,10 +126,7 @@ func RunX15(s Scale) (*X15Result, error) {
 		// comparison of float noise; from d1 the cold climb has the
 		// depth ladder to walk, which is exactly the work the warm start
 		// is supposed to skip.
-		p, err := x15Point("matmul", total, func(w *core.Options) (*adapt.Controller, error) {
-			_, ctl, err := adaptiveMatMul(s, total, 1, w)
-			return ctl, err
-		})
+		p, err := sw.x15Point("matmul", total, func(warm core.Options) Run { return sw.adaptiveMatMul(total, 1, warm) })
 		if err != nil {
 			return nil, err
 		}
@@ -143,9 +135,9 @@ func RunX15(s Scale) (*X15Result, error) {
 
 	// The capture the offline search has to improve on: X10's shift
 	// workload under the default declaration-order victim policy.
-	c, err := shiftCapture(s)
+	c, err := sw.do(sw.x10Capture())
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exp: shift capture: %w", err)
 	}
 	// The search is scoped to the captured strategy: X10 measures the
 	// victim-policy effect directly under Multi-IO (the strategy the
@@ -154,7 +146,7 @@ func RunX15(s Scale) (*X15Result, error) {
 	// Cross-strategy choice is X3/X9's subject, judged by live
 	// measurement; an unscoped search may surface a different strategy
 	// by a hair and say nothing about victim ordering either way.
-	rc, err := tune.Tune(c, tune.Config{Space: tune.Space{
+	rc, err := tune.Tune(c.Capture, tune.Config{Space: tune.Space{
 		Modes: []string{core.MultiIO.String()},
 	}})
 	if err != nil {
@@ -214,11 +206,11 @@ func (r *X15Result) Table() Table {
 		t.Rows = append(t.Rows, []string{
 			p.App,
 			gbs(p.Size),
-			settleCell(p.ColdSettle),
-			settleCell(p.WarmSettle),
+			settleCell(p.Cold.SettledTime),
+			settleCell(p.Warm.SettledTime),
 			f2(p.Speedup()),
-			describeOptions(p.ColdLanded),
-			describeOptions(p.WarmLanded),
+			describeOptions(p.Cold.Final),
+			describeOptions(p.Warm.Final),
 		})
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf(
@@ -283,11 +275,11 @@ func (r *X15Result) Bench() X15Bench {
 		b.Points = append(b.Points, X15BenchPoint{
 			App:        p.App,
 			SizeBytes:  p.Size,
-			ColdSettle: p.ColdSettle,
-			WarmSettle: p.WarmSettle,
+			ColdSettle: p.Cold.SettledTime,
+			WarmSettle: p.Warm.SettledTime,
 			Speedup:    p.Speedup(),
-			ColdLanded: describeOptions(p.ColdLanded),
-			WarmLanded: describeOptions(p.WarmLanded),
+			ColdLanded: describeOptions(p.Cold.Final),
+			WarmLanded: describeOptions(p.Warm.Final),
 		})
 	}
 	return b

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/projections"
 	"github.com/hetmem/hetmem/internal/sim"
 )
@@ -24,18 +23,19 @@ type QueueAblationResult struct {
 	SharedIdleStd sim.Time
 }
 
-// RunAblationQueues runs the stencil under both queue topologies.
-func RunAblationQueues(s Scale) (*QueueAblationResult, error) {
+// AblationQueues runs the stencil under both queue topologies.
+func (sw *Sweep) AblationQueues() (*QueueAblationResult, error) {
+	s := sw.Scale
 	run := func(shared bool) (sim.Time, sim.Time, error) {
-		opts := s.options(core.SingleIO)
+		opts := sw.Options(core.SingleIO)
 		opts.SharedWaitQueue = shared
-		cfg := s.StencilConfig(s.StencilReducedSizes()[0])
-		env := s.newEnv(opts, true)
-		_, total, err := runApp(env, kernels.NewStencil, cfg)
+		r := sw.run(opts, s.StencilConfig(s.StencilReducedSizes()[0]))
+		r.Projections = true
+		o, err := sw.do(r)
 		if err != nil {
 			return 0, 0, err
 		}
-		return total, idleStdDev(env, s.NumPEs()), nil
+		return o.Time, idleStdDev(o.Tracer, s.NumPEs()), nil
 	}
 	perPE, perStd, err := run(false)
 	if err != nil {
@@ -53,8 +53,8 @@ func RunAblationQueues(s Scale) (*QueueAblationResult, error) {
 
 // idleStdDev computes the stddev of per-worker idle time, the load-
 // imbalance measure for X2.
-func idleStdDev(env *kernels.Env, workers int) sim.Time {
-	sum := env.Tracer.Summarize()
+func idleStdDev(tr *projections.Tracer, workers int) sim.Time {
+	sum := tr.Summarize()
 	var mean float64
 	vals := make([]float64, 0, workers)
 	for pe := 0; pe < len(sum.PerPE) && pe < workers; pe++ {

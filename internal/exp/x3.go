@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -25,8 +24,9 @@ type IOThreadsResult struct {
 	Rows  []IOThreadsRow
 }
 
-// RunAblationIOThreads sweeps the SingleIO strategy's thread count.
-func RunAblationIOThreads(s Scale) (*IOThreadsResult, error) {
+// AblationIOThreads sweeps the SingleIO strategy's thread count.
+func (sw *Sweep) AblationIOThreads() (*IOThreadsResult, error) {
+	s := sw.Scale
 	res := &IOThreadsResult{Scale: s}
 	counts := []int{1, 2, 4, 8, 16, 32}
 	if s == Small {
@@ -34,18 +34,17 @@ func RunAblationIOThreads(s Scale) (*IOThreadsResult, error) {
 	}
 	var base sim.Time
 	for _, n := range counts {
-		opts := s.options(core.SingleIO)
+		opts := sw.Options(core.SingleIO)
 		opts.IOThreads = n
-		cfg := s.StencilConfig(s.StencilReducedSizes()[0])
-		_, total, err := runApp(s.newEnv(opts, false), kernels.NewStencil, cfg)
+		o, err := sw.do(sw.run(opts, s.StencilConfig(s.StencilReducedSizes()[0])))
 		if err != nil {
 			return nil, fmt.Errorf("exp: io threads %d: %w", n, err)
 		}
 		if n == 1 {
-			base = total
+			base = o.Time
 		}
 		res.Rows = append(res.Rows, IOThreadsRow{
-			Threads: n, Time: total, Speedup: float64(base) / float64(total),
+			Threads: n, Time: o.Time, Speedup: float64(base) / float64(o.Time),
 		})
 	}
 	return res, nil

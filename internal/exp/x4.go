@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -27,45 +26,31 @@ type EvictionResult struct {
 	Rows  []EvictionRow
 }
 
-// RunAblationEviction compares eviction policies under MultiIO.
-func RunAblationEviction(s Scale) (*EvictionResult, error) {
+// AblationEviction compares eviction policies under MultiIO.
+func (sw *Sweep) AblationEviction() (*EvictionResult, error) {
+	s := sw.Scale
 	res := &EvictionResult{Scale: s}
-
-	multiEnv := func(lazy bool) *kernels.Env {
-		opts := s.options(core.MultiIO)
-		opts.EvictLazily = lazy
-		return s.newEnv(opts, false)
+	for _, app := range []struct {
+		name string
+		cfg  any
+	}{
+		{"Stencil3D", s.StencilConfig(s.StencilReducedSizes()[1])},
+		{"MatMul", s.MatMulConfig(s.MatMulTotalSizes()[0])},
+	} {
+		var runs [2]*Outcome // eager, lazy
+		for i := range runs {
+			opts := sw.Options(core.MultiIO)
+			opts.EvictLazily = i == 1
+			o, err := sw.do(sw.run(opts, app.cfg))
+			if err != nil {
+				return nil, err
+			}
+			runs[i] = o
+		}
+		res.Rows = append(res.Rows, EvictionRow{App: app.name,
+			EagerTime: runs[0].Time, LazyTime: runs[1].Time,
+			EagerFet: runs[0].Stats.Fetches, LazyFet: runs[1].Stats.Fetches})
 	}
-	runStencil := func(lazy bool) (sim.Time, int64, error) {
-		env := multiEnv(lazy)
-		_, total, err := runApp(env, kernels.NewStencil, s.StencilConfig(s.StencilReducedSizes()[1]))
-		return total, env.MG.Stats.Fetches, err
-	}
-	runMatMul := func(lazy bool) (sim.Time, int64, error) {
-		env := multiEnv(lazy)
-		_, total, err := runApp(env, kernels.NewMatMul, s.MatMulConfig(s.MatMulTotalSizes()[0]))
-		return total, env.MG.Stats.Fetches, err
-	}
-
-	se, sef, err := runStencil(false)
-	if err != nil {
-		return nil, err
-	}
-	sl, slf, err := runStencil(true)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, EvictionRow{App: "Stencil3D", EagerTime: se, LazyTime: sl, EagerFet: sef, LazyFet: slf})
-
-	me, mef, err := runMatMul(false)
-	if err != nil {
-		return nil, err
-	}
-	ml, mlf, err := runMatMul(true)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = append(res.Rows, EvictionRow{App: "MatMul", EagerTime: me, LazyTime: ml, EagerFet: mef, LazyFet: mlf})
 	return res, nil
 }
 

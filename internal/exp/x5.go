@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/topology"
 )
@@ -55,14 +54,20 @@ func (s Scale) nvmMachine() topology.MachineSpec {
 	return spec
 }
 
-// RunNVM compares Naive vs the strategies on DDR-far and NVM-far
+// NVM compares Naive vs the strategies on DDR-far and NVM-far
 // machines.
-func RunNVM(s Scale) (*NVMResult, error) {
+func (sw *Sweep) NVM() (*NVMResult, error) {
+	s := sw.Scale
 	res := &NVMResult{Scale: s}
 	cfg := s.StencilConfig(s.StencilReducedSizes()[1])
 	run := func(spec topology.MachineSpec, mode core.Mode) (sim.Time, error) {
-		_, t, err := runApp(s.newEnvOn(spec, s.options(mode), false), kernels.NewStencil, cfg)
-		return t, err
+		r := sw.run(sw.Options(mode), cfg)
+		r.Spec = spec
+		o, err := sw.do(r)
+		if err != nil {
+			return 0, err
+		}
+		return o.Time, nil
 	}
 	ddrSpec := s.Machine()
 	nvmSpec := s.nvmMachine()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -24,20 +23,19 @@ type PrefetchDepthResult struct {
 	Rows  []PrefetchDepthRow
 }
 
-// RunAblationPrefetchDepth sweeps the MultiIO prefetch depth on the
+// AblationPrefetchDepth sweeps the MultiIO prefetch depth on the
 // stencil.
-func RunAblationPrefetchDepth(s Scale) (*PrefetchDepthResult, error) {
+func (sw *Sweep) AblationPrefetchDepth() (*PrefetchDepthResult, error) {
+	s := sw.Scale
 	res := &PrefetchDepthResult{Scale: s}
 	for _, depth := range []int{1, 2, 4, 8, 0} {
-		opts := s.options(core.MultiIO)
+		opts := sw.Options(core.MultiIO)
 		opts.PrefetchDepth = depth
-		cfg := s.StencilConfig(s.StencilReducedSizes()[1])
-		env := s.newEnv(opts, false)
-		_, total, err := runApp(env, kernels.NewStencil, cfg)
+		o, err := sw.do(sw.run(opts, s.StencilConfig(s.StencilReducedSizes()[1])))
 		if err != nil {
 			return nil, fmt.Errorf("exp: prefetch depth %d: %w", depth, err)
 		}
-		res.Rows = append(res.Rows, PrefetchDepthRow{Depth: depth, Time: total, Fetches: env.MG.Stats.Fetches})
+		res.Rows = append(res.Rows, PrefetchDepthRow{Depth: depth, Time: o.Time, Fetches: o.Stats.Fetches})
 	}
 	return res, nil
 }

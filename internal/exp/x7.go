@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/core"
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -26,10 +25,12 @@ type LoadBalanceResult struct {
 	BalancedIters   []sim.Time
 }
 
-// RunLoadBalance runs a stencil whose first quarter of chares carries
+// LoadBalance runs a stencil whose first quarter of chares carries
 // 4x the arithmetic, block-mapped so the skew lands on a quarter of
-// the PEs, with and without the greedy rebalancer.
-func RunLoadBalance(s Scale) (*LoadBalanceResult, error) {
+// the PEs, with and without the greedy rebalancer. Its Weight func
+// keeps these runs out of the sweep's memo; they repeat nothing.
+func (sw *Sweep) LoadBalance() (*LoadBalanceResult, error) {
+	s := sw.Scale
 	res := &LoadBalanceResult{Scale: s}
 	build := func(lb bool) (sim.Time, []sim.Time, int, error) {
 		cfg := s.StencilConfig(s.StencilReducedSizes()[1])
@@ -43,17 +44,17 @@ func RunLoadBalance(s Scale) (*LoadBalanceResult, error) {
 		cfg.BlockMapping = true
 		cfg.LoadBalance = lb
 		cfg.Iterations = 4
-		app, total, err := runApp(s.newEnv(s.options(core.MultiIO), false), kernels.NewStencil, cfg)
+		o, err := sw.do(sw.run(sw.Options(core.MultiIO), cfg))
 		if err != nil {
 			return 0, nil, 0, err
 		}
-		iters := make([]sim.Time, len(app.IterEnd))
+		iters := make([]sim.Time, len(o.IterEnd))
 		prev := sim.Time(0)
-		for i, t := range app.IterEnd {
+		for i, t := range o.IterEnd {
 			iters[i] = t - prev
 			prev = t
 		}
-		return total, iters, app.Migrations, nil
+		return o.Time, iters, o.Migrations, nil
 	}
 	var err error
 	res.UnbalancedTime, res.UnbalancedIters, _, err = build(false)

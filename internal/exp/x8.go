@@ -38,9 +38,8 @@ func (s Scale) clusterStencil() kernels.StencilConfig {
 
 // RunClusterStencil runs the distributed stencil perNode on a cluster
 // of nodes copies of the scale's machine, every node's manager built
-// with opts, and checks each node's auditor at quiescence. Audited
-// nodes join the DrainAudit registry. The caller closes the returned
-// cluster.
+// with opts, and checks each node's auditor at quiescence. The caller
+// closes the returned cluster.
 func (s Scale) RunClusterStencil(nodes int, opts core.Options, perNode kernels.StencilConfig) (*cluster.Cluster, *cluster.StencilResult, error) {
 	c, err := cluster.New(cluster.Config{
 		Nodes:  nodes,
@@ -51,9 +50,6 @@ func (s Scale) RunClusterStencil(nodes int, opts core.Options, perNode kernels.S
 	})
 	if err != nil {
 		return nil, nil, err
-	}
-	for _, nd := range c.Nodes {
-		registerAudit(nd.Env)
 	}
 	res, err := cluster.RunStencil(c, perNode)
 	for i := 0; err == nil && i < len(c.Nodes); i++ {
@@ -70,19 +66,26 @@ func (s Scale) RunClusterStencil(nodes int, opts core.Options, perNode kernels.S
 	return c, res, nil
 }
 
-// RunCluster sweeps node counts with a constant per-node working set.
-func RunCluster(s Scale) (*ClusterResult, error) {
+// Cluster sweeps node counts with a constant per-node working set.
+// Under -audit each node's snapshot joins the sweep's.
+func (sw *Sweep) Cluster() (*ClusterResult, error) {
+	s := sw.Scale
 	res := &ClusterResult{Scale: s}
 	counts := []int{1, 2, 4, 8}
 	if s == Full {
 		counts = []int{1, 2, 4}
 	}
 	run := func(nodes int, mode core.Mode) (*cluster.StencilResult, error) {
-		c, res, err := s.RunClusterStencil(nodes, s.options(mode), s.clusterStencil())
+		c, res, err := s.RunClusterStencil(nodes, sw.Options(mode), s.clusterStencil())
 		if err != nil {
 			return nil, err
 		}
 		c.Close()
+		for _, nd := range c.Nodes {
+			if snap, ok := nd.MG.AuditSnapshot(); ok {
+				sw.audits = append(sw.audits, snap)
+			}
+		}
 		return res, nil
 	}
 	var base sim.Time

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
-	"github.com/hetmem/hetmem/internal/sim"
 )
 
 // X9 pits the online adaptive controller against a grid of fixed
@@ -63,8 +61,8 @@ func x9Grid() []x9Fixed {
 }
 
 // options builds the manager options for a fixed grid entry.
-func (f x9Fixed) options(s Scale) core.Options {
-	o := s.options(f.mode)
+func (f x9Fixed) options(sw *Sweep) core.Options {
+	o := sw.Options(f.mode)
 	o.IOThreads = f.ioThreads
 	o.PrefetchDepth = f.depth
 	o.EvictLazily = f.lazy
@@ -82,9 +80,7 @@ type X9Point struct {
 	Best, Worst       string // best/worst fixed config names
 	BestVal, WorstVal float64
 
-	Final           core.Options // where the controller landed
-	ConvergedWindow int
-	Trace           []adapt.Decision
+	Verdict // where the adaptive run's controller landed
 }
 
 // VsBest returns adaptive/best-fixed (1.0 = matched the offline
@@ -101,18 +97,23 @@ type X9Result struct {
 	Points []X9Point
 }
 
-// RunX9 runs the full comparison at the given scale.
-func RunX9(s Scale) (*X9Result, error) {
+// X9 runs the full comparison at the sweep's scale.
+func (sw *Sweep) X9() (*X9Result, error) {
+	s := sw.Scale
 	res := &X9Result{Scale: s}
 	for _, red := range s.StencilReducedSizes() {
-		p, err := runX9Stencil(s, red)
+		p, err := sw.x9Point("stencil", red, s.x9Stencil(red), sw.adaptiveStencil(red, core.Options{}), stencilSteady)
 		if err != nil {
 			return nil, err
 		}
 		res.Points = append(res.Points, p)
 	}
 	for _, total := range s.MatMulTotalSizes() {
-		p, err := runX9MatMul(s, total)
+		// The adaptive run starts on the movement strategy Fig 9 already
+		// favours, with unlimited prefetch depth; adaptation cost lands in
+		// the total-time metric.
+		p, err := sw.x9Point("matmul", total, s.MatMulConfig(total), sw.adaptiveMatMul(total, 0, core.Options{}),
+			func(o *Outcome) float64 { return float64(o.Time) })
 		if err != nil {
 			return nil, err
 		}
@@ -121,95 +122,62 @@ func RunX9(s Scale) (*X9Result, error) {
 	return res, nil
 }
 
+// x9Point runs the fixed grid on app and the adaptive run at one size;
+// metric scores a run.
+func (sw *Sweep) x9Point(name string, size int64, app any, adaptive Run, metric func(*Outcome) float64) (X9Point, error) {
+	p := X9Point{App: name, Size: size, Fixed: make(map[string]float64)}
+	for _, f := range x9Grid() {
+		o, err := sw.do(sw.run(f.options(sw), app))
+		if err != nil {
+			return p, fmt.Errorf("exp: x9 %s %s at %s: %w", name, f.name, gbs(size), err)
+		}
+		p.Fixed[f.name] = metric(o)
+	}
+	p.rank()
+
+	o, err := sw.do(adaptive)
+	if err != nil {
+		return p, fmt.Errorf("exp: adaptive %s at %s: %w", name, gbs(size), err)
+	}
+	p.Adaptive, p.Verdict = metric(o), *o.Verdict
+	return p, nil
+}
+
 // stencilSteady returns the mean of the last x9SteadyIters iteration
-// deltas.
-func stencilSteady(app *kernels.StencilApp) float64 {
-	n := len(app.IterEnd)
+// deltas of a stencil run.
+func stencilSteady(o *Outcome) float64 {
+	n := len(o.IterEnd)
 	k := x9SteadyIters
 	if n < k+1 {
 		k = n - 1
 	}
 	if k < 1 {
-		return float64(app.TotalTime())
+		return float64(o.Time)
 	}
-	return float64(app.IterEnd[n-1]-app.IterEnd[n-1-k]) / float64(k)
+	return float64(o.IterEnd[n-1]-o.IterEnd[n-1-k]) / float64(k)
 }
 
-// runAdaptive builds an app from cfg on a fresh environment with opts,
-// attaches an online controller configured by ctlCfg, runs the app and
-// checks the invariant auditor at quiescence. The auditor is always on:
-// every adaptive run must be audit-clean, not just the ones under
-// -audit. barrier, when non-nil, returns the app's iteration hook, where
-// the controller then samples; MatMul has no barriers, and its
-// controller samples completion windows instead.
-func runAdaptive[C any, A runner](s Scale, opts core.Options,
-	newApp func(*core.Manager, C) (A, error), cfg C, ctlCfg adapt.Config,
-	barrier func(A) *func(iter int, resume func())) (A, sim.Time, *adapt.Controller, error) {
-	opts.Audit = true
-	env := s.newEnv(opts, false)
-	defer env.Close()
-	app, err := newApp(env.MG, cfg)
-	if err != nil {
-		return app, 0, nil, err
-	}
-	ctl, err := adapt.New(env.MG, ctlCfg)
-	if err != nil {
-		return app, 0, nil, err
-	}
-	ctl.Attach()
-	if barrier != nil {
-		*barrier(app) = func(_ int, resume func()) {
-			ctl.Barrier()
-			resume()
-		}
-	}
-	t, err := app.Run()
-	if err != nil {
-		return app, 0, nil, err
-	}
-	env.MG.Auditor().CheckQuiescent()
-	return app, t, ctl, env.MG.Auditor().Err()
-}
-
-// adaptiveStencil runs X9's stencil at one reduced working set under
-// the controller, sampled at iteration barriers, from the weakest
-// movement configuration the paper evaluates: one IO thread serving
-// every PE, eager eviction. warm=nil is X9's cold climb; otherwise the
+// adaptiveStencil is X9's stencil at one reduced working set under the
+// controller, sampled at iteration barriers, from the weakest movement
+// configuration the paper evaluates: one IO thread serving every PE,
+// eager eviction. A zero warm is X9's cold climb; otherwise the
 // controller is seeded with that verdict, as hetmemd seeds a tenant's
 // next session (X15).
-func adaptiveStencil(s Scale, red int64, warm *core.Options) (*kernels.StencilApp, *adapt.Controller, error) {
-	app, _, ctl, err := runAdaptive(s, s.options(core.SingleIO), kernels.NewStencil, s.x9Stencil(red), adapt.Config{Warm: warm},
-		func(a *kernels.StencilApp) *func(int, func()) { return &a.OnIteration })
-	if err != nil {
-		return nil, nil, fmt.Errorf("exp: adaptive stencil at %s: %w", gbs(red), err)
-	}
-	return app, ctl, nil
+func (sw *Sweep) adaptiveStencil(red int64, warm core.Options) Run {
+	return sw.adaptive(sw.Options(core.SingleIO), sw.Scale.x9Stencil(red), Adapt{Warm: warm})
 }
 
-// adaptiveMatMul runs X9's MatMul at one total working set under the
+// adaptiveMatMul is X9's MatMul at one total working set under the
 // controller, on Multi-IO with the given prefetch depth. MatMul has no
 // barriers, so strategy switching (which needs quiescence) is out and
 // the controller tunes depth and eviction within Multi-IO, over windows
 // of one task per PE: small enough that the climb finishes in the first
 // tenth of the run, and still stable, since MatMul's tasks are uniform.
 // warm is as for adaptiveStencil.
-func adaptiveMatMul(s Scale, total int64, depth int, warm *core.Options) (sim.Time, *adapt.Controller, error) {
-	opts := s.options(core.MultiIO)
+func (sw *Sweep) adaptiveMatMul(total int64, depth int, warm core.Options) Run {
+	opts := sw.Options(core.MultiIO)
 	opts.PrefetchDepth = depth
-	_, t, ctl, err := runAdaptive(s, opts, kernels.NewMatMul, s.MatMulConfig(total),
-		adapt.Config{SampleEvery: s.NumPEs(), Warm: warm}, nil)
-	if err != nil {
-		return 0, nil, fmt.Errorf("exp: adaptive matmul at %s: %w", gbs(total), err)
-	}
-	return t, ctl, nil
-}
-
-// settle fills the controller-side fields of the point.
-func (p *X9Point) settle(ctl *adapt.Controller, metric float64) {
-	p.Adaptive = metric
-	p.Final = ctl.FinalOptions()
-	p.ConvergedWindow = ctl.ConvergedWindow()
-	p.Trace = ctl.Trace()
+	return sw.adaptive(opts, sw.Scale.MatMulConfig(total), Adapt{SampleEvery: sw.Scale.NumPEs(), Warm: warm})
 }
 
 // rank fills Best/Worst from the fixed grid results. Iterating the
@@ -230,49 +198,6 @@ func (p *X9Point) rank() {
 			p.Worst, p.WorstVal = name, v
 		}
 	}
-}
-
-func runX9Stencil(s Scale, red int64) (X9Point, error) {
-	p := X9Point{App: "stencil", Size: red, Fixed: make(map[string]float64)}
-	for _, f := range x9Grid() {
-		app, _, err := runApp(s.newEnv(f.options(s), false), kernels.NewStencil, s.x9Stencil(red))
-		if err != nil {
-			return p, fmt.Errorf("exp: x9 stencil %s at %s: %w", f.name, gbs(red), err)
-		}
-		p.Fixed[f.name] = stencilSteady(app)
-	}
-	p.rank()
-
-	app, ctl, err := adaptiveStencil(s, red, nil)
-	if err != nil {
-		return p, err
-	}
-	p.settle(ctl, stencilSteady(app))
-	return p, nil
-}
-
-func runX9MatMul(s Scale, total int64) (X9Point, error) {
-	p := X9Point{App: "matmul", Size: total, Fixed: make(map[string]float64)}
-	cfg := s.MatMulConfig(total)
-
-	for _, f := range x9Grid() {
-		_, t, err := runApp(s.newEnv(f.options(s), false), kernels.NewMatMul, cfg)
-		if err != nil {
-			return p, fmt.Errorf("exp: x9 matmul %s at %s: %w", f.name, gbs(total), err)
-		}
-		p.Fixed[f.name] = float64(t)
-	}
-	p.rank()
-
-	// The adaptive run starts on the movement strategy Fig 9 already
-	// favours, with unlimited prefetch depth; adaptation cost lands in
-	// the total-time metric.
-	t, ctl, err := adaptiveMatMul(s, total, 0, nil)
-	if err != nil {
-		return p, err
-	}
-	p.settle(ctl, float64(t))
-	return p, nil
 }
 
 // describeOptions summarises where the controller landed.

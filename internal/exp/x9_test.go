@@ -9,8 +9,7 @@ import "testing"
 // somewhere, and every adaptive run is audit-clean (RunX9 fails on any
 // violation or stall, so err == nil covers that).
 func TestX9AdaptiveAcceptance(t *testing.T) {
-	SetAudit(false)
-	r, err := RunX9(Small)
+	r, err := (&Sweep{Scale: Small}).X9()
 	if err != nil {
 		t.Fatal(err)
 	}

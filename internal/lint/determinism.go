@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 )
 
@@ -15,10 +16,12 @@ import (
 // and every random draw from the engine's seeded source, and every
 // table row from a deterministically ordered walk — the regression
 // tests catch drift at run time, this analyzer catches it at review
-// time.
+// time. In the simulation packages it also bans writes to package-level
+// variables outside their initialisers: a run's state lives in values,
+// so two runs share nothing and can run in either order, or at once.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "ban wall-clock time, unseeded math/rand, and map-order-dependent output in internal/ and cmd/",
+	Doc:  "ban wall-clock time, unseeded math/rand, map-order-dependent output, and package state in the simulation packages",
 	Match: func(rel string) bool {
 		return matchPrefix(rel, "internal") || matchPrefix(rel, "cmd")
 	},
@@ -41,7 +44,15 @@ var globalRandAllowed = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
 }
 
+// statelessPkgs are the simulation packages whose non-test files may
+// not write a package-level variable outside its initialiser.
+var statelessPkgs = []string{
+	"internal/sim", "internal/memsim", "internal/numa", "internal/core",
+	"internal/charm", "internal/kernels", "internal/exp",
+}
+
 func runDeterminism(p *Pass) {
+	stateless := slices.ContainsFunc(statelessPkgs, func(dir string) bool { return matchPrefix(p.RelPath, dir) })
 	for _, f := range p.Files {
 		sorted := collectSortCalls(p, f)
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -50,9 +61,51 @@ func runDeterminism(p *Pass) {
 				p.checkClockAndRand(n)
 			case *ast.RangeStmt:
 				p.checkMapRange(n, sorted)
+			case *ast.AssignStmt:
+				if stateless && n.Tok != token.DEFINE {
+					for _, lhs := range n.Lhs {
+						p.checkPackageWrite(lhs)
+					}
+				}
+			case *ast.IncDecStmt:
+				if stateless {
+					p.checkPackageWrite(n.X)
+				}
 			}
 			return true
 		})
+	}
+}
+
+// checkPackageWrite flags a write whose target is a package-level
+// variable, or an element or field of one: a map or slice element store
+// writes the variable's shared storage as surely as an assignment does.
+// Package-level declarations are initialisers, not statements, so they
+// never reach here.
+func (p *Pass) checkPackageWrite(lhs ast.Expr) {
+	for e := lhs; ; {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			if v, ok := p.Info.Uses[x.Sel].(*types.Var); ok && !v.IsField() {
+				e = x.Sel // a qualified variable of another package
+			} else {
+				e = x.X
+			}
+		case *ast.Ident:
+			if v, ok := p.Info.Uses[x].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+				p.Reportf(lhs.Pos(),
+					"write to package-level variable %s outside its initialiser; keep run state in values", v.Name())
+			}
+			return
+		default:
+			return
+		}
 	}
 }
 

@@ -160,6 +160,12 @@ func TestDeterminismFixture(t *testing.T) {
 	checkFixture(t, Determinism, "determinism", "github.com/hetmem/hetmem/internal/lintfixture/determinism")
 }
 
+func TestPackageStateFixture(t *testing.T) {
+	// The import path matters: the package-state check is scoped to the
+	// simulation packages.
+	checkFixture(t, Determinism, "pkgstate", "github.com/hetmem/hetmem/internal/exp/lintfixture")
+}
+
 func TestLocksafeFixture(t *testing.T) {
 	checkFixture(t, Locksafe, "locksafe", "github.com/hetmem/hetmem/internal/core/lintfixture")
 }
