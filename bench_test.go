@@ -307,6 +307,56 @@ func TestTaskPathAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkTuneSearch runs X15's offline search at the Small scale over
+// the shift capture, recorded once outside the timer, and reports
+// replays per wall-clock second. It is the tune path's working
+// microbenchmark, as BenchmarkManagerDispatch is dispatch's: the
+// search replays the capture under each candidate's knobs through the
+// whole runtime stack, eviction victim selection included.
+func BenchmarkTuneSearch(b *testing.B) {
+	c, err := exp.ShiftCapture(exp.Small)
+	if err != nil {
+		b.Fatal(err)
+	}
+	replays := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rc, err := exp.SearchShift(c)
+		if err != nil {
+			b.Fatal(err)
+		}
+		replays += rc.Replays
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(replays)/b.Elapsed().Seconds(), "replays/sec")
+}
+
+// TestTuneSearchAllocs guards the tune path's allocations: one Small
+// X15 search over a shift capture recorded outside the count made
+// 794,363 allocations while each verdict replay attached a trace
+// recorder and each eviction pass ranked a fresh candidate slice, and
+// 370,699 after. The bound sits about 10% above the latter.
+func TestTuneSearchAllocs(t *testing.T) {
+	c, err := exp.ShiftCapture(exp.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound = 408_000
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, e := exp.SearchShift(c); e != nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > bound {
+		t.Fatalf("a Small X15 search made %.0f allocations, want <= %d", allocs, bound)
+	}
+	t.Logf("%.0f allocations per search (bound %d)", allocs, bound)
+}
+
 // BenchmarkXCluster regenerates extension X8 (multi-node weak scaling)
 // and reports the MultiIO-vs-Naive speedup at the largest node count.
 func BenchmarkXCluster(b *testing.B) {

@@ -2,20 +2,20 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
-// EvictPolicy orders eviction candidates: given the dead resident
-// blocks (InHBM, unreferenced, unclaimed), Rank returns them
-// best-victim-first. makeRoom evicts in that order until the requested
-// capacity fits, so the policy decides which resident data is bounced
-// to DDR under pressure — and therefore how much of it must be fetched
-// back (§IV's eviction step, generalised from the implicit
-// declaration-order reclaim of the original runtime).
+// EvictPolicy orders eviction candidates: it ranks the dead resident
+// blocks (InHBM, unreferenced, unclaimed), and makeRoom evicts them
+// best-victim-first until the requested capacity fits, so the policy
+// decides which resident data is bounced to DDR under pressure — and
+// therefore how much of it must be fetched back (§IV's eviction step,
+// generalised from the implicit declaration-order reclaim of the
+// original runtime).
 //
-// Implementations must return a permutation of cands: makeRoom already
+// A policy ranks through a key: makeRoom takes victims in ascending
+// Key order, declaration order breaking ties. makeRoom has already
 // filtered out in-use, claimed and in-transition blocks, and eviction
 // re-checks every condition under the block lock, so a policy only
 // chooses order — it can neither add victims nor veto them.
@@ -23,14 +23,30 @@ type EvictPolicy interface {
 	// Name is the stable identifier used in flags, metrics and
 	// snapshots.
 	Name() string
-	// Rank orders cands best-victim-first. cands arrives in
-	// declaration order and may be reordered in place.
-	Rank(v PolicyView, cands []*Handle) []*Handle
+	// LooksAhead reports whether Key reads its nextUse argument. Only
+	// then does makeRoom resolve next uses: 0 means a created-or-staged
+	// task needs the block imminently, k > 0 means its first consumer
+	// sits k deep in a wait queue, NoNextUse means no enqueued task lists
+	// it. The first block with pending uses walks the strategy's wait
+	// queues under their locks, once per ranking.
+	LooksAhead() bool
+	// Key ranks h as a victim; smaller keys are evicted first. nextUse
+	// is h's next use when LooksAhead reports true, else NoNextUse. Key
+	// is called for every candidate after every next use is resolved,
+	// and must not block.
+	Key(h *Handle, nextUse int) VictimKey
 	// DemoteTarget picks the tier a victim moves to on chains deeper
 	// than two: the bottom of the chain, or the tier just below HBM.
 	// On a two-tier machine the two coincide, so every policy behaves
 	// identically there.
 	DemoteTarget() DemoteTarget
+}
+
+// VictimKey is a candidate's rank as a victim: makeRoom compares Major,
+// then Minor, then declaration order.
+type VictimKey struct {
+	Major int
+	Minor sim.Time
 }
 
 // DemoteTarget is an EvictPolicy's landing tier for evictions.
@@ -59,19 +75,6 @@ func (t DemoteTarget) String() string {
 // NoNextUse is the lookahead distance of a block no enqueued task
 // declares as a dependence.
 const NoNextUse = int(^uint(0) >> 1)
-
-// PolicyView is the read-only runtime state a policy may consult.
-type PolicyView struct {
-	// Now is the current virtual time.
-	Now sim.Time
-	// NextUse reports how soon a block is needed again by declared
-	// dependences: 0 means a created-or-staged task needs it
-	// imminently, k > 0 means its first consumer sits k deep in a
-	// wait queue, NoNextUse means no enqueued task lists it. The
-	// first call walks the strategy's wait queues under their locks;
-	// the distances are then cached for the rest of the ranking.
-	NextUse func(h *Handle) int
-}
 
 // The built-in policies, as comparable singletons so Options values
 // still compare with ==.
@@ -115,14 +118,16 @@ func (declOrder) Name() string { return "decl" }
 // way down (the original runtime's rule).
 func (declOrder) DemoteTarget() DemoteTarget { return DemoteBottom }
 
-func (declOrder) Rank(v PolicyView, cands []*Handle) []*Handle {
-	// Stable partition: truly-dead blocks first, pending-use blocks
-	// last, declaration order within each class (cands arrives in
-	// declaration order).
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].pendingUses == 0 && cands[j].pendingUses > 0
-	})
-	return cands
+func (declOrder) LooksAhead() bool { return false }
+
+// Key partitions: truly-dead blocks first, pending-use blocks last,
+// declaration order within each class. makeRoom takes this order from
+// its dead index's bits without calling Key.
+func (declOrder) Key(h *Handle, _ int) VictimKey {
+	if h.pendingUses > 0 {
+		return VictimKey{Major: 1}
+	}
+	return VictimKey{}
 }
 
 type lru struct{}
@@ -132,14 +137,11 @@ func (lru) Name() string { return "lru" }
 // Recency says a cold block stays cold; demote fully.
 func (lru) DemoteTarget() DemoteTarget { return DemoteBottom }
 
-func (lru) Rank(v PolicyView, cands []*Handle) []*Handle {
-	// Oldest last use first; declaration order breaks ties (blocks
-	// never used complete with lastUse zero and go first).
-	sort.SliceStable(cands, func(i, j int) bool {
-		return cands[i].lastUse < cands[j].lastUse
-	})
-	return cands
-}
+func (lru) LooksAhead() bool { return false }
+
+// Key puts the oldest last use first; declaration order breaks ties
+// (blocks never used complete with lastUse zero and go first).
+func (lru) Key(h *Handle, _ int) VictimKey { return VictimKey{Minor: h.lastUse} }
 
 type lookahead struct{}
 
@@ -151,34 +153,15 @@ func (lookahead) Name() string { return "lookahead" }
 // advantage over full demotion grows with every tier the chain adds.
 func (lookahead) DemoteTarget() DemoteTarget { return DemoteNext }
 
-func (lookahead) Rank(v PolicyView, cands []*Handle) []*Handle {
-	// Farthest next declared use first. Distances are resolved once
-	// up front — NextUse may take queue locks, and a comparator must
-	// not reorder mid-sort as the world advances under it.
-	//
-	// Ties (NoNextUse in particular) break by last use, most recent
-	// first: the queues only show the current iteration, and in the
-	// iterative programs this runtime hosts, a block released longest
-	// ago is the one coming back soonest next iteration. Declaration
-	// order breaks ties among dead blocks to Belady's worst case on a
-	// cyclic sweep — every victim is refetched before the blocks kept.
-	dist := make([]int, len(cands))
-	for i, h := range cands {
-		dist[i] = v.NextUse(h)
-	}
-	idx := make([]int, len(cands))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if dist[idx[a]] != dist[idx[b]] {
-			return dist[idx[a]] > dist[idx[b]]
-		}
-		return cands[idx[a]].lastUse > cands[idx[b]].lastUse
-	})
-	out := make([]*Handle, len(cands))
-	for i, j := range idx {
-		out[i] = cands[j]
-	}
-	return out
+func (lookahead) LooksAhead() bool { return true }
+
+// Key puts the farthest next declared use first. Ties (NoNextUse in
+// particular) break by last use, most recent first: the queues only
+// show the current iteration, and in the iterative programs this
+// runtime hosts, a block released longest ago is the one coming back
+// soonest next iteration. Declaration order breaks ties among dead
+// blocks to Belady's worst case on a cyclic sweep — every victim is
+// refetched before the blocks kept.
+func (lookahead) Key(h *Handle, nextUse int) VictimKey {
+	return VictimKey{Major: -nextUse, Minor: -h.lastUse}
 }

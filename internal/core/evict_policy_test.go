@@ -48,14 +48,15 @@ func TestEvictPolicyRejectedOnStaticModes(t *testing.T) {
 	}
 }
 
-// mkCands builds detached handles with the given pendingUses and
-// lastUse stamps, named a, b, c, ... in declaration order.
+// mkCands declares dead resident handles with the given pendingUses
+// and lastUse stamps, named a, b, c, ... in declaration order.
 func mkCands(env *env, pending []int, lastUse []float64) []*Handle {
 	cands := make([]*Handle, len(pending))
 	for i := range pending {
 		h := env.mg.NewHandle(string(rune('a'+i)), 1)
 		h.pendingUses = pending[i]
 		h.lastUse = lastUse[i]
+		env.mg.setState(h, InHBM)
 		cands[i] = h
 	}
 	return cands
@@ -69,21 +70,40 @@ func names(hs []*Handle) string {
 	return s
 }
 
+// rankAll drains one forced ranking of the manager's dead blocks under
+// pol: every candidate, best victim first. It checks the order against
+// the sort oracle's.
+func rankAll(t *testing.T, m *Manager, pol EvictPolicy, nextUse func(*Handle) int) string {
+	t.Helper()
+	v := m.takeVictims(nil)
+	defer m.putVictims(v)
+	v.rank(pol, true, nextUse)
+	var got []*Handle
+	for h := v.next(); h != nil; h = v.next() {
+		got = append(got, h)
+	}
+	v.done()
+	if want := oracleRank(pol, nextUse, oracleCandidates(m)); names(got) != names(want) {
+		t.Fatalf("%s: index order %q, sort oracle %q", pol.Name(), names(got), names(want))
+	}
+	return names(got)
+}
+
 func TestDeclOrderRankPartitionsDeadFirst(t *testing.T) {
 	// Satellite of the forced-pass fix: a later-declared dead block
 	// must rank ahead of an earlier-declared pending one, while
 	// declaration order is kept within each class.
 	env := newEnv(t, 2, DefaultOptions(MultiIO))
-	cands := mkCands(env, []int{1, 0, 2, 0}, []float64{0, 0, 0, 0})
-	if got := names(DeclOrder.Rank(PolicyView{}, cands)); got != "bdac" {
+	mkCands(env, []int{1, 0, 2, 0}, []float64{0, 0, 0, 0})
+	if got := rankAll(t, env.mg, DeclOrder, nil); got != "bdac" {
 		t.Fatalf("DeclOrder rank = %q, want bdac", got)
 	}
 }
 
 func TestLRURankOldestFirst(t *testing.T) {
 	env := newEnv(t, 2, DefaultOptions(MultiIO))
-	cands := mkCands(env, []int{0, 0, 0}, []float64{5, 1, 3})
-	if got := names(LRU.Rank(PolicyView{}, cands)); got != "bca" {
+	mkCands(env, []int{0, 0, 0}, []float64{5, 1, 3})
+	if got := rankAll(t, env.mg, LRU, nil); got != "bca" {
 		t.Fatalf("LRU rank = %q, want bca", got)
 	}
 }
@@ -93,15 +113,15 @@ func TestLookaheadRankFarthestFirst(t *testing.T) {
 	// a: next use 2 deep, b: none visible, c: imminent, d: none
 	// visible but released after b. Want: most-recently-released dead
 	// block first (cyclic prior), then by distance descending.
-	cands := mkCands(env, []int{1, 0, 1, 0}, []float64{0, 1, 0, 2})
+	mkCands(env, []int{1, 0, 1, 0}, []float64{0, 1, 0, 2})
 	dist := map[string]int{"a": 2, "c": 0}
-	v := PolicyView{NextUse: func(h *Handle) int {
+	nextUse := func(h *Handle) int {
 		if h.pendingUses == 0 {
 			return NoNextUse
 		}
 		return dist[h.name]
-	}}
-	if got := names(Lookahead.Rank(v, cands)); got != "dbac" {
+	}
+	if got := rankAll(t, env.mg, Lookahead, nextUse); got != "dbac" {
 		t.Fatalf("Lookahead rank = %q, want dbac", got)
 	}
 }

@@ -115,6 +115,7 @@ func (h *Handle) resident() bool { return h.state == InHBM }
 func (h *Handle) pin() {
 	h.refs++
 	h.mgr.aud.Pin(1)
+	h.mgr.reindex(h)
 }
 
 // unpin decrements the reference count.
@@ -124,4 +125,12 @@ func (h *Handle) unpin() {
 	}
 	h.refs--
 	h.mgr.aud.Pin(-1)
+	h.mgr.reindex(h)
+}
+
+// claim adds delta to the block's staging claims.
+func (h *Handle) claim(delta int) {
+	h.claims += delta
+	h.mgr.aud.Claim(delta)
+	h.mgr.reindex(h)
 }

@@ -138,14 +138,17 @@ type Manager struct {
 
 	handles []*Handle
 
-	// dist/distSeen are epoch-stamped scratch slices for
-	// queueDistances, indexed by Handle.id; distBusy flags an
-	// in-progress scan so a concurrently parked second scanner falls
-	// back to a private map instead of corrupting the shared scratch.
-	dist      []int
-	distSeen  []uint64
-	distEpoch uint64
-	distBusy  bool
+	// dead indexes the dead resident blocks (InHBM, unreferenced,
+	// unclaimed), one bit per handle id, so makeRoom reads its
+	// candidates in declaration order without scanning the handle
+	// table. reindex keeps it current.
+	dead []uint64
+	// spareVictims holds idle makeRoom pass storage; waking lists the
+	// first passes under way, which useDone tells when a block's last
+	// pending use completes.
+	spareVictims []*victims
+	waking       []*victims
+	room         RoomStats
 
 	// reserved protects HBM capacity promised to staging tasks whose
 	// fetches have not yet allocated it. Reserving the full remaining
@@ -169,33 +172,37 @@ type Manager struct {
 	edgeKeys []string
 
 	// Stats aggregates data-movement activity.
-	Stats struct {
-		Fetches      int64
-		Evictions    int64
-		BytesFetched int64
-		BytesEvicted int64
-		FetchTime    sim.Time
-		EvictTime    sim.Time
-		TasksStaged  int64
-		TasksInline  int64
-		// Refetches counts fetches of blocks that had been resident
-		// before — traffic an ideal eviction order would avoid.
-		Refetches int64
-		// StageRetries counts staging attempts aborted for lack of
-		// HBM capacity.
-		StageRetries int64
-		// ForcedEvictions counts evictions of blocks that a queued
-		// task still needed (capacity pressure overrode affinity).
-		ForcedEvictions int64
-		// EdgeBytes attributes moved bytes to the directed tier edge
-		// they actually crossed, keyed "SRC->DST" by node name. Fetch
-		// edges end at the near tier, evict edges leave it; on a
-		// two-tier machine the map holds exactly the classic
-		// DDR4->MCDRAM / MCDRAM->DDR4 pair. BytesFetched/BytesEvicted
-		// above remain the HBM-side aggregates (each byte counted on
-		// exactly one edge, so the per-direction edge sums equal them).
-		EdgeBytes map[string]int64
-	}
+	Stats Stats
+}
+
+// Stats counts a manager's data movement: what a capture's stats footer
+// copies, and what a verdict-only replay returns.
+type Stats struct {
+	Fetches      int64
+	Evictions    int64
+	BytesFetched int64
+	BytesEvicted int64
+	FetchTime    sim.Time
+	EvictTime    sim.Time
+	TasksStaged  int64
+	TasksInline  int64
+	// Refetches counts fetches of blocks that had been resident
+	// before — traffic an ideal eviction order would avoid.
+	Refetches int64
+	// StageRetries counts staging attempts aborted for lack of
+	// HBM capacity.
+	StageRetries int64
+	// ForcedEvictions counts evictions of blocks that a queued
+	// task still needed (capacity pressure overrode affinity).
+	ForcedEvictions int64
+	// EdgeBytes attributes moved bytes to the directed tier edge
+	// they actually crossed, keyed "SRC->DST" by node name. Fetch
+	// edges end at the near tier, evict edges leave it; on a
+	// two-tier machine the map holds exactly the classic
+	// DDR4->MCDRAM / MCDRAM->DDR4 pair. BytesFetched/BytesEvicted
+	// above remain the HBM-side aggregates (each byte counted on
+	// exactly one edge, so the per-direction edge sums equal them).
+	EdgeBytes map[string]int64
 }
 
 // NewManager builds a manager for rt under opts and installs it as the
@@ -447,6 +454,10 @@ func (m *Manager) NewHandle(name string, size int64) *Handle {
 		h.buf, h.state = buf, InDDR
 	}
 	m.handles = append(m.handles, h)
+	if h.id>>6 == len(m.dead) {
+		m.dead = append(m.dead, 0)
+	}
+	m.reindex(h)
 	if m.rt.Observed() {
 		m.rt.Emit(charm.Event{Kind: charm.EvHandle, Name: name, Bytes: size, Tier: h.state.String()})
 	}
@@ -502,7 +513,7 @@ func (m *Manager) fetch(p *sim.Proc, lane int, h *Handle, hasReservation bool) e
 	}
 	si := m.tierOf(h)
 	src := m.tiers[si]
-	h.state = Fetching
+	m.setState(h, Fetching)
 	if m.rt.Observed() {
 		m.noteBlock(charm.EvFetchStart, lane, h, 0, 0, "", false)
 	}
@@ -511,10 +522,10 @@ func (m *Manager) fetch(p *sim.Proc, lane int, h *Handle, hasReservation bool) e
 	if err != nil {
 		// A failed migration costs no virtual time: it fails on the
 		// up-front capacity claim.
-		h.state = InDDR
+		m.setState(h, InDDR)
 		return err
 	}
-	h.state = InHBM
+	m.setState(h, InHBM)
 	h.Fetches++
 	m.Stats.Fetches++
 	m.Stats.BytesFetched += h.size
@@ -560,7 +571,7 @@ func (m *Manager) evict(p *sim.Proc, lane int, h *Handle, force bool) {
 	if m.evictPolicy().DemoteTarget() == DemoteBottom {
 		ti = len(m.tiers) - 1
 	}
-	h.state = Evicting
+	m.setState(h, Evicting)
 	start := p.Now()
 	var (
 		dst *memsim.Node
@@ -582,7 +593,7 @@ func (m *Manager) evict(p *sim.Proc, lane int, h *Handle, force bool) {
 		// any non-capacity error) is a configuration error.
 		panic(fmt.Sprintf("core: eviction of %s failed: %v", h.name, err))
 	}
-	h.state = InDDR
+	m.setState(h, InDDR)
 	h.Evictions++
 	m.Stats.Evictions++
 	if forced {
@@ -605,144 +616,6 @@ func (m *Manager) evictPolicy() EvictPolicy {
 	return DeclOrder
 }
 
-// evictCandidates snapshots the dead resident blocks (InHBM,
-// unreferenced, unclaimed) in declaration order. The checks run
-// without the block locks — exactly as precise as the declaration-order
-// walk this generalises — because evict re-validates every condition
-// under the lock before moving data.
-func (m *Manager) evictCandidates() []*Handle {
-	var cands []*Handle
-	for _, h := range m.handles {
-		if h.state == InHBM && !h.InUse() && h.claims == 0 {
-			cands = append(cands, h)
-		}
-	}
-	return cands
-}
-
-// queueDistances records, for every handle some wait-queued task
-// depends on, the queue position of its first consumer (minimum across
-// queues) into the manager's epoch-stamped scratch slices, indexed by
-// Handle.id — no per-view map allocation on the eviction hot path.
-// Walks each wait queue under its lock; no strategy holds a queue lock
-// while staging, so a staging process may take them here. Returns the
-// epoch that stamps this scan's entries.
-func (m *Manager) queueDistances(p *sim.Proc) uint64 {
-	m.distEpoch++
-	epoch := m.distEpoch
-	if n := len(m.handles); len(m.dist) < n {
-		m.dist = append(m.dist, make([]int, n-len(m.dist))...)
-		m.distSeen = append(m.distSeen, make([]uint64, n-len(m.distSeen))...)
-	}
-	if m.strat == nil {
-		return epoch
-	}
-	m.distBusy = true
-	defer func() { m.distBusy = false }()
-	m.strat.queues().scanWaiting(p, func(pos int, ot *OOCTask) {
-		for _, d := range ot.deps {
-			id := d.h.id
-			if m.distSeen[id] != epoch || pos < m.dist[id] {
-				m.distSeen[id] = epoch
-				m.dist[id] = pos
-			}
-		}
-	})
-	return epoch
-}
-
-// queueDistancesMap is the map-building fallback used when a second
-// process needs distances while the shared scratch is mid-scan (the
-// scanning process parked on a queue lock). Rare: only multi-IO-thread
-// configurations under queue-lock contention reach it.
-func (m *Manager) queueDistancesMap(p *sim.Proc) map[*Handle]int {
-	dist := make(map[*Handle]int)
-	if m.strat == nil {
-		return dist
-	}
-	m.strat.queues().scanWaiting(p, func(pos int, ot *OOCTask) {
-		for _, d := range ot.deps {
-			if cur, ok := dist[d.h]; !ok || pos < cur {
-				dist[d.h] = pos
-			}
-		}
-	})
-	return dist
-}
-
-// policyView builds the runtime view handed to EvictPolicy.Rank. The
-// queue walk behind NextUse runs at most once per view, on first
-// demand, so policies that never ask (DeclOrder, LRU) pay nothing.
-func (m *Manager) policyView(p *sim.Proc) PolicyView {
-	// One variable for the walk's state, so a view costs the closure and
-	// one heap object rather than one per captured variable.
-	var walk struct {
-		epoch    uint64
-		fallback map[*Handle]int
-		resolved bool
-	}
-	return PolicyView{
-		Now: m.rt.Engine().Now(),
-		NextUse: func(h *Handle) int {
-			if h.pendingUses == 0 {
-				return NoNextUse
-			}
-			if !walk.resolved {
-				if m.distBusy {
-					walk.fallback = m.queueDistancesMap(p)
-				} else {
-					walk.epoch = m.queueDistances(p)
-				}
-				walk.resolved = true
-			}
-			if walk.fallback != nil {
-				if d, ok := walk.fallback[h]; ok {
-					return d + 1
-				}
-				return 0
-			}
-			if m.distSeen[h.id] == walk.epoch {
-				return m.dist[h.id] + 1
-			}
-			// Pending but not in any wait queue: its consumer is
-			// created or already staged — imminent.
-			return 0
-		},
-	}
-}
-
-// makeRoom evicts dead (resident, unreferenced) blocks until need bytes
-// fit in the HBM budget, in the order the configured EvictPolicy ranks
-// them. Under lazy eviction this is the memory pool's reclamation path;
-// under eager eviction it is a liveness backstop for blocks stranded
-// resident by aborted staging attempts. Reports whether enough space
-// was freed.
-func (m *Manager) makeRoom(p *sim.Proc, lane int, need int64) bool {
-	pol := m.evictPolicy()
-	// First pass: blocks no queued task needs. Second pass: any dead
-	// block, even one with pending uses — capacity beats affinity.
-	// Candidates are re-collected for the forced pass because blocks
-	// change state while the first pass blocks on locks and
-	// migrations.
-	for _, force := range []bool{false, true} {
-		for _, h := range pol.Rank(m.policyView(p), m.evictCandidates()) {
-			if m.hbmFits(need) {
-				return true
-			}
-			if !force && h.pendingUses > 0 {
-				// Pass 1 never takes a pending-use block; skipping
-				// up front spares the no-op lock round-trip.
-				continue
-			}
-			m.evict(p, lane, h, force)
-		}
-		if m.hbmFits(need) {
-			return true
-		}
-	}
-	return false
-}
-
 // TaskCreated implements charm.Interceptor: record queued consumers of
 // each dependence block at send time.
 func (m *Manager) TaskCreated(t *charm.Task) {
@@ -760,12 +633,7 @@ func (m *Manager) taskDone(t *charm.Task) {
 	now := m.rt.Engine().Now()
 	for _, d := range t.Deps {
 		if h, ok := d.Handle.(*Handle); ok && h.mgr == m {
-			if h.pendingUses == 0 {
-				panic("core: pendingUses underflow on " + h.name)
-			}
-			h.pendingUses--
-			h.lastUse = now
-			m.aud.PendingUse(-1)
+			m.useDone(h, now)
 		}
 	}
 }

@@ -116,8 +116,7 @@ func (ot *OOCTask) stage(p *sim.Proc, lane int) bool {
 			continue
 		}
 		d.claimed = true
-		h.claims++
-		m.aud.Claim(1)
+		h.claim(1)
 		if h.claims == 1 {
 			d.reserved = true
 			need += h.size
@@ -159,8 +158,7 @@ func (ot *OOCTask) stage(p *sim.Proc, lane int) bool {
 // dropClaim releases the staging claim on dep i, if held.
 func (ot *OOCTask) dropClaim(i int) {
 	if d := &ot.deps[i]; d.claimed {
-		d.h.claims--
-		ot.m.aud.Claim(-1)
+		d.h.claim(-1)
 		d.claimed = false
 		d.reserved = false
 	}

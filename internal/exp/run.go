@@ -48,22 +48,13 @@ type Outcome struct {
 	PostShift  sim.Time   // the shift program's post-shift time
 	Migrations int        // chares the stencil's load balancer moved
 	End        sim.Time   // the engine's clock when the run finished
-	Stats      managerStats
+	Stats      core.Stats
 	Chain      []string        // the memory nodes' names, near to far
 	Audit      *audit.Snapshot // nil unless Opts.Audit
 	// The views the run attached, each nil if it attached none.
 	Tracer  *projections.Tracer
 	Verdict *Verdict
 	Capture *trace.Capture
-}
-
-// managerStats is the type of core.Manager's Stats field.
-type managerStats = struct {
-	Fetches, Evictions, BytesFetched, BytesEvicted int64
-	FetchTime, EvictTime                           sim.Time
-	TasksStaged, TasksInline                       int64
-	Refetches, StageRetries, ForcedEvictions       int64
-	EdgeBytes                                      map[string]int64
 }
 
 // Verdict is where a run's online controller ended; a window or time of

@@ -161,13 +161,11 @@ func (sw *Sweep) X11() (*X11Result, error) {
 	for _, pol := range core.EvictPolicies() {
 		knobs := shift.Meta.Knobs
 		knobs.EvictPolicy = pol.Name()
-		repl, err := shift.Replay(trace.ReplayConfig{Knobs: &knobs})
+		// The what-if rows read the verdict alone, so the replay records
+		// nothing.
+		v, err := shift.Judge(trace.ReplayConfig{Knobs: &knobs})
 		if err != nil {
 			return nil, fmt.Errorf("exp: x11 what-if %s: %w", pol.Name(), err)
-		}
-		st := repl.Capture.Stats()
-		if st == nil {
-			return nil, fmt.Errorf("exp: x11 what-if %s: replay capture has no stats footer", pol.Name())
 		}
 		real, err := sw.x10Row("shift", pol, sw.x10Shift(pol))
 		if err != nil {
@@ -175,10 +173,10 @@ func (sw *Sweep) X11() (*X11Result, error) {
 		}
 		res.WhatIf = append(res.WhatIf, X11WhatIfRow{
 			Policy:          pol.Name(),
-			ReplayTime:      float64(st.Makespan),
-			ReplayRefetches: st.Refetches,
-			ReplayForced:    st.ForcedEvictions,
-			ReplayEvictions: st.Evictions,
+			ReplayTime:      float64(v.Makespan),
+			ReplayRefetches: v.Stats.Refetches,
+			ReplayForced:    v.Stats.ForcedEvictions,
+			ReplayEvictions: v.Stats.Evictions,
 			RealTime:        real.Time,
 			RealRefetches:   real.Refetches,
 			RealForced:      real.Forced,

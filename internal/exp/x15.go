@@ -104,6 +104,29 @@ func (sw *Sweep) x15Point(app string, size int64, run func(warm core.Options) Ru
 // RunX15 runs X15 on a fresh sweep at s.
 func RunX15(s Scale) (*X15Result, error) { return (&Sweep{Scale: s}).X15() }
 
+// ShiftCapture records X10's declaration-order shift run at s on a
+// fresh sweep: the capture X15's offline search improves on.
+func ShiftCapture(s Scale) (*trace.Capture, error) {
+	sw := &Sweep{Scale: s}
+	o, err := sw.do(sw.x10Capture())
+	if err != nil {
+		return nil, err
+	}
+	return o.Capture, nil
+}
+
+// SearchShift is X15's offline search over a shift capture. The search
+// is scoped to the captured strategy: X10 measures the victim-policy
+// effect directly under Multi-IO (the strategy the fixed sweeps already
+// favour for this workload class), and the gate asks whether the
+// replay-driven objective reproduces that ranking. Cross-strategy
+// choice is X3/X9's subject, judged by live measurement; an unscoped
+// search may surface a different strategy by a hair and say nothing
+// about victim ordering either way.
+func SearchShift(c *trace.Capture) (*tune.RecommendedConfig, error) {
+	return tune.Tune(c, tune.Config{Space: tune.Space{Modes: []string{core.MultiIO.String()}}})
+}
+
 // X15 runs the closed-loop tuning experiment at the sweep's scale. Its
 // cold climbs are X9's stencil runs and its capture is X11's, so after
 // those experiments a sweep runs only the warm starts and the matmul
@@ -139,16 +162,7 @@ func (sw *Sweep) X15() (*X15Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: shift capture: %w", err)
 	}
-	// The search is scoped to the captured strategy: X10 measures the
-	// victim-policy effect directly under Multi-IO (the strategy the
-	// fixed sweeps already favour for this workload class), and the gate
-	// asks whether the replay-driven objective reproduces that ranking.
-	// Cross-strategy choice is X3/X9's subject, judged by live
-	// measurement; an unscoped search may surface a different strategy
-	// by a hair and say nothing about victim ordering either way.
-	rc, err := tune.Tune(c.Capture, tune.Config{Space: tune.Space{
-		Modes: []string{core.MultiIO.String()},
-	}})
+	rc, err := SearchShift(c.Capture)
 	if err != nil {
 		return nil, fmt.Errorf("exp: x15 tune: %w", err)
 	}

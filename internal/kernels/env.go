@@ -53,5 +53,10 @@ func NewEnv(cfg EnvConfig) *Env {
 	return &Env{Eng: e, Mach: mach, RT: rt, MG: mg, Tracer: tr}
 }
 
-// Close reaps all still-parked simulation processes.
-func (v *Env) Close() { v.Eng.Close() }
+// Close reaps all still-parked simulation processes and drops the
+// manager's eviction-pass storage; the manager's counters stay
+// readable.
+func (v *Env) Close() {
+	v.Eng.Close()
+	v.MG.Close()
+}

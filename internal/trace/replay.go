@@ -121,15 +121,24 @@ type ReplayConfig struct {
 	AbandonAbove sim.Time
 }
 
-// ReplayResult is a finished replay: its own capture (always recorded,
-// so recorded and replayed runs compare symmetrically) and the virtual
-// makespan. An abandoned partial replay sets Abandoned; its Makespan is
-// then the abandon bound (a proven lower bound on the true makespan,
-// not the makespan itself) and its Capture is the truncated prefix.
-type ReplayResult struct {
-	Capture   *Capture
+// Verdict is what a replay is judged by: the virtual makespan and the
+// manager's movement counters at the end of the replay, the counters a
+// capture's stats footer copies. An abandoned partial replay sets
+// Abandoned; its Makespan is then the abandon bound (a proven lower
+// bound on the true makespan, not the makespan itself) and its Stats
+// count the movement up to the cut.
+type Verdict struct {
 	Makespan  sim.Time
 	Abandoned bool
+	Stats     core.Stats
+}
+
+// ReplayResult is a finished recorded replay: its verdict and its own
+// capture, so recorded and replayed runs compare schedule for schedule.
+// An abandoned replay's Capture is the truncated prefix.
+type ReplayResult struct {
+	Verdict
+	Capture *Capture
 }
 
 // Replay re-drives the workload through the real scheduler: a fresh
@@ -145,14 +154,36 @@ type ReplayResult struct {
 // verifies this at full scale): task IDs are reassigned in the same
 // order, same-instant sends are re-issued in their original relative
 // order, and message latency is re-applied by the real Send path.
+//
+// Replay records the replay's capture; Judge runs the same replay with
+// no recorder, for callers that read only the verdict.
 func (w *Workload) Replay(cfg ReplayConfig) (*ReplayResult, error) {
+	v, c, err := w.replay(cfg, true)
+	if err != nil {
+		return nil, err
+	}
+	return &ReplayResult{Verdict: v, Capture: c}, nil
+}
+
+// Judge replays the workload as Replay does, with no recorder on the
+// event stream, and returns the verdict alone: the tune search's and
+// X11's what-if replays read nothing else. A recorder adds no virtual
+// time, so the verdict equals the one Replay reports.
+func (w *Workload) Judge(cfg ReplayConfig) (Verdict, error) {
+	v, _, err := w.replay(cfg, false)
+	return v, err
+}
+
+// replay is Replay's and Judge's body: it runs the workload under cfg
+// and, when record is set, returns the replay's capture too.
+func (w *Workload) replay(cfg ReplayConfig, record bool) (Verdict, *Capture, error) {
 	knobs := w.Meta.Knobs
 	if cfg.Knobs != nil {
 		knobs = *cfg.Knobs
 	}
 	opts, err := knobs.Options()
 	if err != nil {
-		return nil, err
+		return Verdict{}, nil, err
 	}
 	env := kernels.NewEnv(kernels.EnvConfig{
 		Spec:   w.Meta.Spec,
@@ -173,12 +204,15 @@ func (w *Workload) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 			chain = append(chain, n.Name)
 		}
 		if strings.Join(chain, ",") != strings.Join(w.Meta.Tiers, ",") {
-			return nil, fmt.Errorf("%w: capture recorded [%s], machine has [%s]",
+			return Verdict{}, nil, fmt.Errorf("%w: capture recorded [%s], machine has [%s]",
 				ErrTierMismatch, strings.Join(w.Meta.Tiers, " -> "), strings.Join(chain, " -> "))
 		}
 	}
-	rec := NewRecorder(env.MG)
-	rec.Attach()
+	var rec *Recorder
+	if record {
+		rec = NewRecorder(env.MG)
+		rec.Attach()
+	}
 
 	handles := make(map[string]*core.Handle, len(w.Handles))
 	for _, hd := range w.Handles {
@@ -190,11 +224,11 @@ func (w *Workload) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 		for _, d := range rt.Deps {
 			h, ok := handles[d.Block]
 			if !ok {
-				return nil, fmt.Errorf("trace: task %d depends on undeclared block %q", rt.ID, d.Block)
+				return Verdict{}, nil, fmt.Errorf("trace: task %d depends on undeclared block %q", rt.ID, d.Block)
 			}
 			mode, err := parseAccessMode(d.Mode)
 			if err != nil {
-				return nil, err
+				return Verdict{}, nil, err
 			}
 			deps[i] = append(deps[i], charm.DataDep{Handle: h, Mode: mode})
 		}
@@ -273,21 +307,28 @@ func (w *Workload) Replay(cfg ReplayConfig) (*ReplayResult, error) {
 			arrays[rt.Arr].Send(rt.From, rt.Idx, entries[entryKey{rt.Arr, rt.Entry}], i)
 		}
 	})
+	var v Verdict
 	if cfg.AbandonAbove > 0 {
 		// RunBefore (not Run) so the clock is never clamped up to the
 		// bound on a run that finishes under it: the completed path must
 		// report its true makespan.
 		env.Eng.RunBefore(cfg.AbandonAbove)
-		if !env.Eng.Idle() {
-			// Every pending event sits at or beyond the bound, so the
-			// candidate's true makespan is >= AbandonAbove; stop here and
-			// let env.Close (deferred) kill the blocked processes.
-			rec.Finish()
-			return &ReplayResult{Capture: rec.Capture(), Makespan: cfg.AbandonAbove, Abandoned: true}, nil
-		}
+		// Pending work means every pending event sits at or beyond the
+		// bound, so the candidate's true makespan is >= AbandonAbove;
+		// stop here and let env.Close (deferred) kill the blocked
+		// processes.
+		v.Abandoned = !env.Eng.Idle()
 	} else {
 		env.Eng.RunAll()
 	}
+	v.Makespan = env.Eng.Now()
+	if v.Abandoned {
+		v.Makespan = cfg.AbandonAbove
+	}
+	v.Stats = env.MG.Stats
+	if rec == nil {
+		return v, nil, nil
+	}
 	rec.Finish()
-	return &ReplayResult{Capture: rec.Capture(), Makespan: env.Eng.Now()}, nil
+	return v, rec.Capture(), nil
 }

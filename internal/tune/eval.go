@@ -3,8 +3,6 @@ package tune
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 
 	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/trace"
@@ -25,16 +23,18 @@ type Eval struct {
 
 // Evaluator turns a capture into a reusable makespan oracle: the
 // workload is reconstructed once, every judged knob set replays through
-// the real scheduler, and results are memoized so a search (or a
-// what-if loop) never pays for the same combination twice. It is the
-// single replay path shared by `hmtrace tune`, `hmtrace whatif` and the
-// X15 driver.
+// the real scheduler, and results are memoized by knob value so a
+// search (or a what-if loop) never pays for the same combination twice.
+// It is the single replay path shared by `hmtrace tune`, `hmtrace
+// whatif` and the X15 driver. Eval's replays attach no recorder
+// (trace.Workload.Judge), since a verdict reads only the makespan;
+// Replay records, for callers that compare schedules.
 type Evaluator struct {
 	cap    *trace.Capture
 	w      *trace.Workload
 	base   trace.Knobs
 	digest string
-	memo   map[string]*Eval
+	memo   map[trace.Knobs]Eval
 
 	replays  int
 	abandons int
@@ -61,7 +61,7 @@ func NewEvaluator(c *trace.Capture) (*Evaluator, error) {
 		w:      w,
 		base:   w.Meta.Knobs,
 		digest: Digest(c),
-		memo:   make(map[string]*Eval),
+		memo:   make(map[trace.Knobs]Eval),
 	}, nil
 }
 
@@ -91,16 +91,6 @@ func (e *Evaluator) Stats() (replays, abandons, memoHits int) {
 	return e.replays, e.abandons, e.hits
 }
 
-// key canonicalises a knob set for memoization. Knobs is a flat struct,
-// so its JSON image (declaration-order fields) is a stable identity.
-func key(k trace.Knobs) string {
-	b, err := json.Marshal(k)
-	if err != nil {
-		panic(fmt.Sprintf("tune: marshal knobs: %v", err))
-	}
-	return string(b)
-}
-
 // Eval judges one knob combination. bound > 0 enables early abandon:
 // the replay stops as soon as its makespan provably cannot beat the
 // bound (trace.ReplayConfig.AbandonAbove). cached reports a memo hit.
@@ -112,33 +102,38 @@ func key(k trace.Knobs) string {
 // memo hits are always conclusive; a looser query re-replays and the
 // stored entry is upgraded.
 func (e *Evaluator) Eval(k trace.Knobs, bound sim.Time) (Eval, bool, error) {
-	id := key(k)
-	if v, ok := e.memo[id]; ok {
-		if !v.Abandoned || (bound > 0 && bound <= v.Bound) {
-			e.hits++
-			return *v, true, nil
-		}
+	if v, ok := e.memo[k]; ok && (!v.Abandoned || (bound > 0 && bound <= v.Bound)) {
+		e.hits++
+		return v, true, nil
 	}
-	if _, err := e.Replay(k, bound); err != nil {
+	v, err := e.w.Judge(trace.ReplayConfig{Knobs: &k, AbandonAbove: bound})
+	if err != nil {
 		return Eval{}, false, err
 	}
-	return *e.memo[id], false, nil
+	return e.note(k, bound, v), false, nil
 }
 
-// Replay judges k like Eval but returns the full replay result, capture
-// included — what `hmtrace whatif` renders its comparison table from.
-// The verdict still lands in the memo (so a following search benefits),
-// but a memo hit cannot reproduce a capture, so Replay always re-drives
-// the workload.
+// Replay judges k like Eval but records the replay and returns its
+// result, capture included — what `hmtrace whatif` renders its
+// comparison table from. The verdict still lands in the memo (so a
+// following search benefits), but a memo hit cannot reproduce a
+// capture, so Replay always re-drives the workload.
 func (e *Evaluator) Replay(k trace.Knobs, bound sim.Time) (*trace.ReplayResult, error) {
 	res, err := e.w.Replay(trace.ReplayConfig{Knobs: &k, AbandonAbove: bound})
 	if err != nil {
 		return nil, err
 	}
+	e.note(k, bound, res.Verdict)
+	return res, nil
+}
+
+// note counts a replay of k under bound and memoizes its verdict.
+func (e *Evaluator) note(k trace.Knobs, bound sim.Time, v trace.Verdict) Eval {
 	e.replays++
-	if res.Abandoned {
+	if v.Abandoned {
 		e.abandons++
 	}
-	e.memo[key(k)] = &Eval{Knobs: k, Makespan: res.Makespan, Abandoned: res.Abandoned, Bound: bound}
-	return res, nil
+	ev := Eval{Knobs: k, Makespan: v.Makespan, Abandoned: v.Abandoned, Bound: bound}
+	e.memo[k] = ev
+	return ev
 }
