@@ -3,7 +3,7 @@ GO ?= go
 # gate does not drift with upstream.
 STATICCHECK_VERSION ?= 2024.1.1
 
-.PHONY: ci vet build test race audit lint hmlint staticcheck lint-fix-check fuzz bench bench-smoke snapshots bench-check bench-test
+.PHONY: ci vet build test race audit lint hmlint staticcheck lint-fix-check fuzz bench bench-smoke snapshots bench-check bench-test loc
 
 # ci is the gate: static checks (vet + hmlint + staticcheck), build,
 # race-enabled tests, the audit-enabled figure sweep (every simulated
@@ -125,3 +125,15 @@ bench-check:
 	done; \
 	[ $$rc -eq 0 ] && echo "bench-check: results_full.txt and the committed snapshots match fresh runs"; \
 	exit $$rc
+
+# loc prints the non-test Go lines of each package of the root module
+# (testdata and hidden directories left out), the module's total, and
+# bench/ on a line of its own: the line counts the simplicity work is
+# measured by.
+loc:
+	@find . \( -name '.?*' -o -name testdata -o -path ./bench \) -prune -o -name '*.go' ! -name '*_test.go' -print | \
+	awk '{ n = 0; while ((getline line < $$0) > 0) n++; close($$0); d = $$0; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); \
+		lines[d == "" ? "." : d] += n; total += n } \
+		END { for (d in lines) printf "%7d  %s\n", lines[d], d | "sort -k2"; close("sort -k2"); printf "%7d  root module\n", total }'
+	@find bench -name '*.go' ! -name '*_test.go' -print | \
+	awk '{ while ((getline line < $$0) > 0) n++; close($$0) } END { printf "%7d  bench/\n", n }'

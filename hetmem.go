@@ -254,8 +254,9 @@ type (
 )
 
 // NewAdaptController builds a controller for mg; call Attach to start
-// observing and wire Barrier into the app's iteration hook. The
-// manager must run a movement mode with Options.Metrics.
+// observing and set Barrier as the app's iteration hook
+// (OnIteration). The manager must run a movement mode with
+// Options.Metrics.
 func NewAdaptController(mg *Manager, cfg AdaptConfig) (*AdaptController, error) {
 	return adapt.New(mg, cfg)
 }
@@ -335,11 +336,16 @@ func LoadRecommendedConfig(path string) (*RecommendedConfig, error) { return tun
 // --- evaluation applications ---
 
 type (
-	// StencilConfig sizes a Stencil3D benchmark run.
+	// StencilConfig sizes a Stencil3D benchmark run: working sets,
+	// iterations, tiling depth and PEs. The update loop's arithmetic
+	// intensity and the ghost payload are the paper's, fixed.
 	StencilConfig = kernels.StencilConfig
 	// StencilApp is an instantiated Stencil3D benchmark.
 	StencilApp = kernels.StencilApp
-	// MatMulConfig sizes a blocked matrix multiplication.
+	// MatMulConfig sizes a blocked matrix multiplication: footprint,
+	// block grid and PEs. The dgemm cost model (traffic scale and
+	// arithmetic intensity) and the two chares in flight per PE are
+	// fixed.
 	MatMulConfig = kernels.MatMulConfig
 	// MatMulApp is an instantiated MatMul benchmark.
 	MatMulApp = kernels.MatMulApp

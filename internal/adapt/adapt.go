@@ -14,8 +14,8 @@
 // retry/forced-eviction/refetch deltas from the manager's Stats.
 // Windows come from two sources:
 //
-//   - iteration barriers (Barrier, wired to the application's
-//     OnIteration hook) — the quiescent points where even
+//   - iteration barriers (Barrier, which has the signature of the
+//     application's OnIteration hook) — the quiescent points where even
 //     whole-strategy switches are legal;
 //   - task completions (the stream's task-done events) every
 //     Config.SampleEvery tasks, for applications with no barrier
@@ -170,8 +170,8 @@ const (
 )
 
 // Controller closes the feedback loop for one manager. It is a
-// charm.Sink; install it with Attach before the run starts, and wire
-// Barrier into the application's iteration hook where there is one.
+// charm.Sink; install it with Attach before the run starts, and set
+// Barrier as the application's iteration hook where there is one.
 type Controller struct {
 	mg  *core.Manager
 	eng *sim.Engine
@@ -294,8 +294,8 @@ func New(mg *core.Manager, cfg Config) (*Controller, error) {
 
 // Attach adds the controller to the runtime's event stream, before the
 // run starts: it sums the worker lanes' spans and counts completions
-// from there. Barrier-driven applications additionally wire Barrier
-// into their iteration hook.
+// from there. Barrier-driven applications additionally take Barrier as
+// their iteration hook.
 func (c *Controller) Attach() { c.mg.Runtime().Attach(c) }
 
 // Observe implements charm.Sink: add each closing worker-lane span to
@@ -327,13 +327,44 @@ func (c *Controller) Observe(e charm.Event) {
 	}
 }
 
-// Barrier closes a window at an application iteration barrier — the
-// quiescent point where strategy switches are legal.
-func (c *Controller) Barrier() { c.sample(true) }
+// Barrier is an application's iteration hook: it closes a window at
+// the iteration barrier — the quiescent point where strategy switches
+// are legal — and then resumes the application.
+func (c *Controller) Barrier(_ int, resume func()) {
+	c.sample(true)
+	resume()
+}
 
-// Trace returns a copy of the decisions taken so far.
-func (c *Controller) Trace() []Decision {
-	return append([]Decision(nil), c.trace...)
+// Verdict is where a controller stands, by value: it keeps nothing of
+// the run.
+type Verdict struct {
+	// Final is the manager's current (tuned) option set.
+	Final core.Options
+	// Trace is a copy of the decisions taken so far.
+	Trace []Decision
+	// Converged reports whether the climb has settled, WarmStarted
+	// whether the controller was seeded with Config.Warm.
+	Converged, WarmStarted bool
+	// ConvergedWindow is the window at which the climb settled and
+	// ReopenWindow that of the most recent reopen, each -1 if never.
+	ConvergedWindow, ReopenWindow int
+	// SettledTime is the virtual time at which the controller first
+	// settled — the time-to-settle X15 compares between warm and cold
+	// starts — or -1 if it never settled.
+	SettledTime float64
+	// Reopens counts the times the settled-phase guard re-opened the
+	// climb (mid-run workload shifts detected).
+	Reopens int
+}
+
+// Verdict returns where the controller stands now.
+func (c *Controller) Verdict() Verdict {
+	return Verdict{
+		Final: c.mg.Options(), Trace: append([]Decision(nil), c.trace...),
+		Converged: c.phase == pSettled, WarmStarted: c.cfg.Warm != nil,
+		ConvergedWindow: c.settledAt, ReopenWindow: c.reopenAt,
+		SettledTime: c.settledTime, Reopens: c.reopens,
+	}
 }
 
 // TraceString renders the decision trace compactly, one action per
@@ -345,31 +376,6 @@ func (c *Controller) TraceString() string {
 	}
 	return b.String()
 }
-
-// Converged reports whether the climb has settled.
-func (c *Controller) Converged() bool { return c.phase == pSettled }
-
-// ConvergedWindow returns the window at which the climb settled, or -1.
-func (c *Controller) ConvergedWindow() int { return c.settledAt }
-
-// SettledTime returns the virtual time at which the controller first
-// settled — the time-to-settle metric X15 compares between warm and
-// cold starts — or -1 if it never settled.
-func (c *Controller) SettledTime() float64 { return c.settledTime }
-
-// WarmStarted reports whether the controller was seeded with a warm
-// configuration (Config.Warm).
-func (c *Controller) WarmStarted() bool { return c.cfg.Warm != nil }
-
-// Reopens returns how many times the settled-phase guard re-opened the
-// climb (mid-run workload shifts detected).
-func (c *Controller) Reopens() int { return c.reopens }
-
-// ReopenWindow returns the window of the most recent reopen, or -1.
-func (c *Controller) ReopenWindow() int { return c.reopenAt }
-
-// FinalOptions returns the manager's current (tuned) option set.
-func (c *Controller) FinalOptions() core.Options { return c.mg.Options() }
 
 // buildLadder sets the knob ladder for the current mode and positions
 // idx at the current knob value.

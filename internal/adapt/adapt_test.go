@@ -32,10 +32,7 @@ func stencilRun(t *testing.T, opts core.Options, cfg adapt.Config) (*adapt.Contr
 		t.Fatal(err)
 	}
 	ctl.Attach()
-	app.OnIteration = func(_ int, resume func()) {
-		ctl.Barrier()
-		resume()
-	}
+	app.OnIteration = ctl.Barrier
 	total, err := app.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -59,16 +56,16 @@ func assertClean(t *testing.T, env *kernels.Env) {
 func TestStencilConvergesFromSingleIO(t *testing.T) {
 	ctl, env, _ := stencilRun(t, core.DefaultOptions(core.SingleIO), adapt.Config{})
 	assertClean(t, env)
-	if !ctl.Converged() {
+	if !ctl.Verdict().Converged {
 		t.Fatalf("controller did not converge; trace:\n%s", ctl.TraceString())
 	}
-	if ctl.ConvergedWindow() <= 0 {
-		t.Fatalf("settled window = %d, want > 0", ctl.ConvergedWindow())
+	if ctl.Verdict().ConvergedWindow <= 0 {
+		t.Fatalf("settled window = %d, want > 0", ctl.Verdict().ConvergedWindow)
 	}
-	if len(ctl.Trace()) < 3 {
+	if len(ctl.Verdict().Trace) < 3 {
 		t.Fatalf("suspiciously short trace:\n%s", ctl.TraceString())
 	}
-	final := ctl.FinalOptions()
+	final := ctl.Verdict().Final
 	if !final.Mode.Moves() {
 		t.Fatalf("controller left a non-movement mode: %+v", final)
 	}
@@ -89,8 +86,8 @@ func TestStencilDeterministic(t *testing.T) {
 		t.Fatalf("decision traces diverged:\n--- run 1\n%s--- run 2\n%s",
 			ctl1.TraceString(), ctl2.TraceString())
 	}
-	if ctl1.FinalOptions() != ctl2.FinalOptions() {
-		t.Fatalf("final options diverged: %+v vs %+v", ctl1.FinalOptions(), ctl2.FinalOptions())
+	if ctl1.Verdict().Final != ctl2.Verdict().Final {
+		t.Fatalf("final options diverged: %+v vs %+v", ctl1.Verdict().Final, ctl2.Verdict().Final)
 	}
 }
 
@@ -101,28 +98,28 @@ func TestStencilDeterministic(t *testing.T) {
 func TestWarmStartSkipsClimb(t *testing.T) {
 	cold, env, _ := stencilRun(t, core.DefaultOptions(core.SingleIO), adapt.Config{})
 	assertClean(t, env)
-	if !cold.Converged() {
+	if !cold.Verdict().Converged {
 		t.Fatalf("cold run did not converge; trace:\n%s", cold.TraceString())
 	}
-	if cold.SettledTime() < 0 {
+	if cold.Verdict().SettledTime < 0 {
 		t.Fatalf("cold run converged but reports no settle time")
 	}
-	verdict := cold.FinalOptions()
+	verdict := cold.Verdict().Final
 
 	warm, wenv, _ := stencilRun(t, core.DefaultOptions(core.SingleIO),
 		adapt.Config{Warm: &verdict})
 	assertClean(t, wenv)
-	if !warm.WarmStarted() {
+	if !warm.Verdict().WarmStarted {
 		t.Fatalf("controller does not report its warm start")
 	}
-	if !warm.Converged() {
+	if !warm.Verdict().Converged {
 		t.Fatalf("warm run did not settle; trace:\n%s", warm.TraceString())
 	}
-	if warm.SettledTime() >= cold.SettledTime() {
+	if warm.Verdict().SettledTime >= cold.Verdict().SettledTime {
 		t.Fatalf("warm start settled at %v, cold at %v; want strictly earlier:\n%s",
-			warm.SettledTime(), cold.SettledTime(), warm.TraceString())
+			warm.Verdict().SettledTime, cold.Verdict().SettledTime, warm.TraceString())
 	}
-	got := warm.FinalOptions()
+	got := warm.Verdict().Final
 	if got.Mode != verdict.Mode || got.IOThreads != verdict.IOThreads ||
 		got.PrefetchDepth != verdict.PrefetchDepth || got.EvictLazily != verdict.EvictLazily ||
 		got.EvictPolicy != verdict.EvictPolicy {
@@ -174,10 +171,10 @@ func TestMatMulObserverSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertClean(t, env)
-	if !ctl.Converged() {
+	if !ctl.Verdict().Converged {
 		t.Fatalf("controller did not converge; trace:\n%s", ctl.TraceString())
 	}
-	final := ctl.FinalOptions()
+	final := ctl.Verdict().Final
 	if final.Mode != core.MultiIO {
 		t.Fatalf("observer sampling must never switch strategy (no barriers): %+v", final)
 	}

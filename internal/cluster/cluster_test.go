@@ -42,13 +42,11 @@ func smallClusterCfg(nodes int, mode core.Mode) Config {
 
 func perNodeStencil() kernels.StencilConfig {
 	return kernels.StencilConfig{
-		TotalBytes:    4 * gb,
-		ReducedBytes:  gb / 2,
-		Iterations:    3,
-		Sweeps:        10,
-		NumPEs:        8,
-		FlopsPerByte:  1,
-		GhostFraction: 0.05,
+		TotalBytes:   4 * gb,
+		ReducedBytes: gb / 2,
+		Iterations:   3,
+		Sweeps:       10,
+		NumPEs:       8,
 	}
 }
 

@@ -53,18 +53,8 @@ type Outcome struct {
 	Audit      *audit.Snapshot // nil unless Opts.Audit
 	// The views the run attached, each nil if it attached none.
 	Tracer  *projections.Tracer
-	Verdict *Verdict
+	Verdict *adapt.Verdict
 	Capture *trace.Capture
-}
-
-// Verdict is where a run's online controller ended; a window or time of
-// -1 means never.
-type Verdict struct {
-	Final                         core.Options
-	Trace                         []adapt.Decision
-	ConvergedWindow, ReopenWindow int
-	SettledTime                   float64
-	Reopens                       int
 }
 
 // Execute builds the run's environment, recorder, application and
@@ -81,29 +71,30 @@ func (r Run) Execute() (*Outcome, error) {
 		rec.Attach()
 	}
 	var (
-		app     interface{ Run() (sim.Time, error) }
-		barrier *func(int, func())
-		err     error
+		app interface{ Run() (sim.Time, error) }
+		err error
 	)
 	switch cfg := r.App.(type) {
 	case kernels.StencilConfig:
-		var a *kernels.StencilApp
-		if a, err = kernels.NewStencil(env.MG, cfg); err == nil {
-			app, barrier = a, &a.OnIteration
-		}
+		app, err = kernels.NewStencil(env.MG, cfg)
 	case kernels.MatMulConfig:
 		app, err = kernels.NewMatMul(env.MG, cfg)
 	case kernels.ShiftConfig:
-		var a *kernels.ShiftApp
-		if a, err = kernels.NewShift(env.MG, cfg); err == nil {
-			app, barrier = a, &a.OnIteration
-		}
+		app, err = kernels.NewShift(env.MG, cfg)
 	default:
 		err = fmt.Errorf("exp: no application for %T", cfg)
 	}
 	var ctl *adapt.Controller
 	if err == nil && r.Adapt.On {
-		ctl, err = r.Adapt.attach(env.MG, barrier)
+		ctl, err = r.Adapt.attach(env.MG)
+	}
+	if ctl != nil {
+		switch a := app.(type) { // the programs with iteration barriers
+		case *kernels.StencilApp:
+			a.OnIteration = ctl.Barrier
+		case *kernels.ShiftApp:
+			a.OnIteration = ctl.Barrier
+		}
 	}
 	o := &Outcome{Tracer: env.Tracer}
 	if err == nil {
@@ -131,8 +122,8 @@ func (r Run) Execute() (*Outcome, error) {
 		o.Audit = &snap
 	}
 	if ctl != nil {
-		o.Verdict = &Verdict{Final: ctl.FinalOptions(), Trace: ctl.Trace(), ConvergedWindow: ctl.ConvergedWindow(),
-			ReopenWindow: ctl.ReopenWindow(), SettledTime: ctl.SettledTime(), Reopens: ctl.Reopens()}
+		v := ctl.Verdict()
+		o.Verdict = &v
 	}
 	if rec != nil {
 		o.Capture = rec.Capture()
@@ -141,9 +132,8 @@ func (r Run) Execute() (*Outcome, error) {
 }
 
 // attach builds the controller a configures on mg and attaches it to the
-// run's event stream. barrier, when non-nil, is the application's
-// iteration hook, where the controller then samples.
-func (a Adapt) attach(mg *core.Manager, barrier *func(int, func())) (*adapt.Controller, error) {
+// run's event stream.
+func (a Adapt) attach(mg *core.Manager) (*adapt.Controller, error) {
 	cfg := adapt.Config{SampleEvery: a.SampleEvery}
 	if a.Warm != (core.Options{}) {
 		cfg.Warm = &a.Warm
@@ -153,12 +143,6 @@ func (a Adapt) attach(mg *core.Manager, barrier *func(int, func())) (*adapt.Cont
 		return nil, err
 	}
 	ctl.Attach()
-	if barrier != nil {
-		*barrier = func(_ int, resume func()) {
-			ctl.Barrier()
-			resume()
-		}
-	}
 	return ctl, nil
 }
 

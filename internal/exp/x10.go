@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strings"
 
+	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
 )
@@ -51,14 +52,13 @@ func (s Scale) ShiftConfig() kernels.ShiftConfig {
 	n := 8 * s.NumPEs()
 	block := budget / int64(12*s.NumPEs())
 	return kernels.ShiftConfig{
-		HotBytes:     block * int64(n),
-		ColdBytes:    block * int64(n),
-		NumChares:    n,
-		PreIters:     x10PreIters,
-		PostIters:    x10PostIters,
-		Sweeps:       10,
-		NumPEs:       s.NumPEs(),
-		FlopsPerByte: 1.0,
+		HotBytes:  block * int64(n),
+		ColdBytes: block * int64(n),
+		NumChares: n,
+		PreIters:  x10PreIters,
+		PostIters: x10PostIters,
+		Sweeps:    10,
+		NumPEs:    s.NumPEs(),
 	}
 }
 
@@ -85,7 +85,7 @@ type X10Result struct {
 
 	// Adaptive-run outcome on the shift workload.
 	AdaptiveTime float64
-	Verdict
+	adapt.Verdict
 }
 
 // Row returns the row for a workload/policy pair, or nil.

@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 
+	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/trace"
 	"github.com/hetmem/hetmem/internal/tune"
@@ -33,7 +34,7 @@ type X15Point struct {
 
 	// Cold is where the cold climb converged and when it settled; Warm
 	// the same for the run warm-started from Cold's verdict.
-	Cold, Warm Verdict
+	Cold, Warm adapt.Verdict
 }
 
 // Speedup returns cold/warm time-to-settle (>1 = warm start pays off);

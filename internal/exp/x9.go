@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
 )
@@ -80,7 +81,7 @@ type X9Point struct {
 	Best, Worst       string // best/worst fixed config names
 	BestVal, WorstVal float64
 
-	Verdict // where the adaptive run's controller landed
+	adapt.Verdict // where the adaptive run's controller landed
 }
 
 // VsBest returns adaptive/best-fixed (1.0 = matched the offline

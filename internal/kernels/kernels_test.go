@@ -50,13 +50,11 @@ func stencilEnv(t *testing.T, mode core.Mode, cfg StencilConfig) (*Env, *Stencil
 // 32 chares.
 func smallStencil() StencilConfig {
 	return StencilConfig{
-		TotalBytes:    4 * gb,
-		ReducedBytes:  1 * gb,
-		Iterations:    3,
-		Sweeps:        10,
-		NumPEs:        8,
-		FlopsPerByte:  1.0,
-		GhostFraction: 0.05,
+		TotalBytes:   4 * gb,
+		ReducedBytes: 1 * gb,
+		Iterations:   3,
+		Sweeps:       10,
+		NumPEs:       8,
 	}
 }
 
@@ -205,11 +203,9 @@ func TestCubeSide(t *testing.T) {
 // budget, the paper's precondition that the reduced working set fits.
 func smallMatMul() MatMulConfig {
 	return MatMulConfig{
-		TotalBytes:          3 * gb,
-		Grid:                8,
-		NumPEs:              8,
-		TrafficScale:        3,
-		ArithmeticIntensity: 8,
+		TotalBytes: 3 * gb,
+		Grid:       8,
+		NumPEs:     8,
 	}
 }
 
@@ -249,12 +245,10 @@ func TestMatMulConfigDerived(t *testing.T) {
 
 func TestMatMulValidation(t *testing.T) {
 	for i, c := range []MatMulConfig{
-		{TotalBytes: 0, Grid: 4, NumPEs: 4, TrafficScale: 1, ArithmeticIntensity: 1},
-		{TotalBytes: gb, Grid: 0, NumPEs: 4, TrafficScale: 1, ArithmeticIntensity: 1},
-		{TotalBytes: gb, Grid: 4, NumPEs: 0, TrafficScale: 1, ArithmeticIntensity: 1},
-		{TotalBytes: gb, Grid: 4, NumPEs: 4, TrafficScale: 0, ArithmeticIntensity: 1},
-		{TotalBytes: gb, Grid: 4, NumPEs: 4, TrafficScale: 1, ArithmeticIntensity: 0},
-		{TotalBytes: 1, Grid: 8, NumPEs: 4, TrafficScale: 1, ArithmeticIntensity: 1}, // zero-byte blocks
+		{TotalBytes: 0, Grid: 4, NumPEs: 4},
+		{TotalBytes: gb, Grid: 0, NumPEs: 4},
+		{TotalBytes: gb, Grid: 4, NumPEs: 0},
+		{TotalBytes: 1, Grid: 8, NumPEs: 4}, // zero-byte blocks
 	} {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)

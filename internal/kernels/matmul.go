@@ -31,25 +31,28 @@ type MatMulConfig struct {
 	Grid int
 	// NumPEs is the worker count (paper: 64).
 	NumPEs int
-	// TrafficScale is how many times one stage task streams its three
-	// blocks (sub-block panel re-reads inside dgemm). Default 3.
-	TrafficScale float64
-	// Pipeline is the number of chares kept in flight per PE. Depth 1
-	// is strict depth-first (minimum resident C, but the IO thread
-	// has nothing to prefetch while a stage computes); depth 2 lets
-	// the runtime stage one chare's blocks while another computes,
-	// hiding the migration latency. Zero means 2.
-	Pipeline int
-	// ArithmeticIntensity is the dgemm flops executed per byte
-	// streamed. The paper observes that "matrix multiplication with
-	// optimizations for Xeon Phi KNL and with vectorization becomes
-	// bandwidth sensitive as a result of several threads
-	// simultaneously accessing data from memory"; ~5 flop/byte puts
-	// the 64-thread kernel on the bandwidth-bound side of the
-	// roofline against DDR4 while staying near the compute roof on
-	// MCDRAM, matching that observation.
-	ArithmeticIntensity float64
 }
+
+// The dgemm cost model and the chare pipeline.
+const (
+	// matmulTrafficScale is how many times one stage task streams its
+	// three blocks (sub-block panel re-reads inside dgemm).
+	matmulTrafficScale = 3
+	// matmulPipeline is the number of chares kept in flight per PE.
+	// Depth 1 is strict depth-first (minimum resident C, but the IO
+	// thread has nothing to prefetch while a stage computes); depth 2
+	// lets the runtime stage one chare's blocks while another computes,
+	// hiding the migration latency.
+	matmulPipeline = 2
+	// matmulIntensity is the dgemm flops executed per byte streamed.
+	// The paper observes that "matrix multiplication with optimizations
+	// for Xeon Phi KNL and with vectorization becomes bandwidth
+	// sensitive as a result of several threads simultaneously accessing
+	// data from memory"; ~5 flop/byte puts the 64-thread kernel on the
+	// bandwidth-bound side of the roofline against DDR4 while staying
+	// near the compute roof on MCDRAM, matching that observation.
+	matmulIntensity = 5
+)
 
 // DefaultMatMulConfig returns the paper's smallest configuration:
 // 24 GB total (8 GB per matrix) on 64 PEs, a 16x16 block grid. Chares
@@ -61,12 +64,9 @@ type MatMulConfig struct {
 // size constant at 6GB") as the total grows from 24 to 54 GB.
 func DefaultMatMulConfig() MatMulConfig {
 	return MatMulConfig{
-		TotalBytes:          24 * (1 << 30),
-		Grid:                16,
-		NumPEs:              64,
-		TrafficScale:        3,
-		Pipeline:            2,
-		ArithmeticIntensity: 5,
+		TotalBytes: 24 * (1 << 30),
+		Grid:       16,
+		NumPEs:     64,
 	}
 }
 
@@ -95,12 +95,6 @@ func (c MatMulConfig) Validate() error {
 		return fmt.Errorf("kernels: matmul needs a positive block grid")
 	case c.NumPEs <= 0:
 		return fmt.Errorf("kernels: matmul needs PEs")
-	case c.TrafficScale <= 0:
-		return fmt.Errorf("kernels: matmul needs a positive traffic scale")
-	case c.Pipeline < 0:
-		return fmt.Errorf("kernels: matmul pipeline depth cannot be negative")
-	case c.ArithmeticIntensity <= 0:
-		return fmt.Errorf("kernels: matmul needs a positive arithmetic intensity")
 	case c.BlockBytes() < 1:
 		return fmt.Errorf("kernels: matmul %dx%d grid over %d bytes leaves blocks under one byte", c.Grid, c.Grid, c.TotalBytes)
 	}
@@ -123,6 +117,10 @@ func (c MatMulConfig) N() float64 {
 // TaskDepBytes returns the dependence footprint of one stage task:
 // one A block, one B block, one C block.
 func (c MatMulConfig) TaskDepBytes() int64 { return 3 * c.BlockBytes() }
+
+// Handles returns the managed blocks the application declares: every
+// block of A, B and C.
+func (c MatMulConfig) Handles() int { return 3 * c.Grid * c.Grid }
 
 // ReducedBytes estimates the resident working set of one wave of
 // NumPEs concurrent stage tasks: the A blocks of the rows spanned, the
@@ -163,15 +161,12 @@ type matmulChare struct {
 
 // MatMulApp is an instantiated blocked-matmul benchmark.
 type MatMulApp struct {
+	program
 	Cfg   MatMulConfig
-	mg    *core.Manager
 	arr   *charm.Array
 	cache *blockCache
 	dgemm *charm.Entry
-
-	done bool
-	End  sim.Time
-	red  *charm.Reduction
+	red   *charm.Reduction
 }
 
 // NewMatMul builds the application on an existing runtime+manager.
@@ -189,7 +184,8 @@ func NewMatMul(mg *core.Manager, cfg MatMulConfig) (*MatMulApp, error) {
 	if rt.NumPEs() != cfg.NumPEs {
 		return nil, fmt.Errorf("kernels: runtime has %d PEs, config wants %d", rt.NumPEs(), cfg.NumPEs)
 	}
-	app := &MatMulApp{Cfg: cfg, mg: mg}
+	app := &MatMulApp{Cfg: cfg}
+	app.init(mg, "matmul", app.seedPipeline)
 	g := cfg.Grid
 	bb := cfg.BlockBytes()
 
@@ -232,11 +228,11 @@ func NewMatMul(mg *core.Manager, cfg MatMulConfig) (*MatMulApp, error) {
 		}
 	}
 
-	// One stage task streams its blocks TrafficScale times and
-	// executes ArithmeticIntensity flops per streamed byte.
+	// One stage task streams its blocks matmulTrafficScale times and
+	// executes matmulIntensity flops per streamed byte.
 	// Streamed bytes per scale pass: A + B reads, C read+write.
-	taskBytes := cfg.TrafficScale * 4 * float64(bb)
-	taskFlops := cfg.ArithmeticIntensity * taskBytes
+	taskBytes := matmulTrafficScale * 4 * float64(bb)
+	taskFlops := matmulIntensity * taskBytes
 
 	app.dgemm = app.arr.Register(charm.Entry{
 		Name:     "dgemm",
@@ -246,7 +242,7 @@ func NewMatMul(mg *core.Manager, cfg MatMulConfig) (*MatMulApp, error) {
 			ch := el.Obj.(*matmulChare)
 			mg.RunKernel(p, deps(el, msg), core.KernelSpec{
 				Flops:        taskFlops,
-				TrafficScale: cfg.TrafficScale,
+				TrafficScale: matmulTrafficScale,
 			})
 			ch.stage++
 			if ch.stage < g {
@@ -254,7 +250,7 @@ func NewMatMul(mg *core.Manager, cfg MatMulConfig) (*MatMulApp, error) {
 				app.arr.Send(el.Index, el.Index, app.dgemm, ch.stage)
 			} else {
 				// Depth-first chare chaining: this PE's next chare
-				// starts only now, so at most Pipeline C blocks per
+				// starts only now, so at most matmulPipeline C blocks per
 				// PE are active at a time.
 				if next := el.Index + app.seedCount(); next < g*g {
 					app.arr.Send(el.Index, next, app.dgemm, 0)
@@ -264,55 +260,25 @@ func NewMatMul(mg *core.Manager, cfg MatMulConfig) (*MatMulApp, error) {
 		},
 	})
 
-	app.red = rt.NewReduction(g*g, func() {
-		app.done = true
-		app.End = rt.Engine().Now()
-	})
+	app.red = rt.NewReduction(g*g, app.finish)
 	return app, nil
 }
 
-// seedCount returns how many chares start immediately: Pipeline per
-// PE, so the IO threads always have a queued chare to stage while
+// seedCount returns how many chares start immediately: matmulPipeline
+// per PE, so the IO threads always have a queued chare to stage while
 // another computes.
 func (app *MatMulApp) seedCount() int {
-	depth := app.Cfg.Pipeline
-	if depth == 0 {
-		depth = 2
-	}
-	seed := depth * app.Cfg.NumPEs
+	seed := matmulPipeline * app.Cfg.NumPEs
 	if n := app.arr.Len(); seed > n {
 		seed = n
 	}
 	return seed
 }
 
-// Start seeds Pipeline chares per PE (the rest chain depth-first)
-// without driving the engine, for callers that schedule the engine
-// themselves (the serve session scheduler).
-func (app *MatMulApp) Start() {
-	rt := app.mg.Runtime()
-	rt.Main(func(p *sim.Proc) {
-		for i := 0; i < app.seedCount(); i++ {
-			app.arr.Send(-1, i, app.dgemm, 0)
-		}
-	})
-}
-
-// Run seeds the pipeline and drives the engine to completion,
-// returning the multiply's wall time.
-func (app *MatMulApp) Run() (sim.Time, error) {
-	rt := app.mg.Runtime()
-	start := rt.Engine().Now()
-	app.Start()
-	rt.Engine().RunAll()
-	if !app.done {
-		return 0, fmt.Errorf("kernels: matmul deadlocked (blocked: %v)", rt.Engine().BlockedProcNames())
+// seedPipeline starts matmulPipeline chares per PE; the rest chain
+// depth-first.
+func (app *MatMulApp) seedPipeline() {
+	for i := 0; i < app.seedCount(); i++ {
+		app.arr.Send(-1, i, app.dgemm, 0)
 	}
-	return app.End - start, nil
 }
-
-// Done reports completion.
-func (app *MatMulApp) Done() bool { return app.done }
-
-// Manager exposes the OOC manager.
-func (app *MatMulApp) Manager() *core.Manager { return app.mg }

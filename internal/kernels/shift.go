@@ -33,9 +33,10 @@ type ShiftConfig struct {
 	Sweeps int
 	// NumPEs is the worker count.
 	NumPEs int
-	// FlopsPerByte is the arithmetic intensity of the kernel.
-	FlopsPerByte float64
 }
+
+// shiftFlopsPerByte is the shift kernel's arithmetic intensity.
+const shiftFlopsPerByte = 1.0
 
 // Validate reports configuration errors.
 func (c ShiftConfig) Validate() error {
@@ -61,6 +62,16 @@ func (c ShiftConfig) Validate() error {
 // Iterations returns the total iteration count.
 func (c ShiftConfig) Iterations() int { return c.PreIters + c.PostIters }
 
+// Handles returns the managed blocks the application declares: each
+// chare's hot and cold block.
+func (c ShiftConfig) Handles() int { return 2 * c.NumChares }
+
+// TaskDepBytes returns the largest dependence footprint of one task: a
+// chare's hot and cold block, after the shift.
+func (c ShiftConfig) TaskDepBytes() int64 {
+	return c.HotBytes/int64(c.NumChares) + c.ColdBytes/int64(c.NumChares)
+}
+
 // shiftChare owns one hot and one cold block.
 type shiftChare struct {
 	hot, cold *core.Handle
@@ -68,23 +79,12 @@ type shiftChare struct {
 
 // ShiftApp is an instantiated working-set-shift benchmark.
 type ShiftApp struct {
+	iterative
 	Cfg ShiftConfig
-	mg  *core.Manager
 	arr *charm.Array
 
 	compute *charm.Entry
 	red     *charm.Reduction
-	done    bool
-
-	// IterEnd records the completion time of each iteration.
-	IterEnd []sim.Time
-	started sim.Time
-
-	// OnIteration, when non-nil, is invoked at each iteration boundary
-	// instead of immediately starting the next iteration; the
-	// application continues when resume is called. X10's adaptive run
-	// wires the controller's Barrier in here.
-	OnIteration func(iter int, resume func())
 }
 
 // NewShift builds the application on an existing runtime+manager.
@@ -96,7 +96,8 @@ func NewShift(mg *core.Manager, cfg ShiftConfig) (*ShiftApp, error) {
 	if rt.NumPEs() != cfg.NumPEs {
 		return nil, fmt.Errorf("kernels: runtime has %d PEs, config wants %d", rt.NumPEs(), cfg.NumPEs)
 	}
-	app := &ShiftApp{Cfg: cfg, mg: mg}
+	app := &ShiftApp{Cfg: cfg}
+	app.init(mg, "shift", cfg.Iterations(), app.broadcast)
 	n := cfg.NumChares
 	hot := cfg.HotBytes / int64(n)
 	cold := cfg.ColdBytes / int64(n)
@@ -131,25 +132,14 @@ func NewShift(mg *core.Manager, cfg ShiftConfig) (*ShiftApp, error) {
 				bytesPerSweep += float64(dep.Handle.Size())
 			}
 			mg.RunKernel(p, d, core.KernelSpec{
-				Flops:        bytesPerSweep * float64(cfg.Sweeps) * cfg.FlopsPerByte,
+				Flops:        bytesPerSweep * float64(cfg.Sweeps) * shiftFlopsPerByte,
 				TrafficScale: float64(cfg.Sweeps),
 			})
 			app.red.Contribute()
 		},
 	})
 
-	app.red = rt.NewReduction(n, func() {
-		app.IterEnd = append(app.IterEnd, rt.Engine().Now())
-		if len(app.IterEnd) < cfg.Iterations() {
-			if app.OnIteration != nil {
-				app.OnIteration(len(app.IterEnd), app.broadcast)
-			} else {
-				app.broadcast()
-			}
-		} else {
-			app.done = true
-		}
-	})
+	app.red = rt.NewReduction(n, app.endIteration)
 	return app, nil
 }
 
@@ -164,34 +154,6 @@ func (app *ShiftApp) broadcast() {
 	}
 }
 
-// Start seeds the first iteration without driving the engine.
-func (app *ShiftApp) Start() {
-	rt := app.mg.Runtime()
-	app.started = rt.Engine().Now()
-	rt.Main(func(p *sim.Proc) { app.broadcast() })
-}
-
-// Run executes the configured iterations and returns the total time.
-// It must be called on a fresh engine; it drives the engine itself.
-func (app *ShiftApp) Run() (sim.Time, error) {
-	rt := app.mg.Runtime()
-	app.Start()
-	rt.Engine().RunAll()
-	if !app.done {
-		return 0, fmt.Errorf("kernels: shift deadlocked after %d/%d iterations (blocked: %v)",
-			len(app.IterEnd), app.Cfg.Iterations(), rt.Engine().BlockedProcNames())
-	}
-	return app.TotalTime(), nil
-}
-
-// TotalTime returns the wall time of all iterations.
-func (app *ShiftApp) TotalTime() sim.Time {
-	if len(app.IterEnd) == 0 {
-		return 0
-	}
-	return app.IterEnd[len(app.IterEnd)-1] - app.started
-}
-
 // PostShiftTime returns the wall time of the post-shift iterations —
 // the phase the eviction policies differentiate on.
 func (app *ShiftApp) PostShiftTime() sim.Time {
@@ -200,9 +162,3 @@ func (app *ShiftApp) PostShiftTime() sim.Time {
 	}
 	return app.IterEnd[len(app.IterEnd)-1] - app.IterEnd[app.Cfg.PreIters-1]
 }
-
-// Done reports whether all iterations completed.
-func (app *ShiftApp) Done() bool { return app.done }
-
-// Manager exposes the OOC manager.
-func (app *ShiftApp) Manager() *core.Manager { return app.mg }

@@ -38,12 +38,6 @@ type StencilConfig struct {
 	Sweeps int
 	// NumPEs is the worker count (paper: 64).
 	NumPEs int
-	// FlopsPerByte is the arithmetic intensity of the update loop
-	// (7-point stencil: ~1 flop per byte streamed).
-	FlopsPerByte float64
-	// GhostFraction is the ghost-face volume relative to a block
-	// (communication payload per neighbour exchange).
-	GhostFraction float64
 
 	// Weight, if non-nil, scales chare i's arithmetic work (an
 	// imbalanced physics load, e.g. AMR hot spots). Uniform when nil.
@@ -57,17 +51,25 @@ type StencilConfig struct {
 	LoadBalance bool
 }
 
+// The stencil's arithmetic intensity and ghost payload.
+const (
+	// stencilFlopsPerByte is the update loop's arithmetic intensity
+	// (7-point stencil: ~1 flop per byte streamed).
+	stencilFlopsPerByte = 1.0
+	// ghostFraction is the ghost-face volume relative to a block (the
+	// communication payload per neighbour exchange).
+	ghostFraction = 0.05
+)
+
 // DefaultStencilConfig returns the paper's headline configuration:
 // 32 GB total, 4 GB reduced working set, 20 iterations, 64 PEs.
 func DefaultStencilConfig() StencilConfig {
 	return StencilConfig{
-		TotalBytes:    32 * (1 << 30),
-		ReducedBytes:  4 * (1 << 30),
-		Iterations:    4,
-		Sweeps:        20,
-		NumPEs:        64,
-		FlopsPerByte:  1.0,
-		GhostFraction: 0.05,
+		TotalBytes:   32 * (1 << 30),
+		ReducedBytes: 4 * (1 << 30),
+		Iterations:   4,
+		Sweeps:       20,
+		NumPEs:       64,
 	}
 }
 
@@ -102,6 +104,14 @@ func (c StencilConfig) NumChares() int {
 	return n
 }
 
+// Handles returns the managed blocks the application declares: each
+// chare's two grid copies.
+func (c StencilConfig) Handles() int { return 2 * c.NumChares() }
+
+// TaskDepBytes returns one compute task's dependence footprint: a
+// chare's two grid copies.
+func (c StencilConfig) TaskDepBytes() int64 { return 2 * (c.ChareBytes() / 2) }
+
 // stencilChare holds one chare's two grid copies and its ghost
 // bookkeeping.
 type stencilChare struct {
@@ -114,28 +124,17 @@ type stencilChare struct {
 
 // StencilApp is an instantiated Stencil3D benchmark.
 type StencilApp struct {
+	iterative
 	Cfg StencilConfig
-	mg  *core.Manager
 	arr *charm.Array
 
 	exchange *charm.Entry
 	compute  *charm.Entry
 
-	red  *charm.Reduction
-	done bool
+	red *charm.Reduction
 
-	// IterEnd records the completion time of each iteration.
-	IterEnd []sim.Time
 	// Migrations counts chares moved by the load balancer.
 	Migrations int
-	started    sim.Time
-
-	// OnIteration, when non-nil, is invoked at each iteration
-	// boundary instead of immediately starting the next iteration;
-	// the application continues when resume is called. The cluster
-	// layer uses this hook to exchange inter-node halos between
-	// iterations.
-	OnIteration func(iter int, resume func())
 }
 
 // NewStencil builds the application on an existing runtime+manager.
@@ -148,7 +147,8 @@ func NewStencil(mg *core.Manager, cfg StencilConfig) (*StencilApp, error) {
 	if rt.NumPEs() != cfg.NumPEs {
 		return nil, fmt.Errorf("kernels: runtime has %d PEs, config wants %d", rt.NumPEs(), cfg.NumPEs)
 	}
-	app := &StencilApp{Cfg: cfg, mg: mg}
+	app := &StencilApp{Cfg: cfg}
+	app.init(mg, "stencil", cfg.Iterations, app.sendGhosts)
 	n := cfg.NumChares()
 	half := cfg.ChareBytes() / 2
 
@@ -210,7 +210,7 @@ func NewStencil(mg *core.Manager, cfg StencilConfig) (*StencilApp, error) {
 				w = cfg.Weight(el.Index)
 			}
 			mg.RunKernel(p, deps, core.KernelSpec{
-				Flops:        w * bytesPerSweep * float64(cfg.Sweeps) * cfg.FlopsPerByte,
+				Flops:        w * bytesPerSweep * float64(cfg.Sweeps) * stencilFlopsPerByte,
 				TrafficScale: float64(cfg.Sweeps),
 			})
 			app.red.Contribute()
@@ -233,23 +233,16 @@ func NewStencil(mg *core.Manager, cfg StencilConfig) (*StencilApp, error) {
 		},
 	})
 
-	app.red = rt.NewReduction(n, func() {
-		app.IterEnd = append(app.IterEnd, rt.Engine().Now())
-		if cfg.LoadBalance && len(app.IterEnd) == 1 {
-			// Measurement-based rebalancing at the first iteration
-			// boundary, the quiescent point chare migration requires.
-			app.Migrations = charm.GreedyRebalance(app.arr, cfg.NumPEs)
-		}
-		if len(app.IterEnd) < cfg.Iterations {
-			if app.OnIteration != nil {
-				app.OnIteration(len(app.IterEnd), app.sendGhosts)
-			} else {
-				app.sendGhosts()
+	if cfg.LoadBalance {
+		app.atBoundary = func() {
+			if len(app.IterEnd) == 1 {
+				// Measurement-based rebalancing at the first iteration
+				// boundary, the quiescent point chare migration requires.
+				app.Migrations = charm.GreedyRebalance(app.arr, cfg.NumPEs)
 			}
-		} else {
-			app.done = true
 		}
-	})
+	}
+	app.red = rt.NewReduction(n, app.endIteration)
 	return app, nil
 }
 
@@ -265,7 +258,7 @@ func cubeSide(n int) int {
 // sendGhosts starts one iteration: every chare sends its faces to its
 // neighbours ("send updated data to neighbors").
 func (app *StencilApp) sendGhosts() {
-	ghost := float64(app.Cfg.ChareBytes()/2) * app.Cfg.GhostFraction
+	ghost := float64(app.Cfg.ChareBytes()/2) * ghostFraction
 	for i := 0; i < app.arr.Len(); i++ {
 		ch := app.arr.Elem(i).Obj.(*stencilChare)
 		for _, j := range ch.neighbours {
@@ -274,45 +267,10 @@ func (app *StencilApp) sendGhosts() {
 	}
 }
 
-// Start seeds the first iteration without driving the engine, for
-// callers that run several applications on one engine (the cluster).
-func (app *StencilApp) Start() {
-	rt := app.mg.Runtime()
-	app.started = rt.Engine().Now()
-	rt.Main(func(p *sim.Proc) { app.sendGhosts() })
-}
-
-// Run executes the configured iterations and returns the total time.
-// It must be called on a fresh engine; it drives the engine itself.
-func (app *StencilApp) Run() (sim.Time, error) {
-	rt := app.mg.Runtime()
-	app.Start()
-	rt.Engine().RunAll()
-	if !app.done {
-		return 0, fmt.Errorf("kernels: stencil deadlocked after %d/%d iterations (blocked: %v)",
-			len(app.IterEnd), app.Cfg.Iterations, rt.Engine().BlockedProcNames())
-	}
-	return app.TotalTime(), nil
-}
-
-// TotalTime returns the wall time of all iterations.
-func (app *StencilApp) TotalTime() sim.Time {
-	if len(app.IterEnd) == 0 {
-		return 0
-	}
-	return app.IterEnd[len(app.IterEnd)-1] - app.started
-}
-
 // AvgIterTime returns the mean per-iteration time.
 func (app *StencilApp) AvgIterTime() sim.Time {
 	if len(app.IterEnd) == 0 {
 		return 0
 	}
-	return app.TotalTime() / sim.Time(len(app.IterEnd))
+	return (app.IterEnd[len(app.IterEnd)-1] - app.started) / sim.Time(len(app.IterEnd))
 }
-
-// Done reports whether all iterations completed.
-func (app *StencilApp) Done() bool { return app.done }
-
-// Manager exposes the OOC manager (stats, tracer access).
-func (app *StencilApp) Manager() *core.Manager { return app.mg }

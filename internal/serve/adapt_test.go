@@ -48,10 +48,10 @@ func TestWarmStartCarriesAcrossSessions(t *testing.T) {
 	if first.State != Done {
 		t.Fatalf("first session finished %v (%s), want done", first.State, first.Err)
 	}
-	if first.ctl.WarmStarted() {
+	if first.verdict.WarmStarted {
 		t.Fatalf("first session of a tenant must start cold")
 	}
-	if !first.ctl.Converged() {
+	if !first.verdict.Converged {
 		t.Fatalf("first adaptive session did not converge; cannot test warm start")
 	}
 	if first.ten.warm == nil {
@@ -62,7 +62,7 @@ func TestWarmStartCarriesAcrossSessions(t *testing.T) {
 	if second.State != Running {
 		t.Fatalf("second session did not start: %v (%s)", second.State, second.Err)
 	}
-	if !second.ctl.WarmStarted() {
+	if !second.ctl.Verdict().WarmStarted {
 		t.Fatalf("second adaptive session of the tenant did not warm start")
 	}
 	if err := s.RunUntilIdle(0); err != nil {
@@ -71,16 +71,16 @@ func TestWarmStartCarriesAcrossSessions(t *testing.T) {
 	if second.State != Done {
 		t.Fatalf("second session finished %v (%s), want done", second.State, second.Err)
 	}
-	if !second.ctl.Converged() {
+	if !second.verdict.Converged {
 		t.Fatalf("warm-started session did not settle")
 	}
-	cold, warm := first.ctl.SettledTime(), second.ctl.SettledTime()
+	cold, warm := first.verdict.SettledTime, second.verdict.SettledTime
 	if warm >= cold {
 		t.Fatalf("warm start settled at %v, cold at %v; want strictly earlier", warm, cold)
 	}
 	// A different tenant stays cold: warm verdicts are per-tenant.
 	other := mustSubmit(t, s, adaptiveStencil("globex"))
-	if other.ctl.WarmStarted() {
+	if other.ctl.Verdict().WarmStarted {
 		t.Fatalf("another tenant's session inherited a foreign warm verdict")
 	}
 	if err := s.RunUntilIdle(0); err != nil {

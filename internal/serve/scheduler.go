@@ -25,7 +25,7 @@ type Scheduler struct {
 	tenants     map[string]*tenant
 	tenantOrder []string // registration order, the deterministic walk
 
-	kernels map[string]AppBuilder
+	kernels map[string]kernel
 
 	sessions []*Session // dense by numeric id
 	queue    []*Session // admission FIFO
@@ -64,8 +64,9 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 }
 
 // RegisterKernel adds (or replaces) a named workload builder. The
-// built-ins are "stencil", "matmul" and "shift".
-func (s *Scheduler) RegisterKernel(name string, b AppBuilder) { s.kernels[name] = b }
+// built-ins are "stencil", "matmul" and "shift"; a kernel registered
+// under one of their names is sized like any other registered kernel.
+func (s *Scheduler) RegisterKernel(name string, b AppBuilder) { s.kernels[name] = kernel{build: b} }
 
 // AddTenant pre-registers a tenant with an explicit budget and weight.
 func (s *Scheduler) AddTenant(tc TenantConfig) error {
@@ -131,21 +132,24 @@ func (s *Scheduler) tenantFor(name string) *tenant {
 }
 
 // normalize resolves the spec's defaults against the machine and
-// validates everything the manager would otherwise reject mid-run.
-// The returned options are ready for NewManager.
-func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, error) {
+// validates everything the manager would otherwise reject mid-run: the
+// options, and a built-in kernel's configuration, by that
+// configuration's own Validate. The returned options are ready for
+// NewManager; the configuration is nil for a registered kernel.
+func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, workload, error) {
 	if spec.Tenant == "" {
-		return core.Options{}, fmt.Errorf("serve: submission needs a tenant")
+		return core.Options{}, nil, fmt.Errorf("serve: submission needs a tenant")
 	}
-	if _, ok := s.kernels[spec.Kernel]; !ok {
-		return core.Options{}, fmt.Errorf("serve: unknown kernel %q", spec.Kernel)
+	k, ok := s.kernels[spec.Kernel]
+	if !ok {
+		return core.Options{}, nil, fmt.Errorf("serve: unknown kernel %q", spec.Kernel)
 	}
 	if spec.Strategy == "" {
 		spec.Strategy = "multi"
 	}
 	mode, err := core.ParseMode(spec.Strategy)
 	if err != nil || !mode.Moves() {
-		return core.Options{}, fmt.Errorf("serve: unknown strategy %q (want single, noio or multi)", spec.Strategy)
+		return core.Options{}, nil, fmt.Errorf("serve: unknown strategy %q (want single, noio or multi)", spec.Strategy)
 	}
 	if spec.Footprint == 0 {
 		if spec.Reduced == 0 {
@@ -154,7 +158,7 @@ func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, error) {
 		spec.Footprint = spec.Reduced + spec.Reduced/2
 	}
 	if spec.Footprint <= 0 {
-		return core.Options{}, fmt.Errorf("serve: footprint must be positive")
+		return core.Options{}, nil, fmt.Errorf("serve: footprint must be positive")
 	}
 	if spec.Reduced == 0 {
 		spec.Reduced = spec.Footprint * 2 / 3
@@ -163,10 +167,10 @@ func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, error) {
 		spec.Bytes = 2 * spec.Footprint
 	}
 	if spec.Bytes < spec.Reduced {
-		return core.Options{}, fmt.Errorf("serve: total bytes %d below active set %d", spec.Bytes, spec.Reduced)
+		return core.Options{}, nil, fmt.Errorf("serve: total bytes %d below active set %d", spec.Bytes, spec.Reduced)
 	}
 	if spec.Bytes > s.cfg.Spec.DDRCap {
-		return core.Options{}, fmt.Errorf("serve: total bytes %d exceed far-memory capacity %d", spec.Bytes, s.cfg.Spec.DDRCap)
+		return core.Options{}, nil, fmt.Errorf("serve: total bytes %d exceed far-memory capacity %d", spec.Bytes, s.cfg.Spec.DDRCap)
 	}
 	if spec.Iterations == 0 {
 		spec.Iterations = 2
@@ -174,9 +178,8 @@ func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, error) {
 	if spec.Sweeps == 0 {
 		spec.Sweeps = 20
 	}
-	// Stencil/shift block sizing divides the active set across the
-	// PEs (resp. chares); round to keep the kernels' validators
-	// happy. Chare count for shift is 4 PEs' worth.
+	// The stencil divides the active set across the PEs and the shift
+	// program across its 4 chares per PE: round it to 4 PEs' worth.
 	spec.Reduced = roundUp(spec.Reduced, int64(4*s.cfg.NumPEs))
 
 	opts := core.DefaultOptions(mode)
@@ -189,14 +192,21 @@ func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, error) {
 	if spec.EvictPolicy != "" {
 		pol, err := core.ParseEvictPolicy(spec.EvictPolicy)
 		if err != nil {
-			return core.Options{}, fmt.Errorf("serve: %w", err)
+			return core.Options{}, nil, fmt.Errorf("serve: %w", err)
 		}
 		opts.EvictPolicy = pol
 	}
 	if err := opts.Validate(); err != nil {
-		return core.Options{}, fmt.Errorf("serve: options: %w", err)
+		return core.Options{}, nil, fmt.Errorf("serve: options: %w", err)
 	}
-	return opts, nil
+	var cfg workload
+	if k.config != nil {
+		cfg = k.config(*spec, s.cfg.NumPEs)
+		if err := cfg.Validate(); err != nil {
+			return core.Options{}, nil, fmt.Errorf("serve: %s: %w", spec.Kernel, err)
+		}
+	}
+	return opts, cfg, nil
 }
 
 // maxBlocks bounds the managed blocks one session may declare. The
@@ -208,25 +218,14 @@ const maxBlocks = 1 << 16
 
 // decomposition returns the smallest grant that can make progress (one
 // task's dependence set must fit the session's whole HBM) and the
-// number of managed blocks the workload declares. Kernels registered
-// with RegisterKernel report (1, 0): the scheduler cannot see inside
-// them.
-func decomposition(spec WorkloadSpec, numPEs int) (minFootprint, blocks int64) {
-	switch spec.Kernel {
-	case "stencil":
-		// One chare's A+B copies, two blocks per chare.
-		chare := spec.Reduced / int64(numPEs)
-		return chare, 2 * max(spec.Bytes/chare, 1)
-	case "shift":
-		// Post-shift: one chare's hot + cold block.
-		chares := int64(4 * numPEs)
-		return roundUp(spec.Reduced, chares)/chares +
-			roundUp(spec.Bytes-spec.Reduced, chares)/chares, 2 * chares
-	case "matmul":
-		g := int64(kernels.GridFor(spec.Bytes, spec.Footprint, numPEs))
-		return 3 * (spec.Bytes / 3) / (g * g), 3 * g * g
+// number of managed blocks the workload declares, both read from the
+// configuration its builder builds. Kernels registered with
+// RegisterKernel report (1, 0): the scheduler cannot see inside them.
+func decomposition(cfg workload) (minFootprint, blocks int64) {
+	if cfg == nil {
+		return 1, 0
 	}
-	return 1, 0
+	return cfg.TaskDepBytes(), int64(cfg.Handles())
 }
 
 // Submit validates a submission, stores it as a Queued session and
@@ -234,7 +233,7 @@ func decomposition(spec WorkloadSpec, numPEs int) (minFootprint, blocks int64) {
 // session.
 func (s *Scheduler) Submit(spec WorkloadSpec) (*Session, error) {
 	s.submitted++
-	opts, err := s.normalize(&spec)
+	opts, cfg, err := s.normalize(&spec)
 	if err != nil {
 		s.rejected++
 		return nil, err
@@ -246,7 +245,7 @@ func (s *Scheduler) Submit(spec WorkloadSpec) (*Session, error) {
 		return nil, fmt.Errorf("%w: footprint %d, tenant budget %d, machine budget %d",
 			ErrOverBudget, spec.Footprint, ten.budget, s.budget)
 	}
-	min, blocks := decomposition(spec, s.cfg.NumPEs)
+	min, blocks := decomposition(cfg)
 	if spec.Footprint < min {
 		s.rejected++
 		ten.rejected++
@@ -345,18 +344,19 @@ func (s *Scheduler) start(sess *Session) {
 		sess.ctl = ctl
 		ctl.Attach()
 	}
-	app, err := s.kernels[sess.Spec.Kernel](sess.env, sess.Spec)
+	app, err := s.kernels[sess.Spec.Kernel].build(sess.env, sess.Spec)
 	if err != nil {
 		s.fail(sess, fmt.Sprintf("build %s: %v", sess.Spec.Kernel, err))
 		return
 	}
 	sess.app = app
-	if it, ok := app.(iterApp); ok && sess.ctl != nil {
-		ctl := sess.ctl
-		it.SetOnIteration(func(_ int, resume func()) {
-			ctl.Barrier()
-			resume()
-		})
+	if sess.ctl != nil {
+		switch a := app.(type) { // the programs with iteration barriers
+		case *kernels.StencilApp:
+			a.OnIteration = sess.ctl.Barrier
+		case *kernels.ShiftApp:
+			a.OnIteration = sess.ctl.Barrier
+		}
 	}
 	app.Start()
 	s.running = append(s.running, sess)
@@ -387,8 +387,10 @@ func (s *Scheduler) snapshotMetrics(sess *Session) {
 }
 
 // terminal moves a running (or just-started) session into a terminal
-// state: budget released, recorder finished, engine reaped. A panic
-// while the engine unwinds its parked processes is added to Err.
+// state: budget released, metrics, controller verdict and capture
+// kept, engine reaped, and the environment, app and controller
+// dropped. A panic while the engine unwinds its parked processes is
+// added to Err.
 func (s *Scheduler) terminal(sess *Session, state State, reason string) {
 	sess.State = state
 	sess.Err = reason
@@ -398,6 +400,10 @@ func (s *Scheduler) terminal(sess *Session, state State, reason string) {
 	if sess.rec != nil {
 		sess.rec.Finish()
 	}
+	if sess.ctl != nil {
+		v := sess.ctl.Verdict()
+		sess.verdict = &v
+	}
 	if sess.env != nil {
 		if fault := contain(sess.env.Close); fault != "" {
 			if sess.Err != "" {
@@ -406,6 +412,7 @@ func (s *Scheduler) terminal(sess *Session, state State, reason string) {
 			sess.Err += "close: " + fault
 		}
 	}
+	sess.env, sess.app, sess.ctl = nil, nil, nil
 }
 
 // fail marks a session Failed.
@@ -434,13 +441,13 @@ func (s *Scheduler) finish(sess *Session) {
 	s.completed++
 	sess.ten.completed++
 	sess.ten.makespans = append(sess.ten.makespans, float64(sess.Finished-sess.Arrival))
-	if sess.ctl != nil && sess.ctl.Converged() {
-		o := sess.ctl.FinalOptions()
-		sess.ten.warm = &o
-	}
 	fin := sess.Finished
 	s.terminal(sess, Done, "")
 	sess.Finished = fin
+	if v := sess.verdict; v != nil && v.Converged {
+		o := v.Final
+		sess.ten.warm = &o
+	}
 }
 
 // Cancel kills a session. Queued sessions leave the queue with nothing

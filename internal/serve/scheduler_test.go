@@ -1,14 +1,19 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/topology"
+	"github.com/hetmem/hetmem/internal/trace"
 )
 
 // testSpec is the 1/8 KNL slice the exp package uses for unit tests.
@@ -123,6 +128,7 @@ func TestSessionLifecycleAllKernels(t *testing.T) {
 			if sess.State != Running {
 				t.Fatalf("state after submit with free budget = %v, want running", sess.State)
 			}
+			app := sess.app
 			if err := s.RunUntilIdle(0); err != nil {
 				t.Fatal(err)
 			}
@@ -135,8 +141,11 @@ func TestSessionLifecycleAllKernels(t *testing.T) {
 			if sess.Finished <= sess.Started {
 				t.Fatalf("finished %v <= started %v", sess.Finished, sess.Started)
 			}
-			if want := sess.base + sess.app.FinishedAt(); sess.Finished != want {
+			if want := sess.base + app.FinishedAt(); sess.Finished != want {
 				t.Fatalf("finished %v, want the app's completion %v", sess.Finished, want)
+			}
+			if sess.env != nil || sess.app != nil || sess.ctl != nil {
+				t.Fatal("a finished session still holds its environment, app or controller")
 			}
 			if _, granted := s.Budget(); granted != 0 {
 				t.Fatalf("granted after completion = %d, want 0", granted)
@@ -188,6 +197,25 @@ func TestRegisteredKernelFailures(t *testing.T) {
 		if ten.Granted != 0 || ten.Running != 0 {
 			t.Fatalf("tenant %s: granted %d, running %d after idle, want 0, 0", ten.Name, ten.Granted, ten.Running)
 		}
+	}
+}
+
+// TestReplacedBuiltinIsRegistered: a kernel registered under a
+// built-in's name is sized and validated like any registered kernel,
+// not as the built-in it replaces.
+func TestReplacedBuiltinIsRegistered(t *testing.T) {
+	s := mustScheduler(t, testConfig())
+	s.RegisterKernel("stencil", func(env *kernels.Env, _ WorkloadSpec) (App, error) {
+		return &tickApp{eng: env.Eng, want: 1000, limit: 1000}, nil
+	})
+	spec := smallStencil("acme")
+	spec.Reduced = 1 // the built-in stencil would declare 2^28 blocks
+	sess := mustSubmit(t, s, spec)
+	if err := s.RunUntilIdle(0); err != nil {
+		t.Fatal(err)
+	}
+	if sess.State != Done {
+		t.Fatalf("session %v (%q), want done", sess.State, sess.Err)
 	}
 }
 
@@ -297,14 +325,86 @@ func TestRejections(t *testing.T) {
 	}
 }
 
-// TestDegenerateMatMulFails: a matmul whose blocks would be zero bytes
-// fails its session with the reason instead of panicking in the
-// scheduler, which would leave the server lock held.
-func TestDegenerateMatMulFails(t *testing.T) {
+// assertRejected submits body over HTTP and spec in process, and
+// checks that both are refused with a 400 and an error naming want, and
+// that neither leaves a session behind.
+func assertRejected(t *testing.T, spec WorkloadSpec, want string) {
+	t.Helper()
 	s := mustScheduler(t, testConfig())
-	sess := mustSubmit(t, s, WorkloadSpec{Tenant: "acme", Kernel: "matmul", Bytes: 1, Footprint: 1})
-	if sess.State != Failed || !strings.Contains(sess.Err, "under one byte") {
-		t.Fatalf("session %v (%q), want failed for its empty blocks", sess.State, sess.Err)
+	if sess, err := s.Submit(spec); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Submit = %v, %v; want an error naming %q", sess, err, want)
+	}
+	srv, err := NewServer(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/sessions", bytes.NewReader(body)))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("POST %s = %d %s, want 400 naming %q", body, rec.Code, rec.Body, want)
+	}
+	if n := len(s.Sessions()) + len(srv.Scheduler().Sessions()); n != 0 {
+		t.Fatalf("%d sessions recorded for a rejected submission", n)
+	}
+}
+
+// TestDegenerateMatMulFails: a matmul whose blocks would be zero bytes
+// is refused at submit, by the configuration's own validation, instead
+// of failing its session at start.
+func TestDegenerateMatMulFails(t *testing.T) {
+	assertRejected(t, WorkloadSpec{Tenant: "acme", Kernel: "matmul", Bytes: 1, Footprint: 1}, "under one byte")
+}
+
+// TestRoundedStencilRejected: rounding the active set up to 4 PEs'
+// worth can lift it past the total. Submit validates the configuration
+// it will build, rounding included, so the stencil is refused there
+// rather than failing its session at start.
+func TestRoundedStencilRejected(t *testing.T) {
+	spec := WorkloadSpec{Tenant: "acme", Kernel: "stencil", Bytes: 100*mb - 1, Reduced: 100*mb - 2}
+	assertRejected(t, spec, "reduced WS 104857600 exceeds total 104857599")
+}
+
+// TestDecompositionMatchesApp: the geometry Submit sizes a session by is
+// the built app's own. Its block count is the handles the app declares,
+// and its minimum grant the largest dependence set a task is admitted
+// with.
+func TestDecompositionMatchesApp(t *testing.T) {
+	specs := []WorkloadSpec{
+		smallStencil("acme"),
+		{Tenant: "acme", Bytes: 300*mb + 7, Reduced: 100*mb + 3, Footprint: 160 * mb, Iterations: 2, Sweeps: 2},
+		{Tenant: "acme", Bytes: 96 * mb, Reduced: 64 * mb, Footprint: 96 * mb, Iterations: 3, Sweeps: 2},
+	}
+	for _, kernel := range []string{"stencil", "shift", "matmul"} {
+		for i, spec := range specs {
+			spec.Kernel, spec.Trace = kernel, true
+			t.Run(fmt.Sprintf("%s/%d", kernel, i), func(t *testing.T) {
+				s := mustScheduler(t, testConfig())
+				sess := mustSubmit(t, s, spec)
+				min, blocks := decomposition(s.kernels[kernel].config(sess.Spec, s.cfg.NumPEs))
+				if n := int64(len(sess.env.MG.Handles())); n != blocks {
+					t.Fatalf("sized by %d blocks, the app declares %d", blocks, n)
+				}
+				if err := s.RunUntilIdle(0); err != nil {
+					t.Fatal(err)
+				}
+				if sess.State != Done {
+					t.Fatalf("session %v (%q), want done", sess.State, sess.Err)
+				}
+				var most int64
+				for _, ev := range sess.TraceCapture().Events {
+					if a, ok := ev.(*trace.Admit); ok && a.Bytes > most {
+						most = a.Bytes
+					}
+				}
+				if most != min {
+					t.Fatalf("minimum grant %d, the largest admitted dependence set %d", min, most)
+				}
+			})
+		}
 	}
 }
 

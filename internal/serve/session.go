@@ -96,7 +96,8 @@ type WorkloadSpec struct {
 
 // App is a seedable workload running on a session's private engine.
 // Start seeds the first wave of work without driving the engine; the
-// scheduler then advances the engine window by window until Done.
+// scheduler then advances the engine window by window until Done. The
+// kernels applications satisfy it as they are.
 type App interface {
 	Start()
 	Done() bool
@@ -109,93 +110,84 @@ type App interface {
 // environment. The spec is fully normalized (all defaults resolved).
 type AppBuilder func(env *kernels.Env, spec WorkloadSpec) (App, error)
 
-// stencilApp adapts kernels.StencilApp to App.
-type stencilApp struct{ *kernels.StencilApp }
+// workload is a built-in kernel's configuration (a kernels
+// StencilConfig, ShiftConfig or MatMulConfig): Submit validates a
+// submission and sizes its session by it, and the kernel's builder
+// builds it.
+type workload interface {
+	Validate() error
+	// Handles returns the managed blocks the application declares.
+	Handles() int
+	// TaskDepBytes returns the largest dependence set one task
+	// declares: the least HBM a session can make progress in.
+	TaskDepBytes() int64
+}
 
-func (a stencilApp) FinishedAt() sim.Time { return a.IterEnd[len(a.IterEnd)-1] }
-
-// shiftApp adapts kernels.ShiftApp to App.
-type shiftApp struct{ *kernels.ShiftApp }
-
-func (a shiftApp) FinishedAt() sim.Time { return a.IterEnd[len(a.IterEnd)-1] }
-
-// matmulApp adapts kernels.MatMulApp to App.
-type matmulApp struct{ *kernels.MatMulApp }
-
-func (a matmulApp) FinishedAt() sim.Time { return a.End }
-
-// iterApp is implemented by kernels with an iteration-boundary hook;
-// Adapt submissions wire the controller's Barrier there so strategy
-// switches happen at the quiescent points, exactly like X9/X10.
-type iterApp interface{ SetOnIteration(func(int, func())) }
-
-func (a stencilApp) SetOnIteration(f func(int, func())) { a.OnIteration = f }
-func (a shiftApp) SetOnIteration(f func(int, func()))   { a.OnIteration = f }
-
-// buildStencil is the "stencil" kernel builder.
-func buildStencil(env *kernels.Env, spec WorkloadSpec) (App, error) {
+// stencilConfig is the "stencil" kernel's configuration for a spec.
+func stencilConfig(spec WorkloadSpec, numPEs int) kernels.StencilConfig {
 	cfg := kernels.DefaultStencilConfig()
-	cfg.NumPEs = env.RT.NumPEs()
+	cfg.NumPEs = numPEs
 	cfg.TotalBytes = spec.Bytes
 	cfg.ReducedBytes = spec.Reduced
 	cfg.Iterations = spec.Iterations
 	cfg.Sweeps = spec.Sweeps
-	app, err := kernels.NewStencil(env.MG, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return stencilApp{app}, nil
+	return cfg
 }
 
-// buildShift is the "shift" kernel builder: the hot set is Reduced,
-// the shift widens it to Bytes.
-func buildShift(env *kernels.Env, spec WorkloadSpec) (App, error) {
-	pes := env.RT.NumPEs()
-	chares := 4 * pes
-	pre := spec.Iterations / 2
-	if pre < 1 {
-		pre = 1
+// shiftConfig is the "shift" kernel's configuration for a spec: the hot
+// set is Reduced, the shift widens it to Bytes, over 4 chares per PE.
+func shiftConfig(spec WorkloadSpec, numPEs int) kernels.ShiftConfig {
+	chares := 4 * numPEs
+	pre := max(spec.Iterations/2, 1)
+	return kernels.ShiftConfig{
+		HotBytes:  roundUp(spec.Reduced, int64(chares)),
+		ColdBytes: roundUp(spec.Bytes-spec.Reduced, int64(chares)),
+		NumChares: chares,
+		PreIters:  pre,
+		PostIters: max(spec.Iterations-pre, 1),
+		Sweeps:    spec.Sweeps,
+		NumPEs:    numPEs,
 	}
-	post := spec.Iterations - pre
-	if post < 1 {
-		post = 1
-	}
-	cfg := kernels.ShiftConfig{
-		HotBytes:     roundUp(spec.Reduced, int64(chares)),
-		ColdBytes:    roundUp(spec.Bytes-spec.Reduced, int64(chares)),
-		NumChares:    chares,
-		PreIters:     pre,
-		PostIters:    post,
-		Sweeps:       spec.Sweeps,
-		NumPEs:       pes,
-		FlopsPerByte: 1.0,
-	}
-	app, err := kernels.NewShift(env.MG, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return shiftApp{app}, nil
 }
 
-// buildMatMul is the "matmul" kernel builder.
-func buildMatMul(env *kernels.Env, spec WorkloadSpec) (App, error) {
+// matmulConfig is the "matmul" kernel's configuration for a spec: the
+// block grid is the one GridFor picks for the session's grant.
+func matmulConfig(spec WorkloadSpec, numPEs int) kernels.MatMulConfig {
 	cfg := kernels.DefaultMatMulConfig()
-	cfg.NumPEs = env.RT.NumPEs()
+	cfg.NumPEs = numPEs
 	cfg.TotalBytes = spec.Bytes
-	cfg.Grid = kernels.GridFor(spec.Bytes, spec.Footprint, cfg.NumPEs)
-	app, err := kernels.NewMatMul(env.MG, cfg)
-	if err != nil {
-		return nil, err
+	cfg.Grid = kernels.GridFor(spec.Bytes, spec.Footprint, numPEs)
+	return cfg
+}
+
+// kernel is one registry entry: its builder and, for a built-in, its
+// spec→config translation.
+type kernel struct {
+	build  AppBuilder
+	config func(WorkloadSpec, int) workload
+}
+
+// builtin makes the registry entry of a built-in kernel from its
+// configuration and its kernels constructor.
+func builtin[C workload, A App](config func(WorkloadSpec, int) C, build func(*core.Manager, C) (A, error)) kernel {
+	return kernel{
+		build: func(env *kernels.Env, spec WorkloadSpec) (App, error) {
+			app, err := build(env.MG, config(spec, env.RT.NumPEs()))
+			if err != nil {
+				return nil, err
+			}
+			return app, nil
+		},
+		config: func(spec WorkloadSpec, numPEs int) workload { return config(spec, numPEs) },
 	}
-	return matmulApp{app}, nil
 }
 
 // builtinKernels returns the default kernel registry.
-func builtinKernels() map[string]AppBuilder {
-	return map[string]AppBuilder{
-		"stencil": buildStencil,
-		"shift":   buildShift,
-		"matmul":  buildMatMul,
+func builtinKernels() map[string]kernel {
+	return map[string]kernel{
+		"stencil": builtin(stencilConfig, kernels.NewStencil),
+		"shift":   builtin(shiftConfig, kernels.NewShift),
+		"matmul":  builtin(matmulConfig, kernels.NewMatMul),
 	}
 }
 
@@ -237,10 +229,15 @@ type Session struct {
 	// base is the global virtual time at which the session's private
 	// engine (whose clock starts at 0) was started.
 	base sim.Time
-	env  *kernels.Env
-	app  App
-	ctl  *adapt.Controller
-	rec  *trace.Recorder
+	// env, app and ctl are the running session's; the terminal
+	// transition drops them, keeping only the values below, so a
+	// finished session holds nothing of its simulation.
+	env *kernels.Env
+	app App
+	ctl *adapt.Controller
+	// rec records a traced session; once finished it holds the
+	// capture alone.
+	rec *trace.Recorder
 
 	// released guards exactly-once budget release.
 	released bool
@@ -249,6 +246,9 @@ type Session struct {
 	// the terminal transition (the engine is closed afterwards).
 	metrics   audit.Snapshot
 	hasMetric bool
+	// verdict is where the session's controller ended, captured at
+	// the terminal transition; nil without a controller.
+	verdict *adapt.Verdict
 }
 
 // Makespan returns arrival-to-finish in virtual seconds (0 while

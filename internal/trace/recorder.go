@@ -113,8 +113,11 @@ func (r *Recorder) taskID(t *charm.Task) int64 {
 
 // Observe implements charm.Sink. It drops the kinds the capture format
 // does not carry: idle, scheduling overhead, lock wait and the pressure,
-// queue-depth and inflight samples.
+// queue-depth and inflight samples, and every event after Finish.
 func (r *Recorder) Observe(e charm.Event) {
+	if r.finished {
+		return
+	}
 	switch e.Kind {
 	case charm.EvSend:
 		r.send(e.Task)
@@ -197,14 +200,16 @@ func (r *Recorder) setRunning(pid int, ref runRef) {
 
 // LaneAssigned records one multi-tenant scheduler window's IO-lane
 // verdict for this session. The serve scheduler calls it from its
-// share-assignment step; nothing else emits the kind.
+// share-assignment step, for running sessions only; nothing else emits
+// the kind.
 func (r *Recorder) LaneAssigned(window, lanes, total, active int) {
 	r.emit(&LaneAssign{Window: window, Lanes: lanes, Total: total, Active: active})
 }
 
-// Finish appends the stats footer (once; later calls are no-ops) and
-// detaches nothing — the recorder may keep observing, but a finished
-// capture should be treated as complete.
+// Finish appends the stats footer and completes the capture (once;
+// later calls are no-ops). The recorder then drops its manager and
+// engine, so that it holds nothing of the run but the capture, and
+// ignores later events.
 func (r *Recorder) Finish() {
 	if r.finished {
 		return
@@ -224,6 +229,7 @@ func (r *Recorder) Finish() {
 		TasksInline:     r.mg.Stats.TasksInline,
 	}
 	r.emit(st)
+	r.mg, r.eng, r.ids, r.running = nil, nil, nil, nil
 }
 
 // Capture finalises (if needed) and returns the recorded event stream.

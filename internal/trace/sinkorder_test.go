@@ -39,10 +39,7 @@ func runAdaptiveStencil(t *testing.T, record bool) (float64, []adapt.Decision, *
 		t.Fatalf("adapt.New: %v", err)
 	}
 	ctl.Attach()
-	app.OnIteration = func(_ int, resume func()) {
-		ctl.Barrier()
-		resume()
-	}
+	app.OnIteration = ctl.Barrier
 	mk, err := app.Run()
 	if err != nil {
 		t.Fatalf("adaptive stencil run: %v", err)
@@ -51,7 +48,7 @@ func runAdaptiveStencil(t *testing.T, record bool) (float64, []adapt.Decision, *
 	if rec != nil {
 		c = rec.Capture()
 	}
-	return float64(mk), ctl.Trace(), c
+	return float64(mk), ctl.Verdict().Trace, c
 }
 
 // doneLog counts the task completions a sink has seen and, at each
@@ -151,8 +148,8 @@ func TestSinkOrder(t *testing.T) {
 	if _, err := app.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(after.atDecided) == 0 || len(after.atDecided) != len(ctl.Trace()) {
-		t.Fatalf("the late sink saw %d decisions, the controller took %d", len(after.atDecided), len(ctl.Trace()))
+	if len(after.atDecided) == 0 || len(after.atDecided) != len(ctl.Verdict().Trace) {
+		t.Fatalf("the late sink saw %d decisions, the controller took %d", len(after.atDecided), len(ctl.Verdict().Trace))
 	}
 	for i, n := range after.atDecided {
 		if n%k != k-1 {
