@@ -11,6 +11,7 @@ import (
 
 	"github.com/hetmem/hetmem/internal/audit"
 	"github.com/hetmem/hetmem/internal/exp"
+	"github.com/hetmem/hetmem/internal/trace"
 )
 
 // exec runs the command in process and returns (exit code, stdout, stderr).
@@ -86,8 +87,9 @@ func TestBenchDirWritesOnlyTheRunSnapshots(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: misspelled names, and -trace without X11 to write
-// its capture, exit 2 before anything runs.
+// TestUsageErrors: misspelled names, -trace without X11 to write its
+// capture, and -adapt with a mode that moves no data exit 2 before
+// anything runs.
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-only", "x99"},
@@ -100,6 +102,8 @@ func TestUsageErrors(t *testing.T) {
 		{"run", "-scale", "smal"},
 		{"run", "-mode", "no"},
 		{"run", "-app", "fft"},
+		{"run", "-scale", "small", "-adapt", "-mode", "naive"},
+		{"run", "-scale", "small", "-adapt", "-mode", "ddr4only"},
 		{"run", "-nodes", "2", "-trace", "f.jsonl"},
 		{"run", "-nodes", "2", "-app", "matmul"},
 		{"run", "-nodes", "2", "-adapt"},
@@ -142,6 +146,40 @@ func TestRunSingle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunMatMulAdapt: an adaptive matmul run prints the controller's
+// trace. MatMul has no iteration barriers, so the controller closes a
+// window every NumPEs task completions: the capture's first adapt event
+// follows exactly that many.
+func TestRunMatMulAdapt(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	code, out, errb := exec("run", "-scale", "small", "-app", "matmul", "-adapt", "-trace", path)
+	if code != 0 {
+		t.Fatalf("exit %d, want 0\nstderr: %s", code, errb)
+	}
+	for _, want := range []string{"adaptive controller (settled window ", "  w1["} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output lacks the controller's trace (%q):\n%s", want, out)
+		}
+	}
+	c, err := trace.DecodeFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := 0
+	for _, e := range c.Events {
+		switch e.(type) {
+		case *trace.TaskDone:
+			done++
+		case *trace.Adapt:
+			if done != exp.Small.NumPEs() {
+				t.Fatalf("first adapt event follows %d task completions, want %d", done, exp.Small.NumPEs())
+			}
+			return
+		}
+	}
+	t.Fatal("capture has no adapt event")
 }
 
 // TestRunNodes: run -nodes drives the distributed stencil end to end,

@@ -44,6 +44,9 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, 2, "%v", err)
 	}
+	if *adaptOn && !mode.Moves() {
+		return fail(stderr, 2, "-adapt needs a mode that moves data (single, noio or multi), not %s", *modeName)
+	}
 	sw := exp.Sweep{Scale: scale, Audit: *auditOn}
 	if *policyName != "" {
 		if sw.EvictPolicy, err = core.ParseEvictPolicy(*policyName); err != nil {
@@ -87,12 +90,9 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if *grid > 0 {
 		matmul.Grid = *grid
 	}
-	r := exp.Run{Spec: spec, NumPEs: scale.NumPEs(), Opts: opts, App: stencil, Record: *traceOut != ""}
-	r.Adapt.On = *adaptOn
+	r := exp.Run{Spec: spec, NumPEs: scale.NumPEs(), Opts: opts, App: stencil, Adapt: exp.Adapt{On: *adaptOn}, Record: *traceOut != ""}
 	if *appName == "matmul" {
 		r.App = matmul
-		// MatMul has no iteration barriers: sample completion windows.
-		r.Adapt.SampleEvery = 2 * matmul.NumPEs
 	}
 	o, err := r.Execute()
 	if err != nil {

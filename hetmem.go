@@ -244,8 +244,8 @@ type (
 	// AdaptController tunes a Manager's strategy knobs online from
 	// runtime feedback (wait shares, HBM pressure, retry counters).
 	AdaptController = adapt.Controller
-	// AdaptConfig sets the controller's completion-sampling period
-	// and an optional warm start; its policy thresholds are fixed.
+	// AdaptConfig sets the controller's optional warm start; its
+	// policy thresholds and sampling rule are fixed.
 	AdaptConfig = adapt.Config
 	// AdaptFeedback is one sampled feedback window.
 	AdaptFeedback = adapt.Feedback
@@ -253,12 +253,13 @@ type (
 	AdaptDecision = adapt.Decision
 )
 
-// NewAdaptController builds a controller for mg; call Attach to start
-// observing and set Barrier as the app's iteration hook
-// (OnIteration). The manager must run a movement mode with
+// NewAdaptController builds a controller that steers app through mg and
+// wires itself in: build it after the app and before the run. A
+// Stencil3D app is sampled at its iteration barriers, a MatMul app every
+// NumPEs task completions. The manager must run a movement mode with
 // Options.Metrics.
-func NewAdaptController(mg *Manager, cfg AdaptConfig) (*AdaptController, error) {
-	return adapt.New(mg, cfg)
+func NewAdaptController(mg *Manager, app any, cfg AdaptConfig) (*AdaptController, error) {
+	return adapt.New(mg, app, cfg)
 }
 
 // --- task-level tracing, capture and replay ---

@@ -12,14 +12,14 @@
 // HBM high-water mark from the audit metrics collector (split out of the
 // invariant auditor so feedback costs no audit overhead), and
 // retry/forced-eviction/refetch deltas from the manager's Stats.
-// Windows come from two sources:
+// New picks the windows from the application it steers:
 //
-//   - iteration barriers (Barrier, which has the signature of the
-//     application's OnIteration hook) — the quiescent points where even
-//     whole-strategy switches are legal;
-//   - task completions (the stream's task-done events) every
-//     Config.SampleEvery tasks, for applications with no barrier
-//     structure (MatMul's single reduction).
+//   - an application with iteration barriers (the stencil and shift
+//     programs) closes one at each barrier but the last — the
+//     quiescent points where even whole-strategy switches are legal;
+//   - any other (MatMul's single reduction, a registered kernel)
+//     closes one every NumPEs task completions (the stream's task-done
+//     events).
 //
 // Policies, in the order they engage:
 //
@@ -49,8 +49,8 @@
 // of the same workload take identical decisions, which the determinism
 // regression tests assert.
 //
-// The thresholds are package constants; a Config sets only the
-// completion-sampling period and an optional warm start.
+// The thresholds and the sampling rule are fixed; a Config sets only
+// an optional warm start.
 package adapt
 
 import (
@@ -66,10 +66,6 @@ import (
 
 // Config parameterises a Controller.
 type Config struct {
-	// SampleEvery samples a window every N task completions, for
-	// applications without iteration barriers. 0 disables completion
-	// sampling (barrier-driven applications).
-	SampleEvery int
 	// Warm seeds the controller with a recommended configuration (an
 	// offline tune verdict, or a settled verdict from an earlier
 	// session). New applies the retunable knobs — Mode, IOThreads,
@@ -170,8 +166,7 @@ const (
 )
 
 // Controller closes the feedback loop for one manager. It is a
-// charm.Sink; install it with Attach before the run starts, and set
-// Barrier as the application's iteration hook where there is one.
+// charm.Sink on the runtime's event stream, where New attaches it.
 type Controller struct {
 	mg  *core.Manager
 	eng *sim.Engine
@@ -181,6 +176,9 @@ type Controller struct {
 
 	numPEs int
 	budget int64
+	// every closes a window every that many task completions; 0 for an
+	// application sampled at its barriers.
+	every int64
 
 	// lanes holds each worker lane's span time, summed per category in
 	// the order spans close: the same additions, in the same order, as
@@ -248,10 +246,18 @@ const (
 	numShareCats
 )
 
-// New builds a controller over mg. The manager must run a movement
+// barriered is an application with iteration barriers: the kernels
+// stencil and shift programs.
+type barriered interface{ AtBarrier(fn func()) }
+
+// New builds a controller that steers app through its manager mg and
+// attaches it to the runtime's event stream: build it after the
+// application and before the run starts. An application with
+// iteration barriers is sampled at each barrier but the last, any other
+// every NumPEs task completions. The manager must run a movement
 // strategy and carry a metrics collector (Options.Metrics or Audit),
 // the source of the HBM high-water mark.
-func New(mg *core.Manager, cfg Config) (*Controller, error) {
+func New(mg *core.Manager, app any, cfg Config) (*Controller, error) {
 	if !mg.Mode().Moves() {
 		return nil, fmt.Errorf("adapt: mode %v moves no data; nothing to tune", mg.Mode())
 	}
@@ -289,22 +295,22 @@ func New(mg *core.Manager, cfg Config) (*Controller, error) {
 		c.warmPending = true
 	}
 	c.buildLadder()
+	if b, ok := app.(barriered); ok {
+		b.AtBarrier(func() { c.sample(true) })
+	} else {
+		c.every = int64(c.numPEs)
+	}
+	mg.Runtime().Attach(c)
 	return c, nil
 }
 
-// Attach adds the controller to the runtime's event stream, before the
-// run starts: it sums the worker lanes' spans and counts completions
-// from there. Barrier-driven applications additionally take Barrier as
-// their iteration hook.
-func (c *Controller) Attach() { c.mg.Runtime().Attach(c) }
-
 // Observe implements charm.Sink: add each closing worker-lane span to
 // its lane's sums and count completions, closing a window every
-// SampleEvery tasks in completion-sampling mode.
+// c.every of them for an application without barriers.
 func (c *Controller) Observe(e charm.Event) {
 	if e.Kind == charm.EvTaskDone {
 		c.tasks++
-		if c.cfg.SampleEvery > 0 && c.tasks%int64(c.cfg.SampleEvery) == 0 {
+		if c.every > 0 && c.tasks%c.every == 0 {
 			c.sample(false)
 		}
 		return
@@ -325,14 +331,6 @@ func (c *Controller) Observe(e charm.Event) {
 	case charm.EvEvict:
 		l.evict += d
 	}
-}
-
-// Barrier is an application's iteration hook: it closes a window at
-// the iteration barrier — the quiescent point where strategy switches
-// are legal — and then resumes the application.
-func (c *Controller) Barrier(_ int, resume func()) {
-	c.sample(true)
-	resume()
 }
 
 // Verdict is where a controller stands, by value: it keeps nothing of

@@ -27,12 +27,10 @@ func stencilRun(t *testing.T, opts core.Options, cfg adapt.Config) (*adapt.Contr
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := adapt.New(env.MG, cfg)
+	ctl, err := adapt.New(env.MG, app, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl.Attach()
-	app.OnIteration = ctl.Barrier
 	total, err := app.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -141,13 +139,14 @@ func TestWarmStartRejectsIllegalOptions(t *testing.T) {
 	defer env.Close()
 	bad := core.DefaultOptions(core.SingleIO)
 	bad.IOThreads = -3
-	if _, err := adapt.New(env.MG, adapt.Config{Warm: &bad}); err == nil {
+	if _, err := adapt.New(env.MG, nil, adapt.Config{Warm: &bad}); err == nil {
 		t.Fatal("accepted a warm verdict with an illegal thread count")
 	}
 }
 
 // TestMatMulObserverSampling: with no barrier structure, the controller
-// samples windows from task completions and still converges cleanly.
+// samples windows from task completions, one every NumPEs of them, and
+// still converges cleanly.
 func TestMatMulObserverSampling(t *testing.T) {
 	opts := core.DefaultOptions(core.MultiIO)
 	opts.Audit = true
@@ -162,11 +161,10 @@ func TestMatMulObserverSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := adapt.New(env.MG, adapt.Config{SampleEvery: 4 * 8})
+	ctl, err := adapt.New(env.MG, app, adapt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl.Attach()
 	if _, err := app.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +188,7 @@ func TestNewRejectsUnusableManagers(t *testing.T) {
 		Opts: core.DefaultOptions(core.DDROnly),
 	})
 	defer env.Close()
-	if _, err := adapt.New(env.MG, adapt.Config{}); err == nil {
+	if _, err := adapt.New(env.MG, nil, adapt.Config{}); err == nil {
 		t.Fatal("accepted a manager that moves no data")
 	}
 
@@ -200,7 +198,7 @@ func TestNewRejectsUnusableManagers(t *testing.T) {
 		Opts: core.DefaultOptions(core.SingleIO),
 	})
 	defer env2.Close()
-	if _, err := adapt.New(env2.MG, adapt.Config{}); err == nil {
+	if _, err := adapt.New(env2.MG, nil, adapt.Config{}); err == nil {
 		t.Fatal("accepted a manager without metrics")
 	}
 }

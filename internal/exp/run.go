@@ -6,7 +6,6 @@ import (
 
 	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/audit"
-	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/projections"
@@ -20,22 +19,20 @@ import (
 type Run struct {
 	Spec   topology.MachineSpec
 	NumPEs int
-	Opts   core.Options // victim policy and audit flag included
-	App    any          // a kernels.StencilConfig, MatMulConfig or ShiftConfig
-	Adapt  Adapt        // the online adaptive controller, if Adapt.On
+	Opts   core.Options     // victim policy and audit flag included
+	App    kernels.Workload // the application's config, which builds it
+	Adapt  Adapt            // the online adaptive controller, if Adapt.On
 	// Projections attaches a Projections tracer, Record a trace
 	// recorder.
 	Projections, Record bool
 }
 
 // Adapt configures a run's online controller as adapt.Config does, with
-// the warm-start verdict held by value. SampleEvery samples completion
-// windows (MatMul); the stencil and shift programs are sampled at their
-// iteration barriers. A zero Warm starts the controller cold.
+// the warm-start verdict held by value. A zero Warm starts the
+// controller cold.
 type Adapt struct {
-	On          bool
-	SampleEvery int
-	Warm        core.Options
+	On   bool
+	Warm core.Options
 }
 
 // Outcome is what executing a run yields. It holds nothing of the run's
@@ -62,39 +59,16 @@ type Outcome struct {
 // closes the environment. A controller run must end audit-clean: its
 // auditor, when on, is checked at quiescence.
 func (r Run) Execute() (*Outcome, error) {
-	env := kernels.NewEnv(kernels.EnvConfig{
-		Spec: r.Spec, NumPEs: r.NumPEs, Opts: r.Opts, Params: charm.DefaultParams(), Trace: r.Projections,
-	})
+	env := kernels.NewEnv(kernels.EnvConfig{Spec: r.Spec, NumPEs: r.NumPEs, Opts: r.Opts, Trace: r.Projections})
 	var rec *trace.Recorder
 	if r.Record {
 		rec = trace.NewRecorder(env.MG)
 		rec.Attach()
 	}
-	var (
-		app interface{ Run() (sim.Time, error) }
-		err error
-	)
-	switch cfg := r.App.(type) {
-	case kernels.StencilConfig:
-		app, err = kernels.NewStencil(env.MG, cfg)
-	case kernels.MatMulConfig:
-		app, err = kernels.NewMatMul(env.MG, cfg)
-	case kernels.ShiftConfig:
-		app, err = kernels.NewShift(env.MG, cfg)
-	default:
-		err = fmt.Errorf("exp: no application for %T", cfg)
-	}
+	app, err := r.App.Build(env.MG)
 	var ctl *adapt.Controller
 	if err == nil && r.Adapt.On {
-		ctl, err = r.Adapt.attach(env.MG)
-	}
-	if ctl != nil {
-		switch a := app.(type) { // the programs with iteration barriers
-		case *kernels.StencilApp:
-			a.OnIteration = ctl.Barrier
-		case *kernels.ShiftApp:
-			a.OnIteration = ctl.Barrier
-		}
+		ctl, err = r.Adapt.controller(env.MG, app)
 	}
 	o := &Outcome{Tracer: env.Tracer}
 	if err == nil {
@@ -131,19 +105,13 @@ func (r Run) Execute() (*Outcome, error) {
 	return o, nil
 }
 
-// attach builds the controller a configures on mg and attaches it to the
-// run's event stream.
-func (a Adapt) attach(mg *core.Manager) (*adapt.Controller, error) {
-	cfg := adapt.Config{SampleEvery: a.SampleEvery}
+// controller builds the controller a configures to steer app on mg.
+func (a Adapt) controller(mg *core.Manager, app kernels.App) (*adapt.Controller, error) {
+	var cfg adapt.Config
 	if a.Warm != (core.Options{}) {
 		cfg.Warm = &a.Warm
 	}
-	ctl, err := adapt.New(mg, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctl.Attach()
-	return ctl, nil
+	return adapt.New(mg, app, cfg)
 }
 
 // key renders r in Go syntax, which names every type and prints every
@@ -193,16 +161,17 @@ func (sw *Sweep) Options(mode core.Mode) core.Options {
 }
 
 // run describes app under opts on the scale's machine.
-func (sw *Sweep) run(opts core.Options, app any) Run {
+func (sw *Sweep) run(opts core.Options, app kernels.Workload) Run {
 	return Run{Spec: sw.Scale.Machine(), NumPEs: sw.Scale.NumPEs(), Opts: opts, App: app}
 }
 
-// adaptive describes app under opts with the online controller ctl. Its
-// auditor is on under any sweep: every adaptive run must be audit-clean.
-func (sw *Sweep) adaptive(opts core.Options, app any, ctl Adapt) Run {
-	opts.Audit, ctl.On = true, true
+// adaptive describes app under opts with the online controller, warm
+// started from warm unless it is zero. Its auditor is on under any
+// sweep: every adaptive run must be audit-clean.
+func (sw *Sweep) adaptive(opts core.Options, app kernels.Workload, warm core.Options) Run {
+	opts.Audit = true
 	r := sw.run(opts, app)
-	r.Adapt = ctl
+	r.Adapt = Adapt{On: true, Warm: warm}
 	return r
 }
 

@@ -180,7 +180,7 @@ func (sw *Sweep) X10() (*X10Result, error) {
 
 	// Adaptive run: default controller, barrier sampling, starting on
 	// MultiIO eager with the default victim policy.
-	o, err := sw.do(sw.adaptive(sw.Options(core.MultiIO), s.ShiftConfig(), Adapt{}))
+	o, err := sw.do(sw.adaptive(sw.Options(core.MultiIO), s.ShiftConfig(), core.Options{}))
 	if err != nil {
 		return nil, fmt.Errorf("exp: x10 adaptive shift: %w", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"github.com/hetmem/hetmem/internal/core"
+	"github.com/hetmem/hetmem/internal/kernels"
 )
 
 // X14 sweeps the memory chain depth: the Fig 8 stencil overflow point
@@ -130,7 +131,7 @@ func (sw *Sweep) x14Row(app string, depth int, pol core.EvictPolicy) (X14Row, er
 	if err != nil {
 		return row, err
 	}
-	var cfg any
+	var cfg kernels.Workload
 	switch app {
 	case "fig8-stencil":
 		cfg = s.overflowStencil()

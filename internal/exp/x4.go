@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/core"
+	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -32,7 +33,7 @@ func (sw *Sweep) AblationEviction() (*EvictionResult, error) {
 	res := &EvictionResult{Scale: s}
 	for _, app := range []struct {
 		name string
-		cfg  any
+		cfg  kernels.Workload
 	}{
 		{"Stencil3D", s.StencilConfig(s.StencilReducedSizes()[1])},
 		{"MatMul", s.MatMulConfig(s.MatMulTotalSizes()[0])},

@@ -125,7 +125,7 @@ func (sw *Sweep) X9() (*X9Result, error) {
 
 // x9Point runs the fixed grid on app and the adaptive run at one size;
 // metric scores a run.
-func (sw *Sweep) x9Point(name string, size int64, app any, adaptive Run, metric func(*Outcome) float64) (X9Point, error) {
+func (sw *Sweep) x9Point(name string, size int64, app kernels.Workload, adaptive Run, metric func(*Outcome) float64) (X9Point, error) {
 	p := X9Point{App: name, Size: size, Fixed: make(map[string]float64)}
 	for _, f := range x9Grid() {
 		o, err := sw.do(sw.run(f.options(sw), app))
@@ -165,7 +165,7 @@ func stencilSteady(o *Outcome) float64 {
 // controller is seeded with that verdict, as hetmemd seeds a tenant's
 // next session (X15).
 func (sw *Sweep) adaptiveStencil(red int64, warm core.Options) Run {
-	return sw.adaptive(sw.Options(core.SingleIO), sw.Scale.x9Stencil(red), Adapt{Warm: warm})
+	return sw.adaptive(sw.Options(core.SingleIO), sw.Scale.x9Stencil(red), warm)
 }
 
 // adaptiveMatMul is X9's MatMul at one total working set under the
@@ -178,7 +178,7 @@ func (sw *Sweep) adaptiveStencil(red int64, warm core.Options) Run {
 func (sw *Sweep) adaptiveMatMul(total int64, depth int, warm core.Options) Run {
 	opts := sw.Options(core.MultiIO)
 	opts.PrefetchDepth = depth
-	return sw.adaptive(opts, sw.Scale.MatMulConfig(total), Adapt{SampleEvery: sw.Scale.NumPEs(), Warm: warm})
+	return sw.adaptive(opts, sw.Scale.MatMulConfig(total), warm)
 }
 
 // rank fills Best/Worst from the fixed grid results. Iterating the

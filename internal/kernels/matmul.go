@@ -169,6 +169,9 @@ type MatMulApp struct {
 	red   *charm.Reduction
 }
 
+// Build builds the MatMul application on mg, as NewMatMul does.
+func (c MatMulConfig) Build(mg *core.Manager) (App, error) { return build(NewMatMul(mg, c)) }
+
 // NewMatMul builds the application on an existing runtime+manager.
 //
 // Note on MKL: the paper calls cblas_dgemm and sets

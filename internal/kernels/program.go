@@ -7,6 +7,37 @@ import (
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
+// Workload is an application's configuration (StencilConfig,
+// MatMulConfig or ShiftConfig). It validates itself, says how big its
+// application is — the managed blocks it declares (Handles) and the
+// largest dependence set one task declares (TaskDepBytes), the least
+// HBM it can progress in — and builds it on a manager whose runtime has
+// the configuration's PE count.
+type Workload interface {
+	Validate() error
+	Handles() int
+	TaskDepBytes() int64
+	Build(mg *core.Manager) (App, error)
+}
+
+// App is a built application. Run drives it on a fresh engine; Start
+// seeds it for callers that drive the engine themselves, and Done and
+// FinishedAt report its completion.
+type App interface {
+	Start()
+	Run() (sim.Time, error)
+	Done() bool
+	FinishedAt() sim.Time
+}
+
+// build returns a constructor's result as an App, nil on error.
+func build[A App](app A, err error) (App, error) {
+	if err != nil {
+		return nil, err
+	}
+	return app, nil
+}
+
 // program is the run bookkeeping every application shares.
 type program struct {
 	mg  *core.Manager
@@ -72,15 +103,18 @@ type iterative struct {
 	// OnIteration, when non-nil, is invoked at each iteration boundary
 	// instead of immediately starting the next iteration; the
 	// application continues when resume is called. The cluster layer
-	// exchanges inter-node halos here; an adaptive run samples its
-	// controller here (adapt.Controller.Barrier).
+	// exchanges inter-node halos here.
 	OnIteration func(iter int, resume func())
 
 	iters int
-	// atBoundary, when set, runs at each boundary before the next
-	// iteration starts.
-	atBoundary func()
+	// barrier, when set, runs at each boundary but the last (AtBarrier).
+	barrier func()
 }
+
+// AtBarrier runs fn at each iteration barrier but the last, before the
+// next iteration starts or OnIteration is invoked: the quiescent points
+// where an adaptive controller samples.
+func (it *iterative) AtBarrier(fn func()) { it.barrier = fn }
 
 func (it *iterative) init(mg *core.Manager, name string, iters int, seed func()) {
 	it.program.init(mg, name, seed)
@@ -88,19 +122,21 @@ func (it *iterative) init(mg *core.Manager, name string, iters int, seed func())
 	it.progress = func() string { return fmt.Sprintf(" after %d/%d iterations", len(it.IterEnd), it.iters) }
 }
 
-// endIteration is the reduction body: record the iteration, then call
-// the hook or start the next iteration, or finish after the last.
+// endIteration is the reduction body: record the iteration, then run
+// the barrier and call the hook or start the next iteration, or finish
+// after the last.
 func (it *iterative) endIteration() {
 	it.IterEnd = append(it.IterEnd, it.eng.Now())
-	if it.atBoundary != nil {
-		it.atBoundary()
-	}
-	switch {
-	case len(it.IterEnd) >= it.iters:
+	if len(it.IterEnd) >= it.iters {
 		it.finish()
-	case it.OnIteration != nil:
+		return
+	}
+	if it.barrier != nil {
+		it.barrier()
+	}
+	if it.OnIteration != nil {
 		it.OnIteration(len(it.IterEnd), it.seed)
-	default:
+	} else {
 		it.seed()
 	}
 }

@@ -87,6 +87,9 @@ type ShiftApp struct {
 	red     *charm.Reduction
 }
 
+// Build builds the shift application on mg, as NewShift does.
+func (c ShiftConfig) Build(mg *core.Manager) (App, error) { return build(NewShift(mg, c)) }
+
 // NewShift builds the application on an existing runtime+manager.
 func NewShift(mg *core.Manager, cfg ShiftConfig) (*ShiftApp, error) {
 	if err := cfg.Validate(); err != nil {

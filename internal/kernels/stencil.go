@@ -137,6 +137,9 @@ type StencilApp struct {
 	Migrations int
 }
 
+// Build builds the Stencil3D application on mg, as NewStencil does.
+func (c StencilConfig) Build(mg *core.Manager) (App, error) { return build(NewStencil(mg, c)) }
+
 // NewStencil builds the application on an existing runtime+manager.
 // The manager's mode decides placement and movement.
 func NewStencil(mg *core.Manager, cfg StencilConfig) (*StencilApp, error) {
@@ -233,16 +236,18 @@ func NewStencil(mg *core.Manager, cfg StencilConfig) (*StencilApp, error) {
 		},
 	})
 
+	endIteration := app.endIteration
 	if cfg.LoadBalance {
-		app.atBoundary = func() {
-			if len(app.IterEnd) == 1 {
+		endIteration = func() {
+			if len(app.IterEnd) == 0 {
 				// Measurement-based rebalancing at the first iteration
 				// boundary, the quiescent point chare migration requires.
 				app.Migrations = charm.GreedyRebalance(app.arr, cfg.NumPEs)
 			}
+			app.endIteration()
 		}
 	}
-	app.red = rt.NewReduction(n, app.endIteration)
+	app.red = rt.NewReduction(n, endIteration)
 	return app, nil
 }
 

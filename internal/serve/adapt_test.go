@@ -3,6 +3,7 @@ package serve
 import (
 	"testing"
 
+	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/trace"
 )
 
@@ -132,5 +133,72 @@ func TestLaneEventsInCapture(t *testing.T) {
 				t.Fatalf("%s lane event with no active sessions", sess.ID)
 			}
 		}
+	}
+}
+
+// TestAdaptiveSessionWithoutBarriersDecides: an app with no iteration
+// barriers — the built-in matmul, or a registered kernel — is sampled
+// every NumPEs task completions, so its adaptive session closes windows
+// and takes decisions like a stencil's.
+func TestAdaptiveSessionWithoutBarriersDecides(t *testing.T) {
+	for _, kernel := range []string{"matmul", "custom"} {
+		t.Run(kernel, func(t *testing.T) {
+			s := mustScheduler(t, testConfig())
+			s.RegisterKernel("custom", func(env *kernels.Env, spec WorkloadSpec) (App, error) {
+				return matmulConfig(spec, env.RT.NumPEs()).Build(env.MG)
+			})
+			spec := smallStencil("acme")
+			spec.Kernel = kernel
+			spec.Adapt = true
+			sess := mustSubmit(t, s, spec)
+			if err := s.RunUntilIdle(0); err != nil {
+				t.Fatalf("RunUntilIdle: %v", err)
+			}
+			if sess.State != Done {
+				t.Fatalf("session finished %v (%s), want done", sess.State, sess.Err)
+			}
+			v := sess.verdict
+			if v == nil || len(v.Trace) == 0 {
+				t.Fatalf("adaptive %s session took no decisions", kernel)
+			}
+			if last := v.Trace[len(v.Trace)-1]; last.Window < 1 || v.ConvergedWindow < 1 {
+				t.Fatalf("adaptive %s session closed no window: last decision %v, converged window %d",
+					kernel, last, v.ConvergedWindow)
+			}
+		})
+	}
+}
+
+// TestWarmStartRetunesAfterTheAppIsBuilt: a session builds its app
+// before its controller, so a warm-started session's retune follows the
+// app's block declarations in its capture.
+func TestWarmStartRetunesAfterTheAppIsBuilt(t *testing.T) {
+	s := mustScheduler(t, testConfig())
+	mustSubmit(t, s, adaptiveStencil("acme"))
+	if err := s.RunUntilIdle(0); err != nil {
+		t.Fatalf("RunUntilIdle: %v", err)
+	}
+	spec := adaptiveStencil("acme")
+	spec.Trace = true
+	warm := mustSubmit(t, s, spec)
+	if err := s.RunUntilIdle(0); err != nil {
+		t.Fatalf("RunUntilIdle: %v", err)
+	}
+	if warm.State != Done || !warm.verdict.WarmStarted {
+		t.Fatalf("second session %v (%s), warm started %v; want a done warm start", warm.State, warm.Err, warm.verdict.WarmStarted)
+	}
+	lastHandle, firstRetune := -1, -1
+	for i, ev := range warm.TraceCapture().Events {
+		switch ev.(type) {
+		case *trace.HandleDecl:
+			lastHandle = i
+		case *trace.Retune:
+			if firstRetune < 0 {
+				firstRetune = i
+			}
+		}
+	}
+	if lastHandle < 0 || firstRetune < lastHandle {
+		t.Fatalf("first retune at event %d, last handle declaration at %d; want the retune after", firstRetune, lastHandle)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/hetmem/hetmem/internal/adapt"
-	"github.com/hetmem/hetmem/internal/charm"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
@@ -136,7 +135,7 @@ func (s *Scheduler) tenantFor(name string) *tenant {
 // options, and a built-in kernel's configuration, by that
 // configuration's own Validate. The returned options are ready for
 // NewManager; the configuration is nil for a registered kernel.
-func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, workload, error) {
+func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, kernels.Workload, error) {
 	if spec.Tenant == "" {
 		return core.Options{}, nil, fmt.Errorf("serve: submission needs a tenant")
 	}
@@ -199,7 +198,7 @@ func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, workload, error
 	if err := opts.Validate(); err != nil {
 		return core.Options{}, nil, fmt.Errorf("serve: options: %w", err)
 	}
-	var cfg workload
+	var cfg kernels.Workload
 	if k.config != nil {
 		cfg = k.config(*spec, s.cfg.NumPEs)
 		if err := cfg.Validate(); err != nil {
@@ -219,9 +218,9 @@ const maxBlocks = 1 << 16
 // decomposition returns the smallest grant that can make progress (one
 // task's dependence set must fit the session's whole HBM) and the
 // number of managed blocks the workload declares, both read from the
-// configuration its builder builds. Kernels registered with
-// RegisterKernel report (1, 0): the scheduler cannot see inside them.
-func decomposition(cfg workload) (minFootprint, blocks int64) {
+// configuration that builds it. Kernels registered with RegisterKernel
+// report (1, 0): the scheduler cannot see inside them.
+func decomposition(cfg kernels.Workload) (minFootprint, blocks int64) {
 	if cfg == nil {
 		return 1, 0
 	}
@@ -271,6 +270,7 @@ func (s *Scheduler) Submit(spec WorkloadSpec) (*Session, error) {
 		Arrival:   s.now,
 		Footprint: spec.Footprint,
 		opts:      opts,
+		cfg:       cfg,
 		ten:       ten,
 	}
 	s.sessions = append(s.sessions, sess)
@@ -307,8 +307,9 @@ func (s *Scheduler) admit() {
 }
 
 // start grants the budget and brings the session up: private machine
-// sized to the grant, manager, optional controller and recorder, app
-// seeded. Builder errors fail the session (the grant is returned).
+// sized to the grant and its manager, then the optional recorder, the
+// app and the optional controller, in exp's order, then the app
+// seeded. Build errors fail the session (the grant is returned).
 func (s *Scheduler) start(sess *Session) {
 	sess.ten.granted += sess.Footprint
 	sess.ten.running++
@@ -324,38 +325,29 @@ func (s *Scheduler) start(sess *Session) {
 	if seed == 0 {
 		seed = s.cfg.BaseSeed + int64(sess.id)
 	}
-	sess.env = kernels.NewEnv(kernels.EnvConfig{
-		Spec:   spec,
-		NumPEs: s.cfg.NumPEs,
-		Opts:   sess.opts,
-		Params: charm.DefaultParams(),
-		Seed:   seed,
-	})
+	sess.env = kernels.NewEnv(kernels.EnvConfig{Spec: spec, NumPEs: s.cfg.NumPEs, Opts: sess.opts, Seed: seed})
 	if sess.Spec.Trace {
 		sess.rec = trace.NewSessionRecorder(sess.env.MG, sess.ID, sess.Tenant)
 		sess.rec.Attach()
 	}
-	if sess.Spec.Adapt {
-		ctl, err := adapt.New(sess.env.MG, adapt.Config{Warm: sess.ten.warm})
-		if err != nil {
-			s.fail(sess, fmt.Sprintf("adapt: %v", err))
-			return
-		}
-		sess.ctl = ctl
-		ctl.Attach()
+	var (
+		app App
+		err error
+	)
+	if sess.cfg != nil {
+		app, err = sess.cfg.Build(sess.env.MG)
+	} else {
+		app, err = s.kernels[sess.Spec.Kernel].build(sess.env, sess.Spec)
 	}
-	app, err := s.kernels[sess.Spec.Kernel].build(sess.env, sess.Spec)
 	if err != nil {
 		s.fail(sess, fmt.Sprintf("build %s: %v", sess.Spec.Kernel, err))
 		return
 	}
 	sess.app = app
-	if sess.ctl != nil {
-		switch a := app.(type) { // the programs with iteration barriers
-		case *kernels.StencilApp:
-			a.OnIteration = sess.ctl.Barrier
-		case *kernels.ShiftApp:
-			a.OnIteration = sess.ctl.Barrier
+	if sess.Spec.Adapt {
+		if sess.ctl, err = adapt.New(sess.env.MG, app, adapt.Config{Warm: sess.ten.warm}); err != nil {
+			s.fail(sess, fmt.Sprintf("adapt: %v", err))
+			return
 		}
 	}
 	app.Start()

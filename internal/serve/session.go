@@ -96,8 +96,8 @@ type WorkloadSpec struct {
 
 // App is a seedable workload running on a session's private engine.
 // Start seeds the first wave of work without driving the engine; the
-// scheduler then advances the engine window by window until Done. The
-// kernels applications satisfy it as they are.
+// scheduler then advances the engine window by window until Done. Every
+// kernels.App satisfies it.
 type App interface {
 	Start()
 	Done() bool
@@ -110,21 +110,8 @@ type App interface {
 // environment. The spec is fully normalized (all defaults resolved).
 type AppBuilder func(env *kernels.Env, spec WorkloadSpec) (App, error)
 
-// workload is a built-in kernel's configuration (a kernels
-// StencilConfig, ShiftConfig or MatMulConfig): Submit validates a
-// submission and sizes its session by it, and the kernel's builder
-// builds it.
-type workload interface {
-	Validate() error
-	// Handles returns the managed blocks the application declares.
-	Handles() int
-	// TaskDepBytes returns the largest dependence set one task
-	// declares: the least HBM a session can make progress in.
-	TaskDepBytes() int64
-}
-
 // stencilConfig is the "stencil" kernel's configuration for a spec.
-func stencilConfig(spec WorkloadSpec, numPEs int) kernels.StencilConfig {
+func stencilConfig(spec WorkloadSpec, numPEs int) kernels.Workload {
 	cfg := kernels.DefaultStencilConfig()
 	cfg.NumPEs = numPEs
 	cfg.TotalBytes = spec.Bytes
@@ -136,7 +123,7 @@ func stencilConfig(spec WorkloadSpec, numPEs int) kernels.StencilConfig {
 
 // shiftConfig is the "shift" kernel's configuration for a spec: the hot
 // set is Reduced, the shift widens it to Bytes, over 4 chares per PE.
-func shiftConfig(spec WorkloadSpec, numPEs int) kernels.ShiftConfig {
+func shiftConfig(spec WorkloadSpec, numPEs int) kernels.Workload {
 	chares := 4 * numPEs
 	pre := max(spec.Iterations/2, 1)
 	return kernels.ShiftConfig{
@@ -152,7 +139,7 @@ func shiftConfig(spec WorkloadSpec, numPEs int) kernels.ShiftConfig {
 
 // matmulConfig is the "matmul" kernel's configuration for a spec: the
 // block grid is the one GridFor picks for the session's grant.
-func matmulConfig(spec WorkloadSpec, numPEs int) kernels.MatMulConfig {
+func matmulConfig(spec WorkloadSpec, numPEs int) kernels.Workload {
 	cfg := kernels.DefaultMatMulConfig()
 	cfg.NumPEs = numPEs
 	cfg.TotalBytes = spec.Bytes
@@ -160,34 +147,19 @@ func matmulConfig(spec WorkloadSpec, numPEs int) kernels.MatMulConfig {
 	return cfg
 }
 
-// kernel is one registry entry: its builder and, for a built-in, its
-// spec→config translation.
+// kernel is one registry entry: a built-in kernel's spec→config
+// translation, or a registered kernel's builder.
 type kernel struct {
+	config func(spec WorkloadSpec, numPEs int) kernels.Workload
 	build  AppBuilder
-	config func(WorkloadSpec, int) workload
-}
-
-// builtin makes the registry entry of a built-in kernel from its
-// configuration and its kernels constructor.
-func builtin[C workload, A App](config func(WorkloadSpec, int) C, build func(*core.Manager, C) (A, error)) kernel {
-	return kernel{
-		build: func(env *kernels.Env, spec WorkloadSpec) (App, error) {
-			app, err := build(env.MG, config(spec, env.RT.NumPEs()))
-			if err != nil {
-				return nil, err
-			}
-			return app, nil
-		},
-		config: func(spec WorkloadSpec, numPEs int) workload { return config(spec, numPEs) },
-	}
 }
 
 // builtinKernels returns the default kernel registry.
 func builtinKernels() map[string]kernel {
 	return map[string]kernel{
-		"stencil": builtin(stencilConfig, kernels.NewStencil),
-		"shift":   builtin(shiftConfig, kernels.NewShift),
-		"matmul":  builtin(matmulConfig, kernels.NewMatMul),
+		"stencil": {config: stencilConfig},
+		"shift":   {config: shiftConfig},
+		"matmul":  {config: matmulConfig},
 	}
 }
 
@@ -224,7 +196,10 @@ type Session struct {
 	Footprint int64
 
 	opts core.Options
-	ten  *tenant
+	// cfg is a built-in kernel's configuration, which sized the
+	// session and builds its app; nil for a registered kernel.
+	cfg kernels.Workload
+	ten *tenant
 
 	// base is the global virtual time at which the session's private
 	// engine (whose clock starts at 0) was started.

@@ -34,12 +34,10 @@ func runAdaptiveStencil(t *testing.T, record bool) (float64, []adapt.Decision, *
 	if err != nil {
 		t.Fatalf("NewStencil: %v", err)
 	}
-	ctl, err := adapt.New(env.MG, adapt.Config{})
+	ctl, err := adapt.New(env.MG, app, adapt.Config{})
 	if err != nil {
 		t.Fatalf("adapt.New: %v", err)
 	}
-	ctl.Attach()
-	app.OnIteration = ctl.Barrier
 	mk, err := app.Run()
 	if err != nil {
 		t.Fatalf("adaptive stencil run: %v", err)
@@ -126,10 +124,10 @@ func TestSinkOrder(t *testing.T) {
 	}
 
 	// Order: a completion-sampled controller decides inside the
-	// task-done emit of every k-th task. The recorder, attached before
-	// it, has already seen that task's done; a sink attached after it
-	// sees the decision first.
-	const k = 16
+	// task-done emit of every k-th task, k the PE count. The recorder,
+	// attached before it, has already seen that task's done; a sink
+	// attached after it sees the decision first.
+	k := exp.Small.NumPEs()
 	env := kernels.NewEnv(kernels.EnvConfig{Spec: exp.Small.Machine(), NumPEs: exp.Small.NumPEs(), Opts: smallOpts()})
 	defer env.Close()
 	app, err := kernels.NewMatMul(env.MG, exp.Small.MatMulConfig(exp.Small.MatMulTotalSizes()[0]))
@@ -138,11 +136,10 @@ func TestSinkOrder(t *testing.T) {
 	}
 	rec := trace.NewRecorder(env.MG)
 	rec.Attach()
-	ctl, err := adapt.New(env.MG, adapt.Config{SampleEvery: k})
+	ctl, err := adapt.New(env.MG, app, adapt.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl.Attach()
 	after := &doneLog{}
 	env.RT.Attach(after)
 	if _, err := app.Run(); err != nil {
