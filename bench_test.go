@@ -259,11 +259,11 @@ func runManagerDispatch(observed bool) (int64, error) {
 	opts.Metrics = observed
 	sizes := s.StencilReducedSizes()
 	env := kernels.NewEnv(kernels.EnvConfig{
-		Spec:   s.Machine(),
-		NumPEs: s.NumPEs(),
-		Opts:   opts,
-		Params: charm.DefaultParams(),
-		Trace:  observed,
+		Spec:        s.Machine(),
+		NumPEs:      s.NumPEs(),
+		Opts:        opts,
+		Params:      charm.DefaultParams(),
+		Projections: observed,
 	})
 	defer env.Close()
 	if observed {

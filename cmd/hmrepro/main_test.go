@@ -102,6 +102,8 @@ func TestUsageErrors(t *testing.T) {
 		{"run", "-scale", "smal"},
 		{"run", "-mode", "no"},
 		{"run", "-app", "fft"},
+		{"run", "-scale", "small", "-app", "matmul", "-iters", "7", "-reduced", "0.5"},
+		{"run", "-scale", "small", "-grid", "4"},
 		{"run", "-scale", "small", "-adapt", "-mode", "naive"},
 		{"run", "-scale", "small", "-adapt", "-mode", "ddr4only"},
 		{"run", "-nodes", "2", "-trace", "f.jsonl"},

@@ -7,11 +7,13 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/exp"
 	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/runner"
 	"github.com/hetmem/hetmem/internal/stream"
 	"github.com/hetmem/hetmem/internal/topology"
 )
@@ -58,6 +60,17 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if *appName != "stencil" && *appName != "matmul" {
 		return fail(stderr, 2, "unknown app %q (want stencil or matmul)", *appName)
 	}
+	// Each app reads its own sizing flags; the other app's are refused.
+	unread := map[string][]string{"stencil": {"grid"}, "matmul": {"reduced", "iters"}}[*appName]
+	var refused []string
+	fs.Visit(func(f *flag.Flag) {
+		if slices.Contains(unread, f.Name) {
+			refused = append(refused, "-"+f.Name)
+		}
+	})
+	if len(refused) > 0 {
+		return fail(stderr, 2, "-app %s does not read %s", *appName, strings.Join(refused, " or "))
+	}
 	stencil := scale.StencilConfig(scale.StencilReducedSizes()[1])
 	if *total > 0 {
 		stencil.TotalBytes = gbBytes(*total)
@@ -90,7 +103,12 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if *grid > 0 {
 		matmul.Grid = *grid
 	}
-	r := exp.Run{Spec: spec, NumPEs: scale.NumPEs(), Opts: opts, App: stencil, Adapt: exp.Adapt{On: *adaptOn}, Record: *traceOut != ""}
+	r := runner.Run{
+		EnvConfig: kernels.EnvConfig{Spec: spec, NumPEs: scale.NumPEs(), Opts: opts},
+		App:       stencil,
+		Adapt:     runner.Adapt{On: *adaptOn},
+		Record:    *traceOut != "",
+	}
 	if *appName == "matmul" {
 		r.App = matmul
 	}

@@ -484,7 +484,12 @@ func cmdTune(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return 2
 	}
-	rc, err := tune.Tune(c, tune.Config{NoAbandon: *noAbandon})
+	ev, err := tune.NewEvaluator(c)
+	if err != nil {
+		fmt.Fprintf(stderr, "hmtrace tune: %v\n", err)
+		return 2
+	}
+	rc, err := tune.TuneWith(ev, tune.Config{NoAbandon: *noAbandon})
 	if err != nil {
 		fmt.Fprintf(stderr, "hmtrace tune: %v\n", err)
 		if errors.Is(err, trace.ErrTierMismatch) {

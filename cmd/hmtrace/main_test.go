@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/exp"
 	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/runner"
 	"github.com/hetmem/hetmem/internal/trace"
 	"github.com/hetmem/hetmem/internal/tune"
 )
@@ -132,7 +134,7 @@ func TestEndToEnd(t *testing.T) {
 		}
 		knobs := w.Meta.Knobs
 		knobs.EvictPolicy = "lookahead"
-		res, err := w.Replay(trace.ReplayConfig{Knobs: &knobs})
+		res, err := runner.Replay(w, runner.ReplayConfig{Knobs: &knobs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,6 +312,45 @@ func TestCorruptCapture(t *testing.T) {
 	// Missing file.
 	if code, _, _ := exec("summary", filepath.Join(dir, "nope.jsonl")); code != 2 {
 		t.Fatalf("summary of missing file: exit %d, want 2", code)
+	}
+}
+
+// TestUnplaceableSendsFailReplay: a send no chare array can take — a
+// negative element index, or an element placed outside the capture's
+// PEs — makes whatif and tune exit 2 with an error, as other damaged
+// captures do, instead of panicking while the replay is built.
+func TestUnplaceableSendsFailReplay(t *testing.T) {
+	b, err := os.ReadFile(sampleCapture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstSend := regexp.MustCompile(`("k":"send".*"id":0,.*"idx":)1,`)
+	chareOne := regexp.MustCompile(`("k":"send".*"arr":"stencil3d","idx":1,.*"pe":)\d+`)
+	for _, tc := range []struct {
+		name string
+		re   *regexp.Regexp
+		repl string
+		want string
+	}{
+		{"negative index", firstSend, "${1}-1,", "stencil3d[-1], a negative index"},
+		{"PE 999", chareOne, "${1}999", "stencil3d[1] on PE 999, outside the capture's 8 PEs"},
+		{"PE -3", chareOne, "${1}-3", "stencil3d[1] on PE -3, outside the capture's 8 PEs"},
+	} {
+		damaged := tc.re.ReplaceAll(b, []byte(tc.repl))
+		if bytes.Equal(damaged, b) {
+			t.Fatalf("%s: the edit changed nothing", tc.name)
+		}
+		path := filepath.Join(t.TempDir(), "damaged.jsonl")
+		if err := os.WriteFile(path, damaged, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{{"whatif"}, {"tune", "-o", "-"}} {
+			code, out, errb := exec(append(args, path)...)
+			if code != 2 || out != "" || !strings.Contains(errb, tc.want) {
+				t.Errorf("%s: %s exited %d with stdout %q, stderr %q; want 2, nothing, and %q",
+					tc.name, args[0], code, out, errb, tc.want)
+			}
+		}
 	}
 }
 

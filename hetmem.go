@@ -43,6 +43,7 @@ import (
 	"github.com/hetmem/hetmem/internal/memsim"
 	"github.com/hetmem/hetmem/internal/numa"
 	"github.com/hetmem/hetmem/internal/projections"
+	"github.com/hetmem/hetmem/internal/runner"
 	"github.com/hetmem/hetmem/internal/serve"
 	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/topology"
@@ -278,12 +279,13 @@ type (
 	// TraceSummary is the terminal digest of a capture (occupancy,
 	// overlap, exposed staging).
 	TraceSummary = trace.Summary
-	// TraceWorkload is a capture reconstructed for replay.
+	// TraceWorkload is a capture reconstructed for replay; ReplayTrace
+	// runs it.
 	TraceWorkload = trace.Workload
 	// TraceReplayConfig parameterises a replay (nil Knobs = faithful).
-	TraceReplayConfig = trace.ReplayConfig
+	TraceReplayConfig = runner.ReplayConfig
 	// TraceReplayResult is a finished replay with its own capture.
-	TraceReplayResult = trace.ReplayResult
+	TraceReplayResult = runner.ReplayResult
 	// TraceOutcome condenses a capture for what-if comparison.
 	TraceOutcome = trace.Outcome
 )
@@ -307,6 +309,13 @@ func ExportChromeTrace(c *TraceCapture, w io.Writer) error { return trace.Export
 
 // ReconstructTrace extracts the replayable workload from a capture.
 func ReconstructTrace(c *TraceCapture) (*TraceWorkload, error) { return trace.Reconstruct(c) }
+
+// ReplayTrace re-drives a reconstructed workload through the real
+// scheduler on the capture's machine, recording the replay's own
+// capture.
+func ReplayTrace(w *TraceWorkload, cfg TraceReplayConfig) (*TraceReplayResult, error) {
+	return runner.Replay(w, cfg)
+}
 
 // --- offline autotuner ---
 
@@ -350,6 +359,14 @@ type (
 	MatMulConfig = kernels.MatMulConfig
 	// MatMulApp is an instantiated MatMul benchmark.
 	MatMulApp = kernels.MatMulApp
+	// Workload is an application's configuration (StencilConfig,
+	// MatMulConfig, or a caller's own): it validates itself, says how
+	// many blocks it declares and the least HBM one task needs, and
+	// builds its App on a manager.
+	Workload = kernels.Workload
+	// App is a built application: Start seeds it, Run drives it to
+	// completion, Done and FinishedAt report its completion.
+	App = kernels.App
 	// Env bundles engine + machine + runtime + manager for one run.
 	Env = kernels.Env
 	// EnvConfig parameterises NewEnv.
@@ -388,7 +405,11 @@ type (
 	// per-session runtime knobs.
 	ServeWorkloadSpec = serve.WorkloadSpec
 	// ServeScheduler is the deterministic multi-session core: admission
-	// control, budget enforcement and weighted-fair lane sharing.
+	// control, budget enforcement and weighted-fair lane sharing. Its
+	// RegisterKernel(name, config) adds a kernel, where config maps a
+	// normalized submission and the PE count to the Workload that
+	// validates and sizes the session and builds its app, as the
+	// built-in stencil, matmul and shift kernels do.
 	ServeScheduler = serve.Scheduler
 	// ServeServer wraps a Scheduler with the HTTP/JSON API and a
 	// virtual-time drive loop.

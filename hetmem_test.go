@@ -114,3 +114,34 @@ func TestFacadeApps(t *testing.T) {
 	}
 	env2.Close()
 }
+
+// TestFacadeRegisterKernel registers a kernel through the facade: a
+// function from a submission to the Workload that sizes, validates and
+// builds the session's app, here a smaller stencil than the built-in.
+func TestFacadeRegisterKernel(t *testing.T) {
+	spec := hetmem.KNL7250()
+	spec.Cores = 8
+	spec.HBMCap = 2 * hetmem.GB
+	spec.DDRCap = 12 * hetmem.GB
+	sched, err := hetmem.NewServeScheduler(hetmem.ServeConfig{Spec: spec, NumPEs: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.RegisterKernel("halfstencil", func(s hetmem.ServeWorkloadSpec, numPEs int) hetmem.Workload {
+		cfg := hetmem.DefaultStencilConfig()
+		cfg.NumPEs = numPEs
+		cfg.TotalBytes, cfg.ReducedBytes = s.Bytes/2, s.Reduced/2
+		cfg.Iterations, cfg.Sweeps = s.Iterations, s.Sweeps
+		return cfg
+	})
+	sess, err := sched.Submit(hetmem.ServeWorkloadSpec{Tenant: "acme", Kernel: "halfstencil", Bytes: hetmem.GB, Sweeps: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sched.RunUntilIdle(0); err != nil {
+		t.Fatal(err)
+	}
+	if sess.State.String() != "done" || sess.Makespan() <= 0 {
+		t.Fatalf("session %v (%s) after %v s, want done", sess.State, sess.Err, sess.Makespan())
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/runner"
 )
 
 // X10 compares the eviction victim-selection policies (DeclOrder, LRU,
@@ -126,14 +127,14 @@ func (sw *Sweep) x10Options(pol core.EvictPolicy) core.Options {
 
 // x10Shift is the shift program under one policy: X10's fixed run and
 // the real side of X11's what-if table.
-func (sw *Sweep) x10Shift(pol core.EvictPolicy) Run {
+func (sw *Sweep) x10Shift(pol core.EvictPolicy) runner.Run {
 	return sw.run(sw.x10Options(pol), sw.Scale.ShiftConfig())
 }
 
 // x10Capture is X10's declaration-order shift run with a recorder:
 // the capture X11 replays under every victim policy and X15's offline
 // search has to improve on.
-func (sw *Sweep) x10Capture() Run {
+func (sw *Sweep) x10Capture() runner.Run {
 	r := sw.x10Shift(core.DeclOrder)
 	r.Record = true
 	return r
@@ -141,7 +142,7 @@ func (sw *Sweep) x10Capture() Run {
 
 // x10Row runs one fixed-policy workload and reads its counters into a
 // row.
-func (sw *Sweep) x10Row(workload string, pol core.EvictPolicy, r Run) (X10Row, error) {
+func (sw *Sweep) x10Row(workload string, pol core.EvictPolicy, r runner.Run) (X10Row, error) {
 	row := X10Row{Workload: workload, Policy: pol.Name()}
 	o, err := sw.do(r)
 	if err != nil {

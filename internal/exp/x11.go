@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/hetmem/hetmem/internal/core"
+	"github.com/hetmem/hetmem/internal/runner"
 	"github.com/hetmem/hetmem/internal/trace"
 )
 
@@ -37,7 +38,7 @@ import (
 // the makespan (engine time at capture finish, the same instant a
 // replay's footer is stamped at); without, it is the baseline for the
 // capture-overhead measurement.
-func (sw *Sweep) x11Fidelity(record bool) Run {
+func (sw *Sweep) x11Fidelity(record bool) runner.Run {
 	opts := sw.Options(core.MultiIO)
 	opts.Metrics = true
 	r := sw.run(opts, sw.Scale.overflowStencil())
@@ -131,7 +132,7 @@ func (sw *Sweep) X11() (*X11Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: x11 reconstruct: %w", err)
 	}
-	rep, err := w.Replay(trace.ReplayConfig{})
+	rep, err := runner.Replay(w, runner.ReplayConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("exp: x11 fidelity replay: %w", err)
 	}
@@ -163,7 +164,7 @@ func (sw *Sweep) X11() (*X11Result, error) {
 		knobs.EvictPolicy = pol.Name()
 		// The what-if rows read the verdict alone, so the replay records
 		// nothing.
-		v, err := shift.Judge(trace.ReplayConfig{Knobs: &knobs})
+		v, err := runner.Judge(shift, runner.ReplayConfig{Knobs: &knobs})
 		if err != nil {
 			return nil, fmt.Errorf("exp: x11 what-if %s: %w", pol.Name(), err)
 		}

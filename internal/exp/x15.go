@@ -5,6 +5,7 @@ import (
 
 	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
+	"github.com/hetmem/hetmem/internal/runner"
 	"github.com/hetmem/hetmem/internal/trace"
 	"github.com/hetmem/hetmem/internal/tune"
 )
@@ -87,7 +88,7 @@ func (r *X15Result) Pass() error {
 
 // x15Point runs the cold climb, seeds the warm run with its verdict and
 // assembles the point.
-func (sw *Sweep) x15Point(app string, size int64, run func(warm core.Options) Run) (X15Point, error) {
+func (sw *Sweep) x15Point(app string, size int64, run func(warm core.Options) runner.Run) (X15Point, error) {
 	p := X15Point{App: app, Size: size}
 	cold, err := sw.do(run(core.Options{}))
 	if err != nil {
@@ -136,7 +137,7 @@ func (sw *Sweep) X15() (*X15Result, error) {
 	s := sw.Scale
 	res := &X15Result{Scale: s}
 	for _, red := range s.StencilReducedSizes() {
-		p, err := sw.x15Point("stencil", red, func(warm core.Options) Run { return sw.adaptiveStencil(red, warm) })
+		p, err := sw.x15Point("stencil", red, func(warm core.Options) runner.Run { return sw.adaptiveStencil(red, warm) })
 		if err != nil {
 			return nil, err
 		}
@@ -150,7 +151,7 @@ func (sw *Sweep) X15() (*X15Result, error) {
 		// comparison of float noise; from d1 the cold climb has the
 		// depth ladder to walk, which is exactly the work the warm start
 		// is supposed to skip.
-		p, err := sw.x15Point("matmul", total, func(warm core.Options) Run { return sw.adaptiveMatMul(total, 1, warm) })
+		p, err := sw.x15Point("matmul", total, func(warm core.Options) runner.Run { return sw.adaptiveMatMul(total, 1, warm) })
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/runner"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -38,7 +39,7 @@ func (sw *Sweep) AblationEviction() (*EvictionResult, error) {
 		{"Stencil3D", s.StencilConfig(s.StencilReducedSizes()[1])},
 		{"MatMul", s.MatMulConfig(s.MatMulTotalSizes()[0])},
 	} {
-		var runs [2]*Outcome // eager, lazy
+		var runs [2]*runner.Outcome // eager, lazy
 		for i := range runs {
 			opts := sw.Options(core.MultiIO)
 			opts.EvictLazily = i == 1

@@ -7,6 +7,7 @@ import (
 	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/runner"
 )
 
 // X9 pits the online adaptive controller against a grid of fixed
@@ -114,7 +115,7 @@ func (sw *Sweep) X9() (*X9Result, error) {
 		// favours, with unlimited prefetch depth; adaptation cost lands in
 		// the total-time metric.
 		p, err := sw.x9Point("matmul", total, s.MatMulConfig(total), sw.adaptiveMatMul(total, 0, core.Options{}),
-			func(o *Outcome) float64 { return float64(o.Time) })
+			func(o *runner.Outcome) float64 { return float64(o.Time) })
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +126,7 @@ func (sw *Sweep) X9() (*X9Result, error) {
 
 // x9Point runs the fixed grid on app and the adaptive run at one size;
 // metric scores a run.
-func (sw *Sweep) x9Point(name string, size int64, app kernels.Workload, adaptive Run, metric func(*Outcome) float64) (X9Point, error) {
+func (sw *Sweep) x9Point(name string, size int64, app kernels.Workload, adaptive runner.Run, metric func(*runner.Outcome) float64) (X9Point, error) {
 	p := X9Point{App: name, Size: size, Fixed: make(map[string]float64)}
 	for _, f := range x9Grid() {
 		o, err := sw.do(sw.run(f.options(sw), app))
@@ -146,7 +147,7 @@ func (sw *Sweep) x9Point(name string, size int64, app kernels.Workload, adaptive
 
 // stencilSteady returns the mean of the last x9SteadyIters iteration
 // deltas of a stencil run.
-func stencilSteady(o *Outcome) float64 {
+func stencilSteady(o *runner.Outcome) float64 {
 	n := len(o.IterEnd)
 	k := x9SteadyIters
 	if n < k+1 {
@@ -164,7 +165,7 @@ func stencilSteady(o *Outcome) float64 {
 // eager eviction. A zero warm is X9's cold climb; otherwise the
 // controller is seeded with that verdict, as hetmemd seeds a tenant's
 // next session (X15).
-func (sw *Sweep) adaptiveStencil(red int64, warm core.Options) Run {
+func (sw *Sweep) adaptiveStencil(red int64, warm core.Options) runner.Run {
 	return sw.adaptive(sw.Options(core.SingleIO), sw.Scale.x9Stencil(red), warm)
 }
 
@@ -175,7 +176,7 @@ func (sw *Sweep) adaptiveStencil(red int64, warm core.Options) Run {
 // of one task per PE: small enough that the climb finishes in the first
 // tenth of the run, and still stable, since MatMul's tasks are uniform.
 // warm is as for adaptiveStencil.
-func (sw *Sweep) adaptiveMatMul(total int64, depth int, warm core.Options) Run {
+func (sw *Sweep) adaptiveMatMul(total int64, depth int, warm core.Options) runner.Run {
 	opts := sw.Options(core.MultiIO)
 	opts.PrefetchDepth = depth
 	return sw.adaptive(opts, sw.Scale.MatMulConfig(total), warm)

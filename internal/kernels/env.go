@@ -20,14 +20,15 @@ type Env struct {
 	Tracer *projections.Tracer
 }
 
-// EnvConfig parameterises NewEnv.
+// EnvConfig parameterises NewEnv. Projections attaches a Projections
+// tracer to the runtime's event stream.
 type EnvConfig struct {
-	Spec   topology.MachineSpec
-	NumPEs int
-	Opts   core.Options
-	Params charm.Params
-	Trace  bool
-	Seed   int64
+	Spec        topology.MachineSpec
+	NumPEs      int
+	Opts        core.Options
+	Params      charm.Params
+	Projections bool
+	Seed        int64
 }
 
 // NewEnv builds a ready environment. Zero Params fields fall back to
@@ -45,7 +46,7 @@ func NewEnv(cfg EnvConfig) *Env {
 	mach := cfg.Spec.MustBuild(e)
 	rt := charm.NewRuntime(mach, cfg.NumPEs, params)
 	var tr *projections.Tracer
-	if cfg.Trace {
+	if cfg.Projections {
 		tr = projections.NewTracer(e, cfg.NumPEs)
 		rt.Attach(tr)
 	}

@@ -44,11 +44,13 @@ var globalRandAllowed = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true,
 }
 
-// statelessPkgs are the simulation packages whose non-test files may
-// not write a package-level variable outside its initialiser.
+// statelessPkgs are the simulation packages, and those that build and
+// run simulations, whose non-test files may not write a package-level
+// variable outside its initialiser.
 var statelessPkgs = []string{
 	"internal/sim", "internal/memsim", "internal/numa", "internal/core",
-	"internal/charm", "internal/kernels", "internal/exp",
+	"internal/charm", "internal/kernels", "internal/exp", "internal/runner",
+	"internal/trace", "internal/tune", "internal/adapt", "internal/serve",
 }
 
 func runDeterminism(p *Pass) {

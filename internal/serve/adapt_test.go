@@ -3,7 +3,6 @@ package serve
 import (
 	"testing"
 
-	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/trace"
 )
 
@@ -25,7 +24,7 @@ func TestAdaptiveSessionRuns(t *testing.T) {
 	if sess.State != Running {
 		t.Fatalf("adaptive session did not start: state %v, err %q", sess.State, sess.Err)
 	}
-	if sess.ctl == nil {
+	if sess.live.Ctl == nil {
 		t.Fatalf("adaptive session has no controller")
 	}
 	if err := s.RunUntilIdle(0); err != nil {
@@ -63,7 +62,7 @@ func TestWarmStartCarriesAcrossSessions(t *testing.T) {
 	if second.State != Running {
 		t.Fatalf("second session did not start: %v (%s)", second.State, second.Err)
 	}
-	if !second.ctl.Verdict().WarmStarted {
+	if !second.live.Ctl.Verdict().WarmStarted {
 		t.Fatalf("second adaptive session of the tenant did not warm start")
 	}
 	if err := s.RunUntilIdle(0); err != nil {
@@ -81,7 +80,7 @@ func TestWarmStartCarriesAcrossSessions(t *testing.T) {
 	}
 	// A different tenant stays cold: warm verdicts are per-tenant.
 	other := mustSubmit(t, s, adaptiveStencil("globex"))
-	if other.ctl.Verdict().WarmStarted {
+	if other.live.Ctl.Verdict().WarmStarted {
 		t.Fatalf("another tenant's session inherited a foreign warm verdict")
 	}
 	if err := s.RunUntilIdle(0); err != nil {
@@ -144,11 +143,8 @@ func TestAdaptiveSessionWithoutBarriersDecides(t *testing.T) {
 	for _, kernel := range []string{"matmul", "custom"} {
 		t.Run(kernel, func(t *testing.T) {
 			s := mustScheduler(t, testConfig())
-			s.RegisterKernel("custom", func(env *kernels.Env, spec WorkloadSpec) (App, error) {
-				return matmulConfig(spec, env.RT.NumPEs()).Build(env.MG)
-			})
-			spec := smallStencil("acme")
-			spec.Kernel = kernel
+			s.RegisterKernel("custom", matmulConfig)
+			spec := withKernel(smallStencil("acme"), kernel)
 			spec.Adapt = true
 			sess := mustSubmit(t, s, spec)
 			if err := s.RunUntilIdle(0); err != nil {

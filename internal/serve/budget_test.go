@@ -163,8 +163,7 @@ func TestAuditConservationAcrossSessions(t *testing.T) {
 
 	kernels := []string{"stencil", "shift", "matmul"}
 	for i := 0; i < 6; i++ {
-		spec := smallStencil([]string{"a", "b"}[i%2])
-		spec.Kernel = kernels[i%3]
+		spec := withKernel(smallStencil([]string{"a", "b"}[i%2]), kernels[i%3])
 		if code, _ := post(t, ts, spec); code != http.StatusAccepted {
 			t.Fatalf("submit %d rejected", i)
 		}

@@ -5,6 +5,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
 )
@@ -41,8 +42,9 @@ func (a *faultyApp) Start() {
 	}
 }
 
-func (a *faultyApp) Done() bool           { return a.finished }
-func (a *faultyApp) FinishedAt() sim.Time { return 0 }
+func (a *faultyApp) Run() (sim.Time, error) { a.Start(); a.eng.RunAll(); return 0, nil }
+func (a *faultyApp) Done() bool             { return a.finished }
+func (a *faultyApp) FinishedAt() sim.Time   { return 0 }
 
 // TestSessionPanicStaysInSession: a registered kernel that panics
 // mid-window fails its own session with the panic in Err and returns
@@ -67,11 +69,11 @@ func TestSessionPanicStaysInSession(t *testing.T) {
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			s := srv.Scheduler()
-			s.RegisterKernel("faulty", func(env *kernels.Env, _ WorkloadSpec) (App, error) {
+			s.RegisterKernel("faulty", registered(func(mg *core.Manager) (kernels.App, error) {
 				app := tc.app
-				app.eng = env.Eng
+				app.eng = mg.Runtime().Engine()
 				return &app, nil
-			})
+			}))
 			healthy := mustSubmit(t, s, smallStencil("acme"))
 			spec := smallStencil("beta")
 			spec.Kernel = "faulty"

@@ -2,12 +2,12 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
-	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/runner"
 	"github.com/hetmem/hetmem/internal/sim"
-	"github.com/hetmem/hetmem/internal/trace"
 )
 
 // Scheduler is the deterministic multi-session core: registry, job
@@ -62,10 +62,13 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// RegisterKernel adds (or replaces) a named workload builder. The
-// built-ins are "stencil", "matmul" and "shift"; a kernel registered
-// under one of their names is sized like any other registered kernel.
-func (s *Scheduler) RegisterKernel(name string, b AppBuilder) { s.kernels[name] = kernel{build: b} }
+// RegisterKernel adds (or replaces) a named kernel: config turns a
+// normalized submission into the configuration that validates, sizes
+// and builds the session's app, as the built-ins "stencil", "matmul"
+// and "shift" do. A registered kernel reads every spec field.
+func (s *Scheduler) RegisterKernel(name string, config func(spec WorkloadSpec, numPEs int) kernels.Workload) {
+	s.kernels[name] = kernel{config: config, iterative: true}
+}
 
 // AddTenant pre-registers a tenant with an explicit budget and weight.
 func (s *Scheduler) AddTenant(tc TenantConfig) error {
@@ -132,9 +135,9 @@ func (s *Scheduler) tenantFor(name string) *tenant {
 
 // normalize resolves the spec's defaults against the machine and
 // validates everything the manager would otherwise reject mid-run: the
-// options, and a built-in kernel's configuration, by that
-// configuration's own Validate. The returned options are ready for
-// NewManager; the configuration is nil for a registered kernel.
+// fields the kernel does not read, the options, and the kernel's
+// configuration, by that configuration's own Validate. The returned
+// options are ready for NewManager.
 func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, kernels.Workload, error) {
 	if spec.Tenant == "" {
 		return core.Options{}, nil, fmt.Errorf("serve: submission needs a tenant")
@@ -142,6 +145,13 @@ func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, kernels.Workloa
 	k, ok := s.kernels[spec.Kernel]
 	if !ok {
 		return core.Options{}, nil, fmt.Errorf("serve: unknown kernel %q", spec.Kernel)
+	}
+	if !k.iterative && (spec.Iterations != 0 || spec.Sweeps != 0) {
+		field := "iterations"
+		if spec.Iterations == 0 {
+			field = "sweeps"
+		}
+		return core.Options{}, nil, fmt.Errorf("serve: kernel %s does not read %s", spec.Kernel, field)
 	}
 	if spec.Strategy == "" {
 		spec.Strategy = "multi"
@@ -171,10 +181,10 @@ func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, kernels.Workloa
 	if spec.Bytes > s.cfg.Spec.DDRCap {
 		return core.Options{}, nil, fmt.Errorf("serve: total bytes %d exceed far-memory capacity %d", spec.Bytes, s.cfg.Spec.DDRCap)
 	}
-	if spec.Iterations == 0 {
+	if k.iterative && spec.Iterations == 0 {
 		spec.Iterations = 2
 	}
-	if spec.Sweeps == 0 {
+	if k.iterative && spec.Sweeps == 0 {
 		spec.Sweeps = 20
 	}
 	// The stencil divides the active set across the PEs and the shift
@@ -198,12 +208,9 @@ func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, kernels.Workloa
 	if err := opts.Validate(); err != nil {
 		return core.Options{}, nil, fmt.Errorf("serve: options: %w", err)
 	}
-	var cfg kernels.Workload
-	if k.config != nil {
-		cfg = k.config(*spec, s.cfg.NumPEs)
-		if err := cfg.Validate(); err != nil {
-			return core.Options{}, nil, fmt.Errorf("serve: %s: %w", spec.Kernel, err)
-		}
+	cfg := k.config(*spec, s.cfg.NumPEs)
+	if err := cfg.Validate(); err != nil {
+		return core.Options{}, nil, fmt.Errorf("serve: %s: %w", spec.Kernel, err)
 	}
 	return opts, cfg, nil
 }
@@ -214,18 +221,6 @@ func (s *Scheduler) normalize(spec *WorkloadSpec) (core.Options, kernels.Workloa
 // every tenant while it is built (and exhaust memory well before). The
 // sessions the experiments submit declare a few hundred at most.
 const maxBlocks = 1 << 16
-
-// decomposition returns the smallest grant that can make progress (one
-// task's dependence set must fit the session's whole HBM) and the
-// number of managed blocks the workload declares, both read from the
-// configuration that builds it. Kernels registered with RegisterKernel
-// report (1, 0): the scheduler cannot see inside them.
-func decomposition(cfg kernels.Workload) (minFootprint, blocks int64) {
-	if cfg == nil {
-		return 1, 0
-	}
-	return cfg.TaskDepBytes(), int64(cfg.Handles())
-}
 
 // Submit validates a submission, stores it as a Queued session and
 // tries immediate admission. Rejections return an error and record no
@@ -238,40 +233,51 @@ func (s *Scheduler) Submit(spec WorkloadSpec) (*Session, error) {
 		return nil, err
 	}
 	ten := s.tenantFor(spec.Tenant)
-	if spec.Footprint > ten.budget || spec.Footprint > s.budget {
-		s.rejected++
-		ten.rejected++
-		return nil, fmt.Errorf("%w: footprint %d, tenant budget %d, machine budget %d",
+	// The smallest grant that can make progress (one task's dependence
+	// set must fit the session's whole HBM) and the managed blocks the
+	// app declares, both read from the configuration that builds it.
+	min, blocks := cfg.TaskDepBytes(), int64(cfg.Handles())
+	switch {
+	case spec.Footprint > ten.budget || spec.Footprint > s.budget:
+		err = fmt.Errorf("%w: footprint %d, tenant budget %d, machine budget %d",
 			ErrOverBudget, spec.Footprint, ten.budget, s.budget)
-	}
-	min, blocks := decomposition(cfg)
-	if spec.Footprint < min {
-		s.rejected++
-		ten.rejected++
-		return nil, fmt.Errorf("serve: footprint %d cannot hold one task's dependences (%d)", spec.Footprint, min)
-	}
-	if blocks > maxBlocks {
-		s.rejected++
-		ten.rejected++
-		return nil, fmt.Errorf("serve: %s of %d bytes over %d-byte active set decomposes into %d blocks, above %d",
+	case spec.Footprint < min:
+		err = fmt.Errorf("serve: footprint %d cannot hold one task's dependences (%d)", spec.Footprint, min)
+	case blocks > maxBlocks:
+		err = fmt.Errorf("serve: %s of %d bytes over %d-byte active set decomposes into %d blocks, above %d",
 			spec.Kernel, spec.Bytes, spec.Reduced, blocks, maxBlocks)
+	case len(s.queue) >= s.cfg.MaxQueue:
+		err = ErrQueueFull
 	}
-	if len(s.queue) >= s.cfg.MaxQueue {
+	if err != nil {
 		s.rejected++
 		ten.rejected++
-		return nil, ErrQueueFull
+		return nil, err
 	}
+	id := len(s.sessions)
 	sess := &Session{
-		id:        len(s.sessions),
-		ID:        fmt.Sprintf("s%04d", len(s.sessions)),
+		id:        id,
+		ID:        fmt.Sprintf("s%04d", id),
 		Tenant:    spec.Tenant,
 		Spec:      spec,
 		State:     Queued,
 		Arrival:   s.now,
 		Footprint: spec.Footprint,
-		opts:      opts,
-		cfg:       cfg,
 		ten:       ten,
+	}
+	machine := s.cfg.Spec
+	machine.HBMCap = spec.Footprint
+	seed := spec.Seed
+	if seed == 0 {
+		seed = s.cfg.BaseSeed + int64(id)
+	}
+	sess.run = runner.Run{
+		EnvConfig: kernels.EnvConfig{Spec: machine, NumPEs: s.cfg.NumPEs, Opts: opts, Seed: seed},
+		App:       cfg,
+		Adapt:     runner.Adapt{On: spec.Adapt},
+		Record:    spec.Trace,
+		Session:   sess.ID,
+		Tenant:    spec.Tenant,
 	}
 	s.sessions = append(s.sessions, sess)
 	s.queue = append(s.queue, sess)
@@ -306,10 +312,10 @@ func (s *Scheduler) admit() {
 	s.queue = kept
 }
 
-// start grants the budget and brings the session up: private machine
-// sized to the grant and its manager, then the optional recorder, the
-// app and the optional controller, in exp's order, then the app
-// seeded. Build errors fail the session (the grant is returned).
+// start grants the budget and brings the session up: its run is built
+// (private machine sized to the grant, recorder, app, controller warm
+// started from the tenant's last settled verdict) and the app seeded.
+// Build errors fail the session (the grant is returned).
 func (s *Scheduler) start(sess *Session) {
 	sess.ten.granted += sess.Footprint
 	sess.ten.running++
@@ -319,38 +325,17 @@ func (s *Scheduler) start(sess *Session) {
 	sess.Started = s.now
 	sess.base = s.now
 
-	spec := s.cfg.Spec
-	spec.HBMCap = sess.Footprint
-	seed := sess.Spec.Seed
-	if seed == 0 {
-		seed = s.cfg.BaseSeed + int64(sess.id)
+	r := sess.run
+	if r.Adapt.On && sess.ten.warm != nil {
+		r.Adapt.Warm = *sess.ten.warm
 	}
-	sess.env = kernels.NewEnv(kernels.EnvConfig{Spec: spec, NumPEs: s.cfg.NumPEs, Opts: sess.opts, Seed: seed})
-	if sess.Spec.Trace {
-		sess.rec = trace.NewSessionRecorder(sess.env.MG, sess.ID, sess.Tenant)
-		sess.rec.Attach()
-	}
-	var (
-		app App
-		err error
-	)
-	if sess.cfg != nil {
-		app, err = sess.cfg.Build(sess.env.MG)
-	} else {
-		app, err = s.kernels[sess.Spec.Kernel].build(sess.env, sess.Spec)
-	}
+	live, err := r.Build()
+	sess.live, sess.rec = live, live.Rec
 	if err != nil {
 		s.fail(sess, fmt.Sprintf("build %s: %v", sess.Spec.Kernel, err))
 		return
 	}
-	sess.app = app
-	if sess.Spec.Adapt {
-		if sess.ctl, err = adapt.New(sess.env.MG, app, adapt.Config{Warm: sess.ten.warm}); err != nil {
-			s.fail(sess, fmt.Sprintf("adapt: %v", err))
-			return
-		}
-	}
-	app.Start()
+	live.App.Start()
 	s.running = append(s.running, sess)
 }
 
@@ -366,18 +351,6 @@ func (s *Scheduler) release(sess *Session) {
 	s.lanes.forget(sess.ID)
 }
 
-// snapshotMetrics preserves the manager counters before the engine is
-// torn down.
-func (s *Scheduler) snapshotMetrics(sess *Session) {
-	if sess.env == nil {
-		return
-	}
-	if snap, ok := sess.env.MG.MetricsSnapshot(); ok {
-		snap.Label = sess.ID
-		sess.metrics, sess.hasMetric = snap, true
-	}
-}
-
 // terminal moves a running (or just-started) session into a terminal
 // state: budget released, metrics, controller verdict and capture
 // kept, engine reaped, and the environment, app and controller
@@ -388,23 +361,25 @@ func (s *Scheduler) terminal(sess *Session, state State, reason string) {
 	sess.Err = reason
 	sess.Finished = s.now
 	s.release(sess)
-	s.snapshotMetrics(sess)
+	live := sess.live
+	if snap, ok := live.MG.MetricsSnapshot(); ok {
+		snap.Label = sess.ID
+		sess.metrics, sess.hasMetric = snap, true
+	}
 	if sess.rec != nil {
 		sess.rec.Finish()
 	}
-	if sess.ctl != nil {
-		v := sess.ctl.Verdict()
+	if live.Ctl != nil {
+		v := live.Ctl.Verdict()
 		sess.verdict = &v
 	}
-	if sess.env != nil {
-		if fault := contain(sess.env.Close); fault != "" {
-			if sess.Err != "" {
-				sess.Err += "; "
-			}
-			sess.Err += "close: " + fault
+	if fault := contain(live.Close); fault != "" {
+		if sess.Err != "" {
+			sess.Err += "; "
 		}
+		sess.Err += "close: " + fault
 	}
-	sess.env, sess.app, sess.ctl = nil, nil, nil
+	sess.live = nil
 }
 
 // fail marks a session Failed.
@@ -416,13 +391,13 @@ func (s *Scheduler) fail(sess *Session, reason string) {
 // finish completes a session successfully, pinning the finish time to
 // the app's recorded completion instant (not the window edge).
 func (s *Scheduler) finish(sess *Session) {
-	sess.Finished = sess.base + sess.app.FinishedAt()
-	if r := sess.env.MG.ReservedBytes(); r != 0 {
+	sess.Finished = sess.base + sess.live.App.FinishedAt()
+	if r := sess.live.MG.ReservedBytes(); r != 0 {
 		s.fail(sess, fmt.Sprintf("reservation leak: %d bytes still reserved at completion", r))
 		return
 	}
 	if s.cfg.Audit {
-		if aud := sess.env.MG.Auditor(); aud != nil {
+		if aud := sess.live.MG.Auditor(); aud != nil {
 			aud.CheckQuiescent()
 			if err := aud.Err(); err != nil {
 				s.fail(sess, fmt.Sprintf("audit: %v", err))
@@ -452,26 +427,14 @@ func (s *Scheduler) Cancel(id, reason string) (*Session, error) {
 	}
 	switch sess.State {
 	case Queued:
-		kept := s.queue[:0]
-		for _, q := range s.queue {
-			if q != sess {
-				kept = append(kept, q)
-			}
-		}
-		s.queue = kept
+		s.queue = slices.DeleteFunc(s.queue, func(q *Session) bool { return q == sess })
 		s.canceled++
 		sess.State = Canceled
 		sess.Err = reason
 		sess.Finished = s.now
 		return sess, nil
 	case Running:
-		kept := s.running[:0]
-		for _, r := range s.running {
-			if r != sess {
-				kept = append(kept, r)
-			}
-		}
-		s.running = kept
+		s.running = slices.DeleteFunc(s.running, func(r *Session) bool { return r == sess })
 		s.canceled++
 		s.terminal(sess, Canceled, reason)
 		return sess, nil
@@ -498,38 +461,32 @@ func (s *Scheduler) assignShares() {
 	if len(s.running) == 0 {
 		return
 	}
-	fabric := s.cfg.Spec.MemcpyBW
+	var ents []laneEntity
 	if s.cfg.Fair {
-		var ents []laneEntity
-		counts := make(map[string]int)
 		for _, name := range s.tenantOrder {
-			t := s.tenants[name]
-			if t.running > 0 {
+			if t := s.tenants[name]; t.running > 0 {
 				ents = append(ents, laneEntity{key: name, weight: t.weight})
 			}
 		}
-		lane, total := s.lanes.assign(ents, s.cfg.Lanes)
-		for i, e := range ents {
-			counts[e.key] = lane[i]
-		}
+	} else {
 		for _, sess := range s.running {
-			bw := fabric * float64(counts[sess.Tenant]) / float64(total)
-			sess.env.Mach.Alloc.MemcpyRateCap = bw / float64(sess.ten.running)
-			if sess.rec != nil {
-				sess.rec.LaneAssigned(int(s.windows), counts[sess.Tenant], total, len(s.running))
-			}
+			ents = append(ents, laneEntity{key: sess.ID, weight: 1})
 		}
-		return
-	}
-	ents := make([]laneEntity, len(s.running))
-	for i, sess := range s.running {
-		ents[i] = laneEntity{key: sess.ID, weight: 1}
 	}
 	lane, total := s.lanes.assign(ents, s.cfg.Lanes)
-	for i, sess := range s.running {
-		sess.env.Mach.Alloc.MemcpyRateCap = fabric * float64(lane[i]) / float64(total)
+	granted := make(map[string]int, len(ents))
+	for i, e := range ents {
+		granted[e.key] = lane[i]
+	}
+	for _, sess := range s.running {
+		// A fair session shares its tenant's lanes evenly.
+		key, sharers := sess.ID, 1
+		if s.cfg.Fair {
+			key, sharers = sess.Tenant, sess.ten.running
+		}
+		sess.live.Mach.Alloc.MemcpyRateCap = s.cfg.Spec.MemcpyBW * float64(granted[key]) / float64(total) / float64(sharers)
 		if sess.rec != nil {
-			sess.rec.LaneAssigned(int(s.windows), lane[i], total, len(s.running))
+			sess.rec.LaneAssigned(int(s.windows), granted[key], total, len(s.running))
 		}
 	}
 }
@@ -552,32 +509,26 @@ func (s *Scheduler) Step() bool {
 	var done []*Session
 	var faults map[*Session]string
 	for _, sess := range snap {
-		if fault := contain(func() { sess.env.Eng.Run(until - sess.base) }); fault != "" {
+		if fault := contain(func() { sess.live.Eng.Run(until - sess.base) }); fault != "" {
 			if faults == nil {
 				faults = make(map[*Session]string)
 			}
 			faults[sess] = fault
 			done = append(done, sess)
-		} else if sess.app.Done() || sess.env.Eng.Idle() {
+		} else if sess.live.App.Done() || sess.live.Eng.Idle() {
 			done = append(done, sess)
 		}
 	}
 	s.now = until
 	for _, sess := range done {
-		kept := s.running[:0]
-		for _, r := range s.running {
-			if r != sess {
-				kept = append(kept, r)
-			}
-		}
-		s.running = kept
+		s.running = slices.DeleteFunc(s.running, func(r *Session) bool { return r == sess })
 		if fault, ok := faults[sess]; ok {
 			s.fail(sess, fault)
-		} else if sess.app.Done() {
+		} else if sess.live.App.Done() {
 			s.finish(sess)
 		} else {
 			s.fail(sess, fmt.Sprintf("deadlock: engine idle before completion (blocked: %v)",
-				sess.env.Eng.BlockedProcNames()))
+				sess.live.Eng.BlockedProcNames()))
 		}
 	}
 	return s.Active()
@@ -688,21 +639,8 @@ func Percentile(samples []float64, q float64) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
-	sorted := make([]float64, len(samples))
-	copy(sorted, samples)
-	// Insertion sort: sample sets here are small (per-tenant session
-	// counts), and this avoids pulling in sort for one call site.
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
+	sorted := slices.Clone(samples)
+	slices.Sort(sorted)
 	rank := int(q*float64(len(sorted))+0.9999999) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
+	return sorted[min(max(rank, 0), len(sorted)-1)]
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
 	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/topology"
@@ -99,22 +100,52 @@ func (a *tickApp) tick() {
 	}
 }
 
-func (a *tickApp) Done() bool           { return a.ticks == a.want }
-func (a *tickApp) FinishedAt() sim.Time { return a.end }
+func (a *tickApp) Run() (sim.Time, error) { a.Start(); a.eng.RunAll(); return a.end, nil }
+func (a *tickApp) Done() bool             { return a.ticks == a.want }
+func (a *tickApp) FinishedAt() sim.Time   { return a.end }
+
+// testKernel is the configuration of a kernel from outside the
+// built-ins: it declares no blocks, can progress in one byte of grant,
+// and builds its app with the function.
+type testKernel func(mg *core.Manager) (kernels.App, error)
+
+func (testKernel) Validate() error                               { return nil }
+func (testKernel) Handles() int                                  { return 0 }
+func (testKernel) TaskDepBytes() int64                           { return 1 }
+func (k testKernel) Build(mg *core.Manager) (kernels.App, error) { return k(mg) }
+
+// registered is a RegisterKernel configuration that builds every
+// submission's app with build.
+func registered(build func(mg *core.Manager) (kernels.App, error)) func(WorkloadSpec, int) kernels.Workload {
+	return func(WorkloadSpec, int) kernels.Workload { return testKernel(build) }
+}
+
+// ticks builds a tickApp on the manager's engine.
+func ticks(want, limit int) func(mg *core.Manager) (kernels.App, error) {
+	return func(mg *core.Manager) (kernels.App, error) {
+		return &tickApp{eng: mg.Runtime().Engine(), want: want, limit: limit}, nil
+	}
+}
 
 // registerTickKernels adds three kernels through RegisterKernel:
 // "ticks" finishes, "stall" idles its engine before Done, and "broken"
 // fails in its builder.
 func registerTickKernels(s *Scheduler) {
-	s.RegisterKernel("ticks", func(env *kernels.Env, _ WorkloadSpec) (App, error) {
-		return &tickApp{eng: env.Eng, want: 1000, limit: 1000}, nil
-	})
-	s.RegisterKernel("stall", func(env *kernels.Env, _ WorkloadSpec) (App, error) {
-		return &tickApp{eng: env.Eng, want: 1000, limit: 10}, nil
-	})
-	s.RegisterKernel("broken", func(*kernels.Env, WorkloadSpec) (App, error) {
+	s.RegisterKernel("ticks", registered(ticks(1000, 1000)))
+	s.RegisterKernel("stall", registered(ticks(1000, 10)))
+	s.RegisterKernel("broken", registered(func(*core.Manager) (kernels.App, error) {
 		return nil, errors.New("no device")
-	})
+	}))
+}
+
+// withKernel returns spec submitted to kernel, without the fields a
+// matmul does not read.
+func withKernel(spec WorkloadSpec, kernel string) WorkloadSpec {
+	spec.Kernel = kernel
+	if kernel == "matmul" {
+		spec.Iterations, spec.Sweeps = 0, 0
+	}
+	return spec
 }
 
 func TestSessionLifecycleAllKernels(t *testing.T) {
@@ -122,13 +153,11 @@ func TestSessionLifecycleAllKernels(t *testing.T) {
 		t.Run(kernel, func(t *testing.T) {
 			s := mustScheduler(t, testConfig())
 			registerTickKernels(s)
-			spec := smallStencil("acme")
-			spec.Kernel = kernel
-			sess := mustSubmit(t, s, spec)
+			sess := mustSubmit(t, s, withKernel(smallStencil("acme"), kernel))
 			if sess.State != Running {
 				t.Fatalf("state after submit with free budget = %v, want running", sess.State)
 			}
-			app := sess.app
+			app := sess.live.App
 			if err := s.RunUntilIdle(0); err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +173,7 @@ func TestSessionLifecycleAllKernels(t *testing.T) {
 			if want := sess.base + app.FinishedAt(); sess.Finished != want {
 				t.Fatalf("finished %v, want the app's completion %v", sess.Finished, want)
 			}
-			if sess.env != nil || sess.app != nil || sess.ctl != nil {
+			if sess.live != nil {
 				t.Fatal("a finished session still holds its environment, app or controller")
 			}
 			if _, granted := s.Budget(); granted != 0 {
@@ -205,9 +234,7 @@ func TestRegisteredKernelFailures(t *testing.T) {
 // not as the built-in it replaces.
 func TestReplacedBuiltinIsRegistered(t *testing.T) {
 	s := mustScheduler(t, testConfig())
-	s.RegisterKernel("stencil", func(env *kernels.Env, _ WorkloadSpec) (App, error) {
-		return &tickApp{eng: env.Eng, want: 1000, limit: 1000}, nil
-	})
+	s.RegisterKernel("stencil", registered(ticks(1000, 1000)))
 	spec := smallStencil("acme")
 	spec.Reduced = 1 // the built-in stencil would declare 2^28 blocks
 	sess := mustSubmit(t, s, spec)
@@ -352,6 +379,22 @@ func assertRejected(t *testing.T, spec WorkloadSpec, want string) {
 	}
 }
 
+// TestMatMulRefusesIterativeFields: matmul reads neither iterations
+// nor sweeps, so a submission that sets either gets a 400 naming the
+// field; a registered kernel reads every field.
+func TestMatMulRefusesIterativeFields(t *testing.T) {
+	spec := withKernel(smallStencil("acme"), "matmul")
+	spec.Iterations = 3
+	assertRejected(t, spec, "kernel matmul does not read iterations")
+	spec.Iterations, spec.Sweeps = 0, 4
+	assertRejected(t, spec, "kernel matmul does not read sweeps")
+
+	s := mustScheduler(t, testConfig())
+	s.RegisterKernel("custom", matmulConfig)
+	spec.Kernel, spec.Iterations = "custom", 3
+	mustSubmit(t, s, spec)
+}
+
 // TestDegenerateMatMulFails: a matmul whose blocks would be zero bytes
 // is refused at submit, by the configuration's own validation, instead
 // of failing its session at start.
@@ -380,12 +423,14 @@ func TestDecompositionMatchesApp(t *testing.T) {
 	}
 	for _, kernel := range []string{"stencil", "shift", "matmul"} {
 		for i, spec := range specs {
-			spec.Kernel, spec.Trace = kernel, true
+			spec = withKernel(spec, kernel)
+			spec.Trace = true
 			t.Run(fmt.Sprintf("%s/%d", kernel, i), func(t *testing.T) {
 				s := mustScheduler(t, testConfig())
 				sess := mustSubmit(t, s, spec)
-				min, blocks := decomposition(s.kernels[kernel].config(sess.Spec, s.cfg.NumPEs))
-				if n := int64(len(sess.env.MG.Handles())); n != blocks {
+				cfg := s.kernels[kernel].config(sess.Spec, s.cfg.NumPEs)
+				min, blocks := cfg.TaskDepBytes(), int64(cfg.Handles())
+				if n := int64(len(sess.live.MG.Handles())); n != blocks {
 					t.Fatalf("sized by %d blocks, the app declares %d", blocks, n)
 				}
 				if err := s.RunUntilIdle(0); err != nil {
@@ -502,9 +547,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			s.Step()
 		}
-		mm := smallStencil("a")
-		mm.Kernel = "matmul"
-		mustSubmit(t, s, mm)
+		mustSubmit(t, s, withKernel(smallStencil("a"), "matmul"))
 		if err := s.RunUntilIdle(0); err != nil {
 			t.Fatal(err)
 		}

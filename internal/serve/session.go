@@ -5,8 +5,8 @@ import (
 
 	"github.com/hetmem/hetmem/internal/adapt"
 	"github.com/hetmem/hetmem/internal/audit"
-	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/runner"
 	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/trace"
 )
@@ -64,9 +64,10 @@ type WorkloadSpec struct {
 	// hot set). Default: half the footprint.
 	Reduced int64 `json:"reduced,omitempty"`
 	// Iterations is the outer iteration count. Default 2 (shift: one
-	// pre- and one post-shift iteration).
+	// pre- and one post-shift iteration). Matmul does not read it.
 	Iterations int `json:"iterations,omitempty"`
-	// Sweeps is the temporal-tiling depth. Default 20.
+	// Sweeps is the temporal-tiling depth. Default 20. Matmul does not
+	// read it.
 	Sweeps int `json:"sweeps,omitempty"`
 
 	// Footprint is the HBM grant the session asks for. Default:
@@ -93,22 +94,6 @@ type WorkloadSpec struct {
 	// Seed overrides the session engine seed (default BaseSeed+id).
 	Seed int64 `json:"seed,omitempty"`
 }
-
-// App is a seedable workload running on a session's private engine.
-// Start seeds the first wave of work without driving the engine; the
-// scheduler then advances the engine window by window until Done. Every
-// kernels.App satisfies it.
-type App interface {
-	Start()
-	Done() bool
-	// FinishedAt returns the engine-local completion time; valid
-	// once Done reports true.
-	FinishedAt() sim.Time
-}
-
-// AppBuilder instantiates a kernel on a freshly built session
-// environment. The spec is fully normalized (all defaults resolved).
-type AppBuilder func(env *kernels.Env, spec WorkloadSpec) (App, error)
 
 // stencilConfig is the "stencil" kernel's configuration for a spec.
 func stencilConfig(spec WorkloadSpec, numPEs int) kernels.Workload {
@@ -147,18 +132,20 @@ func matmulConfig(spec WorkloadSpec, numPEs int) kernels.Workload {
 	return cfg
 }
 
-// kernel is one registry entry: a built-in kernel's spec→config
-// translation, or a registered kernel's builder.
+// kernel is one registry entry: the configuration a submission builds,
+// which validates and sizes the session, and whether that configuration
+// reads the submission's Iterations and Sweeps. A submission may not set
+// fields its kernel does not read.
 type kernel struct {
-	config func(spec WorkloadSpec, numPEs int) kernels.Workload
-	build  AppBuilder
+	config    func(spec WorkloadSpec, numPEs int) kernels.Workload
+	iterative bool
 }
 
 // builtinKernels returns the default kernel registry.
 func builtinKernels() map[string]kernel {
 	return map[string]kernel{
-		"stencil": {config: stencilConfig},
-		"shift":   {config: shiftConfig},
+		"stencil": {config: stencilConfig, iterative: true},
+		"shift":   {config: shiftConfig, iterative: true},
 		"matmul":  {config: matmulConfig},
 	}
 }
@@ -195,21 +182,20 @@ type Session struct {
 	// Footprint is the HBM grant (bytes).
 	Footprint int64
 
-	opts core.Options
-	// cfg is a built-in kernel's configuration, which sized the
-	// session and builds its app; nil for a registered kernel.
-	cfg kernels.Workload
+	// run is the session's simulation, described by value at submit:
+	// its machine is cut to the grant, and its app the configuration
+	// that sized and validated it.
+	run runner.Run
 	ten *tenant
 
 	// base is the global virtual time at which the session's private
 	// engine (whose clock starts at 0) was started.
 	base sim.Time
-	// env, app and ctl are the running session's; the terminal
-	// transition drops them, keeping only the values below, so a
-	// finished session holds nothing of its simulation.
-	env *kernels.Env
-	app App
-	ctl *adapt.Controller
+	// live is the running session's build: environment, app and
+	// controller. The terminal transition drops it, keeping only the
+	// values below, so a finished session holds nothing of its
+	// simulation.
+	live *runner.Built
 	// rec records a traced session; once finished it holds the
 	// capture alone.
 	rec *trace.Recorder
@@ -242,10 +228,10 @@ func (s *Session) MetricsSnapshot() (audit.Snapshot, bool) {
 	if s.hasMetric {
 		return s.metrics, true
 	}
-	if s.env == nil {
+	if s.live == nil {
 		return audit.Snapshot{}, false
 	}
-	return s.env.MG.MetricsSnapshot()
+	return s.live.MG.MetricsSnapshot()
 }
 
 // TraceCapture returns the session's recorded capture, or nil if the

@@ -43,7 +43,8 @@ type RTask struct {
 // Workload is a capture reduced to what the scheduler consumed: the
 // machine/runtime description, the declared handles in declaration
 // order, and the tasks in send (ID) order with their declared deps,
-// arrival times and compute costs.
+// arrival times and compute costs. It builds the captured program on a
+// manager (Build), so a replay is a run like any other.
 type Workload struct {
 	Meta    *Meta
 	Handles []*HandleDecl
@@ -52,7 +53,9 @@ type Workload struct {
 
 // Reconstruct extracts the replayable workload from a capture. It
 // works on truncated captures as long as the meta event survived;
-// tasks whose run events were lost replay as zero-cost sends.
+// tasks whose run events were lost replay as zero-cost sends. A send no
+// chare array could take — a negative element index, or a PE outside
+// the capture's PE count — makes the capture unreplayable.
 func Reconstruct(c *Capture) (*Workload, error) {
 	m := c.Meta()
 	if m == nil {
@@ -92,6 +95,15 @@ func Reconstruct(c *Capture) (*Workload, error) {
 			}
 		}
 	}
+	for _, rt := range w.Tasks {
+		if rt.Idx < 0 {
+			return nil, fmt.Errorf("trace: task %d sends to %s[%d], a negative index", rt.ID, rt.Arr, rt.Idx)
+		}
+		if rt.PE < 0 || rt.PE >= m.NumPEs {
+			return nil, fmt.Errorf("trace: task %d places %s[%d] on PE %d, outside the capture's %d PEs",
+				rt.ID, rt.Arr, rt.Idx, rt.PE, m.NumPEs)
+		}
+	}
 	return w, nil
 }
 
@@ -105,130 +117,45 @@ func parseAccessMode(s string) (charm.AccessMode, error) {
 	return 0, fmt.Errorf("trace: unknown access mode %q", s)
 }
 
-// ReplayConfig parameterises a replay run.
-type ReplayConfig struct {
-	// Knobs overrides the recorded knob set (what-if mode); nil replays
-	// under the recorded configuration.
-	Knobs *Knobs
-	// AbandonAbove, when positive, stops the replay as soon as it is
-	// provable that the makespan cannot beat the bound: only events
-	// strictly earlier than the bound are executed, and if work is still
-	// pending afterwards the true makespan is >= AbandonAbove. Virtual
-	// time only moves forward, so the proof is exact — a search can
-	// discard the candidate without paying for the rest of the replay,
-	// and a candidate strictly faster than the bound always completes.
-	// Zero replays to completion.
-	AbandonAbove sim.Time
-}
-
-// Verdict is what a replay is judged by: the virtual makespan and the
-// manager's movement counters at the end of the replay, the counters a
-// capture's stats footer copies. An abandoned partial replay sets
-// Abandoned; its Makespan is then the abandon bound (a proven lower
-// bound on the true makespan, not the makespan itself) and its Stats
-// count the movement up to the cut.
-type Verdict struct {
-	Makespan  sim.Time
-	Abandoned bool
-	Stats     core.Stats
-}
-
-// ReplayResult is a finished recorded replay: its verdict and its own
-// capture, so recorded and replayed runs compare schedule for schedule.
-// An abandoned replay's Capture is the truncated prefix.
-type ReplayResult struct {
-	Verdict
-	Capture *Capture
-}
-
-// Replay re-drives the workload through the real scheduler: a fresh
-// engine/machine/runtime/manager is built from the capture's meta
-// event, handles are declared in recorded order, and a driver process
-// re-issues every task at its recorded send time. Entry-method bodies
-// re-execute their recorded kernels through the live cost model (so
-// bandwidth contention and placement effects respond to the replay's
-// knobs) with the recorded non-kernel time slept as fixed gaps.
-//
-// Under the recorded knobs, the replay reproduces the recorded
-// schedule byte-identically (ScheduleString equality — experiment X11
-// verifies this at full scale): task IDs are reassigned in the same
-// order, same-instant sends are re-issued in their original relative
-// order, and message latency is re-applied by the real Send path.
-//
-// Replay records the replay's capture; Judge runs the same replay with
-// no recorder, for callers that read only the verdict.
-func (w *Workload) Replay(cfg ReplayConfig) (*ReplayResult, error) {
-	v, c, err := w.replay(cfg, true)
-	if err != nil {
-		return nil, err
-	}
-	return &ReplayResult{Verdict: v, Capture: c}, nil
-}
-
-// Judge replays the workload as Replay does, with no recorder on the
-// event stream, and returns the verdict alone: the tune search's and
-// X11's what-if replays read nothing else. A recorder adds no virtual
-// time, so the verdict equals the one Replay reports.
-func (w *Workload) Judge(cfg ReplayConfig) (Verdict, error) {
-	v, _, err := w.replay(cfg, false)
-	return v, err
-}
-
-// replay is Replay's and Judge's body: it runs the workload under cfg
-// and, when record is set, returns the replay's capture too.
-func (w *Workload) replay(cfg ReplayConfig, record bool) (Verdict, *Capture, error) {
-	knobs := w.Meta.Knobs
-	if cfg.Knobs != nil {
-		knobs = *cfg.Knobs
-	}
-	opts, err := knobs.Options()
-	if err != nil {
-		return Verdict{}, nil, err
-	}
-	env := kernels.NewEnv(kernels.EnvConfig{
-		Spec:   w.Meta.Spec,
-		NumPEs: w.Meta.NumPEs,
-		Opts:   opts,
-		Params: w.Meta.Params,
-		Seed:   w.Meta.Seed,
-	})
-	defer env.Close()
-	// Tier-aware captures name their chain in the meta header; refuse
-	// to replay against a machine with a different one. A fetch
-	// recorded from NVM has no meaning on a machine without that tier,
-	// and the what-if comparison would silently mix miss costs.
-	// Captures from before tier chains (no Tiers field) skip the check.
+// Build declares the captured program on mg, whose runtime must have
+// the capture's PEs: the handles in recorded order, each task's
+// dependences, and the chare arrays and entry methods the tasks
+// address. The app it returns re-issues every task at its recorded
+// send instant; an entry-method body re-executes the task's recorded
+// kernels through the live cost model, with the recorded non-kernel
+// time slept as fixed gaps. A capture that names its memory chain is
+// refused on a machine with a different one (ErrTierMismatch).
+func (w *Workload) Build(mg *core.Manager) (kernels.App, error) {
+	rt := mg.Runtime()
+	// A fetch recorded from NVM has no meaning on a machine without
+	// that tier, and the what-if comparison would silently mix miss
+	// costs. Captures from before tier chains (no Tiers field) skip the
+	// check.
 	if len(w.Meta.Tiers) > 0 {
 		var chain []string
-		for _, n := range env.Mach.Chain() {
+		for _, n := range rt.Machine().Chain() {
 			chain = append(chain, n.Name)
 		}
 		if strings.Join(chain, ",") != strings.Join(w.Meta.Tiers, ",") {
-			return Verdict{}, nil, fmt.Errorf("%w: capture recorded [%s], machine has [%s]",
+			return nil, fmt.Errorf("%w: capture recorded [%s], machine has [%s]",
 				ErrTierMismatch, strings.Join(w.Meta.Tiers, " -> "), strings.Join(chain, " -> "))
 		}
-	}
-	var rec *Recorder
-	if record {
-		rec = NewRecorder(env.MG)
-		rec.Attach()
 	}
 
 	handles := make(map[string]*core.Handle, len(w.Handles))
 	for _, hd := range w.Handles {
-		handles[hd.Block] = env.MG.NewHandle(hd.Block, hd.Bytes)
+		handles[hd.Block] = mg.NewHandle(hd.Block, hd.Bytes)
 	}
-
 	deps := make([][]charm.DataDep, len(w.Tasks))
-	for i, rt := range w.Tasks {
-		for _, d := range rt.Deps {
+	for i, t := range w.Tasks {
+		for _, d := range t.Deps {
 			h, ok := handles[d.Block]
 			if !ok {
-				return Verdict{}, nil, fmt.Errorf("trace: task %d depends on undeclared block %q", rt.ID, d.Block)
+				return nil, fmt.Errorf("trace: task %d depends on undeclared block %q", t.ID, d.Block)
 			}
 			mode, err := parseAccessMode(d.Mode)
 			if err != nil {
-				return Verdict{}, nil, err
+				return nil, err
 			}
 			deps[i] = append(deps[i], charm.DataDep{Handle: h, Mode: mode})
 		}
@@ -241,37 +168,39 @@ func (w *Workload) replay(cfg ReplayConfig, record bool) (Verdict, *Capture, err
 	arrLen := make(map[string]int)
 	arrPE := make(map[string]map[int]int)
 	var entryOrder []entryKey
-	entryPrefetch := make(map[entryKey]*bool)
-	for _, rt := range w.Tasks {
-		if _, ok := arrLen[rt.Arr]; !ok {
-			arrOrder = append(arrOrder, rt.Arr)
-			arrPE[rt.Arr] = make(map[int]int)
+	entryPrefetch := make(map[entryKey]bool)
+	for _, t := range w.Tasks {
+		if _, ok := arrLen[t.Arr]; !ok {
+			arrOrder = append(arrOrder, t.Arr)
+			arrPE[t.Arr] = make(map[int]int)
 		}
-		if rt.Idx+1 > arrLen[rt.Arr] {
-			arrLen[rt.Arr] = rt.Idx + 1
+		if t.Idx+1 > arrLen[t.Arr] {
+			arrLen[t.Arr] = t.Idx + 1
 		}
-		arrPE[rt.Arr][rt.Idx] = rt.PE
-		k := entryKey{rt.Arr, rt.Entry}
-		if entryPrefetch[k] == nil {
+		arrPE[t.Arr][t.Idx] = t.PE
+		k := entryKey{t.Arr, t.Entry}
+		if _, ok := entryPrefetch[k]; !ok {
 			entryOrder = append(entryOrder, k)
-			pf := rt.Prefetch
-			entryPrefetch[k] = &pf
+			entryPrefetch[k] = t.Prefetch
 		}
 	}
 
-	tasks := w.Tasks
-	mg := env.MG
+	app := &replay{rt: rt, left: len(w.Tasks)}
 	fn := func(p *sim.Proc, pe *charm.PE, el *charm.Element, msg *charm.Message) {
 		i := msg.Data.(int)
-		rt := tasks[i]
-		for _, k := range rt.Kernels {
+		t := w.Tasks[i]
+		for _, k := range t.Kernels {
 			if k.Gap > 0 {
 				p.Sleep(k.Gap)
 			}
 			mg.RunKernel(p, deps[i], core.KernelSpec{Flops: k.Flops, TrafficScale: k.Scale})
 		}
-		if rt.TailGap > 0 {
-			p.Sleep(rt.TailGap)
+		if t.TailGap > 0 {
+			p.Sleep(t.TailGap)
+		}
+		app.left--
+		if app.left == 0 {
+			app.end = p.Now()
 		}
 	}
 	depsFn := func(el *charm.Element, msg *charm.Message) []charm.DataDep {
@@ -281,8 +210,8 @@ func (w *Workload) replay(cfg ReplayConfig, record bool) (Verdict, *Capture, err
 	arrays := make(map[string]*charm.Array, len(arrOrder))
 	for _, name := range arrOrder {
 		peOf := arrPE[name]
-		numPEs := w.Meta.NumPEs
-		arrays[name] = env.RT.NewArray(name, arrLen[name],
+		numPEs := rt.NumPEs()
+		arrays[name] = rt.NewArray(name, arrLen[name],
 			func(i int) charm.Chare { return struct{}{} },
 			func(i int) int {
 				if pe, ok := peOf[i]; ok {
@@ -296,39 +225,38 @@ func (w *Workload) replay(cfg ReplayConfig, record bool) (Verdict, *Capture, err
 		entries[k] = arrays[k.arr].Register(charm.Entry{
 			Name:     k.entry,
 			Fn:       fn,
-			Prefetch: *entryPrefetch[k],
+			Prefetch: entryPrefetch[k],
 			Deps:     depsFn,
 		})
 	}
-
-	env.RT.Main(func(p *sim.Proc) {
-		for i, rt := range tasks {
-			p.SleepUntil(rt.SentAt)
-			arrays[rt.Arr].Send(rt.From, rt.Idx, entries[entryKey{rt.Arr, rt.Entry}], i)
+	app.send = func(p *sim.Proc) {
+		for i, t := range w.Tasks {
+			p.SleepUntil(t.SentAt)
+			arrays[t.Arr].Send(t.From, t.Idx, entries[entryKey{t.Arr, t.Entry}], i)
 		}
-	})
-	var v Verdict
-	if cfg.AbandonAbove > 0 {
-		// RunBefore (not Run) so the clock is never clamped up to the
-		// bound on a run that finishes under it: the completed path must
-		// report its true makespan.
-		env.Eng.RunBefore(cfg.AbandonAbove)
-		// Pending work means every pending event sits at or beyond the
-		// bound, so the candidate's true makespan is >= AbandonAbove;
-		// stop here and let env.Close (deferred) kill the blocked
-		// processes.
-		v.Abandoned = !env.Eng.Idle()
-	} else {
-		env.Eng.RunAll()
 	}
-	v.Makespan = env.Eng.Now()
-	if v.Abandoned {
-		v.Makespan = cfg.AbandonAbove
+	return app, nil
+}
+
+// replay is a workload built on a runtime; it is done once every
+// task's body has returned.
+type replay struct {
+	rt   *charm.Runtime
+	send func(*sim.Proc) // the runtime's main process: issues the tasks
+	left int             // tasks whose body has not returned
+	end  sim.Time
+}
+
+func (a *replay) Start()               { a.rt.Main(a.send) }
+func (a *replay) Done() bool           { return a.left == 0 }
+func (a *replay) FinishedAt() sim.Time { return a.end }
+
+// Run starts the replay and drives the engine until it drains.
+func (a *replay) Run() (sim.Time, error) {
+	a.Start()
+	a.rt.Engine().RunAll()
+	if !a.Done() {
+		return 0, fmt.Errorf("trace: replay stalled with %d tasks unfinished", a.left)
 	}
-	v.Stats = env.MG.Stats
-	if rec == nil {
-		return v, nil, nil
-	}
-	rec.Finish()
-	return v, rec.Capture(), nil
+	return a.end, nil
 }

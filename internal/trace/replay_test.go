@@ -8,6 +8,7 @@ import (
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/exp"
 	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/runner"
 	"github.com/hetmem/hetmem/internal/trace"
 )
 
@@ -82,7 +83,7 @@ func TestReplayFidelity(t *testing.T) {
 	if len(w.Tasks) == 0 || len(w.Handles) == 0 {
 		t.Fatalf("reconstructed workload is empty: %d tasks, %d handles", len(w.Tasks), len(w.Handles))
 	}
-	res, err := w.Replay(trace.ReplayConfig{})
+	res, err := runner.Replay(w, runner.ReplayConfig{})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -110,7 +111,7 @@ func TestWhatIfKnobChange(t *testing.T) {
 	}
 	knobs := w.Meta.Knobs
 	knobs.EvictPolicy = core.Lookahead.Name()
-	res, err := w.Replay(trace.ReplayConfig{Knobs: &knobs})
+	res, err := runner.Replay(w, runner.ReplayConfig{Knobs: &knobs})
 	if err != nil {
 		t.Fatalf("Replay(lookahead): %v", err)
 	}
@@ -180,7 +181,7 @@ func TestReplayTierMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := w.Replay(trace.ReplayConfig{})
+	res, err := runner.Replay(w, runner.ReplayConfig{})
 	if err != nil {
 		t.Fatalf("Replay on matching 3-tier machine: %v", err)
 	}
@@ -194,21 +195,21 @@ func TestReplayTierMismatch(t *testing.T) {
 
 	// Tampered chain names on an otherwise intact spec: refused.
 	w.Meta.Tiers = []string{"MCDRAM", "DDR4"}
-	if _, err := w.Replay(trace.ReplayConfig{}); !errors.Is(err, trace.ErrTierMismatch) {
+	if _, err := runner.Replay(w, runner.ReplayConfig{}); !errors.Is(err, trace.ErrTierMismatch) {
 		t.Fatalf("Replay with tampered tier names = %v, want ErrTierMismatch", err)
 	}
 	w.Meta.Tiers = tiers
 
 	// Spec stripped back to the default two-tier machine: refused.
 	w.Meta.Spec.ExtraTiers = nil
-	if _, err := w.Replay(trace.ReplayConfig{}); !errors.Is(err, trace.ErrTierMismatch) {
+	if _, err := runner.Replay(w, runner.ReplayConfig{}); !errors.Is(err, trace.ErrTierMismatch) {
 		t.Fatalf("Replay with stripped spec = %v, want ErrTierMismatch", err)
 	}
 
 	// Pre-tier captures carry no chain; the check is skipped and the
 	// stripped spec replays on whatever machine it describes.
 	w.Meta.Tiers = nil
-	if _, err := w.Replay(trace.ReplayConfig{}); err != nil {
+	if _, err := runner.Replay(w, runner.ReplayConfig{}); err != nil {
 		t.Fatalf("Replay of tier-less capture: %v", err)
 	}
 	w.Meta.Tiers, w.Meta.Spec.ExtraTiers = tiers, extra

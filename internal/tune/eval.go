@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 
+	"github.com/hetmem/hetmem/internal/runner"
 	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/trace"
 )
@@ -27,12 +28,11 @@ type Eval struct {
 // search (or a what-if loop) never pays for the same combination twice.
 // It is the single replay path shared by `hmtrace tune`, `hmtrace
 // whatif` and the X15 driver. Eval's replays attach no recorder
-// (trace.Workload.Judge), since a verdict reads only the makespan;
-// Replay records, for callers that compare schedules.
+// (runner.Judge), since a verdict reads only the makespan; Replay
+// records, for callers that compare schedules.
 type Evaluator struct {
 	cap    *trace.Capture
 	w      *trace.Workload
-	base   trace.Knobs
 	digest string
 	memo   map[trace.Knobs]Eval
 
@@ -59,7 +59,6 @@ func NewEvaluator(c *trace.Capture) (*Evaluator, error) {
 	return &Evaluator{
 		cap:    c,
 		w:      w,
-		base:   w.Meta.Knobs,
 		digest: Digest(c),
 		memo:   make(map[trace.Knobs]Eval),
 	}, nil
@@ -68,13 +67,10 @@ func NewEvaluator(c *trace.Capture) (*Evaluator, error) {
 // Base returns the capture's recorded knob set — the template judged
 // combinations are derived from (fields outside the search space keep
 // their recorded values).
-func (e *Evaluator) Base() trace.Knobs { return e.base }
+func (e *Evaluator) Base() trace.Knobs { return e.w.Meta.Knobs }
 
 // Digest returns the capture fingerprint (SHA-256 hex).
 func (e *Evaluator) Digest() string { return e.digest }
-
-// Workload returns the reconstructed workload.
-func (e *Evaluator) Workload() *trace.Workload { return e.w }
 
 // RecordedMakespan returns the makespan of the original run from the
 // capture's stats footer, or 0 for a truncated capture without one.
@@ -93,7 +89,7 @@ func (e *Evaluator) Stats() (replays, abandons, memoHits int) {
 
 // Eval judges one knob combination. bound > 0 enables early abandon:
 // the replay stops as soon as its makespan provably cannot beat the
-// bound (trace.ReplayConfig.AbandonAbove). cached reports a memo hit.
+// bound (runner.ReplayConfig.AbandonAbove). cached reports a memo hit.
 //
 // Memo semantics under abandonment: a completed Eval answers any query;
 // an abandoned one proves only Makespan >= its Bound, so it satisfies a
@@ -106,7 +102,7 @@ func (e *Evaluator) Eval(k trace.Knobs, bound sim.Time) (Eval, bool, error) {
 		e.hits++
 		return v, true, nil
 	}
-	v, err := e.w.Judge(trace.ReplayConfig{Knobs: &k, AbandonAbove: bound})
+	v, err := runner.Judge(e.w, runner.ReplayConfig{Knobs: &k, AbandonAbove: bound})
 	if err != nil {
 		return Eval{}, false, err
 	}
@@ -118,8 +114,8 @@ func (e *Evaluator) Eval(k trace.Knobs, bound sim.Time) (Eval, bool, error) {
 // comparison table from. The verdict still lands in the memo (so a
 // following search benefits), but a memo hit cannot reproduce a
 // capture, so Replay always re-drives the workload.
-func (e *Evaluator) Replay(k trace.Knobs, bound sim.Time) (*trace.ReplayResult, error) {
-	res, err := e.w.Replay(trace.ReplayConfig{Knobs: &k, AbandonAbove: bound})
+func (e *Evaluator) Replay(k trace.Knobs, bound sim.Time) (*runner.ReplayResult, error) {
+	res, err := runner.Replay(e.w, runner.ReplayConfig{Knobs: &k, AbandonAbove: bound})
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +124,7 @@ func (e *Evaluator) Replay(k trace.Knobs, bound sim.Time) (*trace.ReplayResult, 
 }
 
 // note counts a replay of k under bound and memoizes its verdict.
-func (e *Evaluator) note(k trace.Knobs, bound sim.Time, v trace.Verdict) Eval {
+func (e *Evaluator) note(k trace.Knobs, bound sim.Time, v runner.Verdict) Eval {
 	e.replays++
 	if v.Abandoned {
 		e.abandons++

@@ -18,7 +18,7 @@
 // Every replay after the first runs with an early-abandon bound at the
 // incumbent's makespan: virtual time only moves forward, so a replay
 // still holding pending events at the bound provably cannot win and is
-// cut off mid-flight (trace.ReplayConfig.AbandonAbove). Abandonment is
+// cut off mid-flight (runner.ReplayConfig.AbandonAbove). Abandonment is
 // sound — a discarded candidate's makespan is >= the incumbent's, so
 // the full-replay winner is never eliminated — and the property test in
 // tune_test.go checks exactly that against a no-abandon oracle.

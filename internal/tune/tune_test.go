@@ -10,6 +10,7 @@ import (
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/exp"
 	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/runner"
 	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/trace"
 	"github.com/hetmem/hetmem/internal/tune"
@@ -87,12 +88,12 @@ func TestJudgeMatchesRecordedReplay(t *testing.T) {
 								k.PrefetchDepth = rung
 							}
 							for _, bound := range []sim.Time{0, c.cap.Stats().Makespan} {
-								cfg := trace.ReplayConfig{Knobs: &k, AbandonAbove: bound}
-								v, err := w.Judge(cfg)
+								cfg := runner.ReplayConfig{Knobs: &k, AbandonAbove: bound}
+								v, err := runner.Judge(w, cfg)
 								if err != nil {
 									t.Fatal(err)
 								}
-								rec, err := w.Replay(cfg)
+								rec, err := runner.Replay(w, cfg)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -130,14 +131,14 @@ func TestAbandonedReplayIsSound(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Reconstruct: %v", err)
 	}
-	full, err := w.Replay(trace.ReplayConfig{})
+	full, err := runner.Replay(w, runner.ReplayConfig{})
 	if err != nil {
 		t.Fatalf("full replay: %v", err)
 	}
 	// Bound at half the true makespan: must abandon, and the claimed
 	// lower bound must hold.
 	half := full.Makespan / 2
-	part, err := w.Replay(trace.ReplayConfig{AbandonAbove: half})
+	part, err := runner.Replay(w, runner.ReplayConfig{AbandonAbove: half})
 	if err != nil {
 		t.Fatalf("bounded replay: %v", err)
 	}
@@ -148,7 +149,7 @@ func TestAbandonedReplayIsSound(t *testing.T) {
 		t.Fatalf("abandon bound %v is not a lower bound on the true makespan %v", part.Makespan, full.Makespan)
 	}
 	// Bound above the true makespan: completes with the exact result.
-	loose, err := w.Replay(trace.ReplayConfig{AbandonAbove: full.Makespan * 2})
+	loose, err := runner.Replay(w, runner.ReplayConfig{AbandonAbove: full.Makespan * 2})
 	if err != nil {
 		t.Fatalf("loose-bound replay: %v", err)
 	}
