@@ -103,12 +103,8 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if *grid > 0 {
 		matmul.Grid = *grid
 	}
-	r := runner.Run{
-		EnvConfig: kernels.EnvConfig{Spec: spec, NumPEs: scale.NumPEs(), Opts: opts},
-		App:       stencil,
-		Adapt:     runner.Adapt{On: *adaptOn},
-		Record:    *traceOut != "",
-	}
+	env := kernels.EnvConfig{Spec: spec, NumPEs: scale.NumPEs(), Opts: opts}
+	r := runner.Run{EnvConfig: env, App: stencil, Adapt: runner.Adapt{On: *adaptOn}, Record: *traceOut != ""}
 	if *appName == "matmul" {
 		r.App = matmul
 	}

@@ -121,10 +121,13 @@ func parseAccessMode(s string) (charm.AccessMode, error) {
 // the capture's PEs: the handles in recorded order, each task's
 // dependences, and the chare arrays and entry methods the tasks
 // address. The app it returns re-issues every task at its recorded
-// send instant; an entry-method body re-executes the task's recorded
-// kernels through the live cost model, with the recorded non-kernel
-// time slept as fixed gaps. A capture that names its memory chain is
-// refused on a machine with a different one (ErrTierMismatch).
+// send instant, in ID order, so same-instant sends keep their order and
+// the real Send path re-applies message latency: under the recorded
+// knobs the replayed schedule is the recorded one, byte for byte. An
+// entry-method body re-executes the task's recorded kernels through the
+// live cost model, with the recorded non-kernel time slept as fixed
+// gaps. A capture that names its memory chain is refused on a machine
+// with a different one (ErrTierMismatch).
 func (w *Workload) Build(mg *core.Manager) (kernels.App, error) {
 	rt := mg.Runtime()
 	// A fetch recorded from NVM has no meaning on a machine without
