@@ -246,6 +246,28 @@ func TestReplacedBuiltinIsRegistered(t *testing.T) {
 	}
 }
 
+// TestRegisteredKernelIsSizedByItsConfig: a registered kernel is
+// validated and sized by the configuration it returns, as a built-in
+// is: a stencil registered under another name refuses what the
+// built-in stencil refuses.
+func TestRegisteredKernelIsSizedByItsConfig(t *testing.T) {
+	s := mustScheduler(t, testConfig())
+	s.RegisterKernel("mystencil", stencilConfig)
+	for _, tc := range []struct {
+		spec WorkloadSpec
+		want string
+	}{
+		{WorkloadSpec{Tenant: "acme", Kernel: "mystencil", Bytes: 100*mb - 1, Reduced: 100*mb - 2},
+			"reduced WS 104857600 exceeds total 104857599"},
+		{WorkloadSpec{Tenant: "acme", Kernel: "mystencil", Bytes: 512 * mb, Reduced: 1, Footprint: 192 * mb},
+			"decomposes into"},
+	} {
+		if sess, err := s.Submit(tc.spec); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Submit(%+v) = %v, %v; want an error naming %q", tc.spec, sess, err, tc.want)
+		}
+	}
+}
+
 func TestAdmissionQueuesOnTenantBudget(t *testing.T) {
 	cfg := testConfig()
 	cfg.Tenants = []TenantConfig{{Name: "acme", Budget: 256 * mb}}
