@@ -40,7 +40,8 @@ lint-fix-check:
 	git diff --exit-code
 
 # fuzz gives the native fuzz targets a short bounded run each: the
-# trace codec (seeded from the committed X11 capture), hetmemd's
+# trace codec (seeded from the committed X11 capture: decode round
+# trip, encoder byte parity, fast-parser parity), hetmemd's
 # submit handler, memsim's bandwidth allocator over random flow plans,
 # sim's lock sweeps against the explicit lock loop and sim's Drive
 # steps against blocking code. CI runs this on every push; longer
@@ -49,6 +50,7 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzEncodeParity -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzDecodeParity -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzSubmit -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/memsim/ -run '^$$' -fuzz FuzzFlowPlans -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz FuzzSweep -fuzztime $(FUZZTIME)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -122,6 +123,37 @@ func FuzzEncodeParity(f *testing.F) {
 		if !bytes.Equal(fast, ref) {
 			t.Fatalf("fast encoding diverges from encoding/json for %s:\nfast: %s\njson: %s",
 				e.Kind(), fast, ref)
+		}
+	})
+}
+
+// FuzzDecodeParity holds the fast parser to its contract: for any line
+// it either declines (nil, for decodeLine to decide) or returns an
+// event reflect.DeepEqual to decodeLine's. It never accepts a line
+// decodeLine rejects. The seeds are each kind's line from the X11
+// capture, the encoder-shaped lines of the kinds it lacks, and the
+// lines the fast parser must decline (reordered or respelled keys,
+// duplicates, whitespace, escapes, non-ASCII, null, an empty deps or
+// dst, numbers outside JSON's grammar or the field's type, trailing
+// bytes).
+func FuzzDecodeParity(f *testing.F) {
+	for _, line := range seedEventLines(f) {
+		f.Add(line)
+	}
+	for _, line := range append(append([]string(nil), encodedLines...), declinedLines...) {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		fast := newDecoder().decodeFast(line)
+		if fast == nil {
+			return
+		}
+		ref, err := decodeLine(line)
+		if err != nil {
+			t.Fatalf("the fast parser accepted a line decodeLine rejects (%v): %s", err, line)
+		}
+		if !reflect.DeepEqual(fast, ref) {
+			t.Fatalf("fast parser and decodeLine disagree on %s:\nfast: %+v\nref:  %+v", line, fast, ref)
 		}
 	})
 }

@@ -454,13 +454,15 @@ func (c *Capture) WriteFile(path string) error {
 // Decode parses a JSONL capture. On a malformed or truncated line it
 // returns every event successfully parsed before the failure alongside
 // the error, so callers can recover the readable prefix of a damaged
-// capture. A line in the encoder's own shape decodes in one pass
-// (decodeOnce); any other line takes the two-pass decodeLine, which
-// gives the same event, or the error text, for every line.
+// capture. A line in the encoder's own shape takes the reflection-free
+// parser (decodeFast, decode_fast.go); any other line takes the
+// two-pass decodeLine, which gives the same event, or the error text,
+// for every line.
 func Decode(r io.Reader) (*Capture, error) {
 	c := &Capture{}
+	d := newDecoder()
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<26)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -468,7 +470,7 @@ func Decode(r io.Reader) (*Capture, error) {
 		if len(line) == 0 {
 			continue
 		}
-		e := decodeOnce(line)
+		e := d.decodeFast(line)
 		if e == nil {
 			var err error
 			if e, err = decodeLine(line); err != nil {
@@ -507,34 +509,6 @@ func decodeLine(line []byte) (Event, error) {
 		return nil, fmt.Errorf("decode %s event: %w", probe.K, err)
 	}
 	return e, nil
-}
-
-// kindPrefix is how every encoded line starts: the encoder writes the
-// header's "k" field first.
-const kindPrefix = `{"k":"`
-
-// decodeOnce decodes a line that starts with the encoder's
-// `{"k":"<kind>",` in one pass: it takes the kind from that prefix and
-// unmarshals the line straight into an event of that kind. It keeps the
-// result only when the decoded header's K is the prefix's kind, which
-// is the kind decodeLine's probe would read. It returns nil for every
-// other line (another field order, a later duplicate "k", an escaped or
-// unknown kind, or any error), for decodeLine to decode.
-func decodeOnce(line []byte) Event {
-	if !bytes.HasPrefix(line, []byte(kindPrefix)) {
-		return nil
-	}
-	rest := line[len(kindPrefix):]
-	end := bytes.IndexByte(rest, '"')
-	if end < 0 || end+1 == len(rest) || rest[end+1] != ',' || bytes.IndexByte(rest[:end], '\\') >= 0 {
-		return nil
-	}
-	kind := rest[:end]
-	e, err := newEvent(string(kind))
-	if err != nil || json.Unmarshal(line, e) != nil || e.header().K != string(kind) {
-		return nil
-	}
-	return e
 }
 
 // DecodeFile parses the capture at path, with the same partial-read
