@@ -41,7 +41,12 @@
 // truncated — the readable prefix is still processed and reported
 // before exiting — or when whatif refuses a capture whose recorded
 // memory tier chain does not match the machine its spec rebuilds.
-// diff exits 1 when the captures differ.
+// whatif exits 1, with one line on stderr, on a knob set the manager
+// would reject: an unknown strategy or victim policy, options that
+// core.Options.Validate refuses (a negative count or reserve, an IO
+// thread count or prefetch depth the strategy does not take), or an
+// HBM reserve that leaves less room than some [prefetch] task's
+// dependences. diff exits 1 when the captures differ.
 package main
 
 import (

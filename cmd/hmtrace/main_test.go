@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	osexec "os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -350,6 +351,38 @@ func TestUnplaceableSendsFailReplay(t *testing.T) {
 				t.Errorf("%s: %s exited %d with stdout %q, stderr %q; want 2, nothing, and %q",
 					tc.name, args[0], code, out, errb, tc.want)
 			}
+		}
+	}
+}
+
+// TestWhatIfRefusesRejectedKnobs: a knob set the manager would reject
+// (options that fail Validate, or a reserve that leaves less HBM than
+// one task's dependences) ends whatif with one stderr line and exit 1,
+// as an unknown strategy does, not with a panic's stack trace. The
+// command runs as its own process, so a panic would reach its stderr.
+func TestWhatIfRefusesRejectedKnobs(t *testing.T) {
+	bin := filepath.Join(t.TempDir(), "hmtrace")
+	if out, err := osexec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct{ flags, want string }{
+		{"-hbm-reserve 2140000000", "trace: task 150 (stencil3d[0].compute_kernel) needs 134217728 dep bytes, exceeding the 7483648-byte HBM budget"},
+		{"-hbm-reserve -1", "core: negative HBM reserve -1"},
+		{"-prefetch-depth -2", "core: negative PrefetchDepth -2"},
+		{"-io-threads -3", "core: negative IOThreads -3"},
+		{"-io-threads 4", "core: IOThreads override is only meaningful for SingleIO, not Multiple IO threads (MultiIO always runs one per PE)"},
+		{"-strategy single -prefetch-depth 2", "core: PrefetchDepth is only meaningful for MultiIO, not Single IO thread"},
+	} {
+		args := append(append([]string{"whatif"}, strings.Fields(tc.flags)...), sampleCapture)
+		var out, errb bytes.Buffer
+		cmd := osexec.Command(bin, args...)
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		cmd.Run()
+		code := cmd.ProcessState.ExitCode()
+		if code != 1 || out.Len() > 0 || strings.Contains(errb.String(), "goroutine") ||
+			errb.String() != "hmtrace whatif: replay: "+tc.want+"\n" {
+			t.Errorf("whatif %s exited %d with stdout %q, stderr %q; want 1, nothing, and %q",
+				tc.flags, code, out.String(), errb.String(), tc.want)
 		}
 	}
 }

@@ -80,6 +80,9 @@ func replay(w *trace.Workload, cfg ReplayConfig, record bool) (Verdict, *trace.C
 // a positive bound, until only events at or beyond the bound remain.
 func (r Run) before(bound sim.Time) (Verdict, *trace.Capture, error) {
 	b, err := r.Build()
+	if b == nil {
+		return Verdict{}, nil, err
+	}
 	defer b.Close()
 	if err != nil {
 		return Verdict{}, nil, err

@@ -56,10 +56,14 @@ type Built struct {
 }
 
 // Build makes the run's environment, recorder, application and
-// controller, in that order. It always returns the environment, which
-// the caller closes; the error reports an application or controller
-// that could not be built.
+// controller, in that order. Options that fail Validate build nothing:
+// Build returns their error and a nil Built. Otherwise it returns the
+// environment, which the caller closes, and the error reports an
+// application or controller that could not be built.
 func (r Run) Build() (*Built, error) {
+	if err := r.Opts.Validate(); err != nil {
+		return nil, err
+	}
 	b := &Built{Env: kernels.NewEnv(r.EnvConfig)}
 	if r.Record {
 		b.Rec = trace.NewSessionRecorder(b.MG, r.Session, r.Tenant)
@@ -101,6 +105,9 @@ type Outcome struct {
 // when on, is checked at quiescence.
 func (r Run) Execute() (*Outcome, error) {
 	b, err := r.Build()
+	if b == nil {
+		return nil, err
+	}
 	o := &Outcome{Tracer: b.Tracer}
 	if err == nil {
 		o.Time, err = b.App.Run()

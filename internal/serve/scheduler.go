@@ -329,7 +329,7 @@ func (s *Scheduler) start(sess *Session) {
 	if r.Adapt.On && sess.ten.warm != nil {
 		r.Adapt.Warm = *sess.ten.warm
 	}
-	live, err := r.Build()
+	live, err := r.Build() // Submit validated the options: live is not nil
 	sess.live, sess.rec = live, live.Rec
 	if err != nil {
 		s.fail(sess, fmt.Sprintf("build %s: %v", sess.Spec.Kernel, err))

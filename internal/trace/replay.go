@@ -49,6 +49,12 @@ type Workload struct {
 	Meta    *Meta
 	Handles []*HandleDecl
 	Tasks   []*RTask
+
+	// largest is the [prefetch] task with the largest dependence set,
+	// of largestBytes, or nil when no task prefetches: Build refuses a
+	// moving manager whose HBM budget cannot hold it.
+	largest      *RTask
+	largestBytes int64
 }
 
 // Reconstruct extracts the replayable workload from a capture. It
@@ -95,6 +101,31 @@ func Reconstruct(c *Capture) (*Workload, error) {
 			}
 		}
 	}
+	// An entry prefetches if its first send did, as Build registers it,
+	// and a task's dependences weigh what their handles declare.
+	size := make(map[string]int64, len(w.Handles))
+	for _, hd := range w.Handles {
+		size[hd.Block] = hd.Bytes
+	}
+	prefetch := make(map[[2]string]bool)
+	for _, rt := range w.Tasks {
+		k := [2]string{rt.Arr, rt.Entry}
+		pf, seen := prefetch[k]
+		if !seen {
+			pf = rt.Prefetch
+			prefetch[k] = pf
+		}
+		if !pf {
+			continue
+		}
+		var n int64
+		for _, d := range rt.Deps {
+			n += size[d.Block]
+		}
+		if w.largest == nil || n > w.largestBytes {
+			w.largest, w.largestBytes = rt, n
+		}
+	}
 	for _, rt := range w.Tasks {
 		if rt.Idx < 0 {
 			return nil, fmt.Errorf("trace: task %d sends to %s[%d], a negative index", rt.ID, rt.Arr, rt.Idx)
@@ -127,8 +158,14 @@ func parseAccessMode(s string) (charm.AccessMode, error) {
 // entry-method body re-executes the task's recorded kernels through the
 // live cost model, with the recorded non-kernel time slept as fixed
 // gaps. A capture that names its memory chain is refused on a machine
-// with a different one (ErrTierMismatch).
+// with a different one (ErrTierMismatch), and so is a moving manager
+// whose HBM budget cannot hold some [prefetch] task's dependences,
+// which the manager would refuse to stage.
 func (w *Workload) Build(mg *core.Manager) (kernels.App, error) {
+	if t := w.largest; t != nil && mg.Mode().Moves() && w.largestBytes > mg.HBMBudget() {
+		return nil, fmt.Errorf("trace: task %d (%s[%d].%s) needs %d dep bytes, exceeding the %d-byte HBM budget",
+			t.ID, t.Arr, t.Idx, t.Entry, w.largestBytes, mg.HBMBudget())
+	}
 	rt := mg.Runtime()
 	// A fetch recorded from NVM has no meaning on a machine without
 	// that tier, and the what-if comparison would silently mix miss
