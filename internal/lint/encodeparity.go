@@ -6,23 +6,27 @@ import (
 	"strings"
 )
 
-// EncodeParity guards the hand-rolled fast trace encoder against the
-// one way it rots: someone adds a field to an event struct in
-// trace.go, encoding/json picks it up reflectively, and the
-// appendEvent type switch keeps emitting the old shape — the
-// byte-identity contract between the fast and reflective paths (and
-// the TestEncodeFastParity table) breaks only for captures that
-// exercise that event.
+// EncodeParity guards the hand-rolled fast trace codec against the one
+// way it rots: someone adds a field to an event struct in trace.go,
+// encoding/json picks it up reflectively, and the fast path keeps the
+// old shape. On the encoder side the appendEvent type switch keeps
+// emitting the old bytes, and the byte-identity contract between the
+// fast and reflective paths (and the TestEncodeFastParity table)
+// breaks only for captures that exercise that event. On the decoder
+// side decodeFast keeps reading the old key sequence, so every line of
+// that kind silently declines to the slow reflective path.
 //
-// The check is structural: inside every `append*` function of the
+// The check is structural. Inside every `append*` function of the
 // trace package, each type-switch case over a pointer-to-struct event
 // must mention every encodable field of that struct (exported, not
 // json:"-") on the case variable. Structs absent from the switch are
 // fine — they take the reflective slow path by design (Meta, Retune,
-// Stats carry maps and interface values).
+// Stats carry maps and interface values). Inside every `decode*`
+// function, each keyed composite literal of a struct declared in the
+// package must key every such field.
 var EncodeParity = &Analyzer{
 	Name: "encodeparity",
-	Doc:  "require fast-path trace encoder cases to cover every encodable field of their event struct",
+	Doc:  "require fast-path trace encoder cases and decoder literals to cover every encodable field of their event struct",
 	Match: func(rel string) bool {
 		return matchPrefix(rel, "internal/trace")
 	},
@@ -33,19 +37,60 @@ func runEncodeParity(p *Pass) {
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !strings.HasPrefix(fd.Name.Name, "append") {
+			if !ok || fd.Body == nil {
 				continue
 			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSwitchStmt)
-				if !ok {
+			switch name := fd.Name.Name; {
+			case strings.HasPrefix(name, "append"):
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if ts, ok := n.(*ast.TypeSwitchStmt); ok {
+						checkEncodeSwitch(p, ts)
+					}
 					return true
-				}
-				checkEncodeSwitch(p, ts)
-				return true
-			})
+				})
+			case strings.HasPrefix(name, "decode"):
+				checkDecodeLiterals(p, fd.Body)
+			}
 		}
 	}
+}
+
+// checkDecodeLiterals reports each keyed composite literal of a
+// package struct in body that leaves an encodable field unkeyed. The
+// fast decoder builds each event in one keyed literal, so a field it
+// does not key is a field it does not read. An unkeyed literal lists
+// every field.
+func checkDecodeLiterals(p *Pass, body *ast.BlockStmt) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok {
+			return true
+		}
+		st := eventStruct(p, lit)
+		if st == nil {
+			return true
+		}
+		set := make(map[string]bool)
+		for _, el := range lit.Elts {
+			kv, ok := el.(*ast.KeyValueExpr)
+			if !ok {
+				return true
+			}
+			if id, ok := kv.Key.(*ast.Ident); ok {
+				set[id.Name] = true
+			}
+		}
+		tn := namedFrom(p.TypeOf(lit))
+		for i := 0; i < st.NumFields(); i++ {
+			fld := st.Field(i)
+			if fld.Exported() && !jsonSkipped(st.Tag(i)) && !set[fld.Name()] {
+				p.Reportf(lit.Pos(),
+					"fast-path decoder literal for %s does not set field %s; lines of that kind decode without it",
+					tn.Obj().Name(), fld.Name())
+			}
+		}
+		return true
+	})
 }
 
 func checkEncodeSwitch(p *Pass, ts *ast.TypeSwitchStmt) {
