@@ -13,8 +13,9 @@ import (
 // emitting the old bytes, and the byte-identity contract between the
 // fast and reflective paths (and the TestEncodeFastParity table)
 // breaks only for captures that exercise that event. On the decoder
-// side decodeFast keeps reading the old key sequence, so every line of
-// that kind silently declines to the slow reflective path.
+// side decodeFast keeps reading the old key sequence, so every line
+// that carries the field silently declines to the slow reflective
+// path.
 //
 // The check is structural. Inside every `append*` function of the
 // trace package, each type-switch case over a pointer-to-struct event
@@ -85,7 +86,7 @@ func checkDecodeLiterals(p *Pass, body *ast.BlockStmt) {
 			fld := st.Field(i)
 			if fld.Exported() && !jsonSkipped(st.Tag(i)) && !set[fld.Name()] {
 				p.Reportf(lit.Pos(),
-					"fast-path decoder literal for %s does not set field %s; lines of that kind decode without it",
+					"fast-path decoder literal for %s does not set field %s; lines carrying it fall back to the reflective decoder",
 					tn.Obj().Name(), fld.Name())
 			}
 		}
