@@ -10,53 +10,93 @@ import (
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
-// TestWaitQueueSweepEventStats pins the engine's counts on Fig 8's
-// Small-scale stencil at its tightest reduced set, once per strategy.
-// Each strategy scans its wait queues under their locks: No IO's
-// cross-PE drain, Multiple IO's cross-PE kick and Single IO's
-// Algorithm 1 pass. The scans run as sim.Proc.Sweep, which takes the
-// same locks with the same events as the Lock/len/Unlock loops they
-// replaced, so Scheduled, Fired, Cancelled and Reused are those loops'
-// counts. Only Resumes is lower: a process sweeping past empty queues
-// resumes once at the end instead of once per lock (the loops gave
-// 18,912, 19,514 and 27,239). The PE dequeue, the kernels and Multiple
-// IO's search for work run as sim.Proc.Drive steps too (Resumes was
-// 18,793, 16,255 and 26,017 with the sweeps alone). Every wake either
+// TestWaitQueueSweepEventStats pins the engine's counts on three Small
+// runs per strategy: Fig 8's stencil at its tightest reduced set, Fig
+// 9's matmul at its largest working set, and the shift program under
+// lazy eviction with the Lookahead victim policy, which reaches
+// makeRoom, its forced pass and the wait-queue walk. Each strategy
+// scans its wait queues under their locks: No IO's cross-PE drain,
+// Multiple IO's cross-PE kick and Single IO's Algorithm 1 pass. The
+// scans run as sim.Proc.Sweep, which takes the same locks with the same
+// events as the Lock/len/Unlock loops they replaced, so Scheduled,
+// Fired, Cancelled and Reused are those loops' counts. Only Resumes is
+// lower: a process sweeping past empty queues resumes once at the end
+// instead of once per lock (the loops gave the stencil 18,912, 19,514
+// and 27,239). The PE dequeue, the kernels and Multiple IO's search for
+// work run as sim.Proc.Drive steps too (Resumes was 18,793, 16,255 and
+// 26,017 on the stencil with the sweeps alone). Every wake either
 // resumes its process or is a step, so Resumes plus Steps is still the
 // loops' count.
 func TestWaitQueueSweepEventStats(t *testing.T) {
 	s := exp.Small
 	red := s.StencilReducedSizes()[0]
+	sizes := s.MatMulTotalSizes()
+	total := sizes[len(sizes)-1]
+	type run struct {
+		name  string
+		tasks int64
+		want  sim.EventStats
+	}
 	for _, tc := range []struct {
 		mode core.Mode
-		want sim.EventStats
+		runs [3]run
 	}{
-		{core.SingleIO, sim.EventStats{Scheduled: 31358, Fired: 28812, Cancelled: 2546, Reused: 30667, Resumes: 13439, Steps: 5473}},
-		{core.NoIO, sim.EventStats{Scheduled: 31290, Fired: 29417, Cancelled: 1873, Reused: 30600, Resumes: 12469, Steps: 7045}},
-		{core.MultiIO, sim.EventStats{Scheduled: 38062, Fired: 36218, Cancelled: 1844, Reused: 37364, Resumes: 18030, Steps: 9209}},
+		{core.SingleIO, [3]run{
+			{"stencil", 3240, sim.EventStats{Scheduled: 31358, Fired: 28812, Cancelled: 2546, Reused: 30667, Resumes: 13439, Steps: 5473}},
+			{"matmul", 512, sim.EventStats{Scheduled: 16282, Fired: 15176, Cancelled: 1106, Reused: 16257, Resumes: 7110, Steps: 3457}},
+			{"shift", 1152, sim.EventStats{Scheduled: 25432, Fired: 24031, Cancelled: 1401, Reused: 25359, Resumes: 11471, Steps: 5964}},
+		}},
+		{core.NoIO, [3]run{
+			{"stencil", 3240, sim.EventStats{Scheduled: 31290, Fired: 29417, Cancelled: 1873, Reused: 30600, Resumes: 12469, Steps: 7045}},
+			{"matmul", 512, sim.EventStats{Scheduled: 17626, Fired: 16912, Cancelled: 714, Reused: 17602, Resumes: 7305, Steps: 5265}},
+			{"shift", 1152, sim.EventStats{Scheduled: 30040, Fired: 28614, Cancelled: 1426, Reused: 29968, Resumes: 12632, Steps: 9196}},
+		}},
+		{core.MultiIO, [3]run{
+			{"stencil", 3240, sim.EventStats{Scheduled: 38062, Fired: 36218, Cancelled: 1844, Reused: 37364, Resumes: 18030, Steps: 9209}},
+			{"matmul", 512, sim.EventStats{Scheduled: 26852, Fired: 25710, Cancelled: 1142, Reused: 26820, Resumes: 9363, Steps: 11738}},
+			{"shift", 1152, sim.EventStats{Scheduled: 48715, Fired: 47283, Cancelled: 1432, Reused: 48635, Resumes: 15670, Steps: 25058}},
+		}},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
-			opts := core.DefaultOptions(tc.mode)
-			opts.HBMReserve = s.HBMReserve()
-			env := kernels.NewEnv(kernels.EnvConfig{
-				Spec:   s.Machine(),
-				NumPEs: s.NumPEs(),
-				Opts:   opts,
-				Params: charm.DefaultParams(),
-			})
-			defer env.Close()
-			app, err := kernels.NewStencil(env.MG, s.StencilConfig(red))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := app.Run(); err != nil {
-				t.Fatal(err)
-			}
-			if n := env.RT.Stats.TasksExecuted; n != 3240 {
-				t.Fatalf("ran %d tasks, want 3240", n)
-			}
-			if st := env.Eng.EventStats(); st != tc.want {
-				t.Errorf("EventStats = %+v, want %+v", st, tc.want)
+			for _, r := range tc.runs {
+				t.Run(r.name, func(t *testing.T) {
+					opts := core.DefaultOptions(tc.mode)
+					opts.HBMReserve = s.HBMReserve()
+					var cfg kernels.Workload
+					switch r.name {
+					case "stencil":
+						cfg = s.StencilConfig(red)
+					case "matmul":
+						cfg = s.MatMulConfig(total)
+					case "shift":
+						opts.EvictLazily = true
+						opts.EvictPolicy = core.Lookahead
+						cfg = s.ShiftConfig()
+					}
+					env := kernels.NewEnv(kernels.EnvConfig{
+						Spec:   s.Machine(),
+						NumPEs: s.NumPEs(),
+						Opts:   opts,
+						Params: charm.DefaultParams(),
+					})
+					defer env.Close()
+					app, err := cfg.Build(env.MG)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := app.Run(); err != nil {
+						t.Fatal(err)
+					}
+					if n := env.RT.Stats.TasksExecuted; n != r.tasks {
+						t.Errorf("ran %d tasks, want %d", n, r.tasks)
+					}
+					if st := env.Eng.EventStats(); st != r.want {
+						t.Errorf("EventStats = %+v, want %+v", st, r.want)
+					}
+					if rs := env.MG.RoomStats(); r.name == "shift" && rs.ForcedPasses == 0 {
+						t.Errorf("makeRoom counters %+v: the shift run took no forced pass", rs)
+					}
+				})
 			}
 		})
 	}
