@@ -218,7 +218,7 @@ type Auditor struct {
 	pins          int64 // outstanding pin balance across all handles
 	claims        int64 // outstanding claim balance
 	pendingUses   int64 // outstanding pending-use balance
-	bytesReserved int64 // total bytes ever granted by reserveCapacity
+	bytesReserved int64 // total bytes ever granted by the manager's reserve
 	bytesConsumed int64 // reservation bytes converted into fetches
 	bytesRefunded int64 // reservation bytes returned by aborts
 

@@ -150,7 +150,8 @@ func TestMessagePayloadAndFrom(t *testing.T) {
 }
 
 // fakeInterceptor queues every intercepted task and releases them all
-// when released is called.
+// when released is called. Each of its hooks sleeps for delay before it
+// is done, when delay is set.
 type fakeInterceptor struct {
 	held []*struct {
 		pe *PE
@@ -160,21 +161,45 @@ type fakeInterceptor struct {
 	postCalls   int
 	created     int
 	admit       bool // when true, Intercept declines ownership
+	delay       sim.Time
 }
 
-func (f *fakeInterceptor) Intercept(p *sim.Proc, pe *PE, t *Task) bool {
+// fakeHook is one of fakeInterceptor's hooks: it sleeps for delay on
+// p, then reports done with owned.
+type fakeHook struct {
+	p      *sim.Proc
+	delay  sim.Time
+	owned  bool
+	asleep bool
+}
+
+func (h *fakeHook) Step() bool {
+	if h.delay > 0 && !h.asleep {
+		h.asleep = true
+		h.p.ArmSleep(h.delay)
+		return false
+	}
+	return true
+}
+
+func (h *fakeHook) Owned() bool { return h.owned }
+
+func (f *fakeInterceptor) Intercept(p *sim.Proc, pe *PE, t *Task) Hook {
 	f.intercepted++
 	if f.admit {
-		return false
+		return &fakeHook{p: p, delay: f.delay}
 	}
 	f.held = append(f.held, &struct {
 		pe *PE
 		t  *Task
 	}{pe, t})
-	return true
+	return &fakeHook{p: p, delay: f.delay, owned: true}
 }
 
-func (f *fakeInterceptor) PostProcess(p *sim.Proc, pe *PE, t *Task) { f.postCalls++ }
+func (f *fakeInterceptor) PostProcess(p *sim.Proc, pe *PE, t *Task) Hook {
+	f.postCalls++
+	return &fakeHook{p: p, delay: f.delay}
+}
 
 func (f *fakeInterceptor) TaskCreated(t *Task) { f.created++ }
 
@@ -246,6 +271,43 @@ func TestInterceptorDecline(t *testing.T) {
 	}
 	if ic.postCalls != 1 {
 		t.Fatal("post-processing skipped for inline prefetch task")
+	}
+}
+
+// TestInterceptorHooksStep runs pre- and post-processing hooks that
+// each sleep, as stages of the scheduler's dequeue step: their time is
+// the PE's, and the PE resumes only to run each entry method.
+func TestInterceptorHooksStep(t *testing.T) {
+	e, rt := testRT(t, 1)
+	ic := &fakeInterceptor{admit: true, delay: 1e-3}
+	rt.SetInterceptor(ic)
+	arr := rt.NewArray("c", 1, func(i int) Chare { return &counterChare{} }, nil)
+	var ran []sim.Time
+	kern := arr.Register(Entry{
+		Name:     "kern",
+		Prefetch: true,
+		Deps:     func(el *Element, msg *Message) []DataDep { return nil },
+		Fn: func(p *sim.Proc, pe *PE, el *Element, msg *Message) {
+			ran = append(ran, p.Now())
+		},
+	})
+	rt.Main(func(p *sim.Proc) {
+		arr.Send(-1, 0, kern, nil)
+		arr.Send(-1, 0, kern, nil)
+	})
+	e.RunAll()
+	if ic.intercepted != 2 || ic.postCalls != 2 || len(ran) != 2 {
+		t.Fatalf("intercepted %d, post-processed %d, ran %d; want 2 each", ic.intercepted, ic.postCalls, len(ran))
+	}
+	// The second task runs after the first's post-processing and its own
+	// pre-processing, each a millisecond, beside the dequeue's costs.
+	if gap := ran[1] - ran[0]; gap < 2e-3 || gap > 2.1e-3 {
+		t.Fatalf("tasks ran %v apart, want just over 2ms", gap)
+	}
+	// The main process and the PE each resume at their first grant;
+	// the PE resumes once more per task it executes.
+	if st := e.EventStats(); st.Resumes != 4 {
+		t.Fatalf("%d resumes, want 4", st.Resumes)
 	}
 }
 

@@ -117,111 +117,170 @@ func (pe *PE) QueueLengths() (msgs, ready int) { return pe.msgq.Len(), pe.runq.L
 
 // loop is the converse scheduler: pop run-queue tasks first, then
 // messages; intercept [prefetch] messages; execute entry methods to
-// completion, serially per PE. The dequeue runs as a sim.Proc.Drive
-// step, so the PE resumes once per task, to intercept or run it.
+// completion, serially per PE. Everything between two entry methods
+// runs as one sim.Proc.Drive step (dequeue): the last task's
+// post-processing, the wait for the next task and its pre-processing,
+// so the PE resumes once per task it executes.
 func (pe *PE) loop(p *sim.Proc) {
-	rt := pe.rt
 	d := &pe.deq
 	for {
 		p.Drive(d.step)
-		t, fromRunQueue := d.t, d.fromRunQueue
+		t := d.t
 		d.t = nil
-		rt.Stats.MessagesDelivered++
-		pe.Delivered++
-
-		// Interception point: fresh [prefetch] messages go through
-		// the OOC layer's pre-processing. Tasks arriving from the run
-		// queue were already admitted and run directly.
-		if !fromRunQueue && t.Entry.Prefetch && rt.interceptor != nil {
-			rt.Stats.TasksIntercepted++
-			if rt.interceptor.Intercept(p, pe, t) {
-				continue
-			}
-		}
-
 		pe.execute(p, t)
+		d.done = t
 	}
 }
 
-// dequeue is the scheduler's wait for its next task, as a Drive step.
-// It runs the blocking sequence
+// dequeue is the scheduler's way from one entry method to the next, as
+// a Drive step. It runs the blocking sequence
 //
-//	pe.mu.Lock(p)
-//	for pe.runq.Len() == 0 && pe.msgq.Len() == 0 {
-//		idle := p.Now()
-//		pe.notEmpty.Wait(p)
-//		note EvIdle from idle
+//	if done is a [prefetch] task under an interceptor {
+//		run the interceptor's PostProcess(done)
 //	}
-//	pop t, from the run queue first
-//	pe.mu.Unlock(p)
-//	if SchedOverhead > 0 {
-//		start := p.Now()
-//		p.Sleep(SchedOverhead)
-//		note EvOverhead from start
+//	for {
+//		pe.mu.Lock(p)
+//		for pe.runq.Len() == 0 && pe.msgq.Len() == 0 {
+//			idle := p.Now()
+//			pe.notEmpty.Wait(p)
+//			note EvIdle from idle
+//		}
+//		pop t, from the run queue first
+//		pe.mu.Unlock(p)
+//		if SchedOverhead > 0 {
+//			start := p.Now()
+//			p.Sleep(SchedOverhead)
+//			note EvOverhead from start
+//		}
+//		count t delivered
+//		if t is a fresh [prefetch] message under an interceptor {
+//			run the interceptor's Intercept(t)
+//			if the interceptor took t { continue }
+//		}
+//		return t, to execute
 //	}
 //
 // split at its parks: lock holds the acquisition under way, waited is
-// set while p waits on notEmpty (from idle), and overhead while it
-// sleeps off SchedOverhead (from start).
+// set while p waits on notEmpty (from idle), overhead while it sleeps
+// off SchedOverhead (from start), and hook is the interceptor's
+// processing under way, stepped in place.
 type dequeue struct {
 	pe   *PE
 	p    *sim.Proc
 	step func() bool // advance, bound once
 
+	at               deqStage
 	lock             sim.LockStep
 	waited, overhead bool
 	idle, start      sim.Time
+	hook             Hook
 
-	t            *Task
+	done         *Task // the task executed last, whose post-processing is due
+	t            *Task // the task to execute
 	fromRunQueue bool
 }
 
+// deqStage is where a dequeue is in its sequence.
+type deqStage uint8
+
+const (
+	deqPost     deqStage = iota // begin done's post-processing, if it has one
+	deqPostHook                 // post-processing is under way
+	deqLock                     // take the queue lock, waiting for a task
+	deqDeliver                  // the overhead is paid: deliver t
+	deqPreHook                  // pre-processing is under way
+)
+
 // advance runs the dequeue until p must park, and reports false, or
-// until t holds the next task after its overhead, and reports true.
+// until t holds the next task to execute, and reports true.
 func (d *dequeue) advance() bool {
 	pe, p, rt := d.pe, d.p, d.pe.rt
-	if d.overhead {
-		d.overhead = false
-		if rt.Observed() {
-			rt.note(EvOverhead, pe.id, 0, nil, d.start)
-		}
-		return true
-	}
 	for {
-		if !pe.mu.Acquire(p, &d.lock) {
-			return false
-		}
-		if d.waited {
-			d.waited = false
-			if rt.Observed() {
-				rt.note(EvIdle, pe.id, 0, nil, d.idle)
+		switch d.at {
+		case deqPost:
+			t := d.done
+			d.done = nil
+			d.at = deqLock
+			if t != nil && t.Entry.Prefetch && rt.interceptor != nil {
+				d.hook = rt.interceptor.PostProcess(p, pe, t)
+				d.at = deqPostHook
 			}
+		case deqPostHook:
+			if !d.hook.Step() {
+				return false
+			}
+			d.hook = nil
+			d.at = deqLock
+		case deqLock:
+			if !pe.mu.Acquire(p, &d.lock) {
+				return false
+			}
+			if d.waited {
+				d.waited = false
+				if rt.Observed() {
+					rt.note(EvIdle, pe.id, 0, nil, d.idle)
+				}
+			}
+			if pe.runq.Len() == 0 && pe.msgq.Len() == 0 {
+				d.idle = p.Now()
+				pe.notEmpty.Join(p)
+				d.waited = true
+				return false
+			}
+			if d.fromRunQueue = pe.runq.Len() > 0; d.fromRunQueue {
+				d.t = pe.runq.PopFront()
+			} else {
+				d.t = pe.msgq.PopFront()
+			}
+			pe.mu.Unlock(p)
+			d.at = deqDeliver
+			if rt.params.SchedOverhead > 0 {
+				d.start = p.Now()
+				p.ArmSleep(rt.params.SchedOverhead)
+				d.overhead = true
+				return false
+			}
+		case deqDeliver:
+			if d.overhead {
+				d.overhead = false
+				if rt.Observed() {
+					rt.note(EvOverhead, pe.id, 0, nil, d.start)
+				}
+			}
+			t := d.t
+			rt.Stats.MessagesDelivered++
+			pe.Delivered++
+			// Interception point: fresh [prefetch] messages go through
+			// the OOC layer's pre-processing. Tasks arriving from the
+			// run queue were already admitted and run directly.
+			if !d.fromRunQueue && t.Entry.Prefetch && rt.interceptor != nil {
+				rt.Stats.TasksIntercepted++
+				d.hook = rt.interceptor.Intercept(p, pe, t)
+				d.at = deqPreHook
+				continue
+			}
+			d.at = deqPost
+			return true
+		case deqPreHook:
+			if !d.hook.Step() {
+				return false
+			}
+			owned := d.hook.Owned()
+			d.hook = nil
+			if owned {
+				d.t = nil
+				d.at = deqLock
+				continue
+			}
+			d.at = deqPost
+			return true
 		}
-		if pe.runq.Len() > 0 || pe.msgq.Len() > 0 {
-			break
-		}
-		d.idle = p.Now()
-		pe.notEmpty.Join(p)
-		d.waited = true
-		return false
 	}
-	if d.fromRunQueue = pe.runq.Len() > 0; d.fromRunQueue {
-		d.t = pe.runq.PopFront()
-	} else {
-		d.t = pe.msgq.PopFront()
-	}
-	pe.mu.Unlock(p)
-	if rt.params.SchedOverhead > 0 {
-		d.start = p.Now()
-		p.ArmSleep(rt.params.SchedOverhead)
-		d.overhead = true
-		return false
-	}
-	return true
 }
 
-// execute runs the entry method and, for [prefetch] entries under an
-// interceptor, the generated post-processing (eviction) step.
+// execute runs the entry method; the dequeue that follows runs the
+// generated post-processing (eviction) step of [prefetch] entries under
+// an interceptor.
 func (pe *PE) execute(p *sim.Proc, t *Task) {
 	rt := pe.rt
 	start := p.Now()
@@ -235,7 +294,4 @@ func (pe *PE) execute(p *sim.Proc, t *Task) {
 	}
 	rt.Stats.TasksExecuted++
 	pe.Executed++
-	if t.Entry.Prefetch && rt.interceptor != nil {
-		rt.interceptor.PostProcess(p, pe, t)
-	}
 }

@@ -66,14 +66,15 @@ type DataDep struct {
 	Mode   AccessMode
 }
 
-// Interceptor is the hook the OOC layer installs. Intercept runs in the
-// PE's scheduler process before a [prefetch] entry is delivered; if it
-// returns true the interceptor has taken ownership (queued the task)
-// and the scheduler moves on. PostProcess runs after a [prefetch] entry
-// method finishes (the generated post-processing step that evicts).
+// Interceptor is the hook the OOC layer installs. Intercept begins a
+// fresh [prefetch] message's pre-processing in the PE's scheduler
+// process, before the entry is delivered, and PostProcess begins the
+// generated post-processing step (the one that evicts) after a
+// [prefetch] entry method finishes. Each hands back the rest as a Hook,
+// which the scheduler runs as a stage of its dequeue step.
 type Interceptor interface {
-	Intercept(p *sim.Proc, pe *PE, t *Task) bool
-	PostProcess(p *sim.Proc, pe *PE, t *Task)
+	Intercept(p *sim.Proc, pe *PE, t *Task) Hook
+	PostProcess(p *sim.Proc, pe *PE, t *Task) Hook
 	// TaskCreated is called when a [prefetch] task is enqueued (at
 	// send time), before delivery. The OOC layer uses it to track
 	// which blocks have queued consumers — "the runtime system can
@@ -81,6 +82,20 @@ type Interceptor interface {
 	// prefetch and evict" — so eviction prefers blocks with no
 	// upcoming use.
 	TaskCreated(t *Task)
+}
+
+// Hook is an interceptor's pre- or post-processing of one task under
+// way on a PE. Its Step runs in the scheduler's sim.Proc.Drive step, so
+// it follows the Drive step rules: it reports false when the PE's
+// process must park, having arranged its wake, and is called again from
+// the event callback that wakes the process; it reports true once the
+// processing is over, and must not park. Owned then reports, for
+// pre-processing, whether the interceptor took ownership of the task
+// (queued it to reach the run queue later): the scheduler moves on, and
+// otherwise executes the task at once.
+type Hook interface {
+	Step() bool
+	Owned() bool
 }
 
 // Params are runtime cost knobs, all in seconds. They give the

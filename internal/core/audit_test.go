@@ -47,7 +47,7 @@ func TestSingleIOThreadSweepSharedQueue(t *testing.T) {
 
 // TestPrefetchDepthBoundHeld asserts, via the auditor, that the MultiIO
 // in-flight bound is never exceeded — the bug was complete()
-// decrementing inflight outside ioMu while ioLoop read it against the
+// decrementing inflight outside ioMu while the IO thread read it against the
 // bound.
 func TestPrefetchDepthBoundHeld(t *testing.T) {
 	for _, depth := range []int{1, 2} {

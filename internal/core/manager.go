@@ -167,6 +167,8 @@ type Manager struct {
 	met *audit.Metrics
 	// idleKernels holds finished kernel runs for RunKernel to reuse.
 	idleKernels []*kernelRun
+	// workers holds each PE's pre- and post-processing hook, by PE.
+	workers []*worker
 	// edgeKeys caches noteEdge's "SRC->DST" keys, indexed by
 	// src*len(tiers)+dst; empty until the edge first moves bytes.
 	edgeKeys []string
@@ -330,19 +332,15 @@ func (m *Manager) hbmFits(size int64) bool {
 	return m.hbm().Free()-m.opts.HBMReserve-m.reserved >= size
 }
 
-// reserveCapacity atomically claims need bytes of HBM budget for an
-// imminent sequence of fetches, reclaiming dead resident blocks on
-// demand if required. It reports whether the claim succeeded.
-func (m *Manager) reserveCapacity(p *sim.Proc, lane int, need int64) bool {
-	if !m.hbmFits(need) && !m.makeRoom(p, lane, need) {
-		return false
-	}
+// reserve claims need bytes of HBM budget, which fit, for an imminent
+// sequence of fetches: the staging step's reservation, made at once
+// when the bytes fit and after makeRoom when they did not.
+func (m *Manager) reserve(need int64) {
 	m.reserved += need
 	if m.rt.Observed() {
 		m.notePressure()
 	}
 	m.aud.Reserve(need)
-	return true
 }
 
 // The note helpers emit the events of the staging and kernel paths;
@@ -486,66 +484,50 @@ func (m *Manager) ResidentBytes() int64 {
 // retried after the next eviction.
 var errHBMBudget = fmt.Errorf("core: HBM budget exhausted")
 
-// fetch migrates h into HBM, holding the block lock for the duration.
-// When hasReservation is set the caller pre-claimed h.size bytes with
-// reserveCapacity; the reservation is consumed here exactly once
-// (whether or not a migration turns out to be needed). Otherwise the
-// budget check sits directly before the migration, after all lock
-// waits, so check-and-allocate is atomic in virtual time.
-func (m *Manager) fetch(p *sim.Proc, lane int, h *Handle, hasReservation bool) error {
-	waited := p.Now()
-	h.mu.Lock(p)
-	if m.rt.Observed() {
-		m.noteBlock(charm.EvLockWait, lane, h, waited, 0, "", false)
-	}
-	defer h.mu.Unlock(p)
-	if hasReservation {
-		m.consumeReservation(h.size)
-	}
-	if h.state == InHBM {
-		return nil
-	}
-	if h.state == Fetching || h.state == Evicting {
-		panic("core: block " + h.name + " in transition while lock held")
-	}
-	if !hasReservation && !m.hbmFits(h.size) {
-		return errHBMBudget
-	}
-	si := m.tierOf(h)
-	src := m.tiers[si]
-	m.setState(h, Fetching)
-	if m.rt.Observed() {
-		m.noteBlock(charm.EvFetchStart, lane, h, 0, 0, "", false)
-	}
-	start := p.Now()
-	d, err := m.mach.Alloc.Migrate(p, h.buf, m.hbm().ID)
-	if err != nil {
-		// A failed migration costs no virtual time: it fails on the
-		// up-front capacity claim.
-		m.setState(h, InDDR)
-		return err
-	}
-	m.setState(h, InHBM)
-	h.Fetches++
-	m.Stats.Fetches++
-	m.Stats.BytesFetched += h.size
-	m.Stats.FetchTime += d
-	m.noteEdge(si, 0, h.size)
-	if h.Fetches > 1 {
-		m.Stats.Refetches++
-	}
-	if m.rt.Observed() {
-		m.noteBlock(charm.EvFetchEnd, lane, h, start, d, src.Name, h.Fetches > 1)
-		m.notePressure()
-	}
-	m.aud.CheckNow()
-	return nil
+// blockMove is a fetch or an eviction of one block, as a stage of a
+// sim.Proc.Drive step: the block lock's acquisition and charge, then
+// the migration, with the lock held across it. startFetch or
+// startEvict sets it up and moveStep runs it.
+type blockMove struct {
+	at    moveStage
+	lock  sim.LockStep
+	h     *Handle
+	lane  int
+	fetch bool
+	// flag is the fetch's hasReservation, or the eviction's force.
+	flag   bool
+	forced bool // the eviction takes a block with pending uses
+	ti     int  // the tier the block leaves (fetch) or the one it is sent to (evict)
+	waited sim.Time
+	start  sim.Time
+	mig    numa.Migration
+	err    error // the fetch's result
 }
 
-// evict migrates h out of HBM if it is resident, unreferenced, and —
-// unless force is set — not needed by any queued task. makeRoom forces
-// eviction of pending-use blocks as a last resort under capacity
-// pressure.
+// moveStage is where a blockMove is in its sequence.
+type moveStage uint8
+
+const (
+	moveLock    moveStage = iota // take the block lock
+	moveMigrate                  // the migration is under way
+)
+
+// startFetch sets mv to migrate h into HBM, holding the block lock for
+// the duration. When hasReservation is set the caller pre-claimed
+// h.size bytes with its staging reservation; the reservation is
+// consumed exactly once (whether or not a migration turns out to be
+// needed). Otherwise the budget check sits directly before the
+// migration, after all lock waits, so check-and-allocate is atomic in
+// virtual time. moveStep leaves mv.err nil, errHBMBudget when the fetch
+// lost a capacity race, or the migration's error.
+func (m *Manager) startFetch(mv *blockMove, p *sim.Proc, lane int, h *Handle, hasReservation bool) {
+	*mv = blockMove{h: h, lane: lane, fetch: true, flag: hasReservation, waited: p.Now()}
+}
+
+// startEvict sets mv to migrate h out of HBM if it is resident,
+// unreferenced, and — unless force is set — not needed by any queued
+// task. makeRoom forces eviction of pending-use blocks as a last resort
+// under capacity pressure.
 //
 // The landing tier is the policy's demotion target: DemoteBottom drops
 // the victim to the far end of the chain (the paper's behaviour, and
@@ -553,41 +535,137 @@ func (m *Manager) fetch(p *sim.Proc, lane int, h *Handle, hasReservation bool) e
 // HBM, keeping a likely-returning block on the cheapest miss edge.
 // When the target tier is full the victim cascades one tier deeper;
 // only the bottom tier is a capacity backstop whose failure panics.
-func (m *Manager) evict(p *sim.Proc, lane int, h *Handle, force bool) {
-	waited := p.Now()
-	h.mu.Lock(p)
-	if m.rt.Observed() {
-		m.noteBlock(charm.EvLockWait, lane, h, waited, 0, "", false)
+func (m *Manager) startEvict(mv *blockMove, p *sim.Proc, lane int, h *Handle, force bool) {
+	*mv = blockMove{h: h, lane: lane, flag: force, waited: p.Now()}
+}
+
+// moveStep runs mv for p until p must park, and reports false, or until
+// the move is over and the block lock released, and reports true.
+func (m *Manager) moveStep(p *sim.Proc, mv *blockMove) bool {
+	h := mv.h
+	if mv.at == moveLock {
+		if !h.mu.Acquire(p, &mv.lock) {
+			return false
+		}
+		if m.rt.Observed() {
+			m.noteBlock(charm.EvLockWait, mv.lane, h, mv.waited, 0, "", false)
+		}
+		var begun bool
+		if mv.fetch {
+			begun = m.beginFetch(p, mv)
+		} else {
+			begun = m.beginEvict(p, mv)
+		}
+		if !begun {
+			h.mu.Unlock(p)
+			return true
+		}
+		mv.at = moveMigrate
 	}
-	defer h.mu.Unlock(p)
-	if h.state != InHBM || h.InUse() || h.claims > 0 {
-		return
-	}
-	if !force && h.pendingUses > 0 {
-		return
-	}
-	forced := force && h.pendingUses > 0
-	ti := 1 // one level below HBM
-	if m.evictPolicy().DemoteTarget() == DemoteBottom {
-		ti = len(m.tiers) - 1
-	}
-	m.setState(h, Evicting)
-	start := p.Now()
-	var (
-		dst *memsim.Node
-		d   sim.Time
-		err error
-	)
-	for ; ti < len(m.tiers); ti++ {
-		dst = m.tiers[ti]
-		// Migrate claims destination capacity atomically up front, so
-		// an ErrNoSpace here costs no virtual time and cascading to
-		// the next tier is free.
-		d, err = m.mach.Alloc.Migrate(p, h.buf, dst.ID)
-		if err == nil || !errors.Is(err, numa.ErrNoSpace) {
+	for {
+		if !mv.mig.Step(p) {
+			return false
+		}
+		d, err := mv.mig.Result()
+		if mv.fetch {
+			m.endFetch(mv, d, err)
 			break
 		}
+		// A migration claims its destination's capacity up front, so
+		// an ErrNoSpace costs no virtual time and cascading to the
+		// next tier is free.
+		if errors.Is(err, numa.ErrNoSpace) && mv.ti+1 < len(m.tiers) {
+			mv.ti++
+			mv.mig.Start(m.mach.Alloc, h.buf, m.tiers[mv.ti].ID)
+			continue
+		}
+		m.endEvict(mv, d, err)
+		break
 	}
+	h.mu.Unlock(p)
+	return true
+}
+
+// beginFetch runs a fetch's checks under the block lock and starts its
+// migration, or reports false when none is needed or it cannot fit.
+func (m *Manager) beginFetch(p *sim.Proc, mv *blockMove) bool {
+	h := mv.h
+	if mv.flag {
+		m.consumeReservation(h.size)
+	}
+	if h.state == InHBM {
+		return false
+	}
+	if h.state == Fetching || h.state == Evicting {
+		panic("core: block " + h.name + " in transition while lock held")
+	}
+	if !mv.flag && !m.hbmFits(h.size) {
+		mv.err = errHBMBudget
+		return false
+	}
+	mv.ti = m.tierOf(h)
+	m.setState(h, Fetching)
+	if m.rt.Observed() {
+		m.noteBlock(charm.EvFetchStart, mv.lane, h, 0, 0, "", false)
+	}
+	mv.start = p.Now()
+	mv.mig.Start(m.mach.Alloc, h.buf, m.hbm().ID)
+	return true
+}
+
+// endFetch records a fetch's migration, which took d or failed with
+// err.
+func (m *Manager) endFetch(mv *blockMove, d sim.Time, err error) {
+	h := mv.h
+	if err != nil {
+		// A failed migration costs no virtual time: it fails on the
+		// up-front capacity claim.
+		m.setState(h, InDDR)
+		mv.err = err
+		return
+	}
+	m.setState(h, InHBM)
+	h.Fetches++
+	m.Stats.Fetches++
+	m.Stats.BytesFetched += h.size
+	m.Stats.FetchTime += d
+	m.noteEdge(mv.ti, 0, h.size)
+	if h.Fetches > 1 {
+		m.Stats.Refetches++
+	}
+	if m.rt.Observed() {
+		m.noteBlock(charm.EvFetchEnd, mv.lane, h, mv.start, d, m.tiers[mv.ti].Name, h.Fetches > 1)
+		m.notePressure()
+	}
+	m.aud.CheckNow()
+}
+
+// beginEvict runs an eviction's checks under the block lock and starts
+// its migration to the demotion target, or reports false when the
+// block may not go.
+func (m *Manager) beginEvict(p *sim.Proc, mv *blockMove) bool {
+	h, force := mv.h, mv.flag
+	if h.state != InHBM || h.InUse() || h.claims > 0 {
+		return false
+	}
+	if !force && h.pendingUses > 0 {
+		return false
+	}
+	mv.forced = force && h.pendingUses > 0
+	mv.ti = 1 // one level below HBM
+	if m.evictPolicy().DemoteTarget() == DemoteBottom {
+		mv.ti = len(m.tiers) - 1
+	}
+	m.setState(h, Evicting)
+	mv.start = p.Now()
+	mv.mig.Start(m.mach.Alloc, h.buf, m.tiers[mv.ti].ID)
+	return true
+}
+
+// endEvict records an eviction's migration, which took d or failed
+// with err.
+func (m *Manager) endEvict(mv *blockMove, d sim.Time, err error) {
+	h := mv.h
 	if err != nil {
 		// The bottom tier is the capacity backstop; failure there (or
 		// any non-capacity error) is a configuration error.
@@ -596,14 +674,14 @@ func (m *Manager) evict(p *sim.Proc, lane int, h *Handle, force bool) {
 	m.setState(h, InDDR)
 	h.Evictions++
 	m.Stats.Evictions++
-	if forced {
+	if mv.forced {
 		m.Stats.ForcedEvictions++
 	}
 	m.Stats.BytesEvicted += h.size
 	m.Stats.EvictTime += d
-	m.noteEdge(0, ti, h.size)
+	m.noteEdge(0, mv.ti, h.size)
 	if m.rt.Observed() {
-		m.noteBlock(charm.EvEvict, lane, h, start, d, dst.Name, forced)
+		m.noteBlock(charm.EvEvict, mv.lane, h, mv.start, d, m.tiers[mv.ti].Name, mv.forced)
 	}
 	m.aud.CheckNow()
 }
@@ -639,42 +717,37 @@ func (m *Manager) taskDone(t *charm.Task) {
 }
 
 // Intercept implements charm.Interceptor: the generated pre-processing
-// step for [prefetch] entry methods.
-func (m *Manager) Intercept(p *sim.Proc, pe *charm.PE, t *charm.Task) bool {
+// step for [prefetch] entry methods, the strategy's admit, run as PE
+// pe's hook.
+func (m *Manager) Intercept(p *sim.Proc, pe *charm.PE, t *charm.Task) charm.Hook {
 	ot := newOOCTask(m, pe, t)
 	t.Ctx = ot
 	if ot.depBytes > m.HBMBudget() {
 		panic(fmt.Sprintf("core: task %s needs %d dep bytes, exceeding the %d-byte HBM budget; decompose further",
 			t, ot.depBytes, m.HBMBudget()))
 	}
-	staged := m.strat.admit(p, ot)
-	if m.rt.Observed() {
-		m.noteTask(charm.EvAdmit, t, pe.ID(), ot.depBytes, staged)
-	}
-	return staged
+	return m.worker(p, pe, t, false)
 }
 
 // PostProcess implements charm.Interceptor: the generated
-// post-processing (eviction) step after a [prefetch] entry runs.
-func (m *Manager) PostProcess(p *sim.Proc, pe *charm.PE, t *charm.Task) {
+// post-processing (eviction) step after a [prefetch] entry runs, the
+// strategy's complete, run as PE pe's hook.
+func (m *Manager) PostProcess(p *sim.Proc, pe *charm.PE, t *charm.Task) charm.Hook {
 	m.taskDone(t)
-	ot, _ := t.Ctx.(*OOCTask)
-	if ot != nil {
-		m.strat.complete(p, ot)
-	}
-	if m.rt.Observed() {
-		m.noteTask(charm.EvTaskDone, t, pe.ID(), 0, false)
-	}
+	return m.worker(p, pe, t, true)
 }
 
-// strategy is the scheduling policy plugged into the manager.
+// strategy is the scheduling policy plugged into the manager. Its
+// admit and complete run as stages of the PE scheduler's Drive step:
+// each reports false while w's process must park, its wake arranged,
+// and true once done.
 type strategy interface {
 	name() string
-	// admit is pre-processing: returns true if the task was staged
-	// (owned by the strategy), false to execute inline now.
-	admit(p *sim.Proc, ot *OOCTask) bool
+	// admit is pre-processing: it sets w.owned when the task was
+	// staged (owned by the strategy), else the PE executes it now.
+	admit(w *worker) bool
 	// complete is post-processing after the entry method ran.
-	complete(p *sim.Proc, ot *OOCTask)
+	complete(w *worker) bool
 	// queues returns the strategy's wait queues of staged tasks: the
 	// watchdog's stuck-task snapshot and the Lookahead eviction
 	// policy's view of upcoming declared uses read them.

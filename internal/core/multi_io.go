@@ -47,9 +47,11 @@ func newMultiIO(m *Manager) *multiIO {
 		s.evictq[i] = newWaitQueue[*Handle](lockCost)
 		s.ioMu[i].AcquireCost = lockCost
 		s.ioCond[i] = sim.NewCond(&s.ioMu[i])
-		i := i
-		lane := n + i // IO thread lane: the SMT sibling of PE i
-		m.rt.Engine().Spawn(fmt.Sprintf("IO-PE%d", i), func(q *sim.Proc) { s.ioLoop(q, i, lane) })
+		w := &ioSearch{s: s, i: i, lane: n + i} // lane: the SMT sibling of PE i
+		m.rt.Engine().Spawn(fmt.Sprintf("IO-PE%d", i), func(q *sim.Proc) {
+			w.mover = mover{m: m, p: q}
+			q.Drive(w.advance)
+		})
 	}
 	s.sweep = newQueueSweep(s.wqs)
 	return s
@@ -59,17 +61,10 @@ func (s *multiIO) name() string { return "multi-io" }
 
 func (s *multiIO) queues() taskQueues { return s.wqs }
 
-// kick wakes PE i's IO thread.
-func (s *multiIO) kick(p *sim.Proc, i int) {
-	var ls sim.LockStep
-	for !s.kickStep(p, &ls, i) {
-		p.Suspend()
-	}
-}
-
-// kickStep is kick for a sim.Proc.Drive step: it takes p's acquisition
-// of ioMu[i] one step on from *ls and reports false while p must park
-// for it, then marks the work, unlocks, signals and reports true.
+// kickStep wakes PE i's IO thread, as a stage of a sim.Proc.Drive
+// step: it takes p's acquisition of ioMu[i] one step on from *ls and
+// reports false while p must park for it, then marks the work,
+// unlocks, signals and reports true.
 func (s *multiIO) kickStep(p *sim.Proc, ls *sim.LockStep, i int) bool {
 	if !s.ioMu[i].Acquire(p, ls) {
 		return false
@@ -80,99 +75,119 @@ func (s *multiIO) kickStep(p *sim.Proc, ls *sim.LockStep, i int) bool {
 	return true
 }
 
-func (s *multiIO) admit(p *sim.Proc, ot *OOCTask) bool {
-	// "When a task arrives at its preprocessing step, it simply adds
-	// itself to the corresponding PE's wait queue. The IO thread is
-	// then woken up by the worker thread."
-	pe := ot.pe.ID()
-	depth := s.wqs[pe].push(p, ot)
-	if s.m.rt.Observed() {
-		s.m.noteQueue(charm.EvQueueDepth, pe, depth)
+// admit: "When a task arrives at its preprocessing step, it simply adds
+// itself to the corresponding PE's wait queue. The IO thread is then
+// woken up by the worker thread."
+func (s *multiIO) admit(w *worker) bool {
+	pe := w.pe.ID()
+	if w.at == 0 {
+		depth, ok := s.wqs[pe].pushStep(w.p, &w.lock, w.ot)
+		if !ok {
+			return false
+		}
+		if s.m.rt.Observed() {
+			s.m.noteQueue(charm.EvQueueDepth, pe, depth)
+		}
+		s.m.Stats.TasksStaged++
+		w.at = 1
 	}
-	s.m.Stats.TasksStaged++
-	s.kick(p, pe)
+	if !s.kickStep(w.p, &w.lock, pe) {
+		return false
+	}
+	w.owned = true
 	return true
 }
 
-func (s *multiIO) complete(p *sim.Proc, ot *OOCTask) {
-	pe := ot.pe.ID()
-	// The in-flight count is shared with the PE's IO thread, which
-	// reads it against the prefetch-depth bound; decrement under the
-	// same mutex so the bound is never transiently over-admitted.
-	s.ioMu[pe].Lock(p)
-	s.inflight[pe]--
-	if s.inflight[pe] < 0 {
-		panic("core: multiIO inflight underflow")
-	}
-	s.ioMu[pe].Unlock(p)
-	// Drop pins now (reference counts must be exact), but hand the
-	// data movement to the IO thread so eviction is asynchronous too.
-	ot.unpinAll()
-	if !s.m.opts.EvictLazily {
-		for _, d := range ot.deps {
-			if !d.h.InUse() {
-				s.evictq[pe].push(p, d.h)
-			}
-		}
-	}
-	// "It then wakes up the IO thread for the PE, since it has
-	// evicted data, allowing more tasks to have their data prefetched."
-	s.kick(p, pe)
-}
+// Where a Multiple IO complete is in its sequence.
+const (
+	mcInflight uint8 = iota // decrement the in-flight count
+	mcCheck                 // check dependence i
+	mcPush                  // hand dependence i to the IO thread
+	mcKick                  // wake the IO thread
+)
 
-// ioLoop serves PE i: evictions first (freeing capacity), then stage
-// waiting tasks until HBM fills, then sleep. Its search for work runs
-// as a sim.Proc.Drive step (ioSearch), so the thread resumes only to
-// evict a block or to stage a task.
-func (s *multiIO) ioLoop(q *sim.Proc, i, lane int) {
-	w := &ioSearch{s: s, q: q, i: i}
-	w.step = w.advance
+func (s *multiIO) complete(w *worker) bool {
+	pe, p, ot := w.pe.ID(), w.p, w.ot
 	for {
-		q.Drive(w.step)
-		if h := w.evict; h != nil {
-			w.evict = nil
-			// Re-check under the block's own protocol: the block may
-			// have been re-pinned by a newly staged task since it was
-			// queued, in which case evict is a no-op.
-			before := h.Evictions
-			s.m.evict(q, lane, h, false)
-			if h.Evictions != before {
-				w.evicted = true
+		switch w.at {
+		case mcInflight:
+			// The in-flight count is shared with the PE's IO thread,
+			// which reads it against the prefetch-depth bound;
+			// decrement under the same mutex so the bound is never
+			// transiently over-admitted.
+			if !s.ioMu[pe].Acquire(p, &w.lock) {
+				return false
 			}
-			continue
+			s.inflight[pe]--
+			if s.inflight[pe] < 0 {
+				panic("core: multiIO inflight underflow")
+			}
+			s.ioMu[pe].Unlock(p)
+			// Drop pins now (reference counts must be exact), but hand
+			// the data movement to the IO thread so eviction is
+			// asynchronous too.
+			ot.unpinAll()
+			w.at = mcCheck
+			if s.m.opts.EvictLazily {
+				w.at = mcKick
+			}
+		case mcCheck:
+			switch {
+			case w.i == len(ot.deps):
+				w.at = mcKick
+			case ot.deps[w.i].h.InUse():
+				w.i++
+			default:
+				w.at = mcPush
+			}
+		case mcPush:
+			if _, ok := s.evictq[pe].pushStep(p, &w.lock, ot.deps[w.i].h); !ok {
+				return false
+			}
+			w.i++
+			w.at = mcCheck
+		case mcKick:
+			// "It then wakes up the IO thread for the PE, since it has
+			// evicted data, allowing more tasks to have their data
+			// prefetched."
+			return s.kickStep(p, &w.lock, pe)
 		}
-		w.staged = w.ot.stage(q, lane)
 	}
 }
 
-// ioSearch is an IO thread's search for work between the blocks it
-// evicts and the tasks it stages, as a Drive step. Its step runs the
-// blocking sequence
+// ioSearch is PE i's IO thread, as one sim.Proc.Drive step that never
+// returns true: evictions first (freeing capacity), then stage waiting
+// tasks until HBM fills, then sleep. The thread resumes only at its
+// first grant. Its step runs the blocking sequence
 //
-//	ioMu[i].Lock; for !work[i] { ioCond[i].Wait }; work[i] = false; ioMu[i].Unlock
-//	for { h := evictq[i].pop(); if h == nil { break }; resume to evict h }
-//	depth := PrefetchDepth
 //	for {
-//		// Claim an in-flight slot under the mutex before staging;
-//		// staging parks on locks and migrations, and the bound must
-//		// hold across those waits.
-//		ioMu[i].Lock; claim a slot if one is free; ioMu[i].Unlock
-//		if no slot was free { break }
-//		ot := wqs[i].pop()
-//		if ot == nil { release the slot; break }
-//		resume to stage ot
-//		if staged { ot.pe.PushRun(ot.t); continue }
-//		release the slot; wqs[i].pushFront(ot); break
-//	}
-//	if a block was evicted or a task staged {
-//		kick the IO thread of every other non-empty wait queue
+//		ioMu[i].Lock; for !work[i] { ioCond[i].Wait }; work[i] = false; ioMu[i].Unlock
+//		for { h := evictq[i].pop(); if h == nil { break }; evict h }
+//		depth := PrefetchDepth
+//		for {
+//			// Claim an in-flight slot under the mutex before staging;
+//			// staging parks on locks and migrations, and the bound must
+//			// hold across those waits.
+//			ioMu[i].Lock; claim a slot if one is free; ioMu[i].Unlock
+//			if no slot was free { break }
+//			ot := wqs[i].pop()
+//			if ot == nil { release the slot; break }
+//			if ot.stage() { ot.pe.PushRun(ot.t); continue }
+//			release the slot; wqs[i].pushFront(ot); break
+//		}
+//		if a block was evicted or a task staged {
+//			kick the IO thread of every other non-empty wait queue
+//		}
 //	}
 //
 // split at its parks; releasing a slot is ioMu[i].Lock,
 // inflight[i]--, ioMu[i].Unlock. The wait-queue pop and pushFront, the
-// PushRun and each kick run as the step forms their blocking callers
-// loop over (popStep, pushFrontStep, PushRunStep, kickStep), so both
-// paths share one copy of each queue protocol.
+// PushRun, each kick, the eviction and the staging run as the step
+// forms (popStep, pushFrontStep, PushRunStep, kickStep, moveStep,
+// stageStep) that their other callers use too, so each protocol has
+// one copy. An eviction re-checks the block under its own protocol:
+// the block may have been re-pinned by a newly staged task since it was
+// queued, in which case the eviction moves nothing.
 //
 // The kick is cross-PE liveness: space freed here — by explicit
 // eviction or by staging-triggered reclamation (makeRoom under lazy
@@ -184,10 +199,10 @@ func (s *multiIO) ioLoop(q *sim.Proc, i, lane int) {
 // sim.Proc.Sweep does, and kicks the thread of each one it finds
 // non-empty.
 type ioSearch struct {
+	mover
 	s    *multiIO
-	q    *sim.Proc
 	i    int
-	step func() bool // advance, bound once
+	lane int
 
 	at   ioStage
 	lock sim.LockStep // the acquisition under way
@@ -195,9 +210,9 @@ type ioSearch struct {
 	// of a task that failed to stage.
 	then ioStage
 
-	evict   *Handle  // a block to resume for and evict
-	ot      *OOCTask // a task to resume for and stage, then push
-	staged  bool     // ot's stage result, set by ioLoop
+	evict   *Handle  // the block being evicted
+	before  int64    // its eviction count before this eviction
+	ot      *OOCTask // the task being staged, then pushed
 	evicted bool     // an eviction since the work wait
 	nstaged int      // tasks staged since the work wait
 	depth   int      // the PrefetchDepth bound of this staging pass
@@ -213,9 +228,10 @@ type ioStage uint8
 const (
 	ioWork      ioStage = iota // wait for work under ioMu[i]
 	ioEvictPop                 // pop the eviction queue
+	ioEvict                    // evict the popped block
 	ioClaim                    // claim an in-flight slot
 	ioPop                      // pop the wait queue
-	ioStaged                   // back from staging ot
+	ioStaging                  // stage ot
 	ioPushRun                  // push the staged ot to its PE's run queue
 	ioRelease                  // release the claimed slot, then go on to then
 	ioPushFront                // put back ot, which failed to stage
@@ -224,11 +240,10 @@ const (
 	ioKickOne                  // kick the thread of queue kick
 )
 
-// advance runs the search until the thread must park, and reports
-// false, or until it has a block to evict or a task to stage, and
-// reports true.
+// advance runs the thread until it must park, and reports false; it
+// never reports true.
 func (w *ioSearch) advance() bool {
-	s, q, i := w.s, w.q, w.i
+	s, q, i := w.s, w.p, w.i
 	for {
 		switch w.at {
 		case ioWork:
@@ -255,8 +270,18 @@ func (w *ioSearch) advance() bool {
 				w.at = ioClaim
 				continue
 			}
-			w.evict = h
-			return true
+			w.evict, w.before = h, h.Evictions
+			s.m.startEvict(&w.mv, q, w.lane, h, false)
+			w.at = ioEvict
+		case ioEvict:
+			if !s.m.moveStep(q, &w.mv) {
+				return false
+			}
+			if w.evict.Evictions != w.before {
+				w.evicted = true
+			}
+			w.evict = nil
+			w.at = ioEvictPop
 		case ioClaim:
 			if !s.ioMu[i].Acquire(q, &w.lock) {
 				return false
@@ -283,10 +308,13 @@ func (w *ioSearch) advance() bool {
 				w.at, w.then = ioRelease, ioKick
 				continue
 			}
-			w.ot, w.at = ot, ioStaged
-			return true
-		case ioStaged:
-			if w.staged {
+			w.ot, w.at = ot, ioStaging
+			w.startStage(ot, w.lane)
+		case ioStaging:
+			if !w.stageStep() {
+				return false
+			}
+			if w.st.ok {
 				w.at = ioPushRun
 			} else {
 				w.at, w.then = ioRelease, ioPushFront

@@ -2,7 +2,6 @@ package core
 
 import (
 	"github.com/hetmem/hetmem/internal/charm"
-	"github.com/hetmem/hetmem/internal/sim"
 )
 
 // noIO is the paper's "Multiple queues, no IO thread" strategy: fetch
@@ -28,55 +27,166 @@ func (s *noIO) name() string { return "no-io" }
 
 func (s *noIO) queues() taskQueues { return s.wqs }
 
-func (s *noIO) admit(p *sim.Proc, ot *OOCTask) bool {
-	pe := ot.pe.ID()
-	// "When a task arrives on a PE, if there is sufficient allocation
-	// space in HBM, it fetches its own data in the preprocessing step"
-	// — synchronous: the fetch time lands on the worker's own lane.
-	// FIFO fairness: if older tasks already wait on this PE, queue
-	// behind them instead of overtaking.
-	if s.wqs[pe].len(p) == 0 && ot.stage(p, pe) {
-		s.m.Stats.TasksInline++
-		return false
-	}
-	depth := s.wqs[pe].push(p, ot)
-	if s.m.rt.Observed() {
-		s.m.noteQueue(charm.EvQueueDepth, pe, depth)
-	}
-	s.m.Stats.TasksStaged++
-	return true
-}
+// Where a No IO admit is in its sequence.
+const (
+	naLen   uint8 = iota // check the PE's wait queue
+	naStage              // stage the task
+	naPush               // queue the task
+)
 
-func (s *noIO) complete(p *sim.Proc, ot *OOCTask) {
-	pe := ot.pe.ID()
-	// Synchronous eviction of the task's own dead dependences.
-	ot.release(p, pe)
-	// "After evicting its own data, it checks in the wait queue on
-	// its PE, to see if there are any tasks waiting to be scheduled."
-	s.drain(p, s.wqs[pe], s.wqs[pe].pop(p))
-	// Liveness beyond the paper's prose: a PE whose tasks are all
-	// parked in its wait queue has no completions of its own to stage
-	// them, so a completing worker that finds its own queue empty
-	// helps other PEs' queues (documented deviation; without it the
-	// tail of an iteration can deadlock when evictions happen only on
-	// PEs with empty queues). The sweep locks every other queue in
-	// turn, and drains each one it finds non-empty.
-	if s.wqs[pe].len(p) == 0 {
-		drain := func(i int) { s.drain(p, s.wqs[i], s.wqs[i].popHeld(p)) }
-		s.sweep.each(p, 0, pe, drain)
-		s.sweep.each(p, pe+1, len(s.wqs), drain)
-	}
-}
-
-// drain stages wot, just popped from wq (nil when wq was empty), and
-// then as many more of wq's tasks as capacity allows, scheduling each
-// onto its own PE's run queue.
-func (s *noIO) drain(p *sim.Proc, wq *waitQueue[*OOCTask], wot *OOCTask) {
-	for ; wot != nil; wot = wq.pop(p) {
-		if !wot.stage(p, wot.pe.ID()) {
-			wq.pushFront(p, wot)
-			return
+func (s *noIO) admit(w *worker) bool {
+	pe, p, ot := w.pe.ID(), w.p, w.ot
+	for {
+		switch w.at {
+		case naLen:
+			// "When a task arrives on a PE, if there is sufficient
+			// allocation space in HBM, it fetches its own data in the
+			// preprocessing step" — synchronous: the fetch time lands
+			// on the worker's own lane. FIFO fairness: if older tasks
+			// already wait on this PE, queue behind them instead of
+			// overtaking.
+			n, ok := s.wqs[pe].lenStep(p, &w.lock)
+			if !ok {
+				return false
+			}
+			w.at = naPush
+			if n == 0 {
+				w.startStage(ot, pe)
+				w.at = naStage
+			}
+		case naStage:
+			if !w.stageStep() {
+				return false
+			}
+			if w.st.ok {
+				s.m.Stats.TasksInline++
+				return true
+			}
+			w.at = naPush
+		case naPush:
+			depth, ok := s.wqs[pe].pushStep(p, &w.lock, ot)
+			if !ok {
+				return false
+			}
+			if s.m.rt.Observed() {
+				s.m.noteQueue(charm.EvQueueDepth, pe, depth)
+			}
+			s.m.Stats.TasksStaged++
+			w.owned = true
+			return true
 		}
-		wot.pe.PushRun(p, wot.t)
 	}
+}
+
+// Where a No IO complete is in its sequence.
+const (
+	ncRelease   uint8 = iota // evict the task's own dead dependences
+	ncPop                    // pop the PE's own wait queue
+	ncDrain                  // stage wot, or end the drain
+	ncStaging                // wot's staging is under way
+	ncPushRun                // run the staged wot on its PE
+	ncPushFront              // put back wot, which failed to stage
+	ncPopNext                // pop queue dq's next task
+	ncLen                    // check the PE's own wait queue again
+	ncScan                   // scan the other PEs' wait queues
+	ncScanOn                 // scan on past queue dq
+)
+
+// complete is post-processing. The task evicts its own dead dependences
+// and drains its PE's wait queue: it stages the queued tasks, each onto
+// its own PE's run queue, as long as capacity allows.
+//
+// Liveness beyond the paper's prose: a PE whose tasks are all parked in
+// its wait queue has no completions of its own to stage them, so a
+// completing worker that then finds its own queue empty helps other
+// PEs' queues (documented deviation; without it the tail of an
+// iteration can deadlock when evictions happen only on PEs with empty
+// queues). A sim.Scan locks every other queue in turn, as
+// sim.Proc.Sweep does, and the worker drains each one it finds
+// non-empty.
+func (s *noIO) complete(w *worker) bool {
+	pe, p := w.pe.ID(), w.p
+	for {
+		switch w.at {
+		case ncRelease:
+			if w.i == 0 {
+				w.startRelease(w.ot, pe)
+				w.i = 1
+			}
+			if !w.releaseStep() {
+				return false
+			}
+			w.at = ncPop
+		case ncPop:
+			// "After evicting its own data, it checks in the wait
+			// queue on its PE, to see if there are any tasks waiting
+			// to be scheduled."
+			wot, ok := s.wqs[pe].popStep(p, &w.lock)
+			if !ok {
+				return false
+			}
+			w.wot, w.dq, w.then = wot, pe, ncLen
+			w.at = ncDrain
+		case ncDrain:
+			if w.wot == nil {
+				w.at = w.then
+				continue
+			}
+			w.startStage(w.wot, w.wot.pe.ID())
+			w.at = ncStaging
+		case ncStaging:
+			if !w.stageStep() {
+				return false
+			}
+			if w.at = ncPushFront; w.st.ok {
+				w.at = ncPushRun
+			}
+		case ncPushRun:
+			if !w.wot.pe.PushRunStep(p, &w.lock, w.wot.t) {
+				return false
+			}
+			w.at = ncPopNext
+		case ncPopNext:
+			wot, ok := s.wqs[w.dq].popStep(p, &w.lock)
+			if !ok {
+				return false
+			}
+			w.wot, w.at = wot, ncDrain
+		case ncPushFront:
+			if !s.wqs[w.dq].pushFrontStep(p, &w.lock, w.wot) {
+				return false
+			}
+			w.wot, w.at = nil, w.then
+		case ncLen:
+			n, ok := s.wqs[pe].lenStep(p, &w.lock)
+			if !ok {
+				return false
+			}
+			if n > 0 {
+				return true
+			}
+			s.scanFrom(w, 0, pe)
+		case ncScan:
+			if !w.scan.Step(p) {
+				return false
+			}
+			switch j := w.scan.Slot(); {
+			case j < w.scanTo:
+				w.wot, w.dq, w.then = s.wqs[j].popHeld(p), j, ncScanOn
+				w.at = ncDrain
+			case j < len(s.wqs):
+				s.scanFrom(w, pe+1, len(s.wqs))
+			default:
+				return true
+			}
+		case ncScanOn:
+			s.scanFrom(w, w.dq+1, w.scanTo)
+		}
+	}
+}
+
+// scanFrom starts w's cross-PE scan over wait queues [from, to).
+func (s *noIO) scanFrom(w *worker, from, to int) {
+	w.scan.Start(from, to, s.sweep.lock, s.sweep.nonEmpty)
+	w.scanTo, w.at = to, ncScan
 }

@@ -85,7 +85,9 @@ func (ot *OOCTask) unpinAll() {
 	}
 }
 
-// stage makes all dependences resident and pinned, or none at all.
+// staging is a stage call in progress, as a stage of a sim.Proc.Drive
+// step. stage makes all of a task's dependences resident and pinned,
+// or none at all.
 //
 // Protocol, all in one atomic virtual-time section:
 //  1. pin every block already in HBM (free — the space is in use);
@@ -93,17 +95,39 @@ func (ot *OOCTask) unpinAll() {
 //     reserves HBM capacity for it, later claimants count on that
 //     fetch, so concurrent tasks sharing read-only blocks (matmul rows
 //     and columns) do not multiply the capacity demand;
-//  3. if the total reservation fails, back out completely (no pins, no
-//     claims kept) and return false for a later retry.
+//  3. reserve the total atomically, reclaiming dead resident blocks
+//     with makeRoom if it does not fit; if that fails, back out
+//     completely (no pins, no claims kept) and report false for a
+//     later retry.
 //
 // Then the fetch phase migrates the claimed blocks; fetching a block
-// someone else is migrating just waits on its lock. Reserving before
-// the first fetch means a task that starts fetching always finishes
-// staging, so concurrent IO threads cannot deadlock holding partial
-// dependence sets.
-func (ot *OOCTask) stage(p *sim.Proc, lane int) bool {
-	m := ot.m
-	var need int64
+// someone else is migrating just waits on its lock. Reserving the full
+// remaining dependence footprint before the first fetch means a task
+// that starts fetching always finishes staging, so concurrent IO
+// threads cannot deadlock holding partial dependence sets.
+type staging struct {
+	at   stageStage
+	ot   *OOCTask
+	lane int
+	need int64
+	i    int  // the dependence being fetched
+	ok   bool // the result: every dependence is pinned
+}
+
+// stageStage is where a staging is in its sequence.
+type stageStage uint8
+
+const (
+	stageRoom  stageStage = iota // makeRoom for the reservation
+	stageFetch                   // fetch the claimed dependences
+	stageMove                    // dependence i's fetch is under way
+)
+
+// startStage pins and claims ot's dependences and sets w's staging of
+// ot on lane going.
+func (w *mover) startStage(ot *OOCTask, lane int) {
+	st := &w.st
+	*st = staging{ot: ot, lane: lane, at: stageFetch}
 	for i := range ot.deps {
 		d := &ot.deps[i]
 		if d.pinned {
@@ -119,40 +143,81 @@ func (ot *OOCTask) stage(p *sim.Proc, lane int) bool {
 		h.claim(1)
 		if h.claims == 1 {
 			d.reserved = true
-			need += h.size
+			st.need += h.size
 		}
 	}
-	if need > 0 && !m.reserveCapacity(p, lane, need) {
-		// Nothing was granted: clear bookkeeping without refunding.
-		m.Stats.StageRetries++
-		if m.rt.Observed() {
-			m.noteTask(charm.EvStageRetry, ot.t, ot.pe.ID(), need, false)
-		}
-		for j := range ot.deps {
-			ot.dropClaim(j)
-		}
-		ot.unpinAll()
-		return false
+	if st.need == 0 {
+		return
 	}
-	for i := range ot.deps {
-		d := &ot.deps[i]
-		if d.pinned {
-			continue
-		}
-		if err := m.fetch(p, lane, d.h, d.reserved); err != nil {
-			// A non-reserved dep lost a capacity race (its original
-			// claimant aborted). Refund untouched reservations and
-			// back out. fetch already consumed dep i's reservation.
-			d.reserved = false
-			ot.backOut(i + 1)
-			return false
-		}
-		d.h.pin()
-		d.pinned = true
-		ot.dropClaim(i)
+	if !w.m.hbmFits(st.need) {
+		w.startRoom(lane, st.need)
+		st.at = stageRoom
+		return
 	}
-	// All pinned; claims were dropped as each block landed.
-	return true
+	w.m.reserve(st.need)
+}
+
+// stageStep runs w's staging until w's process must park, and reports
+// false, or until it is over, and reports true with st.ok set.
+func (w *mover) stageStep() bool {
+	m, st := w.m, &w.st
+	ot := st.ot
+	for {
+		switch st.at {
+		case stageRoom:
+			if !w.roomStep() {
+				return false
+			}
+			if !w.room.ok {
+				// Nothing was granted: clear bookkeeping without
+				// refunding.
+				m.Stats.StageRetries++
+				if m.rt.Observed() {
+					m.noteTask(charm.EvStageRetry, ot.t, ot.pe.ID(), st.need, false)
+				}
+				for j := range ot.deps {
+					ot.dropClaim(j)
+				}
+				ot.unpinAll()
+				st.ok = false
+				return true
+			}
+			m.reserve(st.need)
+			st.at = stageFetch
+		case stageFetch:
+			for st.i < len(ot.deps) && ot.deps[st.i].pinned {
+				st.i++
+			}
+			if st.i == len(ot.deps) {
+				// All pinned; claims were dropped as each block landed.
+				st.ok = true
+				return true
+			}
+			d := &ot.deps[st.i]
+			m.startFetch(&w.mv, w.p, st.lane, d.h, d.reserved)
+			st.at = stageMove
+		case stageMove:
+			if !m.moveStep(w.p, &w.mv) {
+				return false
+			}
+			d := &ot.deps[st.i]
+			if w.mv.err != nil {
+				// A non-reserved dep lost a capacity race (its
+				// original claimant aborted). Refund untouched
+				// reservations and back out. The fetch already
+				// consumed dep i's reservation.
+				d.reserved = false
+				ot.backOut(st.i + 1)
+				st.ok = false
+				return true
+			}
+			d.h.pin()
+			d.pinned = true
+			ot.dropClaim(st.i)
+			st.i++
+			st.at = stageFetch
+		}
+	}
 }
 
 // dropClaim releases the staging claim on dep i, if held.
@@ -179,21 +244,49 @@ func (ot *OOCTask) backOut(from int) {
 	ot.unpinAll()
 }
 
-// release runs the post-processing eviction protocol: drop the task's
-// pins, then evict every dependence whose reference count reached zero
-// ("it evicts its own data dependences ... as long as they are not in
-// use by other tasks, by checking the reference count"). Under lazy
-// eviction (the memory-pool ablation) dead blocks stay resident.
-func (ot *OOCTask) release(p *sim.Proc, lane int) {
+// startRelease drops ot's pins and sets w's post-processing eviction
+// protocol going on lane: evict every dependence whose reference count
+// reached zero ("it evicts its own data dependences ... as long as they
+// are not in use by other tasks, by checking the reference count").
+// Under lazy eviction (the memory-pool ablation) dead blocks stay
+// resident.
+func (w *mover) startRelease(ot *OOCTask, lane int) {
 	ot.unpinAll()
-	if ot.m.opts.EvictLazily {
-		return
+	w.rel = releasing{ot: ot, lane: lane}
+	if w.m.opts.EvictLazily {
+		w.rel.i = len(ot.deps)
 	}
-	for _, d := range ot.deps {
-		if !d.h.InUse() {
-			ot.m.evict(p, lane, d.h, false)
+}
+
+// releasing is a release in progress: the dependence it is at, and
+// whether that dependence's eviction is under way.
+type releasing struct {
+	ot       *OOCTask
+	lane     int
+	i        int
+	evicting bool
+}
+
+// releaseStep runs w's release until w's process must park, and
+// reports false, or until every dead dependence is evicted, and reports
+// true.
+func (w *mover) releaseStep() bool {
+	r := &w.rel
+	for ; r.i < len(r.ot.deps); r.i++ {
+		if !r.evicting {
+			h := r.ot.deps[r.i].h
+			if h.InUse() {
+				continue
+			}
+			w.m.startEvict(&w.mv, w.p, r.lane, h, false)
+			r.evicting = true
 		}
+		if !w.m.moveStep(w.p, &w.mv) {
+			return false
+		}
+		r.evicting = false
 	}
+	return true
 }
 
 // waitQueue is a FIFO guarded by a virtual-time lock: the paper's
@@ -216,27 +309,33 @@ func newWaitQueue[T any](lockCost sim.Time) *waitQueue[T] {
 // resulting depth, so callers can record queue-depth metrics without a
 // second lock round-trip.
 func (wq *waitQueue[T]) push(p *sim.Proc, x T) int {
-	wq.mu.Lock(p)
-	wq.items.PushBack(x)
-	n := wq.items.Len()
-	wq.mu.Unlock(p)
-	return n
-}
-
-// pop removes and returns the first item, or the zero T when empty.
-func (wq *waitQueue[T]) pop(p *sim.Proc) T {
 	var s sim.LockStep
 	for {
-		if x, ok := wq.popStep(p, &s); ok {
-			return x
+		if n, ok := wq.pushStep(p, &s, x); ok {
+			return n
 		}
 		p.Suspend()
 	}
 }
 
-// popStep is pop for a sim.Proc.Drive step: it takes p's acquisition of
-// the queue lock one step on from *s and reports false while p must
-// park for it, then pops as pop does and reports true.
+// pushStep is push for a sim.Proc.Drive step: it takes p's acquisition
+// of the queue lock one step on from *s and reports false while p must
+// park for it, then appends x as push does and reports true with the
+// resulting depth.
+func (wq *waitQueue[T]) pushStep(p *sim.Proc, s *sim.LockStep, x T) (int, bool) {
+	if !wq.mu.Acquire(p, s) {
+		return 0, false
+	}
+	wq.items.PushBack(x)
+	n := wq.items.Len()
+	wq.mu.Unlock(p)
+	return n, true
+}
+
+// popStep, for a sim.Proc.Drive step, takes p's acquisition of the
+// queue lock one step on from *s and reports false while p must park
+// for it, then removes the first item (the zero T when the queue is
+// empty) and reports true.
 func (wq *waitQueue[T]) popStep(p *sim.Proc, s *sim.LockStep) (T, bool) {
 	var x T
 	if !wq.mu.Acquire(p, s) {
@@ -250,25 +349,18 @@ func (wq *waitQueue[T]) popStep(p *sim.Proc, s *sim.LockStep) (T, bool) {
 }
 
 // popHeld removes and returns the first item of a non-empty queue whose
-// lock p holds from a sweep hit, and releases the lock: the tail of pop.
+// lock p holds from a scan hit, and releases the lock: the tail of
+// popStep.
 func (wq *waitQueue[T]) popHeld(p *sim.Proc) T {
 	x := wq.items.PopFront()
 	wq.mu.Unlock(p)
 	return x
 }
 
-// pushFront reinserts a partially staged task at the head so FIFO order
-// is preserved across capacity stalls.
-func (wq *waitQueue[T]) pushFront(p *sim.Proc, x T) {
-	var s sim.LockStep
-	for !wq.pushFrontStep(p, &s, x) {
-		p.Suspend()
-	}
-}
-
-// pushFrontStep is pushFront for a sim.Proc.Drive step: it takes p's
-// acquisition of the queue lock one step on from *s and reports false
-// while p must park for it, then reinserts x and reports true.
+// pushFrontStep, for a sim.Proc.Drive step, takes p's acquisition of
+// the queue lock one step on from *s and reports false while p must
+// park for it, then reinserts x at the head, so FIFO order is preserved
+// across capacity stalls, and reports true.
 func (wq *waitQueue[T]) pushFrontStep(p *sim.Proc, s *sim.LockStep, x T) bool {
 	if !wq.mu.Acquire(p, s) {
 		return false
@@ -278,26 +370,19 @@ func (wq *waitQueue[T]) pushFrontStep(p *sim.Proc, s *sim.LockStep, x T) bool {
 	return true
 }
 
-// len returns the queue length under the queue lock. Callers make real
-// scheduling decisions from it (NoIO's FIFO-fairness gate, MultiIO's
-// cross-PE kicks), so it must observe a consistent queue, and it pays
-// the same lock cost every other queue operation does.
-func (wq *waitQueue[T]) len(p *sim.Proc) int {
-	wq.mu.Lock(p)
+// lenStep, for a sim.Proc.Drive step, takes p's acquisition of the
+// queue lock one step on from *s and reports false while p must park
+// for it, then reports the queue length and true. Callers make real
+// scheduling decisions from it (No IO's FIFO-fairness gate), so it must
+// observe a consistent queue, and it pays the same lock cost every
+// other queue operation does.
+func (wq *waitQueue[T]) lenStep(p *sim.Proc, s *sim.LockStep) (int, bool) {
+	if !wq.mu.Acquire(p, s) {
+		return 0, false
+	}
 	n := wq.items.Len()
 	wq.mu.Unlock(p)
-	return n
-}
-
-// scan visits each queued item with its queue position under the queue
-// lock (the Lookahead eviction policy's dependence walk). The callback
-// must not touch this queue or block.
-func (wq *waitQueue[T]) scan(p *sim.Proc, visit func(pos int, x T)) {
-	wq.mu.Lock(p)
-	for i := 0; i < wq.items.Len(); i++ {
-		visit(i, wq.items.At(i))
-	}
-	wq.mu.Unlock(p)
+	return n, true
 }
 
 // quiescentItems snapshots the queue contents without the lock. Only
@@ -335,20 +420,10 @@ func (qs taskQueues) queued() [][]*OOCTask {
 	return out
 }
 
-// scanWaiting visits every queued task with its position in its queue,
-// under the queue locks — the Lookahead eviction policy's view of
-// upcoming declared uses. Callers must not hold any wait-queue lock.
-func (qs taskQueues) scanWaiting(p *sim.Proc, visit func(pos int, ot *OOCTask)) {
-	for _, wq := range qs {
-		wq.scan(p, visit)
-	}
-}
-
-// queueSweep finds a strategy's non-empty wait queues with
-// sim.Proc.Sweep: it takes every queue's lock in turn, as len would, but
-// resumes the sweeping process only at the non-empty ones. Its probes
-// are bound once, so a sweep allocates nothing; Multiple IO's search
-// scans with them too, through a sim.Scan of its own.
+// queueSweep probes a strategy's wait queues for a sim.Scan that finds
+// the non-empty ones: it takes every queue's lock in turn, as a
+// length check would, but stops only at the non-empty ones. The probes
+// are bound once, so a scan allocates nothing.
 type queueSweep struct {
 	lock     func(i int) *sim.Mutex
 	nonEmpty func(i int) bool
@@ -358,15 +433,5 @@ func newQueueSweep(wqs taskQueues) queueSweep {
 	return queueSweep{
 		lock:     func(i int) *sim.Mutex { return &wqs[i].mu },
 		nonEmpty: func(i int) bool { return wqs[i].items.Len() > 0 },
-	}
-}
-
-// each calls hit(i), in order, for every queue i in [from, to) that is
-// non-empty when swept, with its lock held; hit must release it.
-func (qs queueSweep) each(p *sim.Proc, from, to int, hit func(i int)) {
-	for i := from; i < to; i++ {
-		if i = p.Sweep(i, to, qs.lock, qs.nonEmpty); i < to {
-			hit(i)
-		}
 	}
 }

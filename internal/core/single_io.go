@@ -66,16 +66,18 @@ func newSingleIO(m *Manager) *singleIO {
 // threads start parked: they serve no pass until a kick moves gen.
 func (s *singleIO) ensureSpawned(n int) {
 	for s.spawned < n {
-		i := s.spawned
-		lane := s.m.rt.NumPEs() + i
-		s.m.rt.Engine().Spawn(fmt.Sprintf("IO%d", i), func(q *sim.Proc) { s.ioLoop(q, i, lane) })
+		w := &ioPass{s: s, id: s.spawned, lane: s.m.rt.NumPEs() + s.spawned}
+		s.m.rt.Engine().Spawn(fmt.Sprintf("IO%d", w.id), func(q *sim.Proc) {
+			w.mover = mover{m: s.m, p: q}
+			q.Drive(w.advance)
+		})
 		s.spawned++
 	}
 }
 
 // setIOThreads retargets the pool at n serving threads online (n <= 0
 // means the mode's natural count, 1) — the adaptive controller's
-// IOThreads knob. Threads beyond n park in ioLoop's wait guard until
+// IOThreads knob. Threads beyond n park in ioPass's wait for work until
 // re-enabled. Safe from any context: the counter writes are atomic in
 // the cooperative simulation, the generation bump makes freshly enabled
 // threads run a catch-up pass, and Broadcast needs no process.
@@ -101,79 +103,204 @@ func (s *singleIO) queueFor(pe int) *waitQueue[*OOCTask] {
 	return s.wqs[pe]
 }
 
-// kick wakes the IO thread(s): every thread whose last served
-// generation predates this one will run another pass.
-func (s *singleIO) kick(p *sim.Proc) {
-	s.ioMu.Lock(p)
+// kickStep wakes the IO thread(s), as a stage of a sim.Proc.Drive
+// step: every thread whose last served generation predates this one
+// will run another pass. It takes p's acquisition of ioMu one step on
+// from *ls and reports false while p must park for it, then moves gen,
+// unlocks, broadcasts and reports true.
+func (s *singleIO) kickStep(p *sim.Proc, ls *sim.LockStep) bool {
+	if !s.ioMu.Acquire(p, ls) {
+		return false
+	}
 	s.gen++
 	s.ioMu.Unlock(p)
 	s.ioCond.Broadcast()
-}
-
-func (s *singleIO) admit(p *sim.Proc, ot *OOCTask) bool {
-	// Fast path from the paper: "A task checks if it is ready to
-	// execute, i.e. if all the data dependences are in INHBM; if so,
-	// the task is immediately added to the run queue."  Running it
-	// inline is equivalent to queueing it at the head of the run
-	// queue and avoids a scheduler round-trip.
-	if ot.ready() {
-		ot.pinAll()
-		s.m.Stats.TasksInline++
-		return false
-	}
-	pe := ot.pe.ID()
-	qi := 0
-	if len(s.wqs) > 1 {
-		qi = pe
-	}
-	depth := s.queueFor(pe).push(p, ot)
-	if s.m.rt.Observed() {
-		s.m.noteQueue(charm.EvQueueDepth, qi, depth)
-	}
-	s.m.Stats.TasksStaged++
-	s.kick(p)
 	return true
 }
 
-func (s *singleIO) complete(p *sim.Proc, ot *OOCTask) {
-	// Post-processing: the worker evicts its own dead dependences,
-	// then wakes the sleeping IO thread so freed space can be reused.
-	ot.release(p, ot.pe.ID())
-	s.kick(p)
-}
+// Where a Single IO admit is in its sequence.
+const (
+	saReady uint8 = iota // run the task inline if its blocks are resident
+	saPush               // queue the task
+	saKick               // wake the IO thread(s)
+)
 
-// ioLoop is Algorithm 1: while space remains in HBM, pop the first task
-// of each wait queue in turn, bring in its data, and move it to the run
-// queue; sleep when out of tasks or capacity. Thread id parks whenever
-// the pool is retargeted below it.
-func (s *singleIO) ioLoop(q *sim.Proc, id, lane int) {
-	var seen uint64
+func (s *singleIO) admit(w *worker) bool {
+	ot := w.ot
+	pe := ot.pe.ID()
 	for {
-		s.ioMu.Lock(q)
-		for s.gen == seen || id >= s.active {
-			s.ioCond.Wait(q)
-		}
-		seen = s.gen
-		s.ioMu.Unlock(q)
-
-		for progress := true; progress; {
-			progress = false
-			// Serve each queue once per pass so all PEs advance
-			// together ("serving all PEs equally"): the sweep locks
-			// each queue in turn and pops the first task of each
-			// one it finds non-empty.
-			s.sweep.each(q, 0, len(s.wqs), func(j int) {
-				wq := s.wqs[j]
-				ot := wq.popHeld(q)
-				if ot.stage(q, lane) {
-					ot.pe.PushRun(q, ot.t)
-					progress = true
-				} else {
-					// HBM full: keep FIFO order and stall this
-					// queue until an eviction wakes us.
-					wq.pushFront(q, ot)
+		switch w.at {
+		case saReady:
+			// Fast path from the paper: "A task checks if it is ready
+			// to execute, i.e. if all the data dependences are in
+			// INHBM; if so, the task is immediately added to the run
+			// queue." Running it inline is equivalent to queueing it
+			// at the head of the run queue and avoids a scheduler
+			// round-trip.
+			if ot.ready() {
+				ot.pinAll()
+				s.m.Stats.TasksInline++
+				return true
+			}
+			w.at = saPush
+		case saPush:
+			depth, ok := s.queueFor(pe).pushStep(w.p, &w.lock, ot)
+			if !ok {
+				return false
+			}
+			if s.m.rt.Observed() {
+				qi := 0
+				if len(s.wqs) > 1 {
+					qi = pe
 				}
-			})
+				s.m.noteQueue(charm.EvQueueDepth, qi, depth)
+			}
+			s.m.Stats.TasksStaged++
+			w.at = saKick
+		case saKick:
+			if !s.kickStep(w.p, &w.lock) {
+				return false
+			}
+			w.owned = true
+			return true
 		}
 	}
+}
+
+// complete is post-processing: the worker evicts its own dead
+// dependences, then wakes the sleeping IO thread so freed space can be
+// reused.
+func (s *singleIO) complete(w *worker) bool {
+	if w.at == 0 {
+		w.startRelease(w.ot, w.ot.pe.ID())
+		w.at = 1
+	}
+	if w.at == 1 {
+		if !w.releaseStep() {
+			return false
+		}
+		w.at = 2
+	}
+	return s.kickStep(w.p, &w.lock)
+}
+
+// ioPass is one IO thread running Algorithm 1, as one sim.Proc.Drive
+// step that never returns true: while space remains in HBM, pop the
+// first task of each wait queue in turn, bring in its data, and move it
+// to the run queue; sleep when out of tasks or capacity. The thread
+// resumes only at its first grant. Its step runs the blocking sequence
+//
+//	for {
+//		ioMu.Lock
+//		for gen == seen || id >= active { ioCond.Wait }
+//		seen = gen
+//		ioMu.Unlock
+//		for progress := true; progress; {
+//			progress = false
+//			for each wait queue j found non-empty under its lock {
+//				ot := wqs[j].popHeld()
+//				if ot.stage() {
+//					ot.pe.PushRun(ot.t)
+//					progress = true
+//				} else {
+//					// HBM full: keep FIFO order and stall this
+//					// queue until an eviction wakes us.
+//					wqs[j].pushFront(ot)
+//				}
+//			}
+//		}
+//	}
+//
+// split at its parks. Each pass serves every queue once so all PEs
+// advance together ("serving all PEs equally"): a sim.Scan locks each
+// queue in turn and stops at each one it finds non-empty, as
+// sim.Proc.Sweep does. Thread id parks whenever the pool is retargeted
+// below it.
+type ioPass struct {
+	mover
+	s        *singleIO
+	id, lane int
+
+	at       passStage
+	lock     sim.LockStep // the acquisition under way
+	seen     uint64       // the last generation served
+	progress bool         // a task staged in this pass
+	scan     sim.Scan     // the pass's scan over the wait queues
+	j        int          // the queue ot came from
+	ot       *OOCTask
+}
+
+// passStage is where an ioPass is in its sequence.
+type passStage uint8
+
+const (
+	passWork      passStage = iota // wait for a kick under ioMu
+	passScan                       // scan for the next non-empty queue
+	passStaging                    // stage ot
+	passPushRun                    // push the staged ot to its PE's run queue
+	passPushFront                  // put back ot, which failed to stage
+)
+
+// advance runs the thread until it must park, and reports false; it
+// never reports true.
+func (w *ioPass) advance() bool {
+	s, q := w.s, w.p
+	for {
+		switch w.at {
+		case passWork:
+			if !s.ioMu.Acquire(q, &w.lock) {
+				return false
+			}
+			if s.gen == w.seen || w.id >= s.active {
+				s.ioCond.Join(q)
+				return false
+			}
+			w.seen = s.gen
+			s.ioMu.Unlock(q)
+			w.progress = false
+			w.scanFrom(0)
+		case passScan:
+			if !w.scan.Step(q) {
+				return false
+			}
+			w.j = w.scan.Slot()
+			if w.j == len(s.wqs) {
+				if w.progress {
+					w.progress = false
+					w.scanFrom(0)
+				} else {
+					w.at = passWork
+				}
+				continue
+			}
+			w.ot = s.wqs[w.j].popHeld(q)
+			w.startStage(w.ot, w.lane)
+			w.at = passStaging
+		case passStaging:
+			if !w.stageStep() {
+				return false
+			}
+			if w.at = passPushFront; w.st.ok {
+				w.at = passPushRun
+			}
+		case passPushRun:
+			if !w.ot.pe.PushRunStep(q, &w.lock, w.ot.t) {
+				return false
+			}
+			w.progress = true
+			w.scanFrom(w.j + 1)
+		case passPushFront:
+			if !s.wqs[w.j].pushFrontStep(q, &w.lock, w.ot) {
+				return false
+			}
+			w.scanFrom(w.j + 1)
+		}
+	}
+}
+
+// scanFrom starts the pass's scan over wait queues [from, len).
+func (w *ioPass) scanFrom(from int) {
+	w.ot = nil
+	w.scan.Start(from, len(w.s.wqs), w.s.sweep.lock, w.s.sweep.nonEmpty)
+	w.at = passScan
 }

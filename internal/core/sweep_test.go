@@ -42,19 +42,19 @@ func TestWaitQueueSweepEventStats(t *testing.T) {
 		runs [3]run
 	}{
 		{core.SingleIO, [3]run{
-			{"stencil", 3240, sim.EventStats{Scheduled: 31358, Fired: 28812, Cancelled: 2546, Reused: 30667, Resumes: 13439, Steps: 5473}},
-			{"matmul", 512, sim.EventStats{Scheduled: 16282, Fired: 15176, Cancelled: 1106, Reused: 16257, Resumes: 7110, Steps: 3457}},
-			{"shift", 1152, sim.EventStats{Scheduled: 25432, Fired: 24031, Cancelled: 1401, Reused: 25359, Resumes: 11471, Steps: 5964}},
+			{"stencil", 3240, sim.EventStats{Scheduled: 31358, Fired: 28812, Cancelled: 2546, Reused: 30667, Resumes: 3762, Steps: 15150}},
+			{"matmul", 512, sim.EventStats{Scheduled: 16282, Fired: 15176, Cancelled: 1106, Reused: 16257, Resumes: 1034, Steps: 9533}},
+			{"shift", 1152, sim.EventStats{Scheduled: 25432, Fired: 24031, Cancelled: 1401, Reused: 25359, Resumes: 2314, Steps: 15121}},
 		}},
 		{core.NoIO, [3]run{
-			{"stencil", 3240, sim.EventStats{Scheduled: 31290, Fired: 29417, Cancelled: 1873, Reused: 30600, Resumes: 12469, Steps: 7045}},
-			{"matmul", 512, sim.EventStats{Scheduled: 17626, Fired: 16912, Cancelled: 714, Reused: 17602, Resumes: 7305, Steps: 5265}},
-			{"shift", 1152, sim.EventStats{Scheduled: 30040, Fired: 28614, Cancelled: 1426, Reused: 29968, Resumes: 12632, Steps: 9196}},
+			{"stencil", 3240, sim.EventStats{Scheduled: 31290, Fired: 29417, Cancelled: 1873, Reused: 30600, Resumes: 3761, Steps: 15753}},
+			{"matmul", 512, sim.EventStats{Scheduled: 17626, Fired: 16912, Cancelled: 714, Reused: 17602, Resumes: 1033, Steps: 11537}},
+			{"shift", 1152, sim.EventStats{Scheduled: 30040, Fired: 28614, Cancelled: 1426, Reused: 29968, Resumes: 2313, Steps: 19515}},
 		}},
 		{core.MultiIO, [3]run{
-			{"stencil", 3240, sim.EventStats{Scheduled: 38062, Fired: 36218, Cancelled: 1844, Reused: 37364, Resumes: 18030, Steps: 9209}},
-			{"matmul", 512, sim.EventStats{Scheduled: 26852, Fired: 25710, Cancelled: 1142, Reused: 26820, Resumes: 9363, Steps: 11738}},
-			{"shift", 1152, sim.EventStats{Scheduled: 48715, Fired: 47283, Cancelled: 1432, Reused: 48635, Resumes: 15670, Steps: 25058}},
+			{"stencil", 3240, sim.EventStats{Scheduled: 38062, Fired: 36218, Cancelled: 1844, Reused: 37364, Resumes: 3769, Steps: 23470}},
+			{"matmul", 512, sim.EventStats{Scheduled: 26852, Fired: 25710, Cancelled: 1142, Reused: 26820, Resumes: 1041, Steps: 20060}},
+			{"shift", 1152, sim.EventStats{Scheduled: 48715, Fired: 47283, Cancelled: 1432, Reused: 48635, Resumes: 2321, Steps: 38407}},
 		}},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {

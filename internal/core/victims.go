@@ -59,40 +59,83 @@ func (m *Manager) useDone(h *Handle, now sim.Time) {
 	}
 }
 
-// makeRoom evicts dead (resident, unreferenced) blocks until need bytes
-// fit in the HBM budget, in the order the configured EvictPolicy ranks
-// them. Under lazy eviction this is the memory pool's reclamation path;
-// under eager eviction it is a liveness backstop for blocks stranded
-// resident by aborted staging attempts. Reports whether enough space
-// was freed.
+// roomPass is a makeRoom call in progress, as a stage of a
+// sim.Proc.Drive step. makeRoom evicts dead (resident, unreferenced)
+// blocks until need bytes fit in the HBM budget, in the order the
+// configured EvictPolicy ranks them. Under lazy eviction this is the
+// memory pool's reclamation path; under eager eviction it is a liveness
+// backstop for blocks stranded resident by aborted staging attempts. ok
+// reports whether enough space was freed.
 //
 // First pass: blocks no queued task needs. Second pass: any dead block,
 // even one with pending uses — capacity beats affinity. Each pass ranks
 // the blocks the dead index holds when it starts, because blocks change
-// state while the first pass blocks on locks and migrations.
-func (m *Manager) makeRoom(p *sim.Proc, lane int, need int64) bool {
-	pol := m.evictPolicy()
-	v := m.takeVictims(p)
-	defer m.putVictims(v)
+// state while the first pass waits on locks and migrations.
+type roomPass struct {
+	at    roomStage
+	v     *victims
+	pol   EvictPolicy
+	need  int64
+	lane  int
+	force bool
+	ok    bool
+}
+
+// roomStage is where a roomPass is in its sequence.
+type roomStage uint8
+
+const (
+	roomRank  roomStage = iota // rank the pass's candidates
+	roomPick                   // pick the next victim, or end the pass
+	roomEvict                  // evict the victim
+)
+
+// startRoom sets w's makeRoom call going for need bytes on lane.
+func (w *mover) startRoom(lane int, need int64) {
+	m := w.m
+	r := &w.room
+	*r = roomPass{pol: m.evictPolicy(), v: m.takeVictims(w.p), need: need, lane: lane}
 	m.room.Calls++
-	for _, force := range [...]bool{false, true} {
-		if force {
-			m.room.ForcedPasses++
-		}
-		v.rank(pol, force, nil)
-		for !m.hbmFits(need) {
-			h := v.next()
-			if h == nil {
-				break
+	r.v.startRank(r.pol, false, nil)
+}
+
+// roomStep runs w's makeRoom call until w's process must park, and
+// reports false, or until it is over, and reports true with room.ok
+// set.
+func (w *mover) roomStep() bool {
+	m, r := w.m, &w.room
+	for {
+		switch r.at {
+		case roomRank:
+			if !r.v.rankStep() {
+				return false
 			}
-			m.evict(p, lane, h, force)
-		}
-		v.done()
-		if m.hbmFits(need) {
-			return true
+			r.at = roomPick
+		case roomPick:
+			if !m.hbmFits(r.need) {
+				if h := r.v.next(); h != nil {
+					m.startEvict(&w.mv, w.p, r.lane, h, r.force)
+					r.at = roomEvict
+					continue
+				}
+			}
+			r.v.done()
+			if r.ok = m.hbmFits(r.need); r.ok || r.force {
+				m.putVictims(r.v)
+				r.v = nil
+				return true
+			}
+			r.force = true
+			m.room.ForcedPasses++
+			r.v.startRank(r.pol, true, nil)
+			r.at = roomRank
+		case roomEvict:
+			if !m.moveStep(w.p, &w.mv) {
+				return false
+			}
+			r.at = roomPick
 		}
 	}
-	return false
 }
 
 // takeVictims returns idle pass storage for process p. Several
@@ -167,14 +210,24 @@ type keyed struct {
 	heap   []int32     // candidates not yet handed out, a min-heap on less
 	last   int32       // the candidate handed out last; -1 before any
 
-	// The queue walk behind nextUse: dist[id] is the queue position of
-	// handle id's first consumer when seen[id] == epoch.
-	walked bool
-	epoch  uint64
-	dist   []int
-	seen   []uint64
-	visit  func(pos int, ot *OOCTask) // note, bound once
-	lookup func(h *Handle) int        // nextUse, bound once
+	// The ranking under way: its policy, the candidate whose next use
+	// is taken next, and the source of next uses, the queue walk when
+	// nextUseFn is nil.
+	pol       EvictPolicy
+	ui        int
+	nextUseFn func(*Handle) int
+
+	// The queue walk: dist[id] is the queue position of handle id's
+	// first consumer when seen[id] == epoch. walking is set while the
+	// walk, a scan over the wait queues walkQs, is under way.
+	walked, walking bool
+	epoch           uint64
+	dist            []int
+	seen            []uint64
+	walk            sim.Scan
+	walkQs          taskQueues
+	walkLock        func(i int) *sim.Mutex // queueLock, bound once
+	walkVisit       func(i int) bool       // noteQueue, bound once
 }
 
 // rank collects the candidates and orders them under pol, taking next
@@ -182,30 +235,51 @@ type keyed struct {
 // queues when nextUse is nil. Unless force is set, it parks the
 // candidates with pending uses and then registers the pass for wake: a
 // use completing during the queue walk changes nothing the parking has
-// yet to read.
+// yet to read. It loops over startRank and rankStep, parking the pass's
+// process where the walk waits for a queue lock.
 func (v *victims) rank(pol EvictPolicy, force bool, nextUse func(*Handle) int) {
-	v.force, v.decl = force, pol == DeclOrder
-	if v.decl {
-		v.rankDecl()
-	} else {
-		v.rankKeyed(pol, nextUse)
-	}
-	if !force {
-		v.m.waking = append(v.m.waking, v)
+	v.startRank(pol, force, nextUse)
+	for !v.rankStep() {
+		v.p.Suspend()
 	}
 }
 
-// rankKeyed keys the candidates and heaps the ones the pass may take.
-func (v *victims) rankKeyed(pol EvictPolicy, nextUse func(*Handle) int) {
+// startRank begins rank: it collects the candidates, and takes the
+// next uses and keys in rankStep.
+func (v *victims) startRank(pol EvictPolicy, force bool, nextUse func(*Handle) int) {
+	v.force, v.decl = force, pol == DeclOrder
+	if v.decl {
+		v.rankDecl()
+		return
+	}
+	v.collect(pol, nextUse)
+}
+
+// rankStep finishes rank for v's process: it reports false while the
+// process must park in the queue walk, and true once the pass is
+// ordered and registered.
+func (v *victims) rankStep() bool {
+	if !v.decl {
+		if !v.resolveUses() {
+			return false
+		}
+		v.order()
+	}
+	if !v.force {
+		v.m.waking = append(v.m.waking, v)
+	}
+	return true
+}
+
+// collect reads a keyed pass's candidates from the dead index.
+func (v *victims) collect(pol EvictPolicy, nextUse func(*Handle) int) {
 	m := v.m
 	if v.keyed == nil {
 		v.keyed = &keyed{}
-		v.visit, v.lookup = v.note, v.nextUse
+		v.walkLock, v.walkVisit = v.queueLock, v.noteQueue
 	}
-	if nextUse == nil {
-		nextUse = v.lookup
-	}
-	v.walked, v.last = false, -1
+	v.pol, v.nextUseFn = pol, nextUse
+	v.walked, v.walking, v.last = false, false, -1
 	v.cands = v.cands[:0]
 	for w, word := range m.dead {
 		for ; word != 0; word &= word - 1 {
@@ -214,13 +288,48 @@ func (v *victims) rankKeyed(pol EvictPolicy, nextUse func(*Handle) int) {
 	}
 	n := len(v.cands)
 	m.room.Candidates += int64(n)
-	look := pol.LooksAhead()
-	if look {
+	v.ui = 0
+	if pol.LooksAhead() {
 		v.uses = slices.Grow(v.uses[:0], n)[:n]
-		for i, h := range v.cands {
-			v.uses[i] = nextUse(h)
-		}
+	} else {
+		v.ui = n
 	}
+}
+
+// resolveUses takes each candidate's next use in declaration order,
+// from nextUseFn or, when that is nil, from the queue walk, which runs
+// on the first candidate with pending uses. It reports false while the
+// walk must park for a queue lock.
+func (v *victims) resolveUses() bool {
+	for ; v.ui < len(v.cands); v.ui++ {
+		h := v.cands[v.ui]
+		if v.nextUseFn != nil {
+			v.uses[v.ui] = v.nextUseFn(h)
+			continue
+		}
+		if h.pendingUses == 0 {
+			v.uses[v.ui] = NoNextUse
+			continue
+		}
+		if !v.walked {
+			if !v.walking {
+				v.startWalk()
+				v.walking = true
+			}
+			if !v.walk.Step(v.p) {
+				return false
+			}
+			v.walking, v.walked = false, true
+		}
+		v.uses[v.ui] = v.walkedUse(h)
+	}
+	return true
+}
+
+// order keys the candidates and heaps the ones the pass may take.
+func (v *victims) order() {
+	look := v.pol.LooksAhead()
+	n := len(v.cands)
 	v.keys = slices.Grow(v.keys[:0], n)[:n]
 	v.parked = slices.Grow(v.parked[:0], n)[:n]
 	v.heap = v.heap[:0]
@@ -229,7 +338,7 @@ func (v *victims) rankKeyed(pol EvictPolicy, nextUse func(*Handle) int) {
 		if look {
 			use = v.uses[i]
 		}
-		v.keys[i] = pol.Key(h, use)
+		v.keys[i] = v.pol.Key(h, use)
 		v.parked[i] = !v.force && h.pendingUses > 0
 		if !v.parked[i] {
 			v.heap = append(v.heap, int32(i))
@@ -354,17 +463,11 @@ func (v *victims) done() {
 	}
 }
 
-// nextUse reports how soon h is needed again by declared dependences
-// (see EvictPolicy.LooksAhead), walking the wait queues on the pass's
-// first block with pending uses.
-func (v *victims) nextUse(h *Handle) int {
-	if h.pendingUses == 0 {
-		return NoNextUse
-	}
-	if !v.walked {
-		v.walk()
-		v.walked = true
-	}
+// walkedUse reports how soon h, which had pending uses before the
+// queue walk, is needed again by declared dependences (see
+// EvictPolicy.LooksAhead): its first consumer's queue position plus
+// one.
+func (v *victims) walkedUse(h *Handle) int {
 	if v.seen[h.id] == v.epoch {
 		return v.dist[h.id] + 1
 	}
@@ -373,29 +476,41 @@ func (v *victims) nextUse(h *Handle) int {
 	return 0
 }
 
-// walk records, for every handle some wait-queued task depends on, the
-// queue position of its first consumer (minimum across queues). It
-// walks each wait queue under its lock; no strategy holds a queue lock
-// while staging, so a staging process may take them here.
-func (v *victims) walk() {
+// startWalk sets up the queue walk that records, for every handle some
+// wait-queued task depends on, the queue position of its first consumer
+// (minimum across queues). The walk is a sim.Scan that takes each wait
+// queue's lock in turn and notes its tasks under it; no strategy holds
+// a queue lock while staging, so a staging process may take them here.
+func (v *victims) startWalk() {
 	v.epoch++
 	if n := len(v.m.handles); len(v.dist) < n {
 		v.dist = append(v.dist, make([]int, n-len(v.dist))...)
 		v.seen = append(v.seen, make([]uint64, n-len(v.seen))...)
 	}
+	v.walkQs = nil
 	if v.m.strat != nil {
-		v.m.strat.queues().scanWaiting(v.p, v.visit)
+		v.walkQs = v.m.strat.queues()
 	}
+	v.walk.Start(0, len(v.walkQs), v.walkLock, v.walkVisit)
 }
 
-func (v *victims) note(pos int, ot *OOCTask) {
-	for _, d := range ot.deps {
-		id := d.h.id
-		if v.seen[id] != v.epoch || pos < v.dist[id] {
-			v.seen[id] = v.epoch
-			v.dist[id] = pos
+// queueLock is the walk's lock of wait queue i.
+func (v *victims) queueLock(i int) *sim.Mutex { return &v.walkQs[i].mu }
+
+// noteQueue notes every task in wait queue i, whose lock the walk
+// holds, and passes on to the next queue.
+func (v *victims) noteQueue(i int) bool {
+	wq := v.walkQs[i]
+	for pos := 0; pos < wq.items.Len(); pos++ {
+		for _, d := range wq.items.At(pos).deps {
+			id := d.h.id
+			if v.seen[id] != v.epoch || pos < v.dist[id] {
+				v.seen[id] = v.epoch
+				v.dist[id] = pos
+			}
 		}
 	}
+	return false
 }
 
 // less orders candidates a and b by key, then declaration order.

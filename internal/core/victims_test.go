@@ -194,7 +194,9 @@ func indexVictims(w *victimWorld, label string, force bool) (func() *Handle, fun
 func keyedVictims(w *victimWorld, label string, force bool) (func() *Handle, func()) {
 	v := w.m.takeVictims(nil)
 	v.force, v.decl = force, false
-	v.rankKeyed(w.m.evictPolicy(), w.nextUse(label))
+	v.collect(w.m.evictPolicy(), w.nextUse(label))
+	v.resolveUses()
+	v.order()
 	if !force {
 		w.m.waking = append(w.m.waking, v)
 	}

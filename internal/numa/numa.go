@@ -145,14 +145,26 @@ func (a *Allocator) Memcpy(p *sim.Proc, dst, src *Buffer) (sim.Time, error) {
 		return 0, fmt.Errorf("numa: memcpy size mismatch (%d vs %d)", dst.size, src.size)
 	}
 	t0 := p.Now()
-	a.copy(p, dst.node, src.node, src.size)
+	var c copying
+	a.startCopy(&c, dst.node, src.node, src.size)
+	for !a.copyStep(p, &c) {
+		p.Suspend()
+	}
 	return p.Now() - t0, nil
 }
 
-// copy moves size bytes from node src to node dst as one flow. The flow
-// starts first; the copier then sleeps both nodes' latency and parks
-// until the flow's completion callback resumes it.
-func (a *Allocator) copy(p *sim.Proc, dst, src *memsim.Node, size int64) {
+// copying is a memcpy in progress: one flow from src to dst, then the
+// copier's sleep through both nodes' latency, then its wait for the
+// flow's completion callback.
+type copying struct {
+	j     *copyJoin
+	lat   sim.Time // both nodes' latency, slept once the flow starts
+	slept bool
+}
+
+// startCopy starts moving size bytes from node src to node dst as one
+// flow, whose completion c's join records.
+func (a *Allocator) startCopy(c *copying, dst, src *memsim.Node, size int64) {
 	var j *copyJoin
 	if n := len(a.joins); n > 0 {
 		j = a.joins[n-1]
@@ -170,15 +182,28 @@ func (a *Allocator) copy(p *sim.Proc, dst, src *memsim.Node, size int64) {
 		},
 		RateCap: a.MemcpyRateCap,
 	}).Then(j.fn)
-	if lat := src.Latency + dst.Latency; lat > 0 {
-		p.Sleep(lat)
+	*c = copying{j: j, lat: src.Latency + dst.Latency}
+}
+
+// copyStep takes p's copy c one step on: it arms the latency sleep, or
+// registers p with the join while the flow is in flight, and reports
+// false while p must park, then releases the join and reports true.
+func (a *Allocator) copyStep(p *sim.Proc, c *copying) bool {
+	if !c.slept {
+		c.slept = true
+		if c.lat > 0 {
+			p.ArmSleep(c.lat)
+			return false
+		}
 	}
-	for !j.done {
+	if j := c.j; !j.done {
 		j.waiter = p
-		p.Suspend()
+		return false
 	}
-	j.done = false
-	a.joins = append(a.joins, j)
+	c.j.done = false
+	a.joins = append(a.joins, c.j)
+	c.j = nil
+	return true
 }
 
 // Migrate moves a live buffer to the given node using the paper's
@@ -190,42 +215,107 @@ func (a *Allocator) copy(p *sim.Proc, dst, src *memsim.Node, size int64) {
 // it counts as a live allocation from the claim until it folds into b,
 // as AllocOnNode's buffer would.
 func (a *Allocator) Migrate(p *sim.Proc, b *Buffer, node int) (sim.Time, error) {
-	if b.freed {
-		return 0, ErrFreed
+	var mg Migration
+	mg.Start(a, b, node)
+	for !mg.Step(p) {
+		p.Suspend()
 	}
-	if b.OnNode(node) {
-		return 0, nil
-	}
-	// Claim the destination before charging the fixed op cost: the
-	// capacity claim must be visible to other processes at the instant
-	// the caller's staging reservation is consumed, or two concurrent
-	// migrations can both see the same free space during the op-cost
-	// sleep and over-commit the target node.
-	dst, err := a.reserveOn(b.size, node)
-	if err != nil {
-		return 0, err
-	}
-	if a.MigrateOpCost > 0 {
-		p.Sleep(a.MigrateOpCost)
-	}
-	var d sim.Time
-	if !b.freed {
-		t0 := p.Now()
-		a.copy(p, dst, b.node, b.size)
-		d = p.Now() - t0 + a.MigrateOpCost
+	return mg.Result()
+}
+
+// Migration is a Migrate in progress, for a sim.Proc.Drive step: Start
+// it, call Step until it reports true, then read Result. Migrate loops
+// over it, so a stepped migration's claim, op-cost sleep, copy and
+// release are Migrate's, event for event. A Migration serves migration
+// after migration.
+type Migration struct {
+	a    *Allocator
+	b    *Buffer
+	node int
+	at   migStage
+	dst  *memsim.Node // the destination's capacity claim
+	cp   copying
+	t0   sim.Time
+	d    sim.Time
+	err  error
+}
+
+// migStage is where a Migration is in its sequence.
+type migStage uint8
+
+const (
+	migClaim migStage = iota // claim the destination
+	migCopy                  // back from the op-cost sleep: start the copy
+	migWait                  // the copy is under way
+)
+
+// Start sets mg to move b to the node with the given id; it does
+// nothing until the first Step.
+func (mg *Migration) Start(a *Allocator, b *Buffer, node int) {
+	*mg = Migration{a: a, b: b, node: node}
+}
+
+// Step runs the migration for p until p must park, and reports false
+// (its wake is arranged), or until it is over, and reports true.
+func (mg *Migration) Step(p *sim.Proc) bool {
+	a, b := mg.a, mg.b
+	switch mg.at {
+	case migClaim:
+		if b.freed {
+			mg.err = ErrFreed
+			return true
+		}
+		if b.OnNode(mg.node) {
+			return true
+		}
+		// Claim the destination before charging the fixed op cost:
+		// the capacity claim must be visible to other processes at
+		// the instant the caller's staging reservation is consumed,
+		// or two concurrent migrations can both see the same free
+		// space during the op-cost sleep and over-commit the target
+		// node.
+		dst, err := a.reserveOn(b.size, mg.node)
+		if err != nil {
+			mg.err = err
+			return true
+		}
+		mg.dst, mg.at = dst, migCopy
+		if a.MigrateOpCost > 0 {
+			p.ArmSleep(a.MigrateOpCost)
+			return false
+		}
+		fallthrough
+	case migCopy:
+		if b.freed {
+			break
+		}
+		mg.t0 = p.Now()
+		a.startCopy(&mg.cp, mg.dst, b.node, b.size)
+		mg.at = migWait
+		fallthrough
+	case migWait:
+		if !a.copyStep(p, &mg.cp) {
+			return false
+		}
+		mg.d = p.Now() - mg.t0 + a.MigrateOpCost
 	}
 	if b.freed {
 		// Freed during the op cost or the copy: Free released the
 		// source, so only the destination is left to free.
-		a.release(dst, b.size)
-		return 0, ErrFreed
+		a.release(mg.dst, b.size)
+		mg.d, mg.err = 0, ErrFreed
+		return true
 	}
 	// Free the old location and adopt the new one. The free counted is
 	// the destination's: its identity dissolves into b.
 	a.release(b.node, b.size)
-	b.node = dst
+	b.node = mg.dst
 	a.BytesMigrated += float64(b.size)
-	a.MigrationTime += d
+	a.MigrationTime += mg.d
 	a.MigrationCount++
-	return d, nil
+	return true
 }
+
+// Result returns an ended migration's elapsed time and error, as
+// Migrate returns them.
+func (mg *Migration) Result() (sim.Time, error) { return mg.d, mg.err }

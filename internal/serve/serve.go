@@ -21,7 +21,7 @@
 //
 // Budget enforcement point: a session's machine is built with
 // HBMCap equal to its granted footprint, so the manager's existing
-// reservation path (reserveCapacity / consumeReservation /
+// reservation path (reserve / consumeReservation /
 // refundReservation, audited by internal/audit) enforces the grant —
 // serve never second-guesses the manager, it only sizes the machine.
 //

@@ -239,12 +239,19 @@ func (p *Proc) charge(d Time) {
 // recorded timeline can always sleep to the next timestamp without
 // checking for zero gaps.
 func (p *Proc) SleepUntil(t Time) {
+	p.ArmSleepUntil(t)
+	p.park()
+}
+
+// ArmSleepUntil arranges p's wake at absolute time t: the half of
+// SleepUntil before its park, for a Drive step to return false after.
+// A t at or before now wakes p at now, as a yield.
+func (p *Proc) ArmSleepUntil(t Time) {
 	if t <= p.e.now {
-		p.Yield()
+		p.e.wake(p)
 		return
 	}
 	p.e.wakeAt(t, p)
-	p.park()
 }
 
 // Yield gives other same-time events a chance to run.

@@ -269,11 +269,31 @@ func (w *Workload) Build(mg *core.Manager) (kernels.App, error) {
 			Deps:     depsFn,
 		})
 	}
+	// The runtime's main process sends the tasks as one sim.Proc.Drive
+	// step, which runs the loop
+	//
+	//	for i, t := range w.Tasks {
+	//		p.SleepUntil(t.SentAt)
+	//		send task i
+	//	}
+	//
+	// split at its parks, so the process resumes only at its first
+	// grant.
 	app.send = func(p *sim.Proc) {
-		for i, t := range w.Tasks {
-			p.SleepUntil(t.SentAt)
-			arrays[t.Arr].Send(t.From, t.Idx, entries[entryKey{t.Arr, t.Entry}], i)
-		}
+		next, armed := 0, false
+		p.Drive(func() bool {
+			for ; next < len(w.Tasks); next++ {
+				t := w.Tasks[next]
+				if !armed {
+					armed = true
+					p.ArmSleepUntil(t.SentAt)
+					return false
+				}
+				armed = false
+				arrays[t.Arr].Send(t.From, t.Idx, entries[entryKey{t.Arr, t.Entry}], next)
+			}
+			return true
+		})
 	}
 	return app, nil
 }
