@@ -58,6 +58,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 )
 
@@ -561,9 +562,22 @@ func (e *Engine) RunBefore(horizon Time) Time {
 			break
 		}
 		e.step(ev, q)
+		if e.stats.Fired%yieldEvery == 0 {
+			runtime.Gosched()
+		}
 	}
 	return e.now
 }
+
+// yieldEvery is how many events the loop fires between yields to the
+// Go scheduler. A run whose processes resume rarely keeps one goroutine
+// busy for its whole length, and at GOMAXPROCS=1 the garbage
+// collector's fractional mark worker then waits for the 10 ms
+// preemption tick: a Small X15 search's concurrent mark phases lasted
+// 6.5 ms on average instead of 1.7 ms, with the write barrier on
+// throughout. Yielding every 1,024 events (about 0.1 ms) lets the
+// worker run; the engine's state and order are untouched.
+const yieldEvery = 1024
 
 // exitLoop restores the loop state Run or RunBefore found on entry. They
 // defer it, so a body panic that unwinds through them does not leave
