@@ -258,9 +258,18 @@ func TestFactsLayer(t *testing.T) {
 		t.Fatalf("efStep acquires = %+v, want lockorder.F.mu held under lockorder.E.mu", got)
 	}
 
+	// A step that parks on a guard still holds the locks it took.
+	ghParked := byName["ghParked"]
+	if ghParked == nil {
+		t.Fatal("facts missing function ghParked")
+	}
+	if got := ghParked.Acquires; len(got) != 2 || got[1].Class != "lockorder.H.mu" || len(got[1].Held) != 1 || got[1].Held[0].Class != "lockorder.G.mu" {
+		t.Fatalf("ghParked acquires = %+v, want lockorder.H.mu held under lockorder.G.mu", got)
+	}
+
 	cycles := facts.LockCycles()
-	if len(cycles) != 3 {
-		t.Fatalf("LockCycles = %d cycles, want 3 (A<->B direct, C<->D via calls, E<->F stepped):\n%v", len(cycles), cycles)
+	if len(cycles) != 4 {
+		t.Fatalf("LockCycles = %d cycles, want 4 (A<->B direct, C<->D via calls, E<->F stepped, G<->H across a park):\n%v", len(cycles), cycles)
 	}
 	if !strings.Contains(cycles[1].msg, "via lockD") {
 		t.Errorf("interprocedural cycle message should name the via callee, got: %s", cycles[1].msg)

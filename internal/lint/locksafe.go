@@ -26,7 +26,13 @@ import (
 // A Drive step's stepped-acquisition guard (steppedAcquire) counts as a
 // Lock of its mutex: recursion is reported, and the mutex is held after
 // the guard. The guard's own return parks the process, so it is not an
-// exit path.
+// exit path. Neither is a step's `return false` right after it arms a
+// wake (parkReturn): after ArmSleep, ArmSleepUntil or Cond.Join, or as
+// the body of a guard on Flow.Await or on another step form that
+// returned false. The process parks there with its locks held, as a
+// stepped fetch parks holding its block lock across the migration, and
+// a later step releases them. Any other return with a mutex held, a
+// `return true` included, is still unlock-path divergence.
 //
 // The tracking is per-function and source-ordered with branch cloning —
 // an approximation, but one tuned to the protocol code's shapes; the
@@ -105,12 +111,107 @@ func (w *lockWalker) isCond(e ast.Expr) bool {
 // returns true when the statement list always terminates (return,
 // panic) before falling through.
 func (w *lockWalker) walkBody(stmts []ast.Stmt, st *lockState) bool {
-	for _, s := range stmts {
+	for i, s := range stmts {
+		if i > 0 && w.armsWake(stmts[i-1]) && returnsFalse(s) {
+			return true // parkReturn: the process parks, locks held
+		}
 		if w.walkStmt(s, st) {
 			return true
 		}
 	}
 	return false
+}
+
+// armsWake reports whether s is a call that arranges the running
+// process's wake for a Drive step to park on: Proc.ArmSleep,
+// Proc.ArmSleepUntil or Cond.Join.
+func (w *lockWalker) armsWake(s ast.Stmt) bool {
+	es, ok := s.(*ast.ExprStmt)
+	if !ok {
+		return false
+	}
+	call, ok := ast.Unparen(es.X).(*ast.CallExpr)
+	if !ok {
+		return false
+	}
+	for _, name := range []string{"ArmSleep", "ArmSleepUntil"} {
+		if recv := selectorCall(call, name); recv != nil && isNamedType(w.p.TypeOf(recv), "internal/sim", "Proc") {
+			return true
+		}
+	}
+	recv := selectorCall(call, "Join")
+	return recv != nil && w.isCond(recv)
+}
+
+// returnsFalse reports whether s is `return false`.
+func returnsFalse(s ast.Stmt) bool {
+	r, ok := s.(*ast.ReturnStmt)
+	if !ok || len(r.Results) != 1 {
+		return false
+	}
+	id, ok := r.Results[0].(*ast.Ident)
+	return ok && id.Name == "false"
+}
+
+// parkGuard matches a Drive step's guard on a wake it has arranged,
+//
+//	if !x.moveStep(p) {        // any step form: a name ending in Step
+//		return false
+//	}
+//	if _, ok := q.pushStep(p, &s, x); !ok {
+//		return false
+//	}
+//	if f.Await(p) {
+//		return false
+//	}
+//
+// whose return parks the process with its locks held. Falling through
+// the guard leaves the lock state as it was.
+func (w *lockWalker) parkGuard(s *ast.IfStmt) bool {
+	if s.Else != nil || len(s.Body.List) != 1 || !returnsFalse(s.Body.List[0]) {
+		return false
+	}
+	cond := ast.Unparen(s.Cond)
+	if call, ok := cond.(*ast.CallExpr); ok {
+		recv := selectorCall(call, "Await")
+		return s.Init == nil && recv != nil && isNamedType(w.p.TypeOf(recv), "internal/memsim", "Flow")
+	}
+	not, ok := cond.(*ast.UnaryExpr)
+	if !ok || not.Op != token.NOT {
+		return false
+	}
+	switch x := ast.Unparen(not.X).(type) {
+	case *ast.CallExpr:
+		return s.Init == nil && isStepCall(x)
+	case *ast.Ident:
+		as, ok := s.Init.(*ast.AssignStmt)
+		if !ok || len(as.Rhs) != 1 {
+			return false
+		}
+		call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+		if !ok || !isStepCall(call) {
+			return false
+		}
+		for _, l := range as.Lhs {
+			if id, ok := l.(*ast.Ident); ok && id.Name == x.Name {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// isStepCall reports whether call calls a step form: a function or
+// method whose name ends in Step.
+func isStepCall(call *ast.CallExpr) bool {
+	var name string
+	switch f := call.Fun.(type) {
+	case *ast.Ident:
+		name = f.Name
+	case *ast.SelectorExpr:
+		name = f.Sel.Name
+	}
+	return strings.HasSuffix(name, "Step")
 }
 
 func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) bool {
@@ -166,6 +267,13 @@ func (w *lockWalker) walkStmt(s ast.Stmt, st *lockState) bool {
 	case *ast.IfStmt:
 		if call, recv := steppedAcquire(s); recv != nil && w.isMutex(recv) {
 			w.lock(call, recv, st)
+			return false
+		}
+		if w.parkGuard(s) {
+			if s.Init != nil {
+				w.walkStmt(s.Init, st)
+			}
+			w.walkExpr(s.Cond, st)
 			return false
 		}
 		if s.Init != nil {

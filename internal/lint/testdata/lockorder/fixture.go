@@ -1,9 +1,10 @@
 // Package lockorder exercises the global lock-order graph: two
 // functions acquiring the same two mutexes in opposite order, an
 // interprocedural variant where the second acquisition hides behind a
-// call, and a sim.Proc.Drive step whose stepped acquisitions invert a
-// blocking pair. The three cycles use disjoint lock pairs so each forms
-// its own strongly connected component and is reported separately.
+// call, a sim.Proc.Drive step whose stepped acquisitions invert a
+// blocking pair, and a step that parks holding a lock before it takes
+// the next. The four cycles use disjoint lock pairs so each forms its
+// own strongly connected component and is reported separately.
 package lockorder
 
 import (
@@ -117,4 +118,41 @@ func feBlocking(p *sim.Proc) {
 	e.mu.Lock(p)
 	e.mu.Unlock(p)
 	f.mu.Unlock(p)
+}
+
+type G struct {
+	mu sim.Mutex
+}
+
+type H struct {
+	mu sim.Mutex
+}
+
+var (
+	g G
+	h H
+)
+
+// ghParked holds G.mu across a park on a step form, as a stepped fetch
+// holds its block lock across the migration: the lock is still held
+// when the step goes on to take H.mu, which hgBlocking locks the other
+// way round.
+func ghParked(p *sim.Proc, s *sim.LockStep, steps func() bool) bool {
+	if !g.mu.Acquire(p, s) {
+		return false
+	}
+	if !steps() {
+		return false
+	}
+	h.mu.Lock(p) // want `lock-order cycle among lockorder\.G\.mu, lockorder\.H\.mu`
+	h.mu.Unlock(p)
+	g.mu.Unlock(p)
+	return true
+}
+
+func hgBlocking(p *sim.Proc) {
+	h.mu.Lock(p)
+	g.mu.Lock(p)
+	g.mu.Unlock(p)
+	h.mu.Unlock(p)
 }

@@ -4,6 +4,7 @@
 package fixture
 
 import (
+	"github.com/hetmem/hetmem/internal/memsim"
 	"github.com/hetmem/hetmem/internal/sim"
 )
 
@@ -120,6 +121,118 @@ func (s *station) badSteppedReturn(p *sim.Proc, st *sim.LockStep) bool {
 		return false
 	}
 	if s.gen == 0 {
+		return false // want `return with mutex s\.mu still held`
+	}
+	s.mu.Unlock(p)
+	return true
+}
+
+// move is a block move in the stepped fetch's shape: the block lock,
+// then a copy the step waits on with the lock held.
+type move struct {
+	locked bool
+	lock   sim.LockStep
+	left   int
+	flow   *memsim.Flow
+}
+
+// copyStep is a step form: it arms a sleep and reports false while the
+// copy has work left.
+func (mv *move) copyStep(p *sim.Proc) bool {
+	if mv.left == 0 {
+		return true
+	}
+	mv.left--
+	p.ArmSleep(1)
+	return false
+}
+
+// goodHeldAcrossStep parks with s.mu held while another step form
+// waits, and releases the lock in the step that finishes.
+func (s *station) goodHeldAcrossStep(p *sim.Proc, mv *move) bool {
+	if !mv.locked {
+		if !s.mu.Acquire(p, &mv.lock) {
+			return false
+		}
+		mv.locked = true
+		if !mv.copyStep(p) {
+			return false
+		}
+	} else if !mv.copyStep(p) {
+		return false
+	}
+	mv.locked = false
+	s.mu.Unlock(p)
+	return true
+}
+
+// goodHeldAcrossSleep parks with s.mu held on a sleep it armed.
+func (s *station) goodHeldAcrossSleep(p *sim.Proc, mv *move) bool {
+	if !s.mu.Acquire(p, &mv.lock) {
+		return false
+	}
+	if mv.left > 0 {
+		mv.left = 0
+		p.ArmSleep(1)
+		return false
+	}
+	s.mu.Unlock(p)
+	return true
+}
+
+// goodHeldAcrossFlow parks with s.mu held on a flow, and on a stepped
+// push whose result it reads in the guard's init.
+func (s *station) goodHeldAcrossFlow(p *sim.Proc, mv *move, q *queue) bool {
+	if !s.mu.Acquire(p, &mv.lock) {
+		return false
+	}
+	if mv.flow.Await(p) {
+		return false
+	}
+	if _, ok := q.pushStep(p); !ok {
+		return false
+	}
+	s.mu.Unlock(p)
+	return true
+}
+
+// queue has a step form with two results.
+type queue struct{ n int }
+
+func (q *queue) pushStep(p *sim.Proc) (int, bool) {
+	q.n++
+	return q.n, true
+}
+
+func (s *station) badStepReturnsTrue(p *sim.Proc, mv *move) bool {
+	if !s.mu.Acquire(p, &mv.lock) {
+		return false
+	}
+	if !mv.copyStep(p) {
+		return true // want `return with mutex s\.mu still held`
+	}
+	s.mu.Unlock(p)
+	return true
+}
+
+func (s *station) badSleepReturnsTrue(p *sim.Proc, mv *move) bool {
+	if !s.mu.Acquire(p, &mv.lock) {
+		return false
+	}
+	if mv.left > 0 {
+		p.ArmSleep(1)
+		return true // want `return with mutex s\.mu still held`
+	}
+	s.mu.Unlock(p)
+	return true
+}
+
+func (s *station) badReturnAfterNoWake(p *sim.Proc, mv *move) bool {
+	if !s.mu.Acquire(p, &mv.lock) {
+		return false
+	}
+	if mv.left > 0 {
+		mv.left--
 		return false // want `return with mutex s\.mu still held`
 	}
 	s.mu.Unlock(p)
