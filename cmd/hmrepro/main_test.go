@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	osexec "os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -91,36 +92,73 @@ func TestBenchDirWritesOnlyTheRunSnapshots(t *testing.T) {
 // capture, and -adapt with a mode that moves no data exit 2 before
 // anything runs.
 func TestUsageErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-only", "x99"},
-		{"-only", "x12"},
-		{"-scale", "smal"},
-		{"-only", "x1", "-skip-ext"},
-		{"-evict-policy", "belady"},
-		{"-scale", "small", "-only", "fig1", "-trace", "f.jsonl"},
-		{"-scale", "small", "-skip-ext", "-trace", "f.jsonl"},
-		{"run", "-scale", "smal"},
-		{"run", "-mode", "no"},
-		{"run", "-app", "fft"},
-		{"run", "-scale", "small", "-app", "matmul", "-iters", "7", "-reduced", "0.5"},
-		{"run", "-scale", "small", "-grid", "4"},
-		{"run", "-scale", "small", "-adapt", "-mode", "naive"},
-		{"run", "-scale", "small", "-adapt", "-mode", "ddr4only"},
-		{"run", "-nodes", "2", "-trace", "f.jsonl"},
-		{"run", "-nodes", "2", "-app", "matmul"},
-		{"run", "-nodes", "2", "-adapt"},
-		{"run", "-nodes", "2", "-tiers", "3"},
-		{"run", "-scale", "small", "-nodes", "0"},
-		{"run", "-scale", "small", "-nodes", "-3"},
-		{"projections", "-scale", "smal"},
-		{"stream", "extra"},
+	bin := filepath.Join(t.TempDir(), "hmrepro")
+	if out, err := osexec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, tc := range []struct {
+		code int
+		args []string
+	}{
+		{2, []string{"-only", "x99"}},
+		{2, []string{"-only", "x12"}},
+		{2, []string{"-scale", "smal"}},
+		{2, []string{"-only", "x1", "-skip-ext"}},
+		{2, []string{"-evict-policy", "belady"}},
+		{2, []string{"-scale", "small", "-only", "fig1", "-trace", "f.jsonl"}},
+		{2, []string{"-scale", "small", "-skip-ext", "-trace", "f.jsonl"}},
+		{2, []string{"run", "-scale", "smal"}},
+		{2, []string{"run", "-mode", "no"}},
+		{2, []string{"run", "-app", "fft"}},
+		{2, []string{"run", "-scale", "small", "-app", "matmul", "-iters", "7", "-reduced", "0.5"}},
+		{2, []string{"run", "-scale", "small", "-grid", "4"}},
+		{2, []string{"run", "-scale", "small", "-adapt", "-mode", "naive"}},
+		{2, []string{"run", "-scale", "small", "-adapt", "-mode", "ddr4only"}},
+		{2, []string{"run", "-nodes", "2", "-trace", "f.jsonl"}},
+		{2, []string{"run", "-nodes", "2", "-app", "matmul"}},
+		{2, []string{"run", "-nodes", "2", "-adapt"}},
+		{2, []string{"run", "-nodes", "2", "-tiers", "3"}},
+		{2, []string{"run", "-scale", "small", "-nodes", "0"}},
+		{2, []string{"run", "-scale", "small", "-nodes", "-3"}},
+		// Inputs run would otherwise drop: a negative size means the
+		// scale's default, and the victim policy of a mode that never
+		// evicts.
+		{2, []string{"run", "-scale", "small", "-app", "matmul", "-grid", "-1"}},
+		{2, []string{"run", "-scale", "small", "-reduced", "-1"}},
+		{2, []string{"run", "-scale", "small", "-total", "-2"}},
+		{2, []string{"run", "-scale", "small", "-app", "matmul", "-total", "-2"}},
+		{2, []string{"run", "-scale", "small", "-mode", "naive", "-evict-policy", "lru"}},
+		{2, []string{"run", "-scale", "small", "-mode", "ddr4only", "-evict-policy", "decl"}},
+		{2, []string{"projections", "-scale", "smal"}},
+		{2, []string{"stream", "extra"}},
+		// Runs the machine cannot hold: a task larger than the HBM
+		// budget under a moving mode, and blocks the bottom tier cannot
+		// place.
+		{1, []string{"run", "-scale", "small", "-app", "matmul", "-grid", "1", "-mode", "multi"}},
+		{1, []string{"run", "-scale", "small", "-app", "matmul", "-grid", "1", "-mode", "single"}},
+		{1, []string{"run", "-scale", "small", "-app", "matmul", "-grid", "1", "-mode", "noio"}},
+		{1, []string{"run", "-scale", "small", "-total", "200"}},
+		{1, []string{"run", "-scale", "small", "-app", "matmul", "-total", "200"}},
+		{1, []string{"run", "-total", "200"}},
+		{1, []string{"run", "-scale", "small", "-total", "64", "-reduced", "60"}},
+		{1, []string{"run", "-scale", "small", "-total", "64", "-reduced", "60", "-mode", "naive"}},
 	} {
-		code, out, errb := exec(args...)
-		if code != 2 {
-			t.Errorf("%v: exit %d, want 2\nstderr: %s", args, code, errb)
+		var out, errb bytes.Buffer
+		cmd := osexec.Command(bin, tc.args...)
+		cmd.Stdout, cmd.Stderr = &out, &errb
+		cmd.Run()
+		code := cmd.ProcessState.ExitCode()
+		if code != tc.code {
+			t.Errorf("%v: exit %d, want %d\nstderr: %s", tc.args, code, tc.code, errb.String())
 		}
-		if out != "" {
-			t.Errorf("%v: printed %q before failing", args, out)
+		if out.Len() > 0 {
+			t.Errorf("%v: printed %q before failing", tc.args, out.String())
+		}
+		if strings.Contains(errb.String(), "goroutine") {
+			t.Errorf("%v: stderr holds a goroutine trace:\n%s", tc.args, errb.String())
+		}
+		if tc.code == 1 && strings.Count(errb.String(), "\n") != 1 {
+			t.Errorf("%v: stderr %q, want one line", tc.args, errb.String())
 		}
 	}
 	for _, name := range []string{"x99", "x12"} {
@@ -137,6 +175,8 @@ func TestRunSingle(t *testing.T) {
 	for _, args := range [][]string{
 		{"run", "-app", "matmul", "-scale", "small"},
 		{"run", "-scale", "small", "-mode", "noio", "-iters", "1"},
+		// A task larger than the HBM budget runs where nothing moves.
+		{"run", "-scale", "small", "-app", "matmul", "-grid", "1", "-mode", "naive"},
 	} {
 		code, out, errb := exec(args...)
 		if code != 0 {

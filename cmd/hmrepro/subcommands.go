@@ -49,6 +49,17 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if *adaptOn && !mode.Moves() {
 		return fail(stderr, 2, "-adapt needs a mode that moves data (single, noio or multi), not %s", *modeName)
 	}
+	if *policyName != "" && !mode.Moves() {
+		return fail(stderr, 2, "-evict-policy needs a mode that moves data (single, noio or multi), not %s", *modeName)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"total", *total}, {"reduced", *reduced}, {"grid", float64(*grid)}} {
+		if f.v < 0 {
+			return fail(stderr, 2, "-%s %g: want a positive size, or 0 for the scale's", f.name, f.v)
+		}
+	}
 	sw := exp.Sweep{Scale: scale, Audit: *auditOn}
 	if *policyName != "" {
 		if sw.EvictPolicy, err = core.ParseEvictPolicy(*policyName); err != nil {

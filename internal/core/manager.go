@@ -462,6 +462,32 @@ func (m *Manager) NewHandle(name string, size int64) *Handle {
 	return h
 }
 
+// CheckPlacement reports whether n more blocks, block i of size(i)
+// bytes in declaration order, fit where NewHandle would place them, so
+// that an application can refuse a configuration before it declares a
+// block instead of failing partway. Its error names the tier that runs
+// out.
+func (m *Manager) CheckPlacement(n int, size func(i int) int64) error {
+	near := m.hbm().Free() - m.opts.HBMReserve - m.reserved
+	far := m.bottom().Free()
+	var need int64
+	for i := 0; i < n; i++ {
+		s := size(i)
+		if s <= 0 {
+			return fmt.Errorf("core: block %d of %d has size %d; a handle needs a positive size", i, n, s)
+		}
+		if m.opts.Mode == Baseline && near >= s {
+			near -= s
+			continue
+		}
+		need += s
+	}
+	if need > far {
+		return fmt.Errorf("core: %d blocks need %d bytes on %s, which has %d free", n, need, m.bottom().Name, far)
+	}
+	return nil
+}
+
 // Handles returns every handle declared through the manager. The slice
 // is a copy; the handles themselves are shared.
 func (m *Manager) Handles() []*Handle {

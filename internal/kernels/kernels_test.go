@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/hetmem/hetmem/internal/core"
@@ -344,5 +345,42 @@ func TestMatMulDDROnlySlowest(t *testing.T) {
 	multi := run(core.MultiIO)
 	if ddr <= multi {
 		t.Fatalf("DDR4only (%v) should be slower than MultiIO (%v)", ddr, multi)
+	}
+}
+
+// TestBuildRefusesWhatTheMachineCannotHold: each config's Build refuses,
+// before it declares a block, a task larger than a moving manager's HBM
+// budget and blocks the bottom tier cannot place, where the run used to
+// panic partway. Placement follows the mode: Naive fills HBM first, so
+// a working set that overflows DDR4 alone may still fit.
+func TestBuildRefusesWhatTheMachineCannotHold(t *testing.T) {
+	bigTask := smallMatMul()
+	bigTask.Grid = 1 // one 3 GB task against a 1.75 GB budget
+	tooMany := smallStencil()
+	tooMany.TotalBytes = 17 * gb // 16 GB of DDR4, 1.75 GB of HBM to spare
+	shift := ShiftConfig{HotBytes: 9 * gb, ColdBytes: 9 * gb, NumChares: 16, PreIters: 1, PostIters: 1, Sweeps: 1, NumPEs: 8}
+	for _, c := range []struct {
+		name string
+		mode core.Mode
+		cfg  Workload
+		want string // the error's text, empty when Build succeeds
+	}{
+		{"matmul task over budget", core.MultiIO, bigTask, "kernels: a task needs 3221225472 dep bytes, exceeding the 1879048192-byte HBM budget"},
+		{"matmul task over budget, no movement", core.Baseline, bigTask, ""},
+		{"stencil over DDR4", core.NoIO, tooMany, "core: 272 blocks need 18253611008 bytes on DDR4, which has 17179869184 free"},
+		{"stencil over DDR4, HBM filled first", core.Baseline, tooMany, ""},
+		{"shift over DDR4", core.DDROnly, shift, "core: 32 blocks need 19327352832 bytes on DDR4, which has 17179869184 free"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := NewEnv(EnvConfig{Spec: smallKNL(), NumPEs: 8, Opts: smallOpts(c.mode)})
+			defer env.Close()
+			_, err := c.cfg.Build(env.MG)
+			if got := fmt.Sprint(err); c.want == "" && err != nil || c.want != "" && got != c.want {
+				t.Fatalf("Build: %v, want %q", err, c.want)
+			}
+			if n := len(env.MG.Handles()); err != nil && n != 0 {
+				t.Fatalf("a refused Build declared %d blocks", n)
+			}
+		})
 	}
 }

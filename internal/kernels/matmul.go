@@ -187,10 +187,13 @@ func NewMatMul(mg *core.Manager, cfg MatMulConfig) (*MatMulApp, error) {
 	if rt.NumPEs() != cfg.NumPEs {
 		return nil, fmt.Errorf("kernels: runtime has %d PEs, config wants %d", rt.NumPEs(), cfg.NumPEs)
 	}
-	app := &MatMulApp{Cfg: cfg}
-	app.init(mg, "matmul", app.seedPipeline)
 	g := cfg.Grid
 	bb := cfg.BlockBytes()
+	if err := fits(mg, cfg, 3*g*g, func(int) int64 { return bb }); err != nil {
+		return nil, err
+	}
+	app := &MatMulApp{Cfg: cfg}
+	app.init(mg, "matmul", app.seedPipeline)
 
 	// Declare all blocks. Declaration order interleaves A, B and C so
 	// the Naive mode fills HBM with a representative mix, as

@@ -30,6 +30,18 @@ type App interface {
 	FinishedAt() sim.Time
 }
 
+// fits refuses a workload mg cannot hold, before the application
+// declares a block: under a moving mode, a task whose dependences
+// exceed the HBM budget, which the manager would refuse to stage; and
+// blocks, block i of size(i) bytes among n in declaration order, that
+// do not fit where the manager places them.
+func fits(mg *core.Manager, w Workload, n int, size func(i int) int64) error {
+	if need := w.TaskDepBytes(); mg.Mode().Moves() && need > mg.HBMBudget() {
+		return fmt.Errorf("kernels: a task needs %d dep bytes, exceeding the %d-byte HBM budget", need, mg.HBMBudget())
+	}
+	return mg.CheckPlacement(n, size)
+}
+
 // build returns a constructor's result as an App, nil on error.
 func build[A App](app A, err error) (App, error) {
 	if err != nil {

@@ -99,11 +99,21 @@ func NewShift(mg *core.Manager, cfg ShiftConfig) (*ShiftApp, error) {
 	if rt.NumPEs() != cfg.NumPEs {
 		return nil, fmt.Errorf("kernels: runtime has %d PEs, config wants %d", rt.NumPEs(), cfg.NumPEs)
 	}
-	app := &ShiftApp{Cfg: cfg}
-	app.init(mg, "shift", cfg.Iterations(), app.broadcast)
 	n := cfg.NumChares
 	hot := cfg.HotBytes / int64(n)
 	cold := cfg.ColdBytes / int64(n)
+	// Each chare declares its hot block, then its cold one.
+	size := func(i int) int64 {
+		if i%2 == 0 {
+			return hot
+		}
+		return cold
+	}
+	if err := fits(mg, cfg, 2*n, size); err != nil {
+		return nil, err
+	}
+	app := &ShiftApp{Cfg: cfg}
+	app.init(mg, "shift", cfg.Iterations(), app.broadcast)
 
 	app.arr = rt.NewArray("shift", n, func(i int) charm.Chare {
 		return &shiftChare{

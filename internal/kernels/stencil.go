@@ -150,10 +150,13 @@ func NewStencil(mg *core.Manager, cfg StencilConfig) (*StencilApp, error) {
 	if rt.NumPEs() != cfg.NumPEs {
 		return nil, fmt.Errorf("kernels: runtime has %d PEs, config wants %d", rt.NumPEs(), cfg.NumPEs)
 	}
-	app := &StencilApp{Cfg: cfg}
-	app.init(mg, "stencil", cfg.Iterations, app.sendGhosts)
 	n := cfg.NumChares()
 	half := cfg.ChareBytes() / 2
+	if err := fits(mg, cfg, 2*n, func(int) int64 { return half }); err != nil {
+		return nil, err
+	}
+	app := &StencilApp{Cfg: cfg}
+	app.init(mg, "stencil", cfg.Iterations, app.sendGhosts)
 
 	var mapFn func(i int) int
 	if cfg.BlockMapping {
