@@ -17,6 +17,7 @@ import (
 	"github.com/hetmem/hetmem/internal/core"
 	"github.com/hetmem/hetmem/internal/exp"
 	"github.com/hetmem/hetmem/internal/kernels"
+	"github.com/hetmem/hetmem/internal/sim"
 	"github.com/hetmem/hetmem/internal/trace"
 )
 
@@ -231,28 +232,35 @@ func BenchmarkXLoadBalance(b *testing.B) {
 // admission, fetch and eviction — and reports simulated tasks
 // dispatched per wall-clock second. This is the end-to-end hot path
 // the engine overhaul targets (the sim-only microbenchmarks live in
-// internal/sim).
+// internal/sim). It also reports the engine's process resumes and
+// Drive steps per task (sim.EventStats), the work the stepped
+// protocols move off coroutine switches.
 func BenchmarkManagerDispatch(b *testing.B) {
-	var tasks int64
+	var (
+		tasks int64
+		st    sim.EventStats
+	)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, err := runManagerDispatch(false)
+		n, s, err := runManagerDispatch(false)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tasks = n
+		tasks, st = n, s
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(tasks)*float64(b.N)/b.Elapsed().Seconds(), "tasks/sec")
+	b.ReportMetric(float64(st.Resumes)/float64(tasks), "resumes/task")
+	b.ReportMetric(float64(st.Steps)/float64(tasks), "steps/task")
 }
 
 // runManagerDispatch runs BenchmarkManagerDispatch's workload once, the
 // Small Fig 8 overflow stencil under Multi-IO, and returns the number
-// of tasks executed. With observed set, the event stream carries every
-// view there is: the metrics collector, a Projections tracer and a
-// trace recorder.
-func runManagerDispatch(observed bool) (int64, error) {
+// of tasks executed and the engine's counts. With observed set, the
+// event stream carries every view there is: the metrics collector, a
+// Projections tracer and a trace recorder.
+func runManagerDispatch(observed bool) (int64, sim.EventStats, error) {
 	s := exp.Small
 	opts := core.DefaultOptions(core.MultiIO)
 	opts.HBMReserve = s.HBMReserve()
@@ -271,12 +279,12 @@ func runManagerDispatch(observed bool) (int64, error) {
 	}
 	app, err := kernels.NewStencil(env.MG, s.StencilConfig(sizes[len(sizes)-1]))
 	if err != nil {
-		return 0, err
+		return 0, sim.EventStats{}, err
 	}
 	if _, err := app.Run(); err != nil {
-		return 0, err
+		return 0, sim.EventStats{}, err
 	}
-	return env.RT.Stats.TasksExecuted, nil
+	return env.RT.Stats.TasksExecuted, env.Eng.EventStats(), nil
 }
 
 // TestTaskPathAllocs guards the task path's allocations: one run of
@@ -293,7 +301,7 @@ func TestTaskPathAllocs(t *testing.T) {
 	}{{false, 6_350}, {true, 11_375}} {
 		var err error
 		allocs := testing.AllocsPerRun(3, func() {
-			if _, e := runManagerDispatch(c.observed); e != nil {
+			if _, _, e := runManagerDispatch(c.observed); e != nil {
 				err = e
 			}
 		})
