@@ -512,8 +512,8 @@ var errHBMBudget = fmt.Errorf("core: HBM budget exhausted")
 
 // blockMove is a fetch or an eviction of one block, as a stage of a
 // sim.Proc.Drive step: the block lock's acquisition and charge, then
-// the migration, with the lock held across it. startFetch or
-// startEvict sets it up and moveStep runs it.
+// the migration, with the lock held across it. A mover's startFetch or
+// startEvict sets it up and its moveStep runs it.
 type blockMove struct {
 	at    moveStage
 	lock  sim.LockStep
@@ -546,8 +546,8 @@ const (
 // migration, after all lock waits, so check-and-allocate is atomic in
 // virtual time. moveStep leaves mv.err nil, errHBMBudget when the fetch
 // lost a capacity race, or the migration's error.
-func (m *Manager) startFetch(mv *blockMove, p *sim.Proc, lane int, h *Handle, hasReservation bool) {
-	*mv = blockMove{h: h, lane: lane, fetch: true, flag: hasReservation, waited: p.Now()}
+func (w *mover) startFetch(lane int, h *Handle, hasReservation bool) {
+	w.mv = blockMove{h: h, lane: lane, fetch: true, flag: hasReservation, waited: w.p.Now()}
 }
 
 // startEvict sets mv to migrate h out of HBM if it is resident,
@@ -561,13 +561,15 @@ func (m *Manager) startFetch(mv *blockMove, p *sim.Proc, lane int, h *Handle, ha
 // HBM, keeping a likely-returning block on the cheapest miss edge.
 // When the target tier is full the victim cascades one tier deeper;
 // only the bottom tier is a capacity backstop whose failure panics.
-func (m *Manager) startEvict(mv *blockMove, p *sim.Proc, lane int, h *Handle, force bool) {
-	*mv = blockMove{h: h, lane: lane, flag: force, waited: p.Now()}
+func (w *mover) startEvict(lane int, h *Handle, force bool) {
+	w.mv = blockMove{h: h, lane: lane, flag: force, waited: w.p.Now()}
 }
 
-// moveStep runs mv for p until p must park, and reports false, or until
-// the move is over and the block lock released, and reports true.
-func (m *Manager) moveStep(p *sim.Proc, mv *blockMove) bool {
+// moveStep runs w's block move until w's process must park, and reports
+// false, or until the move is over and the block lock released, and
+// reports true.
+func (w *mover) moveStep() bool {
+	m, p, mv := w.m, w.p, &w.mv
 	h := mv.h
 	if mv.at == moveLock {
 		if !h.mu.Acquire(p, &mv.lock) {

@@ -271,10 +271,10 @@ func (w *ioSearch) advance() bool {
 				continue
 			}
 			w.evict, w.before = h, h.Evictions
-			s.m.startEvict(&w.mv, q, w.lane, h, false)
+			w.startEvict(w.lane, h, false)
 			w.at = ioEvict
 		case ioEvict:
-			if !s.m.moveStep(q, &w.mv) {
+			if !w.moveStep() {
 				return false
 			}
 			if w.evict.Evictions != w.before {

@@ -80,7 +80,8 @@ func (s *noIO) admit(w *worker) bool {
 
 // Where a No IO complete is in its sequence.
 const (
-	ncRelease   uint8 = iota // evict the task's own dead dependences
+	ncStart     uint8 = iota // drop the task's pins
+	ncRelease                // evict the task's own dead dependences
 	ncPop                    // pop the PE's own wait queue
 	ncDrain                  // stage wot, or end the drain
 	ncStaging                // wot's staging is under way
@@ -108,11 +109,10 @@ func (s *noIO) complete(w *worker) bool {
 	pe, p := w.pe.ID(), w.p
 	for {
 		switch w.at {
+		case ncStart:
+			w.startRelease(w.ot, pe)
+			w.at = ncRelease
 		case ncRelease:
-			if w.i == 0 {
-				w.startRelease(w.ot, pe)
-				w.i = 1
-			}
 			if !w.releaseStep() {
 				return false
 			}

@@ -85,9 +85,9 @@ func (ot *OOCTask) unpinAll() {
 	}
 }
 
-// staging is a stage call in progress, as a stage of a sim.Proc.Drive
-// step. stage makes all of a task's dependences resident and pinned,
-// or none at all.
+// staging is a task's staging in progress, as a stage of a
+// sim.Proc.Drive step. Staging makes all of a task's dependences
+// resident and pinned, or none at all.
 //
 // Protocol, all in one atomic virtual-time section:
 //  1. pin every block already in HBM (free — the space is in use);
@@ -106,7 +106,7 @@ func (ot *OOCTask) unpinAll() {
 // that starts fetching always finishes staging, so concurrent IO
 // threads cannot deadlock holding partial dependence sets.
 type staging struct {
-	at   stageStage
+	at   stagingStage
 	ot   *OOCTask
 	lane int
 	need int64
@@ -114,13 +114,13 @@ type staging struct {
 	ok   bool // the result: every dependence is pinned
 }
 
-// stageStage is where a staging is in its sequence.
-type stageStage uint8
+// stagingStage is where a staging is in its sequence.
+type stagingStage uint8
 
 const (
-	stageRoom  stageStage = iota // makeRoom for the reservation
-	stageFetch                   // fetch the claimed dependences
-	stageMove                    // dependence i's fetch is under way
+	stageRoom  stagingStage = iota // makeRoom for the reservation
+	stageFetch                     // fetch the claimed dependences
+	stageMove                      // dependence i's fetch is under way
 )
 
 // startStage pins and claims ot's dependences and sets w's staging of
@@ -194,10 +194,10 @@ func (w *mover) stageStep() bool {
 				return true
 			}
 			d := &ot.deps[st.i]
-			m.startFetch(&w.mv, w.p, st.lane, d.h, d.reserved)
+			w.startFetch(st.lane, d.h, d.reserved)
 			st.at = stageMove
 		case stageMove:
-			if !m.moveStep(w.p, &w.mv) {
+			if !w.moveStep() {
 				return false
 			}
 			d := &ot.deps[st.i]
@@ -278,10 +278,10 @@ func (w *mover) releaseStep() bool {
 			if h.InUse() {
 				continue
 			}
-			w.m.startEvict(&w.mv, w.p, r.lane, h, false)
+			w.startEvict(r.lane, h, false)
 			r.evicting = true
 		}
-		if !w.m.moveStep(w.p, &w.mv) {
+		if !w.moveStep() {
 			return false
 		}
 		r.evicting = false

@@ -114,7 +114,7 @@ func (w *mover) roomStep() bool {
 		case roomPick:
 			if !m.hbmFits(r.need) {
 				if h := r.v.next(); h != nil {
-					m.startEvict(&w.mv, w.p, r.lane, h, r.force)
+					w.startEvict(r.lane, h, r.force)
 					r.at = roomEvict
 					continue
 				}
@@ -130,7 +130,7 @@ func (w *mover) roomStep() bool {
 			r.v.startRank(r.pol, true, nil)
 			r.at = roomRank
 		case roomEvict:
-			if !m.moveStep(w.p, &w.mv) {
+			if !w.moveStep() {
 				return false
 			}
 			r.at = roomPick

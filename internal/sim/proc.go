@@ -149,7 +149,7 @@ func (e *Engine) wake(p *Proc) {
 }
 
 // wakeAt schedules p to resume at absolute time t, unless a wake is
-// already pending when t comes (Sleep and SleepUntil park on it).
+// already pending when t comes (Sleep and ArmSleepUntil arm it).
 func (e *Engine) wakeAt(t Time, p *Proc) {
 	e.Schedule(t, p.timerFn)
 }
@@ -234,18 +234,10 @@ func (p *Proc) charge(d Time) {
 	p.park()
 }
 
-// SleepUntil parks the process until absolute virtual time t. A target
-// at or before the current time degenerates to a yield, so replaying a
-// recorded timeline can always sleep to the next timestamp without
-// checking for zero gaps.
-func (p *Proc) SleepUntil(t Time) {
-	p.ArmSleepUntil(t)
-	p.park()
-}
-
-// ArmSleepUntil arranges p's wake at absolute time t: the half of
-// SleepUntil before its park, for a Drive step to return false after.
-// A t at or before now wakes p at now, as a yield.
+// ArmSleepUntil arranges p's wake at absolute virtual time t, for a
+// Drive step to return false after. A target at or before the current
+// time degenerates to a yield, so replaying a recorded timeline can
+// always wait for the next timestamp without checking for zero gaps.
 func (p *Proc) ArmSleepUntil(t Time) {
 	if t <= p.e.now {
 		p.e.wake(p)

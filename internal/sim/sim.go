@@ -23,9 +23,11 @@
 // function that does what its body would do between two parks. The
 // engine runs the step from each event callback that wakes the
 // process, with the events the blocking code would make, and resumes
-// the process once, when the step reports it done. Proc.Sweep, which
-// takes a row of locks in turn looking for one whose slot needs work,
-// is such a step.
+// the process once, when the step reports it done. A Scan, which takes
+// a row of locks in turn looking for one whose slot needs work, runs as
+// a stage of such a step, or on its own through Proc.Sweep. The loop
+// yields to the Go scheduler every yieldEvery events, since a run whose
+// processes rarely resume keeps one goroutine busy throughout.
 //
 // Events wait on three kinds of queue. Most events are either same-instant
 // (a wake, a spawn, a zero sleep: Schedule at now) or lock charges

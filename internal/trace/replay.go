@@ -270,15 +270,8 @@ func (w *Workload) Build(mg *core.Manager) (kernels.App, error) {
 		})
 	}
 	// The runtime's main process sends the tasks as one sim.Proc.Drive
-	// step, which runs the loop
-	//
-	//	for i, t := range w.Tasks {
-	//		p.SleepUntil(t.SentAt)
-	//		send task i
-	//	}
-	//
-	// split at its parks, so the process resumes only at its first
-	// grant.
+	// step: it waits until each task's send instant and sends it, so
+	// the process resumes only at its first grant.
 	app.send = func(p *sim.Proc) {
 		next, armed := 0, false
 		p.Drive(func() bool {
