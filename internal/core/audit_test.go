@@ -142,7 +142,11 @@ func TestWatchdogReportsStrandedTask(t *testing.T) {
 		task := &charm.Task{Elem: arr.Elem(0), Entry: kern, Msg: &charm.Message{}}
 		task.Deps = kern.Deps(arr.Elem(0), task.Msg)
 		ot := newOOCTask(env.mg, env.rt.PE(0), task)
-		strat.wqs[0].push(p, ot) // no kick: simulated lost wakeup
+		// Push with no kick: a simulated lost wakeup.
+		var s sim.LockStep
+		for _, ok := strat.wqs[0].pushStep(p, &s, ot); !ok; _, ok = strat.wqs[0].pushStep(p, &s, ot) {
+			p.Suspend()
+		}
 	})
 	env.e.RunAll()
 

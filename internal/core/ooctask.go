@@ -304,24 +304,12 @@ func newWaitQueue[T any](lockCost sim.Time) *waitQueue[T] {
 	return wq
 }
 
-// push appends x (worker side: "the worker thread locks the
-// corresponding PE's wait queue and adds the task") and returns the
-// resulting depth, so callers can record queue-depth metrics without a
-// second lock round-trip.
-func (wq *waitQueue[T]) push(p *sim.Proc, x T) int {
-	var s sim.LockStep
-	for {
-		if n, ok := wq.pushStep(p, &s, x); ok {
-			return n
-		}
-		p.Suspend()
-	}
-}
-
-// pushStep is push for a sim.Proc.Drive step: it takes p's acquisition
-// of the queue lock one step on from *s and reports false while p must
-// park for it, then appends x as push does and reports true with the
-// resulting depth.
+// pushStep, for a sim.Proc.Drive step, takes p's acquisition of the
+// queue lock one step on from *s and reports false while p must park
+// for it, then appends x (worker side: "the worker thread locks the
+// corresponding PE's wait queue and adds the task") and reports true
+// with the resulting depth, so callers can record queue-depth metrics
+// without a second lock round-trip.
 func (wq *waitQueue[T]) pushStep(p *sim.Proc, s *sim.LockStep, x T) (int, bool) {
 	if !wq.mu.Acquire(p, s) {
 		return 0, false

@@ -14,19 +14,15 @@ import (
 // runs per strategy: Fig 8's stencil at its tightest reduced set, Fig
 // 9's matmul at its largest working set, and the shift program under
 // lazy eviction with the Lookahead victim policy, which reaches
-// makeRoom, its forced pass and the wait-queue walk. Each strategy
-// scans its wait queues under their locks: No IO's cross-PE drain,
-// Multiple IO's cross-PE kick and Single IO's Algorithm 1 pass. The
-// scans run as sim.Proc.Sweep, which takes the same locks with the same
-// events as the Lock/len/Unlock loops they replaced, so Scheduled,
-// Fired, Cancelled and Reused are those loops' counts. Only Resumes is
-// lower: a process sweeping past empty queues resumes once at the end
-// instead of once per lock (the loops gave the stencil 18,912, 19,514
-// and 27,239). The PE dequeue, the kernels and Multiple IO's search for
-// work run as sim.Proc.Drive steps too (Resumes was 18,793, 16,255 and
-// 26,017 on the stencil with the sweeps alone). Every wake either
-// resumes its process or is a step, so Resumes plus Steps is still the
-// loops' count.
+// makeRoom, its forced pass and the wait-queue walk. Every protocol the
+// runtime runs between two pieces of user work is a sim.Proc.Drive
+// step, with the events of the blocking code it replaced, so
+// Scheduled, Fired, Cancelled and Reused are that code's counts. Only
+// the split between Resumes and Steps moves: every wake either resumes
+// its process or is a step, and a PE now resumes only to run an entry
+// method (the stencil gave 18,912, 19,514 and 27,239 resumes with no
+// steps, and 13,439, 12,469 and 18,030 with only the dequeue, the
+// kernels, the wait-queue scans and Multiple IO's search stepped).
 func TestWaitQueueSweepEventStats(t *testing.T) {
 	s := exp.Small
 	red := s.StencilReducedSizes()[0]

@@ -164,14 +164,14 @@ func (m *Manager) putVictims(v *victims) {
 // run is over. Stats, snapshots and handles stay readable.
 func (m *Manager) Close() { m.spareVictims = nil }
 
-// victims is one makeRoom pass's victim order. rank reads the pass's
-// candidates from the dead index and orders them; next hands them out
-// lazily, best first, so a pass pays to order only the victims it
-// takes. Declaration order is the index's own order: a DeclOrder pass
-// walks bit sets of the index and keeps nothing per candidate, which
-// matters because Multiple IO parks one pass per IO thread in an
-// eviction at once. Any other policy keys the candidates and hands them
-// out from a heap.
+// victims is one makeRoom pass's victim order. startRank and rankStep
+// read the pass's candidates from the dead index and order them; next
+// hands them out lazily, best first, so a pass pays to order only the
+// victims it takes. Declaration order is the index's own order: a
+// DeclOrder pass walks bit sets of the index and keeps nothing per
+// candidate, which matters because Multiple IO parks one pass per IO
+// thread in an eviction at once. Any other policy keys the candidates
+// and hands them out from a heap.
 //
 // Three rules keep the order the one a stable sort of every candidate
 // by the policy's key gives, as the pass took before the index:
@@ -230,22 +230,13 @@ type keyed struct {
 	walkVisit       func(i int) bool       // noteQueue, bound once
 }
 
-// rank collects the candidates and orders them under pol, taking next
-// uses, when pol looks ahead, from nextUse, or from a walk of the wait
-// queues when nextUse is nil. Unless force is set, it parks the
-// candidates with pending uses and then registers the pass for wake: a
-// use completing during the queue walk changes nothing the parking has
-// yet to read. It loops over startRank and rankStep, parking the pass's
-// process where the walk waits for a queue lock.
-func (v *victims) rank(pol EvictPolicy, force bool, nextUse func(*Handle) int) {
-	v.startRank(pol, force, nextUse)
-	for !v.rankStep() {
-		v.p.Suspend()
-	}
-}
-
-// startRank begins rank: it collects the candidates, and takes the
-// next uses and keys in rankStep.
+// startRank begins a ranking of the pass's candidates under pol: it
+// collects them, and rankStep orders them, taking next uses, when pol
+// looks ahead, from nextUse, or from a walk of the wait queues when
+// nextUse is nil. Unless force is set, rankStep parks the candidates
+// with pending uses and then registers the pass for wake: a use
+// completing during the queue walk changes nothing the parking has yet
+// to read.
 func (v *victims) startRank(pol EvictPolicy, force bool, nextUse func(*Handle) int) {
 	v.force, v.decl = force, pol == DeclOrder
 	if v.decl {
@@ -255,8 +246,8 @@ func (v *victims) startRank(pol EvictPolicy, force bool, nextUse func(*Handle) i
 	v.collect(pol, nextUse)
 }
 
-// rankStep finishes rank for v's process: it reports false while the
-// process must park in the queue walk, and true once the pass is
+// rankStep finishes the ranking for v's process: it reports false while
+// the process must park in the queue walk, and true once the pass is
 // ordered and registered.
 func (v *victims) rankStep() bool {
 	if !v.decl {

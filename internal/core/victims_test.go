@@ -15,6 +15,16 @@ import (
 // declaration order, then a stable sort over the policy's comparison.
 // It survives as the oracle the index path is checked against.
 
+// rank runs a ranking to its end as a blocking call: startRank, then
+// rankStep, parking the pass's process where the walk waits for a
+// queue lock.
+func (v *victims) rank(pol EvictPolicy, force bool, nextUse func(*Handle) int) {
+	v.startRank(pol, force, nextUse)
+	for !v.rankStep() {
+		v.p.Suspend()
+	}
+}
+
 // oracleCandidates scans every handle for the dead resident blocks
 // (InHBM, unreferenced, unclaimed), in declaration order.
 func oracleCandidates(m *Manager) []*Handle {
