@@ -2,7 +2,9 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 )
 
@@ -274,6 +276,45 @@ func TestRunBeforeStrictHorizon(t *testing.T) {
 	}
 	if _, ok := e.PeekTime(); ok {
 		t.Fatal("PeekTime ok on drained engine")
+	}
+}
+
+// TestLoopYields: Run, RunAll and RunBefore each yield to the Go
+// scheduler while they fire events, so at GOMAXPROCS=1 a goroutine
+// started just before a run of 4 × yieldEvery events runs before the
+// run ends, as the garbage collector's mark worker must.
+func TestLoopYields(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 4 * yieldEvery
+	for _, tc := range []struct {
+		name string
+		run  func(e *Engine)
+	}{
+		{"Run", func(e *Engine) { e.Run(n) }},
+		{"RunAll", func(e *Engine) { e.RunAll() }},
+		{"RunBefore", func(e *Engine) { e.RunBefore(n + 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(1)
+			defer e.Close()
+			var started atomic.Bool
+			seen := false
+			see := func() { seen = seen || started.Load() }
+			for i := 1; i <= n; i++ {
+				e.Schedule(Time(i), see)
+			}
+			// A collection during the run could schedule the
+			// goroutine without any yield: start with none due.
+			runtime.GC()
+			go started.Store(true)
+			tc.run(e)
+			if e.EventStats().Fired != n {
+				t.Fatalf("%s fired %d events, want %d", tc.name, e.EventStats().Fired, n)
+			}
+			if !seen {
+				t.Fatalf("a goroutine started before %s's %d events did not run during them", tc.name, n)
+			}
+		})
 	}
 }
 

@@ -25,9 +25,10 @@
 // process, with the events the blocking code would make, and resumes
 // the process once, when the step reports it done. A Scan, which takes
 // a row of locks in turn looking for one whose slot needs work, runs as
-// a stage of such a step, or on its own through Proc.Sweep. The loop
-// yields to the Go scheduler every yieldEvery events, since a run whose
-// processes rarely resume keeps one goroutine busy throughout.
+// such a step or as one stage of one. Run and RunBefore fire events
+// through one loop, which yields to the Go scheduler every yieldEvery
+// events, since a run whose processes rarely resume keeps one goroutine
+// busy throughout.
 //
 // Events wait on three kinds of queue. Most events are either same-instant
 // (a wake, a spawn, a zero sleep: Schedule at now) or lock charges
@@ -258,9 +259,9 @@ type Engine struct {
 	stats  EventStats
 
 	// atEnd holds the AtInstantEnd hooks waiting for the current
-	// instant to end, in registration order; running is true while Run
-	// or RunBefore fires events, so a hook registered outside them runs
-	// at once.
+	// instant to end, in registration order; running is true while the
+	// loop fires events, so a hook registered outside Run and RunBefore
+	// runs at once.
 	atEnd   []func()
 	running bool
 
@@ -522,19 +523,7 @@ func (e *Engine) step(ev *event, q *fifo) {
 // event. Processes still blocked when the queue drains are left parked
 // (a subsequent Schedule/wake can revive them); call Close to reap them.
 func (e *Engine) Run(until Time) Time {
-	defer e.exitLoop(e.running)
-	e.running = true
-	for {
-		ev, q := e.next()
-		if len(e.atEnd) > 0 && (ev == nil || ev.t != e.now) {
-			e.endInstant()
-			continue
-		}
-		if ev == nil || ev.t > until {
-			break
-		}
-		e.step(ev, q)
-	}
+	e.loop(until, false)
 	if until < Infinity && e.now < until {
 		e.now = until
 	}
@@ -552,6 +541,15 @@ func (e *Engine) Run(until Time) Time {
 // quiescent while barrier messages may still arrive. This is the
 // building block of internal/cluster's conservative windows.
 func (e *Engine) RunBefore(horizon Time) Time {
+	e.loop(horizon, true)
+	return e.now
+}
+
+// loop fires events in (t, seq) order, and runs the AtInstantEnd hooks
+// as each instant ends, until the next event lies past limit: later than
+// limit, or at it too when strict. Run and RunBefore both fire through
+// it. Every yieldEvery events it yields to the Go scheduler.
+func (e *Engine) loop(limit Time, strict bool) {
 	defer e.exitLoop(e.running)
 	e.running = true
 	for {
@@ -560,15 +558,14 @@ func (e *Engine) RunBefore(horizon Time) Time {
 			e.endInstant()
 			continue
 		}
-		if ev == nil || ev.t >= horizon {
-			break
+		if ev == nil || ev.t > limit || (strict && ev.t == limit) {
+			return
 		}
 		e.step(ev, q)
 		if e.stats.Fired%yieldEvery == 0 {
 			runtime.Gosched()
 		}
 	}
-	return e.now
 }
 
 // yieldEvery is how many events the loop fires between yields to the
@@ -581,9 +578,9 @@ func (e *Engine) RunBefore(horizon Time) Time {
 // worker run; the engine's state and order are untouched.
 const yieldEvery = 1024
 
-// exitLoop restores the loop state Run or RunBefore found on entry. They
-// defer it, so a body panic that unwinds through them does not leave
-// AtInstantEnd deferring hooks that nothing will run.
+// exitLoop restores the loop state loop found on entry. loop defers it,
+// so a body panic that unwinds through it does not leave AtInstantEnd
+// deferring hooks that nothing will run.
 func (e *Engine) exitLoop(running bool) { e.running = running }
 
 // PeekTime returns the timestamp of the earliest pending event, or
