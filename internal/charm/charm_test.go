@@ -237,7 +237,7 @@ func TestInterceptorFlow(t *testing.T) {
 	}
 	// Release: push to run queue from a fresh process.
 	held := ic.held[0]
-	e.Spawn("release", func(p *sim.Proc) { held.pe.PushRun(p, held.t) })
+	e.Spawn("release", func(p *sim.Proc) { pushRun(p, held.pe, held.t) })
 	e.RunAll()
 	if arr.Elem(0).Obj.(*counterChare).runs != 1 {
 		t.Fatal("released task did not run")
@@ -330,6 +330,13 @@ func TestNonPrefetchNotIntercepted(t *testing.T) {
 	}
 }
 
+// pushRun queues t on pe's run queue through PushRunStep, as one Drive
+// of p.
+func pushRun(p *sim.Proc, pe *PE, t *Task) {
+	var s sim.LockStep
+	p.Drive(func() bool { return pe.PushRunStep(p, &s, t) })
+}
+
 func TestRunQueuePriority(t *testing.T) {
 	// A task pushed to the run queue runs before queued messages.
 	e, rt := testRT(t, 1)
@@ -348,7 +355,7 @@ func TestRunQueuePriority(t *testing.T) {
 		arr.Send(-1, 0, note, "m2")
 		arr.Send(-1, 1, note, "m3")
 		p.Sleep(0.05) // m1 is executing; m2, m3 queued
-		rt.PE(0).PushRun(p, &Task{
+		pushRun(p, rt.PE(0), &Task{
 			Elem:  arr.Elem(1),
 			Entry: note,
 			Msg:   &Message{Data: "ready", From: -1, SentAt: p.Now()},

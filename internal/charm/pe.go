@@ -89,19 +89,11 @@ func (pe *PE) enqueueMsg(t *Task) {
 	pe.notEmpty.Signal()
 }
 
-// PushRun adds an OOC-ready task to this PE's run queue and wakes the
-// scheduler. It may be called from any process (IO threads, other PEs).
-func (pe *PE) PushRun(p *sim.Proc, t *Task) {
-	var s sim.LockStep
-	for !pe.PushRunStep(p, &s, t) {
-		p.Suspend()
-	}
-}
-
-// PushRunStep is PushRun for a sim.Proc.Drive step: it takes p's
-// acquisition of the queue lock one step on from *s and reports false
-// while p must park for it, then queues t, unlocks, wakes the scheduler
-// and reports true.
+// PushRunStep adds an OOC-ready task to this PE's run queue and wakes
+// the scheduler, as a sim.Proc.Drive step of any process (IO threads,
+// other PEs): it takes p's acquisition of the queue lock one step on
+// from *s and reports false while p must park for it, then queues t,
+// unlocks, wakes the scheduler and reports true.
 func (pe *PE) PushRunStep(p *sim.Proc, s *sim.LockStep, t *Task) bool {
 	if !pe.mu.Acquire(p, s) {
 		return false

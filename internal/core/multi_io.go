@@ -172,7 +172,7 @@ func (s *multiIO) complete(w *worker) bool {
 //			if no slot was free { break }
 //			ot := wqs[i].pop()
 //			if ot == nil { release the slot; break }
-//			if ot.stage() { ot.pe.PushRun(ot.t); continue }
+//			if ot.stage() { push ot.t to ot.pe's run queue; continue }
 //			release the slot; wqs[i].pushFront(ot); break
 //		}
 //		if a block was evicted or a task staged {
@@ -182,7 +182,7 @@ func (s *multiIO) complete(w *worker) bool {
 //
 // split at its parks; releasing a slot is ioMu[i].Lock,
 // inflight[i]--, ioMu[i].Unlock. The wait-queue pop and pushFront, the
-// PushRun, each kick, the eviction and the staging run as the step
+// run-queue push, each kick, the eviction and the staging run as the step
 // forms (popStep, pushFrontStep, PushRunStep, kickStep, moveStep,
 // stageStep) that their other callers use too, so each protocol has
 // one copy. An eviction re-checks the block under its own protocol:
@@ -195,9 +195,8 @@ func (s *multiIO) complete(w *worker) bool {
 // for. All IO threads are "likely working in parallel, hence there is
 // no starvation problem" under symmetric load; the explicit kick makes
 // it a guarantee. After an eviction or a staged task, the search scans
-// every other wait queue under its lock with a sim.Scan, as
-// sim.Proc.Sweep does, and kicks the thread of each one it finds
-// non-empty.
+// every other wait queue under its lock with a sim.Scan, and kicks the
+// thread of each one it finds non-empty.
 type ioSearch struct {
 	mover
 	s    *multiIO

@@ -102,9 +102,8 @@ const (
 // completing worker that then finds its own queue empty helps other
 // PEs' queues (documented deviation; without it the tail of an
 // iteration can deadlock when evictions happen only on PEs with empty
-// queues). A sim.Scan locks every other queue in turn, as
-// sim.Proc.Sweep does, and the worker drains each one it finds
-// non-empty.
+// queues). A sim.Scan locks every other queue in turn, and the worker
+// drains each one it finds non-empty.
 func (s *noIO) complete(w *worker) bool {
 	pe, p := w.pe.ID(), w.p
 	for {

@@ -200,7 +200,7 @@ func (s *singleIO) complete(w *worker) bool {
 //			for each wait queue j found non-empty under its lock {
 //				ot := wqs[j].popHeld()
 //				if ot.stage() {
-//					ot.pe.PushRun(ot.t)
+//					push ot.t to ot.pe's run queue
 //					progress = true
 //				} else {
 //					// HBM full: keep FIFO order and stall this
@@ -213,9 +213,8 @@ func (s *singleIO) complete(w *worker) bool {
 //
 // split at its parks. Each pass serves every queue once so all PEs
 // advance together ("serving all PEs equally"): a sim.Scan locks each
-// queue in turn and stops at each one it finds non-empty, as
-// sim.Proc.Sweep does. Thread id parks whenever the pool is retargeted
-// below it.
+// queue in turn and stops at each one it finds non-empty. Thread id
+// parks whenever the pool is retargeted below it.
 type ioPass struct {
 	mover
 	s        *singleIO

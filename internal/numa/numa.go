@@ -1,10 +1,10 @@
 // Package numa provides a libnuma-like allocation API over the
-// simulated memory system: AllocOnNode/Free (numa_alloc_onnode,
-// numa_free) plus the alloc-copy-free migration routine the paper uses
-// to move data blocks between MCDRAM and DDR4 ("create space in
-// destination memory and then move the data ... copy to destination and
-// then freeing the source"). A buffer lives on one node, and a copy
-// moves it whole with one memcpy flow.
+// simulated memory system: AllocOnNode (numa_alloc_onnode) plus the
+// alloc-copy-free migration routine the paper uses to move data blocks
+// between MCDRAM and DDR4 ("create space in destination memory and then
+// move the data ... copy to destination and then freeing the source").
+// A buffer lives on one node, and a copy moves it whole with one memcpy
+// flow.
 //
 // Node numbering follows the paper's flat-mode KNL convention: DDR4 is
 // memory node 0, HBM (MCDRAM) is memory node 1.
@@ -22,15 +22,10 @@ import (
 // requested node.
 var ErrNoSpace = errors.New("numa: insufficient capacity on requested node")
 
-// ErrFreed is returned when operating on an already-freed buffer.
-var ErrFreed = errors.New("numa: buffer already freed")
-
 // Buffer is an allocated region on one node.
 type Buffer struct {
-	a     *Allocator
-	node  *memsim.Node
-	size  int64
-	freed bool
+	node *memsim.Node
+	size int64
 }
 
 // Allocator tracks allocations against a memory system.
@@ -42,7 +37,7 @@ type Allocator struct {
 	// itself). Zero means uncapped.
 	MemcpyRateCap float64
 
-	// MigrateOpCost is a fixed virtual-time charge per Migrate call:
+	// MigrateOpCost is a fixed virtual-time charge per migration:
 	// the destination allocation (mmap + first-touch faults), source
 	// free and bookkeeping around the memcpy itself.
 	MigrateOpCost sim.Time
@@ -91,7 +86,7 @@ func (a *Allocator) AllocOnNode(size int64, node int) (*Buffer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Buffer{a: a, node: n, size: size}, nil
+	return &Buffer{node: n, size: size}, nil
 }
 
 // reserveOn claims size bytes on the node with the given id and counts
@@ -116,31 +111,10 @@ func (b *Buffer) Node() *memsim.Node { return b.node }
 // id.
 func (b *Buffer) OnNode(id int) bool { return b.node.ID == id }
 
-// Free releases the buffer's capacity (numa_free). Double-free returns
-// ErrFreed.
-func (b *Buffer) Free() error {
-	if b.freed {
-		return ErrFreed
-	}
-	b.a.release(b.node, b.size)
-	b.freed = true
-	return nil
-}
-
-// release returns size bytes of capacity to node and counts one free.
-func (a *Allocator) release(node *memsim.Node, size int64) {
-	node.Release(size)
-	a.LiveBuffers--
-	a.TotalFrees++
-}
-
 // Memcpy copies src's contents into dst in virtual time, charging source
-// read and destination write bandwidth. Both buffers must be live and the
-// same size. It returns the elapsed time.
+// read and destination write bandwidth. Both buffers must be the same
+// size. It returns the elapsed time.
 func (a *Allocator) Memcpy(p *sim.Proc, dst, src *Buffer) (sim.Time, error) {
-	if dst.freed || src.freed {
-		return 0, ErrFreed
-	}
 	if dst.size != src.size {
 		return 0, fmt.Errorf("numa: memcpy size mismatch (%d vs %d)", dst.size, src.size)
 	}
@@ -206,28 +180,16 @@ func (a *Allocator) copyStep(p *sim.Proc, c *copying) bool {
 	return true
 }
 
-// Migrate moves a live buffer to the given node using the paper's
-// routine: allocate a same-sized destination, memcpy, free the source.
-// On success the buffer lives on the new node. A buffer already on the
-// target node migrates in zero time.
+// Migration moves a buffer to another node by the paper's routine,
+// as a sim.Proc.Drive step: claim a same-sized destination, memcpy,
+// free the source. Start it, call Step until it reports true, then read
+// Result. On success the buffer lives on the new node; a buffer already
+// on the target node migrates in zero time. A Migration serves
+// migration after migration.
 //
 // The destination is a capacity claim rather than a Buffer of its own:
-// it counts as a live allocation from the claim until it folds into b,
-// as AllocOnNode's buffer would.
-func (a *Allocator) Migrate(p *sim.Proc, b *Buffer, node int) (sim.Time, error) {
-	var mg Migration
-	mg.Start(a, b, node)
-	for !mg.Step(p) {
-		p.Suspend()
-	}
-	return mg.Result()
-}
-
-// Migration is a Migrate in progress, for a sim.Proc.Drive step: Start
-// it, call Step until it reports true, then read Result. Migrate loops
-// over it, so a stepped migration's claim, op-cost sleep, copy and
-// release are Migrate's, event for event. A Migration serves migration
-// after migration.
+// it counts as a live allocation from the claim until it folds into the
+// buffer, as AllocOnNode's buffer would.
 type Migration struct {
 	a    *Allocator
 	b    *Buffer
@@ -261,10 +223,6 @@ func (mg *Migration) Step(p *sim.Proc) bool {
 	a, b := mg.a, mg.b
 	switch mg.at {
 	case migClaim:
-		if b.freed {
-			mg.err = ErrFreed
-			return true
-		}
 		if b.OnNode(mg.node) {
 			return true
 		}
@@ -286,9 +244,6 @@ func (mg *Migration) Step(p *sim.Proc) bool {
 		}
 		fallthrough
 	case migCopy:
-		if b.freed {
-			break
-		}
 		mg.t0 = p.Now()
 		a.startCopy(&mg.cp, mg.dst, b.node, b.size)
 		mg.at = migWait
@@ -299,16 +254,11 @@ func (mg *Migration) Step(p *sim.Proc) bool {
 		}
 		mg.d = p.Now() - mg.t0 + a.MigrateOpCost
 	}
-	if b.freed {
-		// Freed during the op cost or the copy: Free released the
-		// source, so only the destination is left to free.
-		a.release(mg.dst, b.size)
-		mg.d, mg.err = 0, ErrFreed
-		return true
-	}
 	// Free the old location and adopt the new one. The free counted is
 	// the destination's: its identity dissolves into b.
-	a.release(b.node, b.size)
+	b.node.Release(b.size)
+	a.LiveBuffers--
+	a.TotalFrees++
 	b.node = mg.dst
 	a.BytesMigrated += float64(b.size)
 	a.MigrationTime += mg.d
@@ -316,6 +266,6 @@ func (mg *Migration) Step(p *sim.Proc) bool {
 	return true
 }
 
-// Result returns an ended migration's elapsed time and error, as
-// Migrate returns them.
+// Result returns an ended migration's elapsed time and its error:
+// ErrNoSpace when the destination could not be claimed.
 func (mg *Migration) Result() (sim.Time, error) { return mg.d, mg.err }

@@ -20,6 +20,15 @@ func testSetup() (*sim.Engine, *memsim.System, *Allocator) {
 	return e, sys, New(sys)
 }
 
+// migrate moves b to node as one Drive of p over a Migration, the step
+// form core's movers run, and returns its elapsed time and error.
+func migrate(p *sim.Proc, a *Allocator, b *Buffer, node int) (sim.Time, error) {
+	var mg Migration
+	mg.Start(a, b, node)
+	p.Drive(func() bool { return mg.Step(p) })
+	return mg.Result()
+}
+
 func TestAllocOnNode(t *testing.T) {
 	_, sys, a := testSetup()
 	b, err := a.AllocOnNode(4*gb, 1)
@@ -31,15 +40,6 @@ func TestAllocOnNode(t *testing.T) {
 	}
 	if sys.Node(1).Used() != 4*gb {
 		t.Fatal("HBM usage not accounted")
-	}
-	if err := b.Free(); err != nil {
-		t.Fatal(err)
-	}
-	if sys.Node(1).Used() != 0 {
-		t.Fatal("free did not release")
-	}
-	if err := b.Free(); !errors.Is(err, ErrFreed) {
-		t.Fatalf("double free err = %v, want ErrFreed", err)
 	}
 }
 
@@ -81,24 +81,11 @@ func TestMemcpySizeMismatch(t *testing.T) {
 	e.RunAll()
 }
 
-func TestMemcpyFreedBuffer(t *testing.T) {
-	e, _, a := testSetup()
-	src, _ := a.AllocOnNode(1*gb, 0)
-	dst, _ := a.AllocOnNode(1*gb, 1)
-	src.Free()
-	e.Spawn("cp", func(p *sim.Proc) {
-		if _, err := a.Memcpy(p, dst, src); !errors.Is(err, ErrFreed) {
-			t.Errorf("err = %v, want ErrFreed", err)
-		}
-	})
-	e.RunAll()
-}
-
 func TestMigrate(t *testing.T) {
 	e, sys, a := testSetup()
 	b, _ := a.AllocOnNode(8*gb, 0)
 	e.Spawn("mig", func(p *sim.Proc) {
-		d, err := a.Migrate(p, b, 1)
+		d, err := migrate(p, a, b, 1)
 		if err != nil {
 			t.Error(err)
 		}
@@ -125,7 +112,7 @@ func TestMigrateNoopWhenAlreadyThere(t *testing.T) {
 	e, _, a := testSetup()
 	b, _ := a.AllocOnNode(1*gb, 1)
 	e.Spawn("mig", func(p *sim.Proc) {
-		d, err := a.Migrate(p, b, 1)
+		d, err := migrate(p, a, b, 1)
 		if err != nil || d != 0 {
 			t.Errorf("noop migrate: d=%v err=%v", d, err)
 		}
@@ -137,77 +124,16 @@ func TestMigrateNeedsTransientSpace(t *testing.T) {
 	// The paper's routine allocates destination space before copying:
 	// migrating 10 GB into HBM with only 8 GB free must fail.
 	e, _, a := testSetup()
-	fill, _ := a.AllocOnNode(8*gb, 1)
-	defer fill.Free()
+	a.AllocOnNode(8*gb, 1)
 	b, _ := a.AllocOnNode(10*gb, 0)
 	e.Spawn("mig", func(p *sim.Proc) {
-		if _, err := a.Migrate(p, b, 1); !errors.Is(err, ErrNoSpace) {
+		if _, err := migrate(p, a, b, 1); !errors.Is(err, ErrNoSpace) {
 			t.Errorf("err = %v, want ErrNoSpace", err)
 		}
 	})
 	e.RunAll()
 	if !b.OnNode(0) {
 		t.Fatal("failed migration moved the buffer")
-	}
-}
-
-func TestMigrateFreedBuffer(t *testing.T) {
-	e, _, a := testSetup()
-	b, _ := a.AllocOnNode(1*gb, 0)
-	b.Free()
-	e.Spawn("mig", func(p *sim.Proc) {
-		if _, err := a.Migrate(p, b, 1); !errors.Is(err, ErrFreed) {
-			t.Errorf("err = %v, want ErrFreed", err)
-		}
-	})
-	e.RunAll()
-}
-
-// A buffer freed during the op-cost sleep fails the migration with
-// ErrFreed, and the destination's claim is released and counted freed.
-func TestMigrateFreedDuringOpCost(t *testing.T) {
-	e, sys, a := testSetup()
-	a.MigrateOpCost = 0.5
-	b, _ := a.AllocOnNode(1*gb, 0)
-	e.Spawn("mig", func(p *sim.Proc) {
-		if _, err := a.Migrate(p, b, 1); !errors.Is(err, ErrFreed) {
-			t.Errorf("err = %v, want ErrFreed", err)
-		}
-	})
-	e.Spawn("free", func(p *sim.Proc) {
-		p.Sleep(0.25)
-		if err := b.Free(); err != nil {
-			t.Errorf("Free: %v", err)
-		}
-	})
-	e.RunAll()
-	if sys.Node(0).Used() != 0 || sys.Node(1).Used() != 0 || a.LiveBuffers != 0 || a.TotalAllocs != 2 || a.TotalFrees != 2 {
-		t.Errorf("DDR used %d, HBM used %d, live %d, allocs %d, frees %d",
-			sys.Node(0).Used(), sys.Node(1).Used(), a.LiveBuffers, a.TotalAllocs, a.TotalFrees)
-	}
-}
-
-// TestMigrateFreedDuringCopy frees a 10 GB DDR buffer halfway through
-// its 0.1 s copy to HBM: the migration fails with ErrFreed, both nodes
-// end empty, and the destination's claim counts as one more free.
-func TestMigrateFreedDuringCopy(t *testing.T) {
-	e, sys, a := testSetup()
-	b, _ := a.AllocOnNode(10*gb, 0)
-	e.Spawn("mig", func(p *sim.Proc) {
-		if _, err := a.Migrate(p, b, 1); !errors.Is(err, ErrFreed) {
-			t.Errorf("err = %v, want ErrFreed", err)
-		}
-	})
-	e.Spawn("free", func(p *sim.Proc) {
-		p.Sleep(0.05)
-		if err := b.Free(); err != nil {
-			t.Errorf("Free: %v", err)
-		}
-	})
-	e.RunAll()
-	if sys.Node(0).Used() != 0 || sys.Node(1).Used() != 0 || a.LiveBuffers != 0 || a.TotalAllocs != 2 || a.TotalFrees != 2 || a.MigrationCount != 0 {
-		t.Errorf("DDR used %d, HBM used %d, live %d, allocs %d, frees %d, migrations %d",
-			sys.Node(0).Used(), sys.Node(1).Used(), a.LiveBuffers, a.TotalAllocs, a.TotalFrees, a.MigrationCount)
 	}
 }
 
@@ -227,16 +153,18 @@ func TestMemcpyRateCap(t *testing.T) {
 }
 
 func TestAllocatorStats(t *testing.T) {
-	_, _, a := testSetup()
-	b1, _ := a.AllocOnNode(1*gb, 0)
-	b2, _ := a.AllocOnNode(1*gb, 1)
-	if a.LiveBuffers != 2 || a.TotalAllocs != 2 {
-		t.Fatalf("live=%d allocs=%d", a.LiveBuffers, a.TotalAllocs)
+	e, _, a := testSetup()
+	b, _ := a.AllocOnNode(1*gb, 0)
+	a.AllocOnNode(1*gb, 1)
+	if a.LiveBuffers != 2 || a.TotalAllocs != 2 || a.TotalFrees != 0 {
+		t.Fatalf("live=%d allocs=%d frees=%d", a.LiveBuffers, a.TotalAllocs, a.TotalFrees)
 	}
-	b1.Free()
-	b2.Free()
-	if a.LiveBuffers != 0 || a.TotalFrees != 2 {
-		t.Fatalf("live=%d frees=%d", a.LiveBuffers, a.TotalFrees)
+	// A migration claims its destination as one more allocation and
+	// frees its source.
+	e.Spawn("mig", func(p *sim.Proc) { migrate(p, a, b, 1) })
+	e.RunAll()
+	if a.LiveBuffers != 2 || a.TotalAllocs != 3 || a.TotalFrees != 1 {
+		t.Fatalf("after a migration: live=%d allocs=%d frees=%d", a.LiveBuffers, a.TotalAllocs, a.TotalFrees)
 	}
 }
 
@@ -246,7 +174,7 @@ func TestMigrateOpCostCharged(t *testing.T) {
 	b, _ := a.AllocOnNode(1*gb, 0)
 	var dur sim.Time
 	e.Spawn("m", func(p *sim.Proc) {
-		d, err := a.Migrate(p, b, 1)
+		d, err := migrate(p, a, b, 1)
 		if err != nil {
 			t.Error(err)
 		}
@@ -261,8 +189,8 @@ func TestMigrateOpCostCharged(t *testing.T) {
 
 // TestMigrateAllocs pins the objects a DDR→HBM→DDR round trip of a
 // buffer allocates at steady state: the two memcpy flows, one per
-// migration. Migrate claims the destination's capacity and moves the
-// buffer to it in place, building no destination Buffer.
+// migration. A Migration claims the destination's capacity and moves
+// the buffer to it in place, building no destination Buffer.
 func TestMigrateAllocs(t *testing.T) {
 	e, sys, a := testSetup()
 	defer e.Close()
@@ -273,9 +201,13 @@ func TestMigrateAllocs(t *testing.T) {
 	}
 	var mover *sim.Proc
 	mover = e.Spawn("mover", func(p *sim.Proc) {
+		var mg Migration
+		step := func() bool { return mg.Step(p) }
 		for {
 			for _, node := range []int{1, 0} {
-				if _, err := a.Migrate(p, b, node); err != nil {
+				mg.Start(a, b, node)
+				p.Drive(step)
+				if _, err := mg.Result(); err != nil {
 					panic(err)
 				}
 			}

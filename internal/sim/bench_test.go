@@ -102,12 +102,12 @@ func BenchmarkLockCharge(b *testing.B) {
 	e.RunAll()
 }
 
-// BenchmarkSweep measures one slot of a Sweep: a charged lock, a visit
-// and an unlock, with the process sweeping 64 free mutexes over and over
-// while 64 later events wait on the heap. Each slot pays the same
-// charge as BenchmarkLockCharge's round trip, but the sweep steps from
-// the charge's event callback, so the process resumes once per 64
-// slots instead of once per lock.
+// BenchmarkSweep measures one slot of a Scan run as a Drive step: a
+// charged lock, a visit and an unlock, with the process sweeping 64 free
+// mutexes over and over while 64 later events wait on the heap. Each
+// slot pays the same charge as BenchmarkLockCharge's round trip, but the
+// scan steps from the charge's event callback, so the process resumes
+// once per 64 slots instead of once per lock.
 func BenchmarkSweep(b *testing.B) {
 	e := NewEngine(1)
 	defer e.Close()
@@ -118,8 +118,9 @@ func BenchmarkSweep(b *testing.B) {
 	lock := func(i int) *Mutex { return &ms[i] }
 	miss := func(int) bool { return false }
 	e.Spawn("sweeper", func(p *Proc) {
+		sc := newScanner(p)
 		for left := b.N; left > 0; left -= len(ms) {
-			p.Sweep(0, min(left, len(ms)), lock, miss)
+			sc.sweep(p, 0, min(left, len(ms)), lock, miss)
 		}
 	})
 	for i := 0; i < 64; i++ {

@@ -131,11 +131,11 @@ type driveWorld struct {
 	tokens   []int // per condition, guarded by its mutex
 	box      []int // per mailbox
 	sleepers [][]*Proc
-	log      []sweepStep
+	log      []logEntry
 }
 
 func (w *driveWorld) note(p *Proc, slot int, action string) {
-	w.log = append(w.log, sweepStep{w.e.Now(), p.Name(), slot, action})
+	w.log = append(w.log, logEntry{w.e.Now(), p.Name(), slot, action})
 }
 
 // give adds op.n tokens to mailbox op.slot and resumes up to op.n of
@@ -299,7 +299,7 @@ func (m *opMachine) step() bool {
 // runDrivePlan runs pl with its steppers as blocking code or, when
 // stepped, as Drive steps, and returns the log, the engine's counts and
 // the processes left parked (Close then reaps them).
-func runDrivePlan(pl drivePlan, stepped bool) ([]sweepStep, EventStats, []string) {
+func runDrivePlan(pl drivePlan, stepped bool) ([]logEntry, EventStats, []string) {
 	e := NewEngine(1)
 	defer e.Close()
 	w := &driveWorld{
@@ -322,6 +322,7 @@ func runDrivePlan(pl drivePlan, stepped bool) ([]sweepStep, EventStats, []string
 	for k, sp := range pl.sweepers {
 		sp := sp
 		e.Spawn(fmt.Sprintf("sweeper%d", k), func(p *Proc) {
+			sc := newScanner(p)
 			p.Sleep(sp.start)
 			for _, stops := range sp.rounds {
 				visit := func(i int) bool {
@@ -329,7 +330,7 @@ func runDrivePlan(pl drivePlan, stepped bool) ([]sweepStep, EventStats, []string
 					return stops[i]
 				}
 				for i := 0; i < n; i++ {
-					if i = p.Sweep(i, n, lock, visit); i == n {
+					if i = sc.sweep(p, i, n, lock, visit); i == n {
 						break
 					}
 					w.note(p, i, "hit")
@@ -469,8 +470,8 @@ func drivePanic(t *testing.T, body func(p *Proc)) any {
 	return r
 }
 
-// TestDrivePanics: a step that parks, panics, or drives or sweeps
-// itself each surfaces from Run naming the process, whether the step
+// TestDrivePanics: a step that parks, panics, or drives itself or a
+// Scan of its own each surfaces from Run naming the process, whether the step
 // runs in the body (its first call) or from the callback that woke the
 // process (after two sleeps).
 func TestDrivePanics(t *testing.T) {
@@ -491,7 +492,7 @@ func TestDrivePanics(t *testing.T) {
 				`sim: process "stepper" panicked: sim: Drive inside a Drive step, process stepper`},
 			{"step sweeps", func(p *Proc) {
 				ms := make([]Mutex, 2)
-				p.Sweep(0, len(ms), func(i int) *Mutex { return &ms[i] }, func(int) bool { return false })
+				newScanner(p).sweep(p, 0, len(ms), func(i int) *Mutex { return &ms[i] }, func(int) bool { return false })
 			}, `sim: process "stepper" panicked: sim: Drive inside a Drive step, process stepper`},
 		} {
 			t.Run(fmt.Sprintf("%s after %d sleeps", tc.name, after), func(t *testing.T) {

@@ -23,7 +23,13 @@ type Proc struct {
 	waking bool        // a wake event for this proc is pending
 	body   func(*Proc) // nil once p has finished
 	co     *coroutine  // runs body from p's first grant until it ends
-	drive  *drive      // p's Drive state, allocated at its first Drive
+
+	// p's Drive state: step is the step p waits on in Drive, parked is
+	// set while it waits there and grant runs step instead of resuming
+	// p, and stepping is set while a step runs, so a step that parks
+	// fails loudly.
+	step             func() bool
+	parked, stepping bool
 
 	// Event callbacks bound once in Spawn, so a wake schedules an
 	// existing func value instead of allocating a closure.
@@ -79,12 +85,12 @@ func (e *Engine) grant(p *Proc) {
 	if p.co == nil {
 		p.co = e.coroutine()
 		p.co.p = p
-	} else if d := p.drive; d != nil && d.parked {
-		if !p.stepFromWake(d) {
+	} else if p.parked {
+		if !p.stepFromWake() {
 			e.stats.Steps++
 			return
 		}
-		d.parked, d.step = false, nil
+		p.parked, p.step = false, nil
 	}
 	e.stats.Resumes++
 	p.co.next()
@@ -131,7 +137,7 @@ func (c *coroutine) run() (returned bool) {
 // exit records that p has finished. It drops p's body and coroutine: a
 // PE, a flow or a lock may hold the Proc long after its body returned.
 func (p *Proc) exit() {
-	p.body, p.co, p.drive = nil, nil, nil
+	p.body, p.co, p.step = nil, nil, nil
 	p.done = true
 	p.e.nlive--
 	p.e.procs[p.id] = nil
@@ -195,10 +201,7 @@ func (p *Proc) Now() Time { return p.e.now }
 // process. Callers must have arranged for a wake (timer, queue position,
 // signal, ...) or the process stays parked until Close kills it.
 func (p *Proc) park() {
-	if d := p.drive; d != nil && d.stepping {
-		if d.sweep.visiting {
-			panic("sim: Sweep visit parked process " + p.name)
-		}
+	if p.stepping {
 		panic("sim: Drive step parked process " + p.name)
 	}
 	if !p.co.yield(struct{}{}) {
@@ -227,13 +230,6 @@ func (p *Proc) ArmSleep(d Time) {
 	p.e.wakeAt(p.e.now+d, p)
 }
 
-// charge parks the process for a lock's AcquireCost d > 0, as Sleep(d)
-// would, with the wake on the engine's lock-charge FIFO for d.
-func (p *Proc) charge(d Time) {
-	p.e.scheduleCharge(d, p.timerFn)
-	p.park()
-}
-
 // ArmSleepUntil arranges p's wake at absolute virtual time t, for a
 // Drive step to return false after. A target at or before the current
 // time degenerates to a yield, so replaying a recorded timeline can
@@ -245,9 +241,6 @@ func (p *Proc) ArmSleepUntil(t Time) {
 	}
 	p.e.wakeAt(t, p)
 }
-
-// Yield gives other same-time events a chance to run.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // Suspend parks the process until another process (or event callback)
 // calls Resume on it. It is the low-level building block for the
@@ -280,52 +273,28 @@ func (p *Proc) Spawn(name string, body func(q *Proc)) *Proc {
 // falls, by the EventStats.Steps the callbacks handle without p.
 //
 // A step may run outside p's body, so it must not park: a step that
-// calls a blocking primitive, or Drive or Sweep, panics naming p. A
-// panic in a step
-// surfaces from Run as a body panic does, and leaves p parked for Close
-// to reap. Drive keeps step until it returns true, so callers bind
-// their step once; a process allocates its Drive state at its first
-// Drive only.
+// calls a blocking primitive, or Drive, panics naming p. A panic in a
+// step surfaces from Run as a body panic does, and leaves p parked for
+// Close to reap. Drive keeps step until it returns true, so callers bind
+// their step once; its state lives in p, so a Drive allocates nothing.
 func (p *Proc) Drive(step func() bool) {
-	d := p.driveState()
-	if p.runStep(d, step) {
+	if p.stepping {
+		// A nested Drive would overwrite the running step and turn
+		// its park guard off.
+		panic("sim: Drive inside a Drive step, process " + p.name)
+	}
+	if p.runStep(step) {
 		return
 	}
-	d.step, d.parked = step, true
+	p.step, p.parked = step, true
 	p.park()
 }
 
-// drive is a Proc's Drive state. parked is set while p waits in Drive
-// and grant runs step instead of resuming p; stepping is set while a
-// step runs, so a step that parks fails loudly. sweep is p's Sweep,
-// which Drive steps through sweepStep, bound once.
-type drive struct {
-	step             func() bool
-	parked, stepping bool
-	sweep            Scan
-	sweepStep        func() bool
-}
-
-// driveState returns p's Drive state, allocating it at p's first Drive.
-// It panics inside a step: a nested Drive or Sweep would overwrite the
-// running step's state and turn its park guard off.
-func (p *Proc) driveState() *drive {
-	if d := p.drive; d != nil && d.stepping {
-		panic("sim: Drive inside a Drive step, process " + p.name)
-	}
-	if p.drive == nil {
-		d := &drive{}
-		d.sweepStep = func() bool { return d.sweep.Step(p) }
-		p.drive = d
-	}
-	return p.drive
-}
-
 // runStep calls step for p with the stepping guard set.
-func (p *Proc) runStep(d *drive, step func() bool) bool {
-	d.stepping = true
+func (p *Proc) runStep(step func() bool) bool {
+	p.stepping = true
 	done := step()
-	d.stepping = false
+	p.stepping = false
 	return done
 }
 
@@ -333,12 +302,12 @@ func (p *Proc) runStep(d *drive, step func() bool) bool {
 // reports whether it returned true, so that p must resume. A panic in
 // the step re-panics naming p, as one in its body would; p stays parked
 // for Close to reap.
-func (p *Proc) stepFromWake(d *drive) bool {
+func (p *Proc) stepFromWake() bool {
 	defer func() {
 		if r := recover(); r != nil {
-			d.stepping = false
+			p.stepping = false
 			panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 		}
 	}()
-	return p.runStep(d, d.step)
+	return p.runStep(p.step)
 }

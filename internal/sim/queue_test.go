@@ -118,7 +118,10 @@ func checkMergedOrder(t *testing.T, seed int64) {
 			for n := 0; n < 40; n++ {
 				m := &locks[rng.Intn(2)]
 				if rng.Intn(4) == 0 {
-					if m.TryLock(p) {
+					// Take m only if it is free: the charge
+					// is that of any uncontended Lock.
+					if !m.Locked() {
+						m.Lock(p)
 						m.Unlock(p)
 					}
 					continue

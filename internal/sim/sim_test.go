@@ -363,7 +363,7 @@ func TestZeroSleepYields(t *testing.T) {
 	var order []string
 	e.Spawn("a", func(p *Proc) {
 		order = append(order, "a1")
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "a2")
 	})
 	e.Spawn("b", func(p *Proc) {

@@ -8,7 +8,7 @@ import (
 	"time"
 )
 
-// lockLoop is the explicit loop Proc.Sweep must match event for event.
+// lockLoop is the explicit loop a Scan must match event for event.
 func lockLoop(p *Proc, from, n int, lock func(int) *Mutex, visit func(int) bool) int {
 	for i := from; i < n; i++ {
 		lock(i).Lock(p)
@@ -18,6 +18,36 @@ func lockLoop(p *Proc, from, n int, lock func(int) *Mutex, visit func(int) bool)
 		lock(i).Unlock(p)
 	}
 	return n
+}
+
+// scanner runs a Scan as a process's whole Drive step, bound once, so
+// that a steady-state sweep allocates nothing.
+type scanner struct {
+	s    Scan
+	step func() bool
+}
+
+func newScanner(p *Proc) *scanner {
+	sc := &scanner{}
+	sc.step = func() bool { return sc.s.Step(p) }
+	return sc
+}
+
+// sweep scans [from, n) as one Drive of p and returns the slot where
+// the scan ended, as lockLoop does: a hit, its lock still held, or n.
+func (sc *scanner) sweep(p *Proc, from, n int, lock func(int) *Mutex, visit func(int) bool) int {
+	sc.s.Start(from, n, lock, visit)
+	p.Drive(sc.step)
+	return sc.s.Slot()
+}
+
+// sweepWith returns how p sweeps: through a scanner when stepped,
+// through lockLoop otherwise.
+func sweepWith(p *Proc, stepped bool) func(p *Proc, from, n int, lock func(int) *Mutex, visit func(int) bool) int {
+	if stepped {
+		return newScanner(p).sweep
+	}
+	return lockLoop
 }
 
 // sweepPlan is a random workload on a row of mutexes: sweepers scan the
@@ -79,17 +109,18 @@ func randomSweepPlan(r *rand.Rand, maxSlots, maxProcs int) sweepPlan {
 	return pl
 }
 
-// sweepStep is one logged action: who did what to which slot, and when.
-type sweepStep struct {
+// logEntry is one logged action: who did what to which slot, and when.
+type logEntry struct {
 	t      Time
 	proc   string
 	slot   int
 	action string
 }
 
-// runSweepPlan runs pl with the sweepers scanning through sweep
-// (Proc.Sweep or lockLoop) and returns the log and the engine's counts.
-func runSweepPlan(pl sweepPlan, sweep func(p *Proc, from, n int, lock func(int) *Mutex, visit func(int) bool) int) ([]sweepStep, EventStats) {
+// runSweepPlan runs pl with the sweepers scanning as Drive steps when
+// stepped, through lockLoop otherwise, and returns the log and the
+// engine's counts.
+func runSweepPlan(pl sweepPlan, stepped bool) ([]logEntry, EventStats) {
 	e := NewEngine(1)
 	defer e.Close()
 	ms := make([]Mutex, len(pl.costs))
@@ -97,14 +128,15 @@ func runSweepPlan(pl sweepPlan, sweep func(p *Proc, from, n int, lock func(int) 
 		ms[i].AcquireCost = c
 	}
 	lock := func(i int) *Mutex { return &ms[i] }
-	var log []sweepStep
+	var log []logEntry
 	note := func(p *Proc, slot int, action string) {
-		log = append(log, sweepStep{e.Now(), p.Name(), slot, action})
+		log = append(log, logEntry{e.Now(), p.Name(), slot, action})
 	}
 	n := len(ms)
 	for k, sp := range pl.sweepers {
 		sp := sp
 		e.Spawn(fmt.Sprintf("sweeper%d", k), func(p *Proc) {
+			sweep := sweepWith(p, stepped)
 			p.Sleep(sp.start)
 			for _, stops := range sp.rounds {
 				visit := func(i int) bool {
@@ -146,58 +178,58 @@ func runSweepPlan(pl sweepPlan, sweep func(p *Proc, from, n int, lock func(int) 
 	return log, e.EventStats()
 }
 
-// checkSweepPlan runs pl with Sweep and with the explicit loop and
-// fails unless both give the same log and the same event counts but
-// Resumes, which Sweep must not raise, and Steps: every wake the loop
-// resumes its process for, Sweep either resumes or steps. It returns
-// both Resumes counts.
-func checkSweepPlan(t *testing.T, pl sweepPlan) (sweep, loop int64) {
+// checkSweepPlan runs pl with stepped Scans and with the explicit loop
+// and fails unless both give the same log and the same event counts but
+// Resumes, which the Scans must not raise, and Steps: every wake the
+// loop resumes its process for, a Scan's Drive either resumes or steps.
+// It returns both Resumes counts.
+func checkSweepPlan(t *testing.T, pl sweepPlan) (scan, loop int64) {
 	t.Helper()
-	got, gotSt := runSweepPlan(pl, (*Proc).Sweep)
-	want, wantSt := runSweepPlan(pl, lockLoop)
+	got, gotSt := runSweepPlan(pl, true)
+	want, wantSt := runSweepPlan(pl, false)
 	for i := range min(len(got), len(want)) {
 		if got[i] != want[i] {
-			t.Fatalf("plan %+v: step %d is %+v with Sweep, %+v with the loop", pl, i, got[i], want[i])
+			t.Fatalf("plan %+v: step %d is %+v with the Scan, %+v with the loop", pl, i, got[i], want[i])
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("plan %+v: %d steps with Sweep, %d with the loop", pl, len(got), len(want))
+		t.Fatalf("plan %+v: %d steps with the Scan, %d with the loop", pl, len(got), len(want))
 	}
-	sweep, loop = gotSt.Resumes, wantSt.Resumes
-	if sweep > loop {
-		t.Errorf("plan %+v: %d resumes with Sweep, more than the loop's %d", pl, sweep, loop)
+	scan, loop = gotSt.Resumes, wantSt.Resumes
+	if scan > loop {
+		t.Errorf("plan %+v: %d resumes with the Scan, more than the loop's %d", pl, scan, loop)
 	}
 	if gotSt.Resumes+gotSt.Steps != wantSt.Resumes+wantSt.Steps {
-		t.Errorf("plan %+v: %d resumes and %d steps with Sweep, %d and %d with the loop: the wakes differ", pl, gotSt.Resumes, gotSt.Steps, wantSt.Resumes, wantSt.Steps)
+		t.Errorf("plan %+v: %d resumes and %d steps with the Scan, %d and %d with the loop: the wakes differ", pl, gotSt.Resumes, gotSt.Steps, wantSt.Resumes, wantSt.Steps)
 	}
 	gotSt.Resumes, wantSt.Resumes = 0, 0
 	gotSt.Steps, wantSt.Steps = 0, 0
 	if gotSt != wantSt {
-		t.Fatalf("plan %+v: EventStats %+v with Sweep, %+v with the loop", pl, gotSt, wantSt)
+		t.Fatalf("plan %+v: EventStats %+v with the Scan, %+v with the loop", pl, gotSt, wantSt)
 	}
-	return sweep, loop
+	return scan, loop
 }
 
-// TestSweepMatchesLockLoop checks Sweep against the explicit
-// Lock/visit/Unlock loop on seeded random plans: the same actions at
-// the same times in the same order, and the same events.
+// TestSweepMatchesLockLoop checks a Scan run as a Drive step against
+// the explicit Lock/visit/Unlock loop on seeded random plans: the same
+// actions at the same times in the same order, and the same events.
 func TestSweepMatchesLockLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	var sweep, loop int64
+	var scan, loop int64
 	for i := 0; i < 500; i++ {
 		s, l := checkSweepPlan(t, randomSweepPlan(r, 8, 3))
-		sweep += s
+		scan += s
 		loop += l
 	}
-	if sweep >= loop {
-		t.Errorf("%d resumes with Sweep over all plans, want fewer than the loop's %d", sweep, loop)
+	if scan >= loop {
+		t.Errorf("%d resumes with the Scan over all plans, want fewer than the loop's %d", scan, loop)
 	}
-	t.Logf("resumes: %d with Sweep, %d with the loop", sweep, loop)
+	t.Logf("resumes: %d with the Scan, %d with the loop", scan, loop)
 }
 
-// FuzzSweep checks Sweep against the explicit loop on plans drawn from
-// the fuzzed seed, with up to 1+slots%16 mutexes and 1+procs%6
-// sweepers and contenders each.
+// FuzzSweep checks a Scan run as a Drive step against the explicit loop
+// on plans drawn from the fuzzed seed, with up to 1+slots%16 mutexes
+// and 1+procs%6 sweepers and contenders each.
 func FuzzSweep(f *testing.F) {
 	f.Add(int64(1), uint8(7), uint8(2))
 	f.Add(int64(2), uint8(0), uint8(0))
@@ -207,16 +239,16 @@ func FuzzSweep(f *testing.F) {
 	})
 }
 
-// TestSweepResumesOnce: a sweep over charged free locks resumes its
+// TestSweepResumesOnce: a Scan over charged free locks resumes its
 // process once, at the end, where the loop resumes it after every
 // charge.
 func TestSweepResumesOnce(t *testing.T) {
 	for _, tc := range []struct {
-		sweep func(p *Proc, from, n int, lock func(int) *Mutex, visit func(int) bool) int
-		want  int64
+		stepped bool
+		want    int64
 	}{
-		{(*Proc).Sweep, 2}, // the first grant, and the end of the sweep
-		{lockLoop, 9},      // the first grant, and one per charge
+		{true, 2},  // the first grant, and the end of the scan
+		{false, 9}, // the first grant, and one per charge
 	} {
 		e := NewEngine(1)
 		ms := make([]Mutex, 8)
@@ -224,7 +256,7 @@ func TestSweepResumesOnce(t *testing.T) {
 			ms[i].AcquireCost = 0.3e-6
 		}
 		e.Spawn("sweeper", func(p *Proc) {
-			tc.sweep(p, 0, len(ms), func(i int) *Mutex { return &ms[i] }, func(int) bool { return false })
+			sweepWith(p, tc.stepped)(p, 0, len(ms), func(i int) *Mutex { return &ms[i] }, func(int) bool { return false })
 		})
 		e.RunAll()
 		if got := e.EventStats().Resumes; got != tc.want {
@@ -265,8 +297,8 @@ func sweepPanic(t *testing.T, body func(p *Proc, ms []Mutex)) any {
 
 // TestSweepPanics: a recursive lock, a panicking visit and a visit that
 // parks each surface from Run as a body panic does, naming the process,
-// whether the sweep is still in the body (slot 0, before the sweep
-// first parks) or stepped from an event callback (slot 2, after two
+// whether the scan's step is still in the body (slot 0, before the
+// Drive first parks) or runs from an event callback (slot 2, after two
 // charges).
 func TestSweepPanics(t *testing.T) {
 	lockOf := func(ms []Mutex) func(int) *Mutex { return func(i int) *Mutex { return &ms[i] } }
@@ -280,14 +312,14 @@ func TestSweepPanics(t *testing.T) {
 				"recursive lock",
 				func(p *Proc, ms []Mutex) {
 					ms[slot].Lock(p)
-					p.Sweep(0, len(ms), lockOf(ms), func(int) bool { return false })
+					newScanner(p).sweep(p, 0, len(ms), lockOf(ms), func(int) bool { return false })
 				},
 				`sim: process "sweeper" panicked: sim: recursive Mutex.Lock by sweeper`,
 			},
 			{
 				"visit panics",
 				func(p *Proc, ms []Mutex) {
-					p.Sweep(0, len(ms), lockOf(ms), func(i int) bool {
+					newScanner(p).sweep(p, 0, len(ms), lockOf(ms), func(i int) bool {
 						if i == slot {
 							panic("boom")
 						}
@@ -299,14 +331,14 @@ func TestSweepPanics(t *testing.T) {
 			{
 				"visit parks",
 				func(p *Proc, ms []Mutex) {
-					p.Sweep(0, len(ms), lockOf(ms), func(i int) bool {
+					newScanner(p).sweep(p, 0, len(ms), lockOf(ms), func(i int) bool {
 						if i == slot {
-							p.Yield()
+							p.Sleep(0)
 						}
 						return false
 					})
 				},
-				`sim: process "sweeper" panicked: sim: Sweep visit parked process sweeper`,
+				`sim: process "sweeper" panicked: sim: Drive step parked process sweeper`,
 			},
 		} {
 			t.Run(fmt.Sprintf("%s at slot %d", tc.name, slot), func(t *testing.T) {
@@ -327,7 +359,8 @@ func TestSweepPanics(t *testing.T) {
 }
 
 // TestCloseReapsSweepingProcs: Close unwinds processes parked in a
-// sweep, on a lock charge or on a handoff, and leaves no goroutine.
+// Scan's Drive, on a lock charge or on a handoff, and leaves no
+// goroutine.
 func TestCloseReapsSweepingProcs(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine(1)
@@ -341,13 +374,13 @@ func TestCloseReapsSweepingProcs(t *testing.T) {
 		ms[2].Lock(p)
 		p.Suspend() // never resumed: slot 2 stays held
 	})
-	e.Spawn("handoff", func(p *Proc) { p.Sweep(0, len(ms), lock, none) })
+	e.Spawn("handoff", func(p *Proc) { newScanner(p).sweep(p, 0, len(ms), lock, none) })
 	e.Spawn("charge", func(p *Proc) {
 		ms2 := make([]Mutex, 64)
 		for i := range ms2 {
 			ms2[i].AcquireCost = 1
 		}
-		p.Sweep(0, len(ms2), func(i int) *Mutex { return &ms2[i] }, none)
+		newScanner(p).sweep(p, 0, len(ms2), func(i int) *Mutex { return &ms2[i] }, none)
 	})
 	e.Run(10)
 	if n := e.LiveProcs(); n != 3 {
@@ -369,8 +402,9 @@ func TestCloseReapsSweepingProcs(t *testing.T) {
 	}
 }
 
-// TestSweepAllocs pins a steady-state sweep at zero allocations: its
-// state lives in the Proc, and lock and visit are bound once.
+// TestSweepAllocs pins a steady-state Scan at zero allocations: the
+// Drive state lives in the Proc, and the step, lock and visit are bound
+// once.
 func TestSweepAllocs(t *testing.T) {
 	e := NewEngine(1)
 	defer e.Close()
@@ -382,11 +416,12 @@ func TestSweepAllocs(t *testing.T) {
 	hits := 0
 	visit := func(i int) bool { return i == 40 }
 	e.Spawn("sweeper", func(p *Proc) {
+		sc := newScanner(p)
 		for {
-			if i := p.Sweep(0, len(ms), lock, visit); i < len(ms) {
+			if i := sc.sweep(p, 0, len(ms), lock, visit); i < len(ms) {
 				hits++
 				ms[i].Unlock(p)
-				p.Sweep(i+1, len(ms), lock, visit)
+				sc.sweep(p, i+1, len(ms), lock, visit)
 			}
 		}
 	})

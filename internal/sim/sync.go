@@ -75,19 +75,6 @@ func (m *Mutex) Acquire(p *Proc, s *LockStep) bool {
 	return true
 }
 
-// TryLock acquires m if it is free and reports whether it did. It never
-// parks and never charges AcquireCost on failure.
-func (m *Mutex) TryLock(p *Proc) bool {
-	if m.owner != nil {
-		return false
-	}
-	m.owner = p
-	if m.AcquireCost > 0 {
-		p.charge(m.AcquireCost)
-	}
-	return true
-}
-
 // Unlock releases m, handing it to the oldest waiter if any. Unlocking a
 // mutex not held by p panics, as with sync.Mutex misuse.
 func (m *Mutex) Unlock(p *Proc) {
@@ -105,11 +92,13 @@ func (m *Mutex) Unlock(p *Proc) {
 	next.Resume()
 }
 
-// Sweep acquires lock(i) for each slot i in [from, n) in turn, exactly
-// as Mutex.Lock would, calls visit(i) under the lock and releases it,
-// until a visit returns true: Sweep then returns that i with its lock
-// still held. It returns n when no visit does. Its
-// events, times and handoffs are those of the explicit loop
+// Scan is a sweep over a row of locks in progress, for a Proc.Drive
+// step that runs it whole or as one of its stages. It acquires lock(i)
+// for each slot i in [from, n) in turn, exactly as Mutex.Lock would,
+// calls visit(i) under the lock and releases it, until a visit returns
+// true: the scan then ends at that slot with its lock still held, or at
+// n when no visit does. Its events, times and handoffs are those of the
+// explicit loop
 //
 //	for i := from; i < n; i++ {
 //		lock(i).Lock(p)
@@ -120,40 +109,23 @@ func (m *Mutex) Unlock(p *Proc) {
 //	}
 //	return n
 //
-// but p resumes only once, at the hit or at the end: Sweep drives a
-// Scan (see Drive). visit may therefore run outside p's body, and must
-// neither park nor touch any slot but its own; a panic in it surfaces
-// from Run as a body panic does. The sweep keeps lock and visit until
-// it ends, so callers bind them once to sweep without allocating.
-func (p *Proc) Sweep(from, n int, lock func(int) *Mutex, visit func(int) bool) int {
-	if from >= n {
-		return n
-	}
-	d := p.driveState()
-	s := &d.sweep
-	s.Start(from, n, lock, visit)
-	p.Drive(d.sweepStep)
-	i := s.Slot()
-	*s = Scan{}
-	return i
-}
-
-// Scan is a sweep in progress, for a Drive step that scans a row of
-// locks as one of its stages (Proc.Sweep drives one on its own): slot
-// i of [i, n), its mutex m and how far p has got in acquiring it.
-// visiting is set while visit runs.
+// but the step, not p, waits for each lock. visit therefore runs as
+// part of the step and must neither park nor touch any slot but its
+// own; a panic in it surfaces from Run as a body panic does. A scan
+// holds slot i of [i, n), its mutex m and how far p has got in
+// acquiring it; callers bind lock and visit once to scan without
+// allocating.
 type Scan struct {
-	visiting bool
-	step     LockStep
-	i, n     int
-	m        *Mutex
-	lock     func(int) *Mutex
-	visit    func(int) bool
+	step  LockStep
+	i, n  int
+	m     *Mutex
+	lock  func(int) *Mutex
+	visit func(int) bool
 }
 
-// Start sets s to sweep [from, n) as Proc.Sweep(from, n, lock, visit)
-// would; it takes no lock until the first Step. A range with from >= n
-// ends at the first Step with the result n.
+// Start sets s to sweep [from, n) with lock and visit; it takes no lock
+// until the first Step. A range with from >= n ends at the first Step
+// with the result n.
 func (s *Scan) Start(from, n int, lock func(int) *Mutex, visit func(int) bool) {
 	*s = Scan{i: from, n: n, lock: lock, visit: visit}
 	if from < n {
@@ -174,10 +146,7 @@ func (s *Scan) Step(p *Proc) bool {
 		if !s.m.Acquire(p, &s.step) {
 			return false
 		}
-		s.visiting = true
-		hit := s.visit(s.i)
-		s.visiting = false
-		if hit {
+		if s.visit(s.i) {
 			return true
 		}
 		s.m.Unlock(p)

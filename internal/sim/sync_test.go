@@ -53,28 +53,6 @@ func TestMutexFIFO(t *testing.T) {
 	}
 }
 
-func TestMutexTryLock(t *testing.T) {
-	e := NewEngine(1)
-	var m Mutex
-	var got []bool
-	e.Spawn("holder", func(p *Proc) {
-		m.Lock(p)
-		p.Sleep(2)
-		m.Unlock(p)
-	})
-	e.Spawn("prober", func(p *Proc) {
-		p.Sleep(1)
-		got = append(got, m.TryLock(p)) // held -> false
-		p.Sleep(2)
-		got = append(got, m.TryLock(p)) // free -> true
-		m.Unlock(p)
-	})
-	e.RunAll()
-	if len(got) != 2 || got[0] || !got[1] {
-		t.Fatalf("TryLock results = %v, want [false true]", got)
-	}
-}
-
 func TestMutexAcquireCost(t *testing.T) {
 	e := NewEngine(1)
 	m := Mutex{AcquireCost: 0.5}

@@ -122,14 +122,12 @@ func TestModeStrings(t *testing.T) {
 func TestAllocatorWired(t *testing.T) {
 	e := sim.NewEngine(1)
 	m := KNL7250().MustBuild(e)
-	b, err := m.Alloc.AllocOnNode(4*GB, HBMNodeID)
-	if err != nil {
+	if _, err := m.Alloc.AllocOnNode(4*GB, HBMNodeID); err != nil {
 		t.Fatal(err)
 	}
 	if m.HBM().Used() != 4*GB {
 		t.Fatal("allocator not wired to machine nodes")
 	}
-	b.Free()
 }
 
 func TestKNLWithNVMPreset(t *testing.T) {
