@@ -129,6 +129,12 @@ func TestUsageErrors(t *testing.T) {
 		{2, []string{"run", "-scale", "small", "-app", "matmul", "-total", "-2"}},
 		{2, []string{"run", "-scale", "small", "-mode", "naive", "-evict-policy", "lru"}},
 		{2, []string{"run", "-scale", "small", "-mode", "ddr4only", "-evict-policy", "decl"}},
+		// Counts below one, refused before anything runs or prints.
+		{2, []string{"run", "-scale", "small", "-iters", "0"}},
+		{2, []string{"run", "-scale", "small", "-iters", "-1"}},
+		{2, []string{"stream", "-threads", "0"}},
+		{2, []string{"stream", "-array", "0"}},
+		{2, []string{"stream", "-array", "-5"}},
 		{2, []string{"projections", "-scale", "smal"}},
 		{2, []string{"stream", "extra"}},
 		// Runs the machine cannot hold: a task larger than the HBM

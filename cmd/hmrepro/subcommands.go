@@ -89,6 +89,9 @@ func cmdRun(args []string, stdout, stderr io.Writer) int {
 	if *reduced > 0 {
 		stencil.ReducedBytes = gbBytes(*reduced)
 	}
+	if *iters < 1 {
+		return fail(stderr, 2, "-iters %d: need at least one iteration", *iters)
+	}
 	stencil.Iterations = *iters
 	if *nodes < 1 {
 		return fail(stderr, 2, "-nodes %d: need at least one node", *nodes)
@@ -195,6 +198,12 @@ func cmdStream(args []string, stdout, stderr io.Writer) int {
 	quadrant := fs.Bool("quadrant", false, "use quadrant cluster mode instead of all-to-all")
 	if code, ok := parse(fs, args, stderr); !ok {
 		return code
+	}
+	if *threads < 1 {
+		return fail(stderr, 2, "-threads %d: need at least one thread", *threads)
+	}
+	if *arrayBytes < 1 {
+		return fail(stderr, 2, "-array %d: want a positive size in bytes", *arrayBytes)
 	}
 	spec := topology.KNL7250()
 	if *quadrant {

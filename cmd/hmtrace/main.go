@@ -46,7 +46,9 @@
 // core.Options.Validate refuses (a negative count or reserve, an IO
 // thread count or prefetch depth the strategy does not take), or an
 // HBM reserve that leaves less room than some [prefetch] task's
-// dependences. diff exits 1 when the captures differ.
+// dependences; and on inputs the replay would drop: a victim policy
+// under a strategy that never evicts, or a negative -abandon-above.
+// diff exits 1 when the captures differ.
 package main
 
 import (
@@ -402,6 +404,10 @@ func cmdWhatIf(args []string, stdout, stderr io.Writer) int {
 	if fs.Parse(args) != nil {
 		return 1
 	}
+	if !(*abandonAbove >= 0) {
+		fmt.Fprintf(stderr, "hmtrace whatif: -abandon-above %g: want a bound in seconds, or 0 to replay fully\n", *abandonAbove)
+		return 1
+	}
 	path, ok := onePath(fs, stderr)
 	if !ok {
 		return 1
@@ -435,6 +441,11 @@ func cmdWhatIf(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		knobs.EvictPolicy = *policy
+		// Knobs.Options drops the policy of a mode that never evicts.
+		if o, err := knobs.Options(); err == nil && !o.Mode.Moves() {
+			fmt.Fprintf(stderr, "hmtrace whatif: -evict-policy needs a strategy that moves data (single, noio or multi), not %s\n", o.Mode)
+			return 1
+		}
 	}
 	if set["evict-lazy"] {
 		knobs.EvictLazily = *lazy

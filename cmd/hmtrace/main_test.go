@@ -366,12 +366,15 @@ func TestWhatIfRefusesRejectedKnobs(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	for _, tc := range []struct{ flags, want string }{
-		{"-hbm-reserve 2140000000", "trace: task 150 (stencil3d[0].compute_kernel) needs 134217728 dep bytes, exceeding the 7483648-byte HBM budget"},
-		{"-hbm-reserve -1", "core: negative HBM reserve -1"},
-		{"-prefetch-depth -2", "core: negative PrefetchDepth -2"},
-		{"-io-threads -3", "core: negative IOThreads -3"},
-		{"-io-threads 4", "core: IOThreads override is only meaningful for SingleIO, not Multiple IO threads (MultiIO always runs one per PE)"},
-		{"-strategy single -prefetch-depth 2", "core: PrefetchDepth is only meaningful for MultiIO, not Single IO thread"},
+		{"-hbm-reserve 2140000000", "replay: trace: task 150 (stencil3d[0].compute_kernel) needs 134217728 dep bytes, exceeding the 7483648-byte HBM budget"},
+		{"-hbm-reserve -1", "replay: core: negative HBM reserve -1"},
+		{"-prefetch-depth -2", "replay: core: negative PrefetchDepth -2"},
+		{"-io-threads -3", "replay: core: negative IOThreads -3"},
+		{"-io-threads 4", "replay: core: IOThreads override is only meaningful for SingleIO, not Multiple IO threads (MultiIO always runs one per PE)"},
+		{"-strategy single -prefetch-depth 2", "replay: core: PrefetchDepth is only meaningful for MultiIO, not Single IO thread"},
+		// Inputs the replay would otherwise drop.
+		{"-strategy naive -evict-policy lru", "-evict-policy needs a strategy that moves data (single, noio or multi), not Naive"},
+		{"-abandon-above -1", "-abandon-above -1: want a bound in seconds, or 0 to replay fully"},
 	} {
 		args := append(append([]string{"whatif"}, strings.Fields(tc.flags)...), sampleCapture)
 		var out, errb bytes.Buffer
@@ -380,7 +383,7 @@ func TestWhatIfRefusesRejectedKnobs(t *testing.T) {
 		cmd.Run()
 		code := cmd.ProcessState.ExitCode()
 		if code != 1 || out.Len() > 0 || strings.Contains(errb.String(), "goroutine") ||
-			errb.String() != "hmtrace whatif: replay: "+tc.want+"\n" {
+			errb.String() != "hmtrace whatif: "+tc.want+"\n" {
 			t.Errorf("whatif %s exited %d with stdout %q, stderr %q; want 1, nothing, and %q",
 				tc.flags, code, out.String(), errb.String(), tc.want)
 		}
