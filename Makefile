@@ -44,8 +44,8 @@ lint-fix-check:
 # trip, encoder byte parity, fast-parser parity), hetmemd's
 # submit handler, memsim's bandwidth allocator over random flow plans,
 # sim's lock sweeps (a Scan run as a Drive step) against the explicit
-# lock loop and sim's Drive steps against blocking code. CI runs this on every push; longer
-# local runs just raise FUZZTIME.
+# lock loop and sim's Drive steps against blocking code. CI runs this
+# on every push; longer local runs just raise FUZZTIME.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
